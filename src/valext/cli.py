@@ -54,6 +54,7 @@ from .builder import (
 from .compositum import tensor_decompose
 from .errors import (
     CapabilityError,
+    DomainError,
     PreconditionError,
     ScenarioParseError,
     StructuralError,
@@ -118,7 +119,7 @@ def _parse_steps(tower: FieldTower, text: str, line: int) -> FieldTower:
                 tower = tower.extend_algebraic(name, f.univariate_coeffs())
             else:
                 raise ScenarioParseError(f"unknown step kind in {part!r}", line)
-        except StructuralError as exc:
+        except (StructuralError, DomainError) as exc:
             raise ScenarioParseError(str(exc), line) from None
     return tower
 

@@ -613,10 +613,47 @@ def _r_mul(tw, lvl, a, b):
     if step.is_algebraic:
         prod = _u_mul(tw, lvl - 1, list(a), list(b))
         return tuple(_u_rem(tw, lvl - 1, prod, list(step.minpoly)))
+    term = _monomial_term(tw, lvl - 1, b)
+    if term is not None:
+        return _shift_mul(tw, lvl - 1, a, *term)
+    term = _monomial_term(tw, lvl - 1, a)
+    if term is not None:
+        return _shift_mul(tw, lvl - 1, b, *term)
     (an, ad), (bn, bd) = a, b
     num = _u_mul(tw, lvl - 1, list(an), list(bn))
     den = _u_mul(tw, lvl - 1, list(ad), list(bd))
     return _frac(tw, lvl - 1, num, den)
+
+
+def _monomial_term(tw, clvl, r):
+    """(c, i, k) when the transcendental-level rep r is c*g^i / g^k, else None."""
+    num, den = r
+    if not num:
+        return None
+    for part in (num, den):
+        for c in part[:-1]:
+            if not _r_is_zero(tw, clvl, c):
+                return None
+    return num[-1], len(num) - 1, len(den) - 1
+
+
+def _shift_mul(tw, clvl, r, c, i, k):
+    """r * c*g^i / g^k in canonical form, without a gcd: c is a unit, so the
+    numerator and denominator of r stay coprime after scaling by c, and the
+    only common factor the shift can bring is a power of g, read off from
+    the trailing zeros."""
+    num, den = r
+    if not num:
+        return r
+    zero = _r_zero(tw, clvl)
+    if c != _r_one(tw, clvl):
+        num = [x if _r_is_zero(tw, clvl, x) else _r_mul(tw, clvl, c, x) for x in num]
+    num = [zero] * i + list(num)
+    den = [zero] * k + list(den)
+    s = 0
+    while _r_is_zero(tw, clvl, num[s]) and _r_is_zero(tw, clvl, den[s]):
+        s += 1
+    return (tuple(num[s:]), tuple(den[s:]))
 
 
 def _r_inv(tw, lvl, a):
@@ -796,8 +833,9 @@ def _split_fraction(tw: FieldTower, rep, cut: int):
 
     Returns two dicts mapping exponent tuples (slot j = generator at level
     cut+1+j) to nonzero level-``cut`` reps.  No common-factor reduction is
-    performed; callers relying only on exponent structure (valuations) or on
-    display do not need it.
+    performed.  For display only (``FieldElement.as_fraction_strings``): the
+    products it multiplies out are far too slow for arithmetic, so valuations
+    read values from the nested rep instead.
     """
 
     one = _r_one(tw, cut)
@@ -1171,7 +1209,7 @@ def pth_root(elem: FieldElement) -> FieldElement | None:
     q = _finite_field_size(tw)
     if q is not None:
         root = elem ** (q // p)
-        assert root**p == elem
+        _check_pth_root(root, elem)
         return root
     fl = _flattening(tw)
     if fl is None:
@@ -1184,8 +1222,13 @@ def pth_root(elem: FieldElement) -> FieldElement | None:
     if r is None:
         return None
     root = fl.back.apply(r)
-    assert root**p == elem
+    _check_pth_root(root, elem)
     return root
+
+
+def _check_pth_root(root: FieldElement, elem: FieldElement) -> None:
+    if root ** elem.tower.char != elem:
+        raise DomainError(f"computed p-th root {root} of {elem} does not check")
 
 
 def perfect_closure_truncated(tower: FieldTower, p: int, n_trunc: int) -> FieldTower:

@@ -388,6 +388,8 @@ def _parse_polynomial(text: str, tower: FieldTower, vars: tuple[str, ...]) -> Po
             if peek() == "/":
                 take()
                 _, d = take("num")
+                if d == 0:
+                    raise StructuralError(f"zero denominator in {n}/{d}")
                 return Polynomial.constant(tower, vars, Fraction(n, d))
             return Polynomial.constant(tower, vars, n)
         if kind == "name":
@@ -915,7 +917,8 @@ def _zp_sub(a: list[int], b: list[int], m: int) -> list[int]:
 
 
 def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    assert b and b[-1] % m == 1
+    if not b or b[-1] % m != 1:
+        raise DomainError("division needs a monic divisor")
     r = [c % m for c in a]
     r = _zp_trim(r)
     q = [0] * max(0, len(r) - len(b) + 1)

@@ -6,6 +6,13 @@ of a polynomial is the minimum over its monomials (additive convention; see
 value_groups).  The valuation ring is {value >= 0}, the residue field is F,
 and the residue map keeps the unique minimal monomial of a unit.
 
+Value and residue are read from that minimal monomial by recursion over the
+nested rep, with no expansion into multivariate polynomials.  In a sum
+c_0 + c_1 x_j + c_2 x_j^2 + ... with c_i free of x_j..x_n, the terms differ
+in coordinate j, so exactly one of them reaches the minimum and nothing can
+cancel it: the minimal monomial of a fraction is that of its numerator over
+that of its denominator.
+
 For truncated perfect-closure constructions the same machinery runs with a
 denominator exponent N: the variables are then read as p^N-th roots, each of
 value (1/p^N) e_i.
@@ -25,7 +32,15 @@ from typing import Sequence
 
 from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, StructuralError
-from .fields import FieldElement, FieldTower, _split_fraction, build_fraction_rep
+from .fields import (
+    FieldElement,
+    FieldTower,
+    _r_inv,
+    _r_is_zero,
+    _r_mul,
+    _r_one,
+    build_fraction_rep,
+)
 from .poly import Polynomial, _padd, _pdivmod, _pmul, _ptrim
 from .value_groups import ValueGroup, ValueWithZero
 
@@ -46,6 +61,36 @@ class PrimeIdealInfo:
     def describe(self) -> str:
         dead = ",".join(self.dying_vars) if self.dying_vars else "0"
         return f"prime[{self.index}] = ({dead})"
+
+
+def _min_term(tw: FieldTower, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
+    """Exponents (slot j = generator at level cut+1+j) and level-``cut``
+    coefficient of the unique minimal monomial of a nonzero level-``lvl``
+    rep whose levels above ``cut`` are transcendental."""
+    if lvl == cut:
+        return (), rep
+    num, den = rep
+    en, cn = _min_poly_term(tw, cut, lvl, num)
+    ed, cd = _min_poly_term(tw, cut, lvl, den)
+    if cd != _r_one(tw, cut):
+        cn = _r_mul(tw, cut, cn, _r_inv(tw, cut, cd))
+    return tuple(a - b for a, b in zip(en, ed)), cn
+
+
+def _min_poly_term(tw: FieldTower, cut: int, lvl: int, coeffs):
+    """The minimal monomial of sum coeffs[i] * g^i, g the level-``lvl``
+    generator, whose exponent is the last, least significant slot."""
+    best = None
+    for i, c in enumerate(coeffs):
+        if _r_is_zero(tw, lvl - 1, c):
+            continue
+        exps, coeff = _min_term(tw, cut, lvl - 1, c)
+        key = exps + (i,)
+        if best is None or key < best[0]:
+            best = key, coeff
+        if lvl - 1 == cut:  # constant coefficients: the lowest power is minimal
+            break
+    return best
 
 
 class MonomialValuation:
@@ -102,20 +147,18 @@ class MonomialValuation:
     def coerce(self, z) -> FieldElement:
         return self.function_field.coerce(z)
 
-    def _fraction_dicts(self, z: FieldElement):
+    def _min_monomial(self, z: FieldElement) -> tuple[ValueWithZero, object]:
+        """The value of z != 0 and the coefficient rep of its minimal monomial."""
         k = self.function_field
-        cut = self.coefficient_field.level
-        return _split_fraction(k, z.rep, cut)
+        exps, coeff = _min_term(k, self.coefficient_field.level, k.level, z.rep)
+        d = self.group.denominator
+        return self.group.element(Fraction(e, d) for e in exps), coeff
 
     def value(self, z) -> ValueWithZero:
         z = self.coerce(z)
         if z.is_zero:
             return self.group.zero_value()
-        num, den = self._fraction_dicts(z)
-        vnum = min(num.keys())
-        vden = min(den.keys())
-        d = self.group.denominator
-        return self.group.element(Fraction(a - b, d) for a, b in zip(vnum, vden))
+        return self._min_monomial(z)[0]
 
     def in_ring(self, z) -> bool:
         return self.value(z).is_nonnegative()
@@ -130,16 +173,15 @@ class MonomialValuation:
     def residue(self, z) -> FieldElement:
         """The image of z in the residue field F, for z in the valuation ring."""
         z = self.coerce(z)
-        v = self.value(z)
+        field = self.coefficient_field
+        if z.is_zero:
+            return field.zero()
+        v, coeff = self._min_monomial(z)
         if not v.is_nonnegative():
             raise DomainError(f"residue of an element of value {v} < 0")
-        field = self.coefficient_field
-        if v.is_zero or v.is_positive():
+        if v.is_positive():
             return field.zero()
-        num, den = self._fraction_dicts(z)
-        cn = FieldElement(field, num[min(num.keys())])
-        cd = FieldElement(field, den[min(den.keys())])
-        return cn / cd
+        return FieldElement(field, coeff)
 
     def from_terms(self, terms: dict, den_exps=None) -> FieldElement:
         """Build (sum of terms)/(monomial) directly in canonical form.
@@ -211,20 +253,15 @@ class MonomialValuation:
         zero = field.zero()
         if z.is_zero:
             return [zero] * precision
-        num, den = self._fraction_dicts(z)
-        a = min(num.keys())[0]
-        b = min(den.keys())[0]
-        shift = a - b
-        if shift < 0:
+        # canonical num and den are coprime, so z is in the ring exactly
+        # when x does not divide den
+        num, den = z.rep
+        if _r_is_zero(field, field.level, den[0]):
             raise DomainError("series expansion needs a ring element")
-        nn = [zero] * precision
-        for (e,), rep in num.items():
-            if e - a < precision:
-                nn[e - a] = FieldElement(field, rep)
-        dd = [zero] * precision
-        for (e,), rep in den.items():
-            if e - b < precision:
-                dd[e - b] = FieldElement(field, rep)
+        nn = [FieldElement(field, r) for r in num[:precision]]
+        nn += [zero] * (precision - len(nn))
+        dd = [FieldElement(field, r) for r in den[:precision]]
+        dd += [zero] * (precision - len(dd))
         inv0 = dd[0].inv()
         inv = [zero] * precision
         inv[0] = inv0
@@ -239,7 +276,7 @@ class MonomialValuation:
                 continue
             for j in range(precision - i):
                 prod[i + j] = prod[i + j] + nn[i] * inv[j]
-        return ([zero] * shift + prod)[:precision]
+        return prod
 
     def from_series(self, coeffs: Sequence[FieldElement]) -> FieldElement:
         """The polynomial sum coeffs[k] * x^k as a function-field element."""

@@ -171,3 +171,29 @@ def test_main_dispatch(tmp_path, capsys):
     assert cli.main(["extend", str(path)]) == 0
     captured = capsys.readouterr()
     assert "GROUP" in captured.out
+
+
+_ONE_STEP = """\
+[base]
+base: Q
+k-prefix: 0
+
+[valuation]
+vars: x
+order: lex
+
+[extension]
+kprime-gens: c: algebraic {}
+"""
+
+
+def test_reducible_step_is_a_parse_error_with_line(tmp_path):
+    code, out, err = run_extend(tmp_path, _ONE_STEP.format("y^2 - 1"))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: line 10:") and "reducible" in err
+
+
+def test_zero_denominator_is_a_parse_error_with_line(tmp_path):
+    code, out, err = run_extend(tmp_path, _ONE_STEP.format("y^2 + 1/0"))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: line 10:") and "zero denominator" in err

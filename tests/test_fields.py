@@ -9,13 +9,17 @@ from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import (
     FieldTower,
     TowerHom,
+    _frac,
+    _u_mul,
     is_radicial,
     is_separable_step,
     perfect_closure_truncated,
     pth_root,
     tower_separable_over,
 )
+from valext.norms import random_field_element, random_fraction_element
 from valext.poly import Polynomial
+from valext.valuations import MonomialValuation
 
 
 def test_defining_relation_q_i(q_i):
@@ -212,3 +216,37 @@ def test_field_axioms_random_char2(f2_a_r):
         assert a * (b + c) == a * b + a * c
         if not a.is_zero:
             assert a * a.inv() == f2_a_r.one()
+
+
+def _fraction_product(tw, a, b):
+    """Canonical rep of (an*bn)/(ad*bd) at the top, transcendental level."""
+    (an, ad), (bn, bd) = a, b
+    clvl = tw.level - 1
+    num = _u_mul(tw, clvl, list(an), list(bn))
+    den = _u_mul(tw, clvl, list(ad), list(bd))
+    return _frac(tw, clvl, num, den)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "f2_a"])
+def test_products_with_monomials_are_canonical(request, field_name, rank):
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(
+        field, [f"x{j}" for j in range(1, rank + 1)], denom_exponent=int(field_name == "f2_a")
+    )
+    k = v.function_field
+    rng = random.Random(f"{field_name}:{rank}")
+    for _ in range(30):
+        z, w = random_fraction_element(v, rng), random_fraction_element(v, rng)
+        z = rng.choice([z, z * w, z + w])
+        exps = [rng.randrange(-3, 4) for _ in range(rank)]
+        c = random_field_element(field, rng)
+        if c.is_zero:
+            c = field.one()
+        pos = tuple(max(e, 0) for e in exps)
+        neg = tuple(max(-e, 0) for e in exps)
+        for m in (v.from_terms({pos: field.one()}, neg), v.from_terms({pos: c}, neg)):
+            m_inv = (m.rep[1], m.rep[0])
+            assert (z * m).rep == _fraction_product(k, z.rep, m.rep)
+            assert (m * z).rep == _fraction_product(k, z.rep, m.rep)
+            assert (z / m).rep == _fraction_product(k, z.rep, m_inv)

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from valext.errors import CapabilityError, DomainError
-from valext.norms import random_fraction_element
+from valext.fields import FieldElement, _split_fraction
+from valext.norms import random_field_element, random_fraction_element
 from valext.poly import Polynomial
 from valext.valuations import (
     MonomialValuation,
@@ -109,6 +111,65 @@ def test_series_expansion(v_f3, f3):
     assert series == [f3.one()] * 4  # geometric series
     series = v_f3.series(x**2 / (1 + x), 5)
     assert [int(c.rep) for c in series] == [0, 0, 1, 2, 1]
+
+
+def _flattened_min_term(v, z):
+    """Oracle: the lex-minimal exponent of the flattened numerator minus that
+    of the denominator, and the quotient of their coefficients."""
+    field = v.coefficient_field
+    num, den = _split_fraction(v.function_field, z.rep, field.level)
+    en, ed = min(num), min(den)
+    coeff = FieldElement(field, num[en]) / FieldElement(field, den[ed])
+    return tuple(a - b for a, b in zip(en, ed)), coeff
+
+
+def _samples(v, rng, count):
+    """Random elements, their products and sums, and quotients by c + x_j,
+    whose minimal monomials have coefficients other than one."""
+    k = v.function_field
+    out = []
+    for _ in range(count):
+        z = random_fraction_element(v, rng)
+        w = random_fraction_element(v, rng)
+        c = random_field_element(v.coefficient_field, rng) + 1
+        out += [z, z * w, z + w, z / (k.embed(c) + k.gen(rng.choice(v.variables)))]
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "f2_a"])
+def test_value_residue_series_match_flattened_oracle(request, field_name, rank):
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(
+        field, [f"x{j}" for j in range(1, rank + 1)], denom_exponent=int(field_name == "f2_a")
+    )
+    d = v.group.denominator
+    rng = random.Random(f"{field_name}:{rank}")
+    for z in _samples(v, rng, 20):
+        if z.is_zero:
+            assert v.value(z).is_zero and v.residue(z).is_zero
+            continue
+        exps, coeff = _flattened_min_term(v, z)
+        want = v.group.element(Fraction(e, d) for e in exps)
+        assert v.value(z) == want, z
+        if not want.is_nonnegative():
+            with pytest.raises(DomainError):
+                v.residue(z)
+        elif want.is_positive():
+            assert v.residue(z).is_zero
+        else:
+            assert v.residue(z) == coeff
+        unit = z / v.monomial(want)
+        assert v.is_unit(unit) and v.residue(unit) == coeff
+        if rank > 1:
+            continue
+        if not want.is_nonnegative():
+            with pytest.raises(DomainError):
+                v.series(z, 4)
+            continue
+        # the series is the unique truncation with z - sum s_k x^k in (x^4)
+        rest = z - v.from_series(v.series(z, 4))
+        assert rest.is_zero or _flattened_min_term(v, rest)[0][0] >= 4
 
 
 # -- hensel lifting ---------------------------------------------------------------
