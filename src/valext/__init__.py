@@ -22,7 +22,6 @@ from .builder import (
 from .compositum import (
     CompositumPoint,
     base_change_maximality_check,
-    classify_point,
     degree_bookkeeping,
     separable_transfer_check,
     subfield_maximality_check,
@@ -57,7 +56,6 @@ from .poly import Factorization, Polynomial, factor, gcd, resultant, squarefree_
 from .valuations import (
     HenselLift,
     MonomialValuation,
-    ValuationRingView,
     congruent_mod_precision,
     hensel_factor_lift,
 )
@@ -85,14 +83,12 @@ __all__ = [
     "StructuralError",
     "TowerHom",
     "ValextError",
-    "ValuationRingView",
     "ValueGroup",
     "ValueWithZero",
     "base_change_maximality_check",
     "build_general",
     "build_strictly_maximal",
     "check_algebra_norm",
-    "classify_point",
     "congruent_mod_precision",
     "degree_bookkeeping",
     "factor",

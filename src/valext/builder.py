@@ -76,10 +76,6 @@ class ExtensionScenario:
     def k(self) -> FieldTower:
         return self.kprime.prefix(self.k_len)
 
-    @property
-    def residue_start(self) -> FieldTower:
-        return self.valuation.coefficient_field
-
 
 @dataclass
 class BuiltExtension:

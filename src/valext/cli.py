@@ -41,7 +41,6 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from . import poly as poly_mod
 from .builder import (
     ExtensionScenario,
     build_general,
@@ -106,19 +105,8 @@ def _parse_steps(tower: FieldTower, text: str, line: int) -> FieldTower:
         part = part.strip()
         if not part:
             continue
-        head, sep, kind = part.partition(":")
-        if not sep:
-            raise ScenarioParseError(f"malformed tower step {part!r}", line)
-        name = head.strip()
-        kind = kind.strip()
         try:
-            if kind == "transcendental":
-                tower = tower.extend_transcendental(name)
-            elif kind.startswith("algebraic"):
-                f = poly_mod.Polynomial.parse(kind[len("algebraic") :].strip(), tower, ("y",))
-                tower = tower.extend_algebraic(name, f.univariate_coeffs())
-            else:
-                raise ScenarioParseError(f"unknown step kind in {part!r}", line)
+            tower = tower.extend_step(part)
         except (StructuralError, DomainError) as exc:
             raise ScenarioParseError(str(exc), line) from None
     return tower
@@ -223,17 +211,7 @@ def render_scenario(s: ScenarioFile) -> str:
     """Canonical text form; parse(render(s)) reproduces s exactly."""
 
     def steps_text(tower: FieldTower, start: int) -> str:
-        parts = []
-        for i in range(start, tower.level):
-            step = tower.steps[i]
-            if step.is_algebraic:
-                f = poly_mod.Polynomial.from_coeffs(
-                    tower.prefix(i), "y", tower.minpoly_coeffs(i)
-                )
-                parts.append(f"{step.name}: algebraic {f}")
-            else:
-                parts.append(f"{step.name}: transcendental")
-        return "; ".join(parts)
+        return "; ".join(tower.step_text(i) for i in range(start, tower.level))
 
     lines = ["[base]", f"base: {s.f_tower.base.describe()}"]
     gens = steps_text(s.f_tower, 0)

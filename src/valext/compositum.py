@@ -45,12 +45,6 @@ class StepRecord:
 
 
 @dataclass
-class PointFlags:
-    maximal: bool
-    strictly_maximal: bool
-
-
-@dataclass
 class CompositumPoint:
     """A point of Spec(L tensor_K M) with its composed extension field.
 
@@ -192,12 +186,6 @@ def tensor_decompose(
 
     rec(k_len, right, [right.coerce(im) for im in k_hom.images], 1, ())
     return points
-
-
-def classify_point(pt: CompositumPoint) -> PointFlags:
-    """Maximality flags: stepwise-emitted points are minimal primes, and
-    strict maximality is the multiplicity-1 (reduced local ring) condition."""
-    return PointFlags(maximal=pt.maximal, strictly_maximal=pt.strictly_maximal)
 
 
 def degree_bookkeeping(points: Sequence[CompositumPoint]) -> tuple[int, int] | None:

@@ -8,6 +8,15 @@ degree; at a transcendental step, reduced fractions with a monic
 denominator.  Equality of elements is therefore structural, and membership
 in a prefix subtower is decidable by inspection.
 
+Each level has one ring object that does the arithmetic of its reps
+(``FieldTower.rings``): the base field at level 0, ``AlgebraicLevel``
+(reduction modulo the minimal polynomial, inverses by the extended Euclidean
+algorithm) and ``TranscendentalLevel`` (canonical fractions).  Every ring has
+precomputed ``zero`` and ``one`` and the same methods, so the dense
+univariate arithmetic (``_u_*``: add, mul, divmod, monic, gcd, xgcd, powmod)
+is written once over that interface.  It serves every level, the
+factorization code in ``poly`` and the integers modulo m (``IntegersMod``).
+
 The characteristic-p utilities (p-th roots, truncated perfect closure,
 radiciality) rely on towers whose algebraic steps adjoin p-power roots of
 earlier generators; such towers are isomorphic to rational function fields
@@ -31,6 +40,11 @@ from .errors import CapabilityError, DomainError, StructuralError
 
 # ---------------------------------------------------------------------------
 # Base fields
+#
+# Every level of a tower has one ring object with precomputed ``zero`` and
+# ``one`` and the methods ``is_zero``, ``add``, ``neg``, ``mul``, ``inv``,
+# ``from_int`` and (above level 0) ``lift`` from the level below.  The base
+# fields are the level-0 rings.
 
 
 def _is_prime(n: int) -> bool:
@@ -49,23 +63,14 @@ class RationalField:
     """The field Q; scalars are ``fractions.Fraction``."""
 
     char = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n: int):
         return Fraction(n)
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -85,50 +90,51 @@ class RationalField:
         return "Q"
 
 
+class IntegersMod:
+    """The ring Z/mZ; scalars are ints in [0, m)."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def from_int(self, n: int):
+        return n % self.m
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def mul(self, a, b):
+        return (a * b) % self.m
+
+    def neg(self, a):
+        return (-a) % self.m
+
+    def inv(self, a):
+        try:
+            return pow(a, -1, self.m)
+        except ValueError:
+            raise DomainError(f"{a} is not a unit modulo {self.m}") from None
+
+    def is_zero(self, a) -> bool:
+        return a % self.m == 0
+
+
 @dataclass(frozen=True)
-class PrimeField:
-    """The field F_p; scalars are ints in [0, p)."""
+class PrimeField(IntegersMod):
+    """The field F_p = Z/pZ."""
 
     p: int
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise StructuralError(f"{self.p} is not prime")
+        object.__setattr__(self, "m", self.p)
 
     @property
     def char(self) -> int:
         return self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise DomainError(f"division by zero in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def describe(self) -> str:
         return f"F{self.p}"
@@ -211,6 +217,23 @@ class FieldTower:
     def level(self) -> int:
         return len(self.steps)
 
+    @functools.cached_property
+    def rings(self) -> tuple:
+        """The ring of reps at each level, the base field first."""
+        rings = [self.base]
+        for step in self.steps:
+            below = rings[-1]
+            if step.is_algebraic:
+                rings.append(AlgebraicLevel(below, step.minpoly))
+            else:
+                rings.append(TranscendentalLevel(below))
+        return tuple(rings)
+
+    @functools.cached_property
+    def ring(self):
+        """The ring of reps of the elements of this tower."""
+        return self.rings[-1]
+
     @property
     def gen_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.steps)
@@ -251,7 +274,7 @@ class FieldTower:
         if len(coeffs) < 3:
             raise DomainError("algebraic step needs a minimal polynomial of degree >= 2")
         lc = coeffs[-1]
-        if not _r_eq(self, self.level, lc.rep, _r_one(self, self.level)):
+        if lc.rep != self.ring.one:
             inv = lc.inv()
             coeffs = [c * inv for c in coeffs]
         reps = tuple(c.rep for c in coeffs)
@@ -261,12 +284,10 @@ class FieldTower:
         return FieldTower(self.base, self.steps + (Step(name, reps, separable),))
 
     def _step_separable(self, minpoly_reps: tuple) -> bool:
-        lvl = self.level
-        deriv = _u_deriv(self, lvl, list(minpoly_reps))
+        deriv = _u_deriv(self.ring, minpoly_reps)
         if not deriv:
             return False
-        g = _u_gcd(self, lvl, list(minpoly_reps), deriv)
-        return len(g) == 1
+        return len(_u_gcd(self.ring, minpoly_reps, deriv)) == 1
 
     def _check_irreducible(self, coeffs: list["FieldElement"]) -> None:
         from . import poly
@@ -297,18 +318,18 @@ class FieldTower:
     # -- elements -----------------------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, _r_zero(self, self.level))
+        return FieldElement(self, self.ring.zero)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, _r_one(self, self.level))
+        return FieldElement(self, self.ring.one)
 
     def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(self, _r_lift(self, self.base.from_int(n), 0, self.level))
+        return FieldElement(self, self.ring.from_int(n))
 
     def from_fraction(self, q: Fraction) -> "FieldElement":
         q = Fraction(q)
         if self.char == 0:
-            return FieldElement(self, _r_lift(self, q, 0, self.level))
+            return FieldElement(self, _lift(self, q, 0, self.level))
         num = self.from_int(q.numerator)
         den = self.from_int(q.denominator)
         return num * den.inv()
@@ -329,13 +350,11 @@ class FieldTower:
     def gen(self, name: str) -> "FieldElement":
         for i, s in enumerate(self.steps):
             if s.name == name:
-                lvl = i + 1
-                below = _r_zero(self, i), _r_one(self, i)
-                if s.is_algebraic:
-                    rep = (below[0], below[1])
-                else:
-                    rep = ((below[0], below[1]), (below[1],))
-                return FieldElement(self, _r_lift(self, rep, lvl, self.level))
+                below = self.rings[i]
+                rep = (below.zero, below.one)
+                if not s.is_algebraic:
+                    rep = (rep, (below.one,))
+                return FieldElement(self, _lift(self, rep, i + 1, self.level))
         raise StructuralError(f"no generator named {name!r}")
 
     def gens(self) -> list["FieldElement"]:
@@ -344,7 +363,7 @@ class FieldTower:
     def embed(self, elem: "FieldElement") -> "FieldElement":
         if not elem.tower.is_prefix_of(self):
             raise StructuralError("embed requires a prefix subtower element")
-        return FieldElement(self, _r_lift(self, elem.rep, elem.tower.level, self.level))
+        return FieldElement(self, _lift(self, elem.rep, elem.tower.level, self.level))
 
     def minpoly_coeffs(self, level: int) -> list["FieldElement"]:
         """The minimal polynomial of step ``level`` as elements of its prefix."""
@@ -356,23 +375,40 @@ class FieldTower:
 
     # -- description text ---------------------------------------------------
 
-    def describe(self) -> str:
-        """Text form: ``base=F2; gen a: transcendental; gen r: algebraic y^2 - a``."""
+    def step_text(self, i: int) -> str:
+        """Step ``i`` as ``name: transcendental`` or ``name: algebraic <poly in y>``."""
         from . import poly
 
+        s = self.steps[i]
+        if not s.is_algebraic:
+            return f"{s.name}: transcendental"
+        f = poly.Polynomial.from_coeffs(self.prefix(i), "y", self.minpoly_coeffs(i))
+        return f"{s.name}: algebraic {f}"
+
+    def extend_step(self, text: str) -> "FieldTower":
+        """Extend by one step written as ``step_text`` renders it."""
+        from . import poly
+
+        head, sep, kind = text.partition(":")
+        if not sep:
+            raise StructuralError(f"malformed tower step {text!r}")
+        name = head.strip()
+        kind = kind.strip()
+        if kind == "transcendental":
+            return self.extend_transcendental(name)
+        if kind.startswith("algebraic"):
+            f = poly.Polynomial.parse(kind[len("algebraic") :].strip(), self, ("y",))
+            return self.extend_algebraic(name, f.univariate_coeffs())
+        raise StructuralError(f"unknown step kind in {text!r}")
+
+    def describe(self) -> str:
+        """Text form: ``base=F2; gen a: transcendental; gen r: algebraic y^2 - a``."""
         parts = [f"base={self.base.describe()}"]
-        for i, s in enumerate(self.steps):
-            if s.is_algebraic:
-                f = poly.Polynomial.from_coeffs(self.prefix(i), "y", self.minpoly_coeffs(i))
-                parts.append(f"gen {s.name}: algebraic {f}")
-            else:
-                parts.append(f"gen {s.name}: transcendental")
+        parts += [f"gen {self.step_text(i)}" for i in range(self.level)]
         return "; ".join(parts)
 
     @staticmethod
     def from_description(text: str) -> "FieldTower":
-        from . import poly
-
         parts = [p.strip() for p in text.split(";") if p.strip()]
         if not parts or not parts[0].startswith("base="):
             raise StructuralError("tower description must start with base=...")
@@ -386,16 +422,7 @@ class FieldTower:
         for part in parts[1:]:
             if not part.startswith("gen "):
                 raise StructuralError(f"expected 'gen ...', got {part!r}")
-            head, _, kind = part[4:].partition(":")
-            name = head.strip()
-            kind = kind.strip()
-            if kind == "transcendental":
-                tower = tower.extend_transcendental(name)
-            elif kind.startswith("algebraic"):
-                f = poly.Polynomial.parse(kind[len("algebraic") :].strip(), tower, ("y",))
-                tower = tower.extend_algebraic(name, f.univariate_coeffs())
-            else:
-                raise StructuralError(f"unknown step kind in {part!r}")
+            tower = tower.extend_step(part[4:])
         return tower
 
     def __str__(self):
@@ -427,12 +454,12 @@ class FieldElement:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return FieldElement(a.tower, _r_add(a.tower, a.tower.level, a.rep, b.rep))
+        return FieldElement(a.tower, a.tower.ring.add(a.rep, b.rep))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, _r_neg(self.tower, self.tower.level, self.rep))
+        return FieldElement(self.tower, self.tower.ring.neg(self.rep))
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -444,14 +471,14 @@ class FieldElement:
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        return FieldElement(a.tower, _r_mul(a.tower, a.tower.level, a.rep, b.rep))
+        return FieldElement(a.tower, a.tower.ring.mul(a.rep, b.rep))
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
         if self.is_zero:
             raise DomainError("inverse of zero")
-        return FieldElement(self.tower, _r_inv(self.tower, self.tower.level, self.rep))
+        return FieldElement(self.tower, self.tower.ring.inv(self.rep))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -464,18 +491,12 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = self.tower.one()
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        ring = self.tower.ring
+        return FieldElement(self.tower, _power(self.rep, n, ring.mul, ring.one))
 
     @property
     def is_zero(self) -> bool:
-        return _r_is_zero(self.tower, self.tower.level, self.rep)
+        return self.tower.ring.is_zero(self.rep)
 
     def __bool__(self):
         return not self.is_zero
@@ -494,7 +515,7 @@ class FieldElement:
         return self.rep == other.rep
 
     def __hash__(self):
-        return hash((self.tower, _hashable(self.rep)))
+        return hash((self.tower, self.rep))
 
     # -- structure ----------------------------------------------------------
 
@@ -504,17 +525,15 @@ class FieldElement:
         tw = self.tower
         for lvl in range(tw.level, prefix_len, -1):
             step = tw.steps[lvl - 1]
-            if step.is_algebraic:
-                if len(rep) > 1:
-                    return None
-                rep = rep[0] if rep else _r_zero(tw, lvl - 1)
-            else:
+            below = tw.rings[lvl - 1]
+            if not step.is_algebraic:
                 num, den = rep
-                if len(den) != 1 or not _r_eq(tw, lvl - 1, den[0], _r_one(tw, lvl - 1)):
+                if den != (below.one,):
                     return None
-                if len(num) > 1:
-                    return None
-                rep = num[0] if num else _r_zero(tw, lvl - 1)
+                rep = num
+            if len(rep) > 1:
+                return None
+            rep = rep[0] if rep else below.zero
         return FieldElement(tw.prefix(prefix_len), rep)
 
     def sort_key(self):
@@ -541,271 +560,285 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Internal rep arithmetic
+# The rings above level 0
 
 
-def _r_zero(tw: FieldTower, lvl: int):
-    if lvl == 0:
-        return tw.base.zero
-    if tw.steps[lvl - 1].is_algebraic:
-        return ()
-    return ((), (_r_one(tw, lvl - 1),))
+class AlgebraicLevel:
+    """k[y]/(minpoly) for the ring k of the level below: reps are trimmed
+    tuples of k reps, reduced modulo the monic minimal polynomial."""
 
+    zero = ()
 
-def _r_one(tw: FieldTower, lvl: int):
-    if lvl == 0:
-        return tw.base.one
-    below = _r_one(tw, lvl - 1)
-    if tw.steps[lvl - 1].is_algebraic:
-        return (below,)
-    return ((below,), (below,))
+    def __init__(self, k, minpoly: tuple):
+        self.k = k
+        self.minpoly = minpoly
+        self.one = (k.one,)
 
+    def is_zero(self, a) -> bool:
+        return not a
 
-def _r_is_zero(tw, lvl, r) -> bool:
-    if lvl == 0:
-        return tw.base.is_zero(r)
-    if tw.steps[lvl - 1].is_algebraic:
-        return len(r) == 0
-    return len(r[0]) == 0
+    def lift(self, c):
+        return () if self.k.is_zero(c) else (c,)
 
+    def from_int(self, n: int):
+        return self.lift(self.k.from_int(n))
 
-def _r_eq(tw, lvl, a, b) -> bool:
-    return a == b
+    def add(self, a, b):
+        return tuple(_u_add(self.k, a, b))
 
+    def neg(self, a):
+        return tuple(_u_neg(self.k, a))
 
-def _r_lift(tw, rep, from_lvl: int, to_lvl: int):
-    r = rep
-    for lvl in range(from_lvl + 1, to_lvl + 1):
-        zero = _r_is_zero(tw, lvl - 1, r)
-        if tw.steps[lvl - 1].is_algebraic:
-            r = () if zero else (r,)
-        else:
-            r = ((), (_r_one(tw, lvl - 1),)) if zero else ((r,), (_r_one(tw, lvl - 1),))
-    return r
+    def mul(self, a, b):
+        return tuple(_u_rem(self.k, _u_mul(self.k, a, b), self.minpoly))
 
-
-def _r_add(tw, lvl, a, b):
-    if lvl == 0:
-        return tw.base.add(a, b)
-    if tw.steps[lvl - 1].is_algebraic:
-        return tuple(_u_add(tw, lvl - 1, list(a), list(b)))
-    (an, ad), (bn, bd) = a, b
-    num = _u_add(
-        tw, lvl - 1, _u_mul(tw, lvl - 1, list(an), list(bd)), _u_mul(tw, lvl - 1, list(bn), list(ad))
-    )
-    den = _u_mul(tw, lvl - 1, list(ad), list(bd))
-    return _frac(tw, lvl - 1, num, den)
-
-
-def _r_neg(tw, lvl, a):
-    if lvl == 0:
-        return tw.base.neg(a)
-    if tw.steps[lvl - 1].is_algebraic:
-        return tuple(_r_neg(tw, lvl - 1, c) for c in a)
-    num, den = a
-    return (tuple(_r_neg(tw, lvl - 1, c) for c in num), den)
-
-
-def _r_mul(tw, lvl, a, b):
-    if lvl == 0:
-        return tw.base.mul(a, b)
-    step = tw.steps[lvl - 1]
-    if step.is_algebraic:
-        prod = _u_mul(tw, lvl - 1, list(a), list(b))
-        return tuple(_u_rem(tw, lvl - 1, prod, list(step.minpoly)))
-    term = _monomial_term(tw, lvl - 1, b)
-    if term is not None:
-        return _shift_mul(tw, lvl - 1, a, *term)
-    term = _monomial_term(tw, lvl - 1, a)
-    if term is not None:
-        return _shift_mul(tw, lvl - 1, b, *term)
-    (an, ad), (bn, bd) = a, b
-    num = _u_mul(tw, lvl - 1, list(an), list(bn))
-    den = _u_mul(tw, lvl - 1, list(ad), list(bd))
-    return _frac(tw, lvl - 1, num, den)
-
-
-def _monomial_term(tw, clvl, r):
-    """(c, i, k) when the transcendental-level rep r is c*g^i / g^k, else None."""
-    num, den = r
-    if not num:
-        return None
-    for part in (num, den):
-        for c in part[:-1]:
-            if not _r_is_zero(tw, clvl, c):
-                return None
-    return num[-1], len(num) - 1, len(den) - 1
-
-
-def _shift_mul(tw, clvl, r, c, i, k):
-    """r * c*g^i / g^k in canonical form, without a gcd: c is a unit, so the
-    numerator and denominator of r stay coprime after scaling by c, and the
-    only common factor the shift can bring is a power of g, read off from
-    the trailing zeros."""
-    num, den = r
-    if not num:
-        return r
-    zero = _r_zero(tw, clvl)
-    if c != _r_one(tw, clvl):
-        num = [x if _r_is_zero(tw, clvl, x) else _r_mul(tw, clvl, c, x) for x in num]
-    num = [zero] * i + list(num)
-    den = [zero] * k + list(den)
-    s = 0
-    while _r_is_zero(tw, clvl, num[s]) and _r_is_zero(tw, clvl, den[s]):
-        s += 1
-    return (tuple(num[s:]), tuple(den[s:]))
-
-
-def _r_inv(tw, lvl, a):
-    if lvl == 0:
-        return tw.base.inv(a)
-    step = tw.steps[lvl - 1]
-    if step.is_algebraic:
-        g, s = _u_xgcd(tw, lvl - 1, list(a), list(step.minpoly))
+    def inv(self, a):
+        g, s, _ = _u_xgcd(self.k, a, self.minpoly)
         if len(g) != 1:
             raise DomainError("minimal polynomial is not irreducible (non-unit gcd)")
-        c = _r_inv(tw, lvl - 1, g[0])
-        scaled = [_r_mul(tw, lvl - 1, c, x) for x in s]
-        return tuple(_u_rem(tw, lvl - 1, scaled, list(step.minpoly)))
-    num, den = a
-    if len(num) == 0:
-        raise DomainError("inverse of zero")
-    return _frac(tw, lvl - 1, list(den), list(num))
+        return tuple(_u_rem(self.k, s, self.minpoly))
 
 
-def _frac(tw, clvl, num, den):
-    """Canonical fraction at a transcendental level: reduced, monic denominator."""
-    num = _u_trim(tw, clvl, list(num))
-    den = _u_trim(tw, clvl, list(den))
-    if not den:
-        raise DomainError("zero denominator")
-    if not num:
-        return ((), (_r_one(tw, clvl),))
-    one = _r_one(tw, clvl)
-    # monomial denominator fast path: the only possible common factor is a
-    # power of the generator, read off from the trailing zeros of num
-    if all(_r_is_zero(tw, clvl, c) for c in den[:-1]):
-        k = len(den) - 1
-        t = 0
-        while t < len(num) and _r_is_zero(tw, clvl, num[t]):
-            t += 1
-        s = min(t, k)
-        if s:
-            num = num[s:]
-            k -= s
+class TranscendentalLevel:
+    """k(g) for the ring k of the level below: reps are canonical fractions
+    (num, den) of tuples of k reps, coprime with den monic; () is the zero
+    polynomial."""
+
+    def __init__(self, k):
+        self.k = k
+        self.zero = ((), (k.one,))
+        self.one = ((k.one,), (k.one,))
+
+    def is_zero(self, a) -> bool:
+        return not a[0]
+
+    def lift(self, c):
+        return self.zero if self.k.is_zero(c) else ((c,), (self.k.one,))
+
+    def from_int(self, n: int):
+        return self.lift(self.k.from_int(n))
+
+    def add(self, a, b):
+        k = self.k
+        (an, ad), (bn, bd) = a, b
+        num = _u_add(k, _u_mul(k, an, bd), _u_mul(k, bn, ad))
+        return self.frac(num, _u_mul(k, ad, bd))
+
+    def neg(self, a):
+        num, den = a
+        return (tuple(_u_neg(self.k, num)), den)
+
+    def mul(self, a, b):
+        term = self._monomial_term(b)
+        if term is not None:
+            return self._shift_mul(a, *term)
+        term = self._monomial_term(a)
+        if term is not None:
+            return self._shift_mul(b, *term)
+        (an, ad), (bn, bd) = a, b
+        return self.frac(_u_mul(self.k, an, bn), _u_mul(self.k, ad, bd))
+
+    def inv(self, a):
+        num, den = a
+        if len(num) == 0:
+            raise DomainError("inverse of zero")
+        return self.frac(den, num)
+
+    def _monomial_term(self, r):
+        """(c, i, k) when r is c*g^i / g^k, else None."""
+        num, den = r
+        if not num:
+            return None
+        for part in (num, den):
+            for c in part[:-1]:
+                if not self.k.is_zero(c):
+                    return None
+        return num[-1], len(num) - 1, len(den) - 1
+
+    def _shift_mul(self, r, c, i, k):
+        """r * c*g^i / g^k in canonical form, without a gcd: c is a unit, so the
+        numerator and denominator of r stay coprime after scaling by c, and the
+        only common factor the shift can bring is a power of g, read off from
+        the trailing zeros."""
+        num, den = r
+        if not num:
+            return r
+        ring = self.k
+        zero = ring.zero
+        if c != ring.one:
+            num = [x if ring.is_zero(x) else ring.mul(c, x) for x in num]
+        num = [zero] * i + list(num)
+        den = [zero] * k + list(den)
+        s = 0
+        while ring.is_zero(num[s]) and ring.is_zero(den[s]):
+            s += 1
+        return (tuple(num[s:]), tuple(den[s:]))
+
+    def frac(self, num, den):
+        """Canonical fraction num/den: reduced, monic denominator."""
+        ring = self.k
+        num = _u_trim(ring, list(num))
+        den = _u_trim(ring, list(den))
+        if not den:
+            raise DomainError("zero denominator")
+        if not num:
+            return self.zero
+        one = ring.one
+        # monomial denominator fast path: the only possible common factor is a
+        # power of the generator, read off from the trailing zeros of num
+        if all(ring.is_zero(c) for c in den[:-1]):
+            k = len(den) - 1
+            t = 0
+            while t < len(num) and ring.is_zero(num[t]):
+                t += 1
+            s = min(t, k)
+            if s:
+                num = num[s:]
+                k -= s
+            lc = den[-1]
+            if lc != one:
+                c = ring.inv(lc)
+                num = [ring.mul(c, x) for x in num]
+            return (tuple(num), tuple([ring.zero] * k + [one]))
+        g = _u_gcd(ring, num, den)
+        if len(g) > 1:
+            num, _ = _u_divmod(ring, num, g)
+            den, _ = _u_divmod(ring, den, g)
         lc = den[-1]
-        if not _r_eq(tw, clvl, lc, one):
-            c = _r_inv(tw, clvl, lc)
-            num = [_r_mul(tw, clvl, c, x) for x in num]
-        return (tuple(num), tuple([_r_zero(tw, clvl)] * k + [one]))
-    g = _u_gcd(tw, clvl, num, den)
-    if len(g) > 1:
-        num, _ = _u_divmod(tw, clvl, num, g)
-        den, _ = _u_divmod(tw, clvl, den, g)
-    lc = den[-1]
-    if not _r_eq(tw, clvl, lc, one):
-        c = _r_inv(tw, clvl, lc)
-        num = [_r_mul(tw, clvl, c, x) for x in num]
-        den = [_r_mul(tw, clvl, c, x) for x in den]
-    return (tuple(num), tuple(den))
+        if lc != one:
+            c = ring.inv(lc)
+            num = [ring.mul(c, x) for x in num]
+            den = [ring.mul(c, x) for x in den]
+        return (tuple(num), tuple(den))
 
 
-# Univariate polynomial helpers over level-``clvl`` coefficients (lists).
+def _lift(tw: FieldTower, rep, from_lvl: int, to_lvl: int):
+    """A level-``from_lvl`` rep as a level-``to_lvl`` rep."""
+    for ring in tw.rings[from_lvl + 1 : to_lvl + 1]:
+        rep = ring.lift(rep)
+    return rep
 
 
-def _u_trim(tw, clvl, a: list) -> list:
-    while a and _r_is_zero(tw, clvl, a[-1]):
+def _power(x, n: int, mul, one):
+    """x^n for n >= 0 by square-and-multiply."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Dense univariate polynomials over a ring R: lists of R elements, constant
+# term first, trimmed of zero leading coefficients.  Division needs a unit
+# leading coefficient in the divisor, so over Z/mZ it is division by monic
+# polynomials.
+
+
+def _u_trim(R, a: list) -> list:
+    while a and R.is_zero(a[-1]):
         a.pop()
     return a
 
 
-def _u_add(tw, clvl, a: list, b: list) -> list:
+def _u_add(R, a, b) -> list:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
+    add = R.add
     for i, c in enumerate(b):
-        out[i] = _r_add(tw, clvl, out[i], c)
-    return _u_trim(tw, clvl, out)
+        out[i] = add(out[i], c)
+    return _u_trim(R, out)
 
 
-def _u_neg(tw, clvl, a: list) -> list:
-    return [_r_neg(tw, clvl, c) for c in a]
+def _u_neg(R, a) -> list:
+    return [R.neg(c) for c in a]
 
 
-def _u_mul(tw, clvl, a: list, b: list) -> list:
+def _u_mul(R, a, b) -> list:
     if not a or not b:
         return []
-    out = [_r_zero(tw, clvl)] * (len(a) + len(b) - 1)
+    add, mul, is_zero = R.add, R.mul, R.is_zero
+    out = [R.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if _r_is_zero(tw, clvl, x):
+        if is_zero(x):
             continue
         for j, y in enumerate(b):
-            out[i + j] = _r_add(tw, clvl, out[i + j], _r_mul(tw, clvl, x, y))
-    return _u_trim(tw, clvl, out)
+            out[i + j] = add(out[i + j], mul(x, y))
+    return _u_trim(R, out)
 
 
-def _u_scale(tw, clvl, a: list, c) -> list:
-    return _u_trim(tw, clvl, [_r_mul(tw, clvl, c, x) for x in a])
+def _u_scale(R, a, c) -> list:
+    return _u_trim(R, [R.mul(c, x) for x in a])
 
 
-def _u_divmod(tw, clvl, a: list, b: list) -> tuple[list, list]:
+def _u_divmod(R, a, b) -> tuple[list, list]:
     if not b:
         raise DomainError("polynomial division by zero")
-    r = list(a)
-    q = [_r_zero(tw, clvl)] * max(0, len(a) - len(b) + 1)
-    inv_lc = _r_inv(tw, clvl, b[-1])
-    while len(r) >= len(b):
-        c = _r_mul(tw, clvl, r[-1], inv_lc)
-        k = len(r) - len(b)
+    r = _u_trim(R, list(a))
+    n = len(b) - 1
+    if len(r) <= n:
+        return [], r
+    add, mul, is_zero = R.add, R.mul, R.is_zero
+    inv = None if b[-1] == R.one else R.inv(b[-1])
+    low = [(i, R.neg(x)) for i, x in enumerate(b[:-1]) if not is_zero(x)]
+    q = [R.zero] * (len(r) - n)
+    while len(r) > n:
+        c = r.pop()
+        if inv is not None:
+            c = mul(c, inv)
+        k = len(r) - n
         q[k] = c
-        for i, x in enumerate(b):
-            r[k + i] = _r_add(tw, clvl, r[k + i], _r_neg(tw, clvl, _r_mul(tw, clvl, c, x)))
-        r = _u_trim(tw, clvl, r)
-    return _u_trim(tw, clvl, q), r
+        for i, x in low:
+            r[k + i] = add(r[k + i], mul(c, x))
+        _u_trim(R, r)
+    return _u_trim(R, q), r
 
 
-def _u_rem(tw, clvl, a: list, b: list) -> list:
-    return _u_divmod(tw, clvl, a, b)[1]
+def _u_rem(R, a, b) -> list:
+    return _u_divmod(R, a, b)[1]
 
 
-def _u_monic(tw, clvl, a: list) -> list:
-    if not a:
+def _u_monic(R, a: list) -> list:
+    if not a or a[-1] == R.one:
         return a
-    lc = a[-1]
-    if _r_eq(tw, clvl, lc, _r_one(tw, clvl)):
-        return a
-    return _u_scale(tw, clvl, a, _r_inv(tw, clvl, lc))
+    return _u_scale(R, a, R.inv(a[-1]))
 
 
-def _u_gcd(tw, clvl, a: list, b: list) -> list:
+def _u_gcd(R, a, b) -> list:
+    """The monic gcd; gcd(a, 0) is a made monic."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _u_rem(tw, clvl, a, b)
-    return _u_monic(tw, clvl, a)
+        a, b = b, _u_rem(R, a, b)
+    return _u_monic(R, a)
 
 
-def _u_xgcd(tw, clvl, a: list, b: list) -> tuple[list, list]:
-    """Return (g, s) with s*a = g modulo b."""
+def _u_xgcd(R, a, b) -> tuple[list, list, list]:
+    """(g, s, t) with s*a + t*b = g, the monic gcd of a and b."""
     r0, r1 = list(a), list(b)
-    s0, s1 = [_r_one(tw, clvl)], []
+    s0, s1 = [R.one], []
+    t0, t1 = [], [R.one]
     while r1:
-        q, r = _u_divmod(tw, clvl, r0, r1)
+        q, r = _u_divmod(R, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _u_add(tw, clvl, s0, _u_neg(tw, clvl, _u_mul(tw, clvl, q, s1)))
-    return r0, s0
+        s0, s1 = s1, _u_add(R, s0, _u_neg(R, _u_mul(R, q, s1)))
+        t0, t1 = t1, _u_add(R, t0, _u_neg(R, _u_mul(R, q, t1)))
+    if r0 and r0[-1] != R.one:
+        c = R.inv(r0[-1])
+        r0, s0, t0 = (_u_scale(R, x, c) for x in (r0, s0, t0))
+    return r0, s0, t0
 
 
-def _u_deriv(tw, clvl, a: list) -> list:
-    out = []
-    for i in range(1, len(a)):
-        n = tw.base.from_int(i)
-        scalar = _r_lift(tw, n, 0, clvl)
-        out.append(_r_mul(tw, clvl, scalar, a[i]))
-    return _u_trim(tw, clvl, out)
+def _u_powmod(R, a, n: int, m) -> list:
+    """a^n modulo m."""
+    return _power(_u_rem(R, a, m), n, lambda x, y: _u_rem(R, _u_mul(R, x, y), m), [R.one])
 
 
-def _hashable(rep):
-    return rep  # reps are nested tuples of Fractions/ints already
+def _u_deriv(R, a) -> list:
+    return _u_trim(R, [R.mul(R.from_int(i), a[i]) for i in range(1, len(a))])
 
 
 def _key(tw, lvl, r):
@@ -838,33 +871,34 @@ def _split_fraction(tw: FieldTower, rep, cut: int):
     read values from the nested rep instead.
     """
 
-    one = _r_one(tw, cut)
+    ring = tw.rings[cut]
+    one = ring.one
 
     def md_mul(a: dict, b: dict) -> dict:
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                c = _r_mul(tw, cut, ca, cb)
+                c = ring.mul(ca, cb)
                 if e in out:
-                    c = _r_add(tw, cut, out[e], c)
+                    c = ring.add(out[e], c)
                 out[e] = c
-        return {e: c for e, c in out.items() if not _r_is_zero(tw, cut, c)}
+        return {e: c for e, c in out.items() if not ring.is_zero(c)}
 
     def md_add(a: dict, b: dict) -> dict:
         out = dict(a)
         for e, c in b.items():
             if e in out:
-                c = _r_add(tw, cut, out[e], c)
+                c = ring.add(out[e], c)
             out[e] = c
-        return {e: c for e, c in out.items() if not _r_is_zero(tw, cut, c)}
+        return {e: c for e, c in out.items() if not ring.is_zero(c)}
 
     def unit(lvl: int) -> dict:
         return {(0,) * (lvl - cut): one}
 
     def rec(lvl: int, r):
         if lvl == cut:
-            if _r_is_zero(tw, cut, r):
+            if ring.is_zero(r):
                 return {}, {(): one}
             return {(): r}, {(): one}
         step = tw.steps[lvl - 1]
@@ -935,34 +969,35 @@ def build_fraction_rep(tw: FieldTower, cut: int, terms: dict, den_exps) -> objec
     for lvl in range(cut, tw.level):
         if tw.steps[lvl].is_algebraic:
             raise StructuralError("direct fraction reps need transcendental top levels")
-    terms = {e: c for e, c in terms.items() if not _r_is_zero(tw, cut, c)}
+    terms = {e: c for e, c in terms.items() if not tw.rings[cut].is_zero(c)}
 
     def rec(lvl: int, sub_terms: dict, den: tuple):
         if lvl == cut:
             if not sub_terms:
-                return _r_zero(tw, cut)
+                return tw.rings[cut].zero
             return sub_terms[()]
+        below = tw.rings[lvl - 1]
         j = lvl - cut - 1
         dj = den[j]
         groups: dict[int, dict] = {}
         for exps, c in sub_terms.items():
             groups.setdefault(exps[j], {})[exps[:j]] = c
         if not groups:
-            return ((), (_r_one(tw, lvl - 1),))
+            return ((), (below.one,))
         top = max(groups)
         coeffs = []
         for e in range(top + 1):
             if e in groups:
                 coeffs.append(rec(lvl - 1, groups[e], den[:j]))
             else:
-                coeffs.append(_r_zero(tw, lvl - 1))
+                coeffs.append(below.zero)
         lead_zeros = 0
-        while lead_zeros < len(coeffs) and _r_is_zero(tw, lvl - 1, coeffs[lead_zeros]):
+        while lead_zeros < len(coeffs) and below.is_zero(coeffs[lead_zeros]):
             lead_zeros += 1
         strip = min(lead_zeros, dj)
         coeffs = coeffs[strip:]
         dj -= strip
-        den_poly = tuple([_r_zero(tw, lvl - 1)] * dj + [_r_one(tw, lvl - 1)])
+        den_poly = tuple([below.zero] * dj + [below.one])
         return (tuple(coeffs), den_poly)
 
     return rec(tw.level, terms, den_exps)
@@ -1148,7 +1183,7 @@ def _pth_root_pure(elem: FieldElement, prefix_len: int) -> FieldElement | None:
     def rec(lvl: int, r):
         if lvl <= prefix_len:
             q = p ** _prefix_degree(tw, lvl)
-            return _r_pow(tw, lvl, r, q // p)
+            return _power(r, q // p, tw.rings[lvl].mul, tw.rings[lvl].one)
         num, den = r
         rn = rec_poly(lvl, num)
         if rn is None:
@@ -1159,9 +1194,10 @@ def _pth_root_pure(elem: FieldElement, prefix_len: int) -> FieldElement | None:
         return (tuple(rn), tuple(rd))
 
     def rec_poly(lvl: int, coeffs):
-        out = [_r_zero(tw, lvl - 1)] * ((len(coeffs) + p - 1) // p if coeffs else 0)
+        below = tw.rings[lvl - 1]
+        out = [below.zero] * ((len(coeffs) + p - 1) // p if coeffs else 0)
         for j, c in enumerate(coeffs):
-            if _r_is_zero(tw, lvl - 1, c):
+            if below.is_zero(c):
                 continue
             if j % p != 0:
                 return None
@@ -1169,9 +1205,7 @@ def _pth_root_pure(elem: FieldElement, prefix_len: int) -> FieldElement | None:
             if root is None:
                 return None
             out[j // p] = root
-        while out and _r_is_zero(tw, lvl - 1, out[-1]):
-            out.pop()
-        return out
+        return _u_trim(below, out)
 
     r = rec(tw.level, elem.rep)
     return None if r is None else FieldElement(tw, r)
@@ -1182,17 +1216,6 @@ def _prefix_degree(tw: FieldTower, lvl: int) -> int:
     for s in tw.steps[:lvl]:
         deg *= s.degree
     return deg
-
-
-def _r_pow(tw, lvl, r, n: int):
-    out = _r_one(tw, lvl)
-    sq = r
-    while n:
-        if n & 1:
-            out = _r_mul(tw, lvl, out, sq)
-        sq = _r_mul(tw, lvl, sq, sq)
-        n >>= 1
-    return out
 
 
 def pth_root(elem: FieldElement) -> FieldElement | None:

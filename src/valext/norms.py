@@ -16,13 +16,14 @@ All operations are pure over immutable modules and algebras.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import poly as poly_mod
 from .errors import DomainError, PreconditionError, StructuralError
-from .fields import FieldElement, FieldTower
+from .fields import FieldElement, FieldTower, _power, _u_rem
 from .poly import Polynomial
 from .valuations import MonomialValuation
 from .value_groups import ValueWithZero
@@ -280,35 +281,15 @@ class AlgebraElement:
         self.terms = terms
 
     def _reduce(self) -> "AlgebraElement":
-        """Reduce exponents by the monic modulus (quotient algebras)."""
-        alg = self.algebra
-        mod = alg.modulus
-        d = mod.degree()
-        work = {e[0]: c for e, c in self.terms.items()}
-        out: dict = {}
-        while work:
-            e = max(work.keys())
-            c = work.pop(e)
-            if e < d:
-                prev = out.get(e)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-                continue
-            # substitute y^d = -(lower part of the modulus) into y^e
-            for i in range(d):
-                mc = mod.coeff(i)
-                if mc.is_zero:
-                    continue
-                k = e - d + i
-                add = -c * mc
-                if k in work:
-                    add = add + work.pop(k)
-                if not add.is_zero:
-                    work[k] = add
-        return AlgebraElement(alg, {(e,): c for e, c in out.items()})
+        """The remainder modulo the monic modulus (quotient algebras)."""
+        mod = self.algebra.modulus
+        ring = mod.tower.ring
+        dense = [ring.zero] * (1 + max((e for (e,) in self.terms), default=-1))
+        for (e,), c in self.terms.items():
+            dense[e] = c.rep
+        r = _u_rem(ring, dense, [c.rep for c in mod.univariate_coeffs()])
+        terms = {(e,): FieldElement(mod.tower, r[e]) for e in reversed(range(len(r)))}
+        return AlgebraElement(self.algebra, {e: c for e, c in terms.items() if not c.is_zero})
 
     def _check(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
@@ -351,14 +332,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = self.algebra.one()
-        sq = self
-        while n:
-            if n & 1:
-                out = out * sq
-            sq = sq * sq
-            n >>= 1
-        return out
+        return _power(self, n, operator.mul, self.algebra.one())
 
     def scale(self, alpha) -> "AlgebraElement":
         alpha = self.algebra.valuation.coerce(alpha)

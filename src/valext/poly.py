@@ -21,8 +21,10 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +32,26 @@ from typing import Sequence
 
 from . import config
 from .errors import CapabilityError, DomainError, StructuralError
-from .fields import FieldElement, FieldTower, pth_root
+from .fields import (
+    AlgebraicLevel,
+    FieldElement,
+    FieldTower,
+    IntegersMod,
+    PrimeField,
+    RationalField,
+    _power,
+    _u_add,
+    _u_divmod,
+    _u_gcd,
+    _u_monic,
+    _u_mul,
+    _u_neg,
+    _u_powmod,
+    _u_rem,
+    _u_trim,
+    _u_xgcd,
+    pth_root,
+)
 
 
 class Polynomial:
@@ -150,14 +171,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = Polynomial.constant(self.tower, self.vars, 1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return _power(self, n, operator.mul, Polynomial.constant(self.tower, self.vars, 1))
 
     def scale(self, c) -> "Polynomial":
         c = self.tower.coerce(c)
@@ -182,14 +196,8 @@ class Polynomial:
         other = self._coerce_other(other)
         if other.is_zero:
             raise DomainError("polynomial division by zero")
-        a = self.univariate_coeffs()
-        b = other.univariate_coeffs()
-        q, r = _pdivmod(self.tower, a, b)
-        v = self.vars[0]
-        return (
-            Polynomial.from_coeffs(self.tower, v, q),
-            Polynomial.from_coeffs(self.tower, v, r),
-        )
+        q, r = _u_divmod(self.tower.ring, _reps(self), _reps(other))
+        return _from_reps(self.tower, self.vars[0], q), _from_reps(self.tower, self.vars[0], r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -378,6 +386,13 @@ def _parse_polynomial(text: str, tower: FieldTower, vars: tuple[str, ...]) -> Po
         if peek() == "^":
             take()
             kind, value = take("num")
+            # bound the degree before expanding: the factorizer refuses
+            # anything larger anyway, and the expansion itself can be huge
+            if base.degree() * value > config.FACTOR_DEGREE_BOUND:
+                raise CapabilityError(
+                    f"degree {base.degree() * value} exceeds the factorization bound "
+                    f"{config.FACTOR_DEGREE_BOUND}"
+                )
             return base**value
         return base
 
@@ -413,76 +428,16 @@ def _parse_polynomial(text: str, tower: FieldTower, vars: tuple[str, ...]) -> Po
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate helpers over FieldElement lists
+# Dense univariate coefficient reps, for the core in ``fields``
 
 
-def _ptrim(cs: list) -> list:
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return cs
+def _reps(f: Polynomial) -> list:
+    """The coefficient reps of a univariate f, constant term first."""
+    return [c.rep for c in f.univariate_coeffs()]
 
 
-def _pdivmod(tower: FieldTower, a: list, b: list) -> tuple[list, list]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    if not b:
-        raise DomainError("polynomial division by zero")
-    q = [tower.zero()] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inv()
-    r = list(a)
-    while len(r) >= len(b):
-        c = r[-1] * inv
-        k = len(r) - len(b)
-        q[k] = c
-        for i, x in enumerate(b):
-            r[k + i] = r[k + i] - c * x
-        r = _ptrim(r)
-    return q, r
-
-
-def _pmul(a: list, b: list, tower: FieldTower) -> list:
-    if not a or not b:
-        return []
-    out = [tower.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _ptrim(out)
-
-
-def _padd(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim(out)
-
-
-def _pmonic(a: list) -> list:
-    if not a:
-        return a
-    inv = a[-1].inv()
-    return [c * inv for c in a]
-
-
-def _pgcd(tower: FieldTower, a: list, b: list) -> list:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pdivmod(tower, a, b)[1]
-    return _pmonic(a)
-
-
-def _ppow_mod(tower: FieldTower, base: list, exp: int, mod: list) -> list:
-    result = [tower.one()]
-    b = _pdivmod(tower, base, mod)[1]
-    while exp:
-        if exp & 1:
-            result = _pdivmod(tower, _pmul(result, b, tower), mod)[1]
-        b = _pdivmod(tower, _pmul(b, b, tower), mod)[1]
-        exp >>= 1
-    return result
+def _from_reps(tower: FieldTower, var: str, reps) -> Polynomial:
+    return Polynomial.from_coeffs(tower, var, [FieldElement(tower, r) for r in reps])
 
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -492,8 +447,7 @@ def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check_compatible(g)
     if f.is_zero and g.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    cs = _pgcd(f.tower, f.univariate_coeffs(), g.univariate_coeffs())
-    return Polynomial.from_coeffs(f.tower, f.vars[0], cs)
+    return _from_reps(f.tower, f.vars[0], _u_gcd(f.tower.ring, _reps(f), _reps(g)))
 
 
 def resultant(f: Polynomial, g: Polynomial) -> FieldElement:
@@ -501,22 +455,22 @@ def resultant(f: Polynomial, g: Polynomial) -> FieldElement:
     f._require_univariate("resultant")
     g._check_compatible(f)
     tower = f.tower
-    a = _ptrim(f.univariate_coeffs())
-    b = _ptrim(g.univariate_coeffs())
+    R = tower.ring
+    a, b = _reps(f), _reps(g)
     if not a or not b:
         return tower.zero()
-    res = tower.one()
+    res = R.one
     while True:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
-            return res * b[0] ** da
-        r = _pdivmod(tower, a, b)[1]
+            return FieldElement(tower, R.mul(res, _power(b[0], da, R.mul, R.one)))
+        r = _u_rem(R, a, b)
         if not r:
             return tower.zero()
         dr = len(r) - 1
         if (da * db) % 2 == 1:
-            res = -res
-        res = res * b[-1] ** (da - dr)
+            res = R.neg(res)
+        res = R.mul(res, _power(b[-1], da - dr, R.mul, R.one))
         a, b = b, r
 
 
@@ -747,61 +701,61 @@ def _restrict_poly(f: Polynomial, prefix_len: int) -> Polynomial | None:
 
 def _factor_finite(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     tower = f.tower
+    R = tower.ring
     q = tower.char ** tower.extension_degree()
-    var = f.vars[0]
-    coeffs = f.univariate_coeffs()
     blocks: list[tuple[list, int]] = []
-    v = list(coeffs)
-    h = [tower.zero(), tower.one()]  # the polynomial y
+    v = _reps(f)
+    h = [R.zero, R.one]  # the polynomial y
     d = 0
     while len(v) - 1 > 0:
         d += 1
         if 2 * d > len(v) - 1:
             blocks.append((v, len(v) - 1))
             break
-        h = _ppow_mod(tower, h, q, v)
-        g = _pgcd(tower, _padd(h, [tower.zero(), -tower.one()]), v)
+        h = _u_powmod(R, h, q, v)
+        g = _u_gcd(R, _u_add(R, h, [R.zero, R.neg(R.one)]), v)
         if len(g) > 1:
             blocks.append((g, d))
-            v = _pdivmod(tower, v, g)[0]
-            h = _pdivmod(tower, h, v)[1]
+            v = _u_divmod(R, v, g)[0]
+            h = _u_rem(R, h, v)
     out = []
     for block, d in blocks:
         out.extend(_equal_degree_split(tower, block, d, q, rng))
-    return [Polynomial.from_coeffs(tower, var, cs) for cs in out]
+    return [_from_reps(tower, f.vars[0], cs) for cs in out]
 
 
 def _equal_degree_split(tower, block: list, d: int, q: int, rng: random.Random) -> list[list]:
+    R = tower.ring
     if len(block) - 1 == d:
-        return [_pmonic(block)]
+        return [_u_monic(R, block)]
     out = []
     stack = [block]
     while stack:
         u = stack.pop()
         if len(u) - 1 == d:
-            out.append(_pmonic(u))
+            out.append(_u_monic(R, u))
             continue
         g = None
         while g is None:
-            r = [_random_field_element(tower, rng) for _ in range(len(u) - 1)]
-            r = _ptrim(r)
+            r = [_random_field_element(tower, rng).rep for _ in range(len(u) - 1)]
+            r = _u_trim(R, r)
             if len(r) <= 0:
                 continue
             if q % 2 == 1:
-                w = _ppow_mod(tower, r, (q**d - 1) // 2, u)
-                w = _padd(w, [-tower.one()])
+                w = _u_powmod(R, r, (q**d - 1) // 2, u)
+                w = _u_add(R, w, [R.neg(R.one)])
             else:
                 k = q.bit_length() - 1
                 w = list(r)
                 acc = list(r)
                 for _ in range(k * d - 1):
-                    acc = _ppow_mod(tower, acc, 2, u)
-                    w = _padd(w, acc)
-            cand = _pgcd(tower, w, u)
+                    acc = _u_powmod(R, acc, 2, u)
+                    w = _u_add(R, w, acc)
+            cand = _u_gcd(R, w, u)
             if 0 < len(cand) - 1 < len(u) - 1:
                 g = cand
         stack.append(g)
-        stack.append(_pmonic(_pdivmod(tower, u, g)[0]))
+        stack.append(_u_monic(R, _u_divmod(R, u, g)[0]))
     return out
 
 
@@ -854,7 +808,9 @@ def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     k = 1
     while prime**k <= 2 * bound:
         k += 1
-    lifted = _hensel_lift_integer(ints, modular, prime, k)
+    ring = _PadicIntegers(prime, k)
+    inv_lead = ring.inv(lead % ring.m)
+    lifted = hensel_lift(ring, [ring.mul(c, inv_lead) for c in ints], modular)
     factors_z = _recombine(ints, lifted, prime**k)
     out = []
     for cz in factors_z:
@@ -882,128 +838,84 @@ def _factor_mod_p(ints: list[int], p: int, rng: random.Random) -> list[list[int]
     return [[c.rep for c in g.univariate_coeffs()] for g in parts]
 
 
-# integer polynomials modulo m, dense int lists
+# -- Hensel lifting over a ring mod pi^k ---------------------------------------
 
 
-def _zp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def hensel_lift(ring, f: list, parts: list[list]) -> list[list]:
+    """Lift a factorization of a monic f from the residue ring to ``ring``.
 
-
-def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return _zp_trim(out)
-
-
-def _zp_add(a: list[int], b: list[int], m: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _zp_trim(out)
-
-
-def _zp_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    return _zp_add(a, [(-c) % m for c in b], m)
-
-
-def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    if not b or b[-1] % m != 1:
-        raise DomainError("division needs a monic divisor")
-    r = [c % m for c in a]
-    r = _zp_trim(r)
-    q = [0] * max(0, len(r) - len(b) + 1)
-    while len(r) >= len(b):
-        c = r[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i, x in enumerate(b):
-            r[k + i] = (r[k + i] - c * x) % m
-        r = _zp_trim(r)
-    return q, r
-
-
-def _hensel_lift_integer(
-    target: list[int], modular: list[list[int]], p: int, k: int
-) -> list[list[int]]:
-    """Lift the monic mod-p factorization of target/lc to mod p^k."""
-    m = p**k
-    inv_lead = pow(target[-1], -1, m)
-    fstar = [(c * inv_lead) % m for c in target]
-    return _lift_tree(fstar, modular, p, k)
-
-
-def _lift_tree(fstar: list[int], parts: list[list[int]], p: int, k: int) -> list[list[int]]:
+    ``ring`` is a ring mod pi^k: it has a ``residue`` ring, a ``precision``
+    k, ``digit(a, i)``, the residue coefficient of pi^i in a, and
+    ``shift(c, i)``, the element c*pi^i for a residue c.  ``parts`` are
+    pairwise coprime monic polynomials over the residue ring whose product is
+    f mod pi.  The result holds, in the order of ``parts``, monic factors of
+    f mod pi^k, each congruent to its part mod pi; they are unique.
+    """
     if len(parts) == 1:
-        return [fstar]
+        return [f]
+    mul = functools.partial(_u_mul, ring.residue)
     half = len(parts) // 2
-    m = p**k
-    g0 = [1]
-    for part in parts[:half]:
-        g0 = _zp_mul(g0, part, p)
-    h0 = [1]
-    for part in parts[half:]:
-        h0 = _zp_mul(h0, part, p)
-    g, h = _lift_pair(fstar, g0, h0, p, k)
-    return _lift_tree(g, parts[:half], p, k) + _lift_tree(h, parts[half:], p, k)
+    g, h = _lift_pair(
+        ring, f, functools.reduce(mul, parts[:half]), functools.reduce(mul, parts[half:])
+    )
+    return hensel_lift(ring, g, parts[:half]) + hensel_lift(ring, h, parts[half:])
 
 
-def _lift_pair(
-    fstar: list[int], g: list[int], h: list[int], p: int, k: int
-) -> tuple[list[int], list[int]]:
-    s, t = _zp_bezout(g, h, p)
-    g, h = list(g), list(h)
-    for i in range(1, k):
-        m = p ** (i + 1)
-        prod = _zp_mul(g, h, m)
-        diff = _zp_sub([c % m for c in fstar], prod, m)
-        e = _zp_trim([(c // p**i) % p for c in diff])
+def _lift_pair(ring, f: list, gbar: list, hbar: list) -> tuple[list, list]:
+    """The linear lift, one pi-adic digit per step: with e the next digit of
+    f - g*h, adding pi^i*(dg, dh) for dg = t*e mod gbar and dh = s*e + q*hbar
+    (s*gbar + t*hbar = 1, t*e = q*gbar + dg) makes g*h agree with f there."""
+    res = ring.residue
+    one, s, t = _u_xgcd(res, gbar, hbar)
+    if len(one) != 1:
+        raise DomainError("factors to lift are not coprime")
+    g = [ring.shift(c, 0) for c in gbar]
+    h = [ring.shift(c, 0) for c in hbar]
+    for i in range(1, ring.precision):
+        diff = _u_add(ring, f, _u_neg(ring, _u_mul(ring, g, h)))
+        e = _u_trim(res, [ring.digit(c, i) for c in diff])
         if not e:
             continue
-        te = _zp_mul(t, e, p)
-        qq, dg = _zp_divmod_monic(te, g, p)
-        dh = _zp_add(_zp_mul(s, e, p), _zp_mul(qq, h, p), p)
-        g = _zp_trim([(a + p**i * b) % m for a, b in _pad_pair(g, dg)])
-        h = _zp_trim([(a + p**i * b) % m for a, b in _pad_pair(h, dh)])
+        q, dg = _u_divmod(res, _u_mul(res, t, e), gbar)
+        dh = _u_add(res, _u_mul(res, s, e), _u_mul(res, q, hbar))
+        g = _u_add(ring, g, [ring.shift(c, i) for c in dg])
+        h = _u_add(ring, h, [ring.shift(c, i) for c in dh])
     return g, h
 
 
-def _pad_pair(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+class _PadicIntegers(IntegersMod):
+    """Z/p^k as a ring mod pi^k with pi = p, over the residue field F_p."""
+
+    def __init__(self, p: int, k: int):
+        super().__init__(p**k)
+        self.p = p
+        self.precision = k
+        self.residue = PrimeField(p)
+
+    def digit(self, a: int, i: int) -> int:
+        return a // self.p**i % self.p
+
+    def shift(self, c: int, i: int) -> int:
+        return c * self.p**i % self.m
 
 
-def _zp_bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
-    """s, t with s*g + t*h = 1 mod p (g, h coprime mod p)."""
-    tower = FieldTower.prime_field(p)
+class TruncatedSeries(AlgebraicLevel):
+    """F[x]/(x^n) as a ring mod pi^n with pi = x, over the residue ring F:
+    elements are trimmed tuples of F reps, x^0 first."""
 
-    def to_field(cs):
-        return [tower.from_int(c) for c in cs]
+    def __init__(self, residue, n: int):
+        super().__init__(residue, (residue.zero,) * n + (residue.one,))
+        self.residue = residue
+        self.precision = n
 
-    a, b = _ptrim(to_field(g)), _ptrim(to_field(h))
-    r0, r1 = a, b
-    s0, s1 = [tower.one()], []
-    t0, t1 = [], [tower.one()]
-    while r1:
-        q, r = _pdivmod(tower, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, [-c for c in _pmul(q, s1, tower)])
-        t0, t1 = t1, _padd(t0, [-c for c in _pmul(q, t1, tower)])
-    if len(r0) != 1:
-        raise DomainError("modular factors are not coprime")
-    inv = r0[0].inv()
-    s = [(c * inv).rep for c in s0]
-    t = [(c * inv).rep for c in t0]
-    return s, t
+    def mul(self, a, b):
+        return tuple(_u_trim(self.k, _u_mul(self.k, a, b)[: self.precision]))
+
+    def digit(self, a, i: int):
+        return a[i] if i < len(a) else self.residue.zero
+
+    def shift(self, c, i: int):
+        return () if self.residue.is_zero(c) else (self.residue.zero,) * i + (c,)
 
 
 def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
@@ -1020,32 +932,7 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
             cs = [-c for c in cs]
         return cs
 
-    def divides(cand: list[int], target: list[int]) -> list[int] | None:
-        a = [Fraction(c) for c in target]
-        b = [Fraction(c) for c in cand]
-        q, r = _q_divmod(a, b)
-        if r:
-            return None
-        if any(c.denominator != 1 for c in q):
-            return None
-        return [int(c) for c in q]
-
-    def _q_divmod(a, b):
-        a = [x for x in a]
-        while a and a[-1] == 0:
-            a.pop()
-        q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-        inv = 1 / b[-1]
-        while len(a) >= len(b):
-            c = a[-1] * inv
-            k = len(a) - len(b)
-            q[k] = c
-            for i, x in enumerate(b):
-                a[k + i] -= c * x
-            while a and a[-1] == 0:
-                a.pop()
-        return q, a
-
+    zm = IntegersMod(modulus)
     remaining = list(range(len(lifted)))
     current = list(ints)
     out: list[list[int]] = []
@@ -1057,12 +944,14 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
             for subset in itertools.combinations(remaining, size):
                 prod = [current[-1] % modulus]
                 for i in subset:
-                    prod = _zp_mul(prod, lifted[i], modulus)
+                    prod = _u_mul(zm, prod, lifted[i])
                 cand = primitive([sym(c) for c in prod])
-                q = divides(cand, current)
-                if q is not None:
+                q, r = _u_divmod(
+                    RationalField(), [Fraction(c) for c in current], [Fraction(c) for c in cand]
+                )
+                if not r and all(c.denominator == 1 for c in q):
                     out.append(cand)
-                    current = q
+                    current = [int(c) for c in q]
                     remaining = [i for i in remaining if i not in subset]
                     found = True
                     break

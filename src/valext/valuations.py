@@ -32,16 +32,8 @@ from typing import Sequence
 
 from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, StructuralError
-from .fields import (
-    FieldElement,
-    FieldTower,
-    _r_inv,
-    _r_is_zero,
-    _r_mul,
-    _r_one,
-    build_fraction_rep,
-)
-from .poly import Polynomial, _padd, _pdivmod, _pmul, _ptrim
+from .fields import FieldElement, FieldTower, _u_trim, build_fraction_rep
+from .poly import Polynomial, TruncatedSeries, hensel_lift
 from .value_groups import ValueGroup, ValueWithZero
 
 
@@ -72,8 +64,9 @@ def _min_term(tw: FieldTower, cut: int, lvl: int, rep) -> tuple[tuple[int, ...],
     num, den = rep
     en, cn = _min_poly_term(tw, cut, lvl, num)
     ed, cd = _min_poly_term(tw, cut, lvl, den)
-    if cd != _r_one(tw, cut):
-        cn = _r_mul(tw, cut, cn, _r_inv(tw, cut, cd))
+    ring = tw.rings[cut]
+    if cd != ring.one:
+        cn = ring.mul(cn, ring.inv(cd))
     return tuple(a - b for a, b in zip(en, ed)), cn
 
 
@@ -82,7 +75,7 @@ def _min_poly_term(tw: FieldTower, cut: int, lvl: int, coeffs):
     generator, whose exponent is the last, least significant slot."""
     best = None
     for i, c in enumerate(coeffs):
-        if _r_is_zero(tw, lvl - 1, c):
+        if tw.rings[lvl - 1].is_zero(c):
             continue
         exps, coeff = _min_term(tw, cut, lvl - 1, c)
         key = exps + (i,)
@@ -239,9 +232,6 @@ class MonomialValuation:
             out.append(PrimeIdealInfo(j, self.variables[:j], kappa))
         return out
 
-    def ring_view(self) -> "ValuationRingView":
-        return ValuationRingView(self)
-
     # -- rank-1 series ----------------------------------------------------------
 
     def series(self, z, precision: int) -> list[FieldElement]:
@@ -256,7 +246,7 @@ class MonomialValuation:
         # canonical num and den are coprime, so z is in the ring exactly
         # when x does not divide den
         num, den = z.rep
-        if _r_is_zero(field, field.level, den[0]):
+        if field.ring.is_zero(den[0]):
             raise DomainError("series expansion needs a ring element")
         nn = [FieldElement(field, r) for r in num[:precision]]
         nn += [zero] * (precision - len(nn))
@@ -286,29 +276,6 @@ class MonomialValuation:
         for i, c in enumerate(coeffs):
             out = out + k.embed(self.coefficient_field.coerce(c)) * x**i
         return out
-
-
-class ValuationRingView:
-    """Ring-level accessors of a monomial valuation: membership, units,
-    maximal ideal, and the totally ordered prime chain."""
-
-    def __init__(self, valuation: MonomialValuation):
-        self.valuation = valuation
-
-    def contains(self, z) -> bool:
-        return self.valuation.in_ring(z)
-
-    def in_maximal_ideal(self, z) -> bool:
-        return self.valuation.in_maximal_ideal(z)
-
-    def is_unit(self, z) -> bool:
-        return self.valuation.is_unit(z)
-
-    def prime_chain(self) -> list[PrimeIdealInfo]:
-        return self.valuation.prime_chain()
-
-    def residue(self, z) -> FieldElement:
-        return self.valuation.residue(z)
 
 
 # ---------------------------------------------------------------------------
@@ -372,91 +339,15 @@ def hensel_factor_lift(
         return HenselLift([f], residual_factors, precision)
 
     field = valuation.coefficient_field
-    zero = field.zero()
-
-    def to_series_poly(p: Polynomial) -> list[list[FieldElement]]:
-        return [valuation.series(c, precision) for c in p.univariate_coeffs()]
-
-    def embed_residual(p: Polynomial) -> list[list[FieldElement]]:
-        return [[c] + [zero] * (precision - 1) for c in p.univariate_coeffs()]
-
-    def smul(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-        out = [zero] * precision
-        for i, x in enumerate(a):
-            if x.is_zero:
-                continue
-            for j in range(precision - i):
-                out[i + j] = out[i + j] + x * b[j]
-        return out
-
-    def ymul(a, b):
-        out = [[zero] * precision for _ in range(len(a) + len(b) - 1)]
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                prod = smul(ca, cb)
-                tgt = out[i + j]
-                for k in range(precision):
-                    tgt[k] = tgt[k] + prod[k]
-        return out
-
-    fy = to_series_poly(f)
-
-    def bezout(a: Polynomial, b: Polynomial):
-        r0, r1 = a.univariate_coeffs(), b.univariate_coeffs()
-        s0, s1 = [field.one()], []
-        t0, t1 = [], [field.one()]
-        while _ptrim(list(r1)):
-            q, r = _pdivmod(field, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, [-c for c in _pmul(q, s1, field)])
-            t0, t1 = t1, _padd(t0, [-c for c in _pmul(q, t1, field)])
-        r0 = _ptrim(list(r0))
-        if len(r0) != 1:
-            raise DomainError("residual factors are not coprime")
-        inv = r0[0].inv()
-        return [c * inv for c in s0], [c * inv for c in t0]
-
-    def lift_pair(target, gbar: Polynomial, hbar: Polynomial):
-        s, t = bezout(gbar, hbar)
-        g = embed_residual(gbar)
-        h = embed_residual(hbar)
-        gb = gbar.univariate_coeffs()
-        hb = hbar.univariate_coeffs()
-        for m in range(1, precision):
-            prod = ymul(g, h)
-            e = []
-            for i in range(len(target)):
-                have = prod[i][m] if i < len(prod) else zero
-                e.append(target[i][m] - have)
-            e = _ptrim(e)
-            if not e:
-                continue
-            te = _pmul(t, e, field)
-            q, dg = _pdivmod(field, te, gb)
-            dh = _padd(_pmul(s, e, field), _pmul(q, hb, field))
-            for i, c in enumerate(dg):
-                g[i][m] = g[i][m] + c
-            for i, c in enumerate(dh):
-                h[i][m] = h[i][m] + c
-        return g, h
-
-    def lift_tree(target, parts: list[Polynomial]):
-        if len(parts) == 1:
-            return [target]
-        half = len(parts) // 2
-        gbar = parts[0]
-        for p in parts[1:half]:
-            gbar = gbar * p
-        hbar = parts[half]
-        for p in parts[half + 1 :]:
-            hbar = hbar * p
-        g, h = lift_pair(target, gbar, hbar)
-        return lift_tree(g, parts[:half]) + lift_tree(h, parts[half:])
-
-    lifted = lift_tree(fy, residual_factors)
+    ring = TruncatedSeries(field.ring, precision)
+    target = [
+        tuple(_u_trim(field.ring, [s.rep for s in valuation.series(c, precision)]))
+        for c in f.univariate_coeffs()
+    ]
+    parts = [[c.rep for c in g.univariate_coeffs()] for g in residual_factors]
     out = []
-    for series_poly in lifted:
-        coeffs = [valuation.from_series(cs) for cs in series_poly]
+    for series_poly in hensel_lift(ring, target, parts):
+        coeffs = [valuation.from_series([FieldElement(field, r) for r in cs]) for cs in series_poly]
         out.append(Polynomial.from_coeffs(valuation.function_field, f.vars[0], coeffs))
     return HenselLift(out, residual_factors, precision)
 

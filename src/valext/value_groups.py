@@ -29,17 +29,7 @@ from typing import Iterable
 
 from . import config
 from .errors import DomainError, StructuralError
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .fields import _is_prime
 
 
 @dataclass(frozen=True)
@@ -84,11 +74,6 @@ class ValueGroup:
     def neutral(self) -> "ValueWithZero":
         """The identity element, i.e. the value of any unit."""
         return self.element((0,) * self.rank)
-
-    def unit_vector(self, i: int, scale: int | Fraction = 1) -> "ValueWithZero":
-        coords = [Fraction(0)] * self.rank
-        coords[i] = Fraction(scale)
-        return self.element(coords)
 
     def contains(self, value: "ValueWithZero") -> bool:
         """Whether the coordinates of ``value`` lie in this group's lattice."""
@@ -181,14 +166,6 @@ class ValueWithZero:
         if other.is_zero:
             return False
         return self.coords >= other.coords
-
-    def additive_gt(self, other: "ValueWithZero") -> bool:
-        self._check_same_group(other)
-        if self.is_zero:
-            return not other.is_zero
-        if other.is_zero:
-            return False
-        return self.coords > other.coords
 
     def additive_min(self, other: "ValueWithZero") -> "ValueWithZero":
         """min in the additive reading (zero counts as +infinity)."""

@@ -1,4 +1,5 @@
 import io
+import time
 
 from valext import cli
 from valext.selftest import GOLDEN_SCENARIOS, run_selftest
@@ -197,3 +198,11 @@ def test_zero_denominator_is_a_parse_error_with_line(tmp_path):
     code, out, err = run_extend(tmp_path, _ONE_STEP.format("y^2 + 1/0"))
     assert code == 1 and out == ""
     assert err.startswith("parse error: line 10:") and "zero denominator" in err
+
+
+def test_power_beyond_the_degree_bound_is_refused_before_expansion(tmp_path):
+    start = time.perf_counter()
+    code, out, err = run_extend(tmp_path, _ONE_STEP.format("(y+1)^3000"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "capability error: degree 3000 exceeds the factorization bound 12\n"

@@ -5,7 +5,6 @@ import pytest
 
 from valext.compositum import (
     base_change_maximality_check,
-    classify_point,
     degree_bookkeeping,
     separable_transfer_check,
     subfield_maximality_check,
@@ -31,8 +30,7 @@ def test_radicial_single_point(f2_a_r):
     assert len(pts) == 1
     pt = pts[0]
     assert pt.multiplicity == 2
-    flags = classify_point(pt)
-    assert flags.maximal and not flags.strictly_maximal
+    assert pt.maximal and not pt.strictly_maximal
     assert degree_bookkeeping(pts) == (2, 2)
     assert pt.field == f2_a_r  # E collapses onto M
 

@@ -1,0 +1,145 @@
+"""The univariate core of ``fields`` over every kind of ring it serves, and
+the Hensel lift of ``poly`` over both rings mod pi^k it is used with."""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+
+from valext.errors import DomainError
+from valext.fields import (
+    FieldTower,
+    IntegersMod,
+    PrimeField,
+    RationalField,
+    _u_add,
+    _u_divmod,
+    _u_mul,
+    _u_powmod,
+    _u_rem,
+    _u_trim,
+    _u_xgcd,
+)
+from valext.norms import random_field_element
+from valext.poly import TruncatedSeries, _PadicIntegers, hensel_lift
+
+
+def _tower_ring(tower, fractions=False):
+    def draw(rng):
+        z = random_field_element(tower, rng, 3)
+        if fractions and rng.randrange(2):
+            w = random_field_element(tower, rng, 3)
+            z = z if w.is_zero else z / w
+        return z.rep
+
+    return tower.ring, draw
+
+
+def _series_ring(residue, n, draw_residue):
+    ring = TruncatedSeries(residue, n)
+    return ring, lambda rng: tuple(_u_trim(residue, [draw_residue(rng) for _ in range(n)]))
+
+
+def _ring(name):
+    q = FieldTower.rationals()
+    if name == "Q":
+        return _tower_ring(q)
+    if name == "F5":
+        return _tower_ring(FieldTower.prime_field(5))
+    if name == "Q(i)":
+        return _tower_ring(q.extend_algebraic("i", [1, 0, 1]))
+    if name == "F2(a)":
+        return _tower_ring(FieldTower.prime_field(2).extend_transcendental("a"), True)
+    if name == "Q(x1)(x2)":
+        return _tower_ring(q.extend_transcendental("x1").extend_transcendental("x2"))
+    if name == "Z/3^4":
+        return IntegersMod(81), lambda rng: rng.randrange(81)
+    return _series_ring(PrimeField(3), 5, lambda rng: rng.randrange(3))
+
+
+FIELDS = ["Q", "F5", "Q(i)", "F2(a)", "Q(x1)(x2)"]
+RINGS = FIELDS + ["Z/3^4", "F3[x]/(x^5)"]
+# Euclid over Q(x1)(x2) swells its coefficients (gcds inside gcds), so that
+# ring gets small degrees to keep the test fast
+MAX_DEGREE = {"Q(x1)(x2)": 1}
+
+
+def _unit(R, draw, rng):
+    while True:
+        c = draw(rng)
+        try:
+            R.inv(c)
+        except DomainError:
+            continue
+        return c
+
+
+def _poly(R, draw, rng, degree, lead=None):
+    out = [draw(rng) for _ in range(degree)]
+    return _u_trim(R, out + [lead if lead is not None else draw(rng)])
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_divmod_powmod_and_xgcd_identities(name):
+    R, draw = _ring(name)
+    rng = random.Random(name)
+    solved = 0
+    top = MAX_DEGREE.get(name, 5)
+    for _ in range(25):
+        a = _poly(R, draw, rng, rng.randrange(0, top + 1))
+        b = _poly(R, draw, rng, rng.randrange(1, min(top, 3) + 1), _unit(R, draw, rng))
+        q, r = _u_divmod(R, a, b)
+        assert len(r) < len(b)
+        assert _u_add(R, _u_mul(R, q, b), r) == a
+
+        n = rng.randrange(0, top + 2)
+        repeated = [R.one]
+        for _ in range(n):
+            repeated = _u_rem(R, _u_mul(R, repeated, a), b)
+        assert _u_powmod(R, a, n, b) == repeated
+
+        # Euclid needs a unit leading coefficient at every step, which only
+        # a field guarantees
+        try:
+            g, s, t = _u_xgcd(R, a, b)
+        except DomainError:
+            assert name not in FIELDS
+            continue
+        solved += 1
+        assert g[-1] == R.one
+        assert _u_add(R, _u_mul(R, s, a), _u_mul(R, t, b)) == g
+        assert _u_rem(R, a, g) == [] and _u_rem(R, b, g) == []
+    assert solved >= 5
+
+
+def _lifting_ring(name):
+    if name == "Z/5^6":
+        return _PadicIntegers(5, 6), lambda rng: rng.randrange(5**6)
+    if name == "F3[x]/(x^5)":
+        return _series_ring(PrimeField(3), 5, lambda rng: rng.randrange(3))
+    return _series_ring(
+        RationalField(), 4, lambda rng: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+    )
+
+
+@pytest.mark.parametrize("name", ["Z/5^6", "F3[x]/(x^5)", "Q[x]/(x^4)"])
+def test_hensel_lift_finds_the_unique_monic_factors(name):
+    ring, draw = _lifting_ring(name)
+    res = ring.residue
+    mul = functools.partial(_u_mul, ring)
+    rng = random.Random(name)
+    lifts = 0
+    while lifts < 15:
+        factors = [
+            _poly(ring, draw, rng, rng.randrange(1, 3), ring.one) for _ in range(rng.randrange(2, 5))
+        ]
+        parts = [_u_trim(res, [ring.digit(c, 0) for c in g]) for g in factors]
+        if any(len(_u_xgcd(res, g, h)[0]) != 1 for i, g in enumerate(parts) for h in parts[:i]):
+            continue
+        f = functools.reduce(mul, factors)
+        lifted = hensel_lift(ring, f, parts)
+        assert functools.reduce(mul, lifted) == f
+        assert [_u_trim(res, [ring.digit(c, 0) for c in g]) for g in lifted] == parts
+        assert lifted == factors  # the monic lift is unique
+        lifts += 1

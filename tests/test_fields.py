@@ -9,7 +9,6 @@ from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import (
     FieldTower,
     TowerHom,
-    _frac,
     _u_mul,
     is_radicial,
     is_separable_step,
@@ -221,10 +220,10 @@ def test_field_axioms_random_char2(f2_a_r):
 def _fraction_product(tw, a, b):
     """Canonical rep of (an*bn)/(ad*bd) at the top, transcendental level."""
     (an, ad), (bn, bd) = a, b
-    clvl = tw.level - 1
-    num = _u_mul(tw, clvl, list(an), list(bn))
-    den = _u_mul(tw, clvl, list(ad), list(bd))
-    return _frac(tw, clvl, num, den)
+    k = tw.rings[-2]
+    num = _u_mul(k, list(an), list(bn))
+    den = _u_mul(k, list(ad), list(bd))
+    return tw.ring.frac(num, den)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
