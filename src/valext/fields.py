@@ -12,10 +12,12 @@ Each level has one ring object that does the arithmetic of its reps
 (``FieldTower.rings``): the base field at level 0, ``AlgebraicLevel``
 (reduction modulo the minimal polynomial, inverses by the extended Euclidean
 algorithm) and ``TranscendentalLevel`` (canonical fractions).  Every ring has
-precomputed ``zero`` and ``one`` and the same methods, so the dense
-univariate arithmetic (``_u_*``: add, mul, divmod, monic, gcd, xgcd, powmod)
-is written once over that interface.  It serves every level, the
-factorization code in ``poly`` and the integers modulo m (``IntegersMod``).
+precomputed ``zero`` and ``one`` and the methods ``is_zero``, ``add``,
+``neg``, ``mul``, ``inv`` and ``from_int`` (above level 0 also ``lift`` from
+the level below), so the dense univariate arithmetic (``_u_*``: add, mul,
+divmod, monic, gcd, xgcd, powmod) is written once over that interface.  It
+serves every level, the factorization code in ``poly`` and the integers
+modulo m (``IntegersMod``).
 
 The characteristic-p utilities (p-th roots, truncated perfect closure,
 radiciality) rely on towers whose algebraic steps adjoin p-power roots of
@@ -40,11 +42,6 @@ from .errors import CapabilityError, DomainError, StructuralError
 
 # ---------------------------------------------------------------------------
 # Base fields
-#
-# Every level of a tower has one ring object with precomputed ``zero`` and
-# ``one`` and the methods ``is_zero``, ``add``, ``neg``, ``mul``, ``inv``,
-# ``from_int`` and (above level 0) ``lift`` from the level below.  The base
-# fields are the level-0 rings.
 
 
 def _is_prime(n: int) -> bool:

@@ -16,6 +16,13 @@ Supported factorization domains:
 * purely transcendental extensions: descent to the coefficient subfield;
 * p-power binomials y^(p^e) - c in characteristic p: exact p-th roots.
 
+The dense univariate arithmetic behind all of them (divmod, gcd, xgcd,
+powmod) is the one core of ``fields``, run on coefficient reps over the
+tower's ring (``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel
+lifting is written once (``hensel_lift``) over a ring mod pi^k; it lifts
+mod-p factors to Z/p^k here (``_PadicIntegers``) and residual factors to
+F[x]/(x^n) in ``valuations.hensel_factor_lift`` (``TruncatedSeries``).
+
 Everything here is a pure function over immutable inputs.
 """
 
@@ -809,9 +816,9 @@ def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     while prime**k <= 2 * bound:
         k += 1
     ring = _PadicIntegers(prime, k)
-    inv_lead = ring.inv(lead % ring.m)
+    inv_lead = ring.inv(lead)
     lifted = hensel_lift(ring, [ring.mul(c, inv_lead) for c in ints], modular)
-    factors_z = _recombine(ints, lifted, prime**k)
+    factors_z = _recombine(ints, lifted, ring.m)
     out = []
     for cz in factors_z:
         poly = Polynomial.from_coeffs(tower, var, [Fraction(c) for c in cz])
