@@ -288,8 +288,8 @@ class AlgebraElement:
         for (e,), c in self.terms.items():
             dense[e] = c.rep
         r = _u_rem(ring, dense, [c.rep for c in mod.univariate_coeffs()])
-        terms = {(e,): FieldElement(mod.tower, r[e]) for e in reversed(range(len(r)))}
-        return AlgebraElement(self.algebra, {e: c for e, c in terms.items() if not c.is_zero})
+        terms = {(e,): FieldElement(mod.tower, c) for e, c in enumerate(r) if not ring.is_zero(c)}
+        return AlgebraElement(self.algebra, terms)
 
     def _check(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
