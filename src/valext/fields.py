@@ -231,6 +231,12 @@ class FieldTower:
         """The ring of reps of the elements of this tower."""
         return self.rings[-1]
 
+    @functools.cached_property
+    def term_reps(self) -> dict:
+        """Reps of c * (product of the generators in a bit mask), keyed by
+        ``(c, mask)`` and filled on use by ``norms.random_field_element``."""
+        return {}
+
     @property
     def gen_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.steps)

@@ -386,20 +386,34 @@ class NormCheckReport:
         return out
 
 
+# Entries kept per tower in ``FieldTower.term_reps``; over a large F_p the
+# keys are many, and terms past the limit are built without being kept.
+TERM_TABLE_LIMIT = 4096
+
+
 def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -> FieldElement:
-    """A small random tower element (sum of generator monomials)."""
-    out = tower.zero()
+    """A small random tower element (sum of generator monomials).
+
+    Each term c * (product of the chosen generators) is drawn as c, then one
+    bit per generator, and its rep is looked up in ``tower.term_reps``."""
+    ring = tower.ring
+    table = tower.term_reps
+    out = None
     for _ in range(size):
-        if tower.char == 0:
-            term = tower.from_int(rng.randrange(-3, 4))
-        else:
-            term = tower.from_int(rng.randrange(tower.char))
-        for name in tower.gen_names:
-            e = rng.randrange(0, 2)
-            if e:
-                term = term * tower.gen(name)
-        out = out + term
-    return out
+        c = rng.randrange(-3, 4) if tower.char == 0 else rng.randrange(tower.char)
+        mask = 0
+        for i in range(tower.level):
+            mask |= rng.randrange(0, 2) << i
+        term = table.get((c, mask))
+        if term is None:
+            term = ring.from_int(c)
+            for i, name in enumerate(tower.gen_names):
+                if mask >> i & 1:
+                    term = ring.mul(term, tower.gen(name).rep)
+            if len(table) < TERM_TABLE_LIMIT:
+                table[c, mask] = term
+        out = term if out is None else ring.add(out, term)
+    return FieldElement(tower, ring.zero if out is None else out)
 
 
 def random_fraction_element(

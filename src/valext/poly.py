@@ -393,13 +393,16 @@ def _parse_polynomial(text: str, tower: FieldTower, vars: tuple[str, ...]) -> Po
         if peek() == "^":
             take()
             kind, value = take("num")
-            # bound the degree before expanding: the factorizer refuses
-            # anything larger anyway, and the expansion itself can be huge
-            if base.degree() * value > config.FACTOR_DEGREE_BOUND:
+            # bound the degree and the exponent before expanding: the
+            # factorizer refuses a larger degree anyway, and the expansion
+            # itself can be huge, also of a base of degree 0 such as (a+1)
+            bound = config.FACTOR_DEGREE_BOUND
+            if base.degree() * value > bound:
                 raise CapabilityError(
-                    f"degree {base.degree() * value} exceeds the factorization bound "
-                    f"{config.FACTOR_DEGREE_BOUND}"
+                    f"degree {base.degree() * value} exceeds the factorization bound {bound}"
                 )
+            if value > bound:
+                raise CapabilityError(f"exponent {value} exceeds the factorization bound {bound}")
             return base**value
         return base
 

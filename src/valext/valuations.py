@@ -144,8 +144,13 @@ class MonomialValuation:
         """The value of z != 0 and the coefficient rep of its minimal monomial."""
         k = self.function_field
         exps, coeff = _min_term(k, self.coefficient_field.level, k.level, z.rep)
+        # integers over the group's own denominator: in the group by construction
         d = self.group.denominator
-        return self.group.element(Fraction(e, d) for e in exps), coeff
+        if d == 1:
+            coords = tuple(Fraction(e) for e in exps)
+        else:
+            coords = tuple(Fraction(e, d) for e in exps)
+        return ValueWithZero(self.group, coords), coeff
 
     def value(self, z) -> ValueWithZero:
         z = self.coerce(z)
@@ -200,15 +205,25 @@ class MonomialValuation:
         """A field element whose value is the given group element."""
         if value.is_zero:
             raise DomainError("no monomial has the adjoined zero value")
-        exps = []
-        for c in value.coords:
+        if len(value.coords) != self.rank:
+            raise StructuralError(f"{value} does not have rank {self.rank}")
+        # x^pos / x^neg level by level: ((0, ..., 0, r), (1,)) or
+        # ((r,), (0, ..., 0, 1)) over the rep r built so far, canonical by
+        # construction
+        k = self.function_field
+        cut = self.coefficient_field.level
+        rep = k.rings[cut].one
+        for j, c in enumerate(value.coords):
             e = c * self.group.denominator
             if e.denominator != 1:
                 raise DomainError(f"{value} is not in the value group")
-            exps.append(int(e))
-        pos = tuple(max(e, 0) for e in exps)
-        neg = tuple(max(-e, 0) for e in exps)
-        return self.from_terms({pos: self.coefficient_field.one()}, neg)
+            e = int(e)
+            below = k.rings[cut + j]
+            if e >= 0:
+                rep = ((below.zero,) * e + (rep,), (below.one,))
+            else:
+                rep = ((rep,), (below.zero,) * -e + (below.one,))
+        return FieldElement(k, rep)
 
     # -- residual structure -----------------------------------------------------
 

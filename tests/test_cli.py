@@ -206,3 +206,19 @@ def test_power_beyond_the_degree_bound_is_refused_before_expansion(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == "capability error: degree 3000 exceeds the factorization bound 12\n"
+
+
+def test_power_of_a_degree_0_base_is_refused_before_expansion(tmp_path):
+    # the degree in y is 0, so only the exponent bound stops the expansion
+    over_f2_a = _ONE_STEP.replace(
+        "base: Q\nk-prefix: 0", "base: F2\ngens: a: transcendental\nk-prefix: 1"
+    )
+    for text, exponent in [
+        (over_f2_a.format("y^2 - (a+1)^3000"), 3000),
+        (_ONE_STEP.format("y^2 - 3^200000000"), 200000000),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run_extend(tmp_path, text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"capability error: exponent {exponent} exceeds the factorization bound 12\n"

@@ -7,6 +7,9 @@ are fixed: a change that alters one of them changes what valext prints.
 """
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from valext import cli
 from valext.selftest import GOLDEN_SCENARIOS
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 EXTENSIONS = [name for name, text in GOLDEN_SCENARIOS.items() if "[valuation]" in text]
 
 
@@ -37,3 +41,21 @@ def test_extend_verify_report_is_golden(tmp_path, name):
 def test_decompose_report_is_golden(tmp_path, name):
     expected = (GOLDEN / f"{name}.decompose.txt").read_text()
     assert _run(cli.cmd_decompose, tmp_path, name) == expected
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "98765"])
+@pytest.mark.parametrize("name", ["rank2_trans", "char2_trunc"])
+def test_extend_verify_report_is_golden_under_any_hash_seed(tmp_path, name, hash_seed):
+    # a fresh interpreter per hash seed: str hashes, and with them the
+    # iteration order of any set of strings, differ between them
+    path = tmp_path / f"{name}.val"
+    path.write_text(GOLDEN_SCENARIOS[name])
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valext", "extend", "--verify", str(path)],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / f"{name}.extend-verify.txt").read_bytes()

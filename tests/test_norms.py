@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from valext import norms
 from valext.errors import DomainError, PreconditionError
 from valext.norms import (
     FreeAlgebra,
@@ -9,6 +10,7 @@ from valext.norms import (
     check_algebra_norm,
     gauss_extend,
     is_reduced_lift,
+    random_field_element,
     random_fraction_element,
 )
 from valext.poly import Polynomial
@@ -238,3 +240,42 @@ def test_gauss_extend_requires_integral_residual(rationals):
     with pytest.raises(PreconditionError) as exc:
         gauss_extend(v, a)
     assert "factors" in str(exc.value)
+
+
+def _generic_field_element(tower, rng, size):
+    """Oracle: the sampler's draws, each term built as from_int(c) times the
+    chosen generators by generic field arithmetic and summed from zero."""
+    out = tower.zero()
+    for _ in range(size):
+        if tower.char == 0:
+            term = tower.from_int(rng.randrange(-3, 4))
+        else:
+            term = tower.from_int(rng.randrange(tower.char))
+        for name in tower.gen_names:
+            if rng.randrange(0, 2):
+                term = term * tower.gen(name)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "q_i_s2", "f2_a_r"])
+def test_sampler_matches_generic_build(request, field_name, monkeypatch):
+    if field_name == "q_i_s2":
+        field = request.getfixturevalue("q_i").extend_algebraic("s2", [-2, 0, 1])
+    else:
+        field = request.getfixturevalue(field_name)
+    fast, slow = random.Random(field_name), random.Random(field_name)
+    for size in [1, 2, 3] * 40:
+        z = random_field_element(field, fast, size)
+        want = _generic_field_element(field, slow, size)
+        assert z.tower is field and z.rep == want.rep
+    # the same draws, in the same order
+    assert fast.getstate() == slow.getstate()
+    # past the table's limit, terms are built and not kept; an equal tower
+    # built anew starts with an empty table
+    monkeypatch.setattr(norms, "TERM_TABLE_LIMIT", 3)
+    field = field.prefix(field.level)
+    assert field.term_reps == {}
+    for _ in range(40):
+        assert random_field_element(field, fast).rep == _generic_field_element(field, slow, 2).rep
+    assert len(field.term_reps) == 3

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from valext.config import FACTOR_DEGREE_BOUND
 from valext.errors import CapabilityError, DomainError, StructuralError
+from valext.fields import FieldTower
 from valext.poly import Polynomial, factor, gcd, resultant, squarefree_part
 
 
@@ -368,3 +370,66 @@ def test_parse_multivariate_syntax(rationals):
     f = Polynomial.parse("y^2 - a*x + 3/2", qa, ("y", "x"))
     assert f.degree() == 2 and len(f.vars) == 2
     assert Polynomial.parse(str(f), qa, ("y", "x")) == f
+
+
+# -- differential test against sympy ---------------------------------------------
+
+
+def _random_factor_text(rng, domain, gen):
+    """A random polynomial of degree 1..3 as text, with small coefficients:
+    in range(p) over F_p, a + b*gen over Q(gen)."""
+    deg = rng.randrange(1, 4)
+    terms = []
+    for e in range(deg + 1):
+        if domain.startswith("F"):
+            c = str(rng.randrange(1 if e == deg else 0, int(domain[1:])))
+        else:
+            a, b = rng.randrange(-3, 4), (rng.randrange(-2, 3) if gen else 0)
+            if e == deg and a == 0 and b == 0:
+                a = 1
+            c = f"({a} + {b}*{gen})" if b else str(a)
+        terms.append(f"{c}*y^{e}")
+    return " + ".join(terms)
+
+
+# rational polynomials that split over Q(i) or Q(sqrt 2), and one that does not
+_SPLITTERS = ["y^2 + 1", "y^2 - 2", "y^4 + 1", "y^2 + 2", "y^2 - y - 1"]
+
+
+# sympy warns about its own modular-integer comparisons in factor_list
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize(
+    "domain, gen", [("Q", ""), ("F2", ""), ("F3", ""), ("F7", ""), ("Q(i)", "i"), ("Q(s2)", "s2")]
+)
+def test_factor_matches_sympy(request, domain, gen):
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    names = {"y": y, "i": sympy.I, "s2": sympy.sqrt(2)}
+    if domain.startswith("F"):
+        tower = FieldTower.prime_field(int(domain[1:]))
+        options = {"modulus": int(domain[1:])}
+    else:
+        fixture = {"Q": "rationals", "Q(i)": "q_i", "Q(s2)": "q_sqrt2"}[domain]
+        tower = request.getfixturevalue(fixture)
+        options = {"extension": names[gen]} if gen else {}
+
+    def monic_keys(pairs):
+        return sorted((str(sympy.Poly(g, y, **options).monic().as_expr()), m) for g, m in pairs)
+
+    rng = random.Random(f"sympy:{domain}")
+    for _ in range(6):
+        pieces = []
+        while sum(p[1] for p in pieces) < 4:
+            piece = rng.choice(_SPLITTERS) if rng.random() < 0.3 else None
+            piece = piece or _random_factor_text(rng, domain, gen)
+            pieces.append((piece, rng.choice([1, 1, 2])))
+        text = " * ".join(f"({t})^{m}" for t, m in pieces)
+        f = parse(text, tower)
+        if f.degree() > FACTOR_DEGREE_BOUND:
+            continue
+        fac = factor(f)
+        assert fac.expand() == f
+        expr = sympy.sympify(text.replace("^", "**"), locals=names)
+        _, ref = sympy.factor_list(expr, y, **options)
+        have = [(sympy.sympify(str(g).replace("^", "**"), locals=names), m) for g, m in fac.factors]
+        assert monic_keys(have) == monic_keys(ref), text

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valext.errors import CapabilityError, DomainError
+from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import FieldElement, _split_fraction
 from valext.norms import random_field_element, random_fraction_element
 from valext.poly import Polynomial
@@ -12,6 +12,7 @@ from valext.valuations import (
     congruent_mod_precision,
     hensel_factor_lift,
 )
+from valext.value_groups import ValueWithZero
 
 
 @pytest.fixture
@@ -169,6 +170,50 @@ def test_value_residue_series_match_flattened_oracle(request, field_name, rank):
         # the series is the unique truncation with z - sum s_k x^k in (x^4)
         rest = z - v.from_series(v.series(z, 4))
         assert rest.is_zero or _flattened_min_term(v, rest)[0][0] >= 4
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "f2_a"])
+def test_monomial_matches_from_terms(request, field_name, rank):
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(
+        field, [f"x{j}" for j in range(1, rank + 1)], denom_exponent=int(field_name == "f2_a")
+    )
+    d = v.group.denominator
+    rng = random.Random(f"monomial:{field_name}:{rank}")
+    vectors = [(0,) * rank] + [tuple(rng.randrange(-4, 5) for _ in range(rank)) for _ in range(30)]
+    for exps in vectors:
+        value = v.group.element(Fraction(e, d) for e in exps)
+        pos = tuple(max(e, 0) for e in exps)
+        neg = tuple(max(-e, 0) for e in exps)
+        m = v.monomial(value)
+        # oracle: the generic canonical build of x^pos / x^neg
+        assert m.rep == v.from_terms({pos: field.one()}, neg).rep, exps
+        assert v.value(m) == value
+    with pytest.raises(DomainError):
+        v.monomial(ValueWithZero(v.group, (Fraction(1, 2 * d),) * rank))
+    with pytest.raises(DomainError):
+        v.monomial(v.group.zero_value())
+    with pytest.raises(StructuralError):
+        v.monomial(ValueWithZero(v.group, (Fraction(0),) * (rank + 1)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "f2_a"])
+def test_value_matches_value_group_element(request, field_name, rank):
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(
+        field, [f"x{j}" for j in range(1, rank + 1)], denom_exponent=int(field_name == "f2_a")
+    )
+    d = v.group.denominator
+    for z in _samples(v, random.Random(f"value:{field_name}:{rank}"), 10):
+        if z.is_zero:
+            continue
+        got = v.value(z)
+        # oracle: the checked constructor of the value group
+        want = v.group.element(Fraction(e, d) for e in _flattened_min_term(v, z)[0])
+        assert got.group is v.group and got.coords == want.coords
+        assert all(type(c) is Fraction for c in got.coords) and got.render() == want.render()
 
 
 # -- hensel lifting ---------------------------------------------------------------
