@@ -12,7 +12,8 @@ Supported factorization domains:
 * finite fields (any tower of algebraic steps over F_p): distinct-degree
   plus seeded equal-degree splitting;
 * Q: reduction mod a good prime, Hensel lifting, subset recombination;
-* algebraic extensions of Q: norm-map reduction to the subfield;
+* algebraic extensions: norm-map reduction to the subfield (Trager), the
+  norm taken as a fraction-free (Bareiss) determinant over sub[y];
 * purely transcendental extensions: descent to the coefficient subfield;
 * p-power binomials y^(p^e) - c in characteristic p: exact p-th roots.
 
@@ -55,6 +56,7 @@ from .fields import (
     _u_neg,
     _u_powmod,
     _u_rem,
+    _u_scale,
     _u_trim,
     _u_xgcd,
     pth_root,
@@ -994,16 +996,18 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
     theta = tower.gen(top.name)
     theta_poly = Polynomial.constant(tower, (var,), theta)
     y = Polynomial.variable(tower, (var,), var)
+    # over sub the unshifted norm is f^d, never squarefree
+    over_sub = _restrict_poly(f, sub.level) is not None
     tries = 0
     for s_elem in _shift_candidates(sub):
+        if over_sub and s_elem.is_zero:
+            continue
         tries += 1
         if tries > 24:
             break
         s = tower.embed(s_elem)
         fs = f.substitute(var, y - theta_poly.scale(s))
-        norm = _norm_via_resultant(fs, tower, sub, var)
-        if norm is None:
-            continue
+        norm = _from_reps(sub, var, _norm(fs, sub))
         d = norm.derivative()
         if d.is_zero or gcd(norm, d).degree() != 0:
             continue
@@ -1026,35 +1030,69 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
     raise CapabilityError("no squarefree norm found for the algebraic extension")
 
 
-def _norm_via_resultant(
-    fs: Polynomial, tower: FieldTower, sub: FieldTower, var: str
-) -> Polynomial | None:
-    """Res_theta(minpoly(theta), fs) as a polynomial over sub."""
-    suby = sub.extend_transcendental("__Y")
-    top_level = tower.level
-    step = tower.steps[-1]
+def _norm(fs: Polynomial, sub: FieldTower) -> list:
+    """The norm of fs from sub(theta)[y] to sub[y], as coefficient reps.
+
+    Write fs = sum_j b_j(y) theta^j with b_j in sub[y].  Row j of the d x d
+    matrix holds the coordinates of theta^j * fs modulo the monic minimal
+    polynomial m of theta, so its determinant is the product of fs over the
+    conjugates of theta, that is Res_theta(m, fs).  The determinant is taken
+    by fraction-free elimination, so no entry ever leaves sub[y].
+    """
+    R = sub.ring
+    step = fs.tower.steps[-1]
     d = step.degree
-    # fs as a polynomial in theta with coefficients in sub[y]
-    theta_coeffs: list[FieldElement] = [suby.zero() for _ in range(d)]
+    row: list[list] = [[] for _ in range(d)]
     for (i,), c in fs.terms.items():
-        reps = list(c.rep) if step.is_algebraic else None
-        for j, rep in enumerate(reps):
-            piece = FieldElement(sub, rep)
-            mono = suby.gen("__Y") ** i * suby.embed(piece)
-            theta_coeffs[j] = theta_coeffs[j] + mono
-    a = Polynomial.from_coeffs(
-        suby, "t", [suby.embed(c) for c in tower.minpoly_coeffs(top_level - 1)]
-    )
-    b = Polynomial.from_coeffs(suby, "t", theta_coeffs)
-    if b.is_zero:
-        return None
-    res = resultant(a, b)
-    if res.is_zero:
-        return None
-    # res lives in sub(__Y) and must be polynomial in __Y
-    num, den = res.rep
-    if len(den) != 1:
-        raise DomainError("norm resultant acquired a denominator")
-    inv = FieldElement(sub, den[0]).inv()
-    coeffs = [FieldElement(sub, r) * inv for r in num]
-    return Polynomial.from_coeffs(sub, var, coeffs)
+        for j, r in enumerate(c.rep):
+            if not R.is_zero(r):
+                b = row[j]
+                b.extend([R.zero] * (i + 1 - len(b)))
+                b[i] = r
+    # theta^d = -(m_0 + ... + m_{d-1} theta^{d-1}): a shift, then top * -m_i
+    neg_m = [R.neg(m) for m in step.minpoly[:d]]
+    rows = [row]
+    for _ in range(d - 1):
+        top = row[-1]
+        row = [[]] + row[:-1]
+        if top:
+            row = [
+                x if R.is_zero(m) else _u_add(R, x, _u_scale(R, top, m))
+                for x, m in zip(row, neg_m)
+            ]
+        rows.append(row)
+    return _bareiss_det(R, rows)
+
+
+def _bareiss_det(R, M: list[list[list]]) -> list:
+    """The determinant of a square matrix over R[y], R a field, by Bareiss
+    elimination: every entry it computes is a minor of M, and so is the
+    previous pivot it divides by, so each division is exact (Sylvester's
+    identity).  M is overwritten."""
+    n = len(M)
+    negate = False
+    prev = None
+    for k in range(n - 1):
+        if not M[k][k]:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    negate = not negate
+                    break
+            else:
+                return []
+        pivot = M[k][k]
+        for i in range(k + 1, n):
+            row, lead = M[i], M[i][k]
+            for j in range(k + 1, n):
+                num = _u_mul(R, row[j], pivot)
+                if lead:
+                    num = _u_add(R, num, _u_neg(R, _u_mul(R, lead, M[k][j])))
+                if prev is not None:
+                    num, r = _u_divmod(R, num, prev)
+                    if r:
+                        raise DomainError("fraction-free elimination: inexact division")
+                row[j] = num
+        prev = pivot
+    det = M[n - 1][n - 1]
+    return _u_neg(R, det) if negate else det
