@@ -121,23 +121,6 @@ class BuiltExtension:
         imgs += [kw.gen(n) ** power for n in v0.variables]
         return TowerHom(v0.function_field, kw, imgs)
 
-    def dominated_embedding(self) -> TowerHom:
-        """The fraction field of the dominated base (V, or its truncation on
-        the general path) into W's, name for name."""
-        base = self.truncated_valuation if self.path == "general" else self.scenario.valuation
-        kw = self.valuation_w.function_field
-        imgs = [kw.gen(n) for n in base.coefficient_field.gen_names]
-        imgs += [kw.gen(n) for n in base.variables]
-        return TowerHom(base.function_field, kw, imgs)
-
-
-def _fresh(name: str, taken) -> str:
-    if name not in taken:
-        return name
-    k = 1
-    while f"{name}_{k}" in taken:
-        k += 1
-    return f"{name}_{k}"
 
 
 def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
@@ -164,7 +147,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
     for rec in pt.records:
         k_cur = v_cur.function_field
         if rec.kind == "transcendental":
-            ind = _fresh("w", k_cur.gen_names)
+            ind = k_cur.fresh_name("w")
             algebra = FreeAlgebra.polynomial(v_cur, [ind])
             ext = gauss_extend(v_cur, algebra, [rec.appended])
             v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
@@ -177,7 +160,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
             hom_imgs = [k_cur.embed(im) for im in pt.left_images[:step_idx]]
             hom = TowerHom(sub, k_cur, hom_imgs)
             coeffs = [hom.apply(c) for c in scn.kprime.minpoly_coeffs(step_idx)]
-            ind = _fresh("w", k_cur.gen_names)
+            ind = k_cur.fresh_name("w")
             full = Polynomial.from_coeffs(k_cur, ind, coeffs)
             if rec.factor.degree() == full.degree():
                 algebra = FreeAlgebra.quotient(v_cur, full)
@@ -242,9 +225,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
 def _same_poly_over(a: Polynomial, b: Polynomial) -> bool:
     """Structural equality of univariate polynomials over the same tower,
     ignoring the variable name."""
-    if a.tower != b.tower or a.degree() != b.degree():
-        return False
-    return a.univariate_coeffs() == b.univariate_coeffs()
+    return a.tower == b.tower and a.reps == b.reps
 
 
 def build_general(scn: ExtensionScenario, n_trunc: int | None = None) -> BuiltExtension:
@@ -456,8 +437,9 @@ def verify_weakly_unramified(
             ok_ideal = False
             details.append(f"forced element {z} not in the maximal ideal")
             break
-        # base.monomial(v) maps name for name onto w.monomial(v) under the
-        # dominated embedding, so the witness can be built in W directly
+        # the dominated base (V, or its truncation on the general path) has
+        # W's variable and generator names, so base.monomial(v) is
+        # w.monomial(v) and the witness can be built in W directly
         m = w.monomial(w.value(z))
         quotient = z / m
         if not w.in_ring(quotient):

@@ -41,6 +41,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
+from . import config
 from .builder import (
     ExtensionScenario,
     build_general,
@@ -176,6 +177,21 @@ def parse_scenario(text: str) -> ScenarioFile:
         variables = tuple(v.strip() for v in vars_text.split(",") if v.strip())
         if not variables:
             raise ScenarioParseError("empty variable list", vars_line)
+        # refused here rather than by the build: a malformed name, a name of
+        # a generator of F or k' (W's residue field holds both), a repeated
+        # name and a rank beyond the value groups'
+        taken = set(tower.gen_names) | set(kprime.gen_names)
+        for v in variables:
+            if not all(c.isalnum() or c == "_" for c in v):
+                raise ScenarioParseError(f"bad variable name {v!r}", vars_line)
+            if v in taken:
+                raise ScenarioParseError(f"variable name {v!r} is a generator name", vars_line)
+        if len(set(variables)) != len(variables):
+            raise ScenarioParseError("variable names must be distinct", vars_line)
+        if len(variables) > config.MAX_RANK:
+            raise ScenarioParseError(
+                f"rank must be in 1..{config.MAX_RANK}, got {len(variables)}", vars_line
+            )
         order_text, order_line = get("valuation", "order")
         if order_text is None:
             raise ScenarioParseError("missing order key in [valuation]", vars_line)
@@ -246,26 +262,37 @@ def render_scenario(s: ScenarioFile) -> str:
 # Commands
 
 
-def cmd_decompose(path: str, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+# the exit code and the stderr label of each error a command reports
+_EXIT_CODES = {
+    ScenarioParseError: (1, "parse error"),
+    CapabilityError: (2, "capability error"),
+    PreconditionError: (3, "precondition error"),
+}
+
+
+def _run(report, out, err) -> int:
+    """Print the text ``report()`` returns, or the error it raises with the
+    exit code of that error."""
     try:
+        text = report()
+    except tuple(_EXIT_CODES) as exc:
+        code, label = _EXIT_CODES[type(exc)]
+        print(f"{label}: {exc}", file=err or sys.stderr)
+        return code
+    print(text, end="", file=out or sys.stdout)
+    return 0
+
+
+def cmd_decompose(path: str, out=None, err=None) -> int:
+    def report() -> str:
         scenario = parse_scenario(_read(path))
         points = tensor_decompose(scenario.kprime, scenario.f_tower, scenario.k_len)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=err)
-        return 1
-    except CapabilityError as exc:
-        print(f"capability error: {exc}", file=err)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=err)
-        return 3
-    print(f"{len(points)} point(s)", file=out)
-    for pt in points:
-        for line in pt.describe_lines():
-            print(line, file=out)
-    return 0
+        lines = [f"{len(points)} point(s)"]
+        for pt in points:
+            lines += pt.describe_lines()
+        return "\n".join(lines) + "\n"
+
+    return _run(report, out, err)
 
 
 def cmd_extend(
@@ -276,9 +303,7 @@ def cmd_extend(
     out=None,
     err=None,
 ) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    try:
+    def report() -> str:
         scenario = parse_scenario(_read(path))
         if not scenario.is_extension:
             raise ScenarioParseError("extend needs a [valuation] section")
@@ -296,21 +321,13 @@ def cmd_extend(
             weak = verify_weakly_unramified(built)
             if built.path == "strictly-maximal":
                 spectrum = spectrum_correspondence(built)
-        report = render_report(built, weak, spectrum)
+        text = render_report(built, weak, spectrum)
         if verify and spectrum is None:
             nv, nw = prime_counts(built)
-            report += f"PRIME COUNTS\n  V: {nv} <-> W: {nw}\n"
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=err)
-        return 1
-    except CapabilityError as exc:
-        print(f"capability error: {exc}", file=err)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=err)
-        return 3
-    print(report, end="", file=out)
-    return 0
+            text += f"PRIME COUNTS\n  V: {nv} <-> W: {nw}\n"
+        return text
+
+    return _run(report, out, err)
 
 
 def cmd_selftest(seed: int = 0, out=None, err=None) -> int:

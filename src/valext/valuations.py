@@ -229,13 +229,7 @@ class MonomialValuation:
 
     def residual_polynomial(self, f: Polynomial) -> Polynomial:
         """Coefficient-wise residue of a polynomial with ring coefficients."""
-        field = self.coefficient_field
-        out = {}
-        for e, c in f.terms.items():
-            rc = self.residue(c)
-            if not rc.is_zero:
-                out[e] = rc
-        return Polynomial(field, f.vars, out)
+        return f.map_coeffs(self.residue, self.coefficient_field)
 
     def prime_chain(self) -> list[PrimeIdealInfo]:
         """The n+1 primes of a rank-n monomial valuation ring, ascending."""
@@ -326,7 +320,6 @@ def hensel_factor_lift(
     """
     if valuation.rank != 1:
         raise CapabilityError("factor lifting is implemented for rank-1 valuations only")
-    f._require_univariate("factor lifting")
     if f.tower != valuation.function_field:
         raise StructuralError("polynomial is not over the valuation's field")
     deg = f.degree()
@@ -363,7 +356,7 @@ def hensel_factor_lift(
     out = []
     for series_poly in hensel_lift(ring, target, parts):
         coeffs = [valuation.from_series([FieldElement(field, r) for r in cs]) for cs in series_poly]
-        out.append(Polynomial.from_coeffs(valuation.function_field, f.vars[0], coeffs))
+        out.append(Polynomial.from_coeffs(valuation.function_field, f.var, coeffs))
     return HenselLift(out, residual_factors, precision)
 
 
@@ -372,7 +365,7 @@ def congruent_mod_precision(
 ) -> bool:
     """Coefficient-wise congruence modulo x^precision (rank 1)."""
     diff = a - b
-    for c in diff.terms.values():
+    for c in diff.univariate_coeffs():
         series = valuation.series(c, precision)
         if any(not s.is_zero for s in series):
             return False

@@ -222,3 +222,18 @@ def test_power_of_a_degree_0_base_is_refused_before_expansion(tmp_path):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == f"capability error: exponent {exponent} exceeds the factorization bound 12\n"
+
+
+def test_bad_vars_lines_are_parse_errors_on_the_vars_line(tmp_path):
+    # each of these once escaped as a StructuralError traceback: from the
+    # valuation (a repeated name, rank 4) or from the build (a variable named
+    # like a generator of k', which joins the residue field of W)
+    for vars_line, message in [
+        ("x, x", "variable names must be distinct"),
+        ("x1, x2, x3, x4", "rank must be in 1..3, got 4"),
+        ("x, i", "variable name 'i' is a generator name"),
+    ]:
+        text = GOLDEN_SCENARIOS["rank1_qi"].replace("vars: x\n", f"vars: {vars_line}\n")
+        code, out, err = run_extend(tmp_path, text)
+        assert (code, out) == (1, ""), vars_line
+        assert err == f"parse error: line 6: {message}\n"

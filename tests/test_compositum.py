@@ -17,7 +17,7 @@ from valext.poly import Polynomial
 def test_q_i_tensor_q_i(q_i):
     pts = tensor_decompose(q_i, q_i, 0)
     assert len(pts) == 2
-    assert all(p.strictly_maximal and p.maximal for p in pts)
+    assert all(p.strictly_maximal for p in pts)
     assert all(p.field == q_i for p in pts)
     # the two points are the two embeddings i -> +-i
     images = {str(p.left_images[0]) for p in pts}
@@ -30,7 +30,7 @@ def test_radicial_single_point(f2_a_r):
     assert len(pts) == 1
     pt = pts[0]
     assert pt.multiplicity == 2
-    assert pt.maximal and not pt.strictly_maximal
+    assert not pt.strictly_maximal
     assert degree_bookkeeping(pts) == (2, 2)
     assert pt.field == f2_a_r  # E collapses onto M
 
@@ -180,7 +180,7 @@ def test_base_change_examples(rationals, q_i, f2_a, f2_a_r):
     m = q_i.extend_transcendental("t")
     pts = tensor_decompose(l, m, 1)
     rep = base_change_maximality_check(pts[0], 0)
-    assert rep.passed and rep.maximal_over_k and rep.maximal_over_k0
+    assert rep.passed and rep.multiplicity_over_k == rep.multiplicity_over_k0 == 1
     # tautological K0 = K
     rep_same = base_change_maximality_check(pts[0], 1)
     assert rep_same.passed

@@ -59,3 +59,18 @@ def test_extend_verify_report_is_golden_under_any_hash_seed(tmp_path, name, hash
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (GOLDEN / f"{name}.extend-verify.txt").read_bytes()
+
+
+def test_extend_verify_report_is_golden_under_python_O(tmp_path):
+    # -O strips assert statements: the report, and the p-th root checks of
+    # the truncated perfect closure it runs through, must not depend on them
+    path = tmp_path / "char2_trunc.val"
+    path.write_text(GOLDEN_SCENARIOS["char2_trunc"])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "valext", "extend", "--verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / "char2_trunc.extend-verify.txt").read_bytes()

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from valext import poly as poly_mod
 from valext.config import FACTOR_DEGREE_BOUND
 from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import FieldElement, FieldTower
 from valext.norms import random_field_element
-from valext.poly import Polynomial, _norm, _reps, factor, gcd, resultant, squarefree_part
+from valext.poly import Polynomial, _norm, factor, gcd, resultant, squarefree_part
 
 
 def parse(text, tower):
@@ -42,9 +43,11 @@ def test_gcd_euclid_oracle(f3):
 
 
 def test_gcd_requires_univariate(rationals):
-    f = Polynomial.parse("y*z", rationals, ("y", "z"))
+    # a polynomial has one variable, and gcd needs the same one on both sides
     with pytest.raises(StructuralError):
-        gcd(f, f)
+        Polynomial.parse("y*z", rationals, ("y", "z"))
+    with pytest.raises(StructuralError):
+        gcd(parse("y", rationals), Polynomial.parse("z", rationals, ("z",)))
     with pytest.raises(DomainError):
         gcd(parse("0", rationals), parse("0", rationals))
 
@@ -401,11 +404,14 @@ def test_parse_print_round_trip(rationals, f2_a):
         assert parse(str(f), tower) == f
 
 
-def test_parse_multivariate_syntax(rationals):
+def test_parse_refuses_several_variables(rationals):
     qa = rationals.extend_transcendental("a")
-    f = Polynomial.parse("y^2 - a*x + 3/2", qa, ("y", "x"))
-    assert f.degree() == 2 and len(f.vars) == 2
-    assert Polynomial.parse(str(f), qa, ("y", "x")) == f
+    for names in (("y", "x"), ()):
+        with pytest.raises(StructuralError):
+            Polynomial.parse("y^2 - a + 3/2", qa, names)
+    # a name other than the variable and the generators is unknown
+    with pytest.raises(StructuralError):
+        Polynomial.parse("y^2 - a*x + 3/2", qa, ("y",))
 
 
 # -- the norm of the norm route --------------------------------------------------
@@ -418,7 +424,7 @@ def _norm_by_resultant(fs, sub):
     tower = fs.tower
     suby = sub.extend_transcendental("__Y")
     theta_coeffs = [suby.zero()] * tower.steps[-1].degree
-    for (i,), c in fs.terms.items():
+    for i, c in enumerate(fs.univariate_coeffs()):
         for j, rep in enumerate(c.rep):
             term = suby.gen("__Y") ** i * suby.embed(FieldElement(sub, rep))
             theta_coeffs[j] = theta_coeffs[j] + term
@@ -469,7 +475,7 @@ def test_norm_matches_resultant_over_rational_function_field(name):
     for fs in cases:
         assert _norm(fs, sub) == _norm_by_resultant(fs, sub), str(fs)
     # over sub the norm is g^d
-    assert _norm(g_up, sub) == _reps(g**d)
+    assert _norm(g_up, sub) == (g**d).reps
 
 
 def test_norm_route_never_leaves_the_polynomial_ring(monkeypatch):
@@ -486,6 +492,167 @@ def test_norm_route_never_leaves_the_polynomial_ring(monkeypatch):
     assert [str(g) for g, _ in fac.factors] == ["y - c", "y + c", "y^2 + c^2"]
     f = parse("(y^2 - c) * (y^3 + c*y + 1)", q_c)
     assert factor(f).expand() == f
+
+
+def test_norm_shifts_are_distinct_in_characteristic_p(monkeypatch):
+    # over F_2(a)(r), r^2 + r + 1 = 0, the integer shifts 0..9 are only 0 and 1,
+    # and a + n repeats a and a + 1; each distinct shift gets one norm.  The
+    # input is defined over F_2(a), so 0 is skipped; the shift 1 gives a norm
+    # that is not squarefree, and the norm of the shift a has a in its
+    # coefficients, which the descent to F_2 refuses (before repeats were
+    # skipped, the shift 1 was computed five times before a)
+    tower = _NORM_TOWERS["F2(a)(r)"]()
+    shifted = []
+
+    def counting_norm(fs, sub):
+        shifted.append(str(fs))
+        return _norm(fs, sub)
+
+    monkeypatch.setattr(poly_mod, "_norm", counting_norm)
+    with pytest.raises(CapabilityError, match="subfield below"):
+        factor(parse("y^2 + y + 1", tower))
+    # f(y - r) = y^2 + y lies over F_2(a), so its norm is (y^2 + y)^2
+    assert shifted == ["y^2 + y", "y^2 + y + a^2*r + a^2 + a*r + 1"]
+
+
+# -- the dense type against the sparse arithmetic it replaced -------------------
+
+
+class _Sparse:
+    """The sparse univariate arithmetic ``Polynomial`` used to run: a dict
+    from exponent tuples to nonzero FieldElement coefficients."""
+
+    def __init__(self, tower, var, terms):
+        self.tower = tower
+        self.vars = (var,)
+        self.terms = {e: c for e, c in terms.items() if not c.is_zero}
+
+    @staticmethod
+    def of(f):
+        return _Sparse(f.tower, f.var, {(i,): c for i, c in enumerate(f.univariate_coeffs())})
+
+    def _new(self, terms):
+        return _Sparse(self.tower, self.vars[0], terms)
+
+    def degree(self):
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] + c if e in out else c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                c = ca * cb
+                out[e] = out[e] + c if e in out else c
+        return self._new(out)
+
+    def divmod(self, other):
+        """Long division, one leading term at a time."""
+        q, r = self._new({}), self
+        n = other.degree()
+        lead = other.terms[(n,)]
+        while r.degree() >= n:
+            k = r.degree()
+            t = self._new({(k - n,): r.terms[(k,)] / lead})
+            q, r = q + t, r - t * other
+        return q, r
+
+    def derivative(self):
+        out = {}
+        for (k,), c in self.terms.items():
+            if k:
+                out[(k - 1,)] = c * self.tower.from_int(k)
+        return self._new(out)
+
+    def substitute(self, value):
+        out = self._new({})
+        for k in range(self.degree(), -1, -1):
+            out = out * value
+            if (k,) in self.terms:
+                out = out + self._new({(0,): self.terms[(k,)]})
+        return out
+
+    def sort_key(self):
+        items = sorted(self.terms.items(), key=lambda ec: ec[0], reverse=True)
+        return (self.degree(), tuple((e, c.sort_key()) for e, c in items))
+
+    def __hash__(self):
+        return hash((self.tower, self.vars, tuple(sorted(self.terms.keys()))))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        pieces = []
+        for e in sorted(self.terms.keys(), reverse=True):
+            c = self.terms[e]
+            mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k > 0)
+            cs = str(c)
+            if mono:
+                if cs == "1":
+                    piece = mono
+                elif cs == "-1" and self.tower.char == 0:
+                    piece = f"-{mono}"
+                else:
+                    if any(op in cs for op in (" + ", " - ", "/")) or (
+                        cs.startswith("-") and cs != "-1"
+                    ):
+                        cs = f"({cs})"
+                    piece = f"{cs}*{mono}"
+            else:
+                piece = cs
+            pieces.append(piece)
+        out = pieces[0]
+        for piece in pieces[1:]:
+            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+        return out
+
+
+@pytest.mark.parametrize("tower_name", ["rationals", "f3", "q_i", "f2_a_r"])
+def test_dense_arithmetic_matches_the_sparse_reference(tower_name, request):
+    tower = request.getfixturevalue(tower_name)
+    rng = random.Random(f"dense:{tower_name}")
+
+    def draw():
+        # degrees -1 (zero) and 0 (constants) included; some coefficients zero
+        deg = rng.randrange(-1, 5)
+        coeffs = [
+            tower.zero() if rng.random() < 0.25 else random_field_element(tower, rng, 2)
+            for _ in range(deg + 1)
+        ]
+        return Polynomial.from_coeffs(tower, "y", coeffs)
+
+    def same(dense, sparse):
+        assert _Sparse.of(dense).terms == sparse.terms
+        assert str(dense) == str(sparse)
+        assert dense.sort_key() == sparse.sort_key()
+        assert hash(dense) == hash(sparse)
+
+    for _ in range(40):
+        f, g = draw(), draw()
+        sf, sg = _Sparse.of(f), _Sparse.of(g)
+        same(f, sf)
+        same(f + g, sf + sg)
+        same(f - g, sf - sg)
+        same(f * g, sf * sg)
+        same(f.derivative(), sf.derivative())
+        same(f.compose(g), sf.substitute(sg))
+        if not g.is_zero:
+            q, r = f.divmod(g)
+            sq, sr = sf.divmod(sg)
+            same(q, sq)
+            same(r, sr)
 
 
 # -- differential test against sympy ---------------------------------------------

@@ -30,3 +30,39 @@ def test_selftest_passes_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "0 failed" in proc.stdout
+
+
+# each check is made to fail by breaking the arithmetic under it
+_BROKEN_UNDER_O = """
+from valext import fields, poly
+from valext.errors import DomainError
+
+R = fields.RationalField()
+exact = poly._u_divmod
+poly._u_divmod = lambda R, a, b: (exact(R, a, b)[0], [R.one])
+try:
+    poly._bareiss_det(R, [[[R.from_int(3 * i + j + (i == j == 2))] for j in range(3)] for i in range(3)])
+except DomainError as exc:
+    print(exc)
+poly._u_divmod = exact
+fields._finite_field_size = lambda tower: 2
+try:
+    fields.pth_root(fields.FieldTower.prime_field(2).extend_algebraic("c", [1, 1, 1]).gen("c"))
+except DomainError as exc:
+    print(exc)
+"""
+
+
+def test_exact_division_and_pth_root_checks_survive_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_UNDER_O],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "fraction-free elimination: inexact division",
+        "computed p-th root c of c does not check",
+    ]
