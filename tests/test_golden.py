@@ -8,6 +8,7 @@ are fixed: a change that alters one of them changes what valext prints.
 
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +75,141 @@ def test_extend_verify_report_is_golden_under_python_O(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (GOLDEN / "char2_trunc.extend-verify.txt").read_bytes()
+
+
+# -- the factorization corpus ----------------------------------------------------
+#
+# ``tests/golden/factor.txt`` holds the factorization (unit, then each monic
+# factor with its multiplicity, in the order ``factor`` returns them) and the
+# squarefree decomposition of a fixed seeded set of polynomials over every
+# kind of domain the factorizer serves, or the error it raises.  It was
+# written by ``python tests/test_golden.py`` (with ``src`` on the path) before
+# the modular shortcuts of the factor path, and is fixed since.
+
+
+def _factor_towers():
+    from valext.fields import FieldTower
+
+    q = FieldTower.rationals()
+    q_i = q.extend_algebraic("i", [1, 0, 1])
+    f2_a = FieldTower.prime_field(2).extend_transcendental("a")
+    return {
+        "Q": q,
+        "F2": FieldTower.prime_field(2),
+        "F3": FieldTower.prime_field(3),
+        "F5": FieldTower.prime_field(5),
+        "F7": FieldTower.prime_field(7),
+        "Q(i)": q_i,
+        "Q(s2)": q.extend_algebraic("s2", [-2, 0, 1]),
+        "Q(i)(s2)": q_i.extend_algebraic("s2", [-2, 0, 1]),
+        "Q(c)": q.extend_algebraic("c", [-2, 0, 0, 0, 1]),
+        "F2(a)": f2_a,
+        "F2(a)(r)": f2_a.extend_algebraic("r", [f2_a.gen("a"), f2_a.zero(), f2_a.one()]),
+    }
+
+
+# fixed inputs: many modular factors, cyclotomic products, squares, non-monic
+# and non-integral coefficients, and the p-power binomials of characteristic 2
+_FIXED_INPUTS = {
+    "Q": [
+        "y^4 - 10*y^2 + 1",
+        "(y^2 + y + 1) * (y^4 + 1) * (y^4 + y^3 + y^2 + y + 1) * (y^2 - y + 1)",
+        "y^12 - 1",
+        "(y^4 - 10*y^2 + 1) * (y^2 - 3)^2",
+        "3/2*y^3 - 1/4*y + 5",
+        "-6*y^4 + 6",
+        "(2*y - 1)^3 * (3*y + 2)",
+        "y^8 - 40*y^6 + 352*y^4 - 960*y^2 + 576",
+        "7",
+    ],
+    "F2": ["y^8 + y", "(y^2 + y + 1)^4 * (y^3 + y + 1)"],
+    "F3": ["y^9 - y", "(y^2 + 1)^3 * (y + 2)^2"],
+    "F5": ["y^5 - y", "2*y^4 + 3"],
+    "F7": ["y^8 - 1", "(y^3 + 2)^2 * (y - 3)"],
+    "Q(i)": ["y^4 + 1", "y^4 - 10*y^2 + 1", "(y^2 + 1)^2 * (y - i)", "i*y^2 + 2"],
+    "Q(s2)": ["y^4 - 10*y^2 + 1", "(y^2 - 2)^3", "y^8 - 1", "(y^2 - s2)^2 * (y + s2)"],
+    "Q(i)(s2)": ["y^4 + 1", "y^4 - 10*y^2 + 1", "(y^2 + 2)^2 * (y^2 - 2)"],
+    "Q(c)": ["y^4 - 2", "y^4 + 2", "(y^2 - c)^2 * (y + c)", "y^8 - 4"],
+    "F2(a)": [
+        "y^2 + a",
+        "(y^4 + a + 1)^2",
+        "(y^2 + y + 1)^2 * (y^3 + y + 1)",
+        "(y^2 + a) * (y + 1)",
+        "y^2 + a^2",
+        "(y^2 + a)^2 * (y^2 + a^2 + 1)",
+    ],
+    "F2(a)(r)": ["y^2 + a", "y^2 + r", "(y^4 + a)^2", "y^2 + y + 1", "(y^2 + a) * (y^2 + r)"],
+}
+
+
+def _random_factor(rng, domain, gens, deg):
+    """A random factor of degree ``deg`` as text, with small coefficients."""
+    terms = []
+    for e in range(deg + 1):
+        if domain.startswith("F") and not gens:
+            c = str(rng.randrange(1 if e == deg else 0, int(domain[1:])))
+        else:
+            a = rng.randrange(-3, 4)
+            if domain == "Q" and rng.random() < 0.2:
+                a = f"{a}/{rng.choice([2, 3, 4])}"
+            parts = [str(a)] + [f"{rng.randrange(-2, 3)}*{g}" for g in gens if rng.random() < 0.6]
+            if e == deg and all(p.startswith("0") for p in parts):
+                parts[0] = "1"
+            c = f"({' + '.join(parts)})"
+        terms.append(f"{c}*y^{e}")
+    return " + ".join(terms)
+
+
+_RANDOM_GENS = {"Q(i)": ["i"], "Q(s2)": ["s2"], "Q(i)(s2)": ["i", "s2"], "Q(c)": ["c"]}
+# per domain: how many products, and their largest degree; the extensions
+# of higher degree take fewer and smaller products
+_RANDOM_SHAPES = {"Q(i)(s2)": (3, 4), "Q(c)": (3, 4)}
+
+
+def _factor_inputs():
+    out = []
+    for domain, fixed in _FIXED_INPUTS.items():
+        out += [(domain, text) for text in fixed]
+        if domain.startswith("F2("):
+            continue
+        rng = random.Random(f"golden-factor:{domain}")
+        count, top = _RANDOM_SHAPES.get(domain, (6, 10))
+        for _ in range(count):
+            pieces, left = [], rng.randrange(top // 2, top + 1)
+            while left > 0:
+                deg = rng.randrange(1, min(3, left) + 1)
+                mult = rng.choice([1, 1, 2]) if 2 * deg <= left else 1
+                pieces.append((_random_factor(rng, domain, _RANDOM_GENS.get(domain, []), deg), mult))
+                left -= deg * mult
+            out.append((domain, " * ".join(f"({t})^{m}" if m > 1 else f"({t})" for t, m in pieces)))
+    return out
+
+
+def factor_corpus() -> str:
+    from valext.errors import ValextError
+    from valext.poly import Polynomial, factor, squarefree_decomposition
+
+    towers = _factor_towers()
+    lines = []
+    for domain, text in _factor_inputs():
+        lines.append(f"{domain} | {text}")
+        f = Polynomial.parse(text, towers[domain], ("y",))
+        try:
+            lines.append(f"  squarefree: {[(str(g), m) for g, m in squarefree_decomposition(f)]}")
+        except ValextError as exc:
+            lines.append(f"  squarefree: {type(exc).__name__}: {exc}")
+        try:
+            fac = factor(f)
+            lines.append(f"  unit: {fac.unit}")
+            lines += [f"  ({g})^{m}" for g, m in fac.factors]
+        except ValextError as exc:
+            lines.append(f"  factor: {type(exc).__name__}: {exc}")
+    return "\n".join(lines) + "\n"
+
+
+def test_factor_corpus_is_golden():
+    assert factor_corpus() == (GOLDEN / "factor.txt").read_text()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(factor_corpus())
