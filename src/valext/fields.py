@@ -774,6 +774,15 @@ def _u_neg(R, a) -> list:
 def _u_mul(R, a, b) -> list:
     if not a or not b:
         return []
+    if isinstance(R, IntegersMod):
+        # plain int sums, each output coefficient reduced once
+        m = R.m
+        acc = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    acc[i + j] += x * y
+        return _u_trim(R, [c % m for c in acc])
     add, mul, is_zero = R.add, R.mul, R.is_zero
     out = [R.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -795,6 +804,8 @@ def _u_divmod(R, a, b) -> tuple[list, list]:
     n = len(b) - 1
     if len(r) <= n:
         return [], r
+    if isinstance(R, IntegersMod):
+        return _u_divmod_mod(R, r, b)
     add, mul, is_zero = R.add, R.mul, R.is_zero
     inv = None if b[-1] == R.one else R.inv(b[-1])
     low = [(i, R.neg(x)) for i, x in enumerate(b[:-1]) if not is_zero(x)]
@@ -809,6 +820,25 @@ def _u_divmod(R, a, b) -> tuple[list, list]:
             r[k + i] = add(r[k + i], mul(c, x))
         _u_trim(R, r)
     return _u_trim(R, q), r
+
+
+def _u_divmod_mod(R, r: list, b) -> tuple[list, list]:
+    """The long division of ``_u_divmod`` over Z/mZ on plain ints: a
+    remainder coefficient is reduced once, when it becomes the leading one or
+    at the end.  ``r`` is trimmed, longer than b, and overwritten."""
+    m = R.m
+    n = len(b) - 1
+    inv = 1 if b[-1] == R.one else R.inv(b[-1])
+    low = [(i, -x) for i, x in enumerate(b[:-1]) if x % m]
+    q = [0] * (len(r) - n)
+    while len(r) > n:
+        c = r.pop() * inv % m
+        if c:
+            k = len(r) - n
+            q[k] = c
+            for i, x in low:
+                r[k + i] += c * x
+    return _u_trim(R, q), _u_trim(R, [c % m for c in r])
 
 
 def _u_rem(R, a, b) -> list:

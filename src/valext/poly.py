@@ -435,12 +435,20 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
 
     Exact over every supported tower, including non-perfect coefficient
     fields, where a vanishing derivative does not imply a repeated factor.
+    An input that a modular test proves squarefree is its own decomposition.
     """
     if f.is_zero:
         raise DomainError("squarefree decomposition of 0")
     f = f.monic()
     if f.degree() == 0:
         return []
+    if _squarefree_certificate(f):
+        return [(f, 1)]
+    return _squarefree_yun(f)
+
+
+def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Yun's decomposition of a monic f of positive degree."""
     p = f.tower.char
     deriv = f.derivative()
     if p > 0 and deriv.is_zero:
@@ -463,6 +471,47 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
         out.extend(_squarefree_p_content(c, p))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
+
+
+def _squarefree_certificate(f: Polynomial) -> bool:
+    """True when a cheap test proves the monic f squarefree; False proves
+    nothing.
+
+    Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
+    with coefficients in the subfield below the top step is certified there.
+    Over a number field K otherwise, the norm N(f) from K to Q is certified,
+    taken modulo primes that divide no denominator (``_rational_norm_rows``):
+    a square factor of f gives one of N(f), which stays one mod p when p
+    keeps the degree of N(f).
+    """
+    tower = f.tower
+    if tower.char != 0:
+        return False
+    if f.degree() == 1:
+        return True
+    if tower.level == 0:
+        return _good_prime(_primitive_ints(f.reps)) is not None
+    restricted = _restrict_poly(f, tower.level - 1)
+    if restricted is not None:
+        return _squarefree_certificate(restricted)
+    if tower.extension_degree() is None:
+        return False
+    rows = _rational_norm_rows(tower, tower.level, f.reps)
+    denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
+    rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
+    size = len(rows) * f.degree() + 1
+    tries = 0
+    for p in _PRIME_POOL:
+        if denom % p == 0:
+            continue
+        norm = _norm_mod_p(rows, p)
+        if len(norm) == size:
+            if _mod_p_squarefree(norm, p):
+                return True
+            tries += 1
+            if tries == _CERTIFICATE_TRIES:
+                return False
+    return False
 
 
 def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]:
@@ -541,12 +590,18 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     if f.degree() == 0:
         return Factorization(unit, [])
     rng = random.Random(config.DEFAULT_SEED if seed is None else seed)
+    monic = f.monic()
     out: list[tuple[Polynomial, int]] = []
-    for part, mult in squarefree_decomposition(f.monic()):
+    parts = [(monic, 1)] if _squarefree_certificate(monic) else _squarefree_yun(monic)
+    for part, mult in parts:
         for irr in _factor_squarefree(part, rng):
             out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
-    return Factorization(unit, out)
+    fac = Factorization(unit, out)
+    # the shortcuts of the factor path are checked here, on every answer
+    if fac.expand() != f:
+        raise DomainError("factorization does not multiply back to its input")
+    return fac
 
 
 def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
@@ -691,28 +746,20 @@ def _random_field_element(tower: FieldTower, rng: random.Random) -> FieldElement
 
 _PRIME_POOL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
 
+# a norm with a square factor fails every prime, so its certificate gives up
+# after this many primes that keep its degree
+_CERTIFICATE_TRIES = 3
+
 
 def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     """Monic squarefree polynomial over Q: mod-p factorization, Hensel
     lifting and subset recombination."""
-    fractions = [Fraction(c) for c in f.reps]
-    denom = math.lcm(*(fr.denominator for fr in fractions))
-    ints = [int(fr * denom) for fr in fractions]
-    content = math.gcd(*(abs(c) for c in ints if c != 0))
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
+    ints = _primitive_ints(f.reps)
     n = len(ints) - 1
     if n == 1:
         return [f.monic()]
     lead = ints[-1]
-    prime = None
-    for p in _PRIME_POOL:
-        if lead % p == 0:
-            continue
-        if _mod_p_squarefree(ints, p):
-            prime = p
-            break
+    prime = _good_prime(ints)
     if prime is None:
         raise CapabilityError("no suitable prime found for rational factorization")
     modular = _factor_mod_p(ints, prime, rng)
@@ -728,6 +775,25 @@ def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     lifted = hensel_lift(ring, [ring.mul(c, inv_lead) for c in ints], modular)
     factors_z = _recombine(ints, lifted, ring.m)
     return [f._like([Fraction(c) for c in cz]).monic() for cz in factors_z]
+
+
+def _primitive_ints(reps: list) -> list[int]:
+    """The primitive integer multiple, with a positive leading coefficient,
+    of a nonzero polynomial over Q."""
+    denom = math.lcm(*(c.denominator for c in reps))
+    ints = [c.numerator * (denom // c.denominator) for c in reps]
+    content = math.gcd(*ints)
+    return [c // content for c in ints] if ints[-1] > 0 else [-c // content for c in ints]
+
+
+def _good_prime(ints: list[int]) -> int | None:
+    """The first prime of the pool that divides neither the leading
+    coefficient nor the discriminant of ints, or None.  Such a prime proves
+    ints squarefree over Q: a square factor would stay one mod p."""
+    for p in _PRIME_POOL:
+        if ints[-1] % p and _mod_p_squarefree(ints, p):
+            return p
+    return None
 
 
 def _mod_p_squarefree(ints: list[int], p: int) -> bool:
@@ -854,6 +920,9 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
                 for i in subset:
                     prod = _u_mul(zm, prod, lifted[i])
                 cand = primitive([sym(c) for c in prod])
+                # a factor's constant term divides that of current; 0 only 0
+                if current[0] % cand[0] if cand[0] else current[0]:
+                    continue
                 q, r = _u_divmod(
                     RationalField(), [Fraction(c) for c in current], [Fraction(c) for c in cand]
                 )
@@ -894,6 +963,7 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
     R = tower.ring
     sub = tower.prefix(tower.level - 1)
     theta = tower.gen(tower.steps[-1].name)
+    degree = tower.steps[-1].degree
     # over sub the unshifted norm is f^d, never squarefree
     over_sub = _restrict_poly(f, sub.level) is not None
     tries = 0
@@ -904,20 +974,25 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
         if tries > 24:
             break
         st = (tower.embed(s_elem) * theta).rep
-        fs = f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
-        norm = Polynomial(sub, f.var, _norm(fs, sub))
-        d = norm.derivative()
-        if d.is_zero or gcd(norm, d).degree() != 0:
-            continue
-        pieces = _factor_squarefree(norm.monic(), rng)
+        fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
+        norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
+        # the exact gcd decides when the modular certificate cannot
+        if not _squarefree_certificate(norm):
+            d = norm.derivative()
+            if d.is_zero or gcd(norm, d).degree() != 0:
+                continue
+        pieces = _factor_squarefree(norm, rng)
         if len(pieces) == 1:
             return [f.monic()]
         out = []
         rem = f.monic()
-        for piece in pieces:
-            lifted = piece.map_coeffs(tower.embed, tower)
-            shifted = lifted.compose(f._like([st, R.one]))
-            g = gcd(rem, shifted)
+        for k, piece in enumerate(pieces):
+            if k == len(pieces) - 1 and rem.degree() * degree == piece.degree():
+                # the pieces before took the other factors: rem is the last
+                g = rem
+            else:
+                lifted = piece.map_coeffs(tower.embed, tower)
+                g = gcd(rem, lifted.compose(f._like([st, R.one])))
             if g.degree() > 0:
                 out.append(g.monic())
                 rem = (rem // g).monic()
@@ -937,11 +1012,17 @@ def _norm(fs: Polynomial, sub: FieldTower) -> list:
     conjugates of theta, that is Res_theta(m, fs).  The determinant is taken
     by fraction-free elimination, so no entry ever leaves sub[y].
     """
-    R = sub.ring
-    step = fs.tower.steps[-1]
+    return _bareiss_det(sub.ring, _norm_rows(fs.tower, fs.tower.level, fs.reps))
+
+
+def _norm_rows(tower: FieldTower, level: int, reps: list) -> list[list[list]]:
+    """The matrix of ``_norm`` for the polynomial with coefficient reps at
+    ``level`` of tower, over the ring one level down."""
+    R = tower.rings[level - 1]
+    step = tower.steps[level - 1]
     d = step.degree
     row: list[list] = [[] for _ in range(d)]
-    for i, c in enumerate(fs.reps):
+    for i, c in enumerate(reps):
         for j, r in enumerate(c):
             if not R.is_zero(r):
                 b = row[j]
@@ -959,7 +1040,33 @@ def _norm(fs: Polynomial, sub: FieldTower) -> list:
                 for x, m in zip(row, neg_m)
             ]
         rows.append(row)
-    return _bareiss_det(R, rows)
+    return rows
+
+
+def _rational_norm_rows(tower: FieldTower, level: int, reps: list) -> list[list[list]]:
+    """A matrix over Q[y] whose determinant is the norm to Q of the
+    polynomial with coefficient reps at ``level`` of a number field tower:
+    each entry of ``_norm_rows``, a polynomial one level down, is replaced by
+    its own such matrix.  Those blocks commute, being multiplications in one
+    commutative ring, so the whole determinant is the norm to Q of the
+    determinant one level down."""
+    if level == 0:
+        return [[list(reps)]]
+    blocks = [
+        [_rational_norm_rows(tower, level - 1, entry) for entry in row]
+        for row in _norm_rows(tower, level, reps)
+    ]
+    return [
+        [entry for block in brow for entry in block[a]]
+        for brow in blocks
+        for a in range(len(brow[0]))
+    ]
+
+
+def _norm_mod_p(rows: list[list[list[int]]], p: int) -> list[int]:
+    """The determinant of a matrix of integer polynomials, modulo p."""
+    R = PrimeField(p)
+    return _bareiss_det(R, [[_u_trim(R, [c % p for c in entry]) for entry in row] for row in rows])
 
 
 def _bareiss_det(R, M: list[list[list]]) -> list:
