@@ -157,7 +157,8 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
             )
         else:
             sub = scn.kprime.prefix(step_idx)
-            hom_imgs = [k_cur.embed(im) for im in pt.left_images[:step_idx]]
+            coeff = v_cur.coefficient_field
+            hom_imgs = [k_cur.embed(_in_field(im, coeff)) for im in pt.left_images[:step_idx]]
             hom = TowerHom(sub, k_cur, hom_imgs)
             coeffs = [hom.apply(c) for c in scn.kprime.minpoly_coeffs(step_idx)]
             ind = k_cur.fresh_name("w")
@@ -220,6 +221,19 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
         kprime_images=pt.left_images,
         provenance=tuple(prov),
     )
+
+
+def _in_field(elem: FieldElement, field: FieldTower) -> FieldElement:
+    """``elem`` as an element of ``field``.  The images of the point live in
+    its composed field; the residue field built so far is a prefix of it and
+    holds the images of the steps already taken."""
+    if elem.tower.is_prefix_of(field):
+        return elem
+    if field.is_prefix_of(elem.tower):
+        rest = elem.restrict(field.level)
+        if rest is not None:
+            return rest
+    raise DomainError("a k' image lies outside the residue field built so far")
 
 
 def _same_poly_over(a: Polynomial, b: Polynomial) -> bool:

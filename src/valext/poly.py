@@ -11,11 +11,22 @@ Supported factorization domains:
 
 * finite fields (any tower of algebraic steps over F_p): distinct-degree
   plus seeded equal-degree splitting;
-* Q: reduction mod a good prime, Hensel lifting, subset recombination;
+* Q: reduction mod a good prime, Hensel lifting, subset recombination, in
+  which a subset is divided out only when the constant term of its product
+  divides that of the cofactor left;
 * algebraic extensions: norm-map reduction to the subfield (Trager), the
-  norm taken as a fraction-free (Bareiss) determinant over sub[y];
+  norm taken as a fraction-free (Bareiss) determinant over sub[y], the last
+  factor taken as what the others leave;
 * purely transcendental extensions: descent to the coefficient subfield;
 * p-power binomials y^(p^e) - c in characteristic p: exact p-th roots.
+
+In characteristic 0 a prime decides squarefreeness where it can: a
+squarefree certificate (``_squarefree_certificate``) tests f modulo a prime
+over Q and the norm of f over a number field.  When it holds, the squarefree
+decomposition is f itself and Yun's exact gcd(f, f') is skipped; the norm
+route certifies each shifted norm the same way and falls back to the exact
+gcd.  ``factor`` checks that the unit times the product of its factors is
+its input before it returns.
 
 The dense univariate arithmetic behind all of them and behind ``Polynomial``
 itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
@@ -479,10 +490,11 @@ def _squarefree_certificate(f: Polynomial) -> bool:
 
     Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
     with coefficients in the subfield below the top step is certified there.
-    Over a number field K otherwise, the norm N(f) from K to Q is certified,
-    taken modulo primes that divide no denominator (``_rational_norm_rows``):
-    a square factor of f gives one of N(f), which stays one mod p when p
-    keeps the degree of N(f).
+    Over a number field otherwise, the norm N(f) to that subfield is
+    certified, since a square factor of f gives one of N(f).  Over Q(theta)
+    that norm is only taken modulo primes that divide no denominator of its
+    matrix, and a square factor of N(f) stays one mod p when p keeps its
+    degree; so an input with a square factor costs no exact norm there.
     """
     tower = f.tower
     if tower.char != 0:
@@ -496,7 +508,11 @@ def _squarefree_certificate(f: Polynomial) -> bool:
         return _squarefree_certificate(restricted)
     if tower.extension_degree() is None:
         return False
-    rows = _rational_norm_rows(tower, tower.level, f.reps)
+    if tower.level > 1:
+        # one relative norm at a time, so that each may restrict a level down
+        sub = tower.prefix(tower.level - 1)
+        return _squarefree_certificate(Polynomial(sub, f.var, _norm(f, sub)).monic())
+    rows = _norm_rows(tower, 1, f.reps)
     denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
     rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
     size = len(rows) * f.degree() + 1
@@ -1041,26 +1057,6 @@ def _norm_rows(tower: FieldTower, level: int, reps: list) -> list[list[list]]:
             ]
         rows.append(row)
     return rows
-
-
-def _rational_norm_rows(tower: FieldTower, level: int, reps: list) -> list[list[list]]:
-    """A matrix over Q[y] whose determinant is the norm to Q of the
-    polynomial with coefficient reps at ``level`` of a number field tower:
-    each entry of ``_norm_rows``, a polynomial one level down, is replaced by
-    its own such matrix.  Those blocks commute, being multiplications in one
-    commutative ring, so the whole determinant is the norm to Q of the
-    determinant one level down."""
-    if level == 0:
-        return [[list(reps)]]
-    blocks = [
-        [_rational_norm_rows(tower, level - 1, entry) for entry in row]
-        for row in _norm_rows(tower, level, reps)
-    ]
-    return [
-        [entry for block in brow for entry in block[a]]
-        for brow in blocks
-        for a in range(len(brow[0]))
-    ]
 
 
 def _norm_mod_p(rows: list[list[list[int]]], p: int) -> list[int]:

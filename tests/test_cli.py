@@ -1,6 +1,8 @@
 import io
 import time
 
+import pytest
+
 from valext import cli
 from valext.selftest import GOLDEN_SCENARIOS, run_selftest
 
@@ -237,3 +239,40 @@ def test_bad_vars_lines_are_parse_errors_on_the_vars_line(tmp_path):
         code, out, err = run_extend(tmp_path, text)
         assert (code, out) == (1, ""), vars_line
         assert err == f"parse error: line 6: {message}\n"
+
+
+# k' steps above a nonempty k-prefix, or more than one algebraic k' step: the
+# images of the earlier generators live in the point's composed field, and
+# the strictly maximal build maps them into the residue field built so far
+_STEPS_ABOVE_PREFIX = {
+    # a k' step named like a generator of F above k is renamed to i_1
+    "renamed": (
+        "a: transcendental; i: algebraic y^2 + 1",
+        1,
+        "i: algebraic y^2 + 3",
+        ["image a -> a", "image i -> i_1"],
+    ),
+    "two_steps": ("", 0, "c: algebraic y^2 + 1; d: algebraic y^2 - 2", ["image d -> d"]),
+    # the first step splits over F (the factor-lift route), the second does not
+    "split_then_irreducible": (
+        "a: transcendental; s: algebraic y^2 - 2",
+        1,
+        "c: algebraic y^2 - 2; d: algebraic y^2 - 3*c - 2",
+        ["image c -> s", "image d -> d"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEPS_ABOVE_PREFIX))
+def test_extend_builds_kprime_steps_above_a_prefix(tmp_path, name):
+    gens, k_prefix, kprime, images = _STEPS_ABOVE_PREFIX[name]
+    text = "[base]\nbase: Q\n" + (f"gens: {gens}\n" if gens else "")
+    text += f"k-prefix: {k_prefix}\n\n[valuation]\nvars: x\norder: lex\n\n"
+    text += f"[extension]\nkprime-gens: {kprime}\n"
+    code, out, err = run_extend(tmp_path, text, verify=True)
+    assert (code, err) == (0, "")
+    for line in images:
+        assert f"  {line}\n" in out
+    assert "  path: strictly-maximal\n" in out
+    assert "  weakly unramified over V: True\n" in out
+    assert "False" not in out

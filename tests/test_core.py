@@ -143,3 +143,41 @@ def test_hensel_lift_finds_the_unique_monic_factors(name):
         assert [_u_trim(res, [ring.digit(c, 0) for c in g]) for g in lifted] == parts
         assert lifted == factors  # the monic lift is unique
         lifts += 1
+
+
+class _GenericIntegersMod:
+    """Z/mZ through the ring interface alone: not an ``IntegersMod``, so the
+    core runs its generic loops on it, one reduction per operation."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, m):
+        self.ring = IntegersMod(m)
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+
+@pytest.mark.parametrize("m, non_unit", [(7, 0), (3**5, 3)])
+def test_integers_mod_loops_match_the_generic_loops(m, non_unit):
+    fast, generic = IntegersMod(m), _GenericIntegersMod(m)
+    rng = random.Random(f"zm:{m}")
+    refused = 0
+    for _ in range(200):
+        a = [rng.randrange(m) for _ in range(rng.randrange(0, 9))]
+        b = [rng.randrange(m) for _ in range(rng.randrange(1, 6))]
+        # b is not trimmed: its leading coefficient may be 0, or over Z/3^5
+        # a non-unit, which no division may accept
+        assert _u_mul(fast, a, b) == _u_mul(generic, a, b)
+        try:
+            expected = _u_divmod(generic, a, b)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _u_divmod(fast, a, b)
+            refused += 1
+            continue
+        assert _u_divmod(fast, a, b) == expected
+    assert refused
+    with pytest.raises(DomainError, match="not a unit"):
+        _u_divmod(fast, [1, 2, 3, 4], [1, non_unit])

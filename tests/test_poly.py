@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valext import poly as poly_mod
 from valext.config import FACTOR_DEGREE_BOUND
@@ -738,3 +740,165 @@ def test_factor_matches_sympy(domain, gen):
         assert monic_keys(have) == monic_keys(ref), text
         checked += 1
     assert checked
+
+
+# -- the modular shortcuts of the factor path -------------------------------------
+
+_CERTIFIED_TOWERS = {
+    "Q": FieldTower.rationals,
+    "Q(i)": _q_i,
+    "Q(i)(s2)": _NORM_TOWERS["Q(i)(s2)"],
+    "Q(c)": lambda: FieldTower.rationals().extend_algebraic("c", [-2, 0, 0, 0, 1]),
+}
+
+
+def _monomials(tower):
+    """The monomials in the generators of a number field tower: a basis over Q."""
+    basis = [tower.one()]
+    for name in tower.gen_names:
+        d = tower.steps[tower.gen_names.index(name)].degree
+        basis = [b * tower.gen(name) ** k for k in range(d) for b in basis]
+    return basis
+
+
+def _monic_factor(tower, draw):
+    """A monic polynomial of degree 1 or 2 with small integral coefficients
+    over the tower, drawn by hypothesis."""
+    basis = _monomials(tower)
+    small = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+    coeffs = draw(st.lists(small, min_size=1, max_size=2))
+    elems = [sum((n * b for n, b in zip(c, basis)), tower.zero()) for c in coeffs]
+    return Polynomial.from_coeffs(tower, "y", elems + [tower.one()])
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED_TOWERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_certificate_never_holds_with_a_square(name, data):
+    tower = _CERTIFIED_TOWERS[name]()
+    g = _monic_factor(tower, data.draw)
+    h = _monic_factor(tower, data.draw)
+    assert not poly_mod._squarefree_certificate(g * g * h)
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED_TOWERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_certified_inputs_are_their_own_yun_decomposition(name, data):
+    tower = _CERTIFIED_TOWERS[name]()
+    f = _monic_factor(tower, data.draw)
+    for _ in range(data.draw(st.integers(0, 2))):
+        f = f * _monic_factor(tower, data.draw)
+    if poly_mod._squarefree_certificate(f):
+        assert poly_mod._squarefree_yun(f) == [(f, 1)]
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED_TOWERS))
+def test_certificate_holds_on_squarefree_inputs(name):
+    # the generators enter each input, so the number fields take the norm
+    tower = _CERTIFIED_TOWERS[name]()
+    gen = tower.gen_names[-1] if tower.gen_names else "1"
+    for text in ["y^4 - 10*y^2 + 1", f"(y - {gen}) * (y^2 + {gen}*y + 3)", f"y^3 - {gen} + 5"]:
+        assert poly_mod._squarefree_certificate(parse(text, tower)), text
+
+
+def _recombine_unpruned(ints, lifted, modulus):
+    """Recombination as it ran before the constant-term test: an exact
+    division for every subset."""
+    import math
+    from fractions import Fraction
+
+    from valext.fields import IntegersMod, RationalField, _u_divmod, _u_mul
+
+    def sym(c):
+        c %= modulus
+        return c - modulus if c > modulus // 2 else c
+
+    def primitive(cs):
+        g = math.gcd(*(abs(c) for c in cs if c != 0))
+        cs = [c // g for c in cs]
+        return [-c for c in cs] if cs[-1] < 0 else cs
+
+    zm = IntegersMod(modulus)
+    remaining = list(range(len(lifted)))
+    current = list(ints)
+    out = []
+    size = 1
+    while 2 * size <= len(remaining):
+        found = True
+        while found:
+            found = False
+            for subset in itertools.combinations(remaining, size):
+                prod = [current[-1] % modulus]
+                for i in subset:
+                    prod = _u_mul(zm, prod, lifted[i])
+                cand = primitive([sym(c) for c in prod])
+                q, r = _u_divmod(
+                    RationalField(), [Fraction(c) for c in current], [Fraction(c) for c in cand]
+                )
+                if not r and all(c.denominator == 1 for c in q):
+                    out.append(cand)
+                    current = [int(c) for c in q]
+                    remaining = [i for i in remaining if i not in subset]
+                    found = True
+                    break
+            if 2 * size > len(remaining):
+                break
+        size += 1
+    if len(current) > 1:
+        out.append(primitive(current))
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y^8 - 40*y^6 + 352*y^4 - 960*y^2 + 576",
+        "(y^4 - 10*y^2 + 1) * (y^2 + y + 1) * (y^2 - 3)",
+        "(2*y^2 - 1) * (y^4 - 10*y^2 + 1) * (3*y^2 + 5)",
+        "(y^2 + y + 1) * (y^4 + 1) * (y^4 + y^3 + y^2 + y + 1) * (y^2 - y + 1)",
+        "y * (y^2 + 1) * (y^4 + 1) * (y^2 + y + 1) * (y - 3)",
+    ],
+)
+def test_recombination_matches_the_unpruned_search(monkeypatch, rationals, text):
+    calls = []
+    recombine = poly_mod._recombine
+
+    def recording(ints, lifted, modulus):
+        out = recombine(ints, lifted, modulus)
+        calls.append((ints, lifted, modulus, out))
+        return out
+
+    monkeypatch.setattr(poly_mod, "_recombine", recording)
+    f = parse(text, rationals)
+    assert factor(f).expand() == f
+    (ints, lifted, modulus, out), = calls
+    assert len(lifted) >= 4  # many modular factors, many subsets
+    assert out == _recombine_unpruned(ints, lifted, modulus)
+
+
+def test_norm_extraction_takes_one_gcd_per_piece_but_the_last(monkeypatch, q_i):
+    calls = []
+
+    def counting_gcd(f, g):
+        calls.append(f.tower)
+        return gcd(f, g)
+
+    monkeypatch.setattr(poly_mod, "gcd", counting_gcd)
+    f = parse("(y - i - 2) * (y^2 + i*y + 3) * (y^3 + 3*i*y + 3)", q_i)
+    fac = factor(f)
+    assert fac.expand() == f and len(fac.factors) == 3
+    # the certificates leave no gcd to Yun or to the norm's squarefree test,
+    # and the last of the three norm pieces takes the remaining factor
+    assert calls == [q_i, q_i]
+
+
+def test_factor_refuses_an_answer_that_does_not_multiply_back(monkeypatch, rationals):
+    factor_squarefree = poly_mod._factor_squarefree
+
+    def off_by_one(f, rng):
+        return [g + 1 if k == 0 else g for k, g in enumerate(factor_squarefree(f, rng))]
+
+    monkeypatch.setattr(poly_mod, "_factor_squarefree", off_by_one)
+    with pytest.raises(DomainError, match="multiply back"):
+        factor(parse("(y - 1) * (y - 2)", rationals))
