@@ -453,7 +453,7 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     f = f.monic()
     if f.degree() == 0:
         return []
-    if _squarefree_certificate(f):
+    if _squarefree_certificate(f)[0]:
         return [(f, 1)]
     return _squarefree_yun(f)
 
@@ -484,9 +484,11 @@ def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _squarefree_certificate(f: Polynomial) -> bool:
-    """True when a cheap test proves the monic f squarefree; False proves
-    nothing.
+def _squarefree_certificate(f: Polynomial) -> tuple[bool, Polynomial | None]:
+    """(proved, norm): proved is True when a cheap test proves the monic f
+    squarefree, and False proves nothing; norm is the norm of f to the
+    subfield below the top step when the test took it exactly, for the norm
+    route to start from.
 
     Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
     with coefficients in the subfield below the top step is certified there.
@@ -498,20 +500,21 @@ def _squarefree_certificate(f: Polynomial) -> bool:
     """
     tower = f.tower
     if tower.char != 0:
-        return False
+        return False, None
     if f.degree() == 1:
-        return True
+        return True, None
     if tower.level == 0:
-        return _good_prime(_primitive_ints(f.reps)) is not None
+        return _good_prime(_primitive_ints(f.reps)) is not None, None
     restricted = _restrict_poly(f, tower.level - 1)
     if restricted is not None:
-        return _squarefree_certificate(restricted)
+        return _squarefree_certificate(restricted)[0], None
     if tower.extension_degree() is None:
-        return False
+        return False, None
     if tower.level > 1:
         # one relative norm at a time, so that each may restrict a level down
         sub = tower.prefix(tower.level - 1)
-        return _squarefree_certificate(Polynomial(sub, f.var, _norm(f, sub)).monic())
+        norm = Polynomial(sub, f.var, _norm(f, sub)).monic()
+        return _squarefree_certificate(norm)[0], norm
     rows = _norm_rows(tower, 1, f.reps)
     denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
     rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
@@ -520,14 +523,15 @@ def _squarefree_certificate(f: Polynomial) -> bool:
     for p in _PRIME_POOL:
         if denom % p == 0:
             continue
-        norm = _norm_mod_p(rows, p)
+        Fp = PrimeField(p)
+        norm = _bareiss_det(Fp, [[_u_trim(Fp, [c % p for c in e]) for e in row] for row in rows])
         if len(norm) == size:
             if _mod_p_squarefree(norm, p):
-                return True
+                return True, None
             tries += 1
             if tries == _CERTIFICATE_TRIES:
-                return False
-    return False
+                break
+    return False, None
 
 
 def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]:
@@ -608,9 +612,10 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     rng = random.Random(config.DEFAULT_SEED if seed is None else seed)
     monic = f.monic()
     out: list[tuple[Polynomial, int]] = []
-    parts = [(monic, 1)] if _squarefree_certificate(monic) else _squarefree_yun(monic)
+    proved, norm = _squarefree_certificate(monic)
+    parts = [(monic, 1)] if proved else _squarefree_yun(monic)
     for part, mult in parts:
-        for irr in _factor_squarefree(part, rng):
+        for irr in _factor_squarefree(part, rng, norm if proved else None):
             out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     fac = Factorization(unit, out)
@@ -620,8 +625,12 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     return fac
 
 
-def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Monic squarefree polynomial into monic irreducibles."""
+def _factor_squarefree(
+    f: Polynomial, rng: random.Random, norm: Polynomial | None = None
+) -> list[Polynomial]:
+    """Monic squarefree polynomial into monic irreducibles; ``norm``, if
+    given, is the norm of f to the subfield below the top step, certified
+    squarefree."""
     tower = f.tower
     if f.degree() == 1:
         return [f]
@@ -640,7 +649,7 @@ def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     if tower.char == 0 and tower.extension_degree() is not None:
         if tower.level == 0:
             return _factor_rationals(f, rng)
-        return _factor_norm_reduction(f, rng)
+        return _factor_norm_reduction(f, rng, norm)
     top = tower.steps[-1]
     if not top.is_algebraic:
         restricted = _restrict_poly(f, tower.level - 1)
@@ -973,8 +982,11 @@ def _shift_candidates(sub: FieldTower):
             yield s
 
 
-def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Factor over sub(theta) by factoring a squarefree norm over sub."""
+def _factor_norm_reduction(
+    f: Polynomial, rng: random.Random, norm0: Polynomial | None = None
+) -> list[Polynomial]:
+    """Factor over sub(theta) by factoring a squarefree norm over sub;
+    ``norm0``, if given, is the norm of f itself, certified squarefree."""
     tower = f.tower
     R = tower.ring
     sub = tower.prefix(tower.level - 1)
@@ -990,13 +1002,16 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
         if tries > 24:
             break
         st = (tower.embed(s_elem) * theta).rep
-        fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
-        norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
-        # the exact gcd decides when the modular certificate cannot
-        if not _squarefree_certificate(norm):
-            d = norm.derivative()
-            if d.is_zero or gcd(norm, d).degree() != 0:
-                continue
+        if s_elem.is_zero and norm0 is not None:
+            norm = norm0
+        else:
+            fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
+            norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
+            # the exact gcd decides when the modular certificate cannot
+            if not _squarefree_certificate(norm)[0]:
+                d = norm.derivative()
+                if d.is_zero or gcd(norm, d).degree() != 0:
+                    continue
         pieces = _factor_squarefree(norm, rng)
         if len(pieces) == 1:
             return [f.monic()]
@@ -1057,12 +1072,6 @@ def _norm_rows(tower: FieldTower, level: int, reps: list) -> list[list[list]]:
             ]
         rows.append(row)
     return rows
-
-
-def _norm_mod_p(rows: list[list[list[int]]], p: int) -> list[int]:
-    """The determinant of a matrix of integer polynomials, modulo p."""
-    R = PrimeField(p)
-    return _bareiss_det(R, [[_u_trim(R, [c % p for c in entry]) for entry in row] for row in rows])
 
 
 def _bareiss_det(R, M: list[list[list]]) -> list:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 from valext import poly as poly_mod
 from valext.config import FACTOR_DEGREE_BOUND
 from valext.errors import CapabilityError, DomainError, StructuralError
-from valext.fields import FieldElement, FieldTower
+from valext.fields import (
+    FieldElement,
+    FieldTower,
+    IntegersMod,
+    RationalField,
+    _u_divmod,
+    _u_mul,
+)
 from valext.norms import random_field_element
 from valext.poly import Polynomial, _norm, factor, gcd, resultant, squarefree_part
 
@@ -755,9 +764,8 @@ _CERTIFIED_TOWERS = {
 def _monomials(tower):
     """The monomials in the generators of a number field tower: a basis over Q."""
     basis = [tower.one()]
-    for name in tower.gen_names:
-        d = tower.steps[tower.gen_names.index(name)].degree
-        basis = [b * tower.gen(name) ** k for k in range(d) for b in basis]
+    for step in tower.steps:
+        basis = [b * tower.gen(step.name) ** k for k in range(step.degree) for b in basis]
     return basis
 
 
@@ -778,7 +786,7 @@ def test_certificate_never_holds_with_a_square(name, data):
     tower = _CERTIFIED_TOWERS[name]()
     g = _monic_factor(tower, data.draw)
     h = _monic_factor(tower, data.draw)
-    assert not poly_mod._squarefree_certificate(g * g * h)
+    assert not poly_mod._squarefree_certificate(g * g * h)[0]
 
 
 @pytest.mark.parametrize("name", list(_CERTIFIED_TOWERS))
@@ -789,7 +797,7 @@ def test_certified_inputs_are_their_own_yun_decomposition(name, data):
     f = _monic_factor(tower, data.draw)
     for _ in range(data.draw(st.integers(0, 2))):
         f = f * _monic_factor(tower, data.draw)
-    if poly_mod._squarefree_certificate(f):
+    if poly_mod._squarefree_certificate(f)[0]:
         assert poly_mod._squarefree_yun(f) == [(f, 1)]
 
 
@@ -799,16 +807,12 @@ def test_certificate_holds_on_squarefree_inputs(name):
     tower = _CERTIFIED_TOWERS[name]()
     gen = tower.gen_names[-1] if tower.gen_names else "1"
     for text in ["y^4 - 10*y^2 + 1", f"(y - {gen}) * (y^2 + {gen}*y + 3)", f"y^3 - {gen} + 5"]:
-        assert poly_mod._squarefree_certificate(parse(text, tower)), text
+        assert poly_mod._squarefree_certificate(parse(text, tower))[0], text
 
 
 def _recombine_unpruned(ints, lifted, modulus):
     """Recombination as it ran before the constant-term test: an exact
     division for every subset."""
-    import math
-    from fractions import Fraction
-
-    from valext.fields import IntegersMod, RationalField, _u_divmod, _u_mul
 
     def sym(c):
         c %= modulus
@@ -896,9 +900,25 @@ def test_norm_extraction_takes_one_gcd_per_piece_but_the_last(monkeypatch, q_i):
 def test_factor_refuses_an_answer_that_does_not_multiply_back(monkeypatch, rationals):
     factor_squarefree = poly_mod._factor_squarefree
 
-    def off_by_one(f, rng):
-        return [g + 1 if k == 0 else g for k, g in enumerate(factor_squarefree(f, rng))]
+    def off_by_one(f, rng, norm=None):
+        return [g + 1 if k == 0 else g for k, g in enumerate(factor_squarefree(f, rng, norm))]
 
     monkeypatch.setattr(poly_mod, "_factor_squarefree", off_by_one)
     with pytest.raises(DomainError, match="multiply back"):
         factor(parse("(y - 1) * (y - 2)", rationals))
+
+
+def test_the_certificate_hands_its_norm_to_the_norm_route(monkeypatch):
+    # over Q(i)(s2) the certificate takes the norm to Q(i) exactly; the norm
+    # route starts from it at the shift 0 instead of taking it again
+    tower = _NORM_TOWERS["Q(i)(s2)"]()
+    f = parse("(y - s2 - i) * (y^2 + (s2 + i)*y + 3)", tower)
+    norms = []
+
+    def recording_norm(fs, sub):
+        norms.append(str(fs))
+        return _norm(fs, sub)
+
+    monkeypatch.setattr(poly_mod, "_norm", recording_norm)
+    assert factor(f).expand() == f
+    assert norms.count(str(f)) == 1
