@@ -487,8 +487,8 @@ def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
 def _squarefree_certificate(f: Polynomial) -> tuple[bool, Polynomial | None]:
     """(proved, norm): proved is True when a cheap test proves the monic f
     squarefree, and False proves nothing; norm is the norm of f to the
-    subfield below the top step when the test took it exactly, for the norm
-    route to start from.
+    subfield below the top step when the proof took it exactly, for the norm
+    route to start from, else None.
 
     Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
     with coefficients in the subfield below the top step is certified there.
@@ -514,7 +514,8 @@ def _squarefree_certificate(f: Polynomial) -> tuple[bool, Polynomial | None]:
         # one relative norm at a time, so that each may restrict a level down
         sub = tower.prefix(tower.level - 1)
         norm = Polynomial(sub, f.var, _norm(f, sub)).monic()
-        return _squarefree_certificate(norm)[0], norm
+        proved = _squarefree_certificate(norm)[0]
+        return proved, norm if proved else None
     rows = _norm_rows(tower, 1, f.reps)
     denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
     rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
@@ -615,7 +616,7 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     proved, norm = _squarefree_certificate(monic)
     parts = [(monic, 1)] if proved else _squarefree_yun(monic)
     for part, mult in parts:
-        for irr in _factor_squarefree(part, rng, norm if proved else None):
+        for irr in _factor_squarefree(part, rng, norm):
             out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     fac = Factorization(unit, out)
