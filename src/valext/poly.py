@@ -22,11 +22,11 @@ Supported factorization domains:
 
 In characteristic 0 a prime decides squarefreeness where it can: a
 squarefree certificate (``_squarefree_certificate``) tests f modulo a prime
-over Q and the norm of f over a number field.  When it holds, the squarefree
-decomposition is f itself and Yun's exact gcd(f, f') is skipped; the norm
-route certifies each shifted norm the same way and falls back to the exact
-gcd.  ``factor`` checks that the unit times the product of its factors is
-its input before it returns.
+over Q and the norm of f modulo a prime over Q(theta).  When it holds, the
+squarefree decomposition is f itself and Yun's exact gcd(f, f') is skipped;
+the norm route certifies each shifted norm the same way and falls back to
+the exact gcd.  ``factor`` checks that the unit times the product of its
+factors is its input before it returns.
 
 The dense univariate arithmetic behind all of them and behind ``Polynomial``
 itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
@@ -453,7 +453,7 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     f = f.monic()
     if f.degree() == 0:
         return []
-    if _squarefree_certificate(f)[0]:
+    if _squarefree_certificate(f):
         return [(f, 1)]
     return _squarefree_yun(f)
 
@@ -484,55 +484,41 @@ def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _squarefree_certificate(f: Polynomial) -> tuple[bool, Polynomial | None]:
-    """(proved, norm): proved is True when a cheap test proves the monic f
-    squarefree, and False proves nothing; norm is the norm of f to the
-    subfield below the top step when the proof took it exactly, for the norm
-    route to start from, else None.
+def _squarefree_certificate(f: Polynomial) -> bool:
+    """True when a cheap test proves the monic f squarefree; False proves
+    nothing.
 
     Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
     with coefficients in the subfield below the top step is certified there.
-    Over a number field otherwise, the norm N(f) to that subfield is
-    certified, since a square factor of f gives one of N(f).  Over Q(theta)
-    that norm is only taken modulo primes that divide no denominator of its
-    matrix, and a square factor of N(f) stays one mod p when p keeps its
-    degree; so an input with a square factor costs no exact norm there.
+    Over Q(theta) otherwise, the norm N(f) to Q is certified, since a square
+    factor of f gives one of N(f).  That norm is only taken modulo primes
+    that divide no denominator of its matrix; it keeps its degree there, so a
+    square factor of N(f) stays one mod p, and an input with a square factor
+    costs no exact norm.  Above two or more algebraic steps nothing is
+    certified.
     """
     tower = f.tower
     if tower.char != 0:
-        return False, None
+        return False
     if f.degree() == 1:
-        return True, None
+        return True
     if tower.level == 0:
-        return _good_prime(_primitive_ints(f.reps)) is not None, None
+        return _good_prime(_primitive_ints(f.reps)) is not None
     restricted = _restrict_poly(f, tower.level - 1)
     if restricted is not None:
-        return _squarefree_certificate(restricted)[0], None
-    if tower.extension_degree() is None:
-        return False, None
-    if tower.level > 1:
-        # one relative norm at a time, so that each may restrict a level down
-        sub = tower.prefix(tower.level - 1)
-        norm = Polynomial(sub, f.var, _norm(f, sub)).monic()
-        proved = _squarefree_certificate(norm)[0]
-        return proved, norm if proved else None
-    rows = _norm_rows(tower, 1, f.reps)
+        return _squarefree_certificate(restricted)
+    if tower.level > 1 or tower.extension_degree() is None:
+        return False
+    rows = _norm_rows(tower, f.reps)
     denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
     rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
-    size = len(rows) * f.degree() + 1
-    tries = 0
-    for p in _PRIME_POOL:
-        if denom % p == 0:
-            continue
+    primes = [p for p in _PRIME_POOL if denom % p][:_CERTIFICATE_TRIES]
+    for p in primes:
         Fp = PrimeField(p)
         norm = _bareiss_det(Fp, [[_u_trim(Fp, [c % p for c in e]) for e in row] for row in rows])
-        if len(norm) == size:
-            if _mod_p_squarefree(norm, p):
-                return True, None
-            tries += 1
-            if tries == _CERTIFICATE_TRIES:
-                break
-    return False, None
+        if _mod_p_squarefree(norm, p):
+            return True
+    return False
 
 
 def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]:
@@ -611,12 +597,9 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     if f.degree() == 0:
         return Factorization(unit, [])
     rng = random.Random(config.DEFAULT_SEED if seed is None else seed)
-    monic = f.monic()
     out: list[tuple[Polynomial, int]] = []
-    proved, norm = _squarefree_certificate(monic)
-    parts = [(monic, 1)] if proved else _squarefree_yun(monic)
-    for part, mult in parts:
-        for irr in _factor_squarefree(part, rng, norm):
+    for part, mult in squarefree_decomposition(f):
+        for irr in _factor_squarefree(part, rng):
             out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     fac = Factorization(unit, out)
@@ -626,12 +609,8 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     return fac
 
 
-def _factor_squarefree(
-    f: Polynomial, rng: random.Random, norm: Polynomial | None = None
-) -> list[Polynomial]:
-    """Monic squarefree polynomial into monic irreducibles; ``norm``, if
-    given, is the norm of f to the subfield below the top step, certified
-    squarefree."""
+def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
+    """Monic squarefree polynomial into monic irreducibles."""
     tower = f.tower
     if f.degree() == 1:
         return [f]
@@ -650,7 +629,7 @@ def _factor_squarefree(
     if tower.char == 0 and tower.extension_degree() is not None:
         if tower.level == 0:
             return _factor_rationals(f, rng)
-        return _factor_norm_reduction(f, rng, norm)
+        return _factor_norm_reduction(f, rng)
     top = tower.steps[-1]
     if not top.is_algebraic:
         restricted = _restrict_poly(f, tower.level - 1)
@@ -773,7 +752,7 @@ def _random_field_element(tower: FieldTower, rng: random.Random) -> FieldElement
 _PRIME_POOL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
 
 # a norm with a square factor fails every prime, so its certificate gives up
-# after this many primes that keep its degree
+# after this many primes
 _CERTIFICATE_TRIES = 3
 
 
@@ -983,11 +962,8 @@ def _shift_candidates(sub: FieldTower):
             yield s
 
 
-def _factor_norm_reduction(
-    f: Polynomial, rng: random.Random, norm0: Polynomial | None = None
-) -> list[Polynomial]:
-    """Factor over sub(theta) by factoring a squarefree norm over sub;
-    ``norm0``, if given, is the norm of f itself, certified squarefree."""
+def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial]:
+    """Factor over sub(theta) by factoring a squarefree norm over sub."""
     tower = f.tower
     R = tower.ring
     sub = tower.prefix(tower.level - 1)
@@ -1003,16 +979,13 @@ def _factor_norm_reduction(
         if tries > 24:
             break
         st = (tower.embed(s_elem) * theta).rep
-        if s_elem.is_zero and norm0 is not None:
-            norm = norm0
-        else:
-            fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
-            norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
-            # the exact gcd decides when the modular certificate cannot
-            if not _squarefree_certificate(norm)[0]:
-                d = norm.derivative()
-                if d.is_zero or gcd(norm, d).degree() != 0:
-                    continue
+        fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
+        norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
+        # the exact gcd decides when the modular certificate cannot
+        if not _squarefree_certificate(norm):
+            d = norm.derivative()
+            if d.is_zero or gcd(norm, d).degree() != 0:
+                continue
         pieces = _factor_squarefree(norm, rng)
         if len(pieces) == 1:
             return [f.monic()]
@@ -1044,14 +1017,14 @@ def _norm(fs: Polynomial, sub: FieldTower) -> list:
     conjugates of theta, that is Res_theta(m, fs).  The determinant is taken
     by fraction-free elimination, so no entry ever leaves sub[y].
     """
-    return _bareiss_det(sub.ring, _norm_rows(fs.tower, fs.tower.level, fs.reps))
+    return _bareiss_det(sub.ring, _norm_rows(fs.tower, fs.reps))
 
 
-def _norm_rows(tower: FieldTower, level: int, reps: list) -> list[list[list]]:
-    """The matrix of ``_norm`` for the polynomial with coefficient reps at
-    ``level`` of tower, over the ring one level down."""
-    R = tower.rings[level - 1]
-    step = tower.steps[level - 1]
+def _norm_rows(tower: FieldTower, reps: list) -> list[list[list]]:
+    """The matrix of ``_norm`` for the polynomial with coefficient reps over
+    tower, over the ring one level down."""
+    R = tower.rings[-2]
+    step = tower.steps[-1]
     d = step.degree
     row: list[list] = [[] for _ in range(d)]
     for i, c in enumerate(reps):
