@@ -242,9 +242,10 @@ def _same_poly_over(a: Polynomial, b: Polynomial) -> bool:
     return a.tower == b.tower and a.reps == b.reps
 
 
-def build_general(scn: ExtensionScenario, n_trunc: int | None = None) -> BuiltExtension:
-    """The truncated-perfect-closure route; works without any reducedness
-    hypothesis on the residual tensor algebra.
+def build_general(scn: ExtensionScenario) -> BuiltExtension:
+    """The truncated-perfect-closure route at the scenario's truncation
+    exponent N (None reads as 0); works without any reducedness hypothesis on
+    the residual tensor algebra.
 
     In characteristic zero (or at truncation 0 with a reduced residual
     algebra) this is the strictly maximal construction.  Otherwise p^N-th
@@ -252,8 +253,7 @@ def build_general(scn: ExtensionScenario, n_trunc: int | None = None) -> BuiltEx
     adjoined first; the group quotient is then p-torsion and the residue
     field is radicial over the subfield generated by k' and F.
     """
-    if n_trunc is None:
-        n_trunc = scn.truncation if scn.truncation is not None else 0
+    n_trunc = scn.truncation or 0
     if scn.valuation.denom_exponent != 0:
         raise StructuralError("the general construction starts from a denominator-free V")
     p = scn.valuation.coefficient_field.char
@@ -490,7 +490,6 @@ class SpectrumReport:
     base_count: int
     ext_count: int
     pairs: list[PrimePairReport]
-    details: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -502,7 +501,6 @@ class SpectrumReport:
         out = [f"primes: {self.ext_count} <-> {self.base_count}"]
         for p in self.pairs:
             out.extend(p.render_lines())
-        out.extend(f"  {d}" for d in self.details)
         return out
 
 
@@ -533,7 +531,6 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     w = built.valuation_w
     chain_v = v0.prime_chain()
     chain_w = w.prime_chain()
-    details = []
     kprime_sep = tower_separable_over(scn.kprime, scn.k_len)
     f_over_k_sep = _residue_field_separable_over_k(built)
     pairs = []
@@ -557,7 +554,7 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
                 j, kappa, kappa_ext, strict, sep_over_base, sep_over_kprime, iso_ok
             )
         )
-    return SpectrumReport(len(chain_v), len(chain_w), pairs, details)
+    return SpectrumReport(len(chain_v), len(chain_w), pairs)
 
 
 def _match_point_to_residue(
@@ -569,27 +566,10 @@ def _match_point_to_residue(
     each appended generator to the recorded k' image; it must respect all
     relations and cover every generator of kappa'.
     """
-    scn = built.scenario
+    same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
+    kprime_images = dict(zip(built.scenario.kprime.gen_names, built.kprime_images))
     for pt in pts:
-        imgs = []
-        ok = True
-        for name in pt.right.gen_names:
-            if name not in kappa_ext.gen_names:
-                ok = False
-                break
-            imgs.append(kappa_ext.gen(name))
-        if not ok:
-            continue
-        appended_gens = [rec.gen for rec in pt.records if rec.appended is not None]
-        for gen_name in appended_gens:
-            i = scn.kprime.gen_names.index(gen_name)
-            img_f1 = built.kprime_images[i]
-            imgs.append(kappa_ext.embed(img_f1) if img_f1.tower != kappa_ext else img_f1)
-        try:
-            hom = TowerHom(pt.field, kappa_ext, imgs)
-        except StructuralError:
-            continue
-        if not hom.verify():
+        if pt.hom_into(kappa_ext, same_names, kprime_images) is None:
             continue
         # the map hits the kappa generators and every recorded k' image, so it
         # is onto when those cover all generators of kappa'
@@ -619,26 +599,10 @@ def _separable_over_kprime(
     """kappa'/k' separability through the swapped decomposition: process the
     kappa side over k' and test the appended steps."""
     scn = built.scenario
-    if built.path == "general":
-        return None
-    pts = tensor_decompose(kappa, scn.kprime, scn.k_len)
-    for pt in pts:
-        imgs = [kappa_ext.embed(im) for im in built.kprime_images]
-        appended_gens = [rec.gen for rec in pt.records if rec.appended is not None]
-        ok = True
-        for gen_name in appended_gens:
-            if gen_name in kappa_ext.gen_names:
-                imgs.append(kappa_ext.gen(gen_name))
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        try:
-            hom = TowerHom(pt.field, kappa_ext, imgs)
-        except StructuralError:
-            continue
-        if hom.verify():
+    kprime_images = dict(zip(scn.kprime.gen_names, built.kprime_images))
+    same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
+    for pt in tensor_decompose(kappa, scn.kprime, scn.k_len):
+        if pt.hom_into(kappa_ext, kprime_images, same_names) is not None:
             return tower_separable_over(pt.field, scn.kprime.level)
     return None
 

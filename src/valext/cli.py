@@ -31,8 +31,9 @@ Commands::
     valext extend <file> [--verify] [--point <i>] [--truncate <N>]
     valext selftest [--seed <n>]
 
-Exit codes: 0 success, 1 parse error, 2 capability error, 3 precondition
-error, 4 selftest failure.
+Exit codes: 0 success, 1 parse error (also an unreadable scenario file or a
+negative truncation exponent), 2 capability error, 3 precondition error,
+4 selftest failure.
 """
 
 from __future__ import annotations
@@ -200,6 +201,8 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     trunc_text, trunc_line = get("options", "truncation-N")
     truncation = None if trunc_text is None else _parse_int(trunc_text, trunc_line, "truncation-N")
+    if truncation is not None and truncation < 0:
+        raise ScenarioParseError(f"truncation-N must be nonnegative, got {truncation}", trunc_line)
     pi_text, pi_line = get("options", "point-index")
     point_index = 0 if pi_text is None else _parse_int(pi_text, pi_line, "point-index")
     seed_text, seed_line = get("options", "seed")
@@ -310,10 +313,12 @@ def cmd_extend(
         if point is not None:
             scenario.point_index = point
         if truncate is not None:
+            if truncate < 0:
+                raise ScenarioParseError(f"--truncate must be nonnegative, got {truncate}")
             scenario.truncation = truncate
         scn = scenario.to_extension_scenario()
         if scenario.truncation is not None:
-            built = build_general(scn, scenario.truncation)
+            built = build_general(scn)
         else:
             built = build_strictly_maximal(scn)
         weak = spectrum = None
@@ -345,8 +350,13 @@ def cmd_selftest(seed: int = 0, out=None, err=None) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def main(argv: list[str] | None = None) -> int:

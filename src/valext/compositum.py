@@ -15,8 +15,9 @@ independent triples are pure and may run in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
@@ -67,6 +68,30 @@ class CompositumPoint:
     @property
     def strictly_maximal(self) -> bool:
         return self.multiplicity == 1
+
+    @property
+    def appended_gens(self) -> list[str]:
+        """The L generators whose step appended a generator to E, in the
+        order of the appended generators."""
+        return [rec.gen for rec in self.records if rec.appended is not None]
+
+    def hom_into(
+        self,
+        target: FieldTower,
+        right_images: Mapping[str, FieldElement],
+        left_images: Mapping[str, FieldElement],
+    ) -> TowerHom | None:
+        """The field map from E into ``target`` that sends each M generator
+        to its entry of ``right_images`` and each appended generator to the
+        entry of its L generator in ``left_images``; None when an image is
+        missing or lies outside ``target``, or the map breaks a relation."""
+        try:
+            imgs = [right_images[n] for n in self.right.gen_names]
+            imgs += [left_images[n] for n in self.appended_gens]
+            hom = TowerHom(self.field, target, imgs)
+        except (KeyError, StructuralError):
+            return None
+        return hom if hom.verify() else None
 
     def degree_over_right(self) -> int | None:
         return self.field.extension_degree(self.right.level)
@@ -200,11 +225,6 @@ class TransferReport:
     extension_separable: bool
     details: list[str]
 
-    def render_lines(self) -> list[str]:
-        return [f"separability transfer: passed={self.passed}"] + [
-            f"  {d}" for d in self.details
-        ]
-
 
 def separable_transfer_check(pt: CompositumPoint) -> TransferReport:
     """For separable L/K: the point must be strictly maximal and E/M
@@ -237,11 +257,6 @@ class SubfieldReport:
     restricted_field: FieldTower
     details: list[str]
 
-    def render_lines(self) -> list[str]:
-        return [f"subfield maximality: passed={self.passed}"] + [
-            f"  {d}" for d in self.details
-        ]
-
 
 def subfield_maximality_check(pt: CompositumPoint, l0_len: int) -> SubfieldReport:
     """The restriction of a maximal point to a subtower L0 of L is again an
@@ -249,13 +264,9 @@ def subfield_maximality_check(pt: CompositumPoint, l0_len: int) -> SubfieldRepor
     if not pt.k_len <= l0_len <= pt.left.level:
         raise StructuralError("L0 must sit between K and L")
     head = pt.records[: l0_len - pt.k_len]
-    mult = 1
-    appended = 0
-    for rec in head:
-        mult *= rec.multiplicity
-        if rec.appended is not None:
-            appended += 1
-    e0 = pt.field.prefix(pt.right.level + appended)
+    mult = math.prod(rec.multiplicity for rec in head)
+    l0_gens = pt.left.gen_names[:l0_len]
+    e0 = pt.field.prefix(pt.right.level + sum(g in l0_gens for g in pt.appended_gens))
     sub_points = tensor_decompose(pt.left.prefix(l0_len), pt.right, pt.k_len, pt.k_hom)
     match = None
     for cand in sub_points:
@@ -279,11 +290,6 @@ class BaseChangeReport:
     multiplicity_over_k0: int | None
     details: list[str]
 
-    def render_lines(self) -> list[str]:
-        return [f"base change maximality: passed={self.passed}"] + [
-            f"  {d}" for d in self.details
-        ]
-
 
 def base_change_maximality_check(pt: CompositumPoint, k0_len: int) -> BaseChangeReport:
     """A point of Spec(L tensor_K M) has a corresponding point of
@@ -301,24 +307,15 @@ def base_change_maximality_check(pt: CompositumPoint, k0_len: int) -> BaseChange
             raise PreconditionError("K must be algebraic over K0")
     if pt.k_hom.images != tuple(right.gen(n) for n in left.prefix(pt.k_len).gen_names):
         raise CapabilityError("base change is supported for prefix-inclusion embeddings")
-    candidates = tensor_decompose(left, right, k0_len)
     match = None
-    for cand in candidates:
-        # build E(pt) -> E(cand) over M and test that it is a field map;
-        # appended generators of pt.field correspond, in order, to the
-        # L-generators above K whose record appended one
-        imgs = [cand.field.gen(n) for n in right.gen_names]
-        appended_gens = [rec.gen for rec in pt.records if rec.appended is not None]
-        for gen_name in appended_gens:
-            i = left.gen_names.index(gen_name)
-            imgs.append(cand.left_images[i])
-        try:
-            hom = TowerHom(pt.field, cand.field, imgs)
-            if hom.verify():
-                match = cand
-                break
-        except StructuralError:
-            continue
+    for cand in tensor_decompose(left, right, k0_len):
+        # E(pt) -> E(cand) over M, each appended generator to the image of
+        # its L generator in cand
+        m_gens = {n: cand.field.gen(n) for n in right.gen_names}
+        l_images = dict(zip(left.gen_names, cand.left_images))
+        if pt.hom_into(cand.field, m_gens, l_images) is not None:
+            match = cand
+            break
     details = []
     if match is None:
         details.append("no corresponding point found")

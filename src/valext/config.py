@@ -14,9 +14,12 @@ MAX_TRANSCENDENTALS = 4
 # Univariate factorization degree bound.
 FACTOR_DEGREE_BOUND = 12
 
-# Upper bound on the exponent m tried when testing whether g^(p^m) lands in a
-# subfield (radiciality tests).
-RADICIAL_EXPONENT_BUDGET = 8
+# Highest degree p^(N*t) of a truncated perfect closure: truncation exponent
+# N in characteristic p, over a field with t >= 1 transcendental generators
+# (p^N when t = 0).  The work of a general build grows with it; at this cap
+# an extension with --verify took at most about 3 s at ranks 1-3 for
+# p = 2, 3, 5 on a 2-core x86-64 VM with Python 3.11.
+MAX_CLOSURE_DEGREE = 1024
 
 # Default seed for every randomized routine (equal-degree splitting, sampled
 # property checks).  All randomness in the package flows from one seed.

@@ -44,14 +44,36 @@ from .errors import CapabilityError, DomainError, StructuralError
 # Base fields
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality of
+# every n below 3.3 * 10^24 (Sorenson and Webster 2015), so of every n < 2^64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Whether n is prime, decided for n < 2^64; larger n raise
+    CapabilityError."""
+    if n >= _PRIME_BOUND:
+        raise CapabilityError(f"primality is only decided below 2^64, got {n}")
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    if n < _PRIME_BASES[-1] ** 2:
+        return n > 1
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -291,16 +313,10 @@ class FieldTower:
             inv = lc.inv()
             coeffs = [c * inv for c in coeffs]
         reps = tuple(c.rep for c in coeffs)
-        separable = self._step_separable(reps)
+        separable = _u_squarefree(self.ring, reps)
         if check:
             self._check_irreducible(coeffs)
         return FieldTower(self.base, self.steps + (Step(name, reps, separable),))
-
-    def _step_separable(self, minpoly_reps: tuple) -> bool:
-        deriv = _u_deriv(self.ring, minpoly_reps)
-        if not deriv:
-            return False
-        return len(_u_gcd(self.ring, minpoly_reps, deriv)) == 1
 
     def _check_irreducible(self, coeffs: list["FieldElement"]) -> None:
         from . import poly
@@ -370,9 +386,6 @@ class FieldTower:
                 return FieldElement(self, _lift(self, rep, i + 1, self.level))
         raise StructuralError(f"no generator named {name!r}")
 
-    def gens(self) -> list["FieldElement"]:
-        return [self.gen(s.name) for s in self.steps]
-
     def embed(self, elem: "FieldElement") -> "FieldElement":
         if not elem.tower.is_prefix_of(self):
             raise StructuralError("embed requires a prefix subtower element")
@@ -419,24 +432,6 @@ class FieldTower:
         parts = [f"base={self.base.describe()}"]
         parts += [f"gen {self.step_text(i)}" for i in range(self.level)]
         return "; ".join(parts)
-
-    @staticmethod
-    def from_description(text: str) -> "FieldTower":
-        parts = [p.strip() for p in text.split(";") if p.strip()]
-        if not parts or not parts[0].startswith("base="):
-            raise StructuralError("tower description must start with base=...")
-        base = parts[0][len("base=") :].strip()
-        if base == "Q":
-            tower = FieldTower.rationals()
-        elif base.startswith("F"):
-            tower = FieldTower.prime_field(int(base[1:]))
-        else:
-            raise StructuralError(f"unknown base field {base!r}")
-        for part in parts[1:]:
-            if not part.startswith("gen "):
-                raise StructuralError(f"expected 'gen ...', got {part!r}")
-            tower = tower.extend_step(part[4:])
-        return tower
 
     def __str__(self):
         return self.describe()
@@ -884,6 +879,24 @@ def _u_deriv(R, a) -> list:
     return _u_trim(R, [R.mul(R.from_int(i), a[i]) for i in range(1, len(a))])
 
 
+def _u_squarefree(R, a) -> bool:
+    """a' != 0 and gcd(a, a') is a unit: over a field, a has no repeated
+    factor and is separable."""
+    deriv = _u_deriv(R, a)
+    return bool(deriv) and len(_u_gcd(R, a, deriv)) == 1
+
+
+def _p_power_binomial(R, reps, p: int) -> int | None:
+    """k >= 1 when the monic rep list ``reps`` is y^(p^k) + c, else None."""
+    d, k = len(reps) - 1, 0
+    while d > 1 and d % p == 0:
+        d //= p
+        k += 1
+    if d != 1 or k == 0 or any(not R.is_zero(r) for r in reps[1:-1]):
+        return None
+    return k
+
+
 def _key(tw, lvl, r):
     if lvl == 0:
         return (0, r)
@@ -1111,12 +1124,6 @@ class TowerHom:
                 return False
         return True
 
-    def compose(self, inner: "TowerHom") -> "TowerHom":
-        """self after inner."""
-        if inner.target != self.source:
-            raise StructuralError("homs do not compose")
-        return TowerHom(inner.source, self.target, [self.apply(im) for im in inner.images])
-
 
 # ---------------------------------------------------------------------------
 # Characteristic-p structure: p-th roots, perfect closures, radiciality
@@ -1127,27 +1134,6 @@ class _Flattening:
     pure: FieldTower
     fwd: TowerHom
     back: TowerHom
-
-
-def _binomial_root_base(tw: FieldTower, lvl: int) -> tuple[FieldElement, int] | None:
-    """If step ``lvl`` has minpoly y^(p^k) - b, return (b, k); else None."""
-    step = tw.steps[lvl]
-    if not step.is_algebraic:
-        return None
-    p = tw.char
-    d = step.degree
-    k = 0
-    m = d
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1 or k == 0:
-        return None
-    sub = tw.prefix(lvl)
-    coeffs = [FieldElement(sub, r) for r in step.minpoly]
-    if any(not c.is_zero for c in coeffs[1:-1]):
-        return None
-    return -coeffs[0], k
 
 
 @functools.lru_cache(maxsize=None)
@@ -1170,13 +1156,14 @@ def _flattening(tw: FieldTower) -> _Flattening | None:
             depth[step.name] = 0
             head[step.name] = step.name
             continue
-        info = _binomial_root_base(tw, i)
-        if info is None:
+        k = _p_power_binomial(tw.rings[i], step.minpoly, p)
+        if k is None:
             return None
-        base_elt, k = info
+        sub = tw.prefix(i)
+        base_elt = -FieldElement(sub, step.minpoly[0])
         base_name = None
         for j in range(prefix_len, i):
-            if tw.prefix(i).gen(tw.steps[j].name) == base_elt:
+            if sub.gen(tw.steps[j].name) == base_elt:
                 base_name = tw.steps[j].name
                 break
         if base_name is None:
@@ -1307,6 +1294,17 @@ def perfect_closure_truncated(tower: FieldTower, p: int, n_trunc: int) -> FieldT
         raise DomainError(f"perfect closure needs characteristic {p}, tower has {tower.char}")
     if n_trunc < 0:
         raise DomainError("truncation exponent must be nonnegative")
+    # the closure has degree p^(N*t) for t transcendental generators; with
+    # none it is the tower itself, and p^N still bounds the loop below and the
+    # value group a general build rereads at exponent N.  A large exponent is
+    # refused before the power is formed.
+    t = max(1, sum(1 for s in tower.steps if not s.is_algebraic))
+    cap = config.MAX_CLOSURE_DEGREE
+    if n_trunc * t > cap.bit_length() or p ** (n_trunc * t) > cap:
+        raise CapabilityError(
+            f"truncated perfect closures are supported up to degree {cap}, "
+            f"got p^(N*t) = {p}^({n_trunc}*{t})"
+        )
     out = tower
     for gen_name in tower.gen_names:
         current = out.gen(gen_name)
@@ -1324,8 +1322,14 @@ def perfect_closure_truncated(tower: FieldTower, p: int, n_trunc: int) -> FieldT
 
 
 def is_radicial(sub: FieldTower, sup: FieldTower, p: int) -> bool:
-    """Whether every generator of ``sup`` has a p-power inside the marked
-    prefix subtower ``sub`` (exponent bounded by the configured budget)."""
+    """Whether ``sup`` is radicial over its prefix subtower ``sub``: every
+    generator of ``sup`` above ``sub`` has a p-power inside ``sub``.
+
+    A transcendental step above ``sub`` makes the answer False.  Otherwise
+    the test is exact: a purely inseparable z has degree p^e over ``sub``,
+    with z^(p^e) in ``sub`` and p^e dividing [sup:sub], so the powers
+    z^(p^m) with p^m <= [sup:sub] are all that need trying.
+    """
     if not sub.is_prefix_of(sup):
         raise StructuralError("sub must be a prefix subtower of sup")
     proper_gens = sup.steps[sub.level :]
@@ -1333,14 +1337,17 @@ def is_radicial(sub: FieldTower, sup: FieldTower, p: int) -> bool:
         return len(proper_gens) == 0
     if sup.char != p:
         raise DomainError(f"radiciality with p={p} needs characteristic {p}")
+    degree = sup.extension_degree(sub.level)
+    if degree is None:
+        return False
     for step in proper_gens:
         z = sup.gen(step.name)
-        for _ in range(config.RADICIAL_EXPONENT_BUDGET + 1):
-            if z.restrict(sub.level) is not None:
-                break
+        q = 1
+        while z.restrict(sub.level) is None:
+            q *= p
+            if q > degree:
+                return False
             z = z**p
-        else:
-            return False
     return True
 
 

