@@ -412,7 +412,13 @@ def verify_weakly_unramified(
 ) -> WeakUnramReport:
     """Sampled certification that W extends the base weakly unramified:
     the groups agree structurally, sampled values land in the claimed group,
-    and sampled maximal-ideal elements factor as (base ideal) * (ring)."""
+    and sampled maximal-ideal elements factor as (base ideal) * (ring).
+
+    A value outside the group sets the line being checked to False with a
+    detail line before any monomial is asked for it.  The value of each
+    forced element is read once: it decides membership in the maximal ideal
+    (``in_maximal_ideal`` is exactly ``value(z).is_positive()``) and gives
+    the monomial witness."""
     rng = rng or random.Random(built.scenario.seed)
     w = built.valuation_w
     base = built.truncated_valuation if built.path == "general" else built.scenario.valuation
@@ -425,37 +431,49 @@ def verify_weakly_unramified(
             f"{built.group_gamma.describe()}, weakly unramified: "
             f"{built.group_delta == built.group_gamma}"
         )
+
+    def escapes(val, z) -> bool:
+        if w.group.contains(val):
+            return False
+        details.append(f"value {val} of {z} escapes the group")
+        return True
+
     ok_values = True
     ok_ideal = True
     for _ in range(samples):
         z = random_fraction_element(w, rng)
         if z.is_zero:
             continue
-        val = w.value(z)
-        if not w.group.contains(val):
+        if escapes(w.value(z), z):
             ok_values = False
-            details.append(f"value {val} of {z} escapes the group")
             break
     denom = w.group.denominator
     for _ in range(samples if structural else 0):
         z = random_fraction_element(w, rng)
         if z.is_zero:
             continue
+        val = w.value(z)
+        if escapes(val, z):
+            ok_ideal = False
+            break
         # force a varied strictly positive value, staying inside the group
         target = w.group.element(
             [Fraction(rng.randrange(0, 3 * denom + 1), denom) for _ in range(w.rank - 1)]
             + [Fraction(rng.randrange(1, 3 * denom + 1), denom)]
         )
-        z = z * w.monomial(target.mul(w.value(z).inv()))
-        if not w.in_maximal_ideal(z):
+        z = z * w.monomial(target.mul(val.inv()))
+        val = w.value(z)
+        if escapes(val, z):
+            ok_ideal = False
+            break
+        if not val.is_positive():
             ok_ideal = False
             details.append(f"forced element {z} not in the maximal ideal")
             break
         # the dominated base (V, or its truncation on the general path) has
         # W's variable and generator names, so base.monomial(v) is
         # w.monomial(v) and the witness can be built in W directly
-        m = w.monomial(w.value(z))
-        quotient = z / m
+        quotient = z / w.monomial(val)
         if not w.in_ring(quotient):
             ok_ideal = False
             details.append(f"no base-ideal factorization for {z}")

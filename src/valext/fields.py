@@ -1009,54 +1009,52 @@ def _format_terms(terms: dict, names: tuple[str, ...], tw: FieldTower) -> str:
     return out
 
 
-def build_fraction_rep(tw: FieldTower, cut: int, terms: dict, den_exps) -> object:
+def build_fraction_rep(tw: FieldTower, cut: int, terms: list, den_exps) -> object:
     """Canonical rep of (sum of terms) / (monomial), over the top levels.
 
-    ``terms`` maps exponent tuples (slot j = generator at level cut+1+j) to
-    level-``cut`` reps; ``den_exps`` gives the denominator monomial.  All
-    generators above ``cut`` must be transcendental.  Canonical by
-    construction: the only possible common factor with a monomial
-    denominator is a generator power, which is stripped exactly.
+    ``terms`` lists (exponent tuple, level-``cut`` rep) pairs (slot j =
+    generator at level cut+1+j); the reps are nonzero and the tuples
+    distinct.  ``den_exps`` gives the denominator monomial.  All generators
+    above ``cut`` must be transcendental.
+
+    Nothing cancels: distinct tuples are distinct monomials, so the
+    coefficient of each power of a generator is a sum of monomials with
+    nonzero coefficients, and is nonzero.  The only possible common factor
+    of such a sum with a monomial denominator is a generator power; at each
+    level it is g^min(lowest exponent present, denominator exponent), which
+    is stripped exactly, so the result is canonical by construction.
     """
-    n = tw.level - cut
+    top = tw.level
     den_exps = tuple(den_exps)
-    if len(den_exps) != n or any(e < 0 for e in den_exps):
+    if len(den_exps) != top - cut or (den_exps and min(den_exps) < 0):
         raise StructuralError("bad denominator exponents")
-    for lvl in range(cut, tw.level):
-        if tw.steps[lvl].is_algebraic:
-            raise StructuralError("direct fraction reps need transcendental top levels")
-    terms = {e: c for e, c in terms.items() if not tw.rings[cut].is_zero(c)}
+    if any(step.minpoly is not None for step in tw.steps[cut:]):
+        raise StructuralError("direct fraction reps need transcendental top levels")
+    if not terms:
+        return tw.ring.zero
+    return _fraction_level(tw.rings, cut, top, terms, den_exps)
 
-    def rec(lvl: int, sub_terms: dict, den: tuple):
-        if lvl == cut:
-            if not sub_terms:
-                return tw.rings[cut].zero
-            return sub_terms[()]
-        below = tw.rings[lvl - 1]
-        j = lvl - cut - 1
-        dj = den[j]
-        groups: dict[int, dict] = {}
-        for exps, c in sub_terms.items():
-            groups.setdefault(exps[j], {})[exps[:j]] = c
-        if not groups:
-            return ((), (below.one,))
-        top = max(groups)
-        coeffs = []
-        for e in range(top + 1):
-            if e in groups:
-                coeffs.append(rec(lvl - 1, groups[e], den[:j]))
-            else:
-                coeffs.append(below.zero)
-        lead_zeros = 0
-        while lead_zeros < len(coeffs) and below.is_zero(coeffs[lead_zeros]):
-            lead_zeros += 1
-        strip = min(lead_zeros, dj)
-        coeffs = coeffs[strip:]
-        dj -= strip
-        den_poly = tuple([below.zero] * dj + [below.one])
-        return (tuple(coeffs), den_poly)
 
-    return rec(tw.level, terms, den_exps)
+def _fraction_level(rings: tuple, cut: int, lvl: int, terms: list, den: tuple):
+    """The level-``lvl`` rep of ``build_fraction_rep`` for nonempty terms:
+    one pass groups the terms by the exponent of the level-``lvl``
+    generator, and each group is the coefficient of that power."""
+    if lvl == cut:
+        return terms[0][1]
+    below = rings[lvl - 1]
+    j = lvl - cut - 1
+    groups: dict[int, list] = {}
+    for term in terms:
+        e = term[0][j]
+        if e in groups:
+            groups[e].append(term)
+        else:
+            groups[e] = [term]
+    strip = min(min(groups), den[j])
+    coeffs = [below.zero] * (max(groups) - strip + 1)
+    for e, group in groups.items():
+        coeffs[e - strip] = _fraction_level(rings, cut, lvl - 1, group, den)
+    return tuple(coeffs), (below.zero,) * (den[j] - strip) + (below.one,)
 
 
 # ---------------------------------------------------------------------------
@@ -1352,11 +1350,15 @@ def is_radicial(sub: FieldTower, sup: FieldTower, p: int) -> bool:
 
 
 def is_separable_step(f) -> bool:
-    """gcd(f, f') = 1 for a univariate polynomial over a tower field."""
-    from . import poly
+    """gcd(f, f') = 1 for a univariate polynomial over a tower field.
 
-    g = poly.gcd(f, f.derivative())
-    return g.degree() == 0
+    For degree >= 1 this is ``_u_squarefree``.  A nonzero constant has
+    gcd(f, 0) = 1 and is separable (``_u_squarefree`` says False there, as its
+    derivative is 0); f = 0 raises ``DomainError`` since gcd(0, 0) is
+    undefined."""
+    if f.is_zero:
+        raise DomainError("gcd(0, 0) is undefined")
+    return f.degree() == 0 or _u_squarefree(f.tower.ring, f.reps)
 
 
 def tower_separable_over(sup: FieldTower, prefix_len: int) -> bool:

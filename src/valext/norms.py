@@ -336,12 +336,15 @@ def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -
     bit per generator, and its rep is looked up in ``tower.term_reps``."""
     ring = tower.ring
     table = tower.term_reps
+    char = tower.char
+    level = tower.level
+    randrange = rng.randrange
     out = None
     for _ in range(size):
-        c = rng.randrange(-3, 4) if tower.char == 0 else rng.randrange(tower.char)
+        c = randrange(-3, 4) if char == 0 else randrange(char)
         mask = 0
-        for i in range(tower.level):
-            mask |= rng.randrange(0, 2) << i
+        for i in range(level):
+            mask |= randrange(2) << i
         term = table.get((c, mask))
         if term is None:
             term = ring.from_int(c)
@@ -358,11 +361,13 @@ def random_fraction_element(valuation: MonomialValuation, rng: random.Random) ->
     """A random element of the fraction field: three terms over a monomial
     denominator, every exponent in 0..2, so values spread around 0."""
     n = valuation.rank
+    field = valuation.coefficient_field
+    randrange = rng.randrange
     terms = {}
     for _ in range(3):
-        exps = tuple(rng.randrange(0, 3) for _ in range(n))
-        terms[exps] = random_field_element(valuation.coefficient_field, rng, 1)
-    den = tuple(rng.randrange(0, 3) for _ in range(n))
+        exps = tuple([randrange(3) for _ in range(n)])
+        terms[exps] = random_field_element(field, rng, 1)
+    den = tuple([randrange(3) for _ in range(n)])
     out = valuation.from_terms(terms, den)
     if out.is_zero:
         return valuation.function_field.one()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from . import poly as poly_mod
@@ -55,35 +56,43 @@ class PrimeIdealInfo:
         return f"prime[{self.index}] = ({dead})"
 
 
-def _min_term(tw: FieldTower, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
+def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
     """Exponents (slot j = generator at level cut+1+j) and level-``cut``
     coefficient of the unique minimal monomial of a nonzero level-``lvl``
     rep whose levels above ``cut`` are transcendental."""
     if lvl == cut:
         return (), rep
     num, den = rep
-    en, cn = _min_poly_term(tw, cut, lvl, num)
-    ed, cd = _min_poly_term(tw, cut, lvl, den)
-    ring = tw.rings[cut]
+    en, cn = _min_poly_term(rings, cut, lvl, num)
+    ed, cd = _min_poly_term(rings, cut, lvl, den)
+    ring = rings[cut]
     if cd != ring.one:
         cn = ring.mul(cn, ring.inv(cd))
-    return tuple(a - b for a, b in zip(en, ed)), cn
+    return tuple(map(sub, en, ed)), cn
 
 
-def _min_poly_term(tw: FieldTower, cut: int, lvl: int, coeffs):
+def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs):
     """The minimal monomial of sum coeffs[i] * g^i, g the level-``lvl``
     generator, whose exponent is the last, least significant slot."""
+    is_zero = rings[lvl - 1].is_zero
+    if lvl - 1 == cut:  # constant coefficients: the lowest power is minimal
+        for i, c in enumerate(coeffs):
+            if not is_zero(c):
+                return (i,), c
     best = None
     for i, c in enumerate(coeffs):
-        if tw.rings[lvl - 1].is_zero(c):
+        if is_zero(c):
             continue
-        exps, coeff = _min_term(tw, cut, lvl - 1, c)
-        key = exps + (i,)
-        if best is None or key < best[0]:
-            best = key, coeff
-        if lvl - 1 == cut:  # constant coefficients: the lowest power is minimal
-            break
-    return best
+        exps, coeff = _min_term(rings, cut, lvl - 1, c)
+        if best is None or exps < best:
+            best, best_coeff, best_i = exps, coeff, i
+    return best + (best_i,), best_coeff
+
+
+# Fraction(e) for the small integer coordinates that values take; Fractions
+# are immutable, so every value may share them
+_SMALL_INTS = 64
+_FRACTIONS = tuple(Fraction(e) for e in range(-_SMALL_INTS, _SMALL_INTS + 1))
 
 
 class MonomialValuation:
@@ -143,11 +152,14 @@ class MonomialValuation:
     def _min_monomial(self, z: FieldElement) -> tuple[ValueWithZero, object]:
         """The value of z != 0 and the coefficient rep of its minimal monomial."""
         k = self.function_field
-        exps, coeff = _min_term(k, self.coefficient_field.level, k.level, z.rep)
+        exps, coeff = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep)
         # integers over the group's own denominator: in the group by construction
         d = self.group.denominator
         if d == 1:
-            coords = tuple(Fraction(e) for e in exps)
+            coords = tuple(
+                _FRACTIONS[e + _SMALL_INTS] if -_SMALL_INTS <= e <= _SMALL_INTS else Fraction(e)
+                for e in exps
+            )
         else:
             coords = tuple(Fraction(e, d) for e in exps)
         return ValueWithZero(self.group, coords), coeff
@@ -188,18 +200,21 @@ class MonomialValuation:
         elements; ``den_exps`` is the denominator monomial (default 1).
         """
         field = self.coefficient_field
-        cut = field.level
-        if den_exps is None:
-            den_exps = (0,) * self.rank
-        reps = {}
+        is_zero = field.ring.is_zero
+        rank = self.rank
+        pairs = []
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != self.rank or any(e < 0 for e in exps):
+            if len(exps) != rank or min(exps) < 0:
                 raise StructuralError(f"bad exponent vector {exps}")
-            c = field.coerce(c)
-            reps[exps] = c.rep
-        rep = build_fraction_rep(self.function_field, cut, reps, den_exps)
-        return FieldElement(self.function_field, rep)
+            if c.__class__ is not FieldElement or c.tower is not field:
+                c = field.coerce(c)
+            if not is_zero(c.rep):
+                pairs.append((exps, c.rep))
+        if den_exps is None:
+            den_exps = (0,) * rank
+        k = self.function_field
+        return FieldElement(k, build_fraction_rep(k, field.level, pairs, den_exps))
 
     def monomial(self, value: ValueWithZero) -> FieldElement:
         """A field element whose value is the given group element."""
@@ -213,11 +228,13 @@ class MonomialValuation:
         k = self.function_field
         cut = self.coefficient_field.level
         rep = k.rings[cut].one
+        d = self.group.denominator
         for j, c in enumerate(value.coords):
-            e = c * self.group.denominator
-            if e.denominator != 1:
+            # c is reduced, so c * d is an integer exactly when c's
+            # denominator divides d
+            if d % c.denominator:
                 raise DomainError(f"{value} is not in the value group")
-            e = int(e)
+            e = c.numerator * (d // c.denominator)
             below = k.rings[cut + j]
             if e >= 0:
                 rep = ((below.zero,) * e + (rep,), (below.one,))

@@ -23,6 +23,7 @@ Groups and values are immutable; they are safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -54,17 +55,24 @@ class ValueGroup:
         if self.char_exponent == 1 and self.denom_exponent != 0:
             raise StructuralError("denominators require a prime char exponent")
 
-    @property
+    @functools.cached_property
     def denominator(self) -> int:
         return self.char_exponent ** self.denom_exponent
 
+    @functools.cached_property
+    def zero_coords(self) -> tuple[Fraction, ...]:
+        """The coordinates of the neutral element."""
+        return (Fraction(0),) * self.rank
+
     def element(self, coords: Iterable[int | Fraction]) -> "ValueWithZero":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if c.__class__ is Fraction else Fraction(c) for c in coords)
         if len(coords) != self.rank:
             raise StructuralError(f"expected {self.rank} coordinates, got {len(coords)}")
+        # a reduced c has c * D integral exactly when its denominator divides D
+        d = self.denominator
         for c in coords:
-            if (c * self.denominator).denominator != 1:
-                raise DomainError(f"coordinate {c} is not a multiple of 1/{self.denominator}")
+            if d % c.denominator:
+                raise DomainError(f"coordinate {c} is not a multiple of 1/{d}")
         return ValueWithZero(self, coords)
 
     def zero_value(self) -> "ValueWithZero":
@@ -81,7 +89,8 @@ class ValueGroup:
             return True
         if value.group.rank != self.rank:
             return False
-        return all((c * self.denominator).denominator == 1 for c in value.coords)
+        d = self.denominator
+        return all(d % c.denominator == 0 for c in value.coords)
 
     def describe(self) -> str:
         head = "Z" if self.denom_exponent == 0 else f"(1/{self.denominator})Z"
@@ -100,7 +109,7 @@ class ValueWithZero:
         return self.coords is None
 
     def _check_same_group(self, other: "ValueWithZero") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise StructuralError(f"values from different groups: {self.group} vs {other.group}")
 
     def compare(self, other: "ValueWithZero") -> int:
@@ -178,11 +187,11 @@ class ValueWithZero:
 
     def is_nonnegative(self) -> bool:
         """Additive value >= 0, i.e. multiplicative |z| <= 1."""
-        return self.is_zero or self.coords >= (Fraction(0),) * self.group.rank
+        return self.is_zero or self.coords >= self.group.zero_coords
 
     def is_positive(self) -> bool:
         """Additive value > 0, i.e. multiplicative |z| < 1 (maximal ideal)."""
-        return self.is_zero or self.coords > (Fraction(0),) * self.group.rank
+        return self.is_zero or self.coords > self.group.zero_coords
 
     def in_group(self, group: ValueGroup) -> "ValueWithZero":
         """Re-express this value inside a refinement of its group."""

@@ -1,8 +1,10 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
+from valext import cli
 from valext.builder import (
     ExtensionScenario,
     build_general,
@@ -16,7 +18,8 @@ from valext.errors import PreconditionError
 from valext.fields import is_radicial
 from valext.norms import random_fraction_element
 from valext.valuations import MonomialValuation
-from valext.value_groups import is_p_torsion_quotient
+from valext.selftest import GOLDEN_SCENARIOS
+from valext.value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient
 
 
 @pytest.fixture
@@ -262,3 +265,71 @@ def test_randomized_strictly_maximal_builds(rationals):
         spec = spectrum_correspondence(built)
         assert spec.passed, (str(f), f_field.describe())
         built_count += 1
+
+
+# ---------------------------------------------------------------------------
+# Verification catches planted faults
+
+
+@pytest.fixture(scope="module")
+def golden_builds():
+    """The builds of the five extension scenarios of the golden corpus."""
+    out = {}
+    for name, text in GOLDEN_SCENARIOS.items():
+        if "[valuation]" not in text:
+            continue
+        scn = cli.parse_scenario(text)
+        ext = scn.to_extension_scenario()
+        out[name] = build_general(ext) if scn.truncation is not None else build_strictly_maximal(ext)
+    assert len(out) == 5
+    return out
+
+
+def _verify_all(golden_builds):
+    return {name: verify_weakly_unramified(b, samples=40) for name, b in golden_builds.items()}
+
+
+def test_verification_passes_without_a_fault(golden_builds):
+    for name, weak in _verify_all(golden_builds).items():
+        assert weak.structural_equal and weak.passed, name
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_verification_catches_a_monomial_off_by_one(golden_builds, monkeypatch, delta):
+    # the exponent of the last variable is off by one: the forced element
+    # leaves the maximal ideal (-1) or the quotient by the witness leaves the
+    # ring (+1)
+    monomial = MonomialValuation.monomial
+
+    def shifted(self, value):
+        step = [0] * (self.rank - 1) + [Fraction(delta, self.group.denominator)]
+        return monomial(self, value.mul(self.group.element(step)))
+
+    monkeypatch.setattr(MonomialValuation, "monomial", shifted)
+    for name, weak in _verify_all(golden_builds).items():
+        assert weak.value_samples_ok, name
+        assert not weak.maximal_ideal_ok, name
+
+
+def test_verification_catches_a_group_that_contains_nothing(golden_builds, monkeypatch):
+    monkeypatch.setattr(ValueGroup, "contains", lambda self, value: False)
+    for name, weak in _verify_all(golden_builds).items():
+        assert not weak.value_samples_ok, name
+
+
+def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch):
+    # value() leaves the lattice by 1/(2D) in the last coordinate: both lines
+    # turn False with a detail line each, and nothing is asked of monomial()
+    value = MonomialValuation.value
+
+    def off_lattice(self, z):
+        v = value(self, z)
+        if v.is_zero:
+            return v
+        last = v.coords[-1] + Fraction(1, 2 * self.group.denominator)
+        return ValueWithZero(self.group, v.coords[:-1] + (last,))
+
+    monkeypatch.setattr(MonomialValuation, "value", off_lattice)
+    for name, weak in _verify_all(golden_builds).items():
+        assert not weak.value_samples_ok and not weak.maximal_ideal_ok, name
+        assert sum("escapes the group" in d for d in weak.details) == 2, name

@@ -12,6 +12,7 @@ from valext.fields import (
     FieldTower,
     TowerHom,
     _u_mul,
+    build_fraction_rep,
     is_radicial,
     is_separable_step,
     perfect_closure_truncated,
@@ -19,7 +20,7 @@ from valext.fields import (
     tower_separable_over,
 )
 from valext.norms import random_field_element, random_fraction_element
-from valext.poly import Polynomial
+from valext.poly import Polynomial, gcd
 from valext.valuations import MonomialValuation
 
 
@@ -70,6 +71,23 @@ def test_separable_step_examples(rationals, f2_a, f2):
     assert is_separable_step(Polynomial.parse("y^2 + 1", rationals, ("y",))) is True
     assert is_separable_step(Polynomial.parse("y^2 + a", f2_a, ("y",))) is False
     assert is_separable_step(Polynomial.parse("y^3 + y + 1", f2, ("y",))) is True
+
+
+@pytest.mark.parametrize(
+    "text, field_name, separable",
+    [("3", "rationals", True), ("y^2 + 1", "rationals", True), ("y^2", "rationals", False),
+     ("y^2 + a", "f2_a", False)],
+)
+def test_separable_step_is_the_gcd_test(request, text, field_name, separable):
+    # a nonzero constant is separable: gcd(3, 0) = 1
+    f = Polynomial.parse(text, request.getfixturevalue(field_name), ("y",))
+    assert is_separable_step(f) is separable
+    assert (gcd(f, f.derivative()).degree() == 0) is separable
+
+
+def test_separable_step_of_zero_is_undefined(rationals):
+    with pytest.raises(DomainError, match=r"gcd\(0, 0\) is undefined"):
+        is_separable_step(Polynomial.parse("0", rationals, ("y",)))
 
 
 def test_separability_cached_along_towers(q_i, f2_a_r):
@@ -300,3 +318,45 @@ def test_products_with_monomials_are_canonical(request, field_name, rank):
             assert (z * m).rep == _fraction_product(k, z.rep, m.rep)
             assert (m * z).rep == _fraction_product(k, z.rep, m.rep)
             assert (z / m).rep == _fraction_product(k, z.rep, m_inv)
+
+
+@pytest.mark.parametrize("field_name", ["rationals", "q_i"])
+@pytest.mark.parametrize("den", [(0, 0, 1), (1, 0, 2), (2, 1, 3), (0, 2, 0), (3, 3, 3)])
+def test_build_fraction_rep_matches_generic_arithmetic(request, field_name, den):
+    # terms share the prefixes x1 and x1*x2^0; the lowest exponents are
+    # (1, 0, 2), so the denominators lie below, at and above them
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(field, ["x1", "x2", "x3"])
+    k = v.function_field
+    g = field.gen("i") if field_name == "q_i" else field.from_int(2)
+    terms = [
+        ((1, 0, 2), field.from_int(3)),
+        ((1, 0, 3), g),
+        ((1, 2, 2), field.from_int(-1)),
+        ((2, 0, 2), g + 1),
+        ((2, 1, 4), field.from_int(5)),
+    ]
+    xs = [k.gen(name) for name in v.variables]
+    num = k.zero()
+    for exps, c in terms:
+        term = k.embed(c)
+        for x, e in zip(xs, exps):
+            term = term * x**e
+        num = num + term
+    mono = k.one()
+    for x, e in zip(xs, den):
+        mono = mono * x**e
+    want = (num / mono).rep
+    pairs = [(exps, c.rep) for exps, c in terms]
+    for order in (pairs, pairs[::-1]):
+        assert build_fraction_rep(k, field.level, order, den) == want
+    assert build_fraction_rep(k, field.level, [], den) == k.ring.zero
+
+
+def test_build_fraction_rep_refusals(rationals, q_i):
+    k = MonomialValuation(rationals, ["x1", "x2"]).function_field
+    for den in [(0,), (0, 0, 0), (1, -1)]:
+        with pytest.raises(StructuralError, match="bad denominator exponents"):
+            build_fraction_rep(k, 0, [((0, 0), Fraction(1))], den)
+    with pytest.raises(StructuralError, match="transcendental top levels"):
+        build_fraction_rep(q_i, 0, [((0,), Fraction(1))], (0,))

@@ -279,3 +279,41 @@ def test_sampler_matches_generic_build(request, field_name, monkeypatch):
     for _ in range(40):
         assert random_field_element(field, fast).rep == _generic_field_element(field, slow, 2).rep
     assert len(field.term_reps) == 3
+
+
+def _generic_fraction_element(v, rng):
+    """Oracle: the fraction sampler's draws, the sum of c * x^e over x^den
+    built by generic field arithmetic (later draws of an exponent replace
+    earlier ones, as in a dict), and 1 for a zero sum."""
+    k = v.function_field
+    xs = [k.gen(name) for name in v.variables]
+    terms = {}
+    for _ in range(3):
+        exps = tuple(rng.randrange(0, 3) for _ in range(v.rank))
+        terms[exps] = _generic_field_element(v.coefficient_field, rng, 1)
+    den = tuple(rng.randrange(0, 3) for _ in range(v.rank))
+    num = k.zero()
+    for exps, c in terms.items():
+        term = k.embed(c)
+        for x, e in zip(xs, exps):
+            term = term * x**e
+        num = num + term
+    mono = k.one()
+    for x, e in zip(xs, den):
+        mono = mono * x**e
+    out = num / mono
+    return k.one() if out.is_zero else out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field_name", ["rationals", "q_i", "f3", "f2_a"])
+def test_fraction_sampler_matches_generic_build(request, field_name, rank):
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(field, [f"x{j}" for j in range(1, rank + 1)])
+    fast, slow = random.Random(f"{field_name}:{rank}"), random.Random(f"{field_name}:{rank}")
+    for _ in range(60):
+        z = random_fraction_element(v, fast)
+        want = _generic_fraction_element(v, slow)
+        assert z.tower is v.function_field and z.rep == want.rep
+    # the same draws, in the same order
+    assert fast.getstate() == slow.getstate()

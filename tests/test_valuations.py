@@ -198,6 +198,19 @@ def test_monomial_matches_from_terms(request, field_name, rank):
         v.monomial(ValueWithZero(v.group, (Fraction(0),) * (rank + 1)))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_value_of_monomial_round_trips(f3, n):
+    # integer coordinates past the table of small Fractions included
+    v = MonomialValuation(f3.extend_transcendental("a"), ["x1", "x2"], denom_exponent=n)
+    d = v.group.denominator
+    rng = random.Random(f"round trip:{n}")
+    vectors = [(0, 0), (70 * d, -70 * d), (-65, 64), (1, -1)]
+    vectors += [tuple(rng.randrange(-3 * d, 3 * d + 1) for _ in range(2)) for _ in range(30)]
+    for exps in vectors:
+        value = v.group.element(Fraction(e, d) for e in exps)
+        assert v.value(v.monomial(value)) == value, exps
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "f2_a"])
 def test_value_matches_value_group_element(request, field_name, rank):

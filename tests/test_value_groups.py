@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valext.errors import DomainError, StructuralError
-from valext.value_groups import ValueGroup, is_p_torsion_quotient, parse_value
+from valext.value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient, parse_value
 
 
 def test_compare_zero_below_everything():
@@ -125,3 +125,23 @@ def test_refinement_embedding_preserves_order():
         a = coarse.element([rng.randrange(-9, 10), rng.randrange(-9, 10)])
         b = coarse.element([rng.randrange(-9, 10), rng.randrange(-9, 10)])
         assert a.compare(b) == a.in_group(fine).compare(b.in_group(fine))
+
+
+# (char exponent, denominator exponent) of the groups with D = 1, 2, 4, 9, 25
+_DENOMINATORS = [(1, 0), (2, 1), (2, 2), (3, 2), (5, 2)]
+
+
+@given(
+    st.sampled_from(_DENOMINATORS),
+    st.lists(st.fractions(max_denominator=60), min_size=2, max_size=2),
+)
+def test_element_and_contains_accept_exactly_the_lattice(spec, coords):
+    g = ValueGroup(2, *spec)
+    inside = all((c * g.denominator).denominator == 1 for c in coords)
+    assert g.contains(ValueWithZero(g, tuple(coords))) is inside
+    if inside:
+        assert g.element(coords).coords == tuple(coords)
+        assert g.element(c.numerator if c.denominator == 1 else c for c in coords).coords == tuple(coords)
+    else:
+        with pytest.raises(DomainError):
+            g.element(coords)
