@@ -66,7 +66,7 @@ def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], o
     en, cn = _min_poly_term(rings, cut, lvl, num)
     ed, cd = _min_poly_term(rings, cut, lvl, den)
     ring = rings[cut]
-    if cd != ring.one:
+    if cd is not ring.one and cd != ring.one:
         cn = ring.mul(cn, ring.inv(cd))
     return tuple(map(sub, en, ed)), cn
 
