@@ -280,7 +280,8 @@ def golden_builds():
             continue
         scn = cli.parse_scenario(text)
         ext = scn.to_extension_scenario()
-        out[name] = build_general(ext) if scn.truncation is not None else build_strictly_maximal(ext)
+        build = build_general if scn.truncation is not None else build_strictly_maximal
+        out[name] = build(ext)
     assert len(out) == 5
     return out
 

@@ -141,7 +141,8 @@ def test_element_and_contains_accept_exactly_the_lattice(spec, coords):
     assert g.contains(ValueWithZero(g, tuple(coords))) is inside
     if inside:
         assert g.element(coords).coords == tuple(coords)
-        assert g.element(c.numerator if c.denominator == 1 else c for c in coords).coords == tuple(coords)
+        ints = [c.numerator if c.denominator == 1 else c for c in coords]
+        assert g.element(ints).coords == tuple(coords)
     else:
         with pytest.raises(DomainError):
             g.element(coords)
