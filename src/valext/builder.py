@@ -165,7 +165,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
             full = Polynomial.from_coeffs(k_cur, ind, coeffs)
             if rec.factor.degree() == full.degree():
                 algebra = FreeAlgebra.quotient(v_cur, full)
-                ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"])
+                ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"], factor=rec.factor)
                 v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
                 prov.append(
                     f"step {rec.gen}: residual minimal polynomial irreducible; extended "
@@ -194,7 +194,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
                     k_cur, ind, [k_cur.embed(c) for c in rec.factor.univariate_coeffs()]
                 )
                 algebra = FreeAlgebra.quotient(v_cur, res_lift)
-                ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"])
+                ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"], factor=rec.factor)
                 v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
         step_idx += 1
     if v_cur.coefficient_field != pt.field:

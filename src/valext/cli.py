@@ -33,12 +33,13 @@ Commands::
 
 Exit codes: 0 success, 1 parse error (also an unreadable scenario file or a
 negative truncation exponent), 2 capability error, 3 precondition error,
-4 selftest failure.
+4 selftest failure, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -372,11 +373,21 @@ def main(argv: list[str] | None = None) -> int:
     p_self = sub.add_parser("selftest", help="run the embedded golden corpus")
     p_self.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.command == "decompose":
-        return cmd_decompose(args.file)
-    if args.command == "extend":
-        return cmd_extend(args.file, args.verify, args.point, args.truncate)
-    return cmd_selftest(args.seed)
+    try:
+        if args.command == "decompose":
+            code = cmd_decompose(args.file)
+        elif args.command == "extend":
+            code = cmd_extend(args.file, args.verify, args.point, args.truncate)
+        else:
+            code = cmd_selftest(args.seed)
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so that the interpreter's
+        # final flush stays silent, and exit as a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

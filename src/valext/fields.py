@@ -627,8 +627,18 @@ class TranscendentalLevel:
         return self.lift(self.k.from_int(n))
 
     def add(self, a, b):
+        """a + b, without cross products or a gcd when a denominator is one.
+        If ad = 1, then gcd(an*bd + bn, bd) = gcd(bn, bd) = 1, since b is
+        canonical, so (an*bd + bn, bd) is already canonical; bd = 1 is the
+        same with the roles swapped, and when both are 1 the sum is
+        (an + bn, 1)."""
         k = self.k
         (an, ad), (bn, bd) = a, b
+        one = self.one[1]
+        if ad == one:
+            return (tuple(_u_add(k, _u_mul(k, an, bd), bn)), bd)
+        if bd == one:
+            return (tuple(_u_add(k, an, _u_mul(k, bn, ad))), ad)
         num = _u_add(k, _u_mul(k, an, bd), _u_mul(k, bn, ad))
         return self.frac(num, _u_mul(k, ad, bd))
 
@@ -778,6 +788,13 @@ def _u_mul(R, a, b) -> list:
                 for j, y in enumerate(b):
                     acc[i + j] += x * y
         return _u_trim(R, [c % m for c in acc])
+    # a product by one is a copy of the other operand, trimmed as the loop's
+    # result is; reps are canonical, so == tests for one
+    one = R.one
+    if len(a) == 1 and a[0] == one:
+        return _u_trim(R, list(b))
+    if len(b) == 1 and b[0] == one:
+        return _u_trim(R, list(a))
     add, mul, is_zero = R.add, R.mul, R.is_zero
     out = [R.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

@@ -516,13 +516,20 @@ def gauss_extend(
     valuation: MonomialValuation,
     algebra: FreeAlgebra,
     residue_gen_names: Sequence[str] | None = None,
+    *,
+    factor: Polynomial | None = None,
 ) -> GaussExtension:
     """Extend the valuation through the norm of a free algebra.
 
     Requires the residual algebra A/mA to be integral: automatic for
     polynomial algebras, and equivalent to irreducibility of the residual
-    modulus for quotients (decided by factorization; unsupported coefficient
-    fields surface as capability errors rather than guesses).
+    modulus for quotients.  That is decided by factorization (unsupported
+    coefficient fields surface as capability errors rather than guesses)
+    unless it is handed the irreducible factor that proves it: ``factor``
+    over the same tower and with the same reps as the residual modulus, such
+    as the factor ``poly.factor`` returned for a strictly maximal point.  The
+    caller vouches for its irreducibility; any other ``factor`` is ignored
+    and the modulus is factored.
     """
     if algebra.valuation != valuation:
         raise StructuralError("algebra is not over the given valuation")
@@ -542,12 +549,13 @@ def gauss_extend(
     if rbar.degree() == 1:
         # A/mA is F itself; nothing to adjoin
         return GaussExtension(valuation, algebra, field, ())
-    fac = poly_mod.factor(rbar)
-    if len(fac.factors) != 1 or fac.factors[0][1] != 1:
-        pieces = " * ".join(f"({g})^{m}" for g, m in fac.factors)
-        raise PreconditionError(
-            f"residual algebra is not integral: modulus factors as {pieces}"
-        )
+    if factor is None or factor.tower != rbar.tower or factor.reps != rbar.reps:
+        fac = poly_mod.factor(rbar)
+        if len(fac.factors) != 1 or fac.factors[0][1] != 1:
+            pieces = " * ".join(f"({g})^{m}" for g, m in fac.factors)
+            raise PreconditionError(
+                f"residual algebra is not integral: modulus factors as {pieces}"
+            )
     tower = field.extend_algebraic(
         residue_gen_names[0], rbar.univariate_coeffs(), check=False
     )

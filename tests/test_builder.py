@@ -286,6 +286,38 @@ def golden_builds():
     return out
 
 
+def test_builder_gauss_steps_reuse_the_chosen_factor(monkeypatch):
+    # every Gauss step of a golden build is handed the factor tensor_decompose
+    # chose, so gauss_extend factors nothing again
+    from valext import builder, poly
+
+    real_factor, real_gauss = poly.factor, builder.gauss_extend
+    inside = [False]
+    counts = {"quotient steps": 0, "factor calls inside": 0}
+
+    def factor(*args, **kwargs):
+        counts["factor calls inside"] += inside[0]
+        return real_factor(*args, **kwargs)
+
+    def gauss_extend(valuation, algebra, *args, **kwargs):
+        counts["quotient steps"] += algebra.is_quotient and algebra.rank > 1
+        inside[0] = True
+        try:
+            return real_gauss(valuation, algebra, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(poly, "factor", factor)
+    monkeypatch.setattr(builder, "gauss_extend", gauss_extend)
+    for name, text in GOLDEN_SCENARIOS.items():
+        if "[valuation]" in text:
+            scn = cli.parse_scenario(text)
+            ext = scn.to_extension_scenario()
+            (build_general if scn.truncation is not None else build_strictly_maximal)(ext)
+    assert counts["quotient steps"] > 0
+    assert counts["factor calls inside"] == 0
+
+
 def _verify_all(golden_builds):
     return {name: verify_weakly_unramified(b, samples=40) for name, b in golden_builds.items()}
 

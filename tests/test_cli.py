@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,54 @@ def test_main_dispatch(tmp_path, capsys):
     assert cli.main(["extend", str(path)]) == 0
     captured = capsys.readouterr()
     assert "GROUP" in captured.out
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python_m_valext(argv: list[str], unbuffered: bool, **kw) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "valext", *argv], env=env, stderr=subprocess.PIPE, timeout=120, **kw
+    )
+
+
+def _argv_for(command: str, tmp_path) -> list[str]:
+    if command == "selftest":
+        return ["selftest"]
+    path = tmp_path / "s.val"
+    path.write_text(GOLDEN_SCENARIOS["rank1_qi"])
+    return ["extend", str(path)]
+
+
+# buffered, the write fails at the last flush; unbuffered, at the first print
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["selftest", "extend"])
+def test_closed_pipe_ends_quietly_with_141(tmp_path, command, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader leaves before the first write
+    try:
+        proc = _python_m_valext(_argv_for(command, tmp_path), unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+
+
+def test_stdout_closed_at_start_up_is_not_an_error(tmp_path):
+    # with fd 1 closed the interpreter sets sys.stdout to None and print
+    # writes nothing; the final flush must not trip over that
+    argv = _argv_for("extend", tmp_path)
+    script = 'PYTHONPATH="$1" exec "$0" -m valext "$2" "$3" >&-'
+    proc = subprocess.run(
+        ["sh", "-c", script, sys.executable, _SRC, *argv], stderr=subprocess.PIPE, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 _ONE_STEP = """\

@@ -11,6 +11,8 @@ from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import (
     FieldTower,
     TowerHom,
+    TranscendentalLevel,
+    _u_add,
     _u_mul,
     build_fraction_rep,
     is_radicial,
@@ -318,6 +320,107 @@ def test_products_with_monomials_are_canonical(request, field_name, rank):
             assert (z * m).rep == _fraction_product(k, z.rep, m.rep)
             assert (m * z).rep == _fraction_product(k, z.rep, m.rep)
             assert (z / m).rep == _fraction_product(k, z.rep, m_inv)
+
+
+def _schoolbook(R, a, b) -> list:
+    """a * b by the plain double loop, trimmed: the oracle for ``_u_mul``."""
+    out = [R.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = R.add(out[i + j], R.mul(x, y))
+    while out and R.is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+def _oracle_tower(request, field_name):
+    if field_name == "q_x1_x2":
+        return FieldTower.rationals().extend_transcendental("x1").extend_transcendental("x2")
+    return request.getfixturevalue(field_name)
+
+
+def _rep_pool(tw, rng) -> list:
+    """Reps of tw: one, zero, generator sums, quotients of them and, above a
+    transcendental step, lifts from below and powers of the generator."""
+    pool = [tw.one(), tw.zero(), tw.from_int(2)]
+    for _ in range(3):
+        z, w = random_field_element(tw, rng, 3), random_field_element(tw, rng, 2)
+        pool += [z, z / w if not w.is_zero else w]
+    if tw.steps and tw.steps[-1].minpoly is None:
+        g = tw.gen(tw.gen_names[-1])
+        pool += [g, g**2 + 1, (g + 1).inv(), g.inv() * 3]
+    return [x.rep for x in pool]
+
+
+_ORACLE_FIELDS = ["rationals", "f3", "q_i", "f2_a", "q_x1_x2"]
+
+
+@pytest.mark.parametrize("field_name", _ORACLE_FIELDS)
+def test_products_by_one_match_the_generic_product(request, field_name):
+    # every level of the tower, operands with one, zero and untrimmed lists
+    tw = _oracle_tower(request, field_name)
+    rng = random.Random(f"one:{field_name}")
+    for level in range(tw.level + 1):
+        sub = tw.prefix(level)
+        R = sub.ring
+        pool = _rep_pool(sub, rng)
+        operands = [[], [R.one], [R.zero], [R.one, R.zero], [R.zero, R.one]]
+        for _ in range(12):
+            operands.append([rng.choice(pool) for _ in range(rng.randrange(1, 4))])
+        for a in operands:
+            for b in operands:
+                assert _u_mul(R, a, b) == _schoolbook(R, a, b), (level, a, b)
+
+
+@pytest.mark.parametrize("field_name", _ORACLE_FIELDS)
+def test_rational_function_sums_and_products_match_the_generic_fraction(request, field_name):
+    tw = _oracle_tower(request, field_name)
+    if not tw.steps or tw.steps[-1].minpoly is not None:
+        tw = tw.extend_transcendental("t")
+    T, k = tw.ring, tw.rings[-2]
+    pool = _rep_pool(tw, random.Random(f"frac:{field_name}"))
+    for a in pool:
+        for b in pool:
+            (an, ad), (bn, bd) = a, b
+            num = _u_add(k, _schoolbook(k, an, bd), _schoolbook(k, bn, ad))
+            assert T.add(a, b) == T.frac(num, _schoolbook(k, ad, bd)), (a, b)
+            want = T.frac(_schoolbook(k, an, bn), _schoolbook(k, ad, bd))
+            assert T.mul(a, b) == want, (a, b)
+
+
+class _CountingRing:
+    """Forwards to ``ring`` and counts its products."""
+
+    def __init__(self, ring):
+        self._ring = ring
+        self.muls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._ring, name)
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self._ring.mul(a, b)
+
+
+@pytest.mark.parametrize("field_name", ["rationals", "q_i", "f2_a", "q_x1_x2"])
+def test_products_by_one_make_no_ring_product(request, field_name, monkeypatch):
+    tw = _oracle_tower(request, field_name)
+    R = _CountingRing(tw.ring)
+    b = _rep_pool(tw, random.Random(f"count:{field_name}"))[2:] + [R.zero, R.zero]
+    assert _u_mul(R, [R.one], b) == _u_mul(R, b, [R.one]) == _schoolbook(tw.ring, [R.one], b)
+    assert R.muls == 0
+    # a sum of polynomials over k (both denominators one) is their plain sum,
+    # and a sum with one denominator one needs no gcd
+    T = TranscendentalLevel(_CountingRing(tw.ring))
+    one = T.one[1]
+    p, q, r = ((R.one, R.zero, R.one), one), ((R.zero, R.one), one), ((R.one,), (R.one, R.one))
+    k = tw.ring
+    want = TranscendentalLevel(k).frac(_u_add(k, _schoolbook(k, p[0], r[1]), r[0]), r[1])
+    monkeypatch.setattr(T, "frac", lambda *args: pytest.fail("frac was called"))
+    assert T.add(p, q) == ((R.one, R.one, R.one), one)
+    assert T.k.muls == 0
+    assert T.add(p, r) == T.add(r, p) == want
 
 
 @pytest.mark.parametrize("field_name", ["rationals", "q_i"])

@@ -242,6 +242,35 @@ def test_gauss_extend_requires_integral_residual(rationals):
     assert "factors" in str(exc.value)
 
 
+def test_gauss_extend_takes_the_proving_factor(rationals, monkeypatch):
+    v = MonomialValuation(rationals, ["x"])
+    a = FreeAlgebra.quotient(v, Polynomial.from_coeffs(v.function_field, "y", [1, 0, 1]))
+    want = gauss_extend(v, a)
+    rbar = Polynomial.from_coeffs(rationals, "t", [1, 0, 1])
+    monkeypatch.setattr(norms.poly_mod, "factor", lambda f: pytest.fail("factor was called"))
+    got = gauss_extend(v, a, factor=rbar)
+    assert got.residue_field == want.residue_field
+    assert got.residue_gen_names == want.residue_gen_names
+
+
+@pytest.mark.parametrize("factor_of", ["none", "F2", "a factor", "another irreducible"])
+def test_gauss_extend_checks_a_factor_that_is_not_the_residual_modulus(
+    rationals, f2, factor_of
+):
+    # the residual modulus y^2 + y = y(y + 1) is reducible; only a factor with
+    # its tower and its reps may stand in for the factorization
+    v = MonomialValuation(rationals, ["x"])
+    a = FreeAlgebra.quotient(v, Polynomial.from_coeffs(v.function_field, "y", [0, 1, 1]))
+    factor = {
+        "none": None,
+        "F2": Polynomial.from_coeffs(f2, "y", [0, 1, 1]),  # equal reps, other tower
+        "a factor": Polynomial.from_coeffs(rationals, "y", [1, 1]),
+        "another irreducible": Polynomial.from_coeffs(rationals, "y", [1, 0, 1]),
+    }[factor_of]
+    with pytest.raises(PreconditionError, match="factors as"):
+        gauss_extend(v, a, factor=factor)
+
+
 def _generic_field_element(tower, rng, size):
     """Oracle: the sampler's draws, each term built as from_int(c) times the
     chosen generators by generic field arithmetic and summed from zero."""
