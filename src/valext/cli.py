@@ -360,8 +360,17 @@ def _read(path: str) -> str:
         raise ScenarioParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops a failed write of its help text; a closed stdout
+        # must raise BrokenPipeError here as it does everywhere else
+        file = file or sys.stdout
+        if file is not None:
+            file.write(self.format_help())
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="valext", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="valext", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_dec = sub.add_parser("decompose", help="decompose a tensor product of fields")
     p_dec.add_argument("file")
@@ -372,16 +381,20 @@ def main(argv: list[str] | None = None) -> int:
     p_ext.add_argument("--truncate", type=int, default=None)
     p_self = sub.add_parser("selftest", help="run the embedded golden corpus")
     p_self.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
     try:
-        if args.command == "decompose":
-            code = cmd_decompose(args.file)
-        elif args.command == "extend":
-            code = cmd_extend(args.file, args.verify, args.point, args.truncate)
-        else:
-            code = cmd_selftest(args.seed)
-        if sys.stdout is not None:  # None when fd 1 was closed at start-up
-            sys.stdout.flush()
+        try:
+            # --help prints and raises SystemExit here, so its flush too
+            # belongs under this guard
+            args = parser.parse_args(argv)
+            if args.command == "decompose":
+                code = cmd_decompose(args.file)
+            elif args.command == "extend":
+                code = cmd_extend(args.file, args.verify, args.point, args.truncate)
+            else:
+                code = cmd_selftest(args.seed)
+        finally:
+            if sys.stdout is not None:  # None when fd 1 was closed at start-up
+                sys.stdout.flush()
     except BrokenPipeError:
         # the reader left: point stdout at devnull so that the interpreter's
         # final flush stays silent, and exit as a process killed by SIGPIPE

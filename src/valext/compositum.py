@@ -166,11 +166,15 @@ def tensor_decompose(
             )
             return
         sub = left.prefix(step_idx)
-        hom = TowerHom(sub, e_tower, images)
-        coeffs = [hom.apply(c) for c in left.minpoly_coeffs(step_idx)]
-        f = Polynomial.from_coeffs(e_tower, "y", coeffs)
-        fac = poly_mod.factor(f)
-        for h, m in fac.factors:
+        if e_tower == sub and all(im == sub.gen(n) for im, n in zip(images, sub.gen_names)):
+            # the map is the identity, and a step's minimal polynomial is
+            # irreducible over its own prefix (see ``fields.Step``)
+            factors = [(Polynomial.from_coeffs(e_tower, "y", left.minpoly_coeffs(step_idx)), 1)]
+        else:
+            hom = TowerHom(sub, e_tower, images)
+            coeffs = [hom.apply(c) for c in left.minpoly_coeffs(step_idx)]
+            factors = poly_mod.factor(Polynomial.from_coeffs(e_tower, "y", coeffs)).factors
+        for h, m in factors:
             if h.degree() == 1:
                 root = -h.coeff(0)
                 rec(

@@ -178,8 +178,10 @@ class Step:
     """One simple extension step; ``minpoly`` is None for transcendental steps.
 
     ``minpoly`` is the monic minimal polynomial over the tower below this
-    step, stored as a tuple of internal reps (constant term first).
-    ``separable`` caches gcd(f, f') = 1 and is None for transcendental steps.
+    step, stored as a tuple of internal reps (constant term first).  It is
+    irreducible over that tower: ``FieldTower.extend_algebraic`` proves it or
+    its caller vouches for it.  ``separable`` records gcd(f, f') = 1, which
+    for an irreducible f is f' != 0; it is None for transcendental steps.
     """
 
     name: str
@@ -299,8 +301,11 @@ class FieldTower:
 
         ``minpoly`` lists coefficients, constant term first.  It is
         normalized to be monic.  With ``check`` the polynomial is verified
-        irreducible (internal callers that just produced an irreducible
-        factor pass check=False).
+        irreducible; callers that pass check=False hold a proof of their
+        own: a factor ``poly.factor`` returned, or a binomial y^p - c whose c
+        ``pth_root`` found to have no p-th root.  So every algebraic step's
+        minimal polynomial is irreducible over its prefix, gcd(f, f') is 1 or
+        f, and f is separable exactly when f' != 0.
         """
         self._check_fresh(name)
         coeffs = [self.coerce(c) for c in minpoly]
@@ -313,9 +318,9 @@ class FieldTower:
             inv = lc.inv()
             coeffs = [c * inv for c in coeffs]
         reps = tuple(c.rep for c in coeffs)
-        separable = _u_squarefree(self.ring, reps)
         if check:
             self._check_irreducible(coeffs)
+        separable = bool(_u_deriv(self.ring, reps))
         return FieldTower(self.base, self.steps + (Step(name, reps, separable),))
 
     def _check_irreducible(self, coeffs: list["FieldElement"]) -> None:
@@ -1102,42 +1107,43 @@ class TowerHom:
                 elem = self.source.embed(elem)
             else:
                 raise StructuralError("element not in the hom's source")
-        return self._eval(self.source.level, elem.rep)
+        return FieldElement(self.target, self._eval(self.source.level, elem.rep))
 
-    def _eval(self, lvl: int, r) -> FieldElement:
+    def _eval(self, lvl: int, r):
+        """The target rep of the image of the level-``lvl`` source rep r."""
         tgt = self.target
         if lvl == 0:
-            if tgt.char == 0:
-                return tgt.from_fraction(r)
-            return tgt.from_int(r)
+            return _lift(tgt, r, 0, tgt.level)
         if self.source.steps[lvl - 1].is_algebraic:
             return self._eval_poly(lvl, r)
         num, den = r
         d = self._eval_poly(lvl, den)
-        if d.is_zero:
+        if tgt.ring.is_zero(d):
             raise StructuralError("generator images do not define a field map")
-        return self._eval_poly(lvl, num) / d
+        # an element division: bench/tracing.py requires factor_mix to reach
+        # fields.inv, and the p-th root maps over F_2(a) reach it only here
+        return (FieldElement(tgt, self._eval_poly(lvl, num)) / FieldElement(tgt, d)).rep
 
-    def _eval_poly(self, lvl: int, coeffs) -> FieldElement:
-        tgt = self.target
-        img = self.images[lvl - 1]
-        out = tgt.zero()
-        for c in reversed(coeffs):
-            out = out * img + self._eval(lvl - 1, c)
+    def _eval_poly(self, lvl: int, coeffs):
+        """The target rep of sum c_j g^j, g the image of generator ``lvl``,
+        by Horner on reps."""
+        ring = self.target.ring
+        if not coeffs:
+            return ring.zero
+        img = self.images[lvl - 1].rep
+        out = self._eval(lvl - 1, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            out = ring.add(ring.mul(out, img), self._eval(lvl - 1, c))
         return out
 
     def verify(self) -> bool:
         """Check every algebraic relation maps to zero."""
-        for i, step in enumerate(self.source.steps):
-            if not step.is_algebraic:
-                continue
-            img = self.images[i]
-            acc = self.target.zero()
-            for c in reversed(step.minpoly):
-                acc = acc * img + self._eval(i, c)
-            if not acc.is_zero:
-                return False
-        return True
+        ring = self.target.ring
+        return all(
+            ring.is_zero(self._eval_poly(i + 1, step.minpoly))
+            for i, step in enumerate(self.source.steps)
+            if step.is_algebraic
+        )
 
 
 # ---------------------------------------------------------------------------

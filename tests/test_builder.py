@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from valext.builder import (
     spectrum_correspondence,
     verify_weakly_unramified,
 )
+from valext.compositum import tensor_decompose
 from valext.errors import PreconditionError
-from valext.fields import is_radicial
+from valext.fields import FieldTower, _u_squarefree, is_radicial, perfect_closure_truncated
 from valext.norms import random_fraction_element
 from valext.valuations import MonomialValuation
 from valext.selftest import GOLDEN_SCENARIOS
@@ -271,17 +273,19 @@ def test_randomized_strictly_maximal_builds(rationals):
 # Verification catches planted faults
 
 
+def _parse_and_build(text: str):
+    scn = cli.parse_scenario(text)
+    ext = scn.to_extension_scenario()
+    return (build_general if scn.truncation is not None else build_strictly_maximal)(ext)
+
+
 @pytest.fixture(scope="module")
 def golden_builds():
     """The builds of the five extension scenarios of the golden corpus."""
     out = {}
     for name, text in GOLDEN_SCENARIOS.items():
-        if "[valuation]" not in text:
-            continue
-        scn = cli.parse_scenario(text)
-        ext = scn.to_extension_scenario()
-        build = build_general if scn.truncation is not None else build_strictly_maximal
-        out[name] = build(ext)
+        if "[valuation]" in text:
+            out[name] = _parse_and_build(text)
     assert len(out) == 5
     return out
 
@@ -309,13 +313,90 @@ def test_builder_gauss_steps_reuse_the_chosen_factor(monkeypatch):
 
     monkeypatch.setattr(poly, "factor", factor)
     monkeypatch.setattr(builder, "gauss_extend", gauss_extend)
-    for name, text in GOLDEN_SCENARIOS.items():
+    for text in GOLDEN_SCENARIOS.values():
         if "[valuation]" in text:
-            scn = cli.parse_scenario(text)
-            ext = scn.to_extension_scenario()
-            (build_general if scn.truncation is not None else build_strictly_maximal)(ext)
+            _parse_and_build(text)
     assert counts["quotient steps"] > 0
     assert counts["factor calls inside"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The build relies on what the parse proved
+
+
+def test_every_step_flag_is_the_squarefree_test(monkeypatch, f2_a):
+    # the flag is read off f' != 0, which equals the gcd test for the
+    # irreducible minimal polynomial of every step the builds create: at the
+    # parse, in tensor_decompose, gauss_extend and the truncated closure
+    real = FieldTower.extend_algebraic
+    made = []
+
+    def extend_algebraic(self, *args, **kwargs):
+        tower = real(self, *args, **kwargs)
+        made.append((sys._getframe(1).f_code.co_name, tower))
+        return tower
+
+    monkeypatch.setattr(FieldTower, "extend_algebraic", extend_algebraic)
+    for text in GOLDEN_SCENARIOS.values():
+        if "[valuation]" in text:
+            _parse_and_build(text)
+    # y^2 + y + a is irreducible over F_2(a): for a root t, t^2 + t has a
+    # pole of even order at infinity or none, and a has a simple one; factor
+    # does not reach this field, so no check
+    artin_schreier = f2_a.extend_algebraic("b", [f2_a.gen("a"), 1, 1], check=False)
+    root_chain = perfect_closure_truncated(f2_a, 2, 2)
+    assert {"extend_step", "rec", "gauss_extend", "perfect_closure_truncated"} <= {
+        caller for caller, _ in made
+    }
+    for caller, tower in made:
+        step = tower.steps[-1]
+        assert step.separable == _u_squarefree(tower.rings[-2], step.minpoly), caller
+    assert artin_schreier.steps[-1].separable is True
+    assert [s.separable for s in root_chain.steps[1:]] == [False, False]
+
+
+def test_tensor_decompose_does_not_refactor_a_parsed_step(monkeypatch):
+    # factor calls keyed by (tower, polynomial) per golden build: the steps
+    # tensor_decompose meets over their own prefix were proved irreducible
+    # at the parse and are not factored again
+    from valext import poly
+
+    real_factor = poly.factor
+    calls = []
+
+    def factor(f, *args, **kwargs):
+        callers = set()
+        frame = sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append(((f.tower, tuple(f.reps)), callers))
+        return real_factor(f, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "factor", factor)
+    parsed_steps = 0
+    for name, text in GOLDEN_SCENARIOS.items():
+        if "[valuation]" not in text:
+            continue
+        calls.clear()
+        _parse_and_build(text)
+        parsed = {key for key, callers in calls if "_check_irreducible" in callers}
+        decomposed = {key for key, callers in calls if "tensor_decompose" in callers}
+        assert not parsed & decomposed, name
+        parsed_steps += len(parsed)
+    # one (tower, polynomial) pair per scenario with algebraic steps: r and
+    # s of char2_trunc share y^2 + a over F_2(a), s2 and c of hensel_route
+    # share y^2 - 2 over Q
+    assert parsed_steps == 4
+
+
+def test_a_step_that_splits_is_still_factored():
+    # c's step is decomposed over Q(s2), not over its own prefix Q, so
+    # y^2 - 2 is factored there and splits into two points
+    scn = cli.parse_scenario(GOLDEN_SCENARIOS["hensel_route"]).to_extension_scenario()
+    points = tensor_decompose(scn.kprime, scn.valuation.coefficient_field, scn.k_len)
+    assert len(points) == 2
+    assert [pt.multiplicity for pt in points] == [1, 1]
 
 
 def _verify_all(golden_builds):

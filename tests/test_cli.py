@@ -194,8 +194,8 @@ def _python_m_valext(argv: list[str], unbuffered: bool, **kw) -> subprocess.Comp
 
 
 def _argv_for(command: str, tmp_path) -> list[str]:
-    if command == "selftest":
-        return ["selftest"]
+    if command in ("selftest", "--help"):
+        return [command]
     path = tmp_path / "s.val"
     path.write_text(GOLDEN_SCENARIOS["rank1_qi"])
     return ["extend", str(path)]
@@ -203,7 +203,7 @@ def _argv_for(command: str, tmp_path) -> list[str]:
 
 # buffered, the write fails at the last flush; unbuffered, at the first print
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("command", ["selftest", "extend"])
+@pytest.mark.parametrize("command", ["selftest", "extend", "--help"])
 def test_closed_pipe_ends_quietly_with_141(tmp_path, command, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader leaves before the first write

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valext import config
+from valext import cli, config
+from valext.builder import build_strictly_maximal
 from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import (
     FieldTower,
     TowerHom,
     TranscendentalLevel,
+    _flattening,
     _u_add,
     _u_mul,
     build_fraction_rep,
@@ -23,6 +25,7 @@ from valext.fields import (
 )
 from valext.norms import random_field_element, random_fraction_element
 from valext.poly import Polynomial, gcd
+from valext.selftest import GOLDEN_SCENARIOS
 from valext.valuations import MonomialValuation
 
 
@@ -463,3 +466,81 @@ def test_build_fraction_rep_refusals(rationals, q_i):
             build_fraction_rep(k, 0, [((0, 0), Fraction(1))], den)
     with pytest.raises(StructuralError, match="transcendental top levels"):
         build_fraction_rep(q_i, 0, [((0,), Fraction(1))], (0,))
+
+
+# The evaluator TowerHom used before it ran Horner on reps: every step goes
+# through FieldElement arithmetic.  Kept as the oracle of the rep version.
+
+
+def _reference_eval(hom, lvl, r):
+    tgt = hom.target
+    if lvl == 0:
+        return tgt.from_fraction(r) if tgt.char == 0 else tgt.from_int(r)
+    if hom.source.steps[lvl - 1].is_algebraic:
+        return _reference_poly(hom, lvl, r)
+    num, den = r
+    d = _reference_poly(hom, lvl, den)
+    if d.is_zero:
+        raise StructuralError("generator images do not define a field map")
+    return _reference_poly(hom, lvl, num) / d
+
+
+def _reference_poly(hom, lvl, coeffs):
+    out = hom.target.zero()
+    for c in reversed(coeffs):
+        out = out * hom.images[lvl - 1] + _reference_eval(hom, lvl - 1, c)
+    return out
+
+
+def _reference_verify(hom) -> bool:
+    return all(
+        _reference_poly(hom, i + 1, step.minpoly).is_zero
+        for i, step in enumerate(hom.source.steps)
+        if step.is_algebraic
+    )
+
+
+def _seeded_homs(q_i, f2_a_r):
+    x1x2 = FieldTower.rationals().extend_transcendental("x1").extend_transcendental("x2")
+    a = f2_a_r.gen("a")
+    flat = _flattening(f2_a_r)
+    built = build_strictly_maximal(
+        cli.parse_scenario(GOLDEN_SCENARIOS["rank2_sqrt2"]).to_extension_scenario()
+    )
+    return {
+        "q_i conjugation": TowerHom(q_i, q_i, [-q_i.gen("i")]),
+        "q_i breaks i^2 = -1": TowerHom(q_i, q_i, [1 + q_i.gen("i")]),
+        "f2_a_r a -> a^2 + 1": TowerHom(f2_a_r, f2_a_r, [a * a + 1, a + 1]),
+        "f2_a_r flattening forward": flat.fwd,
+        "f2_a_r flattening back": flat.back,
+        "x1 -> x2^2, x2 -> x1 + 1": TowerHom(
+            x1x2, x1x2, [x1x2.gen("x2") ** 2, x1x2.gen("x1") + 1]
+        ),
+        "rank-2 base embedding": built.base_embedding(),
+    }
+
+
+def test_tower_hom_matches_the_element_evaluator(q_i, f2_a_r):
+    homs = _seeded_homs(q_i, f2_a_r)
+    for name, hom in homs.items():
+        assert hom.verify() == _reference_verify(hom), name
+        rng = random.Random(name)
+        for _ in range(25):
+            z = random_field_element(hom.source, rng, 3)
+            d = random_field_element(hom.source, rng, 2)
+            if not d.is_zero:
+                z = z / d
+            got = hom.apply(z)
+            assert got.tower == hom.target, name
+            assert got.rep == _reference_eval(hom, hom.source.level, z.rep).rep, name
+    assert [name for name, hom in homs.items() if not hom.verify()] == ["q_i breaks i^2 = -1"]
+
+
+def test_tower_hom_refuses_a_denominator_that_maps_to_zero(rationals):
+    qx = rationals.extend_transcendental("x")
+    hom = TowerHom(qx, qx, [qx.zero()])
+    z = 1 / qx.gen("x")
+    with pytest.raises(StructuralError, match="do not define a field map"):
+        _reference_eval(hom, 1, z.rep)
+    with pytest.raises(StructuralError, match="do not define a field map"):
+        hom.apply(z)
