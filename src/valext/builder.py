@@ -7,8 +7,9 @@ iterating the steps of k' over V: a transcendental step extends the residue
 field by a Gauss indeterminate; an algebraic step whose transported minimal
 polynomial stays irreducible over the current residue field extends through
 the quotient-algebra norm; a reducible squarefree residual is routed through
-a finite-precision factor lift (rank one) before extending by the chosen
-factor.  The value group never moves, which is the whole point.
+the factor lift, exact at any rank since the transported coefficients are
+constant, before extending by the chosen factor.  The value group never
+moves, which is the whole point.
 
 The general path first adjoins truncated p-power roots: the coefficient
 field and the variables each receive p^N-th roots, the value group becomes
@@ -172,7 +173,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
                     f"through the Gauss norm on {algebra.describe()}"
                 )
             else:
-                lift = hensel_factor_lift(v_cur, full)
+                lift = hensel_factor_lift(v_cur, full, factors=rec.factors)
                 if lift.refused:
                     raise CapabilityError(
                         f"factor lift refused at step {rec.gen}: {lift.refusal}"

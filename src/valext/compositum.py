@@ -34,6 +34,8 @@ class StepRecord:
     appended: str | None  # generator added to E, None if the factor was linear
     factor: Polynomial | None  # chosen irreducible factor (algebraic steps)
     multiplicity: int
+    # the whole factorization the branch was chosen from (algebraic steps)
+    factors: tuple[tuple[Polynomial, int], ...] = ()
 
     def describe(self) -> str:
         if self.kind == "transcendental":
@@ -169,11 +171,11 @@ def tensor_decompose(
         if e_tower == sub and all(im == sub.gen(n) for im, n in zip(images, sub.gen_names)):
             # the map is the identity, and a step's minimal polynomial is
             # irreducible over its own prefix (see ``fields.Step``)
-            factors = [(Polynomial.from_coeffs(e_tower, "y", left.minpoly_coeffs(step_idx)), 1)]
+            factors = ((Polynomial.from_coeffs(e_tower, "y", left.minpoly_coeffs(step_idx)), 1),)
         else:
             hom = TowerHom(sub, e_tower, images)
             coeffs = [hom.apply(c) for c in left.minpoly_coeffs(step_idx)]
-            factors = poly_mod.factor(Polynomial.from_coeffs(e_tower, "y", coeffs)).factors
+            factors = tuple(poly_mod.factor(Polynomial.from_coeffs(e_tower, "y", coeffs)).factors)
         for h, m in factors:
             if h.degree() == 1:
                 root = -h.coeff(0)
@@ -182,7 +184,7 @@ def tensor_decompose(
                     e_tower,
                     images + [root],
                     mult * m,
-                    records + (StepRecord(step.name, "algebraic", None, h, m),),
+                    records + (StepRecord(step.name, "algebraic", None, h, m, factors),),
                 )
             else:
                 name = e_tower.fresh_name(step.name)
@@ -193,7 +195,7 @@ def tensor_decompose(
                     e2,
                     imgs2,
                     mult * m,
-                    records + (StepRecord(step.name, "algebraic", name, h, m),),
+                    records + (StepRecord(step.name, "algebraic", name, h, m, factors),),
                 )
 
     rec(k_len, right, [right.coerce(im) for im in k_hom.images], 1, ())

@@ -25,7 +25,8 @@ squarefree certificate (``_squarefree_certificate``) tests f modulo a prime
 over Q and the norm of f modulo a prime over Q(theta).  When it holds, the
 squarefree decomposition is f itself and Yun's exact gcd(f, f') is skipped;
 the norm route certifies each shifted norm the same way and falls back to
-the exact gcd.  ``factor`` checks that the unit times the product of its
+the exact gcd.  Over Q the prime that certified f (or a norm) is the prime
+that factors it, so each polynomial searches for its prime once.  ``factor`` checks that the unit times the product of its
 factors is its input before it returns.
 
 The dense univariate arithmetic behind all of them and behind ``Polynomial``
@@ -34,7 +35,9 @@ itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
 (``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel
 lifting is written once (``hensel_lift``) over a ring mod pi^k; it lifts
 mod-p factors to Z/p^k here (``_PadicIntegers``) and residual factors to
-F[x]/(x^n) in ``valuations.hensel_factor_lift`` (``TruncatedSeries``).
+F[x]/(x^n) (``TruncatedSeries``) in the series branch of
+``valuations.hensel_factor_lift``, which only a polynomial with non-constant
+coefficients reaches: the builder's split steps lift exactly.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -486,6 +489,16 @@ def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
+def _certify(f: Polynomial) -> tuple[bool, int | None]:
+    """(proved, prime): whether the squarefree certificate holds for the
+    monic f, and over Q the good prime that proves it, which factoring f
+    takes up instead of searching for it again."""
+    if f.tower.level == 0 and f.tower.char == 0:
+        prime = _good_prime(_primitive_ints(f.reps))
+        return prime is not None, prime
+    return _squarefree_certificate(f), None
+
+
 def _squarefree_certificate(f: Polynomial) -> bool:
     """True when a cheap test proves the monic f squarefree; False proves
     nothing.
@@ -599,9 +612,11 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     if f.degree() == 0:
         return Factorization(unit, [])
     rng = random.Random(config.DEFAULT_SEED if seed is None else seed)
+    monic = f.monic()
+    proved, prime = _certify(monic)
     out: list[tuple[Polynomial, int]] = []
-    for part, mult in squarefree_decomposition(f):
-        for irr in _factor_squarefree(part, rng):
+    for part, mult in [(monic, 1)] if proved else _squarefree_yun(monic):
+        for irr in _factor_squarefree(part, rng, prime=prime):
             out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     fac = Factorization(unit, out)
@@ -611,8 +626,11 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     return fac
 
 
-def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Monic squarefree polynomial into monic irreducibles."""
+def _factor_squarefree(
+    f: Polynomial, rng: random.Random, *, prime: int | None = None
+) -> list[Polynomial]:
+    """Monic squarefree polynomial into monic irreducibles; ``prime`` is a
+    good prime of f over Q (``_good_prime``), if one is known."""
     tower = f.tower
     if f.degree() == 1:
         return [f]
@@ -627,7 +645,7 @@ def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
         return _factor_finite(f, rng)
     if tower.char == 0 and tower.extension_degree() is not None:
         if tower.level == 0:
-            return _factor_rationals(f, rng)
+            return _factor_rationals(f, rng, prime)
         return _factor_norm_reduction(f, rng)
     top = tower.steps[-1]
     if not top.is_algebraic:
@@ -741,15 +759,19 @@ _PRIME_POOL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 _CERTIFICATE_TRIES = 3
 
 
-def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Monic squarefree polynomial over Q: mod-p factorization, Hensel
-    lifting and subset recombination."""
+def _factor_rationals(
+    f: Polynomial, rng: random.Random, prime: int | None = None
+) -> list[Polynomial]:
+    """Monic squarefree polynomial over Q: mod-p factorization at a good
+    prime (the one given, else the first of the pool), Hensel lifting and
+    subset recombination."""
     ints = _primitive_ints(f.reps)
     n = len(ints) - 1
     if n == 1:
         return [f.monic()]
     lead = ints[-1]
-    prime = _good_prime(ints)
+    if prime is None:
+        prime = _good_prime(ints)
     if prime is None:
         raise CapabilityError("no suitable prime found for rational factorization")
     modular = _factor_mod_p(ints, prime, rng)
@@ -964,11 +986,12 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
         fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
         norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
         # the exact gcd decides when the modular certificate cannot
-        if not _squarefree_certificate(norm):
+        proved, prime = _certify(norm)
+        if not proved:
             d = norm.derivative()
             if d.is_zero or gcd(norm, d).degree() != 0:
                 continue
-        pieces = _factor_squarefree(norm, rng)
+        pieces = _factor_squarefree(norm, rng, prime=prime)
         if len(pieces) == 1:
             return [f.monic()]
         out = []

@@ -17,15 +17,17 @@ For truncated perfect-closure constructions the same machinery runs with a
 denominator exponent N: the variables are then read as p^N-th roots, each of
 value (1/p^N) e_i.
 
-Rank-1 valuations additionally support finite-precision series expansion and
-Hensel factor lifting of monic polynomials with squarefree residual
-factorization.
+Monic polynomials with a squarefree residual factorization have their
+factors lifted: exactly, at any rank, when their coefficients are constant;
+otherwise, for rank-1 valuations only, through finite-precision series
+expansion and Hensel lifting.
 
 Valuation descriptors are immutable and every operation is pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -305,7 +307,7 @@ class MonomialValuation:
 
 
 # ---------------------------------------------------------------------------
-# Hensel factor lifting (rank 1, finite precision)
+# Factor lifting
 
 
 @dataclass
@@ -314,6 +316,9 @@ class HenselLift:
 
     A refusal is not an error: it reports that the residual factorization is
     not squarefree, so the coprimality hypothesis of the lift fails.
+    ``precision`` is the truncation 2·deg + 2 (or the one asked for); an
+    exact lift meets it, and only a lift of non-constant coefficients is
+    truncated there.
     """
 
     factors: list[Polynomial] | None
@@ -327,16 +332,29 @@ class HenselLift:
 
 
 def hensel_factor_lift(
-    valuation: MonomialValuation, f: Polynomial, precision: int | None = None
+    valuation: MonomialValuation,
+    f: Polynomial,
+    precision: int | None = None,
+    *,
+    factors: Sequence[tuple[Polynomial, int]] | None = None,
 ) -> HenselLift:
-    """Lift the residual factorization of a monic f to finite precision.
+    """Lift the residual factorization of a monic f.
 
-    The returned factors are monic, congruent to the residual factors, and
-    multiply to f modulo x^precision.  When the residual polynomial is
-    irreducible the input is returned unchanged (exactly, not truncated).
+    When every coefficient of f lies in the coefficient field F, the lift is
+    exact at any rank: F is algebraically closed in F(x_1..x_n), so the
+    residual factors embedded in the function field are the factors of f,
+    and their product is checked to be f.  Otherwise the valuation must have
+    rank 1, and the factors are lifted through power series over
+    F[x]/(x^precision) (``poly.TruncatedSeries``): they are monic, congruent
+    to the residual factors, and multiply to f modulo x^precision.  When the
+    residual polynomial is irreducible the input is returned unchanged.
+
+    The residual polynomial is factored unless it is handed its
+    factorization: ``factors``, (factor, multiplicity) pairs over the
+    residual's tower whose product is exactly the residual polynomial, such
+    as the factorization ``compositum.tensor_decompose`` chose a branch
+    from.  Any other ``factors`` is ignored.
     """
-    if valuation.rank != 1:
-        raise CapabilityError("factor lifting is implemented for rank-1 valuations only")
     if f.tower != valuation.function_field:
         raise StructuralError("polynomial is not over the valuation's field")
     deg = f.degree()
@@ -344,37 +362,59 @@ def hensel_factor_lift(
         raise DomainError("factor lifting needs degree >= 1")
     if not (f.coeff(deg) == valuation.function_field.one()):
         raise DomainError("factor lifting needs a monic polynomial")
-    for c in f.univariate_coeffs():
-        if not c.is_zero and not valuation.in_ring(c):
+    field = valuation.coefficient_field
+    coeffs = f.univariate_coeffs()
+    constants = [c.restrict(field.level) for c in coeffs]
+    for c, const in zip(coeffs, constants):
+        if const is None and not valuation.in_ring(c):
             raise DomainError("coefficients must lie in the valuation ring")
     if precision is None:
         precision = 2 * deg + 2
     residual = valuation.residual_polynomial(f)
-    fac = poly_mod.factor(residual)
-    residual_factors = [g for g, _ in fac.factors]
-    if any(m > 1 for _, m in fac.factors):
-        worst = next((g, m) for g, m in fac.factors if m > 1)
+    if factors is None or not _factors_of(factors, residual):
+        factors = poly_mod.factor(residual).factors
+    residual_factors = [Polynomial(residual.tower, residual.var, g.reps) for g, _ in factors]
+    repeated = [(g, m) for g, (_, m) in zip(residual_factors, factors) if m > 1]
+    if repeated:
+        g, m = repeated[0]
         return HenselLift(
             None,
             residual_factors,
             precision,
-            refusal=f"residual polynomial is not squarefree: ({worst[0]})^{worst[1]}",
+            refusal=f"residual polynomial is not squarefree: ({g})^{m}",
         )
     if len(residual_factors) == 1:
         return HenselLift([f], residual_factors, precision)
 
-    field = valuation.coefficient_field
+    k = valuation.function_field
+    if all(c is not None for c in constants):
+        out = [g.map_coeffs(k.embed, k) for g in residual_factors]
+        if math.prod(out) != f:
+            raise DomainError("the embedded residual factors do not multiply to f")
+        return HenselLift(out, residual_factors, precision)
+
+    if valuation.rank != 1:
+        raise CapabilityError(
+            "factor lifting of non-constant coefficients is implemented for "
+            "rank-1 valuations only"
+        )
     ring = TruncatedSeries(field.ring, precision)
     target = [
         tuple(_u_trim(field.ring, [s.rep for s in valuation.series(c, precision)]))
-        for c in f.univariate_coeffs()
+        for c in coeffs
     ]
-    parts = [[c.rep for c in g.univariate_coeffs()] for g in residual_factors]
     out = []
-    for series_poly in hensel_lift(ring, target, parts):
-        coeffs = [valuation.from_series([FieldElement(field, r) for r in cs]) for cs in series_poly]
-        out.append(Polynomial.from_coeffs(valuation.function_field, f.var, coeffs))
+    for series_poly in hensel_lift(ring, target, [g.reps for g in residual_factors]):
+        terms = [[FieldElement(field, r) for r in cs] for cs in series_poly]
+        out.append(Polynomial.from_coeffs(k, f.var, [valuation.from_series(t) for t in terms]))
     return HenselLift(out, residual_factors, precision)
+
+
+def _factors_of(factors: Sequence[tuple[Polynomial, int]], g: Polynomial) -> bool:
+    """True when ``factors`` lie over g's tower and their product is g."""
+    if not factors or any(h.tower != g.tower for h, _ in factors):
+        return False
+    return math.prod(Polynomial(g.tower, g.var, h.reps) ** m for h, m in factors) == g
 
 
 def congruent_mod_precision(

@@ -399,6 +399,32 @@ def test_a_step_that_splits_is_still_factored():
     assert [pt.multiplicity for pt in points] == [1, 1]
 
 
+def test_each_build_factors_each_polynomial_once(monkeypatch):
+    # factor calls keyed by (tower, polynomial) over each golden build, the
+    # parse excluded: the split step of hensel_route hands the factorization
+    # tensor_decompose made to the lift instead of factoring w^2 - 2 again
+    from valext import poly
+
+    real_factor = poly.factor
+    calls = []
+
+    def factor(f, *args, **kwargs):
+        calls.append((f.tower, tuple(f.reps)))
+        return real_factor(f, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "factor", factor)
+    for name, text in GOLDEN_SCENARIOS.items():
+        if "[valuation]" not in text:
+            continue
+        scn = cli.parse_scenario(text)
+        ext = scn.to_extension_scenario()
+        calls.clear()
+        (build_general if scn.truncation is not None else build_strictly_maximal)(ext)
+        assert len(calls) == len(set(calls)), name
+        if name == "hensel_route":
+            assert len(calls) == 1
+
+
 def _verify_all(golden_builds):
     return {name: verify_weakly_unramified(b, samples=40) for name, b in golden_builds.items()}
 

@@ -135,6 +135,20 @@ def test_point_and_truncate_overrides(tmp_path):
     assert code == 0 and "truncation: 1" in out
 
 
+@pytest.mark.parametrize("variables", ["x1, x2", "x1, x2, x3"])
+def test_split_step_builds_at_rank_2_and_3(tmp_path, variables):
+    # the residual y^2 - 2 splits over Q(s2) at every rank; the lift of its
+    # constant coefficients is exact, so no rank is refused
+    text = GOLDEN_SCENARIOS["hensel_route"].replace("vars: x\n", f"vars: {variables}\n")
+    code, out, err = run_extend(tmp_path, text, verify=True)
+    assert (code, err) == (0, "")
+    rank = variables.count(",") + 1
+    assert f"delta: Z^{rank} lex" in out and f"primes: {rank + 1} <-> {rank + 1}" in out
+    assert "factor lift at precision 6 routes to (y - s2), lifted factor (w - s2)" in out
+    # every verification line reads True
+    assert "maximal ideal generated by the base ideal: True" in out and "False" not in out
+
+
 def test_selftest_green_and_seed_stability():
     result = run_selftest(seed=0)
     assert not result.failed

@@ -901,12 +901,37 @@ def test_norm_extraction_takes_one_gcd_per_piece_but_the_last(monkeypatch, q_i):
 def test_factor_refuses_an_answer_that_does_not_multiply_back(monkeypatch, rationals):
     factor_squarefree = poly_mod._factor_squarefree
 
-    def off_by_one(f, rng):
-        return [g + 1 if k == 0 else g for k, g in enumerate(factor_squarefree(f, rng))]
+    def off_by_one(f, rng, **kw):
+        return [g + 1 if k == 0 else g for k, g in enumerate(factor_squarefree(f, rng, **kw))]
 
     monkeypatch.setattr(poly_mod, "_factor_squarefree", off_by_one)
     with pytest.raises(DomainError, match="multiply back"):
         factor(parse("(y - 1) * (y - 2)", rationals))
+
+
+@pytest.mark.parametrize(
+    "text, domain, norms",
+    [
+        ("(y^2 - 2) * (y^3 - 3*y + 1)", "Q", 0),
+        ("y^4 - 10*y^2 + 1", "Q", 0),
+        ("(y - i - 2) * (y^2 + i*y + 3)", "Q(i)", 1),
+        # the norm at shift 0 holds (y^2 - 3)^2 and is turned down
+        ("(y^2 - 3) * (y^3 + 3*i*y + 3)", "Q(i)", 2),
+    ],
+)
+def test_one_good_prime_search_per_polynomial_over_q(monkeypatch, text, domain, norms):
+    # the good prime that certifies a squarefree f over Q, or a norm over Q,
+    # is the prime that factors it: one search each
+    f = parse(text, FieldTower.rationals() if domain == "Q" else _q_i())
+    searched, normed = [], []
+    good_prime, norm = poly_mod._good_prime, poly_mod._norm
+    monkeypatch.setattr(
+        poly_mod, "_good_prime", lambda ints: searched.append(tuple(ints)) or good_prime(ints)
+    )
+    monkeypatch.setattr(poly_mod, "_norm", lambda fs, sub: normed.append(fs) or norm(fs, sub))
+    assert factor(f).expand() == f
+    assert len(normed) == norms
+    assert len(searched) == max(norms, 1) == len(set(searched))
 
 
 def test_no_certificate_above_two_algebraic_steps():

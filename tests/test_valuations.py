@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from valext import valuations
 from valext.errors import CapabilityError, DomainError, StructuralError
-from valext.fields import FieldElement, _split_fraction
+from valext.fields import FieldElement, FieldTower, _split_fraction
 from valext.norms import random_field_element, random_fraction_element
-from valext.poly import Polynomial
+from valext.poly import Polynomial, TruncatedSeries, factor, hensel_lift
 from valext.valuations import (
     MonomialValuation,
     congruent_mod_precision,
@@ -292,10 +293,108 @@ def test_hensel_three_way_split(f5):
 def test_hensel_rank_and_monic_requirements(rationals, v_f3):
     v2 = MonomialValuation(rationals, ["x1", "x2"])
     k2 = v2.function_field
+    # an irreducible residual needs no lift at any rank
     f = Polynomial.from_coeffs(k2, "y", [k2.one(), k2.zero(), k2.one()])
+    assert hensel_factor_lift(v2, f, 4).factors == [f]
+    # residual (y - 1)(y + 1) under a non-constant coefficient: the series
+    # lift, which is rank 1 only
+    g = Polynomial.from_coeffs(k2, "y", [-(1 + k2.gen("x1")), k2.zero(), k2.one()])
     with pytest.raises(CapabilityError):
-        hensel_factor_lift(v2, f, 4)
+        hensel_factor_lift(v2, g, 4)
     k = v_f3.function_field
     g = Polynomial.from_coeffs(k, "y", [k.one(), k.gen("x")])
     with pytest.raises(DomainError):
         hensel_factor_lift(v_f3, g, 4)
+
+
+# -- the exact lift of constant coefficients ------------------------------------
+
+
+def _series_lift(v, f, precision):
+    """Oracle: the rank-1 series lift written out, coefficient series lifted
+    over F[x]/(x^precision) from the factors of the residual polynomial."""
+    field, k = v.coefficient_field, v.function_field
+    residual = v.residual_polynomial(f)
+    ring = TruncatedSeries(field.ring, precision)
+    target = [tuple(s.rep for s in v.series(c, precision)) for c in f.univariate_coeffs()]
+    parts = [g.reps for g, _ in factor(residual).factors]
+    out = []
+    for cs in hensel_lift(ring, target, parts):
+        coeffs = [v.from_series([FieldElement(field, r) for r in c]) for c in cs]
+        out.append(Polynomial.from_coeffs(k, f.var, coeffs))
+    return out
+
+
+@pytest.mark.parametrize(
+    "field_name, text",
+    [("f3", "y * (y - 1) * (y + 1)"), ("q_sqrt2", "(y - s2) * (y + s2) * (y - 1)")],
+)
+def test_exact_lift_matches_the_series_lift(request, field_name, text):
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(field, ["x"])
+    f = Polynomial.parse(text, v.function_field, ("y",))
+    lift = hensel_factor_lift(v, f)
+    assert lift.precision == 2 * 3 + 2 and len(lift.factors) == 3
+    assert lift.factors == _series_lift(v, f, lift.precision)
+    # the exact factors multiply to f, not only modulo x^precision
+    assert lift.factors[0] * lift.factors[1] * lift.factors[2] == f
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_exact_lift_holds_at_any_rank(q_sqrt2, rank):
+    v = MonomialValuation(q_sqrt2, [f"x{j}" for j in range(1, rank + 1)])
+    k = v.function_field
+    f = Polynomial.parse("y^2 - 2", k, ("y",))
+    lift = hensel_factor_lift(v, f)
+    assert [str(g) for g in lift.residual_factors] == ["y - s2", "y + s2"]
+    assert lift.factors == [Polynomial.parse(t, k, ("y",)) for t in ["y - s2", "y + s2"]]
+
+
+def test_exact_lift_checks_its_product(q_sqrt2, monkeypatch):
+    # an embedding that moves every coefficient by one: the product of the
+    # lifted factors is no longer f, and the lift says so
+    v = MonomialValuation(q_sqrt2, ["x1", "x2"])
+    f = Polynomial.parse("y^2 - 2", v.function_field, ("y",))
+    factors = factor(v.residual_polynomial(f)).factors
+    embed = FieldTower.embed
+    monkeypatch.setattr(FieldTower, "embed", lambda self, e: embed(self, e) + self.one())
+    with pytest.raises(DomainError, match="do not multiply to f"):
+        hensel_factor_lift(v, f, factors=factors)
+
+
+def test_hensel_lift_takes_the_residual_factorization(q_sqrt2, monkeypatch):
+    v = MonomialValuation(q_sqrt2, ["x"])
+    f = Polynomial.parse("y^2 - 2", v.function_field, ("y",))
+    want = hensel_factor_lift(v, f)
+    # the factorization tensor_decompose holds: other variable, same reps
+    given = factor(Polynomial.parse("t^2 - 2", q_sqrt2, ("t",))).factors
+    monkeypatch.setattr(valuations.poly_mod, "factor", lambda g: pytest.fail("factor was called"))
+    got = hensel_factor_lift(v, f, factors=given)
+    assert got.factors == want.factors
+    assert got.residual_factors == want.residual_factors
+    assert got.precision == want.precision
+
+
+@pytest.mark.parametrize(
+    "given", ["other tower", "one factor", "a multiplicity", "another polynomial"]
+)
+def test_hensel_lift_factors_a_factorization_that_is_not_the_residual(
+    q_sqrt2, q_i, monkeypatch, given
+):
+    v = MonomialValuation(q_sqrt2, ["x"])
+    f = Polynomial.parse("y^2 - 2", v.function_field, ("y",))
+    want = hensel_factor_lift(v, f)
+    true = factor(v.residual_polynomial(f)).factors
+    factors = {
+        # (y - i)(y + i): the reps of (y - s2)(y + s2) over another tower
+        "other tower": factor(Polynomial.parse("y^2 + 1", q_i, ("y",))).factors,
+        "one factor": true[:1],
+        "a multiplicity": [(true[0][0], 2), true[1]],
+        "another polynomial": factor(Polynomial.parse("y^2 - 1", q_sqrt2, ("y",))).factors,
+    }[given]
+    calls = []
+    real = valuations.poly_mod.factor
+    monkeypatch.setattr(valuations.poly_mod, "factor", lambda g: calls.append(g) or real(g))
+    got = hensel_factor_lift(v, f, factors=factors)
+    assert len(calls) == 1
+    assert got.factors == want.factors and got.residual_factors == want.residual_factors
