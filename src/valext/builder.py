@@ -3,13 +3,17 @@ extension k' of a marked subfield k of V.
 
 The strictly maximal path requires the chosen minimal prime of the residual
 tensor algebra to have multiplicity one.  It realizes the extension by
-iterating the steps of k' over V: a transcendental step extends the residue
-field by a Gauss indeterminate; an algebraic step whose transported minimal
-polynomial stays irreducible over the current residue field extends through
-the quotient-algebra norm; a reducible squarefree residual is routed through
-the factor lift, exact at any rank since the transported coefficients are
-constant, before extending by the chosen factor.  The value group never
-moves, which is the whole point.
+iterating the steps of k' over V, each from the record that
+``compositum.tensor_decompose`` kept of it, and every step is one Gauss
+extension: through the Gauss norm on V[w] for a transcendental step, on
+V[w]/(g) for an algebraic one.  There g is the chosen residual factor of the
+step's minimal polynomial f, carried into the running field
+(``StepRecord.minpoly``).  The coefficients of f are constants, so g = f
+when g has f's degree; otherwise the step splits, and the exact factor lift
+of f (at any rank) checks that the factorization multiplies back to f and
+that g is one of the lifted factors.  The recorded k' images are checked
+against every relation of k' at the end.  The value group never moves, which
+is the whole point.
 
 The general path first adjoins truncated p-power roots: the coefficient
 field and the variables each receive p^N-th roots, the value group becomes
@@ -68,10 +72,9 @@ class ExtensionScenario:
                 raise StructuralError("k must be a prefix of the coefficient field")
             self.k_hom = TowerHom.inclusion(k, f_tower)
         else:
+            # its relations are checked once, by the build's tensor_decompose
             if self.k_hom.source != k or self.k_hom.target != f_tower:
                 raise StructuralError("k embedding must map k into the coefficient field")
-            if not self.k_hom.verify():
-                raise StructuralError("k embedding does not respect relations")
 
     @property
     def k(self) -> FieldTower:
@@ -144,60 +147,38 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
         f"residual tensor decomposition: {len(points)} point(s), chose index {pt.index}"
     ]
     v_cur = v0
-    step_idx = scn.k_len
     for rec in pt.records:
         k_cur = v_cur.function_field
+        ind = k_cur.fresh_name("w")
         if rec.kind == "transcendental":
-            ind = k_cur.fresh_name("w")
             algebra = FreeAlgebra.polynomial(v_cur, [ind])
-            ext = gauss_extend(v_cur, algebra, [rec.appended])
-            v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
-            prov.append(
-                f"step {rec.gen}: transcendental; extended through the Gauss norm on "
-                f"{algebra.describe()}, residue gains {rec.appended}"
+            what = (
+                f"transcendental; extended through the Gauss norm on {algebra.describe()}, "
+                f"residue gains {rec.appended}"
+            )
+        elif rec.factor.degree() == rec.minpoly.degree():
+            algebra = FreeAlgebra.quotient(v_cur, _carried(rec.minpoly, k_cur, ind))
+            what = (
+                "residual minimal polynomial irreducible; extended through the Gauss "
+                f"norm on {algebra.describe()}"
             )
         else:
-            sub = scn.kprime.prefix(step_idx)
-            coeff = v_cur.coefficient_field
-            hom_imgs = [k_cur.embed(_in_field(im, coeff)) for im in pt.left_images[:step_idx]]
-            hom = TowerHom(sub, k_cur, hom_imgs)
-            coeffs = [hom.apply(c) for c in scn.kprime.minpoly_coeffs(step_idx)]
-            ind = k_cur.fresh_name("w")
-            full = Polynomial.from_coeffs(k_cur, ind, coeffs)
-            if rec.factor.degree() == full.degree():
-                algebra = FreeAlgebra.quotient(v_cur, full)
-                ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"], factor=rec.factor)
-                v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
-                prov.append(
-                    f"step {rec.gen}: residual minimal polynomial irreducible; extended "
-                    f"through the Gauss norm on {algebra.describe()}"
-                )
-            else:
-                lift = hensel_factor_lift(v_cur, full, factors=rec.factors)
-                if lift.refused:
-                    raise CapabilityError(
-                        f"factor lift refused at step {rec.gen}: {lift.refusal}"
-                    )
-                chosen = None
-                for lifted, residual in zip(lift.factors, lift.residual_factors):
-                    if _same_poly_over(residual, rec.factor):
-                        chosen = lifted
-                        break
-                if chosen is None:
-                    raise DomainError("lifted factors do not include the chosen branch")
-                prov.append(
-                    f"step {rec.gen}: residual splits as "
-                    + " * ".join(f"({g})" for g in lift.residual_factors)
-                    + f"; factor lift at precision {lift.precision} routes to ({rec.factor}),"
-                    f" lifted factor ({chosen})"
-                )
-                res_lift = Polynomial.from_coeffs(
-                    k_cur, ind, [k_cur.embed(c) for c in rec.factor.univariate_coeffs()]
-                )
-                algebra = FreeAlgebra.quotient(v_cur, res_lift)
-                ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"], factor=rec.factor)
-                v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
-        step_idx += 1
+            lift = hensel_factor_lift(v_cur, _carried(rec.minpoly, k_cur, ind), factors=rec.factors)
+            if lift.refused:
+                raise CapabilityError(f"factor lift refused at step {rec.gen}: {lift.refusal}")
+            modulus = _carried(rec.factor, k_cur, ind)
+            if modulus not in lift.factors:
+                raise DomainError("lifted factors do not include the chosen branch")
+            algebra = FreeAlgebra.quotient(v_cur, modulus)
+            what = (
+                "residual splits as "
+                + " * ".join(f"({g})" for g in lift.residual_factors)
+                + f"; factor lift at precision {lift.precision} routes to ({rec.factor}),"
+                f" lifted factor ({modulus})"
+            )
+        ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"], factor=rec.factor)
+        v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
+        prov.append(f"step {rec.gen}: {what}")
     if v_cur.coefficient_field != pt.field:
         raise DomainError("constructed residue field disagrees with the chosen point")
     if v_cur.group != v0.group:
@@ -224,23 +205,10 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
     )
 
 
-def _in_field(elem: FieldElement, field: FieldTower) -> FieldElement:
-    """``elem`` as an element of ``field``.  The images of the point live in
-    its composed field; the residue field built so far is a prefix of it and
-    holds the images of the steps already taken."""
-    if elem.tower.is_prefix_of(field):
-        return elem
-    if field.is_prefix_of(elem.tower):
-        rest = elem.restrict(field.level)
-        if rest is not None:
-            return rest
-    raise DomainError("a k' image lies outside the residue field built so far")
-
-
-def _same_poly_over(a: Polynomial, b: Polynomial) -> bool:
-    """Structural equality of univariate polynomials over the same tower,
-    ignoring the variable name."""
-    return a.tower == b.tower and a.reps == b.reps
+def _carried(g: Polynomial, k: FieldTower, var: str) -> Polynomial:
+    """g, a polynomial over the coefficient field of ``k``, as a polynomial
+    over ``k`` in ``var``."""
+    return Polynomial.from_coeffs(k, var, [k.embed(c) for c in g.univariate_coeffs()])
 
 
 def build_general(scn: ExtensionScenario) -> BuiltExtension:
@@ -288,9 +256,9 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
         if root is None:
             raise DomainError("closure of k does not embed into the closure of F")
         imgs.append(root)
+    # the inner build's tensor_decompose checks its relations, and with them
+    # those of scn.k_hom, which it extends
     k_dag_hom = TowerHom(k_dag, f_dag, imgs)
-    if not k_dag_hom.verify():
-        raise DomainError("closure embedding violates a relation")
     prov.append(f"closure of k embedded into closure of F: {k_dag.describe()}")
     kk_points = tensor_decompose(scn.kprime, k_dag, scn.k_len)
     if len(kk_points) != 1:
@@ -370,16 +338,17 @@ def _certify_radicial(
         return ok, "k'F = F as a prefix; direct test"
     if not is_radicial(f_tower, f_dag, p):
         return False, "closure chain generators lack p-power witnesses"
-    appended = set(f1.gen_names[f_dag.level :])
-    image_gens = set()
-    for im in kprime_images:
-        for name in f1.gen_names:
-            if im == f1.gen(name):
-                image_gens.add(name)
-    uncovered = appended - image_gens
+    uncovered = set(f1.gen_names[f_dag.level :]) - _generators_hit(f1, kprime_images)
     if uncovered:
         return False, f"generators {sorted(uncovered)} are not k' images"
     return True, "chain generators have p-power witnesses in F; the rest are k' images"
+
+
+def _generators_hit(tower: FieldTower, images) -> set[str]:
+    """The names of the generators of ``tower`` that equal one of the
+    ``images`` (elements of prefixes of ``tower``)."""
+    elems = [tower.embed(im) for im in images]
+    return {name for name in tower.gen_names if tower.gen(name) in elems}
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +561,8 @@ def _match_point_to_residue(
             continue
         # the map hits the kappa generators and every recorded k' image, so it
         # is onto when those cover all generators of kappa'
-        image_elems = [kappa_ext.embed(im) for im in built.kprime_images]
-        surjective = all(
-            name in pt.right.gen_names
-            or any(kappa_ext.gen(name) == e for e in image_elems)
-            for name in kappa_ext.gen_names
-        )
-        return pt, surjective
+        hit = set(pt.right.gen_names) | _generators_hit(kappa_ext, built.kprime_images)
+        return pt, hit.issuperset(kappa_ext.gen_names)
     return None, False
 
 

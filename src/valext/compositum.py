@@ -27,7 +27,13 @@ from .poly import Polynomial
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What happened when one step of L was processed over the running field."""
+    """What happened when one step of L was processed over the running field.
+
+    ``minpoly`` is the polynomial an algebraic step factored: the step's
+    minimal polynomial with its coefficients carried into the running field
+    E by the images of the earlier generators, in the variable y.  ``factor``
+    and every entry of ``factors`` lie over the same field.
+    """
 
     gen: str
     kind: str  # "transcendental" | "algebraic"
@@ -36,6 +42,7 @@ class StepRecord:
     multiplicity: int
     # the whole factorization the branch was chosen from (algebraic steps)
     factors: tuple[tuple[Polynomial, int], ...] = ()
+    minpoly: Polynomial | None = None  # the polynomial factored (algebraic steps)
 
     def describe(self) -> str:
         if self.kind == "transcendental":
@@ -133,6 +140,8 @@ def tensor_decompose(
     else:
         if k_hom.source != K or k_hom.target != right:
             raise StructuralError("embedding must map the K prefix into M")
+        # the one relation check of an explicit embedding: the builders
+        # leave it to this call
         if not k_hom.verify():
             raise StructuralError("the K embedding does not respect relations")
 
@@ -155,48 +164,43 @@ def tensor_decompose(
             )
             return
         step = left.steps[step_idx]
+        # each branch is (field, image of the L generator, record)
         if not step.is_algebraic:
             name = e_tower.fresh_name(step.name)
             e2 = e_tower.extend_transcendental(name)
-            imgs2 = [e2.embed(im) for im in images] + [e2.gen(name)]
+            record = StepRecord(step.name, "transcendental", name, None, 1)
+            branches = [(e2, e2.gen(name), record)]
+        else:
+            sub = left.prefix(step_idx)
+            coeffs = left.minpoly_coeffs(step_idx)
+            identity = e_tower == sub and all(
+                im == sub.gen(n) for im, n in zip(images, sub.gen_names)
+            )
+            if not identity:
+                hom = TowerHom(sub, e_tower, images)
+                coeffs = [hom.apply(c) for c in coeffs]
+            minpoly = Polynomial.from_coeffs(e_tower, "y", coeffs)
+            # a step's minimal polynomial is irreducible over its own prefix
+            # (see ``fields.Step``), so the identity map needs no factoring
+            factors = ((minpoly, 1),) if identity else tuple(poly_mod.factor(minpoly).factors)
+            branches = []
+            for h, m in factors:
+                if h.degree() == 1:
+                    name, e2, root = None, e_tower, -h.coeff(0)
+                else:
+                    name = e_tower.fresh_name(step.name)
+                    e2 = e_tower.extend_algebraic(name, h.univariate_coeffs(), check=False)
+                    root = e2.gen(name)
+                record = StepRecord(step.name, "algebraic", name, h, m, factors, minpoly)
+                branches.append((e2, root, record))
+        for e2, image, record in branches:
             rec(
                 step_idx + 1,
                 e2,
-                imgs2,
-                mult,
-                records + (StepRecord(step.name, "transcendental", name, None, 1),),
+                [e2.embed(im) for im in images] + [image],
+                mult * record.multiplicity,
+                records + (record,),
             )
-            return
-        sub = left.prefix(step_idx)
-        if e_tower == sub and all(im == sub.gen(n) for im, n in zip(images, sub.gen_names)):
-            # the map is the identity, and a step's minimal polynomial is
-            # irreducible over its own prefix (see ``fields.Step``)
-            factors = ((Polynomial.from_coeffs(e_tower, "y", left.minpoly_coeffs(step_idx)), 1),)
-        else:
-            hom = TowerHom(sub, e_tower, images)
-            coeffs = [hom.apply(c) for c in left.minpoly_coeffs(step_idx)]
-            factors = tuple(poly_mod.factor(Polynomial.from_coeffs(e_tower, "y", coeffs)).factors)
-        for h, m in factors:
-            if h.degree() == 1:
-                root = -h.coeff(0)
-                rec(
-                    step_idx + 1,
-                    e_tower,
-                    images + [root],
-                    mult * m,
-                    records + (StepRecord(step.name, "algebraic", None, h, m, factors),),
-                )
-            else:
-                name = e_tower.fresh_name(step.name)
-                e2 = e_tower.extend_algebraic(name, h.univariate_coeffs(), check=False)
-                imgs2 = [e2.embed(im) for im in images] + [e2.gen(name)]
-                rec(
-                    step_idx + 1,
-                    e2,
-                    imgs2,
-                    mult * m,
-                    records + (StepRecord(step.name, "algebraic", name, h, m, factors),),
-                )
 
     rec(k_len, right, [right.coerce(im) for im in k_hom.images], 1, ())
     return points

@@ -26,8 +26,9 @@ over Q and the norm of f modulo a prime over Q(theta).  When it holds, the
 squarefree decomposition is f itself and Yun's exact gcd(f, f') is skipped;
 the norm route certifies each shifted norm the same way and falls back to
 the exact gcd.  Over Q the prime that certified f (or a norm) is the prime
-that factors it, so each polynomial searches for its prime once.  ``factor`` checks that the unit times the product of its
-factors is its input before it returns.
+that factors it, so each polynomial searches for its prime once.
+``factor`` checks that the unit times the product of its factors is its
+input before it returns.
 
 The dense univariate arithmetic behind all of them and behind ``Polynomial``
 itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of

@@ -16,8 +16,14 @@ from valext.builder import (
     verify_weakly_unramified,
 )
 from valext.compositum import tensor_decompose
-from valext.errors import PreconditionError
-from valext.fields import FieldTower, _u_squarefree, is_radicial, perfect_closure_truncated
+from valext.errors import DomainError, PreconditionError, StructuralError
+from valext.fields import (
+    FieldTower,
+    TowerHom,
+    _u_squarefree,
+    is_radicial,
+    perfect_closure_truncated,
+)
 from valext.norms import random_fraction_element
 from valext.valuations import MonomialValuation
 from valext.selftest import GOLDEN_SCENARIOS
@@ -423,6 +429,119 @@ def test_each_build_factors_each_polynomial_once(monkeypatch):
         assert len(calls) == len(set(calls)), name
         if name == "hensel_route":
             assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Each check of a build is made once, and each can fire
+
+
+def test_no_embedding_is_verified_twice(monkeypatch):
+    # verify calls keyed by object identity over each golden build; every
+    # verified map is held, so no id is reused within the run
+    real = TowerHom.verify
+    verified = []
+
+    def verify(self):
+        verified.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TowerHom, "verify", verify)
+    for name, text in GOLDEN_SCENARIOS.items():
+        if "[valuation]" not in text:
+            continue
+        start = len(verified)
+        _parse_and_build(text)
+        ids = [id(hom) for hom in verified[start:]]
+        assert ids and len(ids) == len(set(ids)), name
+
+
+@pytest.mark.parametrize("build", [build_strictly_maximal, build_general])
+@pytest.mark.parametrize("field", ["Q(i)", "F_2(a)(r)"])
+def test_a_k_embedding_that_breaks_a_relation_is_refused(q_i, f2_a_r, build, field):
+    # i -> i + 1 and r -> r + 1 break i^2 + 1 = 0 and r^2 = a; the scenario
+    # is accepted as given, and the build's decomposition refuses the map
+    k = q_i if field == "Q(i)" else f2_a_r
+    last = k.gen_names[-1]
+    images = [k.gen(n) + (n == last) for n in k.gen_names]
+    scn = ExtensionScenario(
+        valuation=MonomialValuation(k, ["x"]),
+        k_len=k.level,
+        kprime=k.extend_transcendental("t"),
+        k_hom=TowerHom(k, k, images),
+        truncation=1,
+    )
+    with pytest.raises(StructuralError, match="does not respect relations"):
+        build(scn)
+
+
+def _golden_scenario(name: str) -> ExtensionScenario:
+    return cli.parse_scenario(GOLDEN_SCENARIOS[name]).to_extension_scenario()
+
+
+def _planted_points(monkeypatch, plant):
+    """Make the builder's decomposition hand over ``plant(point)`` for each
+    point."""
+    from valext import builder
+
+    real = builder.tensor_decompose
+    monkeypatch.setattr(
+        builder, "tensor_decompose", lambda *a: [plant(pt) for pt in real(*a)]
+    )
+
+
+def test_split_step_refuses_a_lift_without_the_chosen_factor(monkeypatch):
+    from valext import builder
+
+    scn = _golden_scenario("hensel_route")
+    pt = tensor_decompose(scn.kprime, scn.valuation.coefficient_field, scn.k_len)[0]
+    chosen = pt.records[0].factor
+    real = builder.hensel_factor_lift
+
+    def without_the_chosen(*args, **kwargs):
+        lift = real(*args, **kwargs)
+        pairs = zip(lift.factors, lift.residual_factors)
+        kept = [g for g, r in pairs if r.reps != chosen.reps]
+        assert len(kept) == len(lift.factors) - 1
+        return dataclasses.replace(lift, factors=kept)
+
+    monkeypatch.setattr(builder, "hensel_factor_lift", without_the_chosen)
+    with pytest.raises(DomainError, match="lifted factors do not include the chosen branch"):
+        build_strictly_maximal(scn)
+
+
+@pytest.mark.parametrize("name", ["rank1_qi", "rank2_sqrt2", "hensel_route"])
+def test_a_shifted_kprime_image_is_refused(monkeypatch, name):
+    # the loop builds from the records alone; the final check of the images
+    # against the relations of k' is what catches the shift
+    def shifted(pt):
+        return dataclasses.replace(pt, left_images=pt.left_images[:-1] + (pt.left_images[-1] + 1,))
+
+    _planted_points(monkeypatch, shifted)
+    with pytest.raises(DomainError, match="recorded generator images violate a defining relation"):
+        build_strictly_maximal(_golden_scenario(name))
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        # y^2 - 3 over Q(s2) is irreducible, so its lift is itself
+        ("hensel_route", "lifted factors do not include the chosen branch"),
+        # the chosen y^2 - 2 is not the modulus y^2 - 3, which is factored
+        # again and builds Q(sqrt 3)
+        ("rank2_sqrt2", "constructed residue field disagrees with the chosen point"),
+    ],
+)
+def test_a_minpoly_the_chosen_factor_does_not_divide_is_refused(monkeypatch, name, message):
+    def planted(pt):
+        records = tuple(
+            dataclasses.replace(rec, minpoly=rec.minpoly - 1) if rec.minpoly else rec
+            for rec in pt.records
+        )
+        return dataclasses.replace(pt, records=records)
+
+    _planted_points(monkeypatch, planted)
+    with pytest.raises(DomainError, match=message):
+        build_strictly_maximal(_golden_scenario(name))
 
 
 def _verify_all(golden_builds):

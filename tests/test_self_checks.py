@@ -19,6 +19,15 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_line_of_the_package_exceeds_100_characters():
+    long_lines = []
+    for path in sorted((SRC / "valext").glob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if len(line) > 100:
+                long_lines.append(f"{path.name}:{lineno}")
+    assert long_lines == []
+
+
 def test_selftest_passes_under_python_O():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
