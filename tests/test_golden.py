@@ -2,8 +2,10 @@
 
 ``tests/golden`` holds the ``extend --verify`` report of each extension
 scenario in ``selftest.GOLDEN_SCENARIOS`` and the ``decompose`` report of
-every scenario, as produced before the univariate core was shared.  The files
-are fixed: a change that alters one of them changes what valext prints.
+every scenario, as produced before the univariate core was shared, and the
+``valext selftest`` output at seeds 0 and 3, as produced before the series
+factor lift was retired.  The files are fixed: a change that alters one of
+them changes what valext prints.
 """
 
 import io
@@ -42,6 +44,13 @@ def test_extend_verify_report_is_golden(tmp_path, name):
 def test_decompose_report_is_golden(tmp_path, name):
     expected = (GOLDEN / f"{name}.decompose.txt").read_text()
     assert _run(cli.cmd_decompose, tmp_path, name) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_selftest_output_is_golden(seed):
+    out, err = io.StringIO(), io.StringIO()
+    assert (cli.cmd_selftest(seed, out=out, err=err), err.getvalue()) == (0, "")
+    assert out.getvalue() == (GOLDEN / f"selftest.seed{seed}.txt").read_text()
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "98765"])

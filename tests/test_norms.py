@@ -255,10 +255,11 @@ def test_gauss_extend_takes_the_proving_factor(rationals, monkeypatch):
 
 @pytest.mark.parametrize("factor_of", ["none", "F2", "a factor", "another irreducible"])
 def test_gauss_extend_checks_a_factor_that_is_not_the_residual_modulus(
-    rationals, f2, factor_of
+    rationals, f2, monkeypatch, factor_of
 ):
     # the residual modulus y^2 + y = y(y + 1) is reducible; only a factor with
-    # its tower and its reps may stand in for the factorization
+    # its tower and its reps may stand in for the factorization, and any other
+    # is an inconsistency of the caller, not of the modulus
     v = MonomialValuation(rationals, ["x"])
     a = FreeAlgebra.quotient(v, Polynomial.from_coeffs(v.function_field, "y", [0, 1, 1]))
     factor = {
@@ -267,8 +268,13 @@ def test_gauss_extend_checks_a_factor_that_is_not_the_residual_modulus(
         "a factor": Polynomial.from_coeffs(rationals, "y", [1, 1]),
         "another irreducible": Polynomial.from_coeffs(rationals, "y", [1, 0, 1]),
     }[factor_of]
-    with pytest.raises(PreconditionError, match="factors as"):
-        gauss_extend(v, a, factor=factor)
+    if factor is None:
+        with pytest.raises(PreconditionError, match="factors as"):
+            gauss_extend(v, a)
+    else:
+        monkeypatch.setattr(norms.poly_mod, "factor", lambda f: pytest.fail("factor was called"))
+        with pytest.raises(DomainError, match="not the residual modulus"):
+            gauss_extend(v, a, factor=factor)
 
 
 def _generic_field_element(tower, rng, size):

@@ -7,12 +7,8 @@ from valext import valuations
 from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import FieldElement, FieldTower, _split_fraction
 from valext.norms import random_field_element, random_fraction_element
-from valext.poly import Polynomial, TruncatedSeries, factor, hensel_lift
-from valext.valuations import (
-    MonomialValuation,
-    congruent_mod_precision,
-    hensel_factor_lift,
-)
+from valext.poly import Polynomial, factor
+from valext.valuations import MonomialValuation, hensel_factor_lift
 from valext.value_groups import ValueWithZero
 
 
@@ -169,7 +165,8 @@ def test_value_residue_series_match_flattened_oracle(request, field_name, rank):
                 v.series(z, 4)
             continue
         # the series is the unique truncation with z - sum s_k x^k in (x^4)
-        rest = z - v.from_series(v.series(z, 4))
+        k, x = v.function_field, v.function_field.gen(v.variables[0])
+        rest = z - sum((k.embed(c) * x**i for i, c in enumerate(v.series(z, 4))), k.zero())
         assert rest.is_zero or _flattened_min_term(v, rest)[0][0] >= 4
 
 
@@ -233,38 +230,10 @@ def test_value_matches_value_group_element(request, field_name, rank):
 # -- hensel lifting ---------------------------------------------------------------
 
 
-def _undetermined_coefficients_root(f3, precision):
-    """Oracle: solve u^2 = 1 + x mod x^precision coefficient by coefficient,
-    with u = 1 + u1 x + u2 x^2 + ..., over F3 with plain integers."""
-    u = [1]
-    for k in range(1, precision):
-        acc = 0
-        for j in range(1, k):
-            acc = (acc + u[j] * u[k - j]) % 3
-        rhs = (1 if k == 1 else 0) - acc
-        u.append(rhs * pow(2 * u[0], -1, 3) % 3)
-    return u
-
-
-def test_hensel_example_against_oracle(v_f3, f3):
-    k = v_f3.function_field
-    x = k.gen("x")
-    f = Polynomial.from_coeffs(k, "y", [-(1 + x), k.zero(), k.one()])
-    lift = hensel_factor_lift(v_f3, f, 4)
-    assert not lift.refused and len(lift.factors) == 2
-    prod = lift.factors[0] * lift.factors[1]
-    assert congruent_mod_precision(v_f3, prod, f, 4)
-    u = _undetermined_coefficients_root(f3, 4)
-    assert u == [1, 2, 1, 1]
-    u_elem = v_f3.from_series([f3.from_int(c) for c in u])
-    target = Polynomial.from_coeffs(k, "y", [-u_elem, k.one()])
-    assert any(congruent_mod_precision(v_f3, g, target, 4) for g in lift.factors)
-
-
 def test_hensel_irreducible_residual_returns_input(v_f3):
     k = v_f3.function_field
     f = Polynomial.from_coeffs(k, "y", [k.one(), k.zero(), k.one()])  # y^2 + 1 over F3
-    lift = hensel_factor_lift(v_f3, f, 4)
+    lift = hensel_factor_lift(v_f3, f)
     assert lift.factors == [f]
 
 
@@ -272,22 +241,8 @@ def test_hensel_refusal_on_non_squarefree_residual(v_f3):
     k = v_f3.function_field
     x = k.gen("x")
     f = Polynomial.from_coeffs(k, "y", [-x, k.zero(), k.one()])  # y^2 - x
-    lift = hensel_factor_lift(v_f3, f, 4)
+    lift = hensel_factor_lift(v_f3, f)
     assert lift.refused and "not squarefree" in lift.refusal
-
-
-def test_hensel_three_way_split(f5):
-    v = MonomialValuation(f5, ["x"])
-    k = v.function_field
-    x = k.gen("x")
-    # residual (y-1)(y-2)(y-3), perturbed by x
-    f = Polynomial.parse("(y - 1) * (y - 2) * (y - 3)", k, ("y",)) + Polynomial.constant(
-        k, ("y",), x
-    )
-    lift = hensel_factor_lift(v, f, 6)
-    assert len(lift.factors) == 3
-    prod = lift.factors[0] * lift.factors[1] * lift.factors[2]
-    assert congruent_mod_precision(v, prod, f, 6)
 
 
 def test_hensel_rank_and_monic_requirements(rationals, v_f3):
@@ -295,48 +250,40 @@ def test_hensel_rank_and_monic_requirements(rationals, v_f3):
     k2 = v2.function_field
     # an irreducible residual needs no lift at any rank
     f = Polynomial.from_coeffs(k2, "y", [k2.one(), k2.zero(), k2.one()])
-    assert hensel_factor_lift(v2, f, 4).factors == [f]
-    # residual (y - 1)(y + 1) under a non-constant coefficient: the series
-    # lift, which is rank 1 only
-    g = Polynomial.from_coeffs(k2, "y", [-(1 + k2.gen("x1")), k2.zero(), k2.one()])
-    with pytest.raises(CapabilityError):
-        hensel_factor_lift(v2, g, 4)
+    assert hensel_factor_lift(v2, f).factors == [f]
+    # residual (y - 1)(y + 1) under the non-constant coefficient -(1 + x1):
+    # the lift is exact or refused, at every rank
+    for rank in [1, 2, 3]:
+        v = MonomialValuation(rationals, [f"x{j}" for j in range(1, rank + 1)])
+        k = v.function_field
+        g = Polynomial.from_coeffs(k, "y", [-(1 + k.gen("x1")), k.zero(), k.one()])
+        with pytest.raises(CapabilityError, match="non-constant coefficients"):
+            hensel_factor_lift(v, g)
     k = v_f3.function_field
     g = Polynomial.from_coeffs(k, "y", [k.one(), k.gen("x")])
     with pytest.raises(DomainError):
-        hensel_factor_lift(v_f3, g, 4)
+        hensel_factor_lift(v_f3, g)
 
 
 # -- the exact lift of constant coefficients ------------------------------------
-
-
-def _series_lift(v, f, precision):
-    """Oracle: the rank-1 series lift written out, coefficient series lifted
-    over F[x]/(x^precision) from the factors of the residual polynomial."""
-    field, k = v.coefficient_field, v.function_field
-    residual = v.residual_polynomial(f)
-    ring = TruncatedSeries(field.ring, precision)
-    target = [tuple(s.rep for s in v.series(c, precision)) for c in f.univariate_coeffs()]
-    parts = [g.reps for g, _ in factor(residual).factors]
-    out = []
-    for cs in hensel_lift(ring, target, parts):
-        coeffs = [v.from_series([FieldElement(field, r) for r in c]) for c in cs]
-        out.append(Polynomial.from_coeffs(k, f.var, coeffs))
-    return out
 
 
 @pytest.mark.parametrize(
     "field_name, text",
     [("f3", "y * (y - 1) * (y + 1)"), ("q_sqrt2", "(y - s2) * (y + s2) * (y - 1)")],
 )
-def test_exact_lift_matches_the_series_lift(request, field_name, text):
+def test_exact_lift_is_the_unique_lift(request, field_name, text):
+    # monic factors congruent to the pairwise coprime residual factors, with
+    # product f, are unique: these properties fix the lift
     field = request.getfixturevalue(field_name)
     v = MonomialValuation(field, ["x"])
-    f = Polynomial.parse(text, v.function_field, ("y",))
+    k = v.function_field
+    f = Polynomial.parse(text, k, ("y",))
     lift = hensel_factor_lift(v, f)
     assert lift.precision == 2 * 3 + 2 and len(lift.factors) == 3
-    assert lift.factors == _series_lift(v, f, lift.precision)
-    # the exact factors multiply to f, not only modulo x^precision
+    for g, r in zip(lift.factors, lift.residual_factors):
+        assert g.coeff(g.degree()) == k.one()
+        assert v.residual_polynomial(g) == r
     assert lift.factors[0] * lift.factors[1] * lift.factors[2] == f
 
 
@@ -381,9 +328,10 @@ def test_hensel_lift_takes_the_residual_factorization(q_sqrt2, monkeypatch):
 def test_hensel_lift_factors_a_factorization_that_is_not_the_residual(
     q_sqrt2, q_i, monkeypatch, given
 ):
+    # a factorization of something else is an inconsistency of the caller:
+    # it is refused, neither ignored nor replaced by a factorization
     v = MonomialValuation(q_sqrt2, ["x"])
     f = Polynomial.parse("y^2 - 2", v.function_field, ("y",))
-    want = hensel_factor_lift(v, f)
     true = factor(v.residual_polynomial(f)).factors
     factors = {
         # (y - i)(y + i): the reps of (y - s2)(y + s2) over another tower
@@ -392,9 +340,6 @@ def test_hensel_lift_factors_a_factorization_that_is_not_the_residual(
         "a multiplicity": [(true[0][0], 2), true[1]],
         "another polynomial": factor(Polynomial.parse("y^2 - 1", q_sqrt2, ("y",))).factors,
     }[given]
-    calls = []
-    real = valuations.poly_mod.factor
-    monkeypatch.setattr(valuations.poly_mod, "factor", lambda g: calls.append(g) or real(g))
-    got = hensel_factor_lift(v, f, factors=factors)
-    assert len(calls) == 1
-    assert got.factors == want.factors and got.residual_factors == want.residual_factors
+    monkeypatch.setattr(valuations.poly_mod, "factor", lambda g: pytest.fail("factor was called"))
+    with pytest.raises(DomainError, match="not the residual polynomial's factorization"):
+        hensel_factor_lift(v, f, factors=factors)
