@@ -93,9 +93,6 @@ class BuiltExtension:
     scenario: ExtensionScenario
     path: str
     valuation_w: MonomialValuation
-    group_gamma: ValueGroup
-    group_delta: ValueGroup
-    residue_field: FieldTower
     point: CompositumPoint
     kprime_images: tuple[FieldElement, ...]
     provenance: tuple[str, ...]
@@ -103,6 +100,21 @@ class BuiltExtension:
     truncation: int | None = None
     p_torsion_ok: bool | None = None
     radicial_ok: bool | None = None
+
+    @property
+    def group_gamma(self) -> ValueGroup:
+        """The value group of V."""
+        return self.scenario.valuation.group
+
+    @property
+    def group_delta(self) -> ValueGroup:
+        """The value group of W."""
+        return self.valuation_w.group
+
+    @property
+    def residue_field(self) -> FieldTower:
+        """F1, the coefficient field of W."""
+        return self.valuation_w.coefficient_field
 
     @property
     def weakly_unramified_over_input(self) -> bool:
@@ -150,8 +162,8 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
     for rec in pt.records:
         k_cur = v_cur.function_field
         ind = k_cur.fresh_name("w")
-        if rec.kind == "transcendental":
-            algebra = FreeAlgebra.polynomial(v_cur, [ind])
+        if rec.minpoly is None:
+            algebra = FreeAlgebra.polynomial(v_cur, ind)
             what = (
                 f"transcendental; extended through the Gauss norm on {algebra.describe()}, "
                 f"residue gains {rec.appended}"
@@ -176,7 +188,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
                 + f"; factor lift at precision {lift.precision} routes to ({rec.factor}),"
                 f" lifted factor ({modulus})"
             )
-        ext = gauss_extend(v_cur, algebra, [rec.appended or "_unused"], factor=rec.factor)
+        ext = gauss_extend(v_cur, algebra, rec.appended, factor=rec.factor)
         v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
         prov.append(f"step {rec.gen}: {what}")
     if v_cur.coefficient_field != pt.field:
@@ -196,9 +208,6 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
         scenario=scn,
         path="strictly-maximal",
         valuation_w=v_cur,
-        group_gamma=v0.group,
-        group_delta=v_cur.group,
-        residue_field=v_cur.coefficient_field,
         point=pt,
         kprime_images=pt.left_images,
         provenance=tuple(prov),
@@ -304,9 +313,6 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
         scenario=scn,
         path="general",
         valuation_w=built_inner.valuation_w,
-        group_gamma=v0.group,
-        group_delta=built_inner.group_delta,
-        residue_field=f1,
         point=built_inner.point,
         kprime_images=kprime_images,
         provenance=tuple(prov),
@@ -377,9 +383,7 @@ class WeakUnramReport:
         ] + [f"  {d}" for d in self.details]
 
 
-def verify_weakly_unramified(
-    built: BuiltExtension, samples: int = 200, rng: random.Random | None = None
-) -> WeakUnramReport:
+def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakUnramReport:
     """Sampled certification that W extends the base weakly unramified:
     the groups agree structurally, sampled values land in the claimed group,
     and sampled maximal-ideal elements factor as (base ideal) * (ring).
@@ -388,8 +392,8 @@ def verify_weakly_unramified(
     detail line before any monomial is asked for it.  The value of each
     forced element is read once: it decides membership in the maximal ideal
     (``in_maximal_ideal`` is exactly ``value(z).is_positive()``) and gives
-    the monomial witness."""
-    rng = rng or random.Random(built.scenario.seed)
+    the monomial witness.  The samples are drawn from the scenario's seed."""
+    rng = random.Random(built.scenario.seed)
     w = built.valuation_w
     base = built.truncated_valuation if built.path == "general" else built.scenario.valuation
     relative = "the truncated base" if built.path == "general" else "V"

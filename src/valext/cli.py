@@ -141,8 +141,8 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ScenarioParseError(f"duplicate key {key!r}", lineno)
         values[(section, key)] = (value.strip(), lineno)
 
-    def get(section: str, key: str, default=None):
-        return values.get((section, key), (default, 0))
+    def get(section: str, key: str):
+        return values.get((section, key), (None, 0))
 
     base_text, base_line = get("base", "base")
     if base_text is None:
@@ -150,8 +150,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     if base_text == "Q":
         tower = FieldTower.rationals()
     elif base_text.startswith("F") and base_text[1:].isdigit():
+        p = _parse_int(base_text[1:], base_line, "the characteristic of the base field")
         try:
-            tower = FieldTower.prime_field(int(base_text[1:]))
+            tower = FieldTower.prime_field(p)
         except StructuralError as exc:
             raise ScenarioParseError(str(exc), base_line) from None
     else:

@@ -32,11 +32,11 @@ class StepRecord:
     ``minpoly`` is the polynomial an algebraic step factored: the step's
     minimal polynomial with its coefficients carried into the running field
     E by the images of the earlier generators, in the variable y.  ``factor``
-    and every entry of ``factors`` lie over the same field.
+    and every entry of ``factors`` lie over the same field.  A transcendental
+    step has no ``minpoly``.
     """
 
     gen: str
-    kind: str  # "transcendental" | "algebraic"
     appended: str | None  # generator added to E, None if the factor was linear
     factor: Polynomial | None  # chosen irreducible factor (algebraic steps)
     multiplicity: int
@@ -45,7 +45,7 @@ class StepRecord:
     minpoly: Polynomial | None = None  # the polynomial factored (algebraic steps)
 
     def describe(self) -> str:
-        if self.kind == "transcendental":
+        if self.minpoly is None:
             return f"gen {self.gen}: transcendental, appended {self.appended}"
         where = f"appended {self.appended}" if self.appended else "absorbed (linear factor)"
         return (
@@ -168,7 +168,7 @@ def tensor_decompose(
         if not step.is_algebraic:
             name = e_tower.fresh_name(step.name)
             e2 = e_tower.extend_transcendental(name)
-            record = StepRecord(step.name, "transcendental", name, None, 1)
+            record = StepRecord(step.name, name, None, 1)
             branches = [(e2, e2.gen(name), record)]
         else:
             sub = left.prefix(step_idx)
@@ -191,7 +191,7 @@ def tensor_decompose(
                     name = e_tower.fresh_name(step.name)
                     e2 = e_tower.extend_algebraic(name, h.univariate_coeffs(), check=False)
                     root = e2.gen(name)
-                record = StepRecord(step.name, "algebraic", name, h, m, factors, minpoly)
+                record = StepRecord(step.name, name, h, m, factors, minpoly)
                 branches.append((e2, root, record))
         for e2, image, record in branches:
             rec(

@@ -21,6 +21,6 @@ FACTOR_DEGREE_BOUND = 12
 # p = 2, 3, 5 on a 2-core x86-64 VM with Python 3.11.
 MAX_CLOSURE_DEGREE = 1024
 
-# Default seed for every randomized routine (equal-degree splitting, sampled
-# property checks).  All randomness in the package flows from one seed.
+# Seed of the equal-degree splitting in factorization; the factors do not
+# depend on it.  Sampled verification draws from the scenario's own seed.
 DEFAULT_SEED = 0

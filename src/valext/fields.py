@@ -25,8 +25,10 @@ earlier generators; such towers are isomorphic to rational function fields
 over their finite-field part, which is what makes exact root extraction
 possible.
 
-Towers and elements are immutable after construction and safe to share
-across threads; extension methods return new towers.
+Towers and elements are immutable after construction, with one exception:
+``FieldTower.term_reps`` is a dict that ``norms.random_field_element`` fills
+on use, each entry the rep of one fixed term.  Extension methods return new
+towers.
 """
 
 from __future__ import annotations
@@ -1003,8 +1005,6 @@ def _split_fraction(tw: FieldTower, rep, cut: int):
 
 
 def _format_terms(terms: dict, names: tuple[str, ...], tw: FieldTower) -> str:
-    if not terms:
-        return "0"
     rendered = []
     for exps in sorted(terms.keys(), reverse=True):
         coeff = terms[exps]
@@ -1022,12 +1022,17 @@ def _format_terms(terms: dict, names: tuple[str, ...], tw: FieldTower) -> str:
         else:
             piece = c
         rendered.append(piece)
-    out = rendered[0]
-    for piece in rendered[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
+    return _join_terms(rendered)
+
+
+def _join_terms(pieces: list[str]) -> str:
+    """The sum of rendered terms, with " - " before a piece that starts with
+    "-"; "0" when there are none."""
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return out
 
 

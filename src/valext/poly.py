@@ -21,7 +21,7 @@ Supported factorization domains:
 * p-power binomials y^(p^e) - c in characteristic p: exact p-th roots.
 
 In characteristic 0 a prime decides squarefreeness where it can: a
-squarefree certificate (``_squarefree_certificate``) tests f modulo a prime
+squarefree certificate (``_certify``) tests f modulo a prime
 over Q and the norm of f modulo a prime over Q(theta).  When it holds, the
 squarefree decomposition is f itself and Yun's exact gcd(f, f') is skipped;
 the norm route certifies each shifted norm the same way and falls back to
@@ -57,6 +57,7 @@ from .fields import (
     IntegersMod,
     PrimeField,
     RationalField,
+    _join_terms,
     _p_power_binomial,
     _power,
     _u_add,
@@ -90,10 +91,6 @@ class Polynomial:
         self.reps = _u_trim(tower.ring, reps)
 
     # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def constant(tower: FieldTower, vars: Sequence[str], value) -> "Polynomial":
-        return Polynomial(tower, _one_name(vars), [tower.coerce(value).rep])
 
     @staticmethod
     def from_coeffs(tower: FieldTower, var: str, coeffs: Sequence) -> "Polynomial":
@@ -236,15 +233,7 @@ class Polynomial:
             else:
                 piece = cs
             pieces.append(piece)
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += f" - {piece[1:]}"
-            else:
-                out += f" + {piece}"
-        return out
+        return _join_terms(pieces)
 
     def __repr__(self):
         return f"<poly {self}>"
@@ -253,14 +242,16 @@ class Polynomial:
 
     @staticmethod
     def parse(text: str, tower: FieldTower, vars: Sequence[str]) -> "Polynomial":
-        return _parse_polynomial(text, tower, _one_name(vars))
-
-
-def _one_name(vars: Sequence[str]) -> str:
-    vars = tuple(vars)
-    if len(vars) != 1:
-        raise StructuralError(f"a polynomial has exactly one variable, got {vars}")
-    return vars[0]
+        """The polynomial ``text`` over ``tower`` in the one variable that
+        ``vars`` names."""
+        vars = tuple(vars)
+        if len(vars) != 1:
+            raise StructuralError(f"a polynomial has exactly one variable, got {vars}")
+        try:
+            return _parse_polynomial(text, tower, vars[0])
+        except RecursionError:
+            # the parser descends once per parenthesis and per unary minus
+            raise StructuralError("polynomial nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +269,13 @@ def _tokenize(text: str) -> list:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("num", int(text[i:j])))
+            try:
+                tokens.append(("num", int(text[i:j])))
+            except ValueError:
+                # isdigit also accepts digits int refuses, such as "²", and
+                # int refuses runs longer than the interpreter's digit limit
+                shown = text[i:j][:20]
+                raise StructuralError(f"unreadable number {shown!r} in polynomial") from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -359,14 +356,14 @@ def _parse_polynomial(text: str, tower: FieldTower, var: str) -> Polynomial:
                 _, d = take("num")
                 if d == 0:
                     raise StructuralError(f"zero denominator in {n}/{d}")
-                return Polynomial.constant(tower, (var,), Fraction(n, d))
-            return Polynomial.constant(tower, (var,), n)
+                return Polynomial.from_coeffs(tower, var, [Fraction(n, d)])
+            return Polynomial.from_coeffs(tower, var, [n])
         if kind == "name":
             _, name = take()
             if name == var:
                 return Polynomial(tower, var, [tower.ring.zero, tower.ring.one])
             if name in tower.gen_names:
-                return Polynomial.constant(tower, (var,), tower.gen(name))
+                return Polynomial.from_coeffs(tower, var, [tower.gen(name)])
             raise StructuralError(f"unknown symbol {name!r}")
         if kind == "(":
             take()
@@ -486,18 +483,10 @@ def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 def _certify(f: Polynomial) -> tuple[bool, int | None]:
-    """(proved, prime): whether the squarefree certificate holds for the
-    monic f, and over Q the good prime that proves it, which factoring f
-    takes up instead of searching for it again."""
-    if f.tower.level == 0 and f.tower.char == 0:
-        prime = _good_prime(_primitive_ints(f.reps))
-        return prime is not None, prime
-    return _squarefree_certificate(f), None
-
-
-def _squarefree_certificate(f: Polynomial) -> bool:
-    """True when a cheap test proves the monic f squarefree; False proves
-    nothing.
+    """(proved, prime): proved is True when a cheap test proves the monic f
+    squarefree, and False proves nothing; over Q, prime is the good prime
+    that proves it, which factoring f takes up instead of searching for it
+    again.
 
     Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
     with coefficients in the subfield below the top step is certified there.
@@ -510,16 +499,17 @@ def _squarefree_certificate(f: Polynomial) -> bool:
     """
     tower = f.tower
     if tower.char != 0:
-        return False
+        return False, None
     if f.degree() == 1:
-        return True
+        return True, None
     if tower.level == 0:
-        return _good_prime(_primitive_ints(f.reps)) is not None
+        prime = _good_prime(_primitive_ints(f.reps))
+        return prime is not None, prime
     restricted = _restrict_poly(f, tower.level - 1)
     if restricted is not None:
-        return _squarefree_certificate(restricted)
+        return _certify(restricted)[0], None
     if tower.level > 1 or tower.extension_degree() is None:
-        return False
+        return False, None
     rows = _norm_rows(tower, f.reps)
     denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
     rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
@@ -528,8 +518,13 @@ def _squarefree_certificate(f: Polynomial) -> bool:
         Fp = PrimeField(p)
         norm = _bareiss_det(Fp, [[_u_trim(Fp, [c % p for c in e]) for e in row] for row in rows])
         if _mod_p_squarefree(norm, p):
-            return True
-    return False
+            return True, None
+    return False, None
+
+
+def _squarefree_certificate(f: Polynomial) -> bool:
+    """Whether ``_certify`` proves the monic f squarefree."""
+    return _certify(f)[0]
 
 
 def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]:
@@ -592,11 +587,12 @@ class Factorization:
         return head + " * ".join(pieces)
 
 
-def factor(f: Polynomial, seed: int | None = None) -> Factorization:
+def factor(f: Polynomial) -> Factorization:
     """Factor a polynomial into monic irreducibles.
 
-    Output is deterministic: factors are sorted by a canonical key, and the
-    equal-degree splitting randomness is drawn from the given seed.
+    Output is deterministic: factors are sorted by a canonical key.  The
+    equal-degree splitting draws from ``config.DEFAULT_SEED``; another seed
+    could change only how long the splitting takes, never the factors.
     """
     if f.is_zero:
         raise DomainError("factorization of 0")
@@ -607,7 +603,7 @@ def factor(f: Polynomial, seed: int | None = None) -> Factorization:
     unit = f.leading_coeff()
     if f.degree() == 0:
         return Factorization(unit, [])
-    rng = random.Random(config.DEFAULT_SEED if seed is None else seed)
+    rng = random.Random(config.DEFAULT_SEED)
     monic = f.monic()
     proved, prime = _certify(monic)
     out: list[tuple[Polynomial, int]] = []
@@ -755,9 +751,7 @@ _PRIME_POOL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 
 _CERTIFICATE_TRIES = 3
 
 
-def _factor_rationals(
-    f: Polynomial, rng: random.Random, prime: int | None = None
-) -> list[Polynomial]:
+def _factor_rationals(f: Polynomial, rng: random.Random, prime: int | None) -> list[Polynomial]:
     """Monic squarefree polynomial over Q: mod-p factorization at a good
     prime (the one given, else the first of the pool), Hensel lifting and
     subset recombination."""

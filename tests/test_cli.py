@@ -268,6 +268,36 @@ def test_zero_denominator_is_a_parse_error_with_line(tmp_path):
     assert err.startswith("parse error: line 10:") and "zero denominator" in err
 
 
+_SUPERSCRIPT_BASE = _ONE_STEP.format("y^2 - 2").replace("base: Q", "base: F²")
+_LONG_BASE = _ONE_STEP.format("y^2 - 2").replace("base: Q", "base: F" + "1" * 5000)
+
+
+@pytest.mark.parametrize(
+    "run, text, line, message",
+    [
+        # str.isdigit accepts "²" and digit runs past int's 4300-digit limit
+        (run_extend, _ONE_STEP.format("y^² - 2"), 10, "unreadable number"),
+        (run_extend, _ONE_STEP.format("y^2 - " + "1" * 5000), 10, "unreadable number"),
+        (run_extend, _ONE_STEP.format("y^2 - " + "(" * 300 + "2" + ")" * 300), 10, "nests"),
+        (run_extend, _ONE_STEP.format("y^2 - " + "-" * 3000 + "2"), 10, "nests"),
+        (run_decompose, _SUPERSCRIPT_BASE, 2, "must be an integer"),
+        (run_decompose, _LONG_BASE, 2, "must be an integer"),
+    ],
+    ids=[
+        "superscript", "5000-digits", "300-parens", "3000-minus",
+        "base-superscript", "base-5000-digits",
+    ],
+)
+def test_unreadable_numbers_and_deep_nesting_are_parse_errors_with_line(
+    tmp_path, run, text, line, message
+):
+    start = time.perf_counter()
+    code, out, err = run(tmp_path, text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith(f"parse error: line {line}:") and message in err
+
+
 def test_power_beyond_the_degree_bound_is_refused_before_expansion(tmp_path):
     start = time.perf_counter()
     code, out, err = run_extend(tmp_path, _ONE_STEP.format("(y+1)^3000"))

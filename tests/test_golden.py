@@ -86,6 +86,20 @@ def test_extend_verify_report_is_golden_under_python_O(tmp_path):
     assert proc.stdout == (GOLDEN / "char2_trunc.extend-verify.txt").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_selftest_output_is_golden_under_python_O_and_another_hash_seed(seed):
+    # the selftest's checks must not be assert statements, which -O strips,
+    # and its output must not follow the iteration order of a set of strings
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "valext", "selftest", "--seed", str(seed)],
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="98765"),
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / f"selftest.seed{seed}.txt").read_bytes()
+
+
 # -- the factorization corpus ----------------------------------------------------
 #
 # ``tests/golden/factor.txt`` holds the factorization (unit, then each monic

@@ -91,7 +91,7 @@ def test_squarefree_mixed_multiplicities_char_p(f5):
     f = parse("(y + 1)^5 * (y + 2)^2 * y", f5)
     part, mults = squarefree_part(f)
     assert {(str(g), m) for g, m in mults} == {("y + 1", 5), ("y + 2", 2), ("y", 1)}
-    expanded = Polynomial.constant(f5, ("y",), 1)
+    expanded = Polynomial.from_coeffs(f5, "y", [1])
     for g, m in mults:
         expanded = expanded * g**m
     assert expanded == f
@@ -310,7 +310,7 @@ def test_factor_refactoring_over_algebraic_towers(q_i, f2_a_r):
     rng = random.Random(17)
     # random products of monic factors over Q(i), refactored exactly
     for _ in range(10):
-        f = Polynomial.constant(q_i, ("y",), 1)
+        f = Polynomial.from_coeffs(q_i, "y", [1])
         for _ in range(rng.randrange(1, 4)):
             deg = rng.randrange(1, 3)
             coeffs = [
