@@ -103,13 +103,15 @@ class ScenarioFile:
         )
 
 
-def _parse_steps(tower: FieldTower, text: str, line: int) -> FieldTower:
+def _parse_steps(tower: FieldTower, text: str, line: int, proven: set) -> FieldTower:
+    """Extend ``tower`` by the steps of one line; ``proven`` holds the
+    (tower, minimal polynomial) pairs this parse has proven irreducible."""
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         try:
-            tower = tower.extend_step(part)
+            tower = tower.extend_step(part, proven)
         except (StructuralError, DomainError) as exc:
             raise ScenarioParseError(str(exc), line) from None
     return tower
@@ -158,9 +160,10 @@ def parse_scenario(text: str) -> ScenarioFile:
     else:
         raise ScenarioParseError(f"unknown base field {base_text!r}", base_line)
 
+    proven: set = set()
     gens_text, gens_line = get("base", "gens")
     if gens_text:
-        tower = _parse_steps(tower, gens_text, gens_line)
+        tower = _parse_steps(tower, gens_text, gens_line, proven)
 
     k_text, k_line = get("base", "k-prefix")
     k_len = tower.level if k_text is None else _parse_int(k_text, k_line, "k-prefix")
@@ -170,7 +173,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     kprime = tower.prefix(k_len)
     kp_text, kp_line = get("extension", "kprime-gens")
     if kp_text:
-        kprime = _parse_steps(kprime, kp_text, kp_line)
+        kprime = _parse_steps(kprime, kp_text, kp_line, proven)
 
     variables = None
     vars_text, vars_line = get("valuation", "vars")
@@ -225,7 +228,8 @@ def _parse_int(text: str, line: int, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ScenarioParseError(f"{what} must be an integer, got {text!r}", line) from None
+        # the first 20 characters, as the polynomial tokenizer quotes
+        raise ScenarioParseError(f"{what} must be an integer, got {text[:20]!r}", line) from None
 
 
 def render_scenario(s: ScenarioFile) -> str:

@@ -65,14 +65,22 @@ class CompositumPoint:
     """
 
     left: FieldTower
-    right: FieldTower
-    k_len: int
     k_hom: TowerHom
     field: FieldTower
     left_images: tuple[FieldElement, ...]
     multiplicity: int
     records: tuple[StepRecord, ...]
     index: int
+
+    @property
+    def right(self) -> FieldTower:
+        """M, the target of ``k_hom``."""
+        return self.k_hom.target
+
+    @property
+    def k_len(self) -> int:
+        """The length of K, the prefix of L that ``k_hom`` embeds into M."""
+        return self.k_hom.source.level
 
     @property
     def strictly_maximal(self) -> bool:
@@ -152,8 +160,6 @@ def tensor_decompose(
             points.append(
                 CompositumPoint(
                     left=left,
-                    right=right,
-                    k_len=k_len,
                     k_hom=k_hom,
                     field=e_tower,
                     left_images=tuple(images),

@@ -28,7 +28,17 @@ possible.
 Towers and elements are immutable after construction, with one exception:
 ``FieldTower.term_reps`` is a dict that ``norms.random_field_element`` fills
 on use, each entry the rep of one fixed term.  Extension methods return new
-towers.
+towers, each holding the tower it extends as its one-step-shorter prefix, so
+``prefix`` returns one object per prefix, with its ``rings`` and hash.
+
+Each step's text is rendered once: ``FieldTower.describe`` and ``step_text``
+take it from ``_step_text``, a bounded ``functools`` memo keyed by the tower
+that ends with that step, so equal towers share it.
+``FieldElement.__str__`` reads the terms of an element that is a polynomial
+in the generators (every element of a tower without transcendental steps,
+and most others) straight off the nested rep (``_polynomial_terms``); only an
+element with a transcendental denominator other than 1 goes through the
+common-denominator products of ``_split_fraction``.
 """
 
 from __future__ import annotations
@@ -263,7 +273,7 @@ class FieldTower:
         ``(c, mask)`` and filled on use by ``norms.random_field_element``."""
         return {}
 
-    @property
+    @functools.cached_property
     def gen_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.steps)
 
@@ -290,7 +300,7 @@ class FieldTower:
             raise CapabilityError(
                 f"at most {config.MAX_TRANSCENDENTALS} transcendental generators supported"
             )
-        return FieldTower(self.base, self.steps + (Step(name, None, None),))
+        return self._extended(Step(name, None, None))
 
     def extend_algebraic(
         self,
@@ -298,6 +308,7 @@ class FieldTower:
         minpoly: Sequence["FieldElement"],
         *,
         check: bool = True,
+        proven: set | None = None,
     ) -> "FieldTower":
         """Adjoin a root of the given polynomial (coefficients over self).
 
@@ -307,7 +318,9 @@ class FieldTower:
         own: a factor ``poly.factor`` returned, or a binomial y^p - c whose c
         ``pth_root`` found to have no p-th root.  So every algebraic step's
         minimal polynomial is irreducible over its prefix, gcd(f, f') is 1 or
-        f, and f is separable exactly when f' != 0.
+        f, and f is separable exactly when f' != 0.  ``proven``, when given,
+        is a set of (tower, monic reps) pairs already verified: a pair in it
+        is not verified again, and a pair verified here is added to it.
         """
         self._check_fresh(name)
         coeffs = [self.coerce(c) for c in minpoly]
@@ -320,10 +333,12 @@ class FieldTower:
             inv = lc.inv()
             coeffs = [c * inv for c in coeffs]
         reps = tuple(c.rep for c in coeffs)
-        if check:
+        if check and (proven is None or (self, reps) not in proven):
             self._check_irreducible(coeffs)
+            if proven is not None:
+                proven.add((self, reps))
         separable = bool(_u_deriv(self.ring, reps))
-        return FieldTower(self.base, self.steps + (Step(name, reps, separable),))
+        return self._extended(Step(name, reps, separable))
 
     def _check_irreducible(self, coeffs: list["FieldElement"]) -> None:
         from . import poly
@@ -334,10 +349,27 @@ class FieldTower:
             pieces = ", ".join(f"({p})^{m}" for p, m in fac.factors)
             raise DomainError(f"minimal polynomial is reducible: {pieces}")
 
+    def _extended(self, step: Step) -> "FieldTower":
+        """This tower extended by ``step``, with this tower as its parent."""
+        tower = FieldTower(self.base, self.steps + (step,))
+        tower.__dict__["_parent"] = self  # the value of the cached property
+        return tower
+
+    @functools.cached_property
+    def _parent(self) -> "FieldTower":
+        """The prefix one step shorter: the tower an extension method
+        extended, else built once."""
+        return FieldTower(self.base, self.steps[:-1])
+
     def prefix(self, length: int) -> "FieldTower":
+        """The subtower of the first ``length`` steps.  Each tower holds its
+        prefixes, so repeated calls return one object with its ``rings``."""
         if not 0 <= length <= self.level:
             raise StructuralError(f"prefix length {length} out of range")
-        return FieldTower(self.base, self.steps[:length])
+        tower = self
+        for _ in range(self.level - length):
+            tower = tower._parent
+        return tower
 
     def is_prefix_of(self, other: "FieldTower") -> bool:
         return self.base == other.base and self.steps == other.steps[: self.level]
@@ -410,16 +442,11 @@ class FieldTower:
 
     def step_text(self, i: int) -> str:
         """Step ``i`` as ``name: transcendental`` or ``name: algebraic <poly in y>``."""
-        from . import poly
+        return _step_text(self.prefix(i + 1))
 
-        s = self.steps[i]
-        if not s.is_algebraic:
-            return f"{s.name}: transcendental"
-        f = poly.Polynomial.from_coeffs(self.prefix(i), "y", self.minpoly_coeffs(i))
-        return f"{s.name}: algebraic {f}"
-
-    def extend_step(self, text: str) -> "FieldTower":
-        """Extend by one step written as ``step_text`` renders it."""
+    def extend_step(self, text: str, proven: set | None = None) -> "FieldTower":
+        """Extend by one step written as ``step_text`` renders it;
+        ``proven`` is passed to ``extend_algebraic``."""
         from . import poly
 
         head, sep, kind = text.partition(":")
@@ -431,17 +458,34 @@ class FieldTower:
             return self.extend_transcendental(name)
         if kind.startswith("algebraic"):
             f = poly.Polynomial.parse(kind[len("algebraic") :].strip(), self, ("y",))
-            return self.extend_algebraic(name, f.univariate_coeffs())
+            return self.extend_algebraic(name, f.univariate_coeffs(), proven=proven)
         raise StructuralError(f"unknown step kind in {text!r}")
 
     def describe(self) -> str:
-        """Text form: ``base=F2; gen a: transcendental; gen r: algebraic y^2 - a``."""
-        parts = [f"base={self.base.describe()}"]
-        parts += [f"gen {self.step_text(i)}" for i in range(self.level)]
-        return "; ".join(parts)
+        """Text form: ``base=F2; gen a: transcendental; gen r: algebraic y^2 + a``."""
+        parts = []
+        tower = self
+        while tower.level:
+            parts.append(f"gen {_step_text(tower)}")
+            tower = tower._parent
+        parts.append(f"base={self.base.describe()}")
+        return "; ".join(reversed(parts))
 
     def __str__(self):
         return self.describe()
+
+
+@functools.lru_cache(maxsize=256)
+def _step_text(tower: FieldTower) -> str:
+    """The text of the top step of ``tower``, rendered once per equal tower
+    while it stays among the 256 most recent."""
+    from . import poly
+
+    s = tower.steps[-1]
+    if not s.is_algebraic:
+        return f"{s.name}: transcendental"
+    f = poly.Polynomial(tower.prefix(tower.level - 1), "y", list(s.minpoly))
+    return f"{s.name}: algebraic {f}"
 
 
 class FieldElement:
@@ -555,15 +599,13 @@ class FieldElement:
         """A deterministic total-order key; only meaningful within one tower."""
         return _key(self.tower, self.tower.level, self.rep)
 
-    def as_fraction_strings(self) -> tuple[str, str]:
-        num, den = _split_fraction(self.tower, self.rep, 0)
-        names = self.tower.gen_names
-        return _format_terms(num, names, self.tower), _format_terms(den, names, self.tower)
-
     def __str__(self):
-        n, d = self.as_fraction_strings()
-        if d == "1":
-            return n
+        tw = self.tower
+        terms = _polynomial_terms(tw, self.rep)
+        if terms is not None:
+            return _format_terms(terms, tw)
+        num, den = _split_fraction(tw, self.rep, 0)
+        n, d = _format_terms(num, tw), _format_terms(den, tw)
         if "+" in n or " - " in n or n.startswith("-"):
             n = f"({n})"
         if "+" in d or " - " in d or "*" in d:
@@ -940,21 +982,60 @@ def _key(tw, lvl, r):
 # Flattening an element into a fraction of multivariate polynomials
 
 
+def _polynomial_terms(tw: FieldTower, rep) -> dict | None:
+    """The terms of a level-``tw.level`` rep as ``_split_fraction`` keys its
+    numerator (cut 0), read straight off the nested rep; None when a
+    transcendental level has a denominator other than 1.  Over a polynomial
+    element the exponent tuples are distinct, so nothing is summed."""
+    steps = tw.steps
+    terms: dict = {}
+
+    def walk(lvl: int, r, exps: tuple) -> bool:
+        if lvl == 0:
+            if r:  # canonical base scalars: a Fraction or an int in [0, p)
+                terms[exps] = r
+            return True
+        if steps[lvl - 1].minpoly is None:
+            num, den = r
+            if len(den) > 1:  # monic, so a constant denominator is 1
+                return False
+            r = num
+        for i, c in enumerate(r):
+            if not walk(lvl - 1, c, (i,) + exps):
+                return False
+        return True
+
+    return terms if walk(tw.level, rep, ()) else None
+
+
 def _split_fraction(tw: FieldTower, rep, cut: int):
     """Write a level-``tw.level`` rep as num/den, polynomials in the
     generators above level ``cut`` with level-``cut`` coefficients.
 
     Returns two dicts mapping exponent tuples (slot j = generator at level
     cut+1+j) to nonzero level-``cut`` reps.  No common-factor reduction is
-    performed.  For display only (``FieldElement.as_fraction_strings``): the
-    products it multiplies out are far too slow for arithmetic, so valuations
-    read values from the nested rep instead.
+    performed, and a product by the unit dict is the other factor.  For
+    display (``FieldElement.__str__``) it serves only elements with a
+    transcendental denominator other than 1; the rest are printed from
+    ``_polynomial_terms``.  Its products are far too slow for arithmetic, so
+    valuations read values from the nested rep instead.
     """
 
     ring = tw.rings[cut]
     one = ring.one
 
+    def is_unit(d: dict) -> bool:
+        if len(d) != 1:
+            return False
+        ((e, c),) = d.items()
+        return c == one and not any(e)
+
     def md_mul(a: dict, b: dict) -> dict:
+        # every dict here holds nonzero coefficients only
+        if is_unit(a):
+            return b
+        if is_unit(b):
+            return a
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -1004,23 +1085,25 @@ def _split_fraction(tw: FieldTower, rep, cut: int):
     return rec(tw.level, rep)
 
 
-def _format_terms(terms: dict, names: tuple[str, ...], tw: FieldTower) -> str:
+def _format_terms(terms: dict, tw: FieldTower) -> str:
+    """A dict of terms, keyed as ``_split_fraction`` keys them, as text:
+    highest exponent tuple first, a coefficient 1 (and -1 over Q) left out."""
+    names = tw.gen_names
+    signed = tw.char == 0
     rendered = []
-    for exps in sorted(terms.keys(), reverse=True):
+    for exps in sorted(terms, reverse=True):
         coeff = terms[exps]
         mono = "*".join(
-            f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exps) if e > 0
+            [f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exps) if e]
         )
-        c = str(coeff)
-        if mono:
-            if coeff == tw.base.one:
-                piece = mono
-            elif tw.char == 0 and coeff == -tw.base.one:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
+        if not mono:
+            piece = str(coeff)
+        elif coeff == 1:
+            piece = mono
+        elif signed and coeff == -1:
+            piece = f"-{mono}"
         else:
-            piece = c
+            piece = f"{coeff}*{mono}"
         rendered.append(piece)
     return _join_terms(rendered)
 

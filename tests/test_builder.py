@@ -1,11 +1,13 @@
 import dataclasses
+import functools
+import io
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from valext import cli
+from valext import cli, fields
 from valext.builder import (
     ExtensionScenario,
     build_general,
@@ -406,8 +408,10 @@ def test_a_step_that_splits_is_still_factored():
 
 
 def test_each_build_factors_each_polynomial_once(monkeypatch):
-    # factor calls keyed by (tower, polynomial) over each golden build, the
-    # parse excluded: the split step of hensel_route hands the factorization
+    # factor calls keyed by (tower, polynomial) over each golden parse and
+    # build: the parse proves y^2 - 2 over Q irreducible once for s2 and c of
+    # hensel_route (and y^2 + a over F_2(a) once for r and s of char2_trunc),
+    # and the split step of hensel_route hands the factorization
     # tensor_decompose made to the lift instead of factoring w^2 - 2 again
     from valext import poly
 
@@ -422,13 +426,41 @@ def test_each_build_factors_each_polynomial_once(monkeypatch):
     for name, text in GOLDEN_SCENARIOS.items():
         if "[valuation]" not in text:
             continue
-        scn = cli.parse_scenario(text)
-        ext = scn.to_extension_scenario()
         calls.clear()
+        scn = cli.parse_scenario(text)
+        parsed = len(calls)
+        ext = scn.to_extension_scenario()
         (build_general if scn.truncation is not None else build_strictly_maximal)(ext)
         assert len(calls) == len(set(calls)), name
+        if name in ("hensel_route", "char2_trunc"):
+            assert parsed == 1, name
         if name == "hensel_route":
-            assert len(calls) == 1
+            assert len(calls) == 2
+
+
+def test_no_tower_step_is_rendered_twice_per_operation(monkeypatch, tmp_path):
+    # step renders keyed by (tower, step index) over each golden
+    # extend --verify, the memo emptied first, as between two operations of a
+    # long-lived process: every tower text the report and the provenance
+    # print is made of steps rendered once
+    render = fields._step_text.__wrapped__
+    keys = []
+
+    def step_text(tower):
+        keys.append((tower, tower.level - 1))
+        return render(tower)
+
+    maxsize = fields._step_text.cache_parameters()["maxsize"]
+    monkeypatch.setattr(fields, "_step_text", functools.lru_cache(maxsize)(step_text))
+    for name, text in GOLDEN_SCENARIOS.items():
+        if "[valuation]" not in text:
+            continue
+        path = tmp_path / f"{name}.val"
+        path.write_text(text)
+        fields._step_text.cache_clear()
+        keys.clear()
+        assert cli.cmd_extend(str(path), verify=True, out=io.StringIO(), err=io.StringIO()) == 0
+        assert keys and len(keys) == len(set(keys)), name
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,26 @@ def test_unreadable_numbers_and_deep_nesting_are_parse_errors_with_line(
     assert err.startswith(f"parse error: line {line}:") and message in err
 
 
+@pytest.mark.parametrize("key", ["base", "k-prefix", "truncation-N", "point-index", "seed"])
+def test_a_long_unreadable_integer_is_quoted_short(tmp_path, key):
+    # int refuses a run of 5000 digits; the message quotes its first 20
+    digits = "1" * 5000
+    if key == "base":
+        text = _ONE_STEP.format("y^2 - 2").replace("base: Q", f"base: F{digits}")
+        line = 2
+    elif key == "k-prefix":
+        text = _ONE_STEP.format("y^2 - 2").replace("k-prefix: 0", f"k-prefix: {digits}")
+        line = 3
+    else:
+        text = _ONE_STEP.format("y^2 - 2") + f"\n[options]\n{key}: {digits}\n"
+        line = 13
+    code, out, err = run_extend(tmp_path, text)
+    assert code == 1 and out == ""
+    assert err.startswith(f"parse error: line {line}:")
+    assert f"must be an integer, got '{digits[:20]}'" in err
+    assert len(err) < 120
+
+
 def test_power_beyond_the_degree_bound_is_refused_before_expansion(tmp_path):
     start = time.perf_counter()
     code, out, err = run_extend(tmp_path, _ONE_STEP.format("(y+1)^3000"))

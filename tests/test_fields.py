@@ -544,3 +544,137 @@ def test_tower_hom_refuses_a_denominator_that_maps_to_zero(rationals):
         _reference_eval(hom, 1, z.rep)
     with pytest.raises(StructuralError, match="do not define a field map"):
         hom.apply(z)
+
+
+# ---------------------------------------------------------------------------
+# The element printer against the path it replaced
+
+
+def _old_split_fraction(tw, rep):
+    """Oracle: num/den of a rep as dicts of exponent tuples, every product
+    multiplied out, as ``FieldElement.__str__`` computed them before the
+    direct walk."""
+    ring = tw.base
+    one = ring.one
+
+    def md_mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = ring.add(out[e], ring.mul(ca, cb)) if e in out else ring.mul(ca, cb)
+        return {e: c for e, c in out.items() if not ring.is_zero(c)}
+
+    def md_add(a, b):
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = ring.add(out[e], c) if e in out else c
+        return {e: c for e, c in out.items() if not ring.is_zero(c)}
+
+    def rec(lvl, r):
+        if lvl == 0:
+            return ({} if ring.is_zero(r) else {(): r}), {(): one}
+        if tw.steps[lvl - 1].is_algebraic:
+            return combine(lvl, r)
+        fn_n, fn_d = combine(lvl, r[0])
+        fd_n, fd_d = combine(lvl, r[1])
+        return md_mul(fn_n, fd_d), md_mul(fn_d, fd_n)
+
+    def combine(lvl, coeffs):
+        acc_n, acc_d = {}, {(0,) * lvl: one}
+        for i, c in enumerate(coeffs):
+            cn, cd = rec(lvl - 1, c)
+            cn = {e + (i,): v for e, v in cn.items()}
+            cd = {e + (0,): v for e, v in cd.items()}
+            acc_n = md_add(md_mul(acc_n, cd), md_mul(cn, acc_d))
+            acc_d = md_mul(acc_d, cd)
+        return acc_n, acc_d
+
+    return rec(tw.level, rep)
+
+
+def _old_format_terms(terms, tw):
+    rendered = []
+    for exps in sorted(terms.keys(), reverse=True):
+        coeff = terms[exps]
+        mono = "*".join(
+            f"{tw.gen_names[i]}^{e}" if e > 1 else tw.gen_names[i]
+            for i, e in enumerate(exps)
+            if e > 0
+        )
+        c = str(coeff)
+        if mono:
+            if coeff == tw.base.one:
+                piece = mono
+            elif tw.char == 0 and coeff == -tw.base.one:
+                piece = f"-{mono}"
+            else:
+                piece = f"{c}*{mono}"
+        else:
+            piece = c
+        rendered.append(piece)
+    if not rendered:
+        return "0"
+    out = rendered[0]
+    for piece in rendered[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
+
+
+def _old_element_str(e):
+    num, den = _old_split_fraction(e.tower, e.rep)
+    n, d = _old_format_terms(num, e.tower), _old_format_terms(den, e.tower)
+    if d == "1":
+        return n
+    if "+" in n or " - " in n or n.startswith("-"):
+        n = f"({n})"
+    if "+" in d or " - " in d or "*" in d:
+        d = f"({d})"
+    return f"{n}/{d}"
+
+
+def _printer_towers():
+    q, f2, f3 = FieldTower.rationals(), FieldTower.prime_field(2), FieldTower.prime_field(3)
+    f2_a = f2.extend_transcendental("a")
+    return {
+        "Q(i)": q.extend_algebraic("i", [1, 0, 1]),
+        "Q(s2)": q.extend_algebraic("s2", [-2, 0, 1]),
+        "Q(w)": q.extend_algebraic("w", [1, 1, 1]),
+        "F3(a)": f3.extend_transcendental("a"),
+        "F2(a)(r)": f2_a.extend_algebraic("r", [f2_a.gen("a"), 0, 1]),
+        "Q(x1)(x2)": q.extend_transcendental("x1").extend_transcendental("x2"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_printer_towers()))
+def test_element_printer_matches_the_multiplied_out_printer(name):
+    tw = _printer_towers()[name]
+    rng = random.Random(name)
+    scalars = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    # over F_p, the scalars whose denominator is a unit
+    scalars = [Fraction(c) for c in scalars if tw.char == 0 or Fraction(c).denominator % tw.char]
+    elements = [tw.zero(), tw.one(), -tw.one(), tw.from_fraction(scalars[-1])]
+    for n in tw.gen_names:
+        g = tw.gen(n)
+        elements += [g, -g, g * scalars[-2], g**3 - 1]
+    for _ in range(60):
+        z = tw.zero()
+        for _ in range(rng.randrange(1, 5)):
+            term = tw.from_fraction(rng.choice(scalars))
+            for n in tw.gen_names:
+                term = term * tw.gen(n) ** rng.randrange(3)
+            z = z + term
+        elements.append(z)
+        w = random_field_element(tw, rng, 3)
+        elements += [z * w, -z]
+        if w:
+            elements.append(z / w)
+    # over Q negative and fractional coefficients, and over the
+    # transcendental towers denominators other than 1, all occur
+    if tw.char == 0:
+        assert any(" - " in str(e) or str(e).startswith("-") for e in elements)
+        assert any("/" in _old_format_terms(_old_split_fraction(e.tower, e.rep)[0], tw) for e in elements)
+    if not all(s.is_algebraic for s in tw.steps):
+        assert any(_old_split_fraction(e.tower, e.rep)[1] != {(0,) * tw.level: 1} for e in elements)
+    for e in elements:
+        assert str(e) == _old_element_str(e), e.rep
