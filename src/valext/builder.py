@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .compositum import CompositumPoint, tensor_decompose
 from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
@@ -43,10 +42,10 @@ from .fields import (
     pth_root,
     tower_separable_over,
 )
-from .norms import FreeAlgebra, gauss_extend, random_fraction_element
+from .norms import FreeAlgebra, gauss_extend, randbelow, random_fraction_element
 from .poly import Polynomial
 from .valuations import MonomialValuation, hensel_factor_lift
-from .value_groups import ValueGroup, is_p_torsion_quotient
+from .value_groups import ValueGroup, _points, is_p_torsion_quotient
 
 
 @dataclass
@@ -422,6 +421,7 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
             ok_values = False
             break
     denom = w.group.denominator
+    bits = rng.getrandbits
     for _ in range(samples if structural else 0):
         z = random_fraction_element(w, rng)
         if z.is_zero:
@@ -430,11 +430,11 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
         if escapes(val, z):
             ok_ideal = False
             break
-        # force a varied strictly positive value, staying inside the group
-        target = w.group.element(
-            [Fraction(rng.randrange(0, 3 * denom + 1), denom) for _ in range(w.rank - 1)]
-            + [Fraction(rng.randrange(1, 3 * denom + 1), denom)]
-        )
+        # force a varied strictly positive value, staying inside the group:
+        # the steps k of coordinates k/D drawn as rng.randrange(0, 3D + 1),
+        # and rng.randrange(1, 3D + 1) for the last
+        steps = [randbelow(bits, 3 * denom + 1) for _ in range(w.rank - 1)]
+        target = w.group.element(_points(w.group, steps + [1 + randbelow(bits, 3 * denom)]))
         z = z * w.monomial(target.mul(val.inv()))
         val = w.value(z)
         if escapes(val, z):

@@ -706,19 +706,31 @@ class TranscendentalLevel:
         return self.frac(_u_mul(self.k, an, bn), _u_mul(self.k, ad, bd))
 
     def inv(self, a):
+        """1/a; the inverse of c*g^i / d is (d/c) / g^i, canonical as it
+        stands: g^i is monic, and d, being prime to c*g^i, is prime to it."""
         num, den = a
         if len(num) == 0:
             raise DomainError("inverse of zero")
-        return self.frac(den, num)
+        ring = self.k
+        is_zero = ring.is_zero
+        for c in num[:-1]:
+            if not is_zero(c):
+                return self.frac(den, num)
+        c = num[-1]
+        if c != ring.one:
+            c = ring.inv(c)
+            den = tuple([x if is_zero(x) else ring.mul(x, c) for x in den])
+        return (den, (ring.zero,) * (len(num) - 1) + (ring.one,))
 
     def _monomial_term(self, r):
         """(c, i, k) when r is c*g^i / g^k, else None."""
         num, den = r
         if not num:
             return None
+        is_zero = self.k.is_zero
         for part in (num, den):
             for c in part[:-1]:
-                if not self.k.is_zero(c):
+                if not is_zero(c):
                     return None
         return num[-1], len(num) - 1, len(den) - 1
 
@@ -733,7 +745,10 @@ class TranscendentalLevel:
         ring = self.k
         zero = ring.zero
         if c != ring.one:
-            num = [x if ring.is_zero(x) else ring.mul(c, x) for x in num]
+            # x * c: a product looks for a monomial factor in its second
+            # operand first, and c, the coefficient of a monomial, is often a
+            # monomial one level down
+            num = [x if ring.is_zero(x) else ring.mul(x, c) for x in num]
         num = [zero] * i + list(num)
         den = [zero] * k + list(den)
         s = 0

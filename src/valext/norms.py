@@ -324,22 +324,36 @@ class NormCheckReport:
 TERM_TABLE_LIMIT = 4096
 
 
+def randbelow(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, with ``getrandbits = rng.getrandbits``:
+    the same draw from the same bits, n.bit_length() of them, redrawn while
+    the result is n or more, so the stream and the final state of ``rng``
+    are those of randrange's, at a fraction of its call cost."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -> FieldElement:
     """A small random tower element (sum of generator monomials).
 
     Each term c * (product of the chosen generators) is drawn as c, then one
-    bit per generator, and its rep is looked up in ``tower.term_reps``."""
+    bit per generator, as ``rng.randrange(-3, 4)`` (``rng.randrange(p)`` in
+    characteristic p) and ``rng.randrange(2)`` would draw them, and its rep is
+    looked up in ``tower.term_reps``."""
     ring = tower.ring
     table = tower.term_reps
     char = tower.char
     level = tower.level
-    randrange = rng.randrange
+    bits = rng.getrandbits
     out = None
     for _ in range(size):
-        c = randrange(-3, 4) if char == 0 else randrange(char)
+        c = randbelow(bits, char) if char else randbelow(bits, 7) - 3
         mask = 0
         for i in range(level):
-            mask |= randrange(2) << i
+            mask |= randbelow(bits, 2) << i
         term = table.get((c, mask))
         if term is None:
             term = ring.from_int(c)
@@ -354,15 +368,16 @@ def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -
 
 def random_fraction_element(valuation: MonomialValuation, rng: random.Random) -> FieldElement:
     """A random element of the fraction field: three terms over a monomial
-    denominator, every exponent in 0..2, so values spread around 0."""
+    denominator, every exponent in 0..2 (drawn as ``rng.randrange(3)``), so
+    values spread around 0."""
     n = valuation.rank
     field = valuation.coefficient_field
-    randrange = rng.randrange
+    bits = rng.getrandbits
     terms = {}
     for _ in range(3):
-        exps = tuple([randrange(3) for _ in range(n)])
+        exps = tuple([randbelow(bits, 3) for _ in range(n)])
         terms[exps] = random_field_element(field, rng, 1)
-    den = tuple([randrange(3) for _ in range(n)])
+    den = tuple([randbelow(bits, 3) for _ in range(n)])
     out = valuation.from_terms(terms, den)
     if out.is_zero:
         return valuation.function_field.one()

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
@@ -36,7 +35,7 @@ from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, StructuralError
 from .fields import FieldElement, FieldTower, build_fraction_rep
 from .poly import Polynomial
-from .value_groups import ValueGroup, ValueWithZero
+from .value_groups import ValueGroup, ValueWithZero, _points, _steps
 
 
 @dataclass(frozen=True)
@@ -57,22 +56,28 @@ class PrimeIdealInfo:
         return f"prime[{self.index}] = ({dead})"
 
 
-def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
-    """Exponents (slot j = generator at level cut+1+j) and level-``cut``
-    coefficient of the unique minimal monomial of a nonzero level-``lvl``
-    rep whose levels above ``cut`` are transcendental."""
+def _min_term(rings: tuple, cut: int, lvl: int, rep, coeff: bool) -> tuple[tuple[int, ...], object]:
+    """Exponents (slot j = generator at level cut+1+j) of the unique minimal
+    monomial of a nonzero level-``lvl`` rep whose levels above ``cut`` are
+    transcendental, and, when ``coeff`` is set, its level-``cut``
+    coefficient (a level-``cut`` rep of no meaning otherwise)."""
     if lvl == cut:
         return (), rep
+    # the ring's one itself, the leading coefficient of the denominators that
+    # from_terms, monomial and inverses build: its minimal monomial is 1
+    if rep is rings[lvl].one:
+        return (0,) * (lvl - cut), rings[cut].one
     num, den = rep
-    en, cn = _min_poly_term(rings, cut, lvl, num)
-    ed, cd = _min_poly_term(rings, cut, lvl, den)
-    ring = rings[cut]
-    if cd is not ring.one and cd != ring.one:
-        cn = ring.mul(cn, ring.inv(cd))
+    en, cn = _min_poly_term(rings, cut, lvl, num, coeff)
+    ed, cd = _min_poly_term(rings, cut, lvl, den, coeff)
+    if coeff:
+        ring = rings[cut]
+        if cd is not ring.one and cd != ring.one:
+            cn = ring.mul(cn, ring.inv(cd))
     return tuple(map(sub, en, ed)), cn
 
 
-def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs):
+def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs, coeff: bool):
     """The minimal monomial of sum coeffs[i] * g^i, g the level-``lvl``
     generator, whose exponent is the last, least significant slot."""
     is_zero = rings[lvl - 1].is_zero
@@ -84,16 +89,10 @@ def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs):
     for i, c in enumerate(coeffs):
         if is_zero(c):
             continue
-        exps, coeff = _min_term(rings, cut, lvl - 1, c)
+        exps, term = _min_term(rings, cut, lvl - 1, c, coeff)
         if best is None or exps < best:
-            best, best_coeff, best_i = exps, coeff, i
+            best, best_coeff, best_i = exps, term, i
     return best + (best_i,), best_coeff
-
-
-# Fraction(e) for the small integer coordinates that values take; Fractions
-# are immutable, so every value may share them
-_SMALL_INTS = 64
-_FRACTIONS = tuple(Fraction(e) for e in range(-_SMALL_INTS, _SMALL_INTS + 1))
 
 
 class MonomialValuation:
@@ -150,26 +149,19 @@ class MonomialValuation:
     def coerce(self, z) -> FieldElement:
         return self.function_field.coerce(z)
 
-    def _min_monomial(self, z: FieldElement) -> tuple[ValueWithZero, object]:
-        """The value of z != 0 and the coefficient rep of its minimal monomial."""
+    def _min_monomial(self, z: FieldElement, coeff: bool) -> tuple[ValueWithZero, object]:
+        """The value of z != 0 and, when ``coeff`` is set, the coefficient rep
+        of its minimal monomial."""
         k = self.function_field
-        exps, coeff = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep)
+        exps, c = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep, coeff)
         # integers over the group's own denominator: in the group by construction
-        d = self.group.denominator
-        if d == 1:
-            coords = tuple(
-                _FRACTIONS[e + _SMALL_INTS] if -_SMALL_INTS <= e <= _SMALL_INTS else Fraction(e)
-                for e in exps
-            )
-        else:
-            coords = tuple(Fraction(e, d) for e in exps)
-        return ValueWithZero(self.group, coords), coeff
+        return ValueWithZero(self.group, _points(self.group, exps)), c
 
     def value(self, z) -> ValueWithZero:
         z = self.coerce(z)
         if z.is_zero:
             return self.group.zero_value()
-        return self._min_monomial(z)[0]
+        return self._min_monomial(z, False)[0]
 
     def in_ring(self, z) -> bool:
         return self.value(z).is_nonnegative()
@@ -187,7 +179,7 @@ class MonomialValuation:
         field = self.coefficient_field
         if z.is_zero:
             return field.zero()
-        v, coeff = self._min_monomial(z)
+        v, coeff = self._min_monomial(z, True)
         if not v.is_nonnegative():
             raise DomainError(f"residue of an element of value {v} < 0")
         if v.is_positive():
@@ -223,20 +215,16 @@ class MonomialValuation:
             raise DomainError("no monomial has the adjoined zero value")
         if len(value.coords) != self.rank:
             raise StructuralError(f"{value} does not have rank {self.rank}")
+        steps = _steps(self.group, value.coords)
+        if steps is None:
+            raise DomainError(f"{value} is not in the value group")
         # x^pos / x^neg level by level: ((0, ..., 0, r), (1,)) or
         # ((r,), (0, ..., 0, 1)) over the rep r built so far, canonical by
         # construction
         k = self.function_field
-        cut = self.coefficient_field.level
-        rep = k.rings[cut].one
-        d = self.group.denominator
-        for j, c in enumerate(value.coords):
-            # c is reduced, so c * d is an integer exactly when c's
-            # denominator divides d
-            if d % c.denominator:
-                raise DomainError(f"{value} is not in the value group")
-            e = c.numerator * (d // c.denominator)
-            below = k.rings[cut + j]
+        rings = k.rings[self.coefficient_field.level :]
+        rep = rings[0].one
+        for below, e in zip(rings, steps):
             if e >= 0:
                 rep = ((below.zero,) * e + (rep,), (below.one,))
             else:

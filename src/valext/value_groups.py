@@ -18,7 +18,9 @@ Elements are tuples of exact rationals whose denominators divide p^N for the
 group's char exponent p and denominator exponent N, ordered lexicographically
 with the first coordinate most significant.
 
-Groups and values are immutable; they are safe to share between threads.
+Groups and values are immutable; they are safe to share between threads.  A
+group's one mutable part is its memo of shared coordinate Fractions, where a
+race can only build one Fraction twice.
 """
 
 from __future__ import annotations
@@ -26,11 +28,49 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 from typing import Iterable
 
 from . import config
 from .errors import DomainError, StructuralError
 from .fields import _is_prime
+
+# Lattice points k/D with |k| <= _SHARED are one shared Fraction per group,
+# made on first use: a Fraction is immutable, and building one costs more
+# than the arithmetic of a value, which runs on the integers k
+_SHARED = 64
+
+
+def _points(group: "ValueGroup", steps: Iterable[int]) -> tuple[Fraction, ...]:
+    """The coordinates k/D of the lattice steps k of ``group``."""
+    steps = tuple(steps)
+    table = group._lattice
+    try:
+        return tuple(map(table.__getitem__, steps))
+    except KeyError:
+        out = []
+        for k in steps:
+            c = table.get(k)
+            if c is None:
+                c = Fraction(k, group.denominator)
+                if -_SHARED <= k <= _SHARED:
+                    table[k] = c
+            out.append(c)
+        return tuple(out)
+
+
+def _steps(group: "ValueGroup", coords: Iterable[Fraction]) -> list[int] | None:
+    """The lattice steps k of coordinates k/D of ``group``, or None when one
+    is off the lattice.  A reduced c is k/D exactly when its denominator
+    divides D."""
+    d = group.denominator
+    out = []
+    for c in coords:
+        k, q = c.as_integer_ratio()
+        if d % q:
+            return None
+        out.append(k * (d // q))
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,14 +100,23 @@ class ValueGroup:
         return self.char_exponent ** self.denom_exponent
 
     @functools.cached_property
+    def _lattice(self) -> dict[int, Fraction]:
+        """The shared coordinates k/D by lattice step k, filled by ``_points``."""
+        return {}
+
+    @functools.cached_property
     def zero_coords(self) -> tuple[Fraction, ...]:
         """The coordinates of the neutral element."""
-        return (Fraction(0),) * self.rank
+        return _points(self, [0] * self.rank)
 
     def element(self, coords: Iterable[int | Fraction]) -> "ValueWithZero":
-        coords = tuple(c if c.__class__ is Fraction else Fraction(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != self.rank:
             raise StructuralError(f"expected {self.rank} coordinates, got {len(coords)}")
+        for c in coords:
+            if c.__class__ is not Fraction:
+                coords = tuple(map(Fraction, coords))
+                break
         # a reduced c has c * D integral exactly when its denominator divides D
         d = self.denominator
         for c in coords:
@@ -90,7 +139,10 @@ class ValueGroup:
         if value.group.rank != self.rank:
             return False
         d = self.denominator
-        return all(d % c.denominator == 0 for c in value.coords)
+        for c in value.coords:
+            if d % c.denominator:
+                return False
+        return True
 
     def describe(self) -> str:
         head = "Z" if self.denom_exponent == 0 else f"(1/{self.denominator})Z"
@@ -146,16 +198,24 @@ class ValueWithZero:
     def mul(self, other: "ValueWithZero") -> "ValueWithZero":
         """Group law (coordinatewise addition); the adjoined zero absorbs."""
         self._check_same_group(other)
+        group = self.group
         if self.is_zero or other.is_zero:
-            return ValueWithZero(self.group, None)
-        return ValueWithZero(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+            return ValueWithZero(group, None)
+        a, b = _steps(group, self.coords), _steps(group, other.coords)
+        if a is None or b is None:
+            return ValueWithZero(group, tuple(map(add, self.coords, other.coords)))
+        return ValueWithZero(group, _points(group, map(add, a, b)))
 
     __mul__ = mul
 
     def inv(self) -> "ValueWithZero":
         if self.is_zero:
             raise DomainError("the adjoined zero has no inverse")
-        return ValueWithZero(self.group, tuple(-c for c in self.coords))
+        group = self.group
+        steps = _steps(group, self.coords)
+        if steps is None:
+            return ValueWithZero(group, tuple(map(neg, self.coords)))
+        return ValueWithZero(group, _points(group, map(neg, steps)))
 
     def pow(self, n: int) -> "ValueWithZero":
         if self.is_zero:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import io
 import random
 import sys
@@ -22,6 +23,7 @@ from valext.errors import DomainError, PreconditionError, StructuralError
 from valext.fields import (
     FieldTower,
     TowerHom,
+    TranscendentalLevel,
     _u_squarefree,
     is_radicial,
     perfect_closure_truncated,
@@ -630,3 +632,79 @@ def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch)
     for name, weak in _verify_all(golden_builds).items():
         assert not weak.value_samples_ok and not weak.maximal_ideal_ok, name
         assert sum("escapes the group" in d for d in weak.details) == 2, name
+
+
+# ---------------------------------------------------------------------------
+# What --verify samples is a fixed function of the scenario's seed
+
+
+def _verification_stream(build, monkeypatch):
+    """The elements ``verify_weakly_unramified`` samples and the forced
+    targets it builds (one ``group.element`` call each), at the 200 samples
+    of ``--verify``, as printed."""
+    from valext import builder
+
+    lines = []
+    real_sample, real_element = builder.random_fraction_element, ValueGroup.element
+
+    def sample(v, rng):
+        z = real_sample(v, rng)
+        lines.append(f"z {z}")
+        return z
+
+    def element(self, coords):
+        target = real_element(self, coords)
+        lines.append(f"t {target}")
+        return target
+
+    with monkeypatch.context() as m:
+        m.setattr(builder, "random_fraction_element", sample)
+        m.setattr(ValueGroup, "element", element)
+        verify_weakly_unramified(build)
+    return lines
+
+
+# (sampled elements, forced targets, sha256 prefix of the lines) per golden
+# build, recorded before the sampler read its draws from getrandbits
+VERIFICATION_STREAMS = {
+    "char2_trunc": (400, 200, "c894041de09b6181"),
+    "hensel_route": (400, 200, "4f4acc4099fcd1eb"),
+    "rank1_qi": (400, 200, "91c3e7dc5d4d114c"),
+    "rank2_sqrt2": (400, 200, "b4a28e9ab73febd7"),
+    "rank2_trans": (400, 200, "19bdb0153cebe2c8"),
+}
+
+
+def test_the_verification_stream_is_pinned(golden_builds, monkeypatch):
+    got = {}
+    for name, build in sorted(golden_builds.items()):
+        lines = _verification_stream(build, monkeypatch)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        got[name] = (
+            sum(line.startswith("z ") for line in lines),
+            sum(line.startswith("t ") for line in lines),
+            digest,
+        )
+    assert got == VERIFICATION_STREAMS
+
+
+def test_verification_takes_no_gcd(golden_builds, monkeypatch):
+    # verification divides only by monomials, and the inverse of c * g^i / d
+    # at each transcendental level is (d/c) / g^i, canonical as it stands:
+    # no fraction is reduced and no gcd is taken
+    calls = []
+    frac, gcd = TranscendentalLevel.frac, fields._u_gcd
+
+    def counted_frac(self, num, den):
+        calls.append("frac")
+        return frac(self, num, den)
+
+    def counted_gcd(R, a, b):
+        calls.append("_u_gcd")
+        return gcd(R, a, b)
+
+    monkeypatch.setattr(TranscendentalLevel, "frac", counted_frac)
+    monkeypatch.setattr(fields, "_u_gcd", counted_gcd)
+    for name, build in sorted(golden_builds.items()):
+        weak = verify_weakly_unramified(build)
+        assert weak.passed and calls == [], name

@@ -381,10 +381,28 @@ def test_rational_function_sums_and_products_match_the_generic_fraction(request,
     if not tw.steps or tw.steps[-1].minpoly is not None:
         tw = tw.extend_transcendental("t")
     T, k = tw.ring, tw.rings[-2]
-    pool = _rep_pool(tw, random.Random(f"frac:{field_name}"))
+    rng = random.Random(f"frac:{field_name}")
+    pool = _rep_pool(tw, rng)
+    # monomial numerators c * g^i over d prime to g, whose inverse is read
+    # off without a gcd: c one, constants other than one, a random quotient
+    # of the level below and, over Q(x1)(x2), a fraction in x1; i = 0, 1, 2
+    below = tw.prefix(tw.level - 1)
+    g = tw.gen(tw.gen_names[-1])
+    z, w = random_field_element(below, rng, 3), random_field_element(below, rng, 2)
+    cs = [below.from_int(n) for n in (1, -1, 3)] + [z if w.is_zero else z / w]
+    if below.steps and below.steps[-1].minpoly is None:
+        h = below.gen(below.gen_names[-1])
+        cs.append((h + 2) / (h**2 + 3))
+    for c in cs:
+        if not c.is_zero:
+            for i, d in [(0, g**2 + 1), (1, tw.one()), (2, g + 1)]:
+                pool.append((tw.embed(c) * g**i / d).rep)
     for a in pool:
+        an, ad = a
+        if an:
+            assert T.inv(a) == T.frac(ad, an), a
         for b in pool:
-            (an, ad), (bn, bd) = a, b
+            bn, bd = b
             num = _u_add(k, _schoolbook(k, an, bd), _schoolbook(k, bn, ad))
             assert T.add(a, b) == T.frac(num, _schoolbook(k, ad, bd)), (a, b)
             want = T.frac(_schoolbook(k, an, bn), _schoolbook(k, ad, bd))

@@ -294,12 +294,25 @@ def _generic_field_element(tower, rng, size):
     return out
 
 
-@pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "q_i_s2", "f2_a_r"])
-def test_sampler_matches_generic_build(request, field_name, monkeypatch):
+def _sampler_field(request, field_name):
+    """A fixture's tower, or one of these: F_7 and Q(i)(s2), s2^2 = 2, and
+    F_5(a)(b), whose terms draw two generator bits."""
+    if field_name == "f7":
+        return FieldTower.prime_field(7)
     if field_name == "q_i_s2":
-        field = request.getfixturevalue("q_i").extend_algebraic("s2", [-2, 0, 1])
-    else:
-        field = request.getfixturevalue(field_name)
+        return request.getfixturevalue("q_i").extend_algebraic("s2", [-2, 0, 1])
+    if field_name == "f5_a_b":
+        return request.getfixturevalue("f5").extend_transcendental("a").extend_transcendental("b")
+    return request.getfixturevalue(field_name)
+
+
+# a coefficient is drawn from 3 bits, redrawn on 5..7 over F_5 and on 7
+# over F_7; a generator bit is drawn from 2 bits, redrawn on 2 and 3
+@pytest.mark.parametrize(
+    "field_name", ["rationals", "f3", "f5", "f7", "q_i", "q_i_s2", "f2_a_r", "f5_a_b"]
+)
+def test_sampler_matches_generic_build(request, field_name, monkeypatch):
+    field = _sampler_field(request, field_name)
     fast, slow = random.Random(field_name), random.Random(field_name)
     for size in [1, 2, 3] * 40:
         z = random_field_element(field, fast, size)
@@ -342,9 +355,9 @@ def _generic_fraction_element(v, rng):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
-@pytest.mark.parametrize("field_name", ["rationals", "q_i", "f3", "f2_a"])
+@pytest.mark.parametrize("field_name", ["rationals", "q_i", "f3", "f5", "f7", "f2_a"])
 def test_fraction_sampler_matches_generic_build(request, field_name, rank):
-    field = request.getfixturevalue(field_name)
+    field = _sampler_field(request, field_name)
     v = MonomialValuation(field, [f"x{j}" for j in range(1, rank + 1)])
     fast, slow = random.Random(f"{field_name}:{rank}"), random.Random(f"{field_name}:{rank}")
     for _ in range(60):
