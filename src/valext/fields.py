@@ -17,7 +17,8 @@ precomputed ``zero`` and ``one`` and the methods ``is_zero``, ``add``,
 the level below), so the dense univariate arithmetic (``_u_*``: add, mul,
 divmod, monic, gcd, xgcd, powmod) is written once over that interface.  It
 serves every level, the factorization code in ``poly`` and the integers
-modulo m (``IntegersMod``).
+modulo m (``IntegersMod``, which includes ``PrimeField``); over those, every
+``_u_*`` loop runs on plain ints, reducing each coefficient once.
 
 The characteristic-p utilities (p-th roots, truncated perfect closure,
 radiciality) rely on towers whose algebraic steps adjoin p-power roots of
@@ -826,9 +827,21 @@ def _u_trim(R, a: list) -> list:
     return a
 
 
+def _u_trim_ints(a: list) -> list:
+    """``_u_trim`` over Z/mZ of reduced coefficients: zero is 0."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _u_add(R, a, b) -> list:
     if len(a) < len(b):
         a, b = b, a
+    if isinstance(R, IntegersMod):
+        m = R.m
+        out = [(x + y) % m for x, y in zip(a, b)]
+        out += a[len(b) :]
+        return _u_trim_ints(out)
     out = list(a)
     add = R.add
     for i, c in enumerate(b):
@@ -837,6 +850,9 @@ def _u_add(R, a, b) -> list:
 
 
 def _u_neg(R, a) -> list:
+    if isinstance(R, IntegersMod):
+        m = R.m
+        return [-c % m for c in a]
     return [R.neg(c) for c in a]
 
 
@@ -851,7 +867,7 @@ def _u_mul(R, a, b) -> list:
             if x:
                 for j, y in enumerate(b):
                     acc[i + j] += x * y
-        return _u_trim(R, [c % m for c in acc])
+        return _u_trim_ints([c % m for c in acc])
     # a product by one is a copy of the other operand, trimmed as the loop's
     # result is; reps are canonical, so == tests for one
     one = R.one
@@ -870,6 +886,9 @@ def _u_mul(R, a, b) -> list:
 
 
 def _u_scale(R, a, c) -> list:
+    if isinstance(R, IntegersMod):
+        m = R.m
+        return _u_trim_ints([c * x % m for x in a])
     return _u_trim(R, [R.mul(c, x) for x in a])
 
 
@@ -914,7 +933,7 @@ def _u_divmod_mod(R, r: list, b) -> tuple[list, list]:
             q[k] = c
             for i, x in low:
                 r[k + i] += c * x
-    return _u_trim(R, q), _u_trim(R, [c % m for c in r])
+    return _u_trim_ints(q), _u_trim_ints([c % m for c in r])
 
 
 def _u_rem(R, a, b) -> list:
@@ -957,6 +976,9 @@ def _u_powmod(R, a, n: int, m) -> list:
 
 
 def _u_deriv(R, a) -> list:
+    if isinstance(R, IntegersMod):
+        m = R.m
+        return _u_trim_ints([i * a[i] % m for i in range(1, len(a))])
     return _u_trim(R, [R.mul(R.from_int(i), a[i]) for i in range(1, len(a))])
 
 

@@ -13,7 +13,7 @@ Supported factorization domains:
   plus seeded equal-degree splitting;
 * Q: reduction mod a good prime, Hensel lifting, subset recombination, in
   which a subset is divided out only when the constant term of its product
-  divides that of the cofactor left;
+  divides that of the cofactor left, by exact long division in Z[y];
 * algebraic extensions: norm-map reduction to the subfield (Trager), the
   norm taken as a fraction-free (Bareiss) determinant over sub[y], the last
   factor taken as what the others leave;
@@ -34,7 +34,8 @@ The dense univariate arithmetic behind all of them and behind ``Polynomial``
 itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
 ``fields``, run on coefficient reps over the tower's ring
 (``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel lifting
-(``hensel_lift``) lifts mod-p factors to Z/p^k for factoring over Q.
+(``hensel_lift``) lifts all mod-p factors to Z/p^k together, one p-adic
+digit per step, for factoring over Q.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -56,7 +57,6 @@ from .fields import (
     FieldTower,
     IntegersMod,
     PrimeField,
-    RationalField,
     _join_terms,
     _p_power_binomial,
     _power,
@@ -818,41 +818,62 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
     """Lift a factorization of a monic f from F_p to Z/p^k.
 
     ``f`` holds ints in [0, p^k); ``parts`` are pairwise coprime monic
-    polynomials over F_p whose product is f mod p.  The result holds, in the
-    order of ``parts``, monic factors of f mod p^k, each congruent to its
-    part mod p; they are unique.
+    polynomials f_j over F_p whose product F is f mod p.  The result holds,
+    in the order of ``parts``, monic factors g_j of f mod p^k, each congruent
+    to its part mod p; they are unique.
+
+    All factors are lifted together, one p-adic digit per step (the
+    multifactor linear lift).  With s_j = (F/f_j)^-1 mod f_j, taken once over
+    F_p, and e digit i of f - prod g_j, adding p^i*(s_j*e mod f_j) to every
+    g_j makes the product agree with f mod p^(i+1): the sum h of
+    (s_j*e mod f_j)*F/f_j is e mod p, since h - e is divisible by every f_j,
+    so by F, and has degree below that of F.
     """
     if len(parts) == 1:
         return [f]
-    mul = functools.partial(_u_mul, PrimeField(p))
-    half = len(parts) // 2
-    g, h = _lift_pair(
-        p, k, f, functools.reduce(mul, parts[:half]), functools.reduce(mul, parts[half:])
-    )
-    return hensel_lift(p, k, g, parts[:half]) + hensel_lift(p, k, h, parts[half:])
-
-
-def _lift_pair(p: int, k: int, f: list, gbar: list, hbar: list) -> tuple[list, list]:
-    """The linear lift, one p-adic digit per step: with e the next digit of
-    f - g*h, adding p^i*(dg, dh) for dg = t*e mod gbar and dh = s*e + q*hbar
-    (s*gbar + t*hbar = 1, t*e = q*gbar + dg) makes g*h agree with f there."""
-    res, ring = PrimeField(p), IntegersMod(p**k)
-    one, s, t = _u_xgcd(res, gbar, hbar)
-    if len(one) != 1:
-        raise DomainError("factors to lift are not coprime")
-    g, h = list(gbar), list(hbar)
+    res = PrimeField(p)
+    whole = functools.reduce(functools.partial(_u_mul, res), parts)
+    inverses = []
+    for part in parts:
+        cofactor = _u_divmod(res, whole, part)[0]
+        one, s, _ = _u_xgcd(res, _u_rem(res, cofactor, part), part)
+        if len(one) != 1:
+            raise DomainError("factors to lift are not coprime")
+        inverses.append(s)
+    lifts = [list(part) for part in parts]
     for i in range(1, k):
         pi = p**i
-        diff = _u_add(ring, f, _u_neg(ring, _u_mul(ring, g, h)))
-        e = _u_trim(res, [c // pi % p for c in diff])
+        ring = IntegersMod(pi * p)
+        prod = functools.reduce(functools.partial(_u_mul, ring), lifts)
+        e = _u_trim(res, [(c - d) // pi % p for c, d in zip(f, prod)])
         if not e:
             continue
-        q, dg = _u_divmod(res, _u_mul(res, t, e), gbar)
-        dh = _u_add(res, _u_mul(res, s, e), _u_mul(res, q, hbar))
-        # digits below p times p^i stay below p^k: no reduction needed
-        g = _u_add(ring, g, [c * pi for c in dg])
-        h = _u_add(ring, h, [c * pi for c in dh])
-    return g, h
+        for g, s, part in zip(lifts, inverses, parts):
+            # digits below p times p^i stay below p^(i+1): no reduction needed
+            for j, c in enumerate(_u_rem(res, _u_mul(res, s, e), part)):
+                g[j] += c * pi
+    return lifts
+
+
+def _divide_exact(a: list[int], b: list[int]) -> list[int] | None:
+    """The quotient a / b in Z[y] of integer polynomials, b nonzero and
+    trimmed, or None when b does not divide a in Z[y]: the long division
+    stops at the first leading coefficient that the leading coefficient of b
+    does not divide, and a nonzero remainder refuses too."""
+    r = list(a)
+    n = len(b) - 1
+    lead, low = b[-1], b[:-1]
+    q = [0] * (len(r) - n)
+    while len(r) > n:
+        c, rest = divmod(r.pop(), lead)
+        if rest:
+            return None
+        if c:
+            k = len(r) - n
+            q[k] = c
+            for i, x in enumerate(low):
+                r[k + i] -= c * x
+    return None if any(r) else q
 
 
 def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
@@ -886,12 +907,10 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
                 # a factor's constant term divides that of current; 0 only 0
                 if current[0] % cand[0] if cand[0] else current[0]:
                     continue
-                q, r = _u_divmod(
-                    RationalField(), [Fraction(c) for c in current], [Fraction(c) for c in cand]
-                )
-                if not r and all(c.denominator == 1 for c in q):
+                q = _divide_exact(current, cand)
+                if q is not None:
                     out.append(cand)
-                    current = [int(c) for c in q]
+                    current = q
                     remaining = [i for i in remaining if i not in subset]
                     found = True
                     break

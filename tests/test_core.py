@@ -1,5 +1,6 @@
 """The univariate core of ``fields`` over every kind of ring it serves, and
-the Hensel lift of ``poly`` to Z/p^k."""
+the Hensel lift of ``poly`` to Z/p^k, checked against the tree lift it
+replaced."""
 
 import functools
 import random
@@ -13,10 +14,14 @@ from valext.fields import (
     IntegersMod,
     PrimeField,
     _u_add,
+    _u_deriv,
     _u_divmod,
+    _u_monic,
     _u_mul,
+    _u_neg,
     _u_powmod,
     _u_rem,
+    _u_scale,
     _u_trim,
     _u_xgcd,
 )
@@ -133,6 +138,76 @@ def test_hensel_lift_finds_the_unique_monic_factors(name):
         lifts += 1
 
 
+def _tree_lift(p, k, f, parts):
+    """The Hensel lift as it ran before the one-pass lift: split ``parts`` in
+    half, lift the two products as a pair, then recurse into each half."""
+    if len(parts) == 1:
+        return [f]
+    mul = functools.partial(_u_mul, PrimeField(p))
+    half = len(parts) // 2
+    g, h = _lift_pair(
+        p, k, f, functools.reduce(mul, parts[:half]), functools.reduce(mul, parts[half:])
+    )
+    return _tree_lift(p, k, g, parts[:half]) + _tree_lift(p, k, h, parts[half:])
+
+
+def _lift_pair(p, k, f, gbar, hbar):
+    res, ring = PrimeField(p), IntegersMod(p**k)
+    one, s, t = _u_xgcd(res, gbar, hbar)
+    if len(one) != 1:
+        raise DomainError("factors to lift are not coprime")
+    g, h = list(gbar), list(hbar)
+    for i in range(1, k):
+        pi = p**i
+        diff = _u_add(ring, f, _u_neg(ring, _u_mul(ring, g, h)))
+        e = _u_trim(res, [c // pi % p for c in diff])
+        if not e:
+            continue
+        q, dg = _u_divmod(res, _u_mul(res, t, e), gbar)
+        dh = _u_add(res, _u_mul(res, s, e), _u_mul(res, q, hbar))
+        g = _u_add(ring, g, [c * pi for c in dg])
+        h = _u_add(ring, h, [c * pi for c in dh])
+    return g, h
+
+
+def _coprime_parts(p, rng, count):
+    """Up to ``count`` pairwise coprime monic polynomials over F_p of degree
+    1 to 4, y among them half the time."""
+    res = PrimeField(p)
+    parts = [[0, 1]] if rng.randrange(2) else []
+    for _ in range(200):
+        if len(parts) == count:
+            break
+        part = [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1]
+        if all(len(_u_xgcd(res, part, other)[0]) == 1 for other in parts):
+            parts.append(part)
+    rng.shuffle(parts)
+    return parts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 67])
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_one_pass_lift_matches_the_tree_lift(p, k):
+    m, res = p**k, PrimeField(p)
+    rng = random.Random(f"lift:{p}:{k}")
+    sizes = set()
+    for _ in range(6):
+        parts = _coprime_parts(p, rng, rng.randrange(2, 9))
+        assert len(parts) >= 2
+        sizes.add(len(parts))
+        whole = functools.reduce(functools.partial(_u_mul, res), parts)
+        # any monic f that is the product of the parts mod p has a lift
+        f = [(c + p * rng.randrange(m)) % m for c in whole[:-1]] + [1]
+        lifted = hensel_lift(p, k, f, parts)
+        assert lifted == _tree_lift(p, k, f, parts)
+        assert [_u_trim(res, [c % p for c in g]) for g in lifted] == parts
+        assert functools.reduce(functools.partial(_u_mul, IntegersMod(m)), lifted) == f
+        twice = parts[:1] + parts
+        with pytest.raises(DomainError, match="not coprime"):
+            hensel_lift(p, k, functools.reduce(functools.partial(_u_mul, res), twice), twice)
+    assert len(sizes) > 1
+
+
 class _GenericIntegersMod:
     """Z/mZ through the ring interface alone: not an ``IntegersMod``, so the
     core runs its generic loops on it, one reduction per operation."""
@@ -151,13 +226,33 @@ class _GenericIntegersMod:
 def test_integers_mod_loops_match_the_generic_loops(m, non_unit):
     fast, generic = IntegersMod(m), _GenericIntegersMod(m)
     rng = random.Random(f"zm:{m}")
-    refused = 0
+    refused = emptied = 0
     for _ in range(200):
         a = [rng.randrange(m) for _ in range(rng.randrange(0, 9))]
         b = [rng.randrange(m) for _ in range(rng.randrange(1, 6))]
+        c = rng.randrange(m) if rng.randrange(4) else 0
+        # a sum whose top coefficients cancel, down to the constant term or
+        # to nothing
+        low = rng.randrange(0, len(a) + 1)
+        cancel = [rng.randrange(m) for _ in range(low)] + _u_neg(generic, a)[low:]
+        for loop in (_u_add, _u_mul):
+            assert loop(fast, a, b) == loop(generic, a, b)
+            assert loop(fast, b, a) == loop(generic, b, a)
+        assert _u_add(fast, a, cancel) == _u_add(generic, a, cancel)
+        emptied += a != [] and _u_add(fast, a, cancel) == []
+        assert _u_neg(fast, a) == _u_neg(generic, a)
+        assert _u_scale(fast, a, c) == _u_scale(generic, a, c)
+        assert _u_deriv(fast, a) == _u_deriv(generic, a)
+        trimmed = _u_trim(generic, list(a))
+        try:
+            expected = _u_monic(generic, trimmed)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _u_monic(fast, trimmed)
+        else:
+            assert _u_monic(fast, trimmed) == expected
         # b is not trimmed: its leading coefficient may be 0, or over Z/3^5
         # a non-unit, which no division may accept
-        assert _u_mul(fast, a, b) == _u_mul(generic, a, b)
         try:
             expected = _u_divmod(generic, a, b)
         except DomainError:
@@ -166,6 +261,11 @@ def test_integers_mod_loops_match_the_generic_loops(m, non_unit):
             refused += 1
             continue
         assert _u_divmod(fast, a, b) == expected
-    assert refused
+    assert refused and emptied
+    assert _u_scale(fast, [1, 2, 3], 0) == _u_scale(generic, [1, 2, 3], 0) == []
     with pytest.raises(DomainError, match="not a unit"):
         _u_divmod(fast, [1, 2, 3, 4], [1, non_unit])
+    if non_unit:
+        for ring in (fast, generic):
+            with pytest.raises(DomainError, match="not a unit"):
+                _u_monic(ring, [1, 2, non_unit])

@@ -855,6 +855,37 @@ def _recombine_unpruned(ints, lifted, modulus):
     return out
 
 
+def test_exact_integer_division_matches_division_over_q():
+    rng = random.Random("divide-exact")
+    outcomes = set()
+    for _ in range(300):
+        b = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))]
+        b.append(rng.choice([1, -1, 2, -2, 3, -3, 6, -6]))
+        kind = rng.randrange(4)
+        if kind == 0:  # shorter than the divisor
+            a = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, len(b)))]
+        else:
+            q = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 5))]
+            a = _u_mul(RationalField(), [Fraction(c) for c in q], [Fraction(c) for c in b])
+            a = [int(c) for c in a]
+            if kind == 1:  # a remainder, or a coefficient off by one
+                a[rng.randrange(len(a))] += 1
+        if rng.randrange(4) == 0:
+            (b if len(b) > 1 and rng.randrange(2) else a)[:1] = [0]
+        while a and not a[-1]:
+            a.pop()
+        q, r = _u_divmod(RationalField(), [Fraction(c) for c in a], [Fraction(c) for c in b])
+        exact = not r and all(c.denominator == 1 for c in q)
+        expected = [int(c) for c in q] if exact else None
+        assert poly_mod._divide_exact(a, b) == expected, (a, b)
+        outcomes.add("exact" if exact else "inexact")
+        if len(a) < len(b):
+            outcomes.add("shorter")
+        if 0 in a[:1] + b[:1]:
+            outcomes.add("zero constant term")
+    assert outcomes == {"exact", "inexact", "shorter", "zero constant term"}
+
+
 @pytest.mark.parametrize(
     "text",
     [
