@@ -37,6 +37,7 @@ from .fields import (
     FieldElement,
     FieldTower,
     TowerHom,
+    check_closure_degree,
     is_radicial,
     perfect_closure_truncated,
     pth_root,
@@ -242,6 +243,10 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
         return built
     v0 = scn.valuation
     f_tower = v0.coefficient_field
+    # the build closes F, and the composed extension of k' with the closure
+    # of k carries k''s transcendental steps above k: all are charged
+    steps = f_tower.steps + scn.kprime.steps[scn.k_len :]
+    check_closure_degree(p, n_trunc, sum(1 for s in steps if not s.is_algebraic))
     prov: list[str] = []
     f_dag = perfect_closure_truncated(f_tower, p, n_trunc)
     new_gens = f_dag.gen_names[f_tower.level :]

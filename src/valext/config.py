@@ -16,7 +16,8 @@ FACTOR_DEGREE_BOUND = 12
 
 # Highest degree p^(N*t) of a truncated perfect closure: truncation exponent
 # N in characteristic p, over a field with t >= 1 transcendental generators
-# (p^N when t = 0).  The work of a general build grows with it; at this cap
+# (p^N when t = 0); a general build counts those of the coefficient field and
+# of k' above k.  The work of a general build grows with it; at this cap
 # an extension with --verify took at most about 1.5 s at ranks 1-3 for
 # p = 2, 3, 5 on a 2-core x86-64 VM with Python 3.11 (F_p(a)(r), r^p = a,
 # with k' s^p = a; best of 3 runs).

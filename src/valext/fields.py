@@ -18,7 +18,9 @@ the level below), so the dense univariate arithmetic (``_u_*``: add, mul,
 divmod, monic, gcd, xgcd, powmod) is written once over that interface.  It
 serves every level, the factorization code in ``poly`` and the integers
 modulo m (``IntegersMod``, which includes ``PrimeField``); over those, every
-``_u_*`` loop runs on plain ints, reducing each coefficient once.
+``_u_*`` loop runs on plain ints, reducing each coefficient once.  Over Q a
+scalar is an int when it is integral and a ``Fraction`` only otherwise
+(``_rational``), so integral Q arithmetic is int arithmetic too.
 
 The characteristic-p utilities (p-th roots, truncated perfect closure,
 radiciality) rely on towers whose algebraic steps adjoin p-power roots of
@@ -90,22 +92,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(q):
+    """The canonical Q scalar equal to the int or ``Fraction`` q: an int when
+    q is integral, else a ``Fraction`` with denominator > 1."""
+    return q if q.__class__ is int or q.denominator != 1 else q.numerator
+
+
 @dataclass(frozen=True)
 class RationalField:
-    """The field Q; scalars are ``fractions.Fraction``."""
+    """The field Q; a scalar is an int when it is integral, else a
+    ``fractions.Fraction`` with denominator > 1 (``_rational``).  Equal
+    values have equal hashes and text either way, so the int form only
+    spares the gcd that every ``Fraction`` operation runs."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -113,7 +124,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise DomainError("division by zero in Q")
-        return 1 / a
+        return _rational(Fraction(a.denominator, a.numerator))
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -179,7 +190,9 @@ BaseField = RationalField | PrimeField
 # Tower structure
 #
 # Internal element representation, by level (level i sits above step i-1):
-#   level 0                  base scalar (Fraction or int)
+#   level 0                  base scalar: in char 0 an int when integral,
+#                            else a Fraction with denominator > 1; in
+#                            char p an int in [0, p)
 #   algebraic step, degree d tuple of level-(i-1) reps, trimmed, len < d+1
 #   transcendental step      (num, den): tuples of level-(i-1) reps, den
 #                            monic and coprime to num; () is the zero poly
@@ -398,7 +411,7 @@ class FieldTower:
     def from_fraction(self, q: Fraction) -> "FieldElement":
         q = Fraction(q)
         if self.char == 0:
-            return FieldElement(self, _lift(self, q, 0, self.level))
+            return FieldElement(self, _lift(self, _rational(q), 0, self.level))
         num = self.from_int(q.numerator)
         den = self.from_int(q.denominator)
         return num * den.inv()
@@ -1029,7 +1042,7 @@ def _polynomial_terms(tw: FieldTower, rep) -> dict | None:
 
     def walk(lvl: int, r, exps: tuple) -> bool:
         if lvl == 0:
-            if r:  # canonical base scalars: a Fraction or an int in [0, p)
+            if r:  # canonical base scalars, ints or Fractions, are falsy only at 0
                 terms[exps] = r
             return True
         if steps[lvl - 1].minpoly is None:
@@ -1430,6 +1443,23 @@ def _check_pth_root(root: FieldElement, elem: FieldElement) -> None:
         raise DomainError(f"computed p-th root {root} of {elem} does not check")
 
 
+def check_closure_degree(p: int, n_trunc: int, t: int) -> None:
+    """Refuse, with CapabilityError, truncated perfect closures at exponent N
+    over t transcendental generators past ``config.MAX_CLOSURE_DEGREE``.
+
+    The closure has degree p^(N*t); with t = 0 it is the tower itself, and
+    p^N still bounds the root chains and the value group a general build
+    rereads at exponent N, so t counts as 1.  A large exponent is refused
+    before the power is formed."""
+    t = max(1, t)
+    cap = config.MAX_CLOSURE_DEGREE
+    if n_trunc * t > cap.bit_length() or p ** (n_trunc * t) > cap:
+        raise CapabilityError(
+            f"truncated perfect closures are supported up to degree {cap}, "
+            f"got p^(N*t) = {p}^({n_trunc}*{t})"
+        )
+
+
 def perfect_closure_truncated(tower: FieldTower, p: int, n_trunc: int) -> FieldTower:
     """Adjoin p^N-th roots of every tower generator (chains of p-th roots).
 
@@ -1440,17 +1470,7 @@ def perfect_closure_truncated(tower: FieldTower, p: int, n_trunc: int) -> FieldT
         raise DomainError(f"perfect closure needs characteristic {p}, tower has {tower.char}")
     if n_trunc < 0:
         raise DomainError("truncation exponent must be nonnegative")
-    # the closure has degree p^(N*t) for t transcendental generators; with
-    # none it is the tower itself, and p^N still bounds the loop below and the
-    # value group a general build rereads at exponent N.  A large exponent is
-    # refused before the power is formed.
-    t = max(1, sum(1 for s in tower.steps if not s.is_algebraic))
-    cap = config.MAX_CLOSURE_DEGREE
-    if n_trunc * t > cap.bit_length() or p ** (n_trunc * t) > cap:
-        raise CapabilityError(
-            f"truncated perfect closures are supported up to degree {cap}, "
-            f"got p^(N*t) = {p}^({n_trunc}*{t})"
-        )
+    check_closure_degree(p, n_trunc, sum(1 for s in tower.steps if not s.is_algebraic))
     out = tower
     for gen_name in tower.gen_names:
         current = out.gen(gen_name)

@@ -776,7 +776,7 @@ def _factor_rationals(f: Polynomial, rng: random.Random, prime: int | None) -> l
     inv_lead = pow(lead, -1, m)
     lifted = hensel_lift(prime, k, [c * inv_lead % m for c in ints], modular)
     factors_z = _recombine(ints, lifted, m)
-    return [f._like([Fraction(c) for c in cz]).monic() for cz in factors_z]
+    return [f._like(cz).monic() for cz in factors_z]
 
 
 def _primitive_ints(reps: list) -> list[int]:

@@ -431,6 +431,25 @@ def test_oversized_truncation_is_a_capability_error(tmp_path):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize(
+    "kprime, code",
+    [
+        ("s: algebraic y^2 + a", 0),  # t = 1: 2^10 is the cap itself
+        # t, a transcendental step of k', makes t = 2: 2^(10*2)
+        ("s: algebraic y^2 + a; t: transcendental; u: algebraic y^2 + t", 2),
+    ],
+    ids=["algebraic", "transcendental"],
+)
+def test_closure_degree_charges_the_transcendental_steps_of_kprime(tmp_path, kprime, code):
+    text = GOLDEN_SCENARIOS["char2_trunc"].replace("s: algebraic y^2 + a", kprime)
+    text = text.replace("truncation-N: 1", "truncation-N: 10")
+    assert kprime in text and "truncation-N: 10" in text
+    got, out, err = run_extend(tmp_path, text, verify=True)
+    assert got == code, err
+    if code:
+        assert err.startswith("capability error:") and "2^(10*2)" in err, err
+
+
 def test_truncation_nine_reports_a_radicial_residue_field(tmp_path):
     code, out, err = run_extend(tmp_path, GOLDEN_SCENARIOS["char2_trunc"], truncate=9)
     assert code == 0, err

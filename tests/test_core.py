@@ -1,9 +1,10 @@
-"""The univariate core of ``fields`` over every kind of ring it serves, and
-the Hensel lift of ``poly`` to Z/p^k, checked against the tree lift it
-replaced."""
+"""The univariate core of ``fields`` over every kind of ring it serves, the
+Q ring checked against the all-``Fraction`` ring it replaced, and the Hensel
+lift of ``poly`` to Z/p^k, checked against the tree lift it replaced."""
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +14,12 @@ from valext.fields import (
     FieldTower,
     IntegersMod,
     PrimeField,
+    RationalField,
+    TranscendentalLevel,
     _u_add,
     _u_deriv,
     _u_divmod,
+    _u_gcd,
     _u_monic,
     _u_mul,
     _u_neg,
@@ -269,3 +273,127 @@ def test_integers_mod_loops_match_the_generic_loops(m, non_unit):
         for ring in (fast, generic):
             with pytest.raises(DomainError, match="not a unit"):
                 _u_monic(ring, [1, 2, non_unit])
+
+
+class _FractionRationals:
+    """Q with every scalar a ``Fraction``, integral ones too: the Q ring as
+    it was before integral scalars became ints, kept as the oracle for
+    ``RationalField``."""
+
+    char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if a == 0:
+            raise DomainError("division by zero in Q")
+        return 1 / a
+
+    def is_zero(self, a):
+        return a == 0
+
+
+def _as_fractions(rep):
+    """A rep, or a list of reps, with every base scalar a ``Fraction``."""
+    if isinstance(rep, (tuple, list)):
+        return type(rep)(_as_fractions(c) for c in rep)
+    return Fraction(rep)
+
+
+def _canonical(rep) -> bool:
+    """Whether every base scalar of a rep, or of a list of reps, is an int or
+    a ``Fraction`` with denominator > 1."""
+    if isinstance(rep, (tuple, list)):
+        return all(_canonical(c) for c in rep)
+    return rep.__class__ is int or (rep.__class__ is Fraction and rep.denominator > 1)
+
+
+def _q_scalars(rng) -> list:
+    """0, +-1, seeded ints and fractions, and partners n - q and n / q of
+    some fractions q, whose sum or product with q is the integer n; each
+    in canonical form."""
+    ints = [0, 1, -1, 2, -7, 10**30] + [rng.randrange(-50, 51) for _ in range(20)]
+    fractions = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 10**20)]
+    fractions += [Fraction(rng.randrange(-50, 51), rng.randrange(2, 30)) for _ in range(20)]
+    proper = [q for q in fractions if q.denominator > 1][:12]
+    partners = [rng.randrange(-5, 6) - q for q in proper]
+    partners += [rng.randrange(-5, 6) / q for q in proper]
+    return [x.numerator if x.denominator == 1 else x for x in ints + fractions + partners]
+
+
+def test_rational_field_matches_the_fraction_ring():
+    R, oracle = RationalField(), _FractionRationals()
+    assert (R.zero, R.one, R.from_int(-4)) == (0, 1, -4)
+    assert all(x.__class__ is int for x in (R.zero, R.one, R.from_int(-4)))
+    assert R.inv(2) == Fraction(1, 2) and R.inv(2).__class__ is Fraction
+    assert R.inv(Fraction(-1, 3)).__class__ is int and R.inv(Fraction(-1, 3)) == -3
+    with pytest.raises(DomainError):
+        R.inv(0)
+    pool = _q_scalars(random.Random("q-ring"))
+    integral = 0
+    for a in pool:
+        results = [(R.neg(a), oracle.neg(Fraction(a)))]
+        if a != 0:
+            results.append((R.inv(a), oracle.inv(Fraction(a))))
+        for b in pool:
+            results.append((R.add(a, b), oracle.add(Fraction(a), Fraction(b))))
+            results.append((R.mul(a, b), oracle.mul(Fraction(a), Fraction(b))))
+            integral += a.__class__ is b.__class__ is Fraction and R.add(a, b).__class__ is int
+            integral += a.__class__ is b.__class__ is Fraction and R.mul(a, b).__class__ is int
+        for got, expected in results:
+            assert got == expected
+            assert got.__class__ is (int if expected.denominator == 1 else Fraction)
+    assert integral >= 12
+
+
+def _oracle_ring(tower):
+    """The ring of the top level of ``tower`` (Q or a tower over it of one
+    step) built on ``_FractionRationals``."""
+    oracle = _FractionRationals()
+    if not tower.level:
+        return oracle
+    step = tower.steps[0]
+    if step.minpoly is None:
+        return TranscendentalLevel(oracle)
+    return AlgebraicLevel(oracle, _as_fractions(step.minpoly))
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(x1)"])
+def test_q_core_loops_match_the_fraction_ring(name):
+    q = FieldTower.rationals()
+    tower = {
+        "Q": q,
+        "Q(i)": q.extend_algebraic("i", [1, 0, 1]),
+        "Q(x1)": q.extend_transcendental("x1"),
+    }[name]
+    R, draw = _tower_ring(tower, fractions=True)
+    oracle = _oracle_ring(tower)
+    rng = random.Random(f"q-core:{name}")
+    # Euclid over Q(x1) takes a gcd in Q[x1] at every step and swells its
+    # coefficients, so that ring gets degree 2
+    top = 2 if name == "Q(x1)" else 4
+    for _ in range(30):
+        a = _poly(R, draw, rng, rng.randrange(0, top + 1))
+        b = _poly(R, draw, rng, rng.randrange(0, top + 1), _unit(R, draw, rng))
+        fa, fb = _as_fractions(a), _as_fractions(b)
+        assert _canonical(a) and _canonical(b)
+        for got, expected in [
+            (_u_mul(R, a, b), _u_mul(oracle, fa, fb)),
+            (_u_divmod(R, a, b), _u_divmod(oracle, fa, fb)),
+            (_u_gcd(R, a, b), _u_gcd(oracle, fa, fb)),
+            (_u_xgcd(R, a, b), _u_xgcd(oracle, fa, fb)),
+        ]:
+            assert got == expected
+            assert _canonical(got)

@@ -5,7 +5,8 @@ scenario in ``selftest.GOLDEN_SCENARIOS`` and the ``decompose`` report of
 every scenario, as produced before the univariate core was shared, and the
 ``valext selftest`` output at seeds 0 and 3, as produced before the series
 factor lift was retired.  The files are fixed: a change that alters one of
-them changes what valext prints.
+them changes what valext prints.  On the same paths, every characteristic-0
+rep must hold canonical Q scalars (an int when integral).
 """
 
 import io
@@ -13,11 +14,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from valext import cli
+from valext.fields import FieldElement, FieldTower
+from valext.poly import Polynomial
 from valext.selftest import GOLDEN_SCENARIOS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -232,6 +236,68 @@ def factor_corpus() -> str:
 
 def test_factor_corpus_is_golden():
     assert factor_corpus() == (GOLDEN / "factor.txt").read_text()
+
+
+
+# -- canonical Q scalars ---------------------------------------------------------
+#
+# Over Q a base scalar is an int when it is integral and a ``Fraction`` only
+# when its denominator is > 1.  A ``Fraction`` with denominator 1 would still
+# compute and print the same, only slower, so nothing above would notice one;
+# this guard watches every element and polynomial made on the golden paths.
+
+
+def _noncanonical_scalars(rep) -> list:
+    """The base scalars of a characteristic-0 rep, nested tuples of them at
+    every level, that are neither an int nor a ``Fraction`` with
+    denominator > 1."""
+    if rep.__class__ is tuple:
+        return [s for c in rep for s in _noncanonical_scalars(c)]
+    if rep.__class__ is int or (rep.__class__ is Fraction and rep.denominator > 1):
+        return []
+    return [rep]
+
+
+@pytest.fixture
+def scalar_leaks(monkeypatch):
+    """Patches the element and polynomial constructors to record every
+    noncanonical characteristic-0 scalar they are given."""
+    leaks = []
+    element_init, poly_init = FieldElement.__init__, Polynomial.__init__
+
+    def checked_element(self, tower, rep):
+        if tower.char == 0:
+            leaks.extend(_noncanonical_scalars(rep))
+        element_init(self, tower, rep)
+
+    def checked_poly(self, tower, var, reps):
+        if tower.char == 0:
+            leaks.extend(_noncanonical_scalars(tuple(reps)))
+        poly_init(self, tower, var, reps)
+
+    monkeypatch.setattr(FieldElement, "__init__", checked_element)
+    monkeypatch.setattr(Polynomial, "__init__", checked_poly)
+    return leaks
+
+
+def test_the_scalar_guard_sees_an_integral_fraction(scalar_leaks):
+    q_i = FieldTower.rationals().extend_algebraic("i", [1, 0, 1])
+    FieldElement(q_i, (Fraction(1, 2), 3))
+    assert scalar_leaks == []
+    FieldElement(q_i, (Fraction(1, 2), Fraction(3)))
+    assert scalar_leaks == [3] and scalar_leaks[0].__class__ is Fraction
+
+
+def test_golden_paths_make_only_canonical_rational_scalars(tmp_path, scalar_leaks):
+    for name in EXTENSIONS:
+        assert _run(cli.cmd_extend, tmp_path, name, verify=True) == (
+            GOLDEN / f"{name}.extend-verify.txt"
+        ).read_text()
+    assert _run(cli.cmd_decompose, tmp_path, "decompose_qi") == (
+        GOLDEN / "decompose_qi.decompose.txt"
+    ).read_text()
+    assert factor_corpus() == (GOLDEN / "factor.txt").read_text()
+    assert scalar_leaks == []
 
 
 if __name__ == "__main__":
