@@ -20,7 +20,10 @@ serves every level, the factorization code in ``poly`` and the integers
 modulo m (``IntegersMod``, which includes ``PrimeField``); over those, every
 ``_u_*`` loop runs on plain ints, reducing each coefficient once.  Over Q a
 scalar is an int when it is integral and a ``Fraction`` only otherwise
-(``_rational``), so integral Q arithmetic is int arithmetic too.
+(``_rational``), so integral Q arithmetic is int arithmetic too.  The gcd
+over Q and number fields (``_u_gcd_subresultant``) keeps its coefficients
+integral: a subresultant remainder sequence, divided exactly by a scalar
+at each step; ``_u_gcd`` is Euclid, the gcd of every other ring.
 
 The characteristic-p utilities (p-th roots, truncated perfect closure,
 radiciality) rely on towers whose algebraic steps adjoin p-power roots of
@@ -47,6 +50,7 @@ common-denominator products of ``_split_fraction``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -960,11 +964,171 @@ def _u_monic(R, a: list) -> list:
 
 
 def _u_gcd(R, a, b) -> list:
-    """The monic gcd; gcd(a, 0) is a made monic."""
+    """The monic gcd by Euclid; gcd(a, 0) is a made monic."""
     a, b = list(a), list(b)
     while b:
         a, b = b, _u_rem(R, a, b)
     return _u_monic(R, a)
+
+
+def _u_prem(R, a, b) -> list:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, by ring
+    operations alone (no inverse): deg a >= deg b >= 0."""
+    add, mul, is_zero = R.add, R.mul, R.is_zero
+    lead = b[-1]
+    monic = lead == R.one
+    low = [(i, R.neg(x)) for i, x in enumerate(b[:-1]) if not is_zero(x)]
+    r = list(a)
+    n = len(b) - 1
+    e = len(r) - n
+    while len(r) > n:
+        c = r.pop()
+        if not monic:
+            r = [mul(lead, x) for x in r]
+        k = len(r) - n
+        for i, x in low:
+            r[k + i] = add(r[k + i], mul(c, x))
+        _u_trim(R, r)
+        e -= 1
+    if e and r and not monic:
+        r = _u_scale(R, r, _power(lead, e, mul, R.one))
+    return r
+
+
+def _leaves(rep) -> list:
+    """The base scalars of a rep of a tower whose steps are all algebraic."""
+    if rep.__class__ is not tuple:
+        return [rep]
+    return [x for c in rep for x in _leaves(c)]
+
+
+def _map_leaves(rep, fn):
+    """The rep with fn applied to each base scalar; fn keeps nonzero ones
+    nonzero, so the rep stays trimmed."""
+    if rep.__class__ is not tuple:
+        return fn(rep)
+    return tuple([_map_leaves(c, fn) for c in rep])
+
+
+def _leaf_quotient(x, n: int):
+    """x / n for a Q scalar x and an int n > 0: ``//`` when it is exact."""
+    if x.__class__ is int:
+        q, r = divmod(x, n)
+        if not r:
+            return q
+    return _rational(Fraction(x, n))
+
+
+def _integral_primitive(a: list) -> list:
+    """The rational multiple of the nonzero polynomial a (reps over Q or a
+    number field) whose base scalars are coprime ints."""
+    leaves = [x for c in a for x in _leaves(c)]
+    den = math.lcm(*(x.denominator for x in leaves))
+    content = math.gcd(*(x.numerator * (den // x.denominator) for x in leaves))
+    return [
+        _map_leaves(c, lambda x: x.numerator * (den // x.denominator) // content) for c in a
+    ]
+
+
+def _prs_divisor(R, g, h, delta: int):
+    """g * h^delta, which divides the pseudo-remainder of a subresultant
+    step exactly (Brown and Traub 1971)."""
+    return R.mul(g, _power(h, delta, R.mul, R.one))
+
+
+def _integral_inverse(R, s):
+    """(v, n) with s * v = n for a nonzero s over Q or a number field: the
+    inverse of s as v / n, n a positive int and v integral wherever s and
+    the minimal polynomials are.  A quadratic level, y^2 + p*y + q, takes
+    the conjugate, (a + b*y) * (a - b*p - b*y) = a*(a - b*p) + b^2*q one
+    level down, and a constant is inverted one level down; other levels
+    clear the denominators of ``R.inv``."""
+    if R.__class__ is RationalField:
+        n, d = s.numerator, s.denominator
+        return (d, n) if n > 0 else (-d, -n)
+    k = R.k
+    if len(s) == 1:
+        v, n = _integral_inverse(k, s[0])
+        return (v,), n
+    if len(R.minpoly) == 3:
+        q, p = R.minpoly[0], R.minpoly[1]
+        a, b = s
+        conj = k.add(a, k.neg(k.mul(b, p)))
+        v, n = _integral_inverse(k, k.add(k.mul(a, conj), k.mul(k.mul(b, b), q)))
+        return tuple(_u_scale(k, [conj, k.neg(b)], v)), n
+    inv = R.inv(s)
+    n = math.lcm(*(x.denominator for x in _leaves(inv)))
+    return _map_leaves(inv, lambda x: x.numerator * (n // x.denominator)), n
+
+
+def _scalar_quotient(R, a: list, s) -> list:
+    """a / s coefficientwise over Q or a number field, s nonzero: the
+    inverse of s as v / n (``_integral_inverse``), then products by v and
+    quotients by n, which stay ints wherever s divides in the ring of
+    integral reps."""
+    if s == R.one:
+        return a
+    v, n = _integral_inverse(R, s)
+    if n == 1:
+        return [R.mul(c, v) for c in a]
+    return [_map_leaves(R.mul(c, v), lambda x: _leaf_quotient(x, n)) for c in a]
+
+
+def _subresultant_prs(R, a: list, b: list):
+    """Yield the remainders of the subresultant polynomial remainder sequence
+    of a and b, deg a >= deg b >= 1 (Collins 1967; Brown and Traub 1971;
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.1),
+    up to the last nonzero one.  Each pseudo-remainder is divided by
+    g * h^delta, which the subresultant theorem proves exact, so remainders
+    of inputs with coefficients in an integral domain D stay in D: in
+    Z[theta1..thetar] when every minimal polynomial is integral."""
+    g = h = R.one
+    while True:
+        delta = len(a) - len(b)
+        r = _u_prem(R, a, b)
+        if not r:
+            return
+        r = _scalar_quotient(R, r, _prs_divisor(R, g, h, delta))
+        yield r
+        if len(r) == 1:
+            return
+        a, b = b, r
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            # g^delta / h^(delta-1), exact as well
+            gd = _power(g, delta, R.mul, R.one)
+            h = _scalar_quotient(R, [gd], _power(h, delta - 1, R.mul, R.one))[0]
+
+
+def _u_gcd_subresultant(R, a, b) -> list:
+    """The monic gcd over Q or a number field (R the ring of a tower whose
+    steps are all algebraic over Q), equal to ``_u_gcd``'s: the inputs are
+    made integral and primitive over Z, the subresultant PRS runs on them,
+    and its last nonzero remainder is made monic.  The only inverses are of
+    scalars (``_scalar_quotient``): one per step, one more where the degree
+    drops by 2 or more, and the final one; a non-integral minimal polynomial
+    costs ``Fraction`` scalars, not correctness."""
+    a, b = _u_trim(R, list(a)), _u_trim(R, list(b))
+    if not a or not b:
+        return _u_monic(R, a or b)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [R.one]
+    last = _integral_primitive(b)
+    for last in _subresultant_prs(R, _integral_primitive(a), last):
+        pass
+    return _scalar_quotient(R, last, last[-1])
+
+
+def _tower_gcd(tower: FieldTower, a, b) -> list:
+    """The monic gcd of two rep lists over ``tower.ring``: by the subresultant
+    PRS over Q and number fields, by Euclid elsewhere."""
+    if tower.char == 0 and tower.extension_degree() is not None:
+        return _u_gcd_subresultant(tower.ring, a, b)
+    return _u_gcd(tower.ring, a, b)
 
 
 def _u_xgcd(R, a, b) -> tuple[list, list, list]:
@@ -1520,13 +1684,16 @@ def is_radicial(sub: FieldTower, sup: FieldTower, p: int) -> bool:
 def is_separable_step(f) -> bool:
     """gcd(f, f') = 1 for a univariate polynomial over a tower field.
 
-    For degree >= 1 this is ``_u_squarefree``.  A nonzero constant has
-    gcd(f, 0) = 1 and is separable (``_u_squarefree`` says False there, as its
-    derivative is 0); f = 0 raises ``DomainError`` since gcd(0, 0) is
-    undefined."""
+    For degree >= 1 this is ``_u_squarefree``, with the gcd of
+    ``_tower_gcd``.  A nonzero constant has gcd(f, 0) = 1 and is separable
+    (``_u_squarefree`` says False there, as its derivative is 0); f = 0
+    raises ``DomainError`` since gcd(0, 0) is undefined."""
     if f.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    return f.degree() == 0 or _u_squarefree(f.tower.ring, f.reps)
+    if f.degree() == 0:
+        return True
+    deriv = _u_deriv(f.tower.ring, f.reps)
+    return bool(deriv) and len(_tower_gcd(f.tower, f.reps, deriv)) == 1
 
 
 def tower_separable_over(sup: FieldTower, prefix_len: int) -> bool:

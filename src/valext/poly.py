@@ -33,7 +33,9 @@ input before it returns.
 The dense univariate arithmetic behind all of them and behind ``Polynomial``
 itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
 ``fields``, run on coefficient reps over the tower's ring
-(``FieldTower.ring``), over Z/mZ or over Q.  Linear Hensel lifting
+(``FieldTower.ring``), over Z/mZ or over Q.  Over Q and number fields
+``gcd`` runs the subresultant remainder sequence on integral coefficients
+(``fields._u_gcd_subresultant``), elsewhere Euclid.  Linear Hensel lifting
 (``hensel_lift``) lifts all mod-p factors to Z/p^k together, one p-adic
 digit per step, for factoring over Q.
 
@@ -60,6 +62,7 @@ from .fields import (
     _join_terms,
     _p_power_binomial,
     _power,
+    _tower_gcd,
     _u_add,
     _u_deriv,
     _u_divmod,
@@ -379,11 +382,13 @@ def _parse_polynomial(text: str, tower: FieldTower, var: str) -> Polynomial:
 
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd; gcd(f, 0) is the monic normalization of f."""
+    """Monic gcd; gcd(f, 0) is the monic normalization of f.  Over Q and
+    number fields by the subresultant PRS, elsewhere by Euclid
+    (``fields._tower_gcd``)."""
     f._check_compatible(g)
     if f.is_zero and g.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    return f._like(_u_gcd(f.tower.ring, f.reps, g.reps))
+    return f._like(_tower_gcd(f.tower, f.reps, g.reps))
 
 
 def resultant(f: Polynomial, g: Polynomial) -> FieldElement:
@@ -975,7 +980,9 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
                 g = rem
             else:
                 lifted = piece.map_coeffs(tower.embed, tower)
-                g = gcd(rem, lifted.compose(f._like([st, R.one])))
+                if not s_elem.is_zero:
+                    lifted = lifted.compose(f._like([st, R.one]))  # N_j(y + s*theta)
+                g = gcd(rem, lifted)
             if g.degree() > 0:
                 out.append(g.monic())
                 rem = (rem // g).monic()
