@@ -10,7 +10,8 @@ in a prefix subtower is decidable by inspection.
 
 Each level has one ring object that does the arithmetic of its reps
 (``FieldTower.rings``): the base field at level 0, ``AlgebraicLevel``
-(reduction modulo the minimal polynomial, inverses by the extended Euclidean
+(products folded down by the minimal polynomial's precomputed tail, a
+constant inverted one level down, other inverses by the extended Euclidean
 algorithm) and ``TranscendentalLevel`` (canonical fractions).  Every ring has
 precomputed ``zero`` and ``one`` and the methods ``is_zero``, ``add``,
 ``neg``, ``mul``, ``inv`` and ``from_int`` (above level 0 also ``lift`` from
@@ -640,7 +641,12 @@ class FieldElement:
 
 class AlgebraicLevel:
     """k[y]/(minpoly) for the ring k of the level below: reps are trimmed
-    tuples of k reps, reduced modulo the monic minimal polynomial."""
+    tuples of k reps, reduced modulo the monic minimal polynomial of degree
+    ``d``.  ``low`` holds (i, -m_i) for each nonzero coefficient m_i of the
+    minimal polynomial below its leading one, so y^d = sum of -m_i * y^i:
+    ``mul`` folds a product down by it and ``poly._norm_rows`` builds its
+    matrix from it.  A constant is inverted one level down, any other rep by
+    the extended Euclidean algorithm."""
 
     zero = ()
 
@@ -648,6 +654,8 @@ class AlgebraicLevel:
         self.k = k
         self.minpoly = minpoly
         self.one = (k.one,)
+        self.d = len(minpoly) - 1
+        self.low = [(i, k.neg(m)) for i, m in enumerate(minpoly[:-1]) if not k.is_zero(m)]
 
     def is_zero(self, a) -> bool:
         return not a
@@ -665,9 +673,28 @@ class AlgebraicLevel:
         return tuple(_u_neg(self.k, a))
 
     def mul(self, a, b):
-        return tuple(_u_rem(self.k, _u_mul(self.k, a, b), self.minpoly))
+        """a * b, each coefficient of degree >= d folded down by ``low``
+        from the top: the minimal polynomial is monic, so no quotient and
+        no inverse."""
+        k, d, low = self.k, self.d, self.low
+        r = _u_mul(k, a, b)
+        if len(r) <= d:
+            return tuple(r)
+        add, mul, is_zero = k.add, k.mul, k.is_zero
+        for top in range(len(r) - 1, d - 1, -1):
+            c = r[top]
+            if not is_zero(c):
+                s = top - d
+                for i, x in low:
+                    r[s + i] = add(r[s + i], mul(c, x))
+        del r[d:]
+        return tuple(_u_trim(k, r))
 
     def inv(self, a):
+        if len(a) == 1:
+            return (self.k.inv(a[0]),)
+        if not a:
+            raise DomainError("inverse of zero")
         g, s, _ = _u_xgcd(self.k, a, self.minpoly)
         if len(g) != 1:
             raise DomainError("minimal polynomial is not irreducible (non-unit gcd)")

@@ -1009,8 +1009,8 @@ def _norm_rows(tower: FieldTower, reps: list) -> list[list[list]]:
     """The matrix of ``_norm`` for the polynomial with coefficient reps over
     tower, over the ring one level down."""
     R = tower.rings[-2]
-    step = tower.steps[-1]
-    d = step.degree
+    level = tower.ring
+    d = level.d
     row: list[list] = [[] for _ in range(d)]
     for i, c in enumerate(reps):
         for j, r in enumerate(c):
@@ -1019,16 +1019,14 @@ def _norm_rows(tower: FieldTower, reps: list) -> list[list[list]]:
                 b.extend([R.zero] * (i + 1 - len(b)))
                 b[i] = r
     # theta^d = -(m_0 + ... + m_{d-1} theta^{d-1}): a shift, then top * -m_i
-    neg_m = [R.neg(m) for m in step.minpoly[:d]]
+    # for each nonzero m_i (``AlgebraicLevel.low``)
     rows = [row]
     for _ in range(d - 1):
         top = row[-1]
         row = [[]] + row[:-1]
         if top:
-            row = [
-                x if R.is_zero(m) else _u_add(R, x, _u_scale(R, top, m))
-                for x, m in zip(row, neg_m)
-            ]
+            for i, m in level.low:
+                row[i] = _u_add(R, row[i], _u_scale(R, top, m))
         rows.append(row)
     return rows
 

@@ -1,13 +1,18 @@
 """The univariate core of ``fields`` over every kind of ring it serves, the
-Q ring checked against the all-``Fraction`` ring it replaced, and the Hensel
-lift of ``poly`` to Z/p^k, checked against the tree lift it replaced."""
+Q ring checked against the all-``Fraction`` ring it replaced, the Hensel
+lift of ``poly`` to Z/p^k, checked against the tree lift it replaced, and
+the products and inverses of ``AlgebraicLevel``, checked against the long
+division and the Euclidean algorithm they replaced."""
 
+import collections
 import functools
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from valext import cli, fields
 from valext.errors import DomainError
 from valext.fields import (
     AlgebraicLevel,
@@ -30,7 +35,8 @@ from valext.fields import (
     _u_xgcd,
 )
 from valext.norms import random_field_element
-from valext.poly import hensel_lift
+from valext.poly import _norm_rows, hensel_lift
+from valext.selftest import GOLDEN_SCENARIOS
 
 
 def _tower_ring(tower, fractions=False):
@@ -397,3 +403,252 @@ def test_q_core_loops_match_the_fraction_ring(name):
         ]:
             assert got == expected
             assert _canonical(got)
+
+
+# ``AlgebraicLevel`` folds a product down by the minimal polynomial's
+# precomputed tail and inverts a constant one level down.  The oracle is the
+# level as it was before: the product reduced by long division, every
+# inverse by the extended Euclidean algorithm, at every level of the tower.
+
+
+class _EuclidLevel(AlgebraicLevel):
+    """``AlgebraicLevel`` with its former ``mul`` and ``inv``."""
+
+    def mul(self, a, b):
+        return tuple(_u_rem(self.k, _u_mul(self.k, a, b), self.minpoly))
+
+    def inv(self, a):
+        g, s, _ = _u_xgcd(self.k, a, self.minpoly)
+        if len(g) != 1:
+            raise DomainError("minimal polynomial is not irreducible (non-unit gcd)")
+        return tuple(_u_rem(self.k, s, self.minpoly))
+
+
+def _euclid_rings(R):
+    """R with every algebraic level, R's own and those below it, an
+    ``_EuclidLevel``."""
+    if isinstance(R, AlgebraicLevel):
+        return _EuclidLevel(_euclid_rings(R.k), R.minpoly)
+    if isinstance(R, TranscendentalLevel):
+        return TranscendentalLevel(_euclid_rings(R.k))
+    return R
+
+
+def _trimmed(R, rep) -> bool:
+    """Whether rep is a canonical-shaped rep of R at every level: tuples
+    without trailing zeros, reduced below the step degree."""
+    if isinstance(R, AlgebraicLevel):
+        parts, top = (rep,), len(R.minpoly) - 1
+    elif isinstance(R, TranscendentalLevel):
+        parts, top = rep, None
+    else:
+        return True
+    return all(
+        part.__class__ is tuple
+        and (top is None or len(part) <= top)
+        and (not part or not R.k.is_zero(part[-1]))
+        and all(_trimmed(R.k, c) for c in part)
+        for part in parts
+    )
+
+
+def _root_of_a(p):
+    """F_p(a)(a^(1/p))."""
+    fa = FieldTower.prime_field(p).extend_transcendental("a")
+    return fa.extend_algebraic("r", [-fa.gen("a")] + [0] * (p - 1) + [1], check=False)
+
+
+def _root_chain():
+    """F_2(a)(r)(s) with r^2 = a and s^2 = r."""
+    fr = _root_of_a(2)
+    return fr.extend_algebraic("s", [fr.gen("r"), 0, 1], check=False)
+
+
+_Q = FieldTower.rationals
+LEVEL_TOWERS = {
+    "Q(i)": lambda: _Q().extend_algebraic("i", [1, 0, 1]),
+    "Q(s2)": lambda: _Q().extend_algebraic("s2", [-2, 0, 1]),
+    "Q(w)": lambda: _Q().extend_algebraic("w", [1, 1, 1]),
+    "Q(c)": lambda: _Q().extend_algebraic("c", [-2, 0, 0, 0, 1]),
+    "Q(t)": lambda: _Q().extend_algebraic("t", [Fraction(-1, 2), 0, 1]),
+    "Q(i)(s2)": lambda: _Q().extend_algebraic("i", [1, 0, 1]).extend_algebraic("s2", [-2, 0, 1]),
+    "F5(s2)": lambda: FieldTower.prime_field(5).extend_algebraic("s2", [-2, 0, 1]),
+    "F2(a)(r)": lambda: _root_of_a(2),
+    "F3(a)(r)": lambda: _root_of_a(3),
+    "F5(a)(r)": lambda: _root_of_a(5),
+    "F2(a)(r)(s)": _root_chain,
+    # cubics with a y^2 term: a fold from the top carries into degree d
+    "Q(u)": lambda: _Q().extend_algebraic("u", [-1, 0, -1, 1]),
+    "F5(v)": lambda: FieldTower.prime_field(5).extend_algebraic("v", [-2, 0, -1, 1]),
+}
+LEVELS = list(LEVEL_TOWERS) + ["F3[x]/(x^5)"]
+
+
+def _level(name):
+    """(R, draw, powers): the ring of the top level, a draw of reps one level
+    down, and the reps of the generator powers g^1 .. g^(2d) of every
+    generator (for F3[x]/(x^5), x^1 .. x^4, the nonzero ones)."""
+    if name == "F3[x]/(x^5)":
+        R = AlgebraicLevel(PrimeField(3), (0,) * 5 + (1,))
+        return R, lambda rng: rng.randrange(3), [(0,) * j + (1,) for j in range(1, 5)]
+    tower = LEVEL_TOWERS[name]()
+    R = tower.ring
+    _, draw = _tower_ring(tower.prefix(tower.level - 1), fractions=True)
+    d = len(R.minpoly) - 1
+    powers = [(tower.gen(g) ** j).rep for g in tower.gen_names for j in range(1, 2 * d + 1)]
+    return R, draw, powers
+
+
+def _operands(R, draw, powers, rng) -> list:
+    """Zero, one, constants, generator powers and dense reps of the level."""
+    k, d = R.k, len(R.minpoly) - 1
+    constants = [R.lift(_unit(k, draw, rng)) for _ in range(4)] + [R.from_int(-1), R.from_int(2)]
+    dense = [tuple(_unit(k, draw, rng) for _ in range(d)) for _ in range(6)]
+    sparse = [R.add(p, c) for p, c in zip(powers[::3], constants)]
+    return [R.zero, R.one] + constants + powers + dense + sparse
+
+
+@pytest.mark.parametrize("name", LEVELS)
+def test_level_mul_and_inv_match_euclid(name):
+    R, draw, powers = _level(name)
+    oracle = _euclid_rings(R)
+    operands = _operands(R, draw, powers, random.Random(f"level:{name}"))
+    inverted = refused = 0
+    for a in operands:
+        for b in operands:
+            got = R.mul(a, b)
+            assert got == oracle.mul(a, b)
+            assert _trimmed(R, got)
+        try:
+            expected = oracle.inv(a)
+        except DomainError:
+            with pytest.raises(DomainError):
+                R.inv(a)
+            refused += 1
+            continue
+        got = R.inv(a)
+        assert got == expected and _trimmed(R, got)
+        assert R.mul(a, got) == R.one
+        inverted += 1
+    # a field refuses zero alone; F3[x]/(x^5) every multiple of x
+    zeros = operands.count(R.zero)
+    assert refused == zeros if name in LEVEL_TOWERS else refused > zeros
+    assert inverted > len(operands) // 2
+
+
+def _former_norm_rows(tower, reps):
+    """``poly._norm_rows`` as it was, negating the minimal polynomial's
+    coefficients itself."""
+    R, step = tower.rings[-2], tower.steps[-1]
+    d = step.degree
+    row = [[] for _ in range(d)]
+    for i, c in enumerate(reps):
+        for j, r in enumerate(c):
+            if not R.is_zero(r):
+                row[j].extend([R.zero] * (i + 1 - len(row[j])))
+                row[j][i] = r
+    neg_m = [R.neg(m) for m in step.minpoly[:d]]
+    rows = [row]
+    for _ in range(d - 1):
+        top = row[-1]
+        row = [[]] + row[:-1]
+        if top:
+            row = [
+                x if R.is_zero(m) else _u_add(R, x, _u_scale(R, top, m))
+                for x, m in zip(row, neg_m)
+            ]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", list(LEVEL_TOWERS))
+def test_norm_rows_read_the_level_tail(name):
+    tower = LEVEL_TOWERS[name]()
+    R, draw, powers = _level(name)
+    rng = random.Random(f"norm-rows:{name}")
+    for _ in range(10):
+        reps = _operands(R, draw, powers, rng)
+        reps = [rng.choice(reps) for _ in range(rng.randrange(1, 5))]
+        # the same values of the same types: an int stays an int
+        assert repr(_norm_rows(tower, reps)) == repr(_former_norm_rows(tower, reps))
+
+
+NON_UNITS = {
+    "F3[x]/(x^5)": [(0, 1), (0, 2, 1), (0, 0, 0, 0, 1), (0, 1, 1, 1, 1)],
+    "(Z/9)[x]/(x^2+1)": [(3,), (6,), (3, 3), (0, 3)],
+}
+
+
+@pytest.mark.parametrize("name", LEVELS + ["(Z/9)[x]/(x^2+1)"])
+def test_level_inv_refuses_zero_and_non_units_with_domain_error(name):
+    if name == "(Z/9)[x]/(x^2+1)":
+        R = AlgebraicLevel(IntegersMod(9), (1, 0, 1))
+        assert R.inv((2,)) == (5,) and R.inv((1, 1)) == _EuclidLevel(R.k, R.minpoly).inv((1, 1))
+    else:
+        R = _level(name)[0]
+    for a in [R.zero] + NON_UNITS.get(name, []):
+        # pytest.raises(DomainError) lets any other exception through
+        with pytest.raises(DomainError):
+            R.inv(a)
+
+
+@pytest.fixture
+def level_work(monkeypatch):
+    """Counts ``AlgebraicLevel.mul`` and ``inv`` calls, and the calls that
+    each makes itself (innermost level on the stack, its own ring) of
+    ``_u_divmod`` by its minimal polynomial and of ``_u_xgcd``."""
+    counts = collections.Counter()
+    stack = []
+    mul, inv = AlgebraicLevel.mul, AlgebraicLevel.inv
+    divmod_, xgcd = fields._u_divmod, fields._u_xgcd
+
+    def counted(kind, method):
+        def call(self, *args):
+            counts[kind(args)] += 1
+            stack.append((kind(args), self))
+            try:
+                return method(self, *args)
+            finally:
+                stack.pop()
+
+        return call
+
+    def own(name, R, b=None):
+        if stack:
+            kind, level = stack[-1]
+            if R is level.k and (b is None or tuple(b) == level.minpoly):
+                counts[f"{name} in {kind}"] += 1
+
+    def counted_divmod(R, a, b):
+        own("_u_divmod", R, b)
+        return divmod_(R, a, b)
+
+    def counted_xgcd(R, a, b):
+        own("_u_xgcd", R)
+        return xgcd(R, a, b)
+
+    monkeypatch.setattr(AlgebraicLevel, "mul", counted(lambda args: "mul", mul))
+    monkeypatch.setattr(
+        AlgebraicLevel,
+        "inv",
+        counted(lambda args: "inv constant" if len(args[0]) == 1 else "inv other", inv),
+    )
+    monkeypatch.setattr(fields, "_u_divmod", counted_divmod)
+    monkeypatch.setattr(fields, "_u_xgcd", counted_xgcd)
+    return counts
+
+
+def test_golden_builds_reduce_without_division_and_invert_constants_without_euclid(
+    tmp_path, level_work
+):
+    for name, text in GOLDEN_SCENARIOS.items():
+        if "[valuation]" not in text:
+            continue
+        path = tmp_path / f"{name}.val"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        assert (cli.cmd_extend(str(path), out=out, err=err, verify=True), err.getvalue()) == (0, "")
+    assert level_work["mul"] > 0 and level_work["inv constant"] > 0
+    assert level_work["_u_divmod in mul"] == 0
+    assert level_work["_u_xgcd in inv constant"] == 0
+    assert level_work["_u_xgcd in inv other"] == level_work["inv other"]
