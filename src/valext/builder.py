@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import sub
 
 from .compositum import CompositumPoint, tensor_decompose
 from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
@@ -46,7 +47,7 @@ from .fields import (
 from .norms import FreeAlgebra, gauss_extend, randbelow, random_fraction_element
 from .poly import Polynomial
 from .valuations import MonomialValuation, hensel_factor_lift
-from .value_groups import ValueGroup, _points, is_p_torsion_quotient
+from .value_groups import ValueGroup, ValueWithZero, _points, is_p_torsion_quotient
 
 
 @dataclass
@@ -259,7 +260,8 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
         f"variables reread as p^{n_trunc}-th roots: value group {v_dag.group.describe()}"
     )
     k = scn.k
-    k_dag = perfect_closure_truncated(k, p, n_trunc)
+    # k is often F itself, whose closure is built above
+    k_dag = f_dag if k == f_tower else perfect_closure_truncated(k, p, n_trunc)
     imgs = [f_dag.embed(scn.k_hom.apply(k.gen(n))) for n in k.gen_names]
     for j in range(k.level, k_dag.level):
         step = k_dag.steps[j]
@@ -439,8 +441,11 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
         # the steps k of coordinates k/D drawn as rng.randrange(0, 3D + 1),
         # and rng.randrange(1, 3D + 1) for the last
         steps = [randbelow(bits, 3 * denom + 1) for _ in range(w.rank - 1)]
-        target = w.group.element(_points(w.group, steps + [1 + randbelow(bits, 3 * denom)]))
-        z = z * w.monomial(target.mul(val.inv()))
+        steps.append(1 + randbelow(bits, 3 * denom))
+        target = w.group.element(_points(w.group, steps))
+        # the shift target - val, formed on the lattice steps
+        shift = tuple(map(sub, target.steps, val.steps))
+        z = z * w.monomial(ValueWithZero(w.group, _points(w.group, shift), shift))
         val = w.value(z)
         if escapes(val, z):
             ok_ideal = False

@@ -265,7 +265,7 @@ class FieldTower:
     def char_exponent(self) -> int:
         return self.base.char if self.base.char > 0 else 1
 
-    @property
+    @functools.cached_property
     def level(self) -> int:
         return len(self.steps)
 

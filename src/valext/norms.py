@@ -336,32 +336,38 @@ def randbelow(getrandbits, n: int) -> int:
     return r
 
 
-def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -> FieldElement:
-    """A small random tower element (sum of generator monomials).
-
-    Each term c * (product of the chosen generators) is drawn as c, then one
-    bit per generator, as ``rng.randrange(-3, 4)`` (``rng.randrange(p)`` in
-    characteristic p) and ``rng.randrange(2)`` would draw them, and its rep is
-    looked up in ``tower.term_reps``."""
-    ring = tower.ring
-    table = tower.term_reps
+def _term_rep(tower: FieldTower, bits) -> object:
+    """The rep of a random term c * (product of the generators in a bit
+    mask), with ``bits = rng.getrandbits``: c is drawn first, then one bit per
+    generator, as ``rng.randrange(-3, 4)`` (``rng.randrange(p)`` in
+    characteristic p) and ``rng.randrange(2)`` would draw them.  The rep is
+    looked up in ``tower.term_reps``, and built and kept there on a miss."""
     char = tower.char
-    level = tower.level
+    c = randbelow(bits, char) if char else randbelow(bits, 7) - 3
+    mask = 0
+    for i in range(tower.level):
+        mask |= randbelow(bits, 2) << i
+    table = tower.term_reps
+    term = table.get((c, mask))
+    if term is None:
+        ring = tower.ring
+        term = ring.from_int(c)
+        for i, name in enumerate(tower.gen_names):
+            if mask >> i & 1:
+                term = ring.mul(term, tower.gen(name).rep)
+        if len(table) < TERM_TABLE_LIMIT:
+            table[c, mask] = term
+    return term
+
+
+def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -> FieldElement:
+    """A small random tower element: the sum of ``size`` terms drawn by
+    ``_term_rep``."""
+    ring = tower.ring
     bits = rng.getrandbits
     out = None
     for _ in range(size):
-        c = randbelow(bits, char) if char else randbelow(bits, 7) - 3
-        mask = 0
-        for i in range(level):
-            mask |= randbelow(bits, 2) << i
-        term = table.get((c, mask))
-        if term is None:
-            term = ring.from_int(c)
-            for i, name in enumerate(tower.gen_names):
-                if mask >> i & 1:
-                    term = ring.mul(term, tower.gen(name).rep)
-            if len(table) < TERM_TABLE_LIMIT:
-                table[c, mask] = term
+        term = _term_rep(tower, bits)
         out = term if out is None else ring.add(out, term)
     return FieldElement(tower, ring.zero if out is None else out)
 
@@ -369,14 +375,16 @@ def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -
 def random_fraction_element(valuation: MonomialValuation, rng: random.Random) -> FieldElement:
     """A random element of the fraction field: three terms over a monomial
     denominator, every exponent in 0..2 (drawn as ``rng.randrange(3)``), so
-    values spread around 0."""
+    values spread around 0.  Each coefficient is one term of
+    ``random_field_element``, drawn after its exponents; a later draw of the
+    same exponents replaces an earlier one."""
     n = valuation.rank
     field = valuation.coefficient_field
     bits = rng.getrandbits
     terms = {}
     for _ in range(3):
         exps = tuple([randbelow(bits, 3) for _ in range(n)])
-        terms[exps] = random_field_element(field, rng, 1)
+        terms[exps] = FieldElement(field, _term_rep(field, bits))
     den = tuple([randbelow(bits, 3) for _ in range(n)])
     out = valuation.from_terms(terms, den)
     if out.is_zero:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, StructuralError
-from .fields import FieldElement, FieldTower, build_fraction_rep
+from .fields import FieldElement, FieldTower, _fraction_level
 from .poly import Polynomial
 from .value_groups import ValueGroup, ValueWithZero, _points, _steps
 
@@ -154,11 +154,13 @@ class MonomialValuation:
         of its minimal monomial."""
         k = self.function_field
         exps, c = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep, coeff)
-        # integers over the group's own denominator: in the group by construction
-        return ValueWithZero(self.group, _points(self.group, exps)), c
+        # integers over the group's own denominator: in the group by
+        # construction, and the value's lattice steps
+        return ValueWithZero(self.group, _points(self.group, exps), exps), c
 
     def value(self, z) -> ValueWithZero:
-        z = self.coerce(z)
+        if z.__class__ is not FieldElement or z.tower is not self.function_field:
+            z = self.coerce(z)
         if z.is_zero:
             return self.group.zero_value()
         return self._min_monomial(z, False)[0]
@@ -191,6 +193,10 @@ class MonomialValuation:
 
         ``terms`` maps variable-exponent tuples to coefficient-field
         elements; ``den_exps`` is the denominator monomial (default 1).
+        Both come from callers and are checked here.  The levels above the
+        coefficient field are the variables, transcendental by construction,
+        so the rep is built as ``fields.build_fraction_rep`` builds it, with
+        no scan of the levels.
         """
         field = self.coefficient_field
         is_zero = field.ring.is_zero
@@ -204,10 +210,13 @@ class MonomialValuation:
                 c = field.coerce(c)
             if not is_zero(c.rep):
                 pairs.append((exps, c.rep))
-        if den_exps is None:
-            den_exps = (0,) * rank
+        den = (0,) * rank if den_exps is None else tuple(den_exps)
+        if len(den) != rank or min(den) < 0:
+            raise StructuralError("bad denominator exponents")
         k = self.function_field
-        return FieldElement(k, build_fraction_rep(k, field.level, pairs, den_exps))
+        if not pairs:
+            return FieldElement(k, k.ring.zero)
+        return FieldElement(k, _fraction_level(k.rings, field.level, k.level, pairs, den))
 
     def monomial(self, value: ValueWithZero) -> FieldElement:
         """A field element whose value is the given group element."""
@@ -215,7 +224,10 @@ class MonomialValuation:
             raise DomainError("no monomial has the adjoined zero value")
         if len(value.coords) != self.rank:
             raise StructuralError(f"{value} does not have rank {self.rank}")
-        steps = _steps(self.group, value.coords)
+        steps = value.steps
+        if value.group.denominator != self.group.denominator:
+            # the steps a value carries count its own group's 1/D
+            steps = _steps(self.group, value.coords)
         if steps is None:
             raise DomainError(f"{value} is not in the value group")
         # x^pos / x^neg level by level: ((0, ..., 0, r), (1,)) or

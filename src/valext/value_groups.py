@@ -16,20 +16,24 @@ every other module states its contracts additively.
 
 Elements are tuples of exact rationals whose denominators divide p^N for the
 group's char exponent p and denominator exponent N, ordered lexicographically
-with the first coordinate most significant.
+with the first coordinate most significant.  A value also keeps its lattice
+steps, the integers k of its coordinates k/p^N: the group law, the sign and
+``MonomialValuation.monomial`` read them, while rendering, comparisons,
+equality and hashing read the coordinates.
 
 Groups and values are immutable; they are safe to share between threads.  A
-group's one mutable part is its memo of shared coordinate Fractions, where a
-race can only build one Fraction twice.
+value's steps are fixed when it is made.  A group's one mutable part is its
+memo of shared coordinate Fractions, where a race can only build one Fraction
+twice.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, neg
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import config
 from .errors import DomainError, StructuralError
@@ -41,9 +45,8 @@ from .fields import _is_prime
 _SHARED = 64
 
 
-def _points(group: "ValueGroup", steps: Iterable[int]) -> tuple[Fraction, ...]:
+def _points(group: "ValueGroup", steps: Sequence[int]) -> tuple[Fraction, ...]:
     """The coordinates k/D of the lattice steps k of ``group``."""
-    steps = tuple(steps)
     table = group._lattice
     try:
         return tuple(map(table.__getitem__, steps))
@@ -59,7 +62,7 @@ def _points(group: "ValueGroup", steps: Iterable[int]) -> tuple[Fraction, ...]:
         return tuple(out)
 
 
-def _steps(group: "ValueGroup", coords: Iterable[Fraction]) -> list[int] | None:
+def _steps(group: "ValueGroup", coords: Iterable[Fraction]) -> tuple[int, ...] | None:
     """The lattice steps k of coordinates k/D of ``group``, or None when one
     is off the lattice.  A reduced c is k/D exactly when its denominator
     divides D."""
@@ -70,7 +73,7 @@ def _steps(group: "ValueGroup", coords: Iterable[Fraction]) -> list[int] | None:
         if d % q:
             return None
         out.append(k * (d // q))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,12 @@ class ValueGroup:
             if c.__class__ is not Fraction:
                 coords = tuple(map(Fraction, coords))
                 break
-        # a reduced c has c * D integral exactly when its denominator divides D
-        d = self.denominator
-        for c in coords:
-            if d % c.denominator:
-                raise DomainError(f"coordinate {c} is not a multiple of 1/{d}")
-        return ValueWithZero(self, coords)
+        value = ValueWithZero(self, coords)
+        if value.steps is None:
+            d = self.denominator
+            bad = next(c for c in coords if d % c.denominator)
+            raise DomainError(f"coordinate {bad} is not a multiple of 1/{d}")
+        return value
 
     def zero_value(self) -> "ValueWithZero":
         """The adjoined absorbing element (the value of the field element 0)."""
@@ -130,7 +133,7 @@ class ValueGroup:
 
     def neutral(self) -> "ValueWithZero":
         """The identity element, i.e. the value of any unit."""
-        return self.element((0,) * self.rank)
+        return ValueWithZero(self, self.zero_coords, (0,) * self.rank)
 
     def contains(self, value: "ValueWithZero") -> bool:
         """Whether the coordinates of ``value`` lie in this group's lattice."""
@@ -149,12 +152,27 @@ class ValueGroup:
         return f"{head}^{self.rank} lex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ValueWithZero:
-    """A group element, or the adjoined zero (``coords is None``)."""
+    """A group element, or the adjoined zero (``coords is None``).
+
+    ``steps`` are the integers k with ``coords`` = k/D, D the group's
+    denominator; they are None for the adjoined zero and for coordinates off
+    the lattice.  Code that already holds them hands them in, and they are
+    derived from ``coords`` otherwise, once per value.  Equality and hash
+    read (group, coords) only."""
 
     group: ValueGroup
     coords: tuple[Fraction, ...] | None
+    steps: tuple[int, ...] | None = field(compare=False, repr=False)
+
+    def __init__(self, group: ValueGroup, coords, steps: tuple[int, ...] | None = None):
+        if steps is None and coords is not None:
+            steps = _steps(group, coords)
+        put = object.__setattr__
+        put(self, "group", group)
+        put(self, "coords", coords)
+        put(self, "steps", steps)
 
     @property
     def is_zero(self) -> bool:
@@ -201,10 +219,11 @@ class ValueWithZero:
         group = self.group
         if self.is_zero or other.is_zero:
             return ValueWithZero(group, None)
-        a, b = _steps(group, self.coords), _steps(group, other.coords)
+        a, b = self.steps, other.steps
         if a is None or b is None:
             return ValueWithZero(group, tuple(map(add, self.coords, other.coords)))
-        return ValueWithZero(group, _points(group, map(add, a, b)))
+        k = tuple(map(add, a, b))
+        return ValueWithZero(group, _points(group, k), k)
 
     __mul__ = mul
 
@@ -212,10 +231,10 @@ class ValueWithZero:
         if self.is_zero:
             raise DomainError("the adjoined zero has no inverse")
         group = self.group
-        steps = _steps(group, self.coords)
-        if steps is None:
+        if self.steps is None:
             return ValueWithZero(group, tuple(map(neg, self.coords)))
-        return ValueWithZero(group, _points(group, map(neg, steps)))
+        k = tuple(map(neg, self.steps))
+        return ValueWithZero(group, _points(group, k), k)
 
     def pow(self, n: int) -> "ValueWithZero":
         if self.is_zero:
@@ -245,13 +264,23 @@ class ValueWithZero:
             return self
         return self if self.coords <= other.coords else other
 
+    def _sign(self) -> int:
+        """-1, 0 or 1 as this group element lies below, at or above the
+        neutral one, read from the steps where there are any."""
+        a = self.steps
+        if a is None:
+            a, b = self.coords, self.group.zero_coords
+        else:
+            b = (0,) * len(a)
+        return (a > b) - (a < b)
+
     def is_nonnegative(self) -> bool:
         """Additive value >= 0, i.e. multiplicative |z| <= 1."""
-        return self.is_zero or self.coords >= self.group.zero_coords
+        return self.is_zero or self._sign() >= 0
 
     def is_positive(self) -> bool:
         """Additive value > 0, i.e. multiplicative |z| < 1 (maximal ideal)."""
-        return self.is_zero or self.coords > self.group.zero_coords
+        return self.is_zero or self._sign() > 0
 
     def in_group(self, group: ValueGroup) -> "ValueWithZero":
         """Re-express this value inside a refinement of its group."""

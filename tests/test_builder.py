@@ -688,6 +688,27 @@ def test_the_verification_stream_is_pinned(golden_builds, monkeypatch):
     assert got == VERIFICATION_STREAMS
 
 
+def test_verification_derives_lattice_steps_once_per_forced_target(golden_builds, monkeypatch):
+    # a value carries its lattice steps: value(), mul() and inv() hand them
+    # on, and only a forced target, which group.element builds from its
+    # coordinates, derives them (5,000 derivations before values kept them)
+    from valext import value_groups, valuations
+
+    calls = []
+    real = value_groups._steps
+
+    def counted(group, coords):
+        calls.append(group)
+        return real(group, coords)
+
+    monkeypatch.setattr(value_groups, "_steps", counted)
+    monkeypatch.setattr(valuations, "_steps", counted)
+    for name, build in sorted(golden_builds.items()):
+        assert verify_weakly_unramified(build).passed, name
+    targets = sum(t for _, t, _ in VERIFICATION_STREAMS.values())
+    assert targets == 1000 and 0 < len(calls) <= targets
+
+
 def test_verification_takes_no_gcd(golden_builds, monkeypatch):
     # verification divides only by monomials, and the inverse of c * g^i / d
     # at each transcendental level is (d/c) / g^i, canonical as it stands:

@@ -5,7 +5,7 @@ import pytest
 
 from valext import valuations
 from valext.errors import CapabilityError, DomainError, StructuralError
-from valext.fields import FieldElement, FieldTower, _split_fraction
+from valext.fields import FieldElement, FieldTower, _split_fraction, build_fraction_rep
 from valext.norms import random_field_element, random_fraction_element
 from valext.poly import Polynomial, factor
 from valext.valuations import MonomialValuation, hensel_factor_lift
@@ -194,6 +194,52 @@ def test_monomial_matches_from_terms(request, field_name, rank):
         v.monomial(v.group.zero_value())
     with pytest.raises(StructuralError):
         v.monomial(ValueWithZero(v.group, (Fraction(0),) * (rank + 1)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field_name", ["rationals", "q_i", "f3", "f2_a"])
+def test_from_terms_matches_build_fraction_rep(request, field_name, rank):
+    # from_terms builds its rep without build_fraction_rep's scan of the
+    # levels; on seeded term sets the two reps agree, with empty sets, zero
+    # and cancelling coefficients, int coefficients and every denominator
+    field = request.getfixturevalue(field_name)
+    v = MonomialValuation(field, [f"x{j}" for j in range(1, rank + 1)])
+    k = v.function_field
+    rng = random.Random(f"from_terms:{field_name}:{rank}")
+
+    def exponents():
+        return tuple(rng.randrange(0, 4) for _ in range(rank))
+
+    for trial in range(60):
+        terms = {}
+        for _ in range(rng.randrange(0, 5)):
+            if rng.randrange(4) == 0:
+                terms[exponents()] = rng.randrange(-2, 3)
+            else:
+                terms[exponents()] = random_field_element(field, rng, rng.randrange(0, 3))
+        if trial % 3 == 0:
+            c = random_field_element(field, rng)
+            terms[exponents()] = c - c
+        den = exponents()
+        pairs = [(e, field.coerce(c).rep) for e, c in terms.items() if field.coerce(c)]
+        want = build_fraction_rep(k, field.level, pairs, den)
+        got = v.from_terms(terms, den)
+        assert got.tower is k and got.rep == want, (terms, den)
+        if not any(den):
+            assert v.from_terms(terms).rep == want
+    assert v.from_terms({}).rep == k.ring.zero
+    assert v.from_terms({(0,) * rank: field.zero()}, (1,) * rank).rep == k.ring.zero
+
+
+def test_from_terms_refusals(rationals):
+    v = MonomialValuation(rationals, ["x1", "x2"])
+    for exps in [(0,), (0, 0, 0), (-1, 0), (1, -2)]:
+        with pytest.raises(StructuralError, match="bad exponent vector"):
+            v.from_terms({exps: 1})
+    for den in [(0,), (0, 0, 0), (1, -1), (-1, 0)]:
+        for terms in ({(0, 0): 1}, {}):
+            with pytest.raises(StructuralError, match="bad denominator exponents"):
+                v.from_terms(terms, den)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

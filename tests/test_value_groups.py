@@ -6,7 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valext.errors import DomainError, StructuralError
-from valext.value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient, parse_value
+from valext.fields import FieldTower
+from valext.norms import random_fraction_element
+from valext.valuations import MonomialValuation
+from valext.value_groups import (
+    ValueGroup,
+    ValueWithZero,
+    _points,
+    _steps,
+    is_p_torsion_quotient,
+    parse_value,
+)
 
 
 def test_compare_zero_below_everything():
@@ -146,3 +156,91 @@ def test_element_and_contains_accept_exactly_the_lattice(spec, coords):
     else:
         with pytest.raises(DomainError):
             g.element(coords)
+
+
+# ---------------------------------------------------------------------------
+# A value carries its lattice steps k, with coords = k/D
+
+
+# (rank, char exponent, denominator exponent): Z^1..3 and (1/p^N)Z^r
+_STEP_GROUPS = [(1, 1, 0), (2, 1, 0), (3, 1, 0), (1, 2, 1), (2, 3, 2), (3, 5, 1)]
+
+
+def _step_valuation(rank, p, n):
+    field = FieldTower.rationals() if p == 1 else FieldTower.prime_field(p)
+    return MonomialValuation(field, [f"x{j}" for j in range(1, rank + 1)], n)
+
+
+def _seeded_values(v, rng):
+    """Values from ``value``, ``element``, ``neutral``, ``mul``, ``inv`` and
+    ``in_group``, the last into the group itself."""
+    g = v.group
+    out = [g.neutral(), g.neutral().in_group(g)]
+    for _ in range(25):
+        a = v.value(random_fraction_element(v, rng))
+        b = g.element(Fraction(rng.randrange(-80, 81), g.denominator) for _ in range(g.rank))
+        out += [a, b, a.mul(b), a.inv(), b.inv(), a.mul(b.inv()), a.in_group(g)]
+    return out
+
+
+@pytest.mark.parametrize("rank,p,n", _STEP_GROUPS)
+def test_values_carry_the_steps_of_their_coordinates(rank, p, n):
+    v = _step_valuation(rank, p, n)
+    g = v.group
+    for x in _seeded_values(v, random.Random(f"steps:{rank}:{p}:{n}")):
+        assert x.steps is not None and x.steps == _steps(g, x.coords)
+        assert x.steps.__class__ is tuple
+        # rebuilt from fresh Fractions, with the steps derived, and from the
+        # steps: equal values, equal hashes
+        fresh = ValueWithZero(g, tuple(Fraction(c.numerator, c.denominator) for c in x.coords))
+        given_steps = ValueWithZero(g, _points(g, x.steps), x.steps)
+        for y in (fresh, given_steps):
+            assert y == x and hash(y) == hash(x) and y.steps == x.steps
+        assert {x, fresh, given_steps} == {x}
+    assert g.zero_value().steps is None
+
+
+@pytest.mark.parametrize("rank,p,n", [spec for spec in _STEP_GROUPS if spec[1] > 1])
+def test_in_group_rereads_the_steps_in_the_refinement(rank, p, n):
+    v = _step_valuation(rank, p, n)
+    fine = ValueGroup(rank, p, n + 1)
+    for x in _seeded_values(v, random.Random(f"refine:{rank}:{p}:{n}")):
+        y = x.in_group(fine)
+        assert y.coords == x.coords and y.steps == tuple(p * k for k in x.steps)
+        assert y.steps == _steps(fine, y.coords)
+        # monomial counts steps in its own group, not in the value's
+        assert v.monomial(y) == v.monomial(x)
+        half = fine.element(y.coords[:-1] + (y.coords[-1] + Fraction(1, fine.denominator),))
+        with pytest.raises(DomainError):
+            v.monomial(half)
+
+
+@pytest.mark.parametrize("rank,p,n", _STEP_GROUPS)
+def test_values_off_the_lattice_have_no_steps(rank, p, n):
+    v = _step_valuation(rank, p, n)
+    g = v.group
+    # a p-th of a lattice step (a half over Z) is off the lattice
+    off_step = Fraction(1, max(p, 2) * g.denominator)
+    for x in _seeded_values(v, random.Random(f"off:{rank}:{p}:{n}"))[:40]:
+        off = ValueWithZero(g, x.coords[:-1] + (x.coords[-1] + off_step,))
+        assert off.steps is None
+        assert not g.contains(off)
+        with pytest.raises(DomainError):
+            v.monomial(off)
+        with pytest.raises(DomainError):
+            g.element(off.coords)
+        # order and arithmetic still read the coordinates
+        assert off > x and off.is_positive() == (off.coords > g.zero_coords)
+        assert off.is_nonnegative() == (off.coords >= g.zero_coords)
+        assert off.inv().coords == tuple(-c for c in off.coords) and off.inv().steps is None
+        back = off.mul(ValueWithZero(g, tuple(-c for c in off.coords)))
+        assert back == g.neutral() and back.steps == (0,) * rank
+
+
+@pytest.mark.parametrize("rank,p,n", _STEP_GROUPS)
+def test_sign_read_from_steps_matches_the_coordinates(rank, p, n):
+    v = _step_valuation(rank, p, n)
+    g = v.group
+    for x in _seeded_values(v, random.Random(f"sign:{rank}:{p}:{n}")):
+        assert x.is_positive() == (x.coords > g.zero_coords)
+        assert x.is_nonnegative() == (x.coords >= g.zero_coords)
