@@ -47,7 +47,7 @@ from .fields import (
 from .norms import FreeAlgebra, gauss_extend, randbelow, random_fraction_element
 from .poly import Polynomial
 from .valuations import MonomialValuation, hensel_factor_lift
-from .value_groups import ValueGroup, ValueWithZero, _points, is_p_torsion_quotient
+from .value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient
 
 
 @dataclass
@@ -442,10 +442,8 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
         # and rng.randrange(1, 3D + 1) for the last
         steps = [randbelow(bits, 3 * denom + 1) for _ in range(w.rank - 1)]
         steps.append(1 + randbelow(bits, 3 * denom))
-        target = w.group.element(_points(w.group, steps))
         # the shift target - val, formed on the lattice steps
-        shift = tuple(map(sub, target.steps, val.steps))
-        z = z * w.monomial(ValueWithZero(w.group, _points(w.group, shift), shift))
+        z = z * w.monomial(ValueWithZero(w.group, tuple(map(sub, steps, val.steps))))
         val = w.value(z)
         if escapes(val, z):
             ok_ideal = False

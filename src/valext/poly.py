@@ -456,7 +456,7 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     f = f.monic()
     if f.degree() == 0:
         return []
-    if _squarefree_certificate(f):
+    if _certify(f)[0]:
         return [(f, 1)]
     return _squarefree_yun(f)
 
@@ -525,11 +525,6 @@ def _certify(f: Polynomial) -> tuple[bool, int | None]:
         if _mod_p_squarefree(norm, p):
             return True, None
     return False, None
-
-
-def _squarefree_certificate(f: Polynomial) -> bool:
-    """Whether ``_certify`` proves the monic f squarefree."""
-    return _certify(f)[0]
 
 
 def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]:

@@ -35,7 +35,7 @@ from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, StructuralError
 from .fields import FieldElement, FieldTower, _fraction_level
 from .poly import Polynomial
-from .value_groups import ValueGroup, ValueWithZero, _points, _steps
+from .value_groups import ValueGroup, ValueWithZero
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,8 @@ class MonomialValuation:
         of its minimal monomial."""
         k = self.function_field
         exps, c = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep, coeff)
-        # integers over the group's own denominator: in the group by
-        # construction, and the value's lattice steps
-        return ValueWithZero(self.group, _points(self.group, exps), exps), c
+        # integers over the group's own denominator: the value's lattice steps
+        return ValueWithZero(self.group, exps), c
 
     def value(self, z) -> ValueWithZero:
         if z.__class__ is not FieldElement or z.tower is not self.function_field:
@@ -222,12 +221,10 @@ class MonomialValuation:
         """A field element whose value is the given group element."""
         if value.is_zero:
             raise DomainError("no monomial has the adjoined zero value")
-        if len(value.coords) != self.rank:
+        if value.group.rank != self.rank:
             raise StructuralError(f"{value} does not have rank {self.rank}")
-        steps = value.steps
-        if value.group.denominator != self.group.denominator:
-            # the steps a value carries count its own group's 1/D
-            steps = _steps(self.group, value.coords)
+        # the steps a value carries count its own group's 1/D
+        steps = self.group._rescale(value)
         if steps is None:
             raise DomainError(f"{value} is not in the value group")
         # x^pos / x^neg level by level: ((0, ..., 0, r), (1,)) or

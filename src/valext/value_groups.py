@@ -7,73 +7,35 @@ The literature states valuation axioms multiplicatively: |zw| = |z||w|,
 monoid that adjoins 0 to the group.  Internally we work additively: a value
 is a vector of rationals, the value of a product is the *sum* of values, and
 "|z| <= 1" reads "value(z) >= 0".  The two dictionaries meet in exactly one
-delicate spot: the adjoined element.  ``ValueWithZero.zero`` plays the
+delicate spot: the adjoined element.  ``ValueGroup.zero_value()`` plays the
 multiplicative 0, so ``compare`` places it strictly below every group
 element; in additive formulas (the ultrametric inequality, ring membership)
 it plays plus infinity, and the ``additive_ge``/``additive_min`` helpers
 below encode that reading.  This is the only place the translation is done;
 every other module states its contracts additively.
 
-Elements are tuples of exact rationals whose denominators divide p^N for the
-group's char exponent p and denominator exponent N, ordered lexicographically
-with the first coordinate most significant.  A value also keeps its lattice
-steps, the integers k of its coordinates k/p^N: the group law, the sign and
-``MonomialValuation.monomial`` read them, while rendering, comparisons,
-equality and hashing read the coordinates.
+The group (1/D)Z^n, D = p^N for the group's char exponent p and denominator
+exponent N, is ordered lexicographically with the first coordinate most
+significant.  A value is its lattice steps: the integers k of its
+coordinates k/D.  The group law, the order, equality and hashing read them;
+``coords`` derives the rationals for rendering, and ``ValueGroup.element``
+is the checked entry from rationals.
 
-Groups and values are immutable; they are safe to share between threads.  A
-value's steps are fixed when it is made.  A group's one mutable part is its
-memo of shared coordinate Fractions, where a race can only build one Fraction
-twice.
+Groups and values are immutable; they are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import config
 from .errors import DomainError, StructuralError
 from .fields import _is_prime
-
-# Lattice points k/D with |k| <= _SHARED are one shared Fraction per group,
-# made on first use: a Fraction is immutable, and building one costs more
-# than the arithmetic of a value, which runs on the integers k
-_SHARED = 64
-
-
-def _points(group: "ValueGroup", steps: Sequence[int]) -> tuple[Fraction, ...]:
-    """The coordinates k/D of the lattice steps k of ``group``."""
-    table = group._lattice
-    try:
-        return tuple(map(table.__getitem__, steps))
-    except KeyError:
-        out = []
-        for k in steps:
-            c = table.get(k)
-            if c is None:
-                c = Fraction(k, group.denominator)
-                if -_SHARED <= k <= _SHARED:
-                    table[k] = c
-            out.append(c)
-        return tuple(out)
-
-
-def _steps(group: "ValueGroup", coords: Iterable[Fraction]) -> tuple[int, ...] | None:
-    """The lattice steps k of coordinates k/D of ``group``, or None when one
-    is off the lattice.  A reduced c is k/D exactly when its denominator
-    divides D."""
-    d = group.denominator
-    out = []
-    for c in coords:
-        k, q = c.as_integer_ratio()
-        if d % q:
-            return None
-        out.append(k * (d // q))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -102,30 +64,17 @@ class ValueGroup:
     def denominator(self) -> int:
         return self.char_exponent ** self.denom_exponent
 
-    @functools.cached_property
-    def _lattice(self) -> dict[int, Fraction]:
-        """The shared coordinates k/D by lattice step k, filled by ``_points``."""
-        return {}
-
-    @functools.cached_property
-    def zero_coords(self) -> tuple[Fraction, ...]:
-        """The coordinates of the neutral element."""
-        return _points(self, [0] * self.rank)
-
     def element(self, coords: Iterable[int | Fraction]) -> "ValueWithZero":
-        coords = tuple(coords)
+        """The group element of the given rational coordinates; DomainError
+        for a coordinate off the lattice (1/D)Z."""
+        coords = tuple(map(Fraction, coords))
         if len(coords) != self.rank:
             raise StructuralError(f"expected {self.rank} coordinates, got {len(coords)}")
+        d = self.denominator
         for c in coords:
-            if c.__class__ is not Fraction:
-                coords = tuple(map(Fraction, coords))
-                break
-        value = ValueWithZero(self, coords)
-        if value.steps is None:
-            d = self.denominator
-            bad = next(c for c in coords if d % c.denominator)
-            raise DomainError(f"coordinate {bad} is not a multiple of 1/{d}")
-        return value
+            if d % c.denominator:
+                raise DomainError(f"coordinate {c} is not a multiple of 1/{d}")
+        return ValueWithZero(self, tuple(c.numerator * (d // c.denominator) for c in coords))
 
     def zero_value(self) -> "ValueWithZero":
         """The adjoined absorbing element (the value of the field element 0)."""
@@ -133,50 +82,66 @@ class ValueGroup:
 
     def neutral(self) -> "ValueWithZero":
         """The identity element, i.e. the value of any unit."""
-        return ValueWithZero(self, self.zero_coords, (0,) * self.rank)
+        return ValueWithZero(self, (0,) * self.rank)
+
+    def _rescale(self, value: "ValueWithZero") -> tuple[int, ...] | None:
+        """The steps over this group's denominator of a group element of
+        this rank, or None when it lies off this group's lattice."""
+        if value.group is self:
+            return value.steps
+        d, e = self.denominator, value.group.denominator
+        out = []
+        for k in value.steps:
+            j, r = divmod(k * d, e)
+            if r:
+                return None
+            out.append(j)
+        return tuple(out)
 
     def contains(self, value: "ValueWithZero") -> bool:
-        """Whether the coordinates of ``value`` lie in this group's lattice."""
-        if value.is_zero:
+        """Whether ``value`` lies in this group's lattice."""
+        if value.group is self or value.is_zero:
             return True
-        if value.group.rank != self.rank:
-            return False
-        d = self.denominator
-        for c in value.coords:
-            if d % c.denominator:
-                return False
-        return True
+        return value.group.rank == self.rank and self._rescale(value) is not None
 
     def describe(self) -> str:
         head = "Z" if self.denom_exponent == 0 else f"(1/{self.denominator})Z"
         return f"{head}^{self.rank} lex"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ValueWithZero:
-    """A group element, or the adjoined zero (``coords is None``).
+    """A group element, or the adjoined zero (``steps is None``).
 
-    ``steps`` are the integers k with ``coords`` = k/D, D the group's
-    denominator; they are None for the adjoined zero and for coordinates off
-    the lattice.  Code that already holds them hands them in, and they are
-    derived from ``coords`` otherwise, once per value.  Equality and hash
-    read (group, coords) only."""
+    ``steps`` are the ints k of the coordinates k/D, D the group's
+    denominator, one per coordinate.  A tuple of another length or with an
+    entry that is not an int is refused: rationals enter through
+    ``ValueGroup.element``."""
 
     group: ValueGroup
-    coords: tuple[Fraction, ...] | None
-    steps: tuple[int, ...] | None = field(compare=False, repr=False)
+    steps: tuple[int, ...] | None
 
-    def __init__(self, group: ValueGroup, coords, steps: tuple[int, ...] | None = None):
-        if steps is None and coords is not None:
-            steps = _steps(group, coords)
-        put = object.__setattr__
-        put(self, "group", group)
-        put(self, "coords", coords)
-        put(self, "steps", steps)
+    def __post_init__(self):
+        steps = self.steps
+        if steps is None:
+            return
+        if steps.__class__ is not tuple or len(steps) != self.group.rank:
+            raise StructuralError(f"expected {self.group.rank} lattice steps, got {steps!r}")
+        for k in steps:
+            if k.__class__ is not int:
+                raise StructuralError(f"lattice steps are ints, got {k!r}")
 
     @property
     def is_zero(self) -> bool:
-        return self.coords is None
+        return self.steps is None
+
+    @property
+    def coords(self) -> tuple[Fraction, ...] | None:
+        """The rational coordinates k/D, or None for the adjoined zero."""
+        if self.steps is None:
+            return None
+        d = self.group.denominator
+        return tuple(Fraction(k, d) for k in self.steps)
 
     def _check_same_group(self, other: "ValueWithZero") -> None:
         if self.group is not other.group and self.group != other.group:
@@ -189,17 +154,10 @@ class ValueWithZero:
         multiplicatively; see the module docstring for the additive reading.
         """
         self._check_same_group(other)
-        if self.is_zero and other.is_zero:
-            return 0
-        if self.is_zero:
-            return -1
-        if other.is_zero:
-            return 1
-        if self.coords < other.coords:
-            return -1
-        if self.coords > other.coords:
-            return 1
-        return 0
+        a, b = self.steps, other.steps
+        if a is None or b is None:
+            return (a is not None) - (b is not None)
+        return (a > b) - (a < b)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -216,32 +174,23 @@ class ValueWithZero:
     def mul(self, other: "ValueWithZero") -> "ValueWithZero":
         """Group law (coordinatewise addition); the adjoined zero absorbs."""
         self._check_same_group(other)
-        group = self.group
         if self.is_zero or other.is_zero:
-            return ValueWithZero(group, None)
-        a, b = self.steps, other.steps
-        if a is None or b is None:
-            return ValueWithZero(group, tuple(map(add, self.coords, other.coords)))
-        k = tuple(map(add, a, b))
-        return ValueWithZero(group, _points(group, k), k)
+            return ValueWithZero(self.group, None)
+        return ValueWithZero(self.group, tuple(map(add, self.steps, other.steps)))
 
     __mul__ = mul
 
     def inv(self) -> "ValueWithZero":
         if self.is_zero:
             raise DomainError("the adjoined zero has no inverse")
-        group = self.group
-        if self.steps is None:
-            return ValueWithZero(group, tuple(map(neg, self.coords)))
-        k = tuple(map(neg, self.steps))
-        return ValueWithZero(group, _points(group, k), k)
+        return ValueWithZero(self.group, tuple(map(neg, self.steps)))
 
     def pow(self, n: int) -> "ValueWithZero":
         if self.is_zero:
             if n <= 0:
                 raise DomainError("zero value cannot be raised to a nonpositive power")
             return self
-        return ValueWithZero(self.group, tuple(n * c for c in self.coords))
+        return ValueWithZero(self.group, tuple(n * k for k in self.steps))
 
     # Additive-dictionary helpers.  Here the adjoined zero acts as +infinity:
     # it is the value of the field element 0, which belongs to every ideal.
@@ -253,7 +202,7 @@ class ValueWithZero:
             return True
         if other.is_zero:
             return False
-        return self.coords >= other.coords
+        return self.steps >= other.steps
 
     def additive_min(self, other: "ValueWithZero") -> "ValueWithZero":
         """min in the additive reading (zero counts as +infinity)."""
@@ -262,56 +211,74 @@ class ValueWithZero:
             return other
         if other.is_zero:
             return self
-        return self if self.coords <= other.coords else other
-
-    def _sign(self) -> int:
-        """-1, 0 or 1 as this group element lies below, at or above the
-        neutral one, read from the steps where there are any."""
-        a = self.steps
-        if a is None:
-            a, b = self.coords, self.group.zero_coords
-        else:
-            b = (0,) * len(a)
-        return (a > b) - (a < b)
+        return self if self.steps <= other.steps else other
 
     def is_nonnegative(self) -> bool:
         """Additive value >= 0, i.e. multiplicative |z| <= 1."""
-        return self.is_zero or self._sign() >= 0
+        a = self.steps
+        return a is None or a >= (0,) * len(a)
 
     def is_positive(self) -> bool:
         """Additive value > 0, i.e. multiplicative |z| < 1 (maximal ideal)."""
-        return self.is_zero or self._sign() > 0
+        a = self.steps
+        return a is None or a > (0,) * len(a)
 
     def in_group(self, group: ValueGroup) -> "ValueWithZero":
         """Re-express this value inside a refinement of its group."""
         if self.is_zero:
             return group.zero_value()
-        return group.element(self.coords)
+        steps = group._rescale(self)
+        if steps is None:
+            raise DomainError(f"{self} is not in {group.describe()}")
+        return ValueWithZero(group, steps)
 
     def render(self) -> str:
         """Text form, e.g. ``(1, -1/2)``; the adjoined zero renders as ``0``."""
         if self.is_zero:
             return "0"
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(map(str, self.coords)) + ")"
 
     def __str__(self):
         return self.render()
 
 
+# one coordinate as ``render`` prints it
+_COORDINATE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_value(text: str, group: ValueGroup) -> ValueWithZero:
-    """Parse the output of :meth:`ValueWithZero.render` back, bit-exactly."""
-    text = text.strip()
+    """Parse the output of :meth:`ValueWithZero.render` back, bit-exactly.
+
+    Any other text is a DomainError that quotes at most 20 characters."""
+
+    def refuse(why: str) -> DomainError:
+        return DomainError(f"cannot parse value {text[:20]!r}: {why}")
+
     if text == "0":
         return group.zero_value()
     if not (text.startswith("(") and text.endswith(")")):
-        raise DomainError(f"cannot parse value {text!r}")
-    body = text[1:-1].strip()
-    parts = [p.strip() for p in body.split(",")] if body else []
-    try:
-        coords = [Fraction(p) for p in parts]
-    except ValueError as exc:
-        raise DomainError(f"cannot parse value {text!r}: {exc}") from None
-    return group.element(coords)
+        raise refuse("expected 0 or a parenthesised tuple")
+    parts = text[1:-1].split(", ")
+    if len(parts) != group.rank:
+        raise refuse(f"expected {group.rank} coordinates")
+    d = group.denominator
+    steps = []
+    for part in parts:
+        m = _COORDINATE.fullmatch(part)
+        if m is None:
+            raise refuse("a coordinate is not [-]digits[/digits]")
+        try:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:
+            raise refuse("a coordinate has too many digits") from None
+        if den == 0:
+            raise refuse("zero denominator")
+        k, r = divmod(num * d, den)
+        if r:
+            raise refuse(f"a coordinate is not a multiple of 1/{d}")
+        steps.append(k)
+    return ValueWithZero(group, tuple(steps))
 
 
 def is_p_torsion_quotient(sub: ValueGroup, sup: ValueGroup, p: int) -> bool:

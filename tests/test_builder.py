@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from valext import cli, fields
+from valext import cli, config, fields
 from valext.builder import (
     ExtensionScenario,
     build_general,
@@ -617,16 +617,23 @@ def test_verification_catches_a_group_that_contains_nothing(golden_builds, monke
 
 
 def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch):
-    # value() leaves the lattice by 1/(2D) in the last coordinate: both lines
-    # turn False with a detail line each, and nothing is asked of monomial()
+    # value() hands over a value W's group does not contain: one more 1/(pD)
+    # in the last coordinate of a finer group in characteristic p, a value of
+    # another rank in characteristic 0.  Both lines turn False with a detail
+    # line each, and nothing is asked of monomial()
     value = MonomialValuation.value
 
     def off_lattice(self, z):
         v = value(self, z)
         if v.is_zero:
             return v
-        last = v.coords[-1] + Fraction(1, 2 * self.group.denominator)
-        return ValueWithZero(self.group, v.coords[:-1] + (last,))
+        g = self.group
+        if g.char_exponent > 1:
+            fine = ValueGroup(g.rank, g.char_exponent, g.denom_exponent + 1)
+            k = v.in_group(fine).steps
+            return ValueWithZero(fine, k[:-1] + (k[-1] + 1,))
+        other = ValueGroup(g.rank % config.MAX_RANK + 1)
+        return ValueWithZero(other, (v.steps + (0,) * config.MAX_RANK)[: other.rank])
 
     monkeypatch.setattr(MonomialValuation, "value", off_lattice)
     for name, weak in _verify_all(golden_builds).items():
@@ -640,27 +647,34 @@ def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch)
 
 def _verification_stream(build, monkeypatch):
     """The elements ``verify_weakly_unramified`` samples and the forced
-    targets it builds (one ``group.element`` call each), at the 200 samples
-    of ``--verify``, as printed."""
+    targets it draws (``rank`` builder draws each: the steps of the leading
+    coordinates, then the last step less one), at the 200 samples of
+    ``--verify``, as printed."""
     from valext import builder
 
     lines = []
-    real_sample, real_element = builder.random_fraction_element, ValueGroup.element
+    real_sample, real_randbelow = builder.random_fraction_element, builder.randbelow
+    group = build.valuation_w.group
+    drawn = []
 
     def sample(v, rng):
         z = real_sample(v, rng)
         lines.append(f"z {z}")
         return z
 
-    def element(self, coords):
-        target = real_element(self, coords)
-        lines.append(f"t {target}")
-        return target
+    def randbelow(bits, n):
+        k = real_randbelow(bits, n)
+        drawn.append(k)
+        if len(drawn) == group.rank:
+            lines.append(f"t {ValueWithZero(group, tuple(drawn[:-1]) + (drawn[-1] + 1,))}")
+            drawn.clear()
+        return k
 
     with monkeypatch.context() as m:
         m.setattr(builder, "random_fraction_element", sample)
-        m.setattr(ValueGroup, "element", element)
+        m.setattr(builder, "randbelow", randbelow)
         verify_weakly_unramified(build)
+    assert not drawn
     return lines
 
 
@@ -688,25 +702,20 @@ def test_the_verification_stream_is_pinned(golden_builds, monkeypatch):
     assert got == VERIFICATION_STREAMS
 
 
-def test_verification_derives_lattice_steps_once_per_forced_target(golden_builds, monkeypatch):
-    # a value carries its lattice steps: value(), mul() and inv() hand them
-    # on, and only a forced target, which group.element builds from its
-    # coordinates, derives them (5,000 derivations before values kept them)
-    from valext import value_groups, valuations
+def test_a_passing_verification_reads_no_coordinates(golden_builds, monkeypatch):
+    # a value is its lattice steps: sampling, forcing and the witnesses read
+    # and form steps only, and Fraction coordinates are made for rendering
+    reads = []
+    coords = ValueWithZero.coords
 
-    calls = []
-    real = value_groups._steps
+    def counted(self):
+        reads.append(self)
+        return coords.fget(self)
 
-    def counted(group, coords):
-        calls.append(group)
-        return real(group, coords)
-
-    monkeypatch.setattr(value_groups, "_steps", counted)
-    monkeypatch.setattr(valuations, "_steps", counted)
+    monkeypatch.setattr(ValueWithZero, "coords", property(counted))
     for name, build in sorted(golden_builds.items()):
         assert verify_weakly_unramified(build).passed, name
-    targets = sum(t for _, t, _ in VERIFICATION_STREAMS.values())
-    assert targets == 1000 and 0 < len(calls) <= targets
+    assert reads == []
 
 
 def test_verification_takes_no_gcd(golden_builds, monkeypatch):

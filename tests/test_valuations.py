@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from valext import valuations
+from valext import config, valuations
 from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import FieldElement, FieldTower, _split_fraction, build_fraction_rep
 from valext.norms import random_field_element, random_fraction_element
 from valext.poly import Polynomial, factor
 from valext.valuations import MonomialValuation, hensel_factor_lift
-from valext.value_groups import ValueWithZero
+from valext.value_groups import ValueGroup
 
 
 @pytest.fixture
@@ -188,12 +188,16 @@ def test_monomial_matches_from_terms(request, field_name, rank):
         # oracle: the generic canonical build of x^pos / x^neg
         assert m.rep == v.from_terms({pos: field.one()}, neg).rep, exps
         assert v.value(m) == value
+    # a value of a finer group that the valuation's group does not contain,
+    # the adjoined zero, and a value of another rank
+    p = max(v.group.char_exponent, 2)
+    finer = ValueGroup(rank, p, v.group.denom_exponent + 1)
     with pytest.raises(DomainError):
-        v.monomial(ValueWithZero(v.group, (Fraction(1, 2 * d),) * rank))
+        v.monomial(finer.element((Fraction(1, p * d),) * rank))
     with pytest.raises(DomainError):
         v.monomial(v.group.zero_value())
     with pytest.raises(StructuralError):
-        v.monomial(ValueWithZero(v.group, (Fraction(0),) * (rank + 1)))
+        v.monomial(ValueGroup(rank % config.MAX_RANK + 1).neutral())
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

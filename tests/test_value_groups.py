@@ -1,10 +1,13 @@
+import functools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from valext import config
 from valext.errors import DomainError, StructuralError
 from valext.fields import FieldTower
 from valext.norms import random_fraction_element
@@ -12,8 +15,6 @@ from valext.valuations import MonomialValuation
 from valext.value_groups import (
     ValueGroup,
     ValueWithZero,
-    _points,
-    _steps,
     is_p_torsion_quotient,
     parse_value,
 )
@@ -127,6 +128,33 @@ def test_render_parse_round_trip(a):
     assert parse_value(a.render(), a.group) == a
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1/0, 1)",  # a zero denominator
+        "(1e999, 0)",  # an exponent Fraction would expand to 1000 digits
+        "(" + "7" * 5000 + ", 0)",  # past int's digit limit
+        "(" + "7" * 4000 + "/3, 0)",  # off the lattice, long
+        "(1/3, 0)",  # off the lattice
+        "(1, 0, 0)",
+        "(1)",
+        "(1,0)",
+        " (1, 0)",
+        "(+1, 0)",
+        "(1.5, 0)",
+        "(\u0661, 0)",  # a digit that is not ASCII
+        "1",
+        "()",
+        "",
+    ],
+)
+def test_parse_value_refuses_all_but_rendered_text(text):
+    with pytest.raises(DomainError) as info:
+        parse_value(text, ValueGroup(2, 2, 1))
+    # the message quotes at most 20 characters of the text
+    assert repr(text[:20]) in str(info.value) and len(str(info.value)) < 100
+
+
 def test_refinement_embedding_preserves_order():
     coarse = ValueGroup(2, 2, 0)
     fine = ValueGroup(2, 2, 2)
@@ -141,15 +169,24 @@ def test_refinement_embedding_preserves_order():
 _DENOMINATORS = [(1, 0), (2, 1), (2, 2), (3, 2), (5, 2)]
 
 
+def _on_lattice(coords, group):
+    """Whether every Fraction in ``coords`` is a multiple of 1/D."""
+    return all((c * group.denominator).denominator == 1 for c in coords)
+
+
 @given(
     st.sampled_from(_DENOMINATORS),
+    st.sampled_from(_DENOMINATORS),
+    st.tuples(st.integers(-200, 200), st.integers(-200, 200)),
     st.lists(st.fractions(max_denominator=60), min_size=2, max_size=2),
 )
-def test_element_and_contains_accept_exactly_the_lattice(spec, coords):
+def test_element_and_contains_accept_exactly_the_lattice(spec, other, steps, coords):
     g = ValueGroup(2, *spec)
-    inside = all((c * g.denominator).denominator == 1 for c in coords)
-    assert g.contains(ValueWithZero(g, tuple(coords))) is inside
-    if inside:
+    # a value of another group is contained exactly when its coordinates are
+    # multiples of 1/D
+    x = ValueWithZero(ValueGroup(2, *other), steps)
+    assert g.contains(x) is _on_lattice(x.coords, g)
+    if _on_lattice(coords, g):
         assert g.element(coords).coords == tuple(coords)
         ints = [c.numerator if c.denominator == 1 else c for c in coords]
         assert g.element(ints).coords == tuple(coords)
@@ -159,16 +196,60 @@ def test_element_and_contains_accept_exactly_the_lattice(spec, coords):
 
 
 # ---------------------------------------------------------------------------
-# A value carries its lattice steps k, with coords = k/D
+# A value is its lattice steps k, with coordinates k/D: the step arithmetic
+# against an oracle on Fraction coordinates
 
 
 # (rank, char exponent, denominator exponent): Z^1..3 and (1/p^N)Z^r
 _STEP_GROUPS = [(1, 1, 0), (2, 1, 0), (3, 1, 0), (1, 2, 1), (2, 3, 2), (3, 5, 1)]
 
 
+@functools.cache
 def _step_valuation(rank, p, n):
     field = FieldTower.rationals() if p == 1 else FieldTower.prime_field(p)
     return MonomialValuation(field, [f"x{j}" for j in range(1, rank + 1)], n)
+
+
+def _refinement(g: ValueGroup) -> ValueGroup:
+    """A group with one more factor p in its denominator (p = 2 over Z)."""
+    p = max(g.char_exponent, 2)
+    return ValueGroup(g.rank, p, g.denom_exponent + 1)
+
+
+def _drawn(group, draw):
+    """A value of ``group`` drawn by hypothesis: the zero or any steps."""
+    if draw(st.integers(0, 7)) == 0:
+        return group.zero_value()
+    return ValueWithZero(group, draw(st.tuples(*[st.integers(-40, 40)] * group.rank)))
+
+
+def _fractions(x):
+    """The oracle's reading of x: its coordinates as Fractions, or None."""
+    if x.is_zero:
+        return None
+    return tuple(Fraction(k, x.group.denominator) for k in x.steps)
+
+
+@pytest.mark.parametrize("rank,p,n", _STEP_GROUPS)
+@given(draw=st.data())
+def test_values_carry_the_steps_of_their_coordinates(rank, p, n, draw):
+    g = _step_valuation(rank, p, n).group
+    x, y = _drawn(g, draw.draw), _drawn(g, draw.draw)
+    assert x.coords == _fractions(x)
+    assert (x == y) is (_fractions(x) == _fractions(y))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert parse_value(x.render(), g) == x
+    if x.is_zero:
+        return
+    assert g.element(x.coords) == x and hash(g.element(x.coords)) == hash(x)
+    ints = [c.numerator if c.denominator == 1 else c for c in x.coords]
+    assert g.element(ints) == x
+    # the second field is steps: Fractions, another length or a list are
+    # refused, never read as steps
+    for bad in (x.coords, x.steps + (0,), x.steps[1:], list(x.steps), (1.0,) * rank):
+        with pytest.raises(StructuralError):
+            ValueWithZero(g, bad)
 
 
 def _seeded_values(v, rng):
@@ -183,23 +264,6 @@ def _seeded_values(v, rng):
     return out
 
 
-@pytest.mark.parametrize("rank,p,n", _STEP_GROUPS)
-def test_values_carry_the_steps_of_their_coordinates(rank, p, n):
-    v = _step_valuation(rank, p, n)
-    g = v.group
-    for x in _seeded_values(v, random.Random(f"steps:{rank}:{p}:{n}")):
-        assert x.steps is not None and x.steps == _steps(g, x.coords)
-        assert x.steps.__class__ is tuple
-        # rebuilt from fresh Fractions, with the steps derived, and from the
-        # steps: equal values, equal hashes
-        fresh = ValueWithZero(g, tuple(Fraction(c.numerator, c.denominator) for c in x.coords))
-        given_steps = ValueWithZero(g, _points(g, x.steps), x.steps)
-        for y in (fresh, given_steps):
-            assert y == x and hash(y) == hash(x) and y.steps == x.steps
-        assert {x, fresh, given_steps} == {x}
-    assert g.zero_value().steps is None
-
-
 @pytest.mark.parametrize("rank,p,n", [spec for spec in _STEP_GROUPS if spec[1] > 1])
 def test_in_group_rereads_the_steps_in_the_refinement(rank, p, n):
     v = _step_valuation(rank, p, n)
@@ -207,7 +271,6 @@ def test_in_group_rereads_the_steps_in_the_refinement(rank, p, n):
     for x in _seeded_values(v, random.Random(f"refine:{rank}:{p}:{n}")):
         y = x.in_group(fine)
         assert y.coords == x.coords and y.steps == tuple(p * k for k in x.steps)
-        assert y.steps == _steps(fine, y.coords)
         # monomial counts steps in its own group, not in the value's
         assert v.monomial(y) == v.monomial(x)
         half = fine.element(y.coords[:-1] + (y.coords[-1] + Fraction(1, fine.denominator),))
@@ -216,31 +279,55 @@ def test_in_group_rereads_the_steps_in_the_refinement(rank, p, n):
 
 
 @pytest.mark.parametrize("rank,p,n", _STEP_GROUPS)
-def test_values_off_the_lattice_have_no_steps(rank, p, n):
+@given(draw=st.data())
+def test_values_off_the_lattice_have_no_steps(rank, p, n, draw):
+    # a value of a refinement, or of another rank, that is off the lattice
+    # of g has no steps in g: g does not contain it, and in_group and
+    # monomial refuse it
     v = _step_valuation(rank, p, n)
-    g = v.group
-    # a p-th of a lattice step (a half over Z) is off the lattice
-    off_step = Fraction(1, max(p, 2) * g.denominator)
-    for x in _seeded_values(v, random.Random(f"off:{rank}:{p}:{n}"))[:40]:
-        off = ValueWithZero(g, x.coords[:-1] + (x.coords[-1] + off_step,))
-        assert off.steps is None
-        assert not g.contains(off)
+    g, fine = v.group, _refinement(v.group)
+    x, y = _drawn(g, draw.draw), _drawn(fine, draw.draw)
+    assert fine.contains(x) and x.in_group(fine).coords == _fractions(x)
+    if y.is_zero:
+        assert g.contains(y) and y.in_group(g).is_zero
+        return
+    inside = _on_lattice(_fractions(y), g)
+    assert g.contains(y) is inside
+    if inside:
+        assert y.in_group(g) == g.element(_fractions(y))
+        assert v.monomial(y) == v.monomial(y.in_group(g))
+    else:
         with pytest.raises(DomainError):
-            v.monomial(off)
+            y.in_group(g)
         with pytest.raises(DomainError):
-            g.element(off.coords)
-        # order and arithmetic still read the coordinates
-        assert off > x and off.is_positive() == (off.coords > g.zero_coords)
-        assert off.is_nonnegative() == (off.coords >= g.zero_coords)
-        assert off.inv().coords == tuple(-c for c in off.coords) and off.inv().steps is None
-        back = off.mul(ValueWithZero(g, tuple(-c for c in off.coords)))
-        assert back == g.neutral() and back.steps == (0,) * rank
+            v.monomial(y)
+    other = ValueGroup(rank % config.MAX_RANK + 1, g.char_exponent, g.denom_exponent)
+    assert not g.contains(other.neutral())
+    with pytest.raises(StructuralError):
+        v.monomial(other.neutral())
 
 
 @pytest.mark.parametrize("rank,p,n", _STEP_GROUPS)
-def test_sign_read_from_steps_matches_the_coordinates(rank, p, n):
-    v = _step_valuation(rank, p, n)
-    g = v.group
-    for x in _seeded_values(v, random.Random(f"sign:{rank}:{p}:{n}")):
-        assert x.is_positive() == (x.coords > g.zero_coords)
-        assert x.is_nonnegative() == (x.coords >= g.zero_coords)
+@given(draw=st.data())
+def test_sign_read_from_steps_matches_the_coordinates(rank, p, n, draw):
+    # order, group law and sign against the same operations on Fractions,
+    # where the adjoined zero is below every element (compare) or +infinity
+    # (the additive helpers)
+    g = _step_valuation(rank, p, n).group
+    x, y = _drawn(g, draw.draw), _drawn(g, draw.draw)
+    fx, fy = _fractions(x), _fractions(y)
+    want = 0 if fx == fy else -1 if fx is None else 1 if fy is None else (fx > fy) - (fx < fy)
+    assert x.compare(y) == want
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert x.additive_ge(y) is (fx is None or (fy is not None and fx >= fy))
+    assert x.additive_min(y) == (y if fx is None else x if fy is None or fx <= fy else y)
+    origin = (Fraction(0),) * rank
+    assert x.is_positive() is (fx is None or fx > origin)
+    assert x.is_nonnegative() is (fx is None or fx >= origin)
+    if fx is None or fy is None:
+        assert x.mul(y).is_zero
+        return
+    assert _fractions(x.mul(y)) == tuple(map(add, fx, fy)) == _fractions(x * y)
+    assert _fractions(x.inv()) == tuple(-c for c in fx)
+    e = draw.draw(st.integers(-5, 5))
+    assert _fractions(x.pow(e)) == tuple(e * c for c in fx)
