@@ -5,7 +5,13 @@ For a free module E over the ring V of a monomial valuation, with basis
 multiplicative convention, i.e. the additive minimum of the coefficient
 values.  The supported free algebras are the carriers the extension
 construction needs: polynomial algebras V[y] and finite-rank quotients
-V[y]/(f) with f monic over V.
+V[y]/(f) with f monic over V.  A free module of rank n is kept as the
+quotient V[e]/(e^n), free over V on 1, e, ..., e^(n-1), so the norm and
+the unit-part factorization are the algebra's, written once.
+
+An algebra element is a ``Polynomial`` in the algebra's indeterminate:
+it inherits all arithmetic and printing, and each result is reduced
+modulo the modulus of a quotient algebra.
 
 When the residual algebra is a domain, the norm is multiplicative and
 extends to a valuation of the fraction field with the same value group and
@@ -16,128 +22,16 @@ All operations are pure over immutable modules and algebras.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import poly as poly_mod
 from .errors import DomainError, PreconditionError, StructuralError
-from .fields import FieldElement, FieldTower, _power
+from .fields import FieldElement, FieldTower, _u_rem
 from .poly import Polynomial
 from .valuations import MonomialValuation
 from .value_groups import ValueWithZero
-
-
-# ---------------------------------------------------------------------------
-# The norm of a coefficient vector
-
-
-def _coefficient_norm(v: MonomialValuation, coeffs) -> ValueWithZero:
-    """Additive minimum over coefficient values (multiplicative maximum)."""
-    out = v.group.zero_value()
-    for c in coeffs:
-        out = out.additive_min(v.value(c))
-    return out
-
-
-def _first_minimal(v: MonomialValuation, coeffs: list) -> FieldElement:
-    """The first of the nonzero ``coeffs`` whose value is their norm."""
-    if not coeffs:
-        raise DomainError("the zero element has no unit-part factorization")
-    minval = _coefficient_norm(v, coeffs)
-    return next(c for c in coeffs if v.value(c) == minval)
-
-
-# ---------------------------------------------------------------------------
-# Free modules
-
-
-class FreeModule:
-    """A free V-module with a finite ordered basis of labels."""
-
-    def __init__(self, valuation: MonomialValuation, basis: Sequence[str]):
-        basis = tuple(basis)
-        if not basis or len(set(basis)) != len(basis):
-            raise StructuralError("basis labels must be nonempty and distinct")
-        self.valuation = valuation
-        self.basis = basis
-
-    def element(self, coeffs: dict) -> "ModuleElement":
-        clean = {}
-        for label, c in coeffs.items():
-            if label not in self.basis:
-                raise StructuralError(f"unknown basis label {label!r}")
-            c = self.valuation.coerce(c)
-            if not c.is_zero:
-                clean[label] = c
-        return ModuleElement(self, clean)
-
-    def zero(self) -> "ModuleElement":
-        return ModuleElement(self, {})
-
-    def norm(self, z: "ModuleElement") -> ValueWithZero:
-        return _coefficient_norm(self.valuation, z.coeffs.values())
-
-    def unit_part_factor(self, z: "ModuleElement"):
-        """Write z = alpha * z1 with norm(z1) the neutral value.
-
-        alpha is a coefficient of minimal value (first such basis label), so
-        |alpha| equals the norm of z exactly.
-        """
-        coeffs = [z.coeffs[label] for label in self.basis if label in z.coeffs]
-        alpha = _first_minimal(self.valuation, coeffs)
-        inv = alpha.inv()
-        z1 = ModuleElement(self, {l: c * inv for l, c in z.coeffs.items()})
-        return alpha, z1
-
-    def in_module(self, z: "ModuleElement") -> bool:
-        return all(self.valuation.in_ring(c) for c in z.coeffs.values())
-
-    def in_maximal_submodule(self, z: "ModuleElement") -> bool:
-        return all(self.valuation.in_maximal_ideal(c) for c in z.coeffs.values())
-
-
-@dataclass
-class ModuleElement:
-    module: FreeModule
-    coeffs: dict
-
-    def _check(self, other):
-        if other.module is not self.module and other.module.basis != self.module.basis:
-            raise StructuralError("elements of different modules")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for l, c in other.coeffs.items():
-            s = out.get(l)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(l, None)
-            else:
-                out[l] = s
-        return ModuleElement(self.module, out)
-
-    def __neg__(self):
-        return ModuleElement(self.module, {l: -c for l, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, alpha) -> "ModuleElement":
-        alpha = self.module.valuation.coerce(alpha)
-        if alpha.is_zero:
-            return self.module.zero()
-        return ModuleElement(self.module, {l: alpha * c for l, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleElement) and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({self.coeffs[l]})*{l}" for l in self.module.basis if l in self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +91,14 @@ class FreeAlgebra:
     def element(self, terms: dict) -> "AlgebraElement":
         """The sum of c * y^e over the items e: c of ``terms``, each exponent
         e a nonnegative int."""
-        field = self.valuation.function_field
-        R = field.ring
+        R = self.valuation.function_field.ring
         reps: list = []
         for e, c in terms.items():
             if not isinstance(e, int) or e < 0:
                 raise StructuralError(f"bad exponent {e}")
             reps.extend([R.zero] * (e + 1 - len(reps)))
             reps[e] = R.add(reps[e], self.valuation.coerce(c).rep)
-        return AlgebraElement(self, Polynomial(field, self.name, reps))
+        return AlgebraElement(self, reps)
 
     def zero(self) -> "AlgebraElement":
         return self.element({})
@@ -224,85 +117,112 @@ class FreeAlgebra:
     # -- the norm ---------------------------------------------------------------
 
     def norm(self, z: "AlgebraElement") -> ValueWithZero:
-        return _coefficient_norm(self.valuation, (c for _, c in z.terms()))
+        """The additive minimum of the coefficient values of z."""
+        v = self.valuation
+        out = v.group.zero_value()
+        for c in z.univariate_coeffs():
+            out = out.additive_min(v.value(c))
+        return out
 
     def unit_part_factor(self, z: "AlgebraElement"):
-        """z = alpha * z1 with norm(z1) neutral and |alpha| = norm(z)."""
-        alpha = _first_minimal(self.valuation, [c for _, c in z.terms()])
-        return alpha, AlgebraElement(self, z.poly.scale(alpha.inv()))
+        """z = alpha * z1 with norm(z1) neutral and |alpha| = norm(z): alpha
+        is the coefficient of lowest degree whose value is the norm."""
+        if z.is_zero:
+            raise DomainError("the zero element has no unit-part factorization")
+        minval = self.norm(z)
+        alpha = next(c for c in z.univariate_coeffs() if self.valuation.value(c) == minval)
+        return alpha, z.scale(alpha.inv())
 
     # -- residual algebra ---------------------------------------------------------
 
     def residual_minpoly(self) -> Polynomial:
+        """The modulus modulo the maximal ideal, of the same degree."""
         if not self.is_quotient:
             raise StructuralError("polynomial algebras have no quotient modulus")
-        return self.valuation.residual_polynomial(self.modulus)
+        rbar = self.valuation.residual_polynomial(self.modulus)
+        if rbar.degree() != self.rank:
+            raise DomainError("modulus degenerates modulo the maximal ideal")
+        return rbar
 
 
-class AlgebraElement:
+class AlgebraElement(Polynomial):
     """A polynomial in the algebra's indeterminate, reduced modulo the
-    modulus of a quotient algebra."""
+    modulus of a quotient algebra.  Every ``Polynomial`` operation builds
+    its result through ``_like``, so it stays in the algebra."""
 
-    __slots__ = ("algebra", "poly")
+    __slots__ = ("algebra",)
 
-    def __init__(self, algebra: FreeAlgebra, poly: Polynomial):
+    def __init__(self, algebra: FreeAlgebra, reps: list):
+        field = algebra.valuation.function_field
+        if algebra.modulus is not None:
+            reps = _u_rem(field.ring, reps, algebra.modulus.reps)
+        super().__init__(field, algebra.name, reps)
         self.algebra = algebra
-        self.poly = poly if algebra.modulus is None else poly % algebra.modulus
 
-    def terms(self):
-        """(e, c) for the nonzero coefficients c of y^e, e ascending."""
-        return [(e, c) for e, c in enumerate(self.poly.univariate_coeffs()) if not c.is_zero]
+    def _like(self, reps: list) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, reps)
 
-    def _check(self, other) -> Polynomial:
-        if isinstance(other, AlgebraElement):
-            if other.algebra is not self.algebra:
-                raise StructuralError("elements of different algebras")
-            return other.poly
-        return self.algebra.scalar(other).poly
-
-    def __add__(self, other):
-        return AlgebraElement(self.algebra, self.poly + self._check(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.poly)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.algebra, self.poly - self._check(other))
-
-    def __mul__(self, other):
-        return AlgebraElement(self.algebra, self.poly * self._check(other))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return _power(self, n, operator.mul, self.algebra.one())
-
-    def scale(self, alpha) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.poly.scale(alpha))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
+    def _other(self, other) -> list:
+        if isinstance(other, AlgebraElement) and other.algebra is not self.algebra:
+            raise StructuralError("elements of different algebras")
+        return super()._other(other)
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, Polynomial):
             try:
                 other = self.algebra.scalar(other)
             except StructuralError:
                 return NotImplemented
-        return self.poly == other.poly
+        return super().__eq__(other)
 
-    def __str__(self):
-        pieces = []
-        for e, c in reversed(self.terms()):
-            mono = "" if e == 0 else self.algebra.name if e == 1 else f"{self.algebra.name}^{e}"
-            c = str(c)
-            if any(op in c for op in (" + ", " - ", "/")):
-                c = f"({c})"
-            pieces.append(f"{c}*{mono}" if mono else c)
-        return " + ".join(pieces) or "0"
+
+# ---------------------------------------------------------------------------
+# Free modules
+
+
+class FreeModule:
+    """A free V-module with a finite ordered basis of labels, kept as the
+    algebra V[e]/(e^n): ``basis[i]`` stands for e^i, and e is a name that no
+    generator of the fraction field takes."""
+
+    def __init__(self, valuation: MonomialValuation, basis: Sequence[str]):
+        basis = tuple(basis)
+        if not basis or len(set(basis)) != len(basis):
+            raise StructuralError("basis labels must be nonempty and distinct")
+        self.valuation = valuation
+        self.basis = basis
+        field = valuation.function_field
+        name = "e"
+        while name in field.gen_names:
+            name += "_"
+        R = field.ring
+        modulus = Polynomial(field, name, [R.zero] * len(basis) + [R.one])
+        self.algebra = FreeAlgebra(valuation, name, modulus)
+
+    def element(self, coeffs: dict) -> AlgebraElement:
+        terms = {}
+        for label, c in coeffs.items():
+            if label not in self.basis:
+                raise StructuralError(f"unknown basis label {label!r}")
+            terms[self.basis.index(label)] = c
+        return self.algebra.element(terms)
+
+    def zero(self) -> AlgebraElement:
+        return self.algebra.zero()
+
+    def norm(self, z: AlgebraElement) -> ValueWithZero:
+        return self.algebra.norm(z)
+
+    def unit_part_factor(self, z: AlgebraElement):
+        """Write z = alpha * z1 with norm(z1) the neutral value; alpha is the
+        coefficient of minimal value at the first such basis label."""
+        return self.algebra.unit_part_factor(z)
+
+    def in_module(self, z: AlgebraElement) -> bool:
+        return all(self.valuation.in_ring(c) for c in z.univariate_coeffs())
+
+    def in_maximal_submodule(self, z: AlgebraElement) -> bool:
+        return all(self.valuation.in_maximal_ideal(c) for c in z.univariate_coeffs())
 
 
 # ---------------------------------------------------------------------------
@@ -426,25 +346,18 @@ def check_algebra_norm(algebra: FreeAlgebra, samples: int = 40) -> NormCheckRepo
             report.violations.append(f"submultiplicativity fails: z={z}, w={w}")
         # scalar units always exist; quotient generators are units when the
         # modulus has unit constant term
-        u = None
         alpha_unit = random_fraction_element(v, rng)
-        if not alpha_unit.is_zero and v.is_unit(alpha_unit):
+        if v.is_unit(alpha_unit):
             u = algebra.scalar(alpha_unit)
-        if u is not None:
             report.checks += 1
             if not algebra.norm(u) == neutral:
                 report.violations.append(f"unit with non-neutral norm: {u}")
     if algebra.is_quotient:
         f0 = algebra.modulus.coeff(0)
-        if not f0.is_zero and v.is_unit(f0):
+        if v.is_unit(f0):
             theta = algebra.gen(algebra.name)
-            d = algebra.rank
-            cof = algebra.zero()
-            for i in range(1, d + 1):
-                c = algebra.modulus.coeff(i)
-                if not c.is_zero:
-                    cof = cof + theta ** (i - 1) * algebra.scalar(c)
-            theta_inv = cof.scale(-f0.inv())
+            # f = f0 + y * g, so theta * g = -f0 in the algebra
+            theta_inv = AlgebraElement(algebra, algebra.modulus.reps[1:]).scale(-f0.inv())
             report.checks += 1
             if not (theta * theta_inv) == algebra.one():
                 report.violations.append("generator inverse construction failed")
@@ -473,8 +386,6 @@ def is_reduced_lift(algebra: FreeAlgebra) -> ReducedLift:
             True, "residual algebra is a polynomial ring over a field, hence a domain"
         )
     rbar = algebra.residual_minpoly()
-    if rbar.degree() != algebra.rank:
-        raise DomainError("modulus degenerates modulo the maximal ideal")
     part, decomp = poly_mod.squarefree_part(rbar)
     if all(m == 1 for _, m in decomp):
         return ReducedLift(True, "residual modulus is squarefree, so the lift is reduced")
@@ -560,8 +471,6 @@ def gauss_extend(
         tower = field.extend_transcendental(residue_gen_name)
         return GaussExtension(valuation, algebra, tower, residue_gen_name)
     rbar = algebra.residual_minpoly()
-    if rbar.degree() != algebra.rank:
-        raise DomainError("modulus degenerates modulo the maximal ideal")
     if rbar.degree() == 1:
         # A/mA is F itself; nothing to adjoin
         return GaussExtension(valuation, algebra, field, None)

@@ -65,13 +65,16 @@ class ValueGroup:
         return self.char_exponent ** self.denom_exponent
 
     def element(self, coords: Iterable[int | Fraction]) -> "ValueWithZero":
-        """The group element of the given rational coordinates; DomainError
-        for a coordinate off the lattice (1/D)Z."""
-        coords = tuple(map(Fraction, coords))
+        """The group element of the given rational coordinates, each an int
+        or a Fraction; StructuralError for a coordinate of any other type and
+        DomainError for one off the lattice (1/D)Z."""
+        coords = tuple(coords)
         if len(coords) != self.rank:
             raise StructuralError(f"expected {self.rank} coordinates, got {len(coords)}")
         d = self.denominator
         for c in coords:
+            if not isinstance(c, (int, Fraction)):
+                raise StructuralError(f"a coordinate is an int or a Fraction, got {repr(c)[:20]}")
             if d % c.denominator:
                 raise DomainError(f"coordinate {c} is not a multiple of 1/{d}")
         return ValueWithZero(self, tuple(c.numerator * (d // c.denominator) for c in coords))

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from valext import norms
-from valext.errors import DomainError, PreconditionError
+from valext.errors import DomainError, PreconditionError, StructuralError
 from valext.fields import FieldTower
 from valext.norms import (
+    AlgebraElement,
     FreeAlgebra,
     FreeModule,
     check_algebra_norm,
@@ -127,6 +128,80 @@ def test_unit_part_reconstructs(module, v_f5):
         assert module.norm(z1) == v_f5.group.neutral()
         assert z1.scale(alpha) == z
         assert v_f5.value(alpha) == module.norm(z)
+
+
+@pytest.mark.parametrize("modulus", [None, "y^2 + 1", "(y - 1)^2"])
+def test_algebra_elements_are_polynomials_reduced_mod_the_modulus(rationals, modulus):
+    # each operation in the algebra is the same Polynomial operation followed
+    # by % modulus, over V[y], a domain V[y]/(y^2 + 1) and a non-reduced quotient
+    v = MonomialValuation(rationals, ["x"])
+    k = v.function_field
+    if modulus is None:
+        a = FreeAlgebra.polynomial(v, "y")
+    else:
+        a = FreeAlgebra.quotient(v, Polynomial.parse(modulus, k, ("y",)))
+
+    def reduce(p):
+        return p if modulus is None else p % a.modulus
+
+    def draw():
+        terms = {rng.randrange(4): random_fraction_element(v, rng) for _ in range(3)}
+        p = Polynomial(k, "y", [k.ring.zero] * 4)
+        for e, c in terms.items():
+            p = p + Polynomial(k, "y", [k.ring.zero] * e + [c.rep])
+        return a.element(terms), p
+
+    def same(got, want):
+        assert isinstance(got, AlgebraElement) and got.algebra is a
+        assert got.reps == reduce(want).reps and str(got) == str(reduce(want))
+
+    rng = random.Random(3)
+    for _ in range(60):
+        (z, p), (w, q) = draw(), draw()
+        alpha = random_fraction_element(v, rng)
+        same(z, p)
+        same(z + w, p + q)
+        same(z - w, p - q)
+        same(-z, -p)
+        same(z * w, p * q)
+        same(z**3, p**3)
+        same(z.scale(alpha), p.scale(alpha))
+        same(z + alpha, p + alpha)
+        if z.is_zero:
+            continue
+        r = reduce(p)
+        minval = min(v.value(c) for c in r.univariate_coeffs() if not c.is_zero)
+        want_alpha = next(c for c in r.univariate_coeffs() if v.value(c) == minval)
+        got_alpha, z1 = a.unit_part_factor(z)
+        assert got_alpha == want_alpha and a.norm(z) == minval
+        same(z1, r.scale(want_alpha.inv()))
+    assert a.one() == 1 and not a.one() == 2
+
+
+def test_mixing_two_algebras_or_two_modules_is_refused(rationals):
+    v = MonomialValuation(rationals, ["x"])
+    a, b = FreeAlgebra.polynomial(v, "y"), FreeAlgebra.polynomial(v, "y")
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t):
+        with pytest.raises(StructuralError):
+            op(a.gen("y"), b.gen("y"))
+    # two modules with equal bases are two modules
+    m, n = FreeModule(v, ["e1", "e2"]), FreeModule(v, ["e1", "e2"])
+    with pytest.raises(StructuralError):
+        m.element({"e1": 1}) + n.element({"e1": 1})
+    with pytest.raises(StructuralError, match="unknown basis label"):
+        m.element({"e3": 1})
+
+
+def test_module_membership_reads_the_coefficients(v_f5, module, monkeypatch):
+    # in_module and in_maximal_submodule do not go through the norm, so the
+    # norm axiom checks compare two computations
+    x = v_f5.function_field.gen("x")
+    monkeypatch.setattr(FreeAlgebra, "norm", lambda self, z: self.valuation.group.neutral())
+    assert module.norm(module.element({"e1": 1 / x})) == v_f5.group.neutral()
+    assert not module.in_module(module.element({"e1": 1, "e3": 1 / x}))
+    assert module.in_module(module.element({"e1": 1, "e3": x}))
+    assert module.in_maximal_submodule(module.element({"e2": x, "e3": x**2}))
+    assert not module.in_maximal_submodule(module.element({"e1": x, "e2": 1}))
 
 
 def test_check_algebra_norm_polynomial_and_quotient(f2, rationals):

@@ -68,6 +68,15 @@ def test_element_denominator_validation():
         ValueGroup(1, 1, 2)  # denominators need a prime
 
 
+@pytest.mark.parametrize("coord", ["1e999", "7", 0.5, 1.0])
+def test_element_refuses_text_and_floats(coord):
+    # only ints and Fractions are coordinates: "1e999" is never expanded
+    with pytest.raises(StructuralError) as exc:
+        ValueGroup(1, 2, 1).element([coord])
+    assert repr(coord)[:20] in str(exc.value)
+    assert len(str(exc.value)) < 80
+
+
 def test_rank_bound():
     with pytest.raises(StructuralError):
         ValueGroup(9)
