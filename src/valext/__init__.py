@@ -54,7 +54,7 @@ from .norms import (
 )
 from .poly import Factorization, Polynomial, factor, gcd, resultant, squarefree_part
 from .valuations import HenselLift, MonomialValuation, hensel_factor_lift
-from .value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient, parse_value
+from .value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "is_radicial",
     "is_reduced_lift",
     "is_separable_step",
-    "parse_value",
     "perfect_closure_truncated",
     "prime_counts",
     "pth_root",

@@ -61,7 +61,7 @@ from .errors import (
     ScenarioParseError,
     StructuralError,
 )
-from .fields import FieldTower
+from .fields import FieldTower, _is_name
 from .valuations import MonomialValuation
 
 _SECTIONS = {"base", "valuation", "extension", "options"}
@@ -188,7 +188,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         # name and a rank beyond the value groups'
         taken = set(tower.gen_names) | set(kprime.gen_names)
         for v in variables:
-            if not all(c.isalnum() or c == "_" for c in v):
+            if not _is_name(v):
                 raise ScenarioParseError(f"bad variable name {v!r}", vars_line)
             if v in taken:
                 raise ScenarioParseError(f"variable name {v!r} is a generator name", vars_line)

@@ -204,6 +204,11 @@ BaseField = RationalField | PrimeField
 # Reps are canonical, so structural equality is element equality.
 
 
+def _is_name(text: str) -> bool:
+    """Whether ``poly._tokenize`` reads ``text`` as one name."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(c.isalnum() or c == "_" for c in text)
+
+
 @dataclass(frozen=True)
 class Step:
     """One simple extension step; ``minpoly`` is None for transcendental steps.
@@ -307,7 +312,7 @@ class FieldTower:
         return name
 
     def _check_fresh(self, name: str) -> None:
-        if not name or not all(c.isalnum() or c == "_" for c in name):
+        if not _is_name(name):
             raise StructuralError(f"bad generator name {name!r}")
         if name in self.gen_names:
             raise StructuralError(f"generator name {name!r} already used")
@@ -472,6 +477,8 @@ class FieldTower:
         if not sep:
             raise StructuralError(f"malformed tower step {text!r}")
         name = head.strip()
+        if name == "y":
+            raise StructuralError("generator name 'y' is the variable of step polynomials")
         kind = kind.strip()
         if kind == "transcendental":
             return self.extend_transcendental(name)
@@ -1360,36 +1367,22 @@ def _join_terms(pieces: list[str]) -> str:
     return out
 
 
-def build_fraction_rep(tw: FieldTower, cut: int, terms: list, den_exps) -> object:
-    """Canonical rep of (sum of terms) / (monomial), over the top levels.
-
-    ``terms`` lists (exponent tuple, level-``cut`` rep) pairs (slot j =
-    generator at level cut+1+j); the reps are nonzero and the tuples
-    distinct.  ``den_exps`` gives the denominator monomial.  All generators
-    above ``cut`` must be transcendental.
+def _fraction_level(rings: tuple, cut: int, lvl: int, terms: list, den: tuple):
+    """Canonical level-``lvl`` rep of (sum of terms) / (monomial), for a
+    nonempty list of (exponent tuple, level-``cut`` rep) pairs (slot j =
+    generator at level cut+1+j) with nonzero reps and distinct tuples, and
+    ``den`` the denominator monomial.  The caller checks all of this, and
+    that every generator above ``cut`` is transcendental.
 
     Nothing cancels: distinct tuples are distinct monomials, so the
     coefficient of each power of a generator is a sum of monomials with
     nonzero coefficients, and is nonzero.  The only possible common factor
     of such a sum with a monomial denominator is a generator power; at each
     level it is g^min(lowest exponent present, denominator exponent), which
-    is stripped exactly, so the result is canonical by construction.
+    is stripped exactly, so the result is canonical by construction.  One
+    pass groups the terms by the exponent of the level-``lvl`` generator,
+    and each group is the coefficient of that power.
     """
-    top = tw.level
-    den_exps = tuple(den_exps)
-    if len(den_exps) != top - cut or (den_exps and min(den_exps) < 0):
-        raise StructuralError("bad denominator exponents")
-    if any(step.minpoly is not None for step in tw.steps[cut:]):
-        raise StructuralError("direct fraction reps need transcendental top levels")
-    if not terms:
-        return tw.ring.zero
-    return _fraction_level(tw.rings, cut, top, terms, den_exps)
-
-
-def _fraction_level(rings: tuple, cut: int, lvl: int, terms: list, den: tuple):
-    """The level-``lvl`` rep of ``build_fraction_rep`` for nonempty terms:
-    one pass groups the terms by the exponent of the level-``lvl``
-    generator, and each group is the coefficient of that power."""
     if lvl == cut:
         return terms[0][1]
     below = rings[lvl - 1]
@@ -1486,7 +1479,7 @@ class _Flattening:
     back: TowerHom
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _flattening(tw: FieldTower) -> _Flattening | None:
     """An isomorphism with C(u_1..u_r), C the finite-field part, when the
     algebraic steps above the finite prefix are p-power-root chains of

@@ -56,28 +56,24 @@ class PrimeIdealInfo:
         return f"prime[{self.index}] = ({dead})"
 
 
-def _min_term(rings: tuple, cut: int, lvl: int, rep, coeff: bool) -> tuple[tuple[int, ...], object]:
+def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
     """Exponents (slot j = generator at level cut+1+j) of the unique minimal
-    monomial of a nonzero level-``lvl`` rep whose levels above ``cut`` are
-    transcendental, and, when ``coeff`` is set, its level-``cut``
-    coefficient (a level-``cut`` rep of no meaning otherwise)."""
-    if lvl == cut:
-        return (), rep
+    monomial of a nonzero level-``lvl`` rep, ``lvl > cut``, whose levels
+    above ``cut`` are transcendental, and its level-``cut`` coefficient."""
     # the ring's one itself, the leading coefficient of the denominators that
     # from_terms, monomial and inverses build: its minimal monomial is 1
     if rep is rings[lvl].one:
         return (0,) * (lvl - cut), rings[cut].one
     num, den = rep
-    en, cn = _min_poly_term(rings, cut, lvl, num, coeff)
-    ed, cd = _min_poly_term(rings, cut, lvl, den, coeff)
-    if coeff:
-        ring = rings[cut]
-        if cd is not ring.one and cd != ring.one:
-            cn = ring.mul(cn, ring.inv(cd))
+    en, cn = _min_poly_term(rings, cut, lvl, num)
+    ed, cd = _min_poly_term(rings, cut, lvl, den)
+    ring = rings[cut]
+    if cd is not ring.one and cd != ring.one:
+        cn = ring.mul(cn, ring.inv(cd))
     return tuple(map(sub, en, ed)), cn
 
 
-def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs, coeff: bool):
+def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs):
     """The minimal monomial of sum coeffs[i] * g^i, g the level-``lvl``
     generator, whose exponent is the last, least significant slot."""
     is_zero = rings[lvl - 1].is_zero
@@ -89,7 +85,7 @@ def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs, coeff: bool):
     for i, c in enumerate(coeffs):
         if is_zero(c):
             continue
-        exps, term = _min_term(rings, cut, lvl - 1, c, coeff)
+        exps, term = _min_term(rings, cut, lvl - 1, c)
         if best is None or exps < best:
             best, best_coeff, best_i = exps, term, i
     return best + (best_i,), best_coeff
@@ -149,20 +145,15 @@ class MonomialValuation:
     def coerce(self, z) -> FieldElement:
         return self.function_field.coerce(z)
 
-    def _min_monomial(self, z: FieldElement, coeff: bool) -> tuple[ValueWithZero, object]:
-        """The value of z != 0 and, when ``coeff`` is set, the coefficient rep
-        of its minimal monomial."""
-        k = self.function_field
-        exps, c = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep, coeff)
-        # integers over the group's own denominator: the value's lattice steps
-        return ValueWithZero(self.group, exps), c
-
     def value(self, z) -> ValueWithZero:
         if z.__class__ is not FieldElement or z.tower is not self.function_field:
             z = self.coerce(z)
         if z.is_zero:
             return self.group.zero_value()
-        return self._min_monomial(z, False)[0]
+        k = self.function_field
+        # integers over the group's own denominator: the value's lattice steps
+        exps = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep)[0]
+        return ValueWithZero(self.group, exps)
 
     def in_ring(self, z) -> bool:
         return self.value(z).is_nonnegative()
@@ -180,7 +171,9 @@ class MonomialValuation:
         field = self.coefficient_field
         if z.is_zero:
             return field.zero()
-        v, coeff = self._min_monomial(z, True)
+        k = self.function_field
+        exps, coeff = _min_term(k.rings, field.level, k.level, z.rep)
+        v = ValueWithZero(self.group, exps)
         if not v.is_nonnegative():
             raise DomainError(f"residue of an element of value {v} < 0")
         if v.is_positive():
@@ -194,8 +187,8 @@ class MonomialValuation:
         elements; ``den_exps`` is the denominator monomial (default 1).
         Both come from callers and are checked here.  The levels above the
         coefficient field are the variables, transcendental by construction,
-        so the rep is built as ``fields.build_fraction_rep`` builds it, with
-        no scan of the levels.
+        so ``fields._fraction_level`` builds the rep with no scan of the
+        levels.
         """
         field = self.coefficient_field
         is_zero = field.ring.is_zero

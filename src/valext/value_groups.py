@@ -27,7 +27,6 @@ Groups and values are immutable; they are safe to share between threads.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
@@ -188,13 +187,6 @@ class ValueWithZero:
             raise DomainError("the adjoined zero has no inverse")
         return ValueWithZero(self.group, tuple(map(neg, self.steps)))
 
-    def pow(self, n: int) -> "ValueWithZero":
-        if self.is_zero:
-            if n <= 0:
-                raise DomainError("zero value cannot be raised to a nonpositive power")
-            return self
-        return ValueWithZero(self.group, tuple(n * k for k in self.steps))
-
     # Additive-dictionary helpers.  Here the adjoined zero acts as +infinity:
     # it is the value of the field element 0, which belongs to every ideal.
 
@@ -226,15 +218,6 @@ class ValueWithZero:
         a = self.steps
         return a is None or a > (0,) * len(a)
 
-    def in_group(self, group: ValueGroup) -> "ValueWithZero":
-        """Re-express this value inside a refinement of its group."""
-        if self.is_zero:
-            return group.zero_value()
-        steps = group._rescale(self)
-        if steps is None:
-            raise DomainError(f"{self} is not in {group.describe()}")
-        return ValueWithZero(group, steps)
-
     def render(self) -> str:
         """Text form, e.g. ``(1, -1/2)``; the adjoined zero renders as ``0``."""
         if self.is_zero:
@@ -243,45 +226,6 @@ class ValueWithZero:
 
     def __str__(self):
         return self.render()
-
-
-# one coordinate as ``render`` prints it
-_COORDINATE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def parse_value(text: str, group: ValueGroup) -> ValueWithZero:
-    """Parse the output of :meth:`ValueWithZero.render` back, bit-exactly.
-
-    Any other text is a DomainError that quotes at most 20 characters."""
-
-    def refuse(why: str) -> DomainError:
-        return DomainError(f"cannot parse value {text[:20]!r}: {why}")
-
-    if text == "0":
-        return group.zero_value()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise refuse("expected 0 or a parenthesised tuple")
-    parts = text[1:-1].split(", ")
-    if len(parts) != group.rank:
-        raise refuse(f"expected {group.rank} coordinates")
-    d = group.denominator
-    steps = []
-    for part in parts:
-        m = _COORDINATE.fullmatch(part)
-        if m is None:
-            raise refuse("a coordinate is not [-]digits[/digits]")
-        try:
-            # int() refuses more digits than sys.get_int_max_str_digits()
-            num, den = int(m[1]), int(m[2] or 1)
-        except ValueError:
-            raise refuse("a coordinate has too many digits") from None
-        if den == 0:
-            raise refuse("zero denominator")
-        k, r = divmod(num * d, den)
-        if r:
-            raise refuse(f"a coordinate is not a multiple of 1/{d}")
-        steps.append(k)
-    return ValueWithZero(group, tuple(steps))
 
 
 def is_p_torsion_quotient(sub: ValueGroup, sup: ValueGroup, p: int) -> bool:

@@ -630,7 +630,7 @@ def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch)
         g = self.group
         if g.char_exponent > 1:
             fine = ValueGroup(g.rank, g.char_exponent, g.denom_exponent + 1)
-            k = v.in_group(fine).steps
+            k = fine.element(v.coords).steps
             return ValueWithZero(fine, k[:-1] + (k[-1] + 1,))
         other = ValueGroup(g.rank % config.MAX_RANK + 1)
         return ValueWithZero(other, (v.steps + (0,) * config.MAX_RANK)[: other.rank])

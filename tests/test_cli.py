@@ -268,6 +268,38 @@ def test_zero_denominator_is_a_parse_error_with_line(tmp_path):
     assert err.startswith("parse error: line 10:") and "zero denominator" in err
 
 
+_NAMED_GEN = """\
+[base]
+base: Q
+gens: {}: transcendental
+k-prefix: 1
+
+[valuation]
+vars: x
+order: lex
+
+[extension]
+kprime-gens: s: algebraic {}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line, why",
+    [
+        # step text reads y as its variable and 2 as an integer, so either
+        # name would silently change what a later step polynomial means
+        (_NAMED_GEN.format("y", "y^3 - y - 1"), 3, "generator name 'y' is the variable"),
+        (_NAMED_GEN.format("2", "y^2 - 2"), 3, "bad generator name '2'"),
+        (_ONE_STEP.format("y^2 + 1").replace("vars: x", "vars: 2"), 6, "bad variable name '2'"),
+    ],
+)
+def test_names_step_text_cannot_read_are_parse_errors(tmp_path, text, line, why):
+    code, out, err = run_extend(tmp_path, text)
+    assert code == 1 and out == ""
+    assert err.startswith(f"parse error: line {line}: ") and why in err
+    assert "Traceback" not in err
+
+
 _SUPERSCRIPT_BASE = _ONE_STEP.format("y^2 - 2").replace("base: Q", "base: F²")
 _LONG_BASE = _ONE_STEP.format("y^2 - 2").replace("base: Q", "base: F" + "1" * 5000)
 

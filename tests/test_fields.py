@@ -16,7 +16,6 @@ from valext.fields import (
     _flattening,
     _u_add,
     _u_mul,
-    build_fraction_rep,
     is_radicial,
     is_separable_step,
     perfect_closure_truncated,
@@ -191,6 +190,16 @@ def test_pth_root_examples(f2_a, f2_a_r):
     z = f9.gen("c") + 1
     root = pth_root(z)
     assert root**3 == z
+
+
+def test_the_flattening_cache_is_bounded(f2):
+    # a long-lived process meets many root-chain towers; each is rebuilt
+    # when evicted, and pth_root stays correct
+    for j in range(300):
+        a = f2.extend_transcendental(f"a{j}")
+        k = a.extend_algebraic(f"r{j}", [a.gen(f"a{j}"), a.zero(), a.one()])
+        assert pth_root(k.embed(a.gen(f"a{j}"))) == k.gen(f"r{j}")
+    assert _flattening.cache_info().currsize <= 256
 
 
 def test_pth_root_char_zero_is_domain_error(rationals):
@@ -471,19 +480,9 @@ def test_build_fraction_rep_matches_generic_arithmetic(request, field_name, den)
     for x, e in zip(xs, den):
         mono = mono * x**e
     want = (num / mono).rep
-    pairs = [(exps, c.rep) for exps, c in terms]
-    for order in (pairs, pairs[::-1]):
-        assert build_fraction_rep(k, field.level, order, den) == want
-    assert build_fraction_rep(k, field.level, [], den) == k.ring.zero
-
-
-def test_build_fraction_rep_refusals(rationals, q_i):
-    k = MonomialValuation(rationals, ["x1", "x2"]).function_field
-    for den in [(0,), (0, 0, 0), (1, -1)]:
-        with pytest.raises(StructuralError, match="bad denominator exponents"):
-            build_fraction_rep(k, 0, [((0, 0), Fraction(1))], den)
-    with pytest.raises(StructuralError, match="transcendental top levels"):
-        build_fraction_rep(q_i, 0, [((0,), Fraction(1))], (0,))
+    for order in (terms, terms[::-1]):
+        assert v.from_terms(dict(order), den).rep == want
+    assert v.from_terms({}, den).rep == k.ring.zero
 
 
 # The evaluator TowerHom used before it ran Horner on reps: every step goes

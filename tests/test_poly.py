@@ -294,6 +294,24 @@ def test_factor_radicial_binomials(f2_a, f2_a_r):
     assert [(str(g), m) for g, m in fac.factors] == [("y + r", 2)]
 
 
+@pytest.mark.parametrize(
+    "text, base, want",
+    [
+        # neither polynomial has all its coefficients in the level below the
+        # top transcendental, yet each factors: the part that does not
+        # restrict is linear, or a p-power binomial, so refusing every f
+        # that does not restrict would be wrong
+        ("(y - a)^2*(y^2 + 1)", "rationals", "(y - a)^2 * (y^2 + 1)"),
+        ("(y^2 + a)*(y + 1)", "f2", "(y + 1) * (y^2 + a)"),
+    ],
+)
+def test_factor_over_a_transcendental_top_without_restricting(request, text, base, want):
+    k = request.getfixturevalue(base).extend_transcendental("a")
+    f = parse(text, k)
+    fac = factor(f)
+    assert str(fac) == want and fac.expand() == f
+
+
 def test_factor_degree_bound(rationals):
     with pytest.raises(CapabilityError):
         factor(parse("y^13 - 2", rationals))
