@@ -33,10 +33,11 @@ over their finite-field part, which is what makes exact root extraction
 possible.
 
 Towers and elements are immutable after construction, with one exception:
-``FieldTower.term_reps`` is a dict that ``norms.random_field_element`` fills
-on use, each entry the rep of one fixed term.  Extension methods return new
-towers, each holding the tower it extends as its one-step-shorter prefix, so
-``prefix`` returns one object per prefix, with its ``rings`` and hash.
+``FieldTower.term_reps`` is a dict that the samplers of ``norms`` fill on
+use, through ``norms._term_rep``, each entry the rep of one fixed term.
+Extension methods return new towers, each holding the tower it extends as
+its one-step-shorter prefix, so ``prefix`` returns one object per prefix,
+with its ``rings`` and hash.
 
 Each step's text is rendered once: ``FieldTower.describe`` and ``step_text``
 take it from ``_step_text``, a bounded ``functools`` memo keyed by the tower
@@ -294,7 +295,7 @@ class FieldTower:
     @functools.cached_property
     def term_reps(self) -> dict:
         """Reps of c * (product of the generators in a bit mask), keyed by
-        ``(c, mask)`` and filled on use by ``norms.random_field_element``."""
+        ``(c, mask)`` and filled on use by ``norms._term_rep``."""
         return {}
 
     @functools.cached_property
@@ -1368,11 +1369,12 @@ def _join_terms(pieces: list[str]) -> str:
 
 
 def _fraction_level(rings: tuple, cut: int, lvl: int, terms: list, den: tuple):
-    """Canonical level-``lvl`` rep of (sum of terms) / (monomial), for a
-    nonempty list of (exponent tuple, level-``cut`` rep) pairs (slot j =
-    generator at level cut+1+j) with nonzero reps and distinct tuples, and
-    ``den`` the denominator monomial.  The caller checks all of this, and
-    that every generator above ``cut`` is transcendental.
+    """Canonical level-``lvl`` rep, ``lvl > cut``, of (sum of terms) /
+    (monomial), for a nonempty list of (exponent tuple, level-``cut`` rep)
+    pairs (slot j = generator at level cut+1+j) with nonzero reps and
+    distinct tuples, and ``den`` the denominator monomial.  The caller
+    checks all of this, and that every generator above ``cut`` is
+    transcendental.
 
     Nothing cancels: distinct tuples are distinct monomials, so the
     coefficient of each power of a generator is a sum of monomials with
@@ -1381,10 +1383,9 @@ def _fraction_level(rings: tuple, cut: int, lvl: int, terms: list, den: tuple):
     level it is g^min(lowest exponent present, denominator exponent), which
     is stripped exactly, so the result is canonical by construction.  One
     pass groups the terms by the exponent of the level-``lvl`` generator,
-    and each group is the coefficient of that power.
+    and each group is the coefficient of that power.  Just above ``cut``
+    each group is one term, whose rep is placed as it stands.
     """
-    if lvl == cut:
-        return terms[0][1]
     below = rings[lvl - 1]
     j = lvl - cut - 1
     groups: dict[int, list] = {}
@@ -1397,7 +1398,9 @@ def _fraction_level(rings: tuple, cut: int, lvl: int, terms: list, den: tuple):
     strip = min(min(groups), den[j])
     coeffs = [below.zero] * (max(groups) - strip + 1)
     for e, group in groups.items():
-        coeffs[e - strip] = _fraction_level(rings, cut, lvl - 1, group, den)
+        coeffs[e - strip] = (
+            group[0][1] if j == 0 else _fraction_level(rings, cut, lvl - 1, group, den)
+        )
     return tuple(coeffs), (below.zero,) * (den[j] - strip) + (below.one,)
 
 

@@ -248,7 +248,11 @@ def randbelow(getrandbits, n: int) -> int:
     """``rng.randrange(n)`` for n >= 1, with ``getrandbits = rng.getrandbits``:
     the same draw from the same bits, n.bit_length() of them, redrawn while
     the result is n or more, so the stream and the final state of ``rng``
-    are those of randrange's, at a fraction of its call cost."""
+    are those of randrange's, at a fraction of its call cost.  An n below 1
+    raises DomainError, as randrange refuses an empty range (``getrandbits(0)``
+    is 0, so the redraw loop would never end)."""
+    if n < 1:
+        raise DomainError(f"no integer is drawn below {n}")
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -256,17 +260,9 @@ def randbelow(getrandbits, n: int) -> int:
     return r
 
 
-def _term_rep(tower: FieldTower, bits) -> object:
-    """The rep of a random term c * (product of the generators in a bit
-    mask), with ``bits = rng.getrandbits``: c is drawn first, then one bit per
-    generator, as ``rng.randrange(-3, 4)`` (``rng.randrange(p)`` in
-    characteristic p) and ``rng.randrange(2)`` would draw them.  The rep is
-    looked up in ``tower.term_reps``, and built and kept there on a miss."""
-    char = tower.char
-    c = randbelow(bits, char) if char else randbelow(bits, 7) - 3
-    mask = 0
-    for i in range(tower.level):
-        mask |= randbelow(bits, 2) << i
+def _term_rep(tower: FieldTower, c: int, mask: int) -> object:
+    """The rep of c * (product of the generators in the bit ``mask``), looked
+    up in ``tower.term_reps``, and built and kept there on a miss."""
     table = tower.term_reps
     term = table.get((c, mask))
     if term is None:
@@ -280,14 +276,37 @@ def _term_rep(tower: FieldTower, bits) -> object:
     return term
 
 
+def _coefficient_range(tower: FieldTower) -> tuple[int, int]:
+    """(n, offset): a term's coefficient is offset + ``rng.randrange(n)``,
+    ``rng.randrange(-3, 4)`` over Q and ``rng.randrange(p)`` in
+    characteristic p."""
+    return (tower.char, 0) if tower.char else (7, -3)
+
+
 def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -> FieldElement:
-    """A small random tower element: the sum of ``size`` terms drawn by
-    ``_term_rep``."""
+    """A small random tower element: the sum of ``size`` terms c * (product
+    of the generators in a bit mask).  Each term draws c (see
+    ``_coefficient_range``), then one bit per generator as
+    ``rng.randrange(2)``.  randrange's rejection loop is written out over
+    ``rng.getrandbits``, so the stream and the final state of ``rng`` are
+    randrange's."""
     ring = tower.ring
     bits = rng.getrandbits
+    n, offset = _coefficient_range(tower)
+    k = n.bit_length()
+    level = tower.level
     out = None
     for _ in range(size):
-        term = _term_rep(tower, bits)
+        c = bits(k)
+        while c >= n:
+            c = bits(k)
+        mask = 0
+        for i in range(level):
+            b = bits(2)
+            while b > 1:
+                b = bits(2)
+            mask |= b << i
+        term = _term_rep(tower, c + offset, mask)
         out = term if out is None else ring.add(out, term)
     return FieldElement(tower, ring.zero if out is None else out)
 
@@ -297,16 +316,35 @@ def random_fraction_element(valuation: MonomialValuation, rng: random.Random) ->
     denominator, every exponent in 0..2 (drawn as ``rng.randrange(3)``), so
     values spread around 0.  Each coefficient is one term of
     ``random_field_element``, drawn after its exponents; a later draw of the
-    same exponents replaces an earlier one."""
-    n = valuation.rank
+    same exponents replaces an earlier one.  The draws are written out as in
+    ``random_field_element``."""
+    rank = valuation.rank
     field = valuation.coefficient_field
     bits = rng.getrandbits
+    n, offset = _coefficient_range(field)
+    k = n.bit_length()
+    level = field.level
     terms = {}
-    for _ in range(3):
-        exps = tuple([randbelow(bits, 3) for _ in range(n)])
-        terms[exps] = FieldElement(field, _term_rep(field, bits))
-    den = tuple([randbelow(bits, 3) for _ in range(n)])
-    out = valuation.from_terms(terms, den)
+    for t in range(4):
+        exps = []
+        for _ in range(rank):
+            e = bits(2)
+            while e == 3:
+                e = bits(2)
+            exps.append(e)
+        if t == 3:  # the fourth exponent tuple is the denominator's
+            break
+        c = bits(k)
+        while c >= n:
+            c = bits(k)
+        mask = 0
+        for i in range(level):
+            b = bits(2)
+            while b > 1:
+                b = bits(2)
+            mask |= b << i
+        terms[tuple(exps)] = FieldElement(field, _term_rep(field, c + offset, mask))
+    out = valuation.from_terms(terms, exps)
     if out.is_zero:
         return valuation.function_field.one()
     return out

@@ -60,32 +60,42 @@ def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], o
     """Exponents (slot j = generator at level cut+1+j) of the unique minimal
     monomial of a nonzero level-``lvl`` rep, ``lvl > cut``, whose levels
     above ``cut`` are transcendental, and its level-``cut`` coefficient."""
-    # the ring's one itself, the leading coefficient of the denominators that
-    # from_terms, monomial and inverses build: its minimal monomial is 1
-    if rep is rings[lvl].one:
-        return (0,) * (lvl - cut), rings[cut].one
     num, den = rep
-    en, cn = _min_poly_term(rings, cut, lvl, num)
-    ed, cd = _min_poly_term(rings, cut, lvl, den)
     ring = rings[cut]
+    if lvl - 1 == cut:
+        # constant coefficients: the lowest power is minimal
+        is_zero = ring.is_zero
+        i = 0
+        while is_zero(num[i]):
+            i += 1
+        j = 0
+        while is_zero(den[j]):
+            j += 1
+        exps, cn, cd = (i - j,), num[i], den[j]
+    else:
+        en, cn = _min_poly_term(rings, cut, lvl, num)
+        ed, cd = _min_poly_term(rings, cut, lvl, den)
+        exps = tuple(map(sub, en, ed))
     if cd is not ring.one and cd != ring.one:
         cn = ring.mul(cn, ring.inv(cd))
-    return tuple(map(sub, en, ed)), cn
+    return exps, cn
 
 
 def _min_poly_term(rings: tuple, cut: int, lvl: int, coeffs):
     """The minimal monomial of sum coeffs[i] * g^i, g the level-``lvl``
-    generator, whose exponent is the last, least significant slot."""
-    is_zero = rings[lvl - 1].is_zero
-    if lvl - 1 == cut:  # constant coefficients: the lowest power is minimal
-        for i, c in enumerate(coeffs):
-            if not is_zero(c):
-                return (i,), c
+    generator, ``lvl - 1 > cut``, whose exponent is the last, least
+    significant slot."""
+    below = rings[lvl - 1]
+    is_zero, one = below.is_zero, below.one
+    # a coefficient equal to one, such as the leading coefficient of the
+    # denominators that from_terms, monomial and inverses build, has the
+    # minimal monomial 1
+    ones = ((0,) * (lvl - 1 - cut), rings[cut].one)
     best = None
     for i, c in enumerate(coeffs):
         if is_zero(c):
             continue
-        exps, term = _min_term(rings, cut, lvl - 1, c)
+        exps, term = ones if c == one else _min_term(rings, cut, lvl - 1, c)
         if best is None or exps < best:
             best, best_coeff, best_i = exps, term, i
     return best + (best_i,), best_coeff

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -738,3 +739,48 @@ def test_verification_takes_no_gcd(golden_builds, monkeypatch):
     for name, build in sorted(golden_builds.items()):
         weak = verify_weakly_unramified(build)
         assert weak.passed and calls == [], name
+
+
+def test_verification_draws_and_walks_without_per_draw_or_per_level_calls(
+    golden_builds, monkeypatch
+):
+    # the samplers read their bits from getrandbits themselves (only the
+    # forced targets go through builder.randbelow); at rank 1 a sample
+    # places its terms with one _fraction_level call (none when every drawn
+    # coefficient is zero), and a value reads the minimal monomial without
+    # a _min_poly_term call
+    from valext import builder, norms, valuations
+
+    counts = collections.Counter()
+    per_sample = collections.Counter()
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return call
+
+    def sample(v, rng):
+        before = counts["_fraction_level"]
+        z = real_sample(v, rng)
+        per_sample[counts["_fraction_level"] - before] += 1
+        return z
+
+    real_sample = builder.random_fraction_element
+    monkeypatch.setattr(builder, "random_fraction_element", sample)
+    for module, name in [
+        (norms, "randbelow"),
+        (fields, "_fraction_level"),
+        (valuations, "_fraction_level"),
+        (valuations, "_min_poly_term"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name, build in sorted(golden_builds.items()):
+        counts.clear()
+        per_sample.clear()
+        assert verify_weakly_unramified(build).passed, name
+        assert sum(per_sample.values()) == 400 and counts["randbelow"] == 0, name
+        if build.valuation_w.rank == 1:
+            assert per_sample[1] > 0 and set(per_sample) <= {0, 1}, name
+            assert counts["_min_poly_term"] == 0, name

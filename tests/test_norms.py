@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -441,3 +442,44 @@ def test_fraction_sampler_matches_generic_build(request, field_name, rank):
         assert z.tower is v.function_field and z.rep == want.rep
     # the same draws, in the same order
     assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("field_name", ["rationals", "q_i", "f5", "f2_a"])
+def test_samplers_draw_what_randrange_draws(request, field_name):
+    # the determinism README promises: the samplers make the draws that
+    # random.Random(seed).randrange would make, and the oracles draw with
+    # rng.randrange only; the final states agree after each batch
+    field = _sampler_field(request, field_name)
+    fast, slow = random.Random(field_name), random.Random(field_name)
+    for size in (1, 2, 3):
+        for _ in range(200):
+            z = random_field_element(field, fast, size)
+            assert z.rep == _generic_field_element(field, slow, size).rep
+        assert fast.getstate() == slow.getstate()
+    for rank in (1, 2, 3):
+        v = MonomialValuation(field, [f"x{j}" for j in range(1, rank + 1)])
+        for _ in range(200):
+            z = random_fraction_element(v, fast)
+            assert z.rep == _generic_fraction_element(v, slow).rep
+        assert fast.getstate() == slow.getstate()
+    # the forced-target draws of verification go through randbelow
+    for n in list(range(1, 40)) + [2**31 - 1, 2**32, 3**40]:
+        assert norms.randbelow(fast.getrandbits, n) == slow.randrange(n)
+    assert fast.getstate() == slow.getstate()
+
+
+def test_randbelow_refuses_an_empty_range():
+    # getrandbits(0) is 0, so without the check n < 1 would redraw forever;
+    # the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("randbelow did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for n in (0, -1, -7):
+            with pytest.raises(DomainError, match="no integer is drawn below"):
+                norms.randbelow(random.Random(0).getrandbits, n)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
