@@ -19,7 +19,13 @@ the level below), so the dense univariate arithmetic (``_u_*``: add, mul,
 divmod, monic, gcd, xgcd, powmod) is written once over that interface.  It
 serves every level, the factorization code in ``poly`` and the integers
 modulo m (``IntegersMod``, which includes ``PrimeField``); over those, every
-``_u_*`` loop runs on plain ints, reducing each coefficient once.  Over Q a
+``_u_*`` loop runs on plain ints, reducing each coefficient once.  There a
+modulus is prepared once (``_u_modulus``: degree, negated nonzero tail,
+inverse of the leading coefficient) and one long-division loop reduces
+against it (``_u_reduce``): in ``_u_divmod`` and ``_u_rem``, in the products
+of ``_u_powmod`` and of ``poly.hensel_lift``'s corrections, each reduced in
+the same pass as it is multiplied, and in ``_u_gcd``, which runs Euclid on
+plain ints with no quotient.  Over Q a
 scalar is an int when it is integral and a ``Fraction`` only otherwise
 (``_rational``), so integral Q arithmetic is int arithmetic too.  The gcd
 over Q and number fields (``_u_gcd_subresultant``) keeps its coefficients
@@ -914,12 +920,7 @@ def _u_mul(R, a, b) -> list:
     if isinstance(R, IntegersMod):
         # plain int sums, each output coefficient reduced once
         m = R.m
-        acc = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    acc[i + j] += x * y
-        return _u_trim_ints([c % m for c in acc])
+        return _u_trim_ints([c % m for c in _u_mul_ints(a, b)])
     # a product by one is a copy of the other operand, trimmed as the loop's
     # result is; reps are canonical, so == tests for one
     one = R.one
@@ -937,6 +938,16 @@ def _u_mul(R, a, b) -> list:
     return _u_trim(R, out)
 
 
+def _u_mul_ints(a, b) -> list:
+    """The product of two int lists as unreduced, untrimmed int sums."""
+    acc = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
+    return acc
+
+
 def _u_scale(R, a, c) -> list:
     if isinstance(R, IntegersMod):
         m = R.m
@@ -952,7 +963,8 @@ def _u_divmod(R, a, b) -> tuple[list, list]:
     if len(r) <= n:
         return [], r
     if isinstance(R, IntegersMod):
-        return _u_divmod_mod(R, r, b)
+        rem = _u_reduce(R.m, r, _u_modulus(R, b))
+        return _u_trim_ints(r[n:]), rem
     add, mul, is_zero = R.add, R.mul, R.is_zero
     inv = None if b[-1] == R.one else R.inv(b[-1])
     low = [(i, R.neg(x)) for i, x in enumerate(b[:-1]) if not is_zero(x)]
@@ -969,26 +981,40 @@ def _u_divmod(R, a, b) -> tuple[list, list]:
     return _u_trim(R, q), r
 
 
-def _u_divmod_mod(R, r: list, b) -> tuple[list, list]:
-    """The long division of ``_u_divmod`` over Z/mZ on plain ints: a
-    remainder coefficient is reduced once, when it becomes the leading one or
-    at the end.  ``r`` is trimmed, longer than b, and overwritten."""
-    m = R.m
-    n = len(b) - 1
-    inv = 1 if b[-1] == R.one else R.inv(b[-1])
-    low = [(i, -x) for i, x in enumerate(b[:-1]) if x % m]
-    q = [0] * (len(r) - n)
-    while len(r) > n:
-        c = r.pop() * inv % m
+def _u_modulus(R, b) -> tuple:
+    """b over Z/mZ prepared once for ``_u_reduce``: (deg b, (i, -b_i) for
+    each nonzero b_i below the leading coefficient, the inverse of that
+    coefficient, or 0 when it is not a unit)."""
+    if not b:
+        raise DomainError("polynomial division by zero")
+    lead, m = b[-1], R.m
+    inv = 1 if lead == 1 else pow(lead, -1, m) if math.gcd(lead, m) == 1 else 0
+    return len(b) - 1, [(i, -x) for i, x in enumerate(b[:-1]) if x % m], inv
+
+
+def _u_reduce(m: int, r: list, mod: tuple) -> list:
+    """The remainder of the int list r modulo the prepared modulus ``mod``
+    (``_u_modulus``) over Z/mZ, reduced and trimmed: long division on plain
+    ints, each coefficient reduced once, when it is the leading one or at the
+    end.  r may hold unreduced ints; it is overwritten, its top holding the
+    quotient from index deg b on.  A leading coefficient that is not a unit
+    raises DomainError only when there is something to divide, as in the
+    generic loop of ``_u_divmod``; when there is not, the quotient is 0."""
+    n, low, inv = mod
+    if not inv and any(c % m for c in r[n:]):
+        raise DomainError(f"the leading coefficient is not a unit modulo {m}")
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n] * inv % m
+        r[k + n] = c
         if c:
-            k = len(r) - n
-            q[k] = c
             for i, x in low:
                 r[k + i] += c * x
-    return _u_trim_ints(q), _u_trim_ints([c % m for c in r])
+    return _u_trim_ints([c % m for c in r[:n]])
 
 
 def _u_rem(R, a, b) -> list:
+    if isinstance(R, IntegersMod):
+        return _u_reduce(R.m, list(a), _u_modulus(R, b))
     return _u_divmod(R, a, b)[1]
 
 
@@ -999,8 +1025,16 @@ def _u_monic(R, a: list) -> list:
 
 
 def _u_gcd(R, a, b) -> list:
-    """The monic gcd by Euclid; gcd(a, 0) is a made monic."""
+    """The monic gcd by Euclid; gcd(a, 0) is a made monic.  Over Z/mZ each
+    remainder is a ``_u_reduce`` on plain ints, with no quotient kept."""
     a, b = list(a), list(b)
+    if isinstance(R, IntegersMod):
+        # the first remainder of a shorter a is a itself
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _u_reduce(R.m, a, _u_modulus(R, b))
+        return _u_monic(R, a)
     while b:
         a, b = b, _u_rem(R, a, b)
     return _u_monic(R, a)
@@ -1183,8 +1217,16 @@ def _u_xgcd(R, a, b) -> tuple[list, list, list]:
 
 
 def _u_powmod(R, a, n: int, m) -> list:
-    """a^n modulo m."""
-    return _power(_u_rem(R, a, m), n, lambda x, y: _u_rem(R, _u_mul(R, x, y), m), [R.one])
+    """a^n modulo m by square-and-multiply (``_power``); a^0 is one reduced
+    modulo m, so 0 when m is a unit.  Over Z/mZ, m is prepared once
+    (``_u_modulus``) and each product goes unreduced into ``_u_reduce``, a
+    multiply and reduce in one pass."""
+    if isinstance(R, IntegersMod):
+        mod, q = _u_modulus(R, m), R.m
+        one, x = _u_reduce(q, [1], mod), _u_reduce(q, list(a), mod)
+        return _power(x, n, lambda x, y: _u_reduce(q, _u_mul_ints(x, y), mod), one)
+    one = _u_rem(R, [R.one], m)
+    return _power(_u_rem(R, a, m), n, lambda x, y: _u_rem(R, _u_mul(R, x, y), m), one)
 
 
 def _u_deriv(R, a) -> list:

@@ -68,9 +68,12 @@ from .fields import (
     _u_divmod,
     _u_gcd,
     _u_monic,
+    _u_modulus,
     _u_mul,
+    _u_mul_ints,
     _u_neg,
     _u_powmod,
+    _u_reduce,
     _u_rem,
     _u_scale,
     _u_squarefree,
@@ -827,7 +830,9 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
     F_p, and e digit i of f - prod g_j, adding p^i*(s_j*e mod f_j) to every
     g_j makes the product agree with f mod p^(i+1): the sum h of
     (s_j*e mod f_j)*F/f_j is e mod p, since h - e is divisible by every f_j,
-    so by F, and has degree below that of F.
+    so by F, and has degree below that of F.  Each f_j is prepared once per
+    lift (``fields._u_modulus``), and each s_j*e goes unreduced into
+    ``fields._u_reduce``, a multiply and reduce in one pass.
     """
     if len(parts) == 1:
         return [f]
@@ -840,6 +845,7 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
         if len(one) != 1:
             raise DomainError("factors to lift are not coprime")
         inverses.append(s)
+    mods = [_u_modulus(res, part) for part in parts]
     lifts = [list(part) for part in parts]
     for i in range(1, k):
         pi = p**i
@@ -848,9 +854,9 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
         e = _u_trim(res, [(c - d) // pi % p for c, d in zip(f, prod)])
         if not e:
             continue
-        for g, s, part in zip(lifts, inverses, parts):
+        for g, s, mod in zip(lifts, inverses, mods):
             # digits below p times p^i stay below p^(i+1): no reduction needed
-            for j, c in enumerate(_u_rem(res, _u_mul(res, s, e), part)):
+            for j, c in enumerate(_u_reduce(p, _u_mul_ints(s, e), mod)):
                 g[j] += c * pi
     return lifts
 

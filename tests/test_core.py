@@ -7,12 +7,13 @@ division and the Euclidean algorithm they replaced."""
 import collections
 import functools
 import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from valext import cli, fields
+from valext import cli, fields, poly
 from valext.errors import DomainError
 from valext.fields import (
     AlgebraicLevel,
@@ -25,17 +26,20 @@ from valext.fields import (
     _u_deriv,
     _u_divmod,
     _u_gcd,
+    _u_modulus,
     _u_monic,
     _u_mul,
+    _u_mul_ints,
     _u_neg,
     _u_powmod,
+    _u_reduce,
     _u_rem,
     _u_scale,
     _u_trim,
     _u_xgcd,
 )
 from valext.norms import random_field_element
-from valext.poly import _norm_rows, hensel_lift
+from valext.poly import Polynomial, _norm_rows, factor, hensel_lift
 from valext.selftest import GOLDEN_SCENARIOS
 
 
@@ -279,6 +283,117 @@ def test_integers_mod_loops_match_the_generic_loops(m, non_unit):
         for ring in (fast, generic):
             with pytest.raises(DomainError, match="not a unit"):
                 _u_monic(ring, [1, 2, non_unit])
+
+
+INT_RINGS = {
+    "F2": PrimeField(2),
+    "F7": PrimeField(7),
+    "F67": PrimeField(67),
+    "Z/3^5": IntegersMod(3**5),
+}
+
+
+def _agree(fast_call, generic_call):
+    """Both calls raise DomainError, or both return the same value, which is
+    returned (None after a refusal)."""
+    try:
+        expected = generic_call()
+    except DomainError:
+        with pytest.raises(DomainError):
+            fast_call()
+        return None
+    assert fast_call() == expected
+    return expected
+
+
+def _int_poly(rng, m, degree, lead=None):
+    """A trimmed polynomial over Z/mZ of the given degree (-1 for zero) with
+    leading coefficient ``lead``, or a random nonzero one."""
+    if degree < 0:
+        return []
+    return [rng.randrange(m) for _ in range(degree)] + [lead or rng.randrange(1, m)]
+
+
+def _int_unit(rng, m, other_than_one=False):
+    while True:
+        c = rng.randrange(1, m)
+        if math.gcd(c, m) == 1 and not (other_than_one and c == 1 and m > 2):
+            return c
+
+
+@pytest.mark.parametrize("name", list(INT_RINGS))
+def test_int_euclid_matches_the_generic_euclid(name):
+    fast = INT_RINGS[name]
+    m, generic, rng = fast.m, _GenericIntegersMod(fast.m), random.Random(f"euclid:{name}")
+    mul = functools.partial(_u_mul, generic)
+    seen = collections.Counter()
+    for _ in range(60):
+        a = _int_poly(rng, m, rng.randrange(1, 6))
+        b = _int_poly(rng, m, rng.randrange(1, 5))
+        c, d = [rng.randrange(1, m)], [_int_unit(rng, m)]
+        g = _int_poly(rng, m, rng.randrange(1, 3), _int_unit(rng, m))
+        shared = (mul(g, a), mul(g, b))
+        pairs = [([], []), (a, []), ([], a), (a, c), (c, a), (c, d), (a, a), (a, b), shared]
+        for x, y in pairs:
+            out = _agree(lambda: _u_gcd(fast, x, y), lambda: _u_gcd(generic, x, y))
+            if (x, y) == (a, b) and out is not None:
+                seen["coprime" if out == [1] else "common"] += 1
+            if (x, y) == shared and out is not None:
+                seen["shared"] += 1
+                assert len(out) >= len(g) or name == "Z/3^5"
+            seen["refused"] += out is None
+    assert _u_gcd(fast, [], []) == []
+    assert seen["coprime"] and seen["shared"]
+    assert bool(seen["refused"]) == (name == "Z/3^5")
+
+
+@pytest.mark.parametrize("name", list(INT_RINGS))
+def test_int_powmod_matches_the_generic_powmod(name):
+    fast = INT_RINGS[name]
+    m, generic, rng = fast.m, _GenericIntegersMod(fast.m), random.Random(f"powmod:{name}")
+    for degree in range(5):
+        for _ in range(8):
+            # a unit leading coefficient other than 1 wherever there is one
+            mod = _int_poly(rng, m, degree, _int_unit(rng, m, other_than_one=True))
+            a = _int_poly(rng, m, rng.randrange(-1, 7))
+            repeated = _u_rem(generic, [1], mod)
+            for n in range(3):
+                assert _u_powmod(fast, a, n, mod) == _u_powmod(generic, a, n, mod) == repeated
+                repeated = _u_rem(generic, _u_mul(generic, repeated, a), mod)
+            half = (m**degree - 1) // 2
+            assert _u_powmod(fast, a, half, mod) == _u_powmod(generic, a, half, mod)
+        # a^0 is one reduced modulo the modulus: 0 modulo a unit
+        assert _u_powmod(fast, [1, 1], 0, [_int_unit(rng, m)]) == []
+        assert _u_powmod(fast, [1, 1], 0, _int_poly(rng, m, degree + 1, 1)) == [1]
+    if name == "Z/3^5":
+        for mod in ([3], [1, 3], [2, 5, 9]):
+            for a, n in (([2], 0), ([2], 3), ([1, 1], 2), ([0, 9], 2)):
+                _agree(lambda: _u_powmod(fast, a, n, mod), lambda: _u_powmod(generic, a, n, mod))
+
+
+@pytest.mark.parametrize("name", list(INT_RINGS))
+def test_fused_product_matches_the_product_then_the_remainder(name):
+    fast = INT_RINGS[name]
+    m, generic, rng = fast.m, _GenericIntegersMod(fast.m), random.Random(f"fused:{name}")
+    for _ in range(150):
+        lead = rng.randrange(m) or 1
+        mod = _int_poly(rng, m, rng.randrange(0, 5), lead)
+        a = _int_poly(rng, m, rng.randrange(-1, 7))
+        b = _int_poly(rng, m, rng.randrange(-1, 7))
+        _agree(
+            lambda: _u_reduce(m, _u_mul_ints(a, b), _u_modulus(fast, mod)),
+            lambda: _u_rem(generic, _u_mul(generic, a, b), mod),
+        )
+    # over Z/3^5 the product's top coefficients may vanish: 9 * 27 = 0
+    if name == "Z/3^5":
+        for mod in ([1, 1, 3], [4, 2, 1]):
+            a, b = [1, 2, 9], [5, 27]
+            _agree(
+                lambda: _u_reduce(m, _u_mul_ints(a, b), _u_modulus(fast, mod)),
+                lambda: _u_rem(generic, _u_mul(generic, a, b), mod),
+            )
+    with pytest.raises(DomainError, match="division by zero"):
+        _u_modulus(fast, [])
 
 
 class _FractionRationals:
@@ -652,3 +767,66 @@ def test_golden_builds_reduce_without_division_and_invert_constants_without_eucl
     assert level_work["_u_divmod in mul"] == 0
     assert level_work["_u_xgcd in inv constant"] == 0
     assert level_work["_u_xgcd in inv other"] == level_work["inv other"]
+
+
+@pytest.fixture
+def int_core_work(monkeypatch):
+    """Counts ``_u_powmod``, ``_u_gcd`` and ``hensel_lift`` calls over Z/mZ,
+    and the ``_u_rem`` and ``_u_divmod`` calls made while one of them is the
+    innermost call on the stack (a call over another ring hides the ones
+    below it)."""
+    counts = collections.Counter()
+    stack = []
+
+    def entered(name, method):
+        def call(*args):
+            R = PrimeField(args[0]) if name == "hensel_lift" else args[0]
+            over_ints = isinstance(R, IntegersMod)
+            counts[name] += over_ints
+            stack.append(name if over_ints else None)
+            try:
+                return method(*args)
+            finally:
+                stack.pop()
+
+        return call
+
+    def layered(name, method):
+        def call(*args):
+            if stack and stack[-1]:
+                counts[f"{name} in {stack[-1]}"] += 1
+            return method(*args)
+
+        return call
+
+    for module in (fields, poly):
+        for name in ("_u_powmod", "_u_gcd", "hensel_lift"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, entered(name, getattr(module, name)))
+        for name in ("_u_rem", "_u_divmod"):
+            monkeypatch.setattr(module, name, layered(name, getattr(module, name)))
+    return counts
+
+
+def test_int_powmod_euclid_and_lift_digits_make_no_division_calls(int_core_work):
+    rng = random.Random("layers")
+    for p in (2, 7, 67):
+        tower = FieldTower.prime_field(p)
+        for _ in range(4):
+            parts = [[rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1] for _ in range(3)]
+            f = functools.reduce(functools.partial(_u_mul, tower.ring), parts)
+            assert factor(Polynomial(tower, "y", f)).expand().reps == f
+    assert int_core_work["_u_powmod"] > 0 and int_core_work["_u_gcd"] > 0
+    # the lift divides to find each part's inverse, once, whatever the precision
+    for p, k in ((3, 2), (5, 6), (67, 9)):
+        parts = _coprime_parts(p, rng, 4)
+        whole = functools.reduce(functools.partial(_u_mul, PrimeField(p)), parts)
+        before = int_core_work.copy()
+        poly.hensel_lift(p, 1, whole, parts)
+        once = int_core_work - before
+        before = int_core_work.copy()
+        poly.hensel_lift(p, k, whole, parts)
+        assert int_core_work - before == once
+    assert int_core_work["_u_divmod in hensel_lift"] > 0
+    for name in ("_u_powmod", "_u_gcd"):
+        assert int_core_work[f"_u_rem in {name}"] == int_core_work[f"_u_divmod in {name}"] == 0
