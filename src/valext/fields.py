@@ -562,6 +562,8 @@ class FieldElement:
         return b + (-a)
 
     def __mul__(self, other):
+        if other.__class__ is FieldElement and other.tower is self.tower:
+            return FieldElement(self.tower, self.tower.ring.mul(self.rep, other.rep))
         a, b = self._pair(other)
         return FieldElement(a.tower, a.tower.ring.mul(a.rep, b.rep))
 
@@ -573,6 +575,8 @@ class FieldElement:
         return FieldElement(self.tower, self.tower.ring.inv(self.rep))
 
     def __truediv__(self, other):
+        if other.__class__ is FieldElement and other.tower is self.tower:
+            return FieldElement(self.tower, self.tower.ring.mul(self.rep, other.inv().rep))
         a, b = self._pair(other)
         return a * b.inv()
 
@@ -1201,10 +1205,32 @@ def _tower_gcd(tower: FieldTower, a, b) -> list:
 
 
 def _u_xgcd(R, a, b) -> tuple[list, list, list]:
-    """(g, s, t) with s*a + t*b = g, the monic gcd of a and b."""
+    """(g, s, t) with s*a + t*b = g, the monic gcd of a and b.  Over Z/mZ
+    the loop runs on plain ints: each remainder is a ``_u_reduce``, whose
+    overwritten top is the quotient, and each cofactor update one unreduced
+    product reduced once; a leading coefficient that is not a unit is
+    refused where the generic loop refuses it."""
     r0, r1 = list(a), list(b)
     s0, s1 = [R.one], []
     t0, t1 = [], [R.one]
+    if isinstance(R, IntegersMod):
+        m = R.m
+
+        def step(x, q, y):  # x - q*y
+            acc = [-c for c in _u_mul_ints(q, y)]
+            acc += [0] * (len(x) - len(acc))
+            for i, c in enumerate(x):
+                acc[i] += c
+            return _u_trim_ints([c % m for c in acc])
+
+        while r1:
+            n = len(r1) - 1
+            r = _u_reduce(m, r0, _u_modulus(R, r1))
+            q = _u_trim_ints(r0[n:])
+            r0, r1 = r1, r
+            s0, s1 = s1, step(s0, q, s1)
+            t0, t1 = t1, step(t0, q, t1)
+    # over Z/mZ the loop above has left r1 empty
     while r1:
         q, r = _u_divmod(R, r0, r1)
         r0, r1 = r1, r

@@ -26,7 +26,8 @@ over Q and the norm of f modulo a prime over Q(theta).  When it holds, the
 squarefree decomposition is f itself and Yun's exact gcd(f, f') is skipped;
 the norm route certifies each shifted norm the same way and falls back to
 the exact gcd.  Over Q the prime that certified f (or a norm) is the prime
-that factors it, so each polynomial searches for its prime once.
+that factors it, and over Q(theta) the prime that certified f factors its
+unshifted norm, so each polynomial searches for its prime at most once.
 ``factor`` checks that the unit times the product of its factors is its
 input before it returns.
 
@@ -37,7 +38,8 @@ itself (add, mul, divmod, gcd, xgcd, powmod, derivative) is the one core of
 ``gcd`` runs the subresultant remainder sequence on integral coefficients
 (``fields._u_gcd_subresultant``), elsewhere Euclid.  Linear Hensel lifting
 (``hensel_lift``) lifts all mod-p factors to Z/p^k together, one p-adic
-digit per step, for factoring over Q.
+digit per step, for factoring over Q, to the precision that Mignotte's
+bound asks of a factor.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -60,6 +62,7 @@ from .fields import (
     IntegersMod,
     PrimeField,
     _join_terms,
+    _key,
     _p_power_binomial,
     _power,
     _tower_gcd,
@@ -211,20 +214,22 @@ class Polynomial:
     # -- ordering and text ---------------------------------------------------
 
     def _support(self):
-        """(i, coefficient) for the nonzero coefficients, highest degree first."""
+        """(i, rep) for the nonzero coefficients, highest degree first."""
         R = self.tower.ring
         for i in range(len(self.reps) - 1, -1, -1):
             if not R.is_zero(self.reps[i]):
-                yield i, FieldElement(self.tower, self.reps[i])
+                yield i, self.reps[i]
 
     def sort_key(self):
-        return (self.degree(), tuple(((i,), c.sort_key()) for i, c in self._support()))
+        # the key of each coefficient is its ``FieldElement.sort_key``
+        tw = self.tower
+        return (self.degree(), tuple(((i,), _key(tw, tw.level, r)) for i, r in self._support()))
 
     def __str__(self):
         pieces = []
-        for i, c in self._support():
+        for i, r in self._support():
             mono = "" if i == 0 else self.var if i == 1 else f"{self.var}^{i}"
-            cs = str(c)
+            cs = str(FieldElement(self.tower, r))
             if mono:
                 if cs == "1":
                     piece = mono
@@ -492,18 +497,23 @@ def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
 
 def _certify(f: Polynomial) -> tuple[bool, int | None]:
     """(proved, prime): proved is True when a cheap test proves the monic f
-    squarefree, and False proves nothing; over Q, prime is the good prime
-    that proves it, which factoring f takes up instead of searching for it
-    again.
+    squarefree, and False proves nothing.  Over Q, prime is the good prime
+    of f that proves it; over Q(theta), a good prime of the norm N(f) to Q.
+    Factoring f takes it up instead of searching for it again.
 
     Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
     with coefficients in the subfield below the top step is certified there.
-    Over Q(theta) otherwise, the norm N(f) to Q is certified, since a square
-    factor of f gives one of N(f).  That norm is only taken modulo primes
-    that divide no denominator of its matrix; it keeps its degree there, so a
-    square factor of N(f) stays one mod p, and an input with a square factor
-    costs no exact norm.  Above two or more algebraic steps nothing is
-    certified.
+    Over Q(theta) of degree d otherwise, the norm N(f) to Q is certified,
+    since a square factor of f gives one of N(f).  That norm is only taken
+    modulo primes p that divide no denominator of its matrix, as the
+    determinant D = denom^d * N(f) of the matrix scaled by the common
+    denominator, and p is accepted only when D mod p is squarefree of degree
+    d * deg f; a square factor of N(f) would stay one mod p, and an input
+    with a square factor costs no exact norm.  Such a p is a good prime of
+    ints(N), the primitive integer multiple of N(f) (``_primitive_ints``):
+    D = t * ints(N) for an integer t, and lc(D) = denom^d is nonzero mod p,
+    so p divides neither t nor lc(ints(N)), and ints(N) mod p is squarefree
+    of full degree.  Above two or more algebraic steps nothing is certified.
     """
     tower = f.tower
     if tower.char != 0:
@@ -522,11 +532,12 @@ def _certify(f: Polynomial) -> tuple[bool, int | None]:
     denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
     rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
     primes = [p for p in _PRIME_POOL if denom % p][:_CERTIFICATE_TRIES]
+    full = len(rows) * f.degree() + 1
     for p in primes:
         Fp = PrimeField(p)
         norm = _bareiss_det(Fp, [[_u_trim(Fp, [c % p for c in e]) for e in row] for row in rows])
-        if _mod_p_squarefree(norm, p):
-            return True, None
+        if len(norm) == full and _u_squarefree(Fp, norm):
+            return True, p
     return False, None
 
 
@@ -625,7 +636,8 @@ def _factor_squarefree(
     f: Polynomial, rng: random.Random, *, prime: int | None = None
 ) -> list[Polynomial]:
     """Monic squarefree polynomial into monic irreducibles; ``prime`` is a
-    good prime of f over Q (``_good_prime``), if one is known."""
+    good prime (``_good_prime``) of f over Q, or of its norm to Q over
+    Q(theta) (``_certify``), if one is known."""
     tower = f.tower
     if f.degree() == 1:
         return [f]
@@ -641,7 +653,7 @@ def _factor_squarefree(
     if tower.char == 0 and tower.extension_degree() is not None:
         if tower.level == 0:
             return _factor_rationals(f, rng, prime)
-        return _factor_norm_reduction(f, rng)
+        return _factor_norm_reduction(f, rng, prime)
     top = tower.steps[-1]
     if not top.is_algebraic:
         restricted = _restrict_poly(f, tower.level - 1)
@@ -757,7 +769,17 @@ _CERTIFICATE_TRIES = 3
 def _factor_rationals(f: Polynomial, rng: random.Random, prime: int | None) -> list[Polynomial]:
     """Monic squarefree polynomial over Q: mod-p factorization at a good
     prime (the one given, else the first of the pool), Hensel lifting and
-    subset recombination."""
+    subset recombination.
+
+    The lift runs to the least p^k > 2 * C(n-1, (n-1)//2) * (isqrt(|f|_2^2)
+    + 1) * |lc f| for f = ints of degree n, by Mignotte's bound (M. Mignotte,
+    "An inequality about factors of polynomials", Math. Comp. 28, 1974).  A
+    factor g of f in Z[y] of degree d <= n - 1 has |g_i| <= C(d, i) * M(g)
+    <= C(d, i) * M(f) <= C(d, i) * |f|_2, M the Mahler measure, and every
+    candidate ``_recombine`` forms is lc(current)/lc(g) * g, with |lc(current)|
+    <= |lc f|.  So each coefficient of a true candidate lies below p^k/2 in
+    absolute value and is read off its symmetric residue exactly.
+    """
     ints = _primitive_ints(f.reps)
     n = len(ints) - 1
     if n == 1:
@@ -771,7 +793,7 @@ def _factor_rationals(f: Polynomial, rng: random.Random, prime: int | None) -> l
     if len(modular) == 1:
         return [f.monic()]
     norm2 = math.isqrt(sum(c * c for c in ints)) + 1
-    bound = 2 ** (n + 1) * norm2 * abs(lead)
+    bound = math.comb(n - 1, (n - 1) // 2) * norm2 * abs(lead)
     k = 1
     while prime**k <= 2 * bound:
         k += 1
@@ -796,15 +818,10 @@ def _good_prime(ints: list[int]) -> int | None:
     coefficient nor the discriminant of ints, or None.  Such a prime proves
     ints squarefree over Q: a square factor would stay one mod p."""
     for p in _PRIME_POOL:
-        if ints[-1] % p and _mod_p_squarefree(ints, p):
+        # p does not divide the leading coefficient: nothing to trim
+        if ints[-1] % p and _u_squarefree(PrimeField(p), [c % p for c in ints]):
             return p
     return None
-
-
-def _mod_p_squarefree(ints: list[int], p: int) -> bool:
-    R = PrimeField(p)
-    f = _u_trim(R, [c % p for c in ints])
-    return len(f) == len(ints) and _u_squarefree(R, f)
 
 
 def _factor_mod_p(ints: list[int], p: int, rng: random.Random) -> list[list[int]]:
@@ -830,9 +847,11 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
     F_p, and e digit i of f - prod g_j, adding p^i*(s_j*e mod f_j) to every
     g_j makes the product agree with f mod p^(i+1): the sum h of
     (s_j*e mod f_j)*F/f_j is e mod p, since h - e is divisible by every f_j,
-    so by F, and has degree below that of F.  Each f_j is prepared once per
-    lift (``fields._u_modulus``), and each s_j*e goes unreduced into
-    ``fields._u_reduce``, a multiply and reduce in one pass.
+    so by F, and has degree below that of F.  The lifts hold ints in
+    [0, p^i), so digit i is read off their exact int product
+    (``fields._u_mul_ints``), which agrees with f mod p^i.  Each f_j is
+    prepared once per lift (``fields._u_modulus``), and each s_j*e goes
+    unreduced into ``fields._u_reduce``, a multiply and reduce in one pass.
     """
     if len(parts) == 1:
         return [f]
@@ -849,8 +868,7 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
     lifts = [list(part) for part in parts]
     for i in range(1, k):
         pi = p**i
-        ring = IntegersMod(pi * p)
-        prod = functools.reduce(functools.partial(_u_mul, ring), lifts)
+        prod = functools.reduce(_u_mul_ints, lifts)
         e = _u_trim(res, [(c - d) // pi % p for c, d in zip(f, prod)])
         if not e:
             continue
@@ -945,8 +963,12 @@ def _shift_candidates(sub: FieldTower):
             yield s
 
 
-def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Factor over sub(theta) by factoring a squarefree norm over sub."""
+def _factor_norm_reduction(
+    f: Polynomial, rng: random.Random, prime: int | None = None
+) -> list[Polynomial]:
+    """Factor over sub(theta) by factoring a squarefree norm over sub;
+    ``prime``, from ``_certify(f)``, proves the unshifted norm squarefree
+    and is a good prime of it."""
     tower = f.tower
     R = tower.ring
     sub = tower.prefix(tower.level - 1)
@@ -964,8 +986,9 @@ def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial
         st = (tower.embed(s_elem) * theta).rep
         fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
         norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
-        # the exact gcd decides when the modular certificate cannot
-        proved, prime = _certify(norm)
+        # the certificate of f holds for its unshifted norm; the exact gcd
+        # decides when no modular certificate does
+        proved, prime = (True, prime) if s_elem.is_zero and prime else _certify(norm)
         if not proved:
             d = norm.derivative()
             if d.is_zero or gcd(norm, d).degree() != 0:

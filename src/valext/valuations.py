@@ -117,6 +117,7 @@ class MonomialValuation:
             raise StructuralError("variable names must be distinct")
         self.coefficient_field = coefficient_field
         self.variables = variables
+        self.rank = len(variables)
         self.denom_exponent = denom_exponent
         q = coefficient_field.char_exponent
         if denom_exponent > 0 and q == 1:
@@ -128,10 +129,6 @@ class MonomialValuation:
         self.function_field = k
 
     # -- identities -----------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return len(self.variables)
 
     def __eq__(self, other):
         return (

@@ -323,6 +323,7 @@ def _int_unit(rng, m, other_than_one=False):
 
 @pytest.mark.parametrize("name", list(INT_RINGS))
 def test_int_euclid_matches_the_generic_euclid(name):
+    # _u_gcd and _u_xgcd over Z/mZ against their generic loops
     fast = INT_RINGS[name]
     m, generic, rng = fast.m, _GenericIntegersMod(fast.m), random.Random(f"euclid:{name}")
     mul = functools.partial(_u_mul, generic)
@@ -342,9 +343,13 @@ def test_int_euclid_matches_the_generic_euclid(name):
                 seen["shared"] += 1
                 assert len(out) >= len(g) or name == "Z/3^5"
             seen["refused"] += out is None
-    assert _u_gcd(fast, [], []) == []
-    assert seen["coprime"] and seen["shared"]
-    assert bool(seen["refused"]) == (name == "Z/3^5")
+            # the extended loop, quotients and cofactors included
+            ext = _agree(lambda: _u_xgcd(fast, x, y), lambda: _u_xgcd(generic, x, y))
+            seen["xgcd refused"] += ext is None
+            seen["xgcd cofactors"] += ext is not None and len(ext[1]) > 1
+    assert _u_gcd(fast, [], []) == [] and _u_xgcd(fast, [], []) == ([], [1], [])
+    assert seen["coprime"] and seen["shared"] and seen["xgcd cofactors"]
+    assert bool(seen["refused"]) == bool(seen["xgcd refused"]) == (name == "Z/3^5")
 
 
 @pytest.mark.parametrize("name", list(INT_RINGS))

@@ -14,9 +14,11 @@ from valext.fields import (
     FieldElement,
     FieldTower,
     IntegersMod,
+    PrimeField,
     RationalField,
     _u_divmod,
     _u_mul,
+    _u_squarefree,
 )
 from valext.norms import random_field_element
 from valext.poly import Polynomial, _norm, factor, gcd, resultant, squarefree_part
@@ -807,6 +809,13 @@ def test_certificate_never_holds_with_a_square(name, data):
     assert not poly_mod._certify(g * g * h)[0]
 
 
+def test_certificate_refuses_a_norm_that_drops_degree():
+    # the norm of this non-monic f is (9y^2 + 1)^2 * (y^2 + 2y + 2), which
+    # mod 3 is the squarefree y^2 + 2y + 2: only its degree shows the square
+    f = parse("(3*y + i)^2 * (y + 1 + i)", _q_i())
+    assert poly_mod._certify(f) == (False, None)
+
+
 @pytest.mark.parametrize("name", list(_CERTIFIED_TOWERS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -958,19 +967,25 @@ def test_factor_refuses_an_answer_that_does_not_multiply_back(monkeypatch, ratio
         factor(parse("(y - 1) * (y - 2)", rationals))
 
 
+_SEARCH_CASES = [
+    ("(y^2 - 2) * (y^3 - 3*y + 1)", "Q", 0, 1),
+    ("y^4 - 10*y^2 + 1", "Q", 0, 1),
+    # the certificate of f over Q(i) is a good prime of its norm: no search
+    ("(y - i - 2) * (y^2 + i*y + 3)", "Q(i)", 1, 0),
+    # the norm at shift 0 holds (y^2 - 3)^2 and is turned down: its search
+    # fails, and the norm at shift 1 searches once
+    ("(y^2 - 3) * (y^3 + 3*i*y + 3)", "Q(i)", 2, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "text, domain, norms",
-    [
-        ("(y^2 - 2) * (y^3 - 3*y + 1)", "Q", 0),
-        ("y^4 - 10*y^2 + 1", "Q", 0),
-        ("(y - i - 2) * (y^2 + i*y + 3)", "Q(i)", 1),
-        # the norm at shift 0 holds (y^2 - 3)^2 and is turned down
-        ("(y^2 - 3) * (y^3 + 3*i*y + 3)", "Q(i)", 2),
-    ],
+    "text, domain, norms, searches",
+    _SEARCH_CASES,
+    ids=[f"{text}-{domain}-{norms}" for text, domain, norms, _ in _SEARCH_CASES],
 )
-def test_one_good_prime_search_per_polynomial_over_q(monkeypatch, text, domain, norms):
+def test_one_good_prime_search_per_polynomial_over_q(monkeypatch, text, domain, norms, searches):
     # the good prime that certifies a squarefree f over Q, or a norm over Q,
-    # is the prime that factors it: one search each
+    # is the prime that factors it: at most one search each
     f = parse(text, FieldTower.rationals() if domain == "Q" else _q_i())
     searched, normed = [], []
     good_prime, norm = poly_mod._good_prime, poly_mod._norm
@@ -980,7 +995,130 @@ def test_one_good_prime_search_per_polynomial_over_q(monkeypatch, text, domain, 
     monkeypatch.setattr(poly_mod, "_norm", lambda fs, sub: normed.append(fs) or norm(fs, sub))
     assert factor(f).expand() == f
     assert len(normed) == norms
-    assert len(searched) == max(norms, 1) == len(set(searched))
+    assert len(searched) == searches == len(set(searched))
+
+
+def _random_monic(tower, rng, degree):
+    """A monic polynomial over a quadratic number field with coefficients
+    a + b*gen, a and b small and sometimes halves."""
+    gen = tower.gen(tower.gen_names[-1])
+
+    def coeff():
+        a, b = (Fraction(rng.randrange(-6, 7), rng.choice([1, 1, 2])) for _ in range(2))
+        return tower.from_fraction(a) + tower.from_fraction(b) * gen
+
+    return Polynomial.from_coeffs(tower, "y", [coeff() for _ in range(degree)] + [tower.one()])
+
+
+@pytest.mark.parametrize("name", ["Q(i)", "Q(s2)"])
+def test_the_certificate_prime_is_a_good_prime_of_the_norm(monkeypatch, name):
+    tower = _NORM_TOWERS[name]()
+    sub = tower.prefix(0)
+    rng = random.Random(f"hand-off:{name}")
+    searched = []
+    good_prime = poly_mod._good_prime
+    monkeypatch.setattr(
+        poly_mod, "_good_prime", lambda ints: searched.append(tuple(ints)) or good_prime(ints)
+    )
+    certified = 0
+    for _ in range(100):
+        f = _random_monic(tower, rng, rng.randrange(1, 4))
+        for _ in range(rng.randrange(2)):
+            f = f * _random_monic(tower, rng, rng.randrange(1, 3))
+        assert poly_mod.squarefree_decomposition(f) == [(f, 1)]
+        proved, p = poly_mod._certify(f)
+        if p is None:
+            continue
+        assert proved
+        certified += 1
+        ints = poly_mod._primitive_ints(Polynomial(sub, "y", _norm(f, sub)).reps)
+        assert ints[-1] % p and _u_squarefree(PrimeField(p), [c % p for c in ints])
+        searched.clear()
+        assert factor(f).expand() == f
+        assert tuple(ints) not in searched
+    assert certified >= 60
+
+
+def _cyclotomic(n, rationals):
+    y = parse("y", rationals)
+    out = y**n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            out = out // _cyclotomic(d, rationals)
+    return out
+
+
+_SWINNERTON_DYER_8 = "y^8 - 40*y^6 + 352*y^4 - 960*y^2 + 576"
+
+
+def _mignotte_inputs(rationals, rng):
+    """Seeded inputs over Q of degree at most 12: products of known
+    irreducibles, cyclotomic polynomials and random factors with
+    coefficients up to 60 and leading coefficients up to 30."""
+    y = parse("y", rationals)
+    for _ in range(40):
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = parse("y^4 - 10*y^2 + 1", rationals) * (y - rng.randrange(-60, 61))
+        elif kind == 1:
+            f = parse(_SWINNERTON_DYER_8, rationals)
+            if rng.randrange(2):
+                f = f * (rng.randrange(1, 31) * y**2 + rng.randrange(-60, 61))
+        elif kind == 2:
+            f = parse("1", rationals)
+            for n in rng.sample(range(1, 19), rng.randrange(2, 5)):
+                g = _cyclotomic(n, rationals)
+                if f.degree() + g.degree() <= 12:
+                    f = f * g
+        else:
+            f = parse("1", rationals)
+            while f.degree() < 6:
+                deg = rng.randrange(1, 4)
+                g = Polynomial.from_coeffs(
+                    rationals,
+                    "y",
+                    [rng.randrange(-60, 61) for _ in range(deg)] + [rng.randrange(1, 31)],
+                )
+                # a square now and then, within the degree bound of 12
+                square = f.degree() + 2 * deg <= 12 and rng.randrange(3) == 0
+                f = f * g * g if square else f * g
+        yield f
+
+
+# sympy warns about its own modular-integer comparisons in factor_list
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_hensel_precision_holds_every_true_factor(monkeypatch, rationals):
+    # every factor g of a squarefree part h, scaled as recombination forms
+    # it (lc(h)/lc(g) * g), lies below half the lift's modulus p^k
+    sympy = pytest.importorskip("sympy")
+    lifts, parts = [], []
+    hensel_lift, factor_rationals = poly_mod.hensel_lift, poly_mod._factor_rationals
+
+    def lift(p, k, f, modular):
+        lifts.append(p**k)
+        return hensel_lift(p, k, f, modular)
+
+    def rationals_part(f, rng, prime):
+        before = len(lifts)
+        out = factor_rationals(f, rng, prime)
+        parts.append((f, out, lifts[before:]))
+        return out
+
+    monkeypatch.setattr(poly_mod, "hensel_lift", lift)
+    monkeypatch.setattr(poly_mod, "_factor_rationals", rationals_part)
+    y = sympy.Symbol("y")
+    for f in _mignotte_inputs(rationals, random.Random("mignotte")):
+        assert f.degree() <= 12
+        fac = factor(f)
+        expr = sympy.sympify(str(f).replace("^", "**"), locals={"y": y})
+        _, ref = sympy.factor_list(expr, y)
+        have = sorted((g.degree(), m) for g, m in fac.factors)
+        assert have == sorted((sympy.degree(g, y), m) for g, m in ref), str(f)
+    assert len(lifts) >= 20
+    for h, out, moduli in parts:
+        lead = poly_mod._primitive_ints(h.reps)[-1]
+        for m, g in itertools.product(moduli, out):
+            assert all(2 * abs(lead * c) < m for c in g.reps), (str(h), str(g), m)
 
 
 def test_no_certificate_above_two_algebraic_steps():
