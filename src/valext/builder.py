@@ -32,7 +32,12 @@ import random
 from dataclasses import dataclass, field
 from operator import sub
 
-from .compositum import CompositumPoint, tensor_decompose
+from .compositum import (
+    CompositumPoint,
+    first_point_into,
+    separable_transfer_check,
+    tensor_decompose,
+)
 from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
 from .fields import (
     FieldElement,
@@ -517,89 +522,57 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     """Pair the prime chains of W and V and certify each residue pair.
 
     For every prime q of V with image q' of W: kappa(q') is a strictly
-    maximal composed extension of k' and kappa(q); when k'/k is separable so
-    is kappa(q')/kappa(q); when F/k is separable, kappa(q')/k' is separable
-    at every prime.  Requires the strictly maximal path (the general path
-    certifies the prime-count bijection and radiciality instead).
+    maximal composed extension of k' and kappa(q), the point of
+    Spec(k' tensor_k kappa(q)) that maps onto it.  The separability columns
+    are ``separable_transfer_check`` on that point when k'/k is separable,
+    and on the matching point of Spec(kappa(q) tensor_k k') when F/k is
+    separable and k is a prefix of F by inclusion; otherwise n/a.  Requires
+    the strictly maximal path (the general path certifies the prime-count
+    bijection and radiciality instead).
     """
     if built.path != "strictly-maximal":
         raise PreconditionError(
             "the residue-pair correspondence is a strictly-maximal-path check"
         )
     scn = built.scenario
-    v0 = scn.valuation
-    w = built.valuation_w
-    chain_v = v0.prime_chain()
-    chain_w = w.prime_chain()
+    chain_v = scn.valuation.prime_chain()
+    chain_w = built.valuation_w.prime_chain()
+    kprime_images = dict(zip(scn.kprime.gen_names, built.kprime_images))
+    # the hypotheses of the two columns
     kprime_sep = tower_separable_over(scn.kprime, scn.k_len)
-    f_over_k_sep = _residue_field_separable_over_k(built)
+    swap = scn.k_hom.is_inclusion() and tower_separable_over(
+        scn.valuation.coefficient_field, scn.k_len
+    )
     pairs = []
     for j, (pv, pw) in enumerate(zip(chain_v, chain_w)):
         kappa = pv.residue_field
         kappa_ext = pw.residue_field
-        hom_base = TowerHom(
-            scn.k, kappa, [kappa.embed(scn.k_hom.apply(scn.k.gen(n))) for n in scn.k.gen_names]
+        same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
+        # F is a prefix of kappa, so k's images in F coerce into kappa
+        pts = tensor_decompose(
+            scn.kprime, kappa, scn.k_len, TowerHom(scn.k, kappa, scn.k_hom.images)
         )
-        pts = tensor_decompose(scn.kprime, kappa, scn.k_len, hom_base)
-        match, iso_ok = _match_point_to_residue(built, pts, kappa_ext)
-        strict = match.strictly_maximal if match else False
-        sep_over_base = None
+        match = first_point_into(pts, kappa_ext, same_names, kprime_images)
+        # the map hits the kappa generators and every recorded k' image, so it
+        # is onto when those cover all generators of kappa'
+        iso_ok = match is not None and (
+            set(kappa.gen_names) | _generators_hit(kappa_ext, built.kprime_images)
+        ).issuperset(kappa_ext.gen_names)
+        sep_over_base = sep_over_kprime = None
         if kprime_sep and match is not None:
-            sep_over_base = tower_separable_over(match.field, kappa.level)
-        sep_over_kprime = None
-        if f_over_k_sep:
-            sep_over_kprime = _separable_over_kprime(built, kappa, kappa_ext)
+            sep_over_base = separable_transfer_check(match).extension_separable
+        if swap:
+            pts = tensor_decompose(kappa, scn.kprime, scn.k_len)
+            swapped = first_point_into(pts, kappa_ext, kprime_images, same_names)
+            if swapped is not None:
+                sep_over_kprime = separable_transfer_check(swapped).extension_separable
+        strict = match is not None and match.strictly_maximal
         pairs.append(
             PrimePairReport(
                 j, kappa, kappa_ext, strict, sep_over_base, sep_over_kprime, iso_ok
             )
         )
     return SpectrumReport(len(chain_v), len(chain_w), pairs)
-
-
-def _match_point_to_residue(
-    built: BuiltExtension, pts: list[CompositumPoint], kappa_ext: FieldTower
-) -> tuple[CompositumPoint | None, bool]:
-    """Find the decomposition point isomorphic to kappa' and verify the map.
-
-    The map sends the kappa prefix to the matching generators of kappa' and
-    each appended generator to the recorded k' image; it must respect all
-    relations and cover every generator of kappa'.
-    """
-    same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
-    kprime_images = dict(zip(built.scenario.kprime.gen_names, built.kprime_images))
-    for pt in pts:
-        if pt.hom_into(kappa_ext, same_names, kprime_images) is None:
-            continue
-        # the map hits the kappa generators and every recorded k' image, so it
-        # is onto when those cover all generators of kappa'
-        hit = set(pt.right.gen_names) | _generators_hit(kappa_ext, built.kprime_images)
-        return pt, hit.issuperset(kappa_ext.gen_names)
-    return None, False
-
-
-def _residue_field_separable_over_k(built: BuiltExtension) -> bool:
-    scn = built.scenario
-    f_tower = scn.valuation.coefficient_field
-    if scn.k_hom.images != tuple(
-        f_tower.gen(n) for n in scn.k.gen_names
-    ):
-        return False  # only prefix-marked subfields support the stepwise test
-    return tower_separable_over(f_tower, scn.k_len)
-
-
-def _separable_over_kprime(
-    built: BuiltExtension, kappa: FieldTower, kappa_ext: FieldTower
-) -> bool | None:
-    """kappa'/k' separability through the swapped decomposition: process the
-    kappa side over k' and test the appended steps."""
-    scn = built.scenario
-    kprime_images = dict(zip(scn.kprime.gen_names, built.kprime_images))
-    same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
-    for pt in tensor_decompose(kappa, scn.kprime, scn.k_len):
-        if pt.hom_into(kappa_ext, kprime_images, same_names) is not None:
-            return tower_separable_over(pt.field, scn.kprime.level)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +584,9 @@ def render_report(
     weak: WeakUnramReport | None = None,
     spectrum: SpectrumReport | None = None,
 ) -> str:
+    """The text ``valext extend`` prints: with ``--verify`` it gets ``weak``,
+    and ``spectrum`` on the strictly maximal path, where the general path
+    prints the prime counts instead."""
     scn = built.scenario
     lines = ["GROUP"]
     lines.append(f"  gamma: {built.group_gamma.describe()}")
@@ -641,4 +617,7 @@ def render_report(
         lines.extend(f"  {l}" for l in weak.render_lines())
     lines.append("PROVENANCE")
     lines.extend(f"  {p}" for p in built.provenance)
+    if weak is not None and spectrum is None:
+        nv, nw = prime_counts(built)
+        lines += ["PRIME COUNTS", f"  V: {nv} <-> W: {nw}"]
     return "\n".join(lines) + "\n"

@@ -48,7 +48,6 @@ from .builder import (
     ExtensionScenario,
     build_general,
     build_strictly_maximal,
-    prime_counts,
     render_report,
     spectrum_correspondence,
     verify_weakly_unramified,
@@ -332,11 +331,7 @@ def cmd_extend(
             weak = verify_weakly_unramified(built)
             if built.path == "strictly-maximal":
                 spectrum = spectrum_correspondence(built)
-        text = render_report(built, weak, spectrum)
-        if verify and spectrum is None:
-            nv, nw = prime_counts(built)
-            text += f"PRIME COUNTS\n  V: {nv} <-> W: {nw}\n"
-        return text
+        return render_report(built, weak, spectrum)
 
     return _run(report, out, err)
 

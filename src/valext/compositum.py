@@ -212,6 +212,20 @@ def tensor_decompose(
     return points
 
 
+def first_point_into(
+    points: Sequence[CompositumPoint],
+    target: FieldTower,
+    right_images: Mapping[str, FieldElement],
+    left_images: Mapping[str, FieldElement],
+) -> CompositumPoint | None:
+    """The first of ``points`` whose composed field maps into ``target``
+    under these images (see ``CompositumPoint.hom_into``), or None."""
+    for pt in points:
+        if pt.hom_into(target, right_images, left_images) is not None:
+            return pt
+    return None
+
+
 def degree_bookkeeping(points: Sequence[CompositumPoint]) -> tuple[int, int] | None:
     """(sum of multiplicity * [E:M], [L:K]) when L/K is finite, else None."""
     if not points:
@@ -321,7 +335,7 @@ def base_change_maximality_check(pt: CompositumPoint, k0_len: int) -> BaseChange
     for step in left.steps[k0_len : pt.k_len]:
         if not step.is_algebraic:
             raise PreconditionError("K must be algebraic over K0")
-    if pt.k_hom.images != tuple(right.gen(n) for n in left.prefix(pt.k_len).gen_names):
+    if not pt.k_hom.is_inclusion():
         raise CapabilityError("base change is supported for prefix-inclusion embeddings")
     match = None
     for cand in tensor_decompose(left, right, k0_len):

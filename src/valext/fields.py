@@ -1494,6 +1494,14 @@ class TowerHom:
             raise StructuralError("inclusion requires a prefix subtower")
         return TowerHom(sub, sup, [sup.gen(n) for n in sub.gen_names])
 
+    def is_inclusion(self) -> bool:
+        """Whether this map is ``inclusion(source, target)``: the source is a
+        prefix of the target and each generator goes to its namesake.  False
+        when the target lacks a source generator's name."""
+        return self.source.is_prefix_of(self.target) and self.images == tuple(
+            self.target.gen(n) for n in self.source.gen_names
+        )
+
     def apply(self, elem: FieldElement) -> FieldElement:
         if elem.tower != self.source:
             if elem.tower.is_prefix_of(self.source):

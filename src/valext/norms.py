@@ -287,25 +287,16 @@ def random_field_element(tower: FieldTower, rng: random.Random, size: int = 2) -
     """A small random tower element: the sum of ``size`` terms c * (product
     of the generators in a bit mask).  Each term draws c (see
     ``_coefficient_range``), then one bit per generator as
-    ``rng.randrange(2)``.  randrange's rejection loop is written out over
-    ``rng.getrandbits``, so the stream and the final state of ``rng`` are
-    randrange's."""
+    ``rng.randrange(2)``, both through ``randbelow``."""
     ring = tower.ring
     bits = rng.getrandbits
     n, offset = _coefficient_range(tower)
-    k = n.bit_length()
-    level = tower.level
     out = None
     for _ in range(size):
-        c = bits(k)
-        while c >= n:
-            c = bits(k)
+        c = randbelow(bits, n)
         mask = 0
-        for i in range(level):
-            b = bits(2)
-            while b > 1:
-                b = bits(2)
-            mask |= b << i
+        for i in range(tower.level):
+            mask |= randbelow(bits, 2) << i
         term = _term_rep(tower, c + offset, mask)
         out = term if out is None else ring.add(out, term)
     return FieldElement(tower, ring.zero if out is None else out)
@@ -316,8 +307,9 @@ def random_fraction_element(valuation: MonomialValuation, rng: random.Random) ->
     denominator, every exponent in 0..2 (drawn as ``rng.randrange(3)``), so
     values spread around 0.  Each coefficient is one term of
     ``random_field_element``, drawn after its exponents; a later draw of the
-    same exponents replaces an earlier one.  The draws are written out as in
-    ``random_field_element``."""
+    same exponents replaces an earlier one.  The draws are ``randbelow``'s
+    rejection loops written out, so the stream and the final state of
+    ``rng`` are randrange's."""
     rank = valuation.rank
     field = valuation.coefficient_field
     bits = rng.getrandbits

@@ -6,6 +6,7 @@ import io
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +252,30 @@ def test_spectrum_requires_strict_path(scn_char2):
         spectrum_correspondence(built)
 
 
+@pytest.mark.parametrize("target", ["Q(j)", "Q(t)(i)"])
+def test_spectrum_of_a_k_embedding_that_is_not_a_prefix_inclusion(rationals, q_i, target):
+    # k = Q(i) goes into F as i -> j, or as i -> i with Q(i) no prefix of F:
+    # the swapped decomposition over k' needs the inclusion of a prefix, so
+    # its column reads n/a instead of raising
+    if target == "Q(j)":
+        f_tower = rationals.extend_algebraic("j", [1, 0, 1])
+        image = f_tower.gen("j")
+    else:
+        f_tower = rationals.extend_transcendental("t").extend_algebraic("i", [1, 0, 1])
+        image = f_tower.gen("i")
+    hom = TowerHom(q_i, f_tower, [image])
+    kprime = q_i.extend_algebraic("s", [-2, 0, 1])
+    v = MonomialValuation(f_tower, ["x1"])
+    built = build_strictly_maximal(
+        ExtensionScenario(valuation=v, k_len=1, kprime=kprime, k_hom=hom)
+    )
+    spec = spectrum_correspondence(built)
+    assert spec.passed
+    assert [p.separable_over_base for p in spec.pairs] == [True, True]
+    assert [p.separable_over_kprime for p in spec.pairs] == [None, None]
+    assert all("separable over k': n/a" in line for line in spec.render_lines()[4::4])
+
+
 def test_randomized_strictly_maximal_builds(rationals):
     # seeded fuzz over random irreducible k' and residue fields: every build
     # must preserve the group, verify its images, and pass the certificates
@@ -299,6 +324,19 @@ def golden_builds():
             out[name] = _parse_and_build(text)
     assert len(out) == 5
     return out
+
+
+def test_render_report_is_the_text_extend_prints(golden_builds):
+    # with --verify's reports, render_report gives the golden text of
+    # `valext extend --verify`, the general path's prime counts included
+    golden = Path(__file__).parent / "golden"
+    for name, built in golden_builds.items():
+        weak = verify_weakly_unramified(built)
+        strict = built.path == "strictly-maximal"
+        spectrum = spectrum_correspondence(built) if strict else None
+        expected = (golden / f"{name}.extend-verify.txt").read_text()
+        assert render_report(built, weak, spectrum) == expected, name
+        assert ("PRIME COUNTS" in expected) == (not strict)
 
 
 def test_builder_gauss_steps_reuse_the_chosen_factor(monkeypatch):

@@ -11,7 +11,7 @@ from valext.compositum import (
     subfield_maximality_check,
     tensor_decompose,
 )
-from valext.errors import PreconditionError
+from valext.errors import CapabilityError, PreconditionError
 from valext.poly import Polynomial
 
 
@@ -205,6 +205,17 @@ def test_base_change_refuses_when_no_candidate_maps(q_i):
     rep = base_change_maximality_check(fake, 0)
     assert not rep.passed
     assert rep.corresponding_index is None and rep.multiplicity_over_k0 is None
+
+
+def test_base_change_refuses_an_embedding_that_is_not_a_prefix_inclusion(rationals, q_i):
+    # K = Q(i) into M = Q(j) by i -> j: M has no generator named i
+    from valext.fields import TowerHom
+
+    m = rationals.extend_algebraic("j", [1, 0, 1])
+    hom = TowerHom(q_i, m, [m.gen("j")])
+    pt = tensor_decompose(q_i.extend_transcendental("x"), m, 1, hom)[0]
+    with pytest.raises(CapabilityError):
+        base_change_maximality_check(pt, 0)
 
 
 def test_decompose_with_explicit_embedding(f2_a, f2_a_r):

@@ -252,6 +252,20 @@ def test_tower_hom_verify_and_apply(q_i):
     assert not bad.verify()
 
 
+def test_tower_hom_is_inclusion(rationals, q_i):
+    q_i_t = q_i.extend_transcendental("t")
+    assert TowerHom.inclusion(q_i, q_i_t).is_inclusion()
+    assert TowerHom.inclusion(rationals, q_i).is_inclusion()
+    # conjugation: a prefix, but i is not sent to i
+    assert not TowerHom(q_i, q_i_t, [-q_i_t.gen("i")]).is_inclusion()
+    # the target has no generator named i
+    q_j = rationals.extend_algebraic("j", [1, 0, 1])
+    assert not TowerHom(q_i, q_j, [q_j.gen("j")]).is_inclusion()
+    # i -> i, but Q(i) is no prefix of Q(t)(i)
+    q_t_i = rationals.extend_transcendental("t").extend_algebraic("i", [1, 0, 1])
+    assert not TowerHom(q_i, q_t_i, [q_t_i.gen("i")]).is_inclusion()
+
+
 def test_transcendence_cap():
     t = FieldTower.rationals()
     for name in ("t1", "t2", "t3", "t4"):

@@ -90,6 +90,31 @@ def test_extend_verify_report_is_golden_under_python_O(tmp_path):
     assert proc.stdout == (GOLDEN / "char2_trunc.extend-verify.txt").read_bytes()
 
 
+def test_extend_verify_reaches_the_lemma_code(tmp_path):
+    # the residue-pair columns of --verify are the compositum's
+    # separable-transfer lemma: a call recorder over the five golden builds
+    # sees it, the point search and the inclusion test reached
+    lemma_code = {
+        ("compositum.py", "separable_transfer_check"),
+        ("compositum.py", "first_point_into"),
+        ("fields.py", "TowerHom.is_inclusion"),
+    }
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            reached.add((Path(code.co_filename).name, code.co_qualname))
+
+    for name in EXTENSIONS:
+        sys.setprofile(record)
+        try:
+            _run(cli.cmd_extend, tmp_path, name, verify=True)
+        finally:
+            sys.setprofile(None)
+    assert lemma_code <= reached, lemma_code - reached
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_selftest_output_is_golden_under_python_O_and_another_hash_seed(seed):
     # the selftest's checks must not be assert statements, which -O strips,

@@ -64,3 +64,51 @@ def test_exact_division_and_pth_root_checks_survive_python_O():
         "fraction-free elimination: inexact division",
         "computed p-th root c of c does not check",
     ]
+
+
+def _private_definitions(tree: ast.Module):
+    """The (name, node) of every private name (leading ``_``, dunders
+    excepted) that a module defines at module or class level."""
+    scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    yield name, node
+
+
+def test_every_private_helper_is_referenced_elsewhere_in_the_package():
+    # a private definition that nothing else in the package names is dead:
+    # references inside its own body (recursion) do not count
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "valext").glob("*.py"))
+    }
+
+    def references(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                yield sub.id, sub
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr, sub
+            elif isinstance(sub, ast.alias):
+                yield sub.name, sub
+
+    uses: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for name, node in references(tree):
+            uses.setdefault(name, set()).add(id(node))
+    dead = []
+    for filename, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            own = {id(sub) for sub in ast.walk(node)}
+            if not uses.get(name, set()) - own:
+                dead.append(f"{filename}:{node.lineno} {name}")
+    assert dead == []
