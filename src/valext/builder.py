@@ -37,6 +37,7 @@ from .compositum import (
     first_point_into,
     separable_transfer_check,
     tensor_decompose,
+    transcendental_base_change,
 )
 from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
 from .fields import (
@@ -82,10 +83,6 @@ class ExtensionScenario:
             if self.k_hom.source != k or self.k_hom.target != f_tower:
                 raise StructuralError("k embedding must map k into the coefficient field")
 
-    @property
-    def k(self) -> FieldTower:
-        return self.kprime.prefix(self.k_len)
-
 
 @dataclass
 class BuiltExtension:
@@ -99,13 +96,18 @@ class BuiltExtension:
     scenario: ExtensionScenario
     path: str
     valuation_w: MonomialValuation
-    point: CompositumPoint
+    points: tuple[CompositumPoint, ...]  # the residual decomposition
     kprime_images: tuple[FieldElement, ...]
     provenance: tuple[str, ...]
     truncated_valuation: MonomialValuation | None = None
     truncation: int | None = None
     p_torsion_ok: bool | None = None
     radicial_ok: bool | None = None
+
+    @property
+    def point(self) -> CompositumPoint:
+        """The residual point the build went through."""
+        return self.points[self.scenario.point_index]
 
     @property
     def group_gamma(self) -> ValueGroup:
@@ -214,7 +216,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
         scenario=scn,
         path="strictly-maximal",
         valuation_w=v_cur,
-        point=pt,
+        points=tuple(points),
         kprime_images=pt.left_images,
         provenance=tuple(prov),
     )
@@ -264,7 +266,7 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     prov.append(
         f"variables reread as p^{n_trunc}-th roots: value group {v_dag.group.describe()}"
     )
-    k = scn.k
+    k = scn.kprime.prefix(scn.k_len)
     # k is often F itself, whose closure is built above
     k_dag = f_dag if k == f_tower else perfect_closure_truncated(k, p, n_trunc)
     imgs = [f_dag.embed(scn.k_hom.apply(k.gen(n))) for n in k.gen_names]
@@ -324,7 +326,7 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
         scenario=scn,
         path="general",
         valuation_w=built_inner.valuation_w,
-        point=built_inner.point,
+        points=built_inner.points,
         kprime_images=kprime_images,
         provenance=tuple(prov),
         truncated_valuation=v_dag,
@@ -529,6 +531,11 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     separable and k is a prefix of F by inclusion; otherwise n/a.  Requires
     the strictly maximal path (the general path certifies the prime-count
     bijection and radiciality instead).
+
+    Nothing is factored per prime: kappa(q) is F with variables appended, and
+    both decompositions are the ``transcendental_base_change`` to it of one
+    made per scenario, the build's Spec(k' tensor_k F) and Spec(F tensor_k k'):
+    sound, as a field E is algebraically closed in E(x) (the lemma there).
     """
     if built.path != "strictly-maximal":
         raise PreconditionError(
@@ -540,18 +547,15 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     kprime_images = dict(zip(scn.kprime.gen_names, built.kprime_images))
     # the hypotheses of the two columns
     kprime_sep = tower_separable_over(scn.kprime, scn.k_len)
-    swap = scn.k_hom.is_inclusion() and tower_separable_over(
-        scn.valuation.coefficient_field, scn.k_len
-    )
+    f_tower = scn.valuation.coefficient_field
+    swap = scn.k_hom.is_inclusion() and tower_separable_over(f_tower, scn.k_len)
+    swapped_points = tensor_decompose(f_tower, scn.kprime, scn.k_len) if swap else ()
     pairs = []
     for j, (pv, pw) in enumerate(zip(chain_v, chain_w)):
         kappa = pv.residue_field
         kappa_ext = pw.residue_field
         same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
-        # F is a prefix of kappa, so k's images in F coerce into kappa
-        pts = tensor_decompose(
-            scn.kprime, kappa, scn.k_len, TowerHom(scn.k, kappa, scn.k_hom.images)
-        )
+        pts = transcendental_base_change(built.points, scn.kprime, kappa)
         match = first_point_into(pts, kappa_ext, same_names, kprime_images)
         # the map hits the kappa generators and every recorded k' image, so it
         # is onto when those cover all generators of kappa'
@@ -562,16 +566,13 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
         if kprime_sep and match is not None:
             sep_over_base = separable_transfer_check(match).extension_separable
         if swap:
-            pts = tensor_decompose(kappa, scn.kprime, scn.k_len)
+            pts = transcendental_base_change(swapped_points, kappa, scn.kprime)
             swapped = first_point_into(pts, kappa_ext, kprime_images, same_names)
             if swapped is not None:
                 sep_over_kprime = separable_transfer_check(swapped).extension_separable
         strict = match is not None and match.strictly_maximal
-        pairs.append(
-            PrimePairReport(
-                j, kappa, kappa_ext, strict, sep_over_base, sep_over_kprime, iso_ok
-            )
-        )
+        row = (j, kappa, kappa_ext, strict, sep_over_base, sep_over_kprime, iso_ok)
+        pairs.append(PrimePairReport(*row))
     return SpectrumReport(len(chain_v), len(chain_w), pairs)
 
 

@@ -153,44 +153,81 @@ def tensor_decompose(
         if not k_hom.verify():
             raise StructuralError("the K embedding does not respect relations")
 
+    def factored(step_idx: int, e_tower: FieldTower, images: list, _):
+        sub = left.prefix(step_idx)
+        coeffs = left.minpoly_coeffs(step_idx)
+        identity = e_tower == sub and images == list(map(sub.gen, sub.gen_names))
+        if not identity:
+            hom = TowerHom(sub, e_tower, images)
+            coeffs = [hom.apply(c) for c in coeffs]
+        minpoly = Polynomial.from_coeffs(e_tower, "y", coeffs)
+        # a step's minimal polynomial is irreducible over its own prefix
+        # (see ``fields.Step``), so the identity map needs no factoring
+        factors = ((minpoly, 1),) if identity else tuple(poly_mod.factor(minpoly).factors)
+        return minpoly, factors, [None] * len(factors)
+
+    return _decompose(left, k_hom, factored, None)
+
+
+def transcendental_base_change(
+    points: Sequence[CompositumPoint], left: FieldTower, right: FieldTower
+) -> list[CompositumPoint]:
+    """All points of Spec(L' tensor_K M'), as ``tensor_decompose`` emits
+    them, from ``points``, all those of Spec(L tensor_K M), where L' = ``left``
+    and M' = ``right`` append transcendental generators to L and M.
+
+    Nothing is factored, by the lemma: a field E is algebraically closed in
+    E(x), x transcendental, as the coefficients of a monic factor over E(x)
+    of a polynomial over E are algebraic over E.  On M' a step of L runs over
+    E(x), E its running field on M, so its branches are its recorded factors,
+    carried in by the map that fixes M and sends each generator appended on
+    M to its twin, and sorted again.  The steps of L' above L are transcendental.
+    """
+    l0, m0, k_len = points[0].left, points[0].right, points[0].k_len
+    above = left.steps[l0.level :] + right.steps[m0.level :]
+    if not (l0.is_prefix_of(left) and m0.is_prefix_of(right)) or any(s.is_algebraic for s in above):
+        raise PreconditionError("L' and M' must append transcendental generators to L and M")
+    if (left, right) == (l0, m0):  # nothing appended
+        return list(points)
+
+    def carried(step_idx: int, e_tower: FieldTower, _, known: list):
+        # the given points on this branch share their records up to here
+        old = known[0].records[step_idx - k_len]
+        gens = m0.gen_names + e_tower.gen_names[right.level :]
+        hom = TowerHom(known[0].field.prefix(len(gens)), e_tower, list(map(e_tower.gen, gens)))
+        moved = [(g.map_coeffs(hom.apply, e_tower), m, g) for g, m in old.factors]
+        moved.sort(key=lambda hmg: hmg[0].sort_key())
+        below = [[p for p in known if p.records[step_idx - k_len].factor == g] for *_, g in moved]
+        return old.minpoly.map_coeffs(hom.apply, e_tower), tuple(t[:2] for t in moved), below
+
+    k_hom = TowerHom(points[0].k_hom.source, right, points[0].k_hom.images)
+    return _decompose(left, k_hom, carried, list(points))
+
+
+def _decompose(left: FieldTower, k_hom: TowerHom, branches, known) -> list[CompositumPoint]:
+    """The points of Spec(L tensor_K M), M the target of ``k_hom``, taking
+    L's steps above K in turn.  A transcendental step appends a generator;
+    an algebraic one branches over the factorization, sorted, that
+    ``branches(step index, running field, images, known)`` returns with
+    the minimal polynomial it factors and each branch's ``known``."""
     points: list[CompositumPoint] = []
 
-    def rec(step_idx: int, e_tower: FieldTower, images: list, mult: int, records: tuple):
+    def rec(step_idx: int, e_tower: FieldTower, images: list, mult: int, records: tuple, known):
         if step_idx == left.level:
             points.append(
-                CompositumPoint(
-                    left=left,
-                    k_hom=k_hom,
-                    field=e_tower,
-                    left_images=tuple(images),
-                    multiplicity=mult,
-                    records=records,
-                    index=len(points),
-                )
+                CompositumPoint(left, k_hom, e_tower, tuple(images), mult, records, len(points))
             )
             return
         step = left.steps[step_idx]
-        # each branch is (field, image of the L generator, record)
         if not step.is_algebraic:
             name = e_tower.fresh_name(step.name)
             e2 = e_tower.extend_transcendental(name)
             record = StepRecord(step.name, name, None, 1)
-            branches = [(e2, e2.gen(name), record)]
+            forks = [(e2, e2.gen(name), record, known)]
         else:
-            sub = left.prefix(step_idx)
-            coeffs = left.minpoly_coeffs(step_idx)
-            identity = e_tower == sub and all(
-                im == sub.gen(n) for im, n in zip(images, sub.gen_names)
-            )
-            if not identity:
-                hom = TowerHom(sub, e_tower, images)
-                coeffs = [hom.apply(c) for c in coeffs]
-            minpoly = Polynomial.from_coeffs(e_tower, "y", coeffs)
-            # a step's minimal polynomial is irreducible over its own prefix
-            # (see ``fields.Step``), so the identity map needs no factoring
-            factors = ((minpoly, 1),) if identity else tuple(poly_mod.factor(minpoly).factors)
-            branches = []
-            for h, m in factors:
+            forks = []
+            minpoly, factors, knowns = branches(step_idx, e_tower, images, known)
+            for (h, m), below in zip(factors, knowns):
                 if h.degree() == 1:
                     name, e2, root = None, e_tower, -h.coeff(0)
                 else:
@@ -198,17 +235,12 @@ def tensor_decompose(
                     e2 = e_tower.extend_algebraic(name, h.univariate_coeffs(), check=False)
                     root = e2.gen(name)
                 record = StepRecord(step.name, name, h, m, factors, minpoly)
-                branches.append((e2, root, record))
-        for e2, image, record in branches:
-            rec(
-                step_idx + 1,
-                e2,
-                [e2.embed(im) for im in images] + [image],
-                mult * record.multiplicity,
-                records + (record,),
-            )
+                forks.append((e2, root, record, below))
+        for e2, image, record, below in forks:
+            images2 = [e2.embed(im) for im in images] + [image]
+            rec(step_idx + 1, e2, images2, mult * record.multiplicity, records + (record,), below)
 
-    rec(k_len, right, [right.coerce(im) for im in k_hom.images], 1, ())
+    rec(k_hom.source.level, k_hom.target, list(k_hom.images), 1, (), known)
     return points
 
 
@@ -263,21 +295,13 @@ def separable_transfer_check(pt: CompositumPoint) -> TransferReport:
     left, k_len = pt.left, pt.k_len
     if not tower_separable_over(left, k_len):
         raise PreconditionError("the left extension is not separable over K")
-    details = []
     strict = pt.strictly_maximal
-    details.append(f"point multiplicity {pt.multiplicity} (strictly maximal: {strict})")
+    details = [f"point multiplicity {pt.multiplicity} (strictly maximal: {strict})"]
     sep = tower_separable_over(pt.field, pt.right.level)
     for step in pt.field.steps[pt.right.level :]:
-        if step.is_algebraic:
-            details.append(f"appended step {step.name}: separable={step.separable}")
-        else:
-            details.append(f"appended step {step.name}: transcendental")
-    return TransferReport(
-        passed=strict and sep,
-        strictly_maximal=strict,
-        extension_separable=sep,
-        details=details,
-    )
+        kind = f"separable={step.separable}" if step.is_algebraic else "transcendental"
+        details.append(f"appended step {step.name}: {kind}")
+    return TransferReport(strict and sep, strict, sep, details)
 
 
 @dataclass
@@ -298,11 +322,7 @@ def subfield_maximality_check(pt: CompositumPoint, l0_len: int) -> SubfieldRepor
     l0_gens = pt.left.gen_names[:l0_len]
     e0 = pt.field.prefix(pt.right.level + sum(g in l0_gens for g in pt.appended_gens))
     sub_points = tensor_decompose(pt.left.prefix(l0_len), pt.right, pt.k_len, pt.k_hom)
-    match = None
-    for cand in sub_points:
-        if cand.records == head:
-            match = cand
-            break
+    match = next((cand for cand in sub_points if cand.records == head), None)
     details = [
         f"restricted field: {e0.describe()}",
         f"restricted multiplicity: {mult}",
@@ -346,12 +366,11 @@ def base_change_maximality_check(pt: CompositumPoint, k0_len: int) -> BaseChange
         if pt.hom_into(cand.field, m_gens, l_images) is not None:
             match = cand
             break
-    details = []
     if match is None:
-        details.append("no corresponding point found")
+        details = ["no corresponding point found"]
         return BaseChangeReport(False, None, pt.multiplicity, None, details)
-    details.append(f"corresponding point over K0: index {match.index}")
-    details.append(
-        f"multiplicity over K: {pt.multiplicity}, over K0: {match.multiplicity}"
-    )
+    details = [
+        f"corresponding point over K0: index {match.index}",
+        f"multiplicity over K: {pt.multiplicity}, over K0: {match.multiplicity}",
+    ]
     return BaseChangeReport(True, match.index, pt.multiplicity, match.multiplicity, details)

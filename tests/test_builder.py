@@ -21,7 +21,7 @@ from valext.builder import (
     verify_weakly_unramified,
 )
 from valext.compositum import tensor_decompose
-from valext.errors import DomainError, PreconditionError, StructuralError
+from valext.errors import CapabilityError, DomainError, PreconditionError, StructuralError
 from valext.fields import (
     FieldTower,
     TowerHom,
@@ -124,6 +124,19 @@ def test_hensel_routed_step(rationals, q_sqrt2):
         ExtensionScenario(valuation=v, k_len=0, kprime=kp, point_index=1)
     )
     assert built1.kprime_images != built.kprime_images
+
+
+def test_spectrum_carries_points_the_factorizer_cannot_reach(rationals):
+    # c^2 = t + 1 over Q(t): over kappa = Q(x)(t) the factorizer refuses
+    # y^2 - t - 1, whose coefficients involve the top generator, but the
+    # build's point carries over, Q(t) being algebraically closed in Q(t)(x)
+    t = rationals.extend_transcendental("t")
+    kprime = t.extend_algebraic("c", [-t.gen("t") - 1, 0, 1], check=False)  # degree 1 in t
+    v = MonomialValuation(rationals, ["x"])
+    built = build_strictly_maximal(ExtensionScenario(valuation=v, k_len=0, kprime=kprime))
+    with pytest.raises(CapabilityError):
+        tensor_decompose(kprime, v.prime_chain()[0].residue_field, 0)
+    assert spectrum_correspondence(built).passed
 
 
 def test_non_strictly_maximal_refuses(scn_char2):

@@ -10,9 +10,11 @@ from valext.compositum import (
     separable_transfer_check,
     subfield_maximality_check,
     tensor_decompose,
+    transcendental_base_change,
 )
 from valext.errors import CapabilityError, PreconditionError
 from valext.poly import Polynomial
+from valext.valuations import MonomialValuation
 
 
 def test_q_i_tensor_q_i(q_i):
@@ -252,3 +254,107 @@ def test_points_are_deterministic(q_i):
     assert [str(p.left_images[0]) for p in first] == [
         str(p.left_images[0]) for p in second
     ]
+
+
+# -- base change along a prime chain -------------------------------------------
+#
+# ``transcendental_base_change`` must emit, without factoring, exactly the
+# points ``tensor_decompose`` emits over each residue field kappa(q_j) =
+# F(x_{j+1}, ..., x_n) of V's chain: on the k' tensor_k kappa side from the
+# points over F, on the swapped kappa tensor_k k' side from those of
+# F tensor_k k'.
+
+
+def _kprimes(name, k, rng):
+    """k' towers over k for the field ``name``, with seeded coefficients:
+    split and irreducible minimal polynomials, a linear (absorbed) factor, a
+    transcendental step, and a generator named like a variable of V."""
+    m = rng.randrange(1, 4)
+    if name == "F2(a)(r)":
+        # every element of F2(a) is a square in F = F2(a)(r): y^2 + b is
+        # (y + sqrt b)^2 over F, a point of multiplicity 2
+        a = k.gen("a")
+        b = rng.choice([a, a + 1, a * a + a + 1])  # F tensor k' is refused but for a
+        return [
+            k.extend_algebraic("s", [b, 0, 1]),
+            k.extend_transcendental("x2"),
+        ]
+    if name == "F3":
+        # y^2 + 1, y^2 + y + 2 and y^2 + 2y + 2 are irreducible mod 3
+        quadratic = rng.choice([[1, 0, 1], [2, 1, 1], [2, 2, 1]])
+        return [
+            k.extend_algebraic("c", quadratic),
+            k.extend_transcendental("x1").extend_algebraic("c", quadratic),
+        ]
+    t = k.extend_transcendental("x1")
+    c = k.extend_algebraic("c", [1, 0, 1])
+    return [
+        k.extend_algebraic("c", [m * m, 0, 1]),  # c^2 + m^2: linear factors over Q(i)
+        k.extend_algebraic("c", [-2 * m * m, 0, 1]),  # linear factors over Q(sqrt 2)
+        k.extend_algebraic("c", [-2 * m**4, 0, 0, 0, 1]),  # two quadratics over Q(sqrt 2)
+        k.extend_algebraic("c", [m**4, 0, 0, 0, 1]),  # two quadratics over Q(i)
+        # d^2 = c = +-i: irreducible over Q(i), split over Q(sqrt 2, i)
+        c.extend_algebraic("d", [-c.gen("c"), 0, 1]),
+        t.extend_algebraic("c", [-2 * m * m, 0, 1]),
+    ]
+
+
+def _transfer(pt):
+    try:
+        rep = separable_transfer_check(pt)
+    except PreconditionError as exc:
+        return ("refused", str(exc))
+    return (rep.passed, rep.strictly_maximal, rep.extension_separable, rep.details)
+
+
+def _outcome(decompose):
+    """What a decomposition gives, point by point, or the refusal it raises
+    (a factorization or a transcendence degree outside the supported range)."""
+    try:
+        points = decompose()
+    except CapabilityError as exc:
+        return str(exc)
+    return [
+        (p.describe_lines(), p.field, p.left_images, p.records, _transfer(p)) for p in points
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(sqrt 2)", "F3", "F2(a)(r)"])
+def test_base_change_matches_the_decomposition_at_every_prime(
+    seed, rank, name, rationals, q_i, q_sqrt2, f3, f2_a_r
+):
+    f, k_len = {
+        "Q": (rationals, 0),
+        "Q(i)": (q_i, 0),
+        "Q(sqrt 2)": (q_sqrt2, 0),
+        "F3": (f3, 0),
+        "F2(a)(r)": (f2_a_r, 1),
+    }[name]
+    rng = random.Random(f"{name}:{rank}:{seed}")
+    chain = MonomialValuation(f, [f"x{i}" for i in range(1, rank + 1)]).prime_chain()
+    compared = 0
+    for kprime in _kprimes(name, f.prefix(k_len), rng):
+        points = tensor_decompose(kprime, f, k_len)
+        for prime in chain:
+            kappa = prime.residue_field
+            changed = _outcome(lambda: transcendental_base_change(points, kprime, kappa))
+            assert changed == _outcome(lambda: tensor_decompose(kprime, kappa, k_len))
+            swapped = _outcome(
+                lambda: transcendental_base_change(
+                    tensor_decompose(f, kprime, k_len), kappa, kprime
+                )
+            )
+            assert swapped == _outcome(lambda: tensor_decompose(kappa, kprime, k_len))
+            compared += isinstance(changed, list) + isinstance(swapped, list)
+    # refusals agree too, but most comparisons are of points
+    assert compared > len(chain) * 2
+
+
+def test_base_change_refuses_an_algebraic_step_on_top(rationals, q_i):
+    pts = tensor_decompose(q_i, rationals, 0)
+    with pytest.raises(PreconditionError):
+        transcendental_base_change(pts, q_i, q_i)
+    with pytest.raises(PreconditionError):
+        transcendental_base_change(pts, q_i.extend_algebraic("s2", [-2, 0, 1]), rationals)

@@ -97,22 +97,68 @@ def test_extend_verify_reaches_the_lemma_code(tmp_path):
     lemma_code = {
         ("compositum.py", "separable_transfer_check"),
         ("compositum.py", "first_point_into"),
+        ("compositum.py", "transcendental_base_change"),
         ("fields.py", "TowerHom.is_inclusion"),
     }
     reached = set()
+    for name in EXTENSIONS:
+        reached.update(_calls(lambda: _run(cli.cmd_extend, tmp_path, name, verify=True)))
+    assert lemma_code <= reached, lemma_code - reached
+
+
+def _calls(run) -> list:
+    """(file name, qualified name) of every Python call that ``run()`` makes,
+    in order."""
+    made = []
 
     def record(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            reached.add((Path(code.co_filename).name, code.co_qualname))
+            made.append((Path(code.co_filename).name, code.co_qualname))
 
-    for name in EXTENSIONS:
-        sys.setprofile(record)
-        try:
-            _run(cli.cmd_extend, tmp_path, name, verify=True)
-        finally:
-            sys.setprofile(None)
-    assert lemma_code <= reached, lemma_code - reached
+    sys.setprofile(record)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return made
+
+
+@pytest.mark.parametrize("name", EXTENSIONS)
+def test_extend_verify_decomposes_at_most_twice(tmp_path, name):
+    # the residue pairs of every prime come from the build's decomposition
+    # and one swapped decomposition, base-changed along V's prime chain
+    made = _calls(lambda: _run(cli.cmd_extend, tmp_path, name, verify=True))
+    assert made.count(("compositum.py", "tensor_decompose")) <= 2
+
+
+def test_extend_verify_factors_the_kprime_polynomial_no_more_than_extend(tmp_path, monkeypatch):
+    # a degree-12 k' over Q with a 300-digit coefficient: the parse proves it
+    # irreducible, and the spectrum over Q(x) must not factor it again
+    from valext import poly
+
+    path = tmp_path / "wide.val"
+    nines = "9" * 300
+    path.write_text(
+        "[base]\nbase: Q\nk-prefix: 0\n\n[valuation]\nvars: x\norder: lex\n\n"
+        f"[extension]\nkprime-gens: s: algebraic y^12 + {nines}*y^5 + 3\n"
+    )
+    degrees = []
+    real = poly.factor
+
+    def factor(f):
+        degrees.append(f.degree())
+        return real(f)
+
+    monkeypatch.setattr(poly, "factor", factor)
+
+    def factored(verify: bool) -> int:
+        degrees.clear()
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.cmd_extend(str(path), verify=verify, out=out, err=err) == 0
+        return degrees.count(12)
+
+    assert 1 <= factored(True) <= factored(False)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
