@@ -40,13 +40,11 @@ from .fields import (
     FieldTower,
     TowerHom,
     is_radicial,
-    is_separable_step,
     perfect_closure_truncated,
     pth_root,
 )
 from .norms import (
     FreeAlgebra,
-    FreeModule,
     GaussExtension,
     check_algebra_norm,
     gauss_extend,
@@ -68,7 +66,6 @@ __all__ = [
     "FieldElement",
     "FieldTower",
     "FreeAlgebra",
-    "FreeModule",
     "GaussExtension",
     "HenselLift",
     "MonomialValuation",
@@ -92,7 +89,6 @@ __all__ = [
     "is_p_torsion_quotient",
     "is_radicial",
     "is_reduced_lift",
-    "is_separable_step",
     "perfect_closure_truncated",
     "prime_counts",
     "pth_root",

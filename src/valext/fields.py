@@ -1196,14 +1196,6 @@ def _u_gcd_subresultant(R, a, b) -> list:
     return _scalar_quotient(R, last, last[-1])
 
 
-def _tower_gcd(tower: FieldTower, a, b) -> list:
-    """The monic gcd of two rep lists over ``tower.ring``: by the subresultant
-    PRS over Q and number fields, by Euclid elsewhere."""
-    if tower.char == 0 and tower.extension_degree() is not None:
-        return _u_gcd_subresultant(tower.ring, a, b)
-    return _u_gcd(tower.ring, a, b)
-
-
 def _u_xgcd(R, a, b) -> tuple[list, list, list]:
     """(g, s, t) with s*a + t*b = g, the monic gcd of a and b.  Over Z/mZ
     the loop runs on plain ints: each remainder is a ``_u_reduce``, whose
@@ -1778,21 +1770,6 @@ def is_radicial(sub: FieldTower, sup: FieldTower, p: int) -> bool:
                 return False
             z = z**p
     return True
-
-
-def is_separable_step(f) -> bool:
-    """gcd(f, f') = 1 for a univariate polynomial over a tower field.
-
-    For degree >= 1 this is ``_u_squarefree``, with the gcd of
-    ``_tower_gcd``.  A nonzero constant has gcd(f, 0) = 1 and is separable
-    (``_u_squarefree`` says False there, as its derivative is 0); f = 0
-    raises ``DomainError`` since gcd(0, 0) is undefined."""
-    if f.is_zero:
-        raise DomainError("gcd(0, 0) is undefined")
-    if f.degree() == 0:
-        return True
-    deriv = _u_deriv(f.tower.ring, f.reps)
-    return bool(deriv) and len(_tower_gcd(f.tower, f.reps, deriv)) == 1
 
 
 def tower_separable_over(sup: FieldTower, prefix_len: int) -> bool:

@@ -5,9 +5,9 @@ For a free module E over the ring V of a monomial valuation, with basis
 multiplicative convention, i.e. the additive minimum of the coefficient
 values.  The supported free algebras are the carriers the extension
 construction needs: polynomial algebras V[y] and finite-rank quotients
-V[y]/(f) with f monic over V.  A free module of rank n is kept as the
-quotient V[e]/(e^n), free over V on 1, e, ..., e^(n-1), so the norm and
-the unit-part factorization are the algebra's, written once.
+V[y]/(f) with f monic over V.  A free module of rank n is the quotient
+``FreeAlgebra.quotient(v, e^n)``, free over V on 1, e, ..., e^(n-1), so the
+norm and the unit-part factorization are the algebra's, written once.
 
 An algebra element is a ``Polynomial`` in the algebra's indeterminate:
 it inherits all arithmetic and printing, and each result is reduced
@@ -17,14 +17,13 @@ When the residual algebra is a domain, the norm is multiplicative and
 extends to a valuation of the fraction field with the same value group and
 residue field Frac(A/mA); ``gauss_extend`` packages that extension.
 
-All operations are pure over immutable modules and algebras.
+All operations are pure over immutable algebras.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import poly as poly_mod
 from .errors import DomainError, PreconditionError, StructuralError
@@ -41,13 +40,16 @@ from .value_groups import ValueWithZero
 class FreeAlgebra:
     """V[y], or V[y]/(f) with f monic over V.
 
-    Elements are polynomials in the one indeterminate y with fraction-field
-    coefficients; the algebra itself consists of those with coefficients in
-    V.  The quotient flavor has finite rank deg(f), and its elements are kept
+    Elements are polynomials in the one indeterminate y, a name that no
+    generator of the fraction field takes, with fraction-field coefficients;
+    the algebra itself consists of those with coefficients in V.  The
+    quotient flavor has finite rank deg(f), and its elements are kept
     reduced modulo f.
     """
 
     def __init__(self, valuation: MonomialValuation, name: str, modulus):
+        if name in valuation.function_field.gen_names:
+            raise StructuralError(f"indeterminate {name!r} clashes with a field generator")
         self.valuation = valuation
         self.name = name
         self.modulus = modulus  # None, or a monic Polynomial over the fraction field
@@ -60,8 +62,6 @@ class FreeAlgebra:
 
     @staticmethod
     def polynomial(valuation: MonomialValuation, name: str) -> "FreeAlgebra":
-        if name in valuation.function_field.gen_names:
-            raise StructuralError(f"indeterminate {name!r} clashes with a field generator")
         return FreeAlgebra(valuation, name, None)
 
     @staticmethod
@@ -174,55 +174,6 @@ class AlgebraElement(Polynomial):
             except StructuralError:
                 return NotImplemented
         return super().__eq__(other)
-
-
-# ---------------------------------------------------------------------------
-# Free modules
-
-
-class FreeModule:
-    """A free V-module with a finite ordered basis of labels, kept as the
-    algebra V[e]/(e^n): ``basis[i]`` stands for e^i, and e is a name that no
-    generator of the fraction field takes."""
-
-    def __init__(self, valuation: MonomialValuation, basis: Sequence[str]):
-        basis = tuple(basis)
-        if not basis or len(set(basis)) != len(basis):
-            raise StructuralError("basis labels must be nonempty and distinct")
-        self.valuation = valuation
-        self.basis = basis
-        field = valuation.function_field
-        name = "e"
-        while name in field.gen_names:
-            name += "_"
-        R = field.ring
-        modulus = Polynomial(field, name, [R.zero] * len(basis) + [R.one])
-        self.algebra = FreeAlgebra(valuation, name, modulus)
-
-    def element(self, coeffs: dict) -> AlgebraElement:
-        terms = {}
-        for label, c in coeffs.items():
-            if label not in self.basis:
-                raise StructuralError(f"unknown basis label {label!r}")
-            terms[self.basis.index(label)] = c
-        return self.algebra.element(terms)
-
-    def zero(self) -> AlgebraElement:
-        return self.algebra.zero()
-
-    def norm(self, z: AlgebraElement) -> ValueWithZero:
-        return self.algebra.norm(z)
-
-    def unit_part_factor(self, z: AlgebraElement):
-        """Write z = alpha * z1 with norm(z1) the neutral value; alpha is the
-        coefficient of minimal value at the first such basis label."""
-        return self.algebra.unit_part_factor(z)
-
-    def in_module(self, z: AlgebraElement) -> bool:
-        return all(self.valuation.in_ring(c) for c in z.univariate_coeffs())
-
-    def in_maximal_submodule(self, z: AlgebraElement) -> bool:
-        return all(self.valuation.in_maximal_ideal(c) for c in z.univariate_coeffs())
 
 
 # ---------------------------------------------------------------------------

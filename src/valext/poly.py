@@ -65,11 +65,11 @@ from .fields import (
     _key,
     _p_power_binomial,
     _power,
-    _tower_gcd,
     _u_add,
     _u_deriv,
     _u_divmod,
     _u_gcd,
+    _u_gcd_subresultant,
     _u_monic,
     _u_modulus,
     _u_mul,
@@ -391,12 +391,15 @@ def _parse_polynomial(text: str, tower: FieldTower, var: str) -> Polynomial:
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd; gcd(f, 0) is the monic normalization of f.  Over Q and
-    number fields by the subresultant PRS, elsewhere by Euclid
-    (``fields._tower_gcd``)."""
+    number fields by the subresultant PRS (``fields._u_gcd_subresultant``),
+    elsewhere by Euclid (``fields._u_gcd``)."""
     f._check_compatible(g)
     if f.is_zero and g.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    return f._like(_tower_gcd(f.tower, f.reps, g.reps))
+    tower = f.tower
+    if tower.char == 0 and tower.extension_degree() is not None:
+        return f._like(_u_gcd_subresultant(tower.ring, f.reps, g.reps))
+    return f._like(_u_gcd(tower.ring, f.reps, g.reps))
 
 
 def resultant(f: Polynomial, g: Polynomial) -> FieldElement:
@@ -907,13 +910,6 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
         c %= modulus
         return c - modulus if c > modulus // 2 else c
 
-    def primitive(cs: list[int]) -> list[int]:
-        g = math.gcd(*(abs(c) for c in cs if c != 0))
-        cs = [c // g for c in cs]
-        if cs[-1] < 0:
-            cs = [-c for c in cs]
-        return cs
-
     zm = IntegersMod(modulus)
     remaining = list(range(len(lifted)))
     current = list(ints)
@@ -927,7 +923,7 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
                 prod = [current[-1] % modulus]
                 for i in subset:
                     prod = _u_mul(zm, prod, lifted[i])
-                cand = primitive([sym(c) for c in prod])
+                cand = _primitive_ints([sym(c) for c in prod])
                 # a factor's constant term divides that of current; 0 only 0
                 if current[0] % cand[0] if cand[0] else current[0]:
                     continue
@@ -942,7 +938,7 @@ def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[l
                 break
         size += 1
     if len(current) > 1:
-        out.append(primitive(current))
+        out.append(_primitive_ints(current))
     return out
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from valext import cli
+from valext import cli, fields
+from valext.norms import FreeAlgebra
 from valext.selftest import GOLDEN_SCENARIOS, run_selftest
 
 
@@ -166,6 +167,28 @@ def test_selftest_reports_injected_failure():
     result = run_selftest(seed=0, extra_cases=[("mutated-case", boom)])
     assert [name for name, _ in result.failed] == ["mutated-case"]
     assert any("FAIL golden mutated-case" in line for line in result.lines)
+
+
+def _failed_lines(result):
+    return {line.split(":")[0] for line in result.lines if line.startswith("FAIL")}
+
+
+def test_selftest_module_norm_entries_fail_on_a_neutral_norm(monkeypatch):
+    # the goldens print only entry names, so each entry's own checks must
+    # see a norm that is always the neutral value
+    monkeypatch.setattr(FreeAlgebra, "norm", lambda self, z: self.valuation.group.neutral())
+    assert _failed_lines(run_selftest(seed=0)) >= {
+        "FAIL golden module-norm",
+        "FAIL golden unit-part",
+        "FAIL suite  module-norm-axioms (seed 0)",
+    }
+
+
+def test_selftest_separability_entry_fails_when_no_derivative_vanishes(monkeypatch):
+    # y^2 + a over F2(a) is then recorded as separable
+    exact = fields._u_deriv
+    monkeypatch.setattr(fields, "_u_deriv", lambda R, a: exact(R, a) or [R.one])
+    assert "FAIL golden separability-steps" in _failed_lines(run_selftest(seed=0))
 
 
 def test_selftest_exit_codes(capsys):
