@@ -90,7 +90,7 @@ class ScenarioFile:
 
     def to_extension_scenario(self) -> ExtensionScenario:
         if not self.is_extension:
-            raise ScenarioParseError("scenario has no [valuation] section")
+            raise ScenarioParseError("extend needs a [valuation] section")
         v = MonomialValuation(self.f_tower, self.variables)
         return ExtensionScenario(
             valuation=v,
@@ -118,7 +118,7 @@ def _parse_steps(tower: FieldTower, text: str, line: int, proven: set) -> FieldT
 
 def parse_scenario(text: str) -> ScenarioFile:
     section = None
-    seen_sections: set[str] = set()
+    headers: dict[str, int] = {}  # the line of each section's first header
     values: dict[tuple[str, str], tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,7 +128,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise ScenarioParseError(f"unknown section [{section}]", lineno)
-            seen_sections.add(section)
+            headers.setdefault(section, lineno)
             continue
         if section is None:
             raise ScenarioParseError("content before the first section", lineno)
@@ -147,7 +147,7 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     base_text, base_line = get("base", "base")
     if base_text is None:
-        raise ScenarioParseError("missing base field ([base] base: ...)")
+        raise ScenarioParseError("missing base field ([base] base: ...)", headers.get("base"))
     if base_text == "Q":
         tower = FieldTower.rationals()
     elif base_text.startswith("F") and base_text[1:].isdigit():
@@ -176,8 +176,8 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     variables = None
     vars_text, vars_line = get("valuation", "vars")
-    if "valuation" in seen_sections and vars_text is None:
-        raise ScenarioParseError("the [valuation] section needs a vars key")
+    if "valuation" in headers and vars_text is None:
+        raise ScenarioParseError("the [valuation] section needs a vars key", headers["valuation"])
     if vars_text is not None:
         variables = tuple(v.strip() for v in vars_text.split(",") if v.strip())
         if not variables:
@@ -312,17 +312,14 @@ def cmd_extend(
     err=None,
 ) -> int:
     def report() -> str:
-        scenario = parse_scenario(_read(path))
-        if not scenario.is_extension:
-            raise ScenarioParseError("extend needs a [valuation] section")
+        scn = parse_scenario(_read(path)).to_extension_scenario()
         if point is not None:
-            scenario.point_index = point
+            scn.point_index = point
         if truncate is not None:
             if truncate < 0:
                 raise ScenarioParseError(f"--truncate must be nonnegative, got {truncate}")
-            scenario.truncation = truncate
-        scn = scenario.to_extension_scenario()
-        if scenario.truncation is not None:
+            scn.truncation = truncate
+        if scn.truncation is not None:
             built = build_general(scn)
         else:
             built = build_strictly_maximal(scn)

@@ -1554,10 +1554,8 @@ class _Flattening:
 def _flattening(tw: FieldTower) -> _Flattening | None:
     """An isomorphism with C(u_1..u_r), C the finite-field part, when the
     algebraic steps above the finite prefix are p-power-root chains of
-    generators."""
+    generators; tw has positive characteristic, as ``pth_root`` requires."""
     p = tw.char
-    if p == 0:
-        return None
     prefix_len = 0
     while prefix_len < tw.level and tw.steps[prefix_len].is_algebraic:
         prefix_len += 1
@@ -1612,8 +1610,7 @@ def _flattening(tw: FieldTower) -> _Flattening | None:
 
 
 def _finite_field_size(tw: FieldTower) -> int | None:
-    if tw.char == 0:
-        return None
+    """The size of tw, of characteristic p > 0, or None when tw is infinite."""
     deg = tw.extension_degree()
     return None if deg is None else tw.char**deg
 

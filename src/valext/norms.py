@@ -130,8 +130,10 @@ class FreeAlgebra:
         if z.is_zero:
             raise DomainError("the zero element has no unit-part factorization")
         minval = self.norm(z)
-        alpha = next(c for c in z.univariate_coeffs() if self.valuation.value(c) == minval)
-        return alpha, z.scale(alpha.inv())
+        for alpha in z.univariate_coeffs():
+            if self.valuation.value(alpha) == minval:
+                return alpha, z.scale(alpha.inv())
+        raise DomainError(f"no coefficient has the norm's value {minval}")
 
     # -- residual algebra ---------------------------------------------------------
 
@@ -260,7 +262,8 @@ def random_fraction_element(valuation: MonomialValuation, rng: random.Random) ->
     ``random_field_element``, drawn after its exponents; a later draw of the
     same exponents replaces an earlier one.  The draws are ``randbelow``'s
     rejection loops written out, so the stream and the final state of
-    ``rng`` are randrange's."""
+    ``rng`` are randrange's.  A draw that cancels to zero gives one, so the
+    result is never zero."""
     rank = valuation.rank
     field = valuation.coefficient_field
     bits = rng.getrandbits

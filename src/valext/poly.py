@@ -785,8 +785,6 @@ def _factor_rationals(f: Polynomial, rng: random.Random, prime: int | None) -> l
     """
     ints = _primitive_ints(f.reps)
     n = len(ints) - 1
-    if n == 1:
-        return [f.monic()]
     lead = ints[-1]
     if prime is None:
         prime = _good_prime(ints)
@@ -856,8 +854,6 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
     prepared once per lift (``fields._u_modulus``), and each s_j*e goes
     unreduced into ``fields._u_reduce``, a multiply and reduce in one pass.
     """
-    if len(parts) == 1:
-        return [f]
     res = PrimeField(p)
     whole = functools.reduce(functools.partial(_u_mul, res), parts)
     inverses = []

@@ -22,6 +22,7 @@ from .builder import (
     spectrum_correspondence,
     verify_weakly_unramified,
 )
+from .cli import parse_scenario
 from .compositum import (
     base_change_maximality_check,
     degree_bookkeeping,
@@ -392,11 +393,12 @@ def _case_base_change():
     _check(rep2.passed and rep2.multiplicity_over_k0 == 2)
 
 
+def _golden_scenario(name: str) -> ExtensionScenario:
+    return parse_scenario(GOLDEN_SCENARIOS[name]).to_extension_scenario()
+
+
 def _case_builder_rank1():
-    q = _rationals()
-    v = MonomialValuation(q, ["x"])
-    scn = ExtensionScenario(valuation=v, k_len=0, kprime=_q_i())
-    built = build_strictly_maximal(scn)
+    built = build_strictly_maximal(_golden_scenario("rank1_qi"))
     _check(built.group_delta == built.group_gamma)
     _check(built.residue_field.extension_degree() == 2)
     spec = spectrum_correspondence(built)
@@ -413,26 +415,17 @@ def _case_builder_identity():
 
 
 def _case_builder_rank2():
-    q = _rationals()
-    v = MonomialValuation(q, ["x1", "x2"])
-    ks = q.extend_algebraic("s2", [-2, 0, 1])
-    built = build_strictly_maximal(ExtensionScenario(valuation=v, k_len=0, kprime=ks))
+    built = build_strictly_maximal(_golden_scenario("rank2_sqrt2"))
     spec = spectrum_correspondence(built)
     _check(spec.passed and spec.base_count == 3 == spec.ext_count)
     _check(all(p.separable_over_kprime for p in spec.pairs))
-    kt = q.extend_transcendental("t")
-    built_t = build_strictly_maximal(ExtensionScenario(valuation=v, k_len=0, kprime=kt))
+    built_t = build_strictly_maximal(_golden_scenario("rank2_trans"))
     _check(built_t.residue_field.gen_names == ("t",))
     _check(built_t.group_delta == built_t.group_gamma)
 
 
 def _case_builder_general():
-    f = _f2_a_r()
-    f2a = f.prefix(1)
-    v = MonomialValuation(f, ["x"])
-    kprime = f2a.extend_algebraic("s", [f2a.gen("a"), f2a.zero(), f2a.one()])
-    scn = ExtensionScenario(valuation=v, k_len=1, kprime=kprime, truncation=1)
-    built = build_general(scn)
+    built = build_general(_golden_scenario("char2_trunc"))
     _check(built.group_delta.denominator == 2)
     _check(built.p_torsion_ok is True and built.radicial_ok is True)
     _check(prime_counts(built) == (2, 2))
@@ -519,7 +512,7 @@ def _suite_norm_axioms(rng: random.Random):
         _check(e.norm(z).is_zero == (z == e.zero()))
         _check(e.norm(z).is_nonnegative() == _in_module(v, z))
         alpha = random_fraction_element(v, rng)
-        _check(e.norm(z.scale(alpha)) == v.value(alpha).mul(e.norm(z)) or alpha.is_zero)
+        _check(e.norm(z.scale(alpha)) == v.value(alpha).mul(e.norm(z)))
 
 
 def _suite_gauss_multiplicativity(rng: random.Random):
@@ -529,8 +522,6 @@ def _suite_gauss_multiplicativity(rng: random.Random):
     for _ in range(100):
         z = a.element({rng.randrange(3): random_fraction_element(v, rng) for _ in range(2)})
         w = a.element({rng.randrange(3): random_fraction_element(v, rng) for _ in range(2)})
-        if z.is_zero or w.is_zero:
-            continue
         _check(a.norm(z * w) == a.norm(z).mul(a.norm(w)))
 
 
@@ -647,10 +638,9 @@ class SelftestResult:
     lines: list[str] = field(default_factory=list)
 
 
-def run_selftest(seed: int = 0, extra_cases=None) -> SelftestResult:
+def run_selftest(seed: int = 0) -> SelftestResult:
     result = SelftestResult()
-    cases = list(GOLDEN_CASES) + list(extra_cases or [])
-    for name, fn in cases:
+    for name, fn in GOLDEN_CASES:
         try:
             fn()
         except Exception as exc:  # report and continue; the harness decides

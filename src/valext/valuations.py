@@ -51,10 +51,6 @@ class PrimeIdealInfo:
     dying_vars: tuple[str, ...]
     residue_field: FieldTower
 
-    def describe(self) -> str:
-        dead = ",".join(self.dying_vars) if self.dying_vars else "0"
-        return f"prime[{self.index}] = ({dead})"
-
 
 def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
     """Exponents (slot j = generator at level cut+1+j) of the unique minimal
@@ -140,12 +136,6 @@ class MonomialValuation:
 
     def __hash__(self):
         return hash((self.coefficient_field, self.variables, self.denom_exponent))
-
-    def describe(self) -> str:
-        return (
-            f"monomial valuation on ({self.coefficient_field.describe()})"
-            f"({', '.join(self.variables)}), group {self.group.describe()}"
-        )
 
     # -- values ---------------------------------------------------------------
 

@@ -93,6 +93,37 @@ def test_valuation_section_requires_vars(tmp_path):
     assert "vars" in err.getvalue()
 
 
+_RANK1 = GOLDEN_SCENARIOS["rank1_qi"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[base]\nbase: Q\n[bogus]\n", "line 3: unknown section [bogus]"),
+        ("base: Q\n[base]\n", "line 1: content before the first section"),
+        ("[base]\nbase: Q\nbase: Q\n", "line 3: duplicate key 'base'"),
+        # a key missing from a section cites that section's header
+        ("# no base key\n[base]\nk-prefix: 0\n", "line 2: missing base field ([base] base: ...)"),
+        ("[options]\nseed: 0\n", "missing base field ([base] base: ...)"),
+        ("[base]\nbase: R\n", "line 2: unknown base field 'R'"),
+        ("[base]\nbase: F4\n", "line 2: 4 is not prime"),
+        ("[base]\nbase: Q\nk-prefix: 1\n", "line 3: k-prefix 1 out of range"),
+        (_RANK1.replace("vars: x\n", "vars: ,\n"), "line 6: empty variable list"),
+        (_RANK1.replace("vars: x\n", ""), "line 5: the [valuation] section needs a vars key"),
+        (_RANK1.replace("order: lex\n", ""), "line 6: missing order key in [valuation]"),
+        (_RANK1.replace("order: lex", "order: grlex"), "line 7: unsupported order 'grlex'"),
+        (GOLDEN_SCENARIOS["decompose_qi"], "extend needs a [valuation] section"),
+    ],
+    ids=[
+        "unknown-section", "content-first", "duplicate-key", "missing-base",
+        "missing-base-section", "unknown-base", "base-F4", "k-prefix-range", "empty-vars",
+        "valuation-without-vars", "missing-order", "unsupported-order", "no-valuation",
+    ],
+)
+def test_scenario_refusals_print_their_message_and_line(tmp_path, text, message):
+    assert run_extend(tmp_path, text) == (1, "", f"parse error: {message}\n")
+
+
 def test_parse_error_reports_line_number(tmp_path):
     text = "[base]\nbase: Q\nnot a key value line\n"
     path = tmp_path / "x.val"
@@ -160,11 +191,14 @@ def test_selftest_green_and_seed_stability():
     assert golden0 == golden5  # golden cases do not move with the seed
 
 
-def test_selftest_reports_injected_failure():
+def test_selftest_reports_injected_failure(monkeypatch):
+    from valext import selftest as st
+
     def boom():
         raise AssertionError("expected 1, got 2")
 
-    result = run_selftest(seed=0, extra_cases=[("mutated-case", boom)])
+    monkeypatch.setattr(st, "GOLDEN_CASES", st.GOLDEN_CASES + [("mutated-case", boom)])
+    result = run_selftest(seed=0)
     assert [name for name, _ in result.failed] == ["mutated-case"]
     assert any("FAIL golden mutated-case" in line for line in result.lines)
 
@@ -177,11 +211,14 @@ def test_selftest_module_norm_entries_fail_on_a_neutral_norm(monkeypatch):
     # the goldens print only entry names, so each entry's own checks must
     # see a norm that is always the neutral value
     monkeypatch.setattr(FreeAlgebra, "norm", lambda self, z: self.valuation.group.neutral())
-    assert _failed_lines(run_selftest(seed=0)) >= {
+    result = run_selftest(seed=0)
+    assert _failed_lines(result) >= {
         "FAIL golden module-norm",
         "FAIL golden unit-part",
         "FAIL suite  module-norm-axioms (seed 0)",
     }
+    # unit_part_factor finds no coefficient of the planted value, and says so
+    assert dict(result.failed)["unit-part"] != ""
 
 
 def test_selftest_separability_entry_fails_when_no_derivative_vanishes(monkeypatch):

@@ -220,6 +220,9 @@ def test_one_pass_lift_matches_the_tree_lift(p, k):
         with pytest.raises(DomainError, match="not coprime"):
             hensel_lift(p, k, functools.reduce(functools.partial(_u_mul, res), twice), twice)
     assert len(sizes) > 1
+    # one part lifts to f itself
+    f = [(c + p * rng.randrange(m)) % m for c in parts[0][:-1]] + [1]
+    assert hensel_lift(p, k, f, parts[:1]) == _tree_lift(p, k, f, parts[:1]) == [f]
 
 
 class _GenericIntegersMod:

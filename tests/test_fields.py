@@ -171,6 +171,13 @@ def test_prime_fields_up_to_two_to_the_64(f2):
         FieldTower.prime_field(2**61 + 1)  # divisible by 3
     with pytest.raises(StructuralError):
         FieldTower.prime_field(3825123056546413051)  # a strong pseudoprime to bases 2..23
+    # Miller-Rabin squares only when 4 divides p - 1, which it does not above; here
+    # p - 1 is 119 * 2^23, 16 * odd and 64 * odd, the last two strong
+    # pseudoprimes to bases 2..5 and 2..19
+    assert FieldTower.prime_field(998244353).char == 998244353
+    for n in (25326001, 341550071728321):
+        with pytest.raises(StructuralError, match="is not prime"):
+            FieldTower.prime_field(n)
     with pytest.raises(CapabilityError):
         FieldTower.prime_field(2**127 - 1)
     assert time.perf_counter() - start < 1

@@ -225,6 +225,42 @@ def test_check_algebra_norm_polynomial_and_quotient(f2, rationals):
     assert report.passed, report.violations
 
 
+_PRODUCT, _NORM = AlgebraElement.__mul__, FreeAlgebra.norm
+
+# one planted fault per law that check_algebra_norm checks, keyed by the
+# message of that law: (modulus of the algebra or None, class, attribute, plant)
+_PLANTS = {
+    "submultiplicativity fails": (
+        None, AlgebraElement, "__mul__", lambda z, w: _PRODUCT(z, w).scale(1 / z.tower.gen("x"))
+    ),
+    "unit with non-neutral norm": (None, MonomialValuation, "is_unit", lambda v, z: True),
+    # y * g = -f0 = -1 for f = y^2 + y + 1, so an unscaled g is no inverse
+    "generator inverse construction failed": ([1, 1, 1], AlgebraElement, "scale", lambda z, c: z),
+    "unit generator with non-neutral norm": (
+        [1, 1, 1],
+        FreeAlgebra,
+        "norm",
+        lambda a, z: _NORM(a, z).mul(a.valuation.group.element([1]))
+        if z == a.gen(a.name)
+        else _NORM(a, z),
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_PLANTS))
+def test_check_algebra_norm_reports_each_planted_fault(rationals, monkeypatch, message):
+    modulus, cls, name, plant = _PLANTS[message]
+    v = MonomialValuation(rationals, ["x"])
+    if modulus is None:
+        algebra = FreeAlgebra.polynomial(v, "y")
+    else:
+        algebra = FreeAlgebra.quotient(v, Polynomial.from_coeffs(v.function_field, "y", modulus))
+    assert check_algebra_norm(algebra, samples=30).passed
+    monkeypatch.setattr(cls, name, plant)
+    violations = check_algebra_norm(algebra, samples=30).violations
+    assert message in {text.split(":")[0] for text in violations}
+
+
 def test_bilinear_multiplication_bound(f2):
     v = MonomialValuation(f2, ["x"])
     a = FreeAlgebra.polynomial(v, "y")
