@@ -35,8 +35,8 @@ at each step; ``_u_gcd`` is Euclid, the gcd of every other ring.
 The characteristic-p utilities (p-th roots, truncated perfect closure,
 radiciality) rely on towers whose algebraic steps adjoin p-power roots of
 earlier generators; such towers are isomorphic to rational function fields
-over their finite-field part, which is what makes exact root extraction
-possible.
+over their finite-field part (``_flattening``; a finite field is its own),
+which is what makes exact root extraction possible.
 
 Towers and elements are immutable after construction, with one exception:
 ``FieldTower.term_reps`` is a dict that the samplers of ``norms`` fill on
@@ -50,9 +50,10 @@ take it from ``_step_text``, a bounded ``functools`` memo keyed by the tower
 that ends with that step, so equal towers share it.
 ``FieldElement.__str__`` reads the terms of an element that is a polynomial
 in the generators (every element of a tower without transcendental steps,
-and most others) straight off the nested rep (``_polynomial_terms``); only an
-element with a transcendental denominator other than 1 goes through the
-common-denominator products of ``_split_fraction``.
+and most others) straight off the nested rep (``_polynomial_terms``); any
+other z prints as (z*d)/d, d the product of its denominators
+(``_denominators``), both read off the tower's own products, so no
+algebraic generator shows to a power at or above its degree.
 """
 
 from __future__ import annotations
@@ -599,7 +600,10 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.tower.coerce(other)
+            try:
+                other = self.tower.coerce(other)
+            except DomainError:  # a Fraction whose denominator is 0 mod p
+                return False
         if not isinstance(other, FieldElement):
             return NotImplemented
         if other.tower != self.tower:
@@ -641,8 +645,17 @@ class FieldElement:
         terms = _polynomial_terms(tw, self.rep)
         if terms is not None:
             return _format_terms(terms, tw)
-        num, den = _split_fraction(tw, self.rep, 0)
-        n, d = _format_terms(num, tw), _format_terms(den, tw)
+        # reducing by a minimal polynomial with fractions can leave new ones
+        num, den = self, tw.one()
+        for _ in range(tw.level):
+            for d in _denominators(tw, num.rep) + _denominators(tw, den.rep):
+                num, den = num * d, den * d
+            num_terms, den_terms = _polynomial_terms(tw, num.rep), _polynomial_terms(tw, den.rep)
+            if num_terms is not None and den_terms is not None:
+                break
+        else:
+            raise DomainError(f"no polynomial numerator and denominator for {self.rep!r}")
+        n, d = _format_terms(num_terms, tw), _format_terms(den_terms, tw)
         if "+" in n or " - " in n or n.startswith("-"):
             n = f"({n})"
         if "+" in d or " - " in d or "*" in d:
@@ -1292,10 +1305,11 @@ def _key(tw, lvl, r):
 
 
 def _polynomial_terms(tw: FieldTower, rep) -> dict | None:
-    """The terms of a level-``tw.level`` rep as ``_split_fraction`` keys its
-    numerator (cut 0), read straight off the nested rep; None when a
-    transcendental level has a denominator other than 1.  Over a polynomial
-    element the exponent tuples are distinct, so nothing is summed."""
+    """The terms of a level-``tw.level`` rep, exponent tuples (slot j =
+    generator j+1) mapped to base scalars, read straight off the nested rep;
+    None when a transcendental level has a denominator other than 1.  Over
+    a polynomial element the exponent tuples are distinct, so nothing is
+    summed."""
     steps = tw.steps
     terms: dict = {}
 
@@ -1317,85 +1331,29 @@ def _polynomial_terms(tw: FieldTower, rep) -> dict | None:
     return terms if walk(tw.level, rep, ()) else None
 
 
-def _split_fraction(tw: FieldTower, rep, cut: int):
-    """Write a level-``tw.level`` rep as num/den, polynomials in the
-    generators above level ``cut`` with level-``cut`` coefficients.
+def _denominators(tw: FieldTower, rep) -> list["FieldElement"]:
+    """The denominators other than 1 in a rep of ``tw``, a tower with at
+    least one step, those inside other denominators too, each as an element
+    of ``tw``."""
+    out = []
 
-    Returns two dicts mapping exponent tuples (slot j = generator at level
-    cut+1+j) to nonzero level-``cut`` reps.  No common-factor reduction is
-    performed, and a product by the unit dict is the other factor.  For
-    display (``FieldElement.__str__``) it serves only elements with a
-    transcendental denominator other than 1; the rest are printed from
-    ``_polynomial_terms``.  Its products are far too slow for arithmetic, so
-    valuations read values from the nested rep instead.
-    """
+    def walk(lvl: int, r) -> None:
+        if tw.steps[lvl - 1].minpoly is None:
+            num, den = r
+            if len(den) > 1:
+                one = tw.rings[lvl - 1].one
+                out.append(FieldElement(tw, _lift(tw, (den, (one,)), lvl, tw.level)))
+            r = num + den
+        if lvl > 1:
+            for c in r:
+                walk(lvl - 1, c)
 
-    ring = tw.rings[cut]
-    one = ring.one
-
-    def is_unit(d: dict) -> bool:
-        if len(d) != 1:
-            return False
-        ((e, c),) = d.items()
-        return c == one and not any(e)
-
-    def md_mul(a: dict, b: dict) -> dict:
-        # every dict here holds nonzero coefficients only
-        if is_unit(a):
-            return b
-        if is_unit(b):
-            return a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ring.mul(ca, cb)
-                if e in out:
-                    c = ring.add(out[e], c)
-                out[e] = c
-        return {e: c for e, c in out.items() if not ring.is_zero(c)}
-
-    def md_add(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for e, c in b.items():
-            if e in out:
-                c = ring.add(out[e], c)
-            out[e] = c
-        return {e: c for e, c in out.items() if not ring.is_zero(c)}
-
-    def unit(lvl: int) -> dict:
-        return {(0,) * (lvl - cut): one}
-
-    def rec(lvl: int, r):
-        if lvl == cut:
-            if ring.is_zero(r):
-                return {}, {(): one}
-            return {(): r}, {(): one}
-        step = tw.steps[lvl - 1]
-        if step.is_algebraic:
-            return combine(lvl, r)
-        num, den = r
-        fn_n, fn_d = combine(lvl, num)
-        fd_n, fd_d = combine(lvl, den)
-        return md_mul(fn_n, fd_d), md_mul(fn_d, fd_n)
-
-    def combine(lvl: int, coeffs):
-        # sum over i of coeff_i * g_lvl^i, accumulating a common denominator
-        acc_n: dict = {}
-        acc_d = unit(lvl)
-        for i, c in enumerate(coeffs):
-            cn, cd = rec(lvl - 1, c)
-            cn = {e + (i,): v for e, v in cn.items()}
-            cd = {e + (0,): v for e, v in cd.items()}
-            acc_n = md_add(md_mul(acc_n, cd), md_mul(cn, acc_d))
-            acc_d = md_mul(acc_d, cd)
-        return acc_n, acc_d
-
-    return rec(tw.level, rep)
+    walk(tw.level, rep)
+    return out
 
 
 def _format_terms(terms: dict, tw: FieldTower) -> str:
-    """A dict of terms, keyed as ``_split_fraction`` keys them, as text:
+    """A dict of terms, keyed as ``_polynomial_terms`` keys them, as text:
     highest exponent tuple first, a coefficient 1 (and -1 over Q) left out."""
     names = tw.gen_names
     signed = tw.char == 0
@@ -1554,7 +1512,8 @@ class _Flattening:
 def _flattening(tw: FieldTower) -> _Flattening | None:
     """An isomorphism with C(u_1..u_r), C the finite-field part, when the
     algebraic steps above the finite prefix are p-power-root chains of
-    generators; tw has positive characteristic, as ``pth_root`` requires."""
+    generators (the identity of a finite tw); tw has positive
+    characteristic, as ``pth_root`` requires."""
     p = tw.char
     prefix_len = 0
     while prefix_len < tw.level and tw.steps[prefix_len].is_algebraic:
@@ -1609,22 +1568,18 @@ def _flattening(tw: FieldTower) -> _Flattening | None:
     return _Flattening(pure, fwd, back)
 
 
-def _finite_field_size(tw: FieldTower) -> int | None:
-    """The size of tw, of characteristic p > 0, or None when tw is infinite."""
-    deg = tw.extension_degree()
-    return None if deg is None else tw.char**deg
-
-
 def _pth_root_pure(elem: FieldElement, prefix_len: int) -> FieldElement | None:
     """p-th root in a tower that is purely transcendental above a finite
     prefix; None when the element is not a p-th power."""
     tw = elem.tower
     p = tw.char
+    # the prefix has q = p^e elements, so x^(q/p) is the p-th root of x there
+    q_over_p = p ** (tw.prefix(prefix_len).extension_degree() - 1)
+    finite = tw.rings[prefix_len]
 
     def rec(lvl: int, r):
-        if lvl <= prefix_len:
-            q = p ** _prefix_degree(tw, lvl)
-            return _power(r, q // p, tw.rings[lvl].mul, tw.rings[lvl].one)
+        if lvl == prefix_len:
+            return _power(r, q_over_p, finite.mul, finite.one)
         num, den = r
         rn = rec_poly(lvl, num)
         if rn is None:
@@ -1652,47 +1607,29 @@ def _pth_root_pure(elem: FieldElement, prefix_len: int) -> FieldElement | None:
     return None if r is None else FieldElement(tw, r)
 
 
-def _prefix_degree(tw: FieldTower, lvl: int) -> int:
-    deg = 1
-    for s in tw.steps[:lvl]:
-        deg *= s.degree
-    return deg
-
-
 def pth_root(elem: FieldElement) -> FieldElement | None:
     """The unique p-th root of ``elem`` in its tower, or None if there is none.
 
-    Supported towers: finite fields (any algebraic steps over F_p) and
-    towers whose algebraic steps above the finite-field part adjoin p-power
-    roots of earlier generators.  Other shapes raise CapabilityError.
+    Supported towers: those whose algebraic steps above the finite-field
+    part adjoin p-power roots of earlier generators.  A finite field is its
+    own flattening.  Other shapes raise CapabilityError.
     """
     tw = elem.tower
-    p = tw.char
-    if p == 0:
+    if tw.char == 0:
         raise DomainError("p-th roots require positive characteristic")
-    q = _finite_field_size(tw)
-    if q is not None:
-        root = elem ** (q // p)
-        _check_pth_root(root, elem)
-        return root
     fl = _flattening(tw)
     if fl is None:
         raise CapabilityError(
             "p-th roots are only supported over finite fields and root-chain towers"
         )
-    z = fl.fwd.apply(elem)
     prefix_len = sum(1 for s in fl.pure.steps if s.is_algebraic)
-    r = _pth_root_pure(z, prefix_len)
+    r = _pth_root_pure(fl.fwd.apply(elem), prefix_len)
     if r is None:
         return None
     root = fl.back.apply(r)
-    _check_pth_root(root, elem)
-    return root
-
-
-def _check_pth_root(root: FieldElement, elem: FieldElement) -> None:
-    if root ** elem.tower.char != elem:
+    if root**tw.char != elem:
         raise DomainError(f"computed p-th root {root} of {elem} does not check")
+    return root
 
 
 def check_closure_degree(p: int, n_trunc: int, t: int) -> None:

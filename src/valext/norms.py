@@ -175,6 +175,8 @@ class AlgebraElement(Polynomial):
                 other = self.algebra.scalar(other)
             except StructuralError:
                 return NotImplemented
+            except DomainError:  # a Fraction whose denominator is 0 mod p
+                return False
         return super().__eq__(other)
 
 

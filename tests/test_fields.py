@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valext import cli, config
+from valext import cli, config, fields
 from valext.builder import build_strictly_maximal
 from valext.errors import CapabilityError, DomainError, StructuralError
 from valext.fields import (
@@ -210,6 +211,25 @@ def test_the_flattening_cache_is_bounded(f2):
     assert _flattening.cache_info().currsize <= 256
 
 
+def test_pth_roots_above_a_finite_prefix_under_a_transcendental_step():
+    # F_4 = F_2(c), c^2 = c + 1: the flattening keeps F_4 as its finite part
+    f4 = FieldTower.prime_field(2).extend_algebraic("c", [1, 1, 1])
+    assert pth_root(f4.gen("c")) == f4.gen("c") + 1
+    f4_a = f4.extend_transcendental("a")
+    a, c = f4_a.gen("a"), f4_a.gen("c")
+    assert pth_root(a) is None
+    root = pth_root(c * a**2)
+    assert root == c**2 * a and str(root) == "c*a + a"
+    f4_a_r = f4_a.extend_algebraic("r", [a, 0, 1])
+    assert pth_root(f4_a_r.gen("a")) == f4_a_r.gen("r")
+    assert pth_root(f4_a_r.gen("c") * f4_a_r.gen("a")) == (f4_a_r.gen("c") + 1) * f4_a_r.gen("r")
+    closure = perfect_closure_truncated(f4_a, 2, 1)
+    assert closure.describe() == (
+        "base=F2; gen c: algebraic y^2 + y + 1; gen a: transcendental; gen a__p1: algebraic y^2 + a"
+    )
+    assert pth_root(closure.gen("a")) == closure.gen("a__p1")
+
+
 def test_pth_root_char_zero_is_domain_error(rationals):
     with pytest.raises(DomainError):
         pth_root(rationals.one())
@@ -249,6 +269,34 @@ def test_perfect_closure_wrong_characteristic(rationals, f2_a):
         perfect_closure_truncated(rationals, 2, 1)
     with pytest.raises(DomainError):
         perfect_closure_truncated(f2_a, 3, 1)
+
+
+def test_equality_with_a_scalar_outside_the_field_is_false(f3):
+    third = Fraction(1, 3)
+    f3_x = f3.extend_transcendental("x")
+    for z in (f3.one(), f3_x.one(), f3_x.gen("x")):
+        assert not z == third
+        assert z != third
+        with pytest.raises(DomainError):
+            z + third
+    assert f3.from_int(2) == Fraction(1, 2)
+
+
+def test_arithmetic_across_a_prefix_embeds_the_smaller_operand(q_i, q_sqrt2):
+    q_i_x = q_i.extend_transcendental("x")
+    i, x, big_i = q_i.gen("i"), q_i_x.gen("x"), q_i_x.gen("i")
+    for z in (i + x, x + i, i * x, x - i):
+        assert z.tower == q_i_x
+    assert i + x == big_i + x and x - i == x - big_i
+    assert big_i == i and i == big_i and i != x
+    s2 = q_sqrt2.gen("s2")
+    with pytest.raises(StructuralError, match="unrelated towers"):
+        i + s2
+    assert i != s2 and not big_i == s2
+    hom = TowerHom.inclusion(q_i_x, q_i_x.extend_transcendental("y"))
+    assert hom.apply(i) == hom.target.gen("i")
+    with pytest.raises(StructuralError, match="element not in the hom's source"):
+        hom.apply(s2)
 
 
 def test_tower_hom_verify_and_apply(q_i):
@@ -589,11 +637,12 @@ def test_tower_hom_refuses_a_denominator_that_maps_to_zero(rationals):
 # The element printer against the path it replaced
 
 
-def _old_split_fraction(tw, rep):
-    """Oracle: num/den of a rep as dicts of exponent tuples, every product
-    multiplied out, as ``FieldElement.__str__`` computed them before the
-    direct walk."""
-    ring = tw.base
+def _old_split_fraction(tw, rep, cut=0):
+    """Oracle: num/den of a rep as dicts mapping exponent tuples (slot j =
+    generator at level cut+1+j) to level-``cut`` reps, every product
+    multiplied out with no reduction by a minimal polynomial, as
+    ``FieldElement.__str__`` computed them before the direct walk."""
+    ring = tw.rings[cut]
     one = ring.one
 
     def md_mul(a, b):
@@ -611,7 +660,7 @@ def _old_split_fraction(tw, rep):
         return {e: c for e, c in out.items() if not ring.is_zero(c)}
 
     def rec(lvl, r):
-        if lvl == 0:
+        if lvl == cut:
             return ({} if ring.is_zero(r) else {(): r}), {(): one}
         if tw.steps[lvl - 1].is_algebraic:
             return combine(lvl, r)
@@ -620,7 +669,7 @@ def _old_split_fraction(tw, rep):
         return md_mul(fn_n, fd_d), md_mul(fn_d, fd_n)
 
     def combine(lvl, coeffs):
-        acc_n, acc_d = {}, {(0,) * lvl: one}
+        acc_n, acc_d = {}, {(0,) * (lvl - cut): one}
         for i, c in enumerate(coeffs):
             cn, cd = rec(lvl - 1, c)
             cn = {e + (i,): v for e, v in cn.items()}
@@ -717,3 +766,67 @@ def test_element_printer_matches_the_multiplied_out_printer(name):
         assert any(_old_split_fraction(e.tower, e.rep)[1] != {(0,) * tw.level: 1} for e in elements)
     for e in elements:
         assert str(e) == _old_element_str(e), e.rep
+
+
+def _reduced_power_towers():
+    q, f2 = FieldTower.rationals(), FieldTower.prime_field(2)
+    f2_a = f2.extend_transcendental("a")
+    a = f2_a.gen("a")
+    f4 = f2.extend_algebraic("c", [1, 1, 1])
+
+    def two_more(tw, u, v):
+        return tw.extend_transcendental(u).extend_transcendental(v)
+
+    return {
+        "Q(i)(x)(y)": two_more(q.extend_algebraic("i", [1, 0, 1]), "x", "y"),
+        "Q(w)(x)(y)": two_more(q.extend_algebraic("w", [1, 1, 1]), "x", "y"),
+        "F2(a)(r)(x)(t)": two_more(f2_a.extend_algebraic("r", [a, 0, 1]), "x", "t"),
+        "F4(a)(x)": f4.extend_transcendental("a").extend_transcendental("x"),
+        # s^2 = 1/a: reducing s^2 brings in a new denominator
+        "F2(a)(s)(x)(t)": two_more(f2_a.extend_algebraic("s", [1 / a, 0, 1], check=False), "x", "t"),
+    }
+
+
+def _unreduced_powers(text, tw):
+    """The powers g^e in text with e at or above the degree of the
+    algebraic generator g."""
+    return [
+        m.group(0)
+        for s in tw.steps
+        if s.is_algebraic
+        for m in re.finditer(rf"\b{s.name}\^(\d+)", text)
+        if int(m.group(1)) >= s.degree
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_reduced_power_towers()))
+def test_a_printed_fraction_shows_no_algebraic_generator_to_a_reducible_power(name):
+    tw = _reduced_power_towers()[name]
+    rng = random.Random(name)
+    algebraic = [tw.gen(s.name) for s in tw.steps if s.is_algebraic]
+    transcendental = [tw.gen(s.name) for s in tw.steps if not s.is_algebraic]
+    elements = [1 / ((u + g) * (v + g)) for g in algebraic for u in transcendental for v in transcendental]
+    for _ in range(60):
+        num, den = random_field_element(tw, rng, 3), tw.one()
+        for _ in range(rng.randrange(1, 3)):
+            d = random_field_element(tw, rng, 2)
+            den = den * (d if d else tw.one())
+        elements.append(num / den)
+    compared = 0
+    for z in elements:
+        assert _unreduced_powers(str(z), tw) == [], z.rep
+        old = _old_element_str(z)
+        if not _unreduced_powers(old, tw):
+            assert str(z) == old, z.rep
+            compared += 1
+    assert sum("/" in str(z) for z in elements) > len(elements) // 2
+    assert compared > len(elements) // 2
+
+
+def test_a_denominator_left_after_every_round_is_a_domain_error(monkeypatch, rationals):
+    x = rationals.extend_transcendental("x").gen("x")
+    assert str(1 / x) == "1/x"
+    monkeypatch.setattr(fields, "_denominators", lambda tw, rep: [])
+    with pytest.raises(DomainError, match="no polynomial numerator and denominator"):
+        str(1 / x)
+    assert str(x + 1) == "x + 1"

@@ -1,5 +1,6 @@
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -182,6 +183,16 @@ def test_algebra_elements_are_polynomials_reduced_mod_the_modulus(rationals, mod
         assert got_alpha == want_alpha and a.norm(z) == minval
         same(z1, r.scale(want_alpha.inv()))
     assert a.one() == 1 and not a.one() == 2
+
+
+def test_an_algebra_element_is_unequal_to_a_scalar_outside_the_field(f3):
+    # 1/3 is no element of F_3(x); comparing is False, arithmetic refuses
+    a = FreeAlgebra.polynomial(MonomialValuation(f3, ["x"]), "y")
+    third = Fraction(1, 3)
+    assert not a.one() == third and a.one() != third and not a.gen("y") == third
+    assert a.scalar(2) == Fraction(1, 2)
+    with pytest.raises(DomainError):
+        a.one() + third
 
 
 def test_mixing_two_algebras_or_two_modules_is_refused(rationals):

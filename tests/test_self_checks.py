@@ -43,7 +43,7 @@ try:
 except DomainError as exc:
     print(exc)
 poly._u_divmod = exact
-fields._finite_field_size = lambda tower: 2
+fields._pth_root_pure = lambda z, prefix_len: z
 try:
     fields.pth_root(fields.FieldTower.prime_field(2).extend_algebraic("c", [1, 1, 1]).gen("c"))
 except DomainError as exc:
