@@ -37,7 +37,6 @@ from .compositum import (
     first_point_into,
     separable_transfer_check,
     tensor_decompose,
-    transcendental_base_change,
 )
 from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
 from .fields import (
@@ -271,7 +270,6 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     k_dag = f_dag if k == f_tower else perfect_closure_truncated(k, p, n_trunc)
     imgs = [f_dag.embed(scn.k_hom.apply(k.gen(n))) for n in k.gen_names]
     for j in range(k.level, k_dag.level):
-        step = k_dag.steps[j]
         base = -k_dag.minpoly_coeffs(j)[0]
         b_img = TowerHom(k_dag.prefix(j), f_dag, imgs).apply(base)
         root = pth_root(b_img)
@@ -316,9 +314,7 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     if not TowerHom(scn.kprime, f1, kprime_images).verify():
         raise DomainError("composed k' images violate a relation")
     torsion = is_p_torsion_quotient(v0.group, built_inner.group_delta, p)
-    radicial_ok, radicial_note = _certify_radicial(
-        scn, f_tower, f_dag, f1, kprime_images, p
-    )
+    radicial_ok, radicial_note = _certify_radicial(f_tower, f_dag, f1, kprime_images, p)
     prov.extend(built_inner.provenance)
     prov.append(f"group quotient p-torsion: {torsion}")
     prov.append(f"residue field radicial over the k'F subfield: {radicial_ok} ({radicial_note})")
@@ -337,7 +333,6 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
 
 
 def _certify_radicial(
-    scn: ExtensionScenario,
     f_tower: FieldTower,
     f_dag: FieldTower,
     f1: FieldTower,
@@ -528,10 +523,15 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     the strictly maximal path (the general path certifies the prime-count
     bijection and radiciality instead).
 
-    Nothing is factored per prime: kappa(q) is F with variables appended, and
-    both decompositions are the ``transcendental_base_change`` to it of one
-    made per scenario, the build's Spec(k' tensor_k F) and Spec(F tensor_k k'):
-    sound, as a field E is algebraically closed in E(x) (the lemma there).
+    Nothing is decomposed per prime, by the lemma: a field E is algebraically
+    closed in E(x), x transcendental, as the coefficients of a monic factor
+    over E(x) of a polynomial over E are algebraic over E.  kappa(q) is F
+    with variables appended, so the points over it are those over F with the
+    variables appended: the same multiplicities and appended algebraic steps,
+    with the same separability flags.  A point maps into kappa(q') exactly
+    when its base change does, the variables being free, so each prime reads
+    the points of the build's Spec(k' tensor_k F) and of one Spec(F tensor_k
+    k'), made per scenario, and maps them into its own kappa(q').
     """
     if built.path != "strictly-maximal":
         raise PreconditionError(
@@ -551,8 +551,7 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
         kappa = pv.residue_field
         kappa_ext = pw.residue_field
         same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
-        pts = transcendental_base_change(built.points, scn.kprime, kappa)
-        match = first_point_into(pts, kappa_ext, same_names, kprime_images)
+        match = first_point_into(built.points, kappa_ext, same_names, kprime_images)
         # the map hits the kappa generators and every recorded k' image, so it
         # is onto when those cover all generators of kappa'
         iso_ok = match is not None and (
@@ -562,8 +561,7 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
         if kprime_sep and match is not None:
             sep_over_base = separable_transfer_check(match).extension_separable
         if swap:
-            pts = transcendental_base_change(swapped_points, kappa, scn.kprime)
-            swapped = first_point_into(pts, kappa_ext, kprime_images, same_names)
+            swapped = first_point_into(swapped_points, kappa_ext, kprime_images, same_names)
             if swapped is not None:
                 sep_over_kprime = separable_transfer_check(swapped).extension_separable
         strict = match is not None and match.strictly_maximal

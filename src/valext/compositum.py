@@ -153,94 +153,45 @@ def tensor_decompose(
         if not k_hom.verify():
             raise StructuralError("the K embedding does not respect relations")
 
-    def factored(step_idx: int, e_tower: FieldTower, images: list, _):
-        sub = left.prefix(step_idx)
-        coeffs = left.minpoly_coeffs(step_idx)
-        identity = e_tower == sub and images == list(map(sub.gen, sub.gen_names))
-        if not identity:
-            hom = TowerHom(sub, e_tower, images)
-            coeffs = [hom.apply(c) for c in coeffs]
-        minpoly = Polynomial.from_coeffs(e_tower, "y", coeffs)
-        # a step's minimal polynomial is irreducible over its own prefix
-        # (see ``fields.Step``), so the identity map needs no factoring
-        factors = ((minpoly, 1),) if identity else tuple(poly_mod.factor(minpoly).factors)
-        return minpoly, factors, [None] * len(factors)
-
-    return _decompose(left, k_hom, factored, None)
-
-
-def transcendental_base_change(
-    points: Sequence[CompositumPoint], left: FieldTower, right: FieldTower
-) -> list[CompositumPoint]:
-    """All points of Spec(L' tensor_K M'), as ``tensor_decompose`` emits
-    them, from ``points``, all those of Spec(L tensor_K M), where L' = ``left``
-    and M' = ``right`` append transcendental generators to L and M.
-
-    Nothing is factored, by the lemma: a field E is algebraically closed in
-    E(x), x transcendental, as the coefficients of a monic factor over E(x)
-    of a polynomial over E are algebraic over E.  On M' a step of L runs over
-    E(x), E its running field on M, so its branches are its recorded factors,
-    carried in by the map that fixes M and sends each generator appended on
-    M to its twin, and sorted again.  The steps of L' above L are transcendental.
-    """
-    l0, m0, k_len = points[0].left, points[0].right, points[0].k_len
-    above = left.steps[l0.level :] + right.steps[m0.level :]
-    if not (l0.is_prefix_of(left) and m0.is_prefix_of(right)) or any(s.is_algebraic for s in above):
-        raise PreconditionError("L' and M' must append transcendental generators to L and M")
-    if (left, right) == (l0, m0):  # nothing appended
-        return list(points)
-
-    def carried(step_idx: int, e_tower: FieldTower, _, known: list):
-        # the given points on this branch share their records up to here
-        old = known[0].records[step_idx - k_len]
-        gens = m0.gen_names + e_tower.gen_names[right.level :]
-        hom = TowerHom(known[0].field.prefix(len(gens)), e_tower, list(map(e_tower.gen, gens)))
-        moved = [(g.map_coeffs(hom.apply, e_tower), m, g) for g, m in old.factors]
-        moved.sort(key=lambda hmg: hmg[0].sort_key())
-        below = [[p for p in known if p.records[step_idx - k_len].factor == g] for *_, g in moved]
-        return old.minpoly.map_coeffs(hom.apply, e_tower), tuple(t[:2] for t in moved), below
-
-    k_hom = TowerHom(points[0].k_hom.source, right, points[0].k_hom.images)
-    return _decompose(left, k_hom, carried, list(points))
-
-
-def _decompose(left: FieldTower, k_hom: TowerHom, branches, known) -> list[CompositumPoint]:
-    """The points of Spec(L tensor_K M), M the target of ``k_hom``, taking
-    L's steps above K in turn.  A transcendental step appends a generator;
-    an algebraic one branches over the factorization, sorted, that
-    ``branches(step index, running field, images, known)`` returns with
-    the minimal polynomial it factors and each branch's ``known``."""
     points: list[CompositumPoint] = []
 
-    def rec(step_idx: int, e_tower: FieldTower, images: list, mult: int, records: tuple, known):
+    def rec(step_idx: int, e_tower: FieldTower, images: list, mult: int, records: tuple):
         if step_idx == left.level:
             points.append(
                 CompositumPoint(left, k_hom, e_tower, tuple(images), mult, records, len(points))
             )
             return
         step = left.steps[step_idx]
+        # each fork is (field, image of the L generator, record)
         if not step.is_algebraic:
             name = e_tower.fresh_name(step.name)
             e2 = e_tower.extend_transcendental(name)
-            record = StepRecord(step.name, name, None, 1)
-            forks = [(e2, e2.gen(name), record, known)]
+            forks = [(e2, e2.gen(name), StepRecord(step.name, name, None, 1))]
         else:
+            sub = left.prefix(step_idx)
+            coeffs = left.minpoly_coeffs(step_idx)
+            identity = e_tower == sub and images == list(map(sub.gen, sub.gen_names))
+            if not identity:
+                hom = TowerHom(sub, e_tower, images)
+                coeffs = [hom.apply(c) for c in coeffs]
+            minpoly = Polynomial.from_coeffs(e_tower, "y", coeffs)
+            # a step's minimal polynomial is irreducible over its own prefix
+            # (see ``fields.Step``), so the identity map needs no factoring
+            factors = ((minpoly, 1),) if identity else tuple(poly_mod.factor(minpoly).factors)
             forks = []
-            minpoly, factors, knowns = branches(step_idx, e_tower, images, known)
-            for (h, m), below in zip(factors, knowns):
+            for h, m in factors:
                 if h.degree() == 1:
                     name, e2, root = None, e_tower, -h.coeff(0)
                 else:
                     name = e_tower.fresh_name(step.name)
                     e2 = e_tower.extend_algebraic(name, h.univariate_coeffs(), check=False)
                     root = e2.gen(name)
-                record = StepRecord(step.name, name, h, m, factors, minpoly)
-                forks.append((e2, root, record, below))
-        for e2, image, record, below in forks:
+                forks.append((e2, root, StepRecord(step.name, name, h, m, factors, minpoly)))
+        for e2, image, record in forks:
             images2 = [e2.embed(im) for im in images] + [image]
-            rec(step_idx + 1, e2, images2, mult * record.multiplicity, records + (record,), below)
+            rec(step_idx + 1, e2, images2, mult * record.multiplicity, records + (record,))
 
-    rec(k_hom.source.level, k_hom.target, list(k_hom.images), 1, (), known)
+    rec(k_len, right, list(k_hom.images), 1, ())
     return points
 
 
@@ -267,13 +218,8 @@ def degree_bookkeeping(points: Sequence[CompositumPoint]) -> tuple[int, int] | N
     total_deg = left.extension_degree(k_len)
     if total_deg is None:
         return None
-    acc = 0
-    for pt in points:
-        d = pt.degree_over_right()
-        if d is None:
-            return None
-        acc += pt.multiplicity * d
-    return acc, total_deg
+    # L/K is finite, so every appended step is algebraic and [E:M] finite
+    return sum(pt.multiplicity * pt.degree_over_right() for pt in points), total_deg
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from valext.builder import (
     spectrum_correspondence,
     verify_weakly_unramified,
 )
-from valext.compositum import tensor_decompose
+from valext.compositum import first_point_into, separable_transfer_check, tensor_decompose
 from valext.errors import CapabilityError, DomainError, PreconditionError, StructuralError
 from valext.fields import (
     FieldTower,
@@ -29,6 +29,7 @@ from valext.fields import (
     _u_squarefree,
     is_radicial,
     perfect_closure_truncated,
+    tower_separable_over,
 )
 from valext.norms import random_fraction_element
 from valext.valuations import MonomialValuation
@@ -638,6 +639,97 @@ def test_a_minpoly_the_chosen_factor_does_not_divide_is_refused(
 
 def _verify_all(golden_builds):
     return {name: verify_weakly_unramified(b, samples=40) for name, b in golden_builds.items()}
+
+
+def _pairs_decomposed_at_each_prime(built) -> list:
+    """(strictly maximal, separable over kappa, separable over k') of each
+    residue pair, from Spec(k' tensor_k kappa(q)) and Spec(kappa(q) tensor_k
+    k') decomposed at that prime: the definition the spectrum reads off the
+    points over F."""
+    scn = built.scenario
+    k = scn.kprime.prefix(scn.k_len)
+    images = dict(zip(scn.kprime.gen_names, built.kprime_images))
+    kprime_sep = tower_separable_over(scn.kprime, scn.k_len)
+    f_sep = tower_separable_over(scn.valuation.coefficient_field, scn.k_len)
+    swap = scn.k_hom.is_inclusion() and f_sep
+    rows = []
+    for pv, pw in zip(scn.valuation.prime_chain(), built.valuation_w.prime_chain()):
+        kappa, kappa_ext = pv.residue_field, pw.residue_field
+        same = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
+        hom = TowerHom(k, kappa, scn.k_hom.images)
+        match = first_point_into(
+            tensor_decompose(scn.kprime, kappa, scn.k_len, hom), kappa_ext, same, images
+        )
+        sep_base = sep_kprime = None
+        if kprime_sep and match is not None:
+            sep_base = separable_transfer_check(match).extension_separable
+        if swap:
+            swapped = first_point_into(
+                tensor_decompose(kappa, scn.kprime, scn.k_len), kappa_ext, images, same
+            )
+            if swapped is not None:
+                sep_kprime = separable_transfer_check(swapped).extension_separable
+        rows.append((match is not None and match.strictly_maximal, sep_base, sep_kprime))
+    return rows
+
+
+def _seeded_kprimes(f: FieldTower, rng: random.Random) -> list:
+    """k' towers over the prime field of ``f``, with seeded coefficients:
+    split and irreducible minimal polynomials and a transcendental step."""
+    k = f.prefix(0)
+    if f.char == 3:
+        # y^2 + 1, y^2 + y + 2 and y^2 + 2y + 2 are irreducible mod 3
+        quadratic = rng.choice([[1, 0, 1], [2, 1, 1], [2, 2, 1]])
+        return [
+            k.extend_algebraic("c", quadratic),
+            k.extend_transcendental("t").extend_algebraic("c", quadratic),
+        ]
+    m = rng.randrange(1, 4)
+    return [
+        k.extend_algebraic("c", [m * m, 0, 1]),  # c^2 + m^2
+        k.extend_algebraic("c", [-2 * m * m, 0, 1]),  # c^2 - 2m^2
+        k.extend_algebraic("c", [-2 * m**4, 0, 0, 0, 1]),  # c^4 - 2m^4
+        k.extend_transcendental("t").extend_algebraic("c", [m**4, 0, 0, 0, 1]),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_spectrum_is_the_decomposition_over_each_kappa(
+    golden_builds, seed, rationals, q_i, q_sqrt2, f3, f2_a, f2_a_r
+):
+    # each residue pair read from the points over F is the one that
+    # decompositions made at its own prime give
+    builds = [b for b in golden_builds.values() if b.path == "strictly-maximal"]
+    assert len(builds) == 4
+    rng = random.Random(seed)
+    for f in (rationals, q_i, q_sqrt2, f3):
+        for rank in (1, 2, 3):
+            v = MonomialValuation(f, [f"x{i}" for i in range(1, rank + 1)])
+            for kprime in _seeded_kprimes(f, rng):
+                for index in range(len(tensor_decompose(kprime, f, 0))):
+                    scn = ExtensionScenario(v, 0, kprime, point_index=index, seed=seed)
+                    try:
+                        builds.append(build_strictly_maximal(scn))
+                    except PreconditionError:  # not strictly maximal
+                        pass
+    assert len(builds) > 12
+    # and columns that read n/a: F/k inseparable, k'/k inseparable, and k
+    # embedded into F other than as a prefix
+    q_j = rationals.extend_algebraic("j", [1, 0, 1])
+    a = f2_a.gen("a")
+    for f, kprime, k_hom in (
+        (f2_a_r, f2_a.extend_transcendental("t"), None),
+        (f2_a, f2_a.extend_algebraic("s", [a, 0, 1]), None),
+        (q_j, q_i.extend_algebraic("s", [-2, 0, 1]), TowerHom(q_i, q_j, [q_j.gen("j")])),
+    ):
+        v = MonomialValuation(f, ["x1", "x2"])
+        builds.append(build_strictly_maximal(ExtensionScenario(v, 1, kprime, k_hom, seed=seed)))
+    for built in builds:
+        got = [
+            (p.strictly_maximal, p.separable_over_base, p.separable_over_kprime)
+            for p in spectrum_correspondence(built).pairs
+        ]
+        assert got == _pairs_decomposed_at_each_prime(built), built.scenario.kprime.describe()
 
 
 def test_verification_passes_without_a_fault(golden_builds):

@@ -35,6 +35,21 @@ def test_parse_render_round_trip():
         assert cli.parse_scenario(rendered) == parsed, name
 
 
+def test_parse_render_round_trip_with_options():
+    # a scenario with a point index and a seed renders both, and reads back
+    text = GOLDEN_SCENARIOS["rank1_qi"] + "\n[options]\npoint-index: 1\nseed: 5\n"
+    parsed = cli.parse_scenario(text)
+    rendered = cli.render_scenario(parsed)
+    assert "point-index: 1\nseed: 5\n" in rendered
+    assert cli.parse_scenario(rendered) == parsed
+
+
+def test_parse_skips_an_empty_step():
+    # a trailing ";" leaves an empty part, which names no step
+    parsed = cli.parse_scenario("[base]\nbase: F2\ngens: a: transcendental;\nk-prefix: 1\n")
+    assert parsed.f_tower.describe() == "base=F2; gen a: transcendental"
+
+
 def test_extend_rank1(tmp_path):
     code, out, err = run_extend(tmp_path, GOLDEN_SCENARIOS["rank1_qi"], verify=True)
     assert code == 0, err

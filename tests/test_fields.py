@@ -57,6 +57,13 @@ def test_reducible_minpoly_rejected(rationals):
         rationals.extend_algebraic("u", [-1, 0, 1])  # y^2 - 1 = (y-1)(y+1)
 
 
+def test_extend_algebraic_makes_the_minimal_polynomial_monic(rationals):
+    # a leading coefficient other than 1 is divided out, trailing zeros dropped
+    for coeffs, text in (([-1, 0, 2], "y^2 - 1/2"), ([-2, 0, 1, 0, 0], "y^2 - 2")):
+        tower = rationals.extend_algebraic("u", coeffs)
+        assert tower.describe() == f"base=Q; gen u: algebraic {text}"
+
+
 def test_restrict_and_embed(f2_a_r):
     f2_a = f2_a_r.prefix(1)
     a = f2_a.gen("a")

@@ -97,7 +97,6 @@ def test_extend_verify_reaches_the_lemma_code(tmp_path):
     lemma_code = {
         ("compositum.py", "separable_transfer_check"),
         ("compositum.py", "first_point_into"),
-        ("compositum.py", "transcendental_base_change"),
         ("fields.py", "TowerHom.is_inclusion"),
     }
     reached = set()
@@ -126,8 +125,9 @@ def _calls(run) -> list:
 
 @pytest.mark.parametrize("name", EXTENSIONS)
 def test_extend_verify_decomposes_at_most_twice(tmp_path, name):
-    # the residue pairs of every prime come from the build's decomposition
-    # and one swapped decomposition, base-changed along V's prime chain
+    # the residue pairs of every prime are read from the build's decomposition
+    # and one swapped decomposition, both over F, at each residue field of
+    # V's prime chain
     made = _calls(lambda: _run(cli.cmd_extend, tmp_path, name, verify=True))
     assert made.count(("compositum.py", "tensor_decompose")) <= 2
 

@@ -419,10 +419,22 @@ def test_resultant_against_definition(rationals, q_i, f5):
         (f5, "3*y^4 + y^2 + 2", "y^3 + 4*y + 1"),
         (f5, "(y + 2) * (2*y^2 + 1)", "(y + 2) * (y + 3)"),
         (f5, "4*y^2 + y", "3"),
+        # odd times odd degrees: the sign of each Euclidean step flips
+        (rationals, "y - 2", "y^3 + y + 5"),
+        (rationals, "y^3 + y + 5", "y - 2"),
+        (rationals, "2*y^3 - y + 3", "y^3 + 4*y^2 - 1/3"),
     ):
         f, g = parse(ftext, tower), parse(gtext, tower)
         assert resultant(f, g) == _sylvester_resultant(f, g), (ftext, gtext)
         assert resultant(f, g).is_zero == (gcd(f, g).degree() > 0)
+    # Res(y - 2, g) = g(2), and swapping a degree-1 and a degree-3 argument
+    # negates it
+    f, g = parse("y - 2", rationals), parse("y^3 + y + 5", rationals)
+    assert (resultant(f, g), resultant(g, f)) == (rationals.from_int(15), rationals.from_int(-15))
+
+
+def test_subtraction_from_a_constant(rationals):
+    assert 1 - parse("y^2 + 3", rationals) == parse("-y^2 - 2", rationals)
 
 
 def test_parse_print_round_trip(rationals, f2_a):
