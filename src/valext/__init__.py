@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     PreconditionError,
     ScenarioParseError,
+    SelfCheckError,
     StructuralError,
     ValextError,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "Polynomial",
     "PreconditionError",
     "ScenarioParseError",
+    "SelfCheckError",
     "StructuralError",
     "TowerHom",
     "ValextError",

@@ -400,7 +400,15 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
     detail line before any monomial is asked for it.  The value of each
     forced element is read once: it decides membership in the maximal ideal
     (``in_maximal_ideal`` is exactly ``value(z).is_positive()``) and gives
-    the monomial witness.  The samples are drawn from the scenario's seed."""
+    the monomial witness.  The samples are drawn from the scenario's seed.
+
+    Each monomial is built once per value in one call: the forcing monomial
+    per shift, and the inverse of the witness per witness value, so the
+    quotient is ``z * inverse``.  ``monomial`` is a pure function of the
+    value, so a memo hit is the element a fresh call would build, and
+    ``z / m`` is ``z * m.inv()``: every sample is checked as before.  A
+    fault of ``monomial`` stays inside the inverted witness and still
+    shows, unlike ``z * w.monomial(val.inv())``, where it could cancel."""
     rng = random.Random(built.scenario.seed)
     w = built.valuation_w
     base = built.truncated_valuation if built.path == "general" else built.scenario.valuation
@@ -429,6 +437,13 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
             break
     denom = w.group.denominator
     bits = rng.getrandbits
+    # memos of this call only: the forcing monomial by its shift steps (all
+    # in W's group) and the inverted witness by its value, group and steps,
+    # so keys that name different values never share an entry.  A hit is
+    # what a fresh monomial() builds (a pure function of the value), z * m.inv()
+    # is z / m, and a fault of monomial() stays inside the inverse
+    shifts: dict[tuple[int, ...], FieldElement] = {}
+    inverses: dict[ValueWithZero, FieldElement] = {}
     for _ in range(samples if structural else 0):
         z = random_fraction_element(w, rng)
         val = w.value(z)
@@ -441,7 +456,10 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
         steps = [randbelow(bits, 3 * denom + 1) for _ in range(w.rank - 1)]
         steps.append(1 + randbelow(bits, 3 * denom))
         # the shift target - val, formed on the lattice steps
-        z = z * w.monomial(ValueWithZero(w.group, tuple(map(sub, steps, val.steps))))
+        shift = tuple(map(sub, steps, val.steps))
+        if shift not in shifts:
+            shifts[shift] = w.monomial(ValueWithZero(w.group, shift))
+        z = z * shifts[shift]
         val = w.value(z)
         if escapes(val, z):
             ok_ideal = False
@@ -453,7 +471,9 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
         # the dominated base (V, or its truncation on the general path) has
         # W's variable and generator names, so base.monomial(v) is
         # w.monomial(v) and the witness can be built in W directly
-        quotient = z / w.monomial(val)
+        if val not in inverses:
+            inverses[val] = w.monomial(val).inv()
+        quotient = z * inverses[val]
         if not w.in_ring(quotient):
             ok_ideal = False
             details.append(f"no base-ideal factorization for {z}")

@@ -33,7 +33,8 @@ Commands::
 
 Exit codes: 0 success, 1 parse error (also an unreadable scenario file or a
 negative truncation exponent), 2 capability error, 3 precondition error,
-4 selftest failure, 141 (128 + SIGPIPE) stdout closed by its reader.
+4 selftest failure, 5 internal check failed (a check of the engine's own
+answer), 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .errors import (
     DomainError,
     PreconditionError,
     ScenarioParseError,
+    SelfCheckError,
     StructuralError,
 )
 from .fields import FieldTower, _is_name
@@ -111,6 +113,8 @@ def _parse_steps(tower: FieldTower, text: str, line: int, proven: set) -> FieldT
             continue
         try:
             tower = tower.extend_step(part, proven)
+        except SelfCheckError:
+            raise
         except (StructuralError, DomainError) as exc:
             raise ScenarioParseError(str(exc), line) from None
     return tower
@@ -275,6 +279,7 @@ _EXIT_CODES = {
     ScenarioParseError: (1, "parse error"),
     CapabilityError: (2, "capability error"),
     PreconditionError: (3, "precondition error"),
+    SelfCheckError: (5, "internal check failed"),
 }
 
 

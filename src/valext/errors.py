@@ -21,6 +21,10 @@ class CapabilityError(ValextError):
     """
 
 
+class SelfCheckError(DomainError):
+    """A check of the engine's own answer failed: a fault of valext, not of its input."""
+
+
 class PreconditionError(ValextError):
     """A documented precondition of the operation does not hold for this input."""
 

@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import config
-from .errors import CapabilityError, DomainError, StructuralError
+from .errors import CapabilityError, DomainError, SelfCheckError, StructuralError
 from .fields import (
     FieldElement,
     FieldTower,
@@ -631,7 +631,7 @@ def factor(f: Polynomial) -> Factorization:
     fac = Factorization(unit, out)
     # the shortcuts of the factor path are checked here, on every answer
     if fac.expand() != f:
-        raise DomainError("factorization does not multiply back to its input")
+        raise SelfCheckError("factorization does not multiply back to its input")
     return fac
 
 

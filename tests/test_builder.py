@@ -754,6 +754,89 @@ def test_verification_catches_a_monomial_off_by_one(golden_builds, monkeypatch, 
         assert not weak.maximal_ideal_ok, name
 
 
+def _witness_values(build, monkeypatch) -> list:
+    """The values whose monomials an unplanted verification of ``build``
+    (at ``_verify_all``'s samples) inverts as witnesses, in order of first
+    use."""
+    built, witnesses = {}, []
+    monomial, inv = MonomialValuation.monomial, fields.FieldElement.inv
+
+    def recorded(self, value):
+        m = monomial(self, value)
+        built[id(m)] = (m, value)
+        return m
+
+    def inverted(self):
+        if id(self) in built and built[id(self)][0] is self:
+            witnesses.append(built[id(self)][1])
+        return inv(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(MonomialValuation, "monomial", recorded)
+        m.setattr(fields.FieldElement, "inv", inverted)
+        assert verify_weakly_unramified(build, samples=40).passed
+    return witnesses
+
+
+def test_verification_catches_a_monomial_off_by_one_at_one_witness(golden_builds, monkeypatch):
+    # each witness is built once per value: a fault of monomial() at a
+    # single value the witnesses take still makes the quotient by that
+    # witness leave the ring.  Planted at the witness built first, whose
+    # entry serves every later sample of that value, and at the one built
+    # last (a value that is also every shift towards it can hide a plant,
+    # with or without the memo: z of value 0 forced to (2, 2) at rank 2)
+    witnesses = {name: _witness_values(b, monkeypatch) for name, b in golden_builds.items()}
+    monomial = MonomialValuation.monomial
+    planted = []
+
+    def shifted(self, value):
+        if value != planted[0]:
+            return monomial(self, value)
+        step = [0] * (self.rank - 1) + [Fraction(1, self.group.denominator)]
+        return monomial(self, value.mul(self.group.element(step)))
+
+    monkeypatch.setattr(MonomialValuation, "monomial", shifted)
+    for name, build in sorted(golden_builds.items()):
+        values = witnesses[name]
+        assert len(values) == len(set(values)) > 1, name
+        for value in (values[0], values[-1]):
+            planted[:] = [value]
+            weak = verify_weakly_unramified(build, samples=40)
+            assert weak.value_samples_ok, (name, value)
+            assert not weak.maximal_ideal_ok, (name, value)
+
+
+def test_verification_builds_each_witness_once_per_value(golden_builds, monkeypatch):
+    # the forcing monomial is built once per shift and the witness inverted
+    # once per value within one call; 400 monomials and 200 inverses at the
+    # 200 samples of --verify before the memo
+    counts = collections.Counter()
+    monomial, inv = MonomialValuation.monomial, fields.FieldElement.inv
+
+    def counted_monomial(self, value):
+        counts["monomial"] += 1
+        return monomial(self, value)
+
+    def counted_inv(self):
+        counts["inv"] += 1
+        return inv(self)
+
+    monkeypatch.setattr(MonomialValuation, "monomial", counted_monomial)
+    monkeypatch.setattr(fields.FieldElement, "inv", counted_inv)
+    got = {}
+    for name, build in sorted(golden_builds.items()):
+        counts.clear()
+        assert verify_weakly_unramified(build).passed, name
+        got[name] = (counts["monomial"], counts["inv"])
+    assert got == {
+        "char2_trunc": (16, 6),
+        "hensel_route": (10, 3),
+        "rank1_qi": (10, 3),
+        "rank2_sqrt2": (50, 12),
+        "rank2_trans": (50, 12),
+    }
+
+
 def test_verification_catches_a_group_that_contains_nothing(golden_builds, monkeypatch):
     monkeypatch.setattr(ValueGroup, "contains", lambda self, value: False)
     for name, weak in _verify_all(golden_builds).items():
@@ -779,7 +862,11 @@ def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch)
         other = ValueGroup(g.rank % config.MAX_RANK + 1)
         return ValueWithZero(other, (v.steps + (0,) * config.MAX_RANK)[: other.rank])
 
+    def no_monomial(self, value):
+        raise AssertionError(f"monomial asked for {value}")
+
     monkeypatch.setattr(MonomialValuation, "value", off_lattice)
+    monkeypatch.setattr(MonomialValuation, "monomial", no_monomial)
     for name, weak in _verify_all(golden_builds).items():
         assert not weak.value_samples_ok and not weak.maximal_ideal_ok, name
         assert sum("escapes the group" in d for d in weak.details) == 2, name

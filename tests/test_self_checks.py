@@ -9,6 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from valext.selftest import GOLDEN_SCENARIOS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -64,6 +68,52 @@ def test_exact_division_and_pth_root_checks_survive_python_O():
         "fraction-free elimination: inexact division",
         "computed p-th root c of c does not check",
     ]
+
+
+# a planted fault in one function an answer check guards, the golden
+# scenario run through `valext extend`, and the exit code and first stderr
+# line that check must end it with: the engine's fault, not the file's
+_SELF_CHECK_PLANTS = [
+    (
+        "expand_off_by_one",
+        "expand = poly.Factorization.expand\n"
+        "poly.Factorization.expand = lambda self: expand(self) + 1",
+        "rank1_qi",
+        5,
+        "internal check failed: factorization does not multiply back to its input",
+    ),
+]
+
+_RUN_PLANTED = """
+import sys
+from valext import cli, poly
+{plant}
+sys.exit(cli.main(["extend", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize(
+    "plant, scenario, code, first_line",
+    [row[1:] for row in _SELF_CHECK_PLANTS],
+    ids=[row[0] for row in _SELF_CHECK_PLANTS],
+)
+def test_a_failed_self_check_has_its_own_exit_code(
+    tmp_path, flags, plant, scenario, code, first_line
+):
+    path = tmp_path / f"{scenario}.txt"
+    path.write_text(GOLDEN_SCENARIOS[scenario], encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _RUN_PLANTED.format(plant=plant), str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[:1] == [first_line]
+    assert "Traceback" not in proc.stderr
 
 
 def _private_definitions(tree: ast.Module):
