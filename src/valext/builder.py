@@ -38,7 +38,7 @@ from .compositum import (
     separable_transfer_check,
     tensor_decompose,
 )
-from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
+from .errors import CapabilityError, PreconditionError, SelfCheckError, StructuralError
 from .fields import (
     FieldElement,
     FieldTower,
@@ -148,7 +148,9 @@ class BuiltExtension:
 
 def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
     """Extend V through a strictly maximal residual point; the value group
-    is preserved exactly."""
+    is preserved exactly.  A scenario whose V is read at its own truncation
+    exponent N (denominator exponent N) is the inner build of
+    ``build_general``, so its refusal of a multiple point advises a larger N."""
     v0 = scn.valuation
     f_tower = v0.coefficient_field
     points = tensor_decompose(scn.kprime, f_tower, scn.k_len, scn.k_hom)
@@ -158,9 +160,11 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
         )
     pt = points[scn.point_index]
     if not pt.strictly_maximal:
+        where, advice = "", "use the general construction with a truncation exponent"
+        if scn.truncation == v0.denom_exponent:
+            where, advice = f" at truncation {scn.truncation}", "try a larger truncation exponent"
         raise PreconditionError(
-            f"chosen residual point has multiplicity {pt.multiplicity} > 1; "
-            "use the general construction with a truncation exponent"
+            f"chosen residual point has multiplicity {pt.multiplicity} > 1{where}; {advice}"
         )
     prov: list[str] = [
         f"residual tensor decomposition: {len(points)} point(s), chose index {pt.index}"
@@ -187,7 +191,7 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
                 raise CapabilityError(f"factor lift refused at step {rec.gen}: {lift.refusal}")
             modulus = _carried(rec.factor, k_cur, ind)
             if modulus not in lift.factors:
-                raise DomainError("lifted factors do not include the chosen branch")
+                raise SelfCheckError("lifted factors do not include the chosen branch")
             algebra = FreeAlgebra.quotient(v_cur, modulus)
             what = (
                 "residual splits as "
@@ -195,16 +199,16 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
                 + f"; factor lift at precision {lift.precision} routes to ({rec.factor}),"
                 f" lifted factor ({modulus})"
             )
-        ext = gauss_extend(v_cur, algebra, rec.appended, factor=rec.factor)
+        ext = gauss_extend(algebra, rec.appended, factor=rec.factor)
         v_cur = MonomialValuation(ext.residue_field, v0.variables, v0.denom_exponent)
         prov.append(f"step {rec.gen}: {what}")
     if v_cur.coefficient_field != pt.field:
-        raise DomainError("constructed residue field disagrees with the chosen point")
+        raise SelfCheckError("constructed residue field disagrees with the chosen point")
     if v_cur.group != v0.group:
-        raise DomainError("the value group moved during a strictly maximal build")
+        raise SelfCheckError("the value group moved during a strictly maximal build")
     k_hom_check = TowerHom(scn.kprime, pt.field, pt.left_images)
     if not k_hom_check.verify():
-        raise DomainError("recorded generator images violate a defining relation")
+        raise SelfCheckError("recorded generator images violate a defining relation")
     prov.append(
         "k' images verified against their defining relations: "
         + ", ".join(
@@ -255,7 +259,7 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     steps = f_tower.steps + scn.kprime.steps[scn.k_len :]
     check_closure_degree(p, n_trunc, sum(1 for s in steps if not s.is_algebraic))
     prov: list[str] = []
-    f_dag = perfect_closure_truncated(f_tower, p, n_trunc)
+    f_dag = perfect_closure_truncated(f_tower, n_trunc)
     new_gens = f_dag.gen_names[f_tower.level :]
     prov.append(
         f"coefficient field closure at exponent {n_trunc}: adjoined "
@@ -267,14 +271,14 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     )
     k = scn.kprime.prefix(scn.k_len)
     # k is often F itself, whose closure is built above
-    k_dag = f_dag if k == f_tower else perfect_closure_truncated(k, p, n_trunc)
+    k_dag = f_dag if k == f_tower else perfect_closure_truncated(k, n_trunc)
     imgs = [f_dag.embed(scn.k_hom.apply(k.gen(n))) for n in k.gen_names]
     for j in range(k.level, k_dag.level):
         base = -k_dag.minpoly_coeffs(j)[0]
         b_img = TowerHom(k_dag.prefix(j), f_dag, imgs).apply(base)
         root = pth_root(b_img)
         if root is None:
-            raise DomainError("closure of k does not embed into the closure of F")
+            raise SelfCheckError("closure of k does not embed into the closure of F")
         imgs.append(root)
     # the inner build's tensor_decompose checks its relations, and with them
     # those of scn.k_hom, which it extends
@@ -282,7 +286,7 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     prov.append(f"closure of k embedded into closure of F: {k_dag.describe()}")
     kk_points = tensor_decompose(scn.kprime, k_dag, scn.k_len)
     if len(kk_points) != 1:
-        raise DomainError(
+        raise SelfCheckError(
             "composed extension with a radicial closure must be unique; "
             f"found {len(kk_points)}"
         )
@@ -297,24 +301,17 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
         kprime=kk.field,
         k_hom=k_dag_hom,
         point_index=scn.point_index,
+        truncation=n_trunc,
         seed=scn.seed,
     )
-    try:
-        built_inner = build_strictly_maximal(inner)
-    except PreconditionError as exc:
-        raise PreconditionError(
-            f"still not strictly maximal at truncation {n_trunc}: {exc}; "
-            "try a larger truncation exponent"
-        ) from None
+    built_inner = build_strictly_maximal(inner)
     f1 = built_inner.residue_field
-    kk_hom = TowerHom(kk.field, f1, built_inner.kprime_images)
-    kprime_images = tuple(
-        kk_hom.apply(im) for im in kk.left_images
-    )  # k' -> k'' -> F1
+    kk_hom = built_inner.kprime_hom()
+    kprime_images = tuple(kk_hom.apply(im) for im in kk.left_images)  # k' -> k'' -> F1
     if not TowerHom(scn.kprime, f1, kprime_images).verify():
-        raise DomainError("composed k' images violate a relation")
+        raise SelfCheckError("composed k' images violate a relation")
     torsion = is_p_torsion_quotient(v0.group, built_inner.group_delta, p)
-    radicial_ok, radicial_note = _certify_radicial(f_tower, f_dag, f1, kprime_images, p)
+    radicial_ok, radicial_note = _certify_radicial(f_tower, f_dag, f1, kprime_images)
     prov.extend(built_inner.provenance)
     prov.append(f"group quotient p-torsion: {torsion}")
     prov.append(f"residue field radicial over the k'F subfield: {radicial_ok} ({radicial_note})")
@@ -337,7 +334,6 @@ def _certify_radicial(
     f_dag: FieldTower,
     f1: FieldTower,
     kprime_images: tuple[FieldElement, ...],
-    p: int,
 ) -> tuple[bool, str]:
     """F1 radicial over the subfield generated by k' and F.
 
@@ -348,9 +344,9 @@ def _certify_radicial(
     subfield together with F.
     """
     if all(im.restrict(f_tower.level) is not None for im in kprime_images):
-        ok = is_radicial(f_tower, f1, p)
+        ok = is_radicial(f_tower, f1)
         return ok, "k'F = F as a prefix; direct test"
-    if not is_radicial(f_tower, f_dag, p):
+    if not is_radicial(f_tower, f_dag):
         return False, "closure chain generators lack p-power witnesses"
     uncovered = set(f1.gen_names[f_dag.level :]) - _generators_hit(f1, kprime_images)
     if uncovered:
@@ -567,9 +563,7 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     swap = scn.k_hom.is_inclusion() and tower_separable_over(f_tower, scn.k_len)
     swapped_points = tensor_decompose(f_tower, scn.kprime, scn.k_len) if swap else ()
     pairs = []
-    for j, (pv, pw) in enumerate(zip(chain_v, chain_w)):
-        kappa = pv.residue_field
-        kappa_ext = pw.residue_field
+    for j, (kappa, kappa_ext) in enumerate(zip(chain_v, chain_w)):
         same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
         match = first_point_into(built.points, kappa_ext, same_names, kprime_images)
         # the map hits the kappa generators and every recorded k' image, so it

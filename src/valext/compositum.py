@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import poly as poly_mod
-from .errors import CapabilityError, DomainError, PreconditionError, StructuralError
+from .errors import CapabilityError, DomainError, PreconditionError, SelfCheckError, StructuralError
 from .fields import FieldElement, FieldTower, TowerHom, tower_separable_over
 from .poly import Polynomial
 
@@ -68,7 +68,6 @@ class CompositumPoint:
     k_hom: TowerHom
     field: FieldTower
     left_images: tuple[FieldElement, ...]
-    multiplicity: int
     records: tuple[StepRecord, ...]
     index: int
 
@@ -81,6 +80,11 @@ class CompositumPoint:
     def k_len(self) -> int:
         """The length of K, the prefix of L that ``k_hom`` embeds into M."""
         return self.k_hom.source.level
+
+    @property
+    def multiplicity(self) -> int:
+        """The product of the multiplicities of the steps' chosen factors."""
+        return math.prod(rec.multiplicity for rec in self.records)
 
     @property
     def strictly_maximal(self) -> bool:
@@ -149,16 +153,18 @@ def tensor_decompose(
         if k_hom.source != K or k_hom.target != right:
             raise StructuralError("embedding must map the K prefix into M")
         # the one relation check of an explicit embedding: the builders
-        # leave it to this call
+        # leave it to this call.  An inclusion cannot break a relation, so
+        # there the failure is the engine's
         if not k_hom.verify():
-            raise StructuralError("the K embedding does not respect relations")
+            error = SelfCheckError if k_hom.is_inclusion() else StructuralError
+            raise error("the K embedding does not respect relations")
 
     points: list[CompositumPoint] = []
 
-    def rec(step_idx: int, e_tower: FieldTower, images: list, mult: int, records: tuple):
+    def rec(step_idx: int, e_tower: FieldTower, images: list, records: tuple):
         if step_idx == left.level:
             points.append(
-                CompositumPoint(left, k_hom, e_tower, tuple(images), mult, records, len(points))
+                CompositumPoint(left, k_hom, e_tower, tuple(images), records, len(points))
             )
             return
         step = left.steps[step_idx]
@@ -189,9 +195,9 @@ def tensor_decompose(
                 forks.append((e2, root, StepRecord(step.name, name, h, m, factors, minpoly)))
         for e2, image, record in forks:
             images2 = [e2.embed(im) for im in images] + [image]
-            rec(step_idx + 1, e2, images2, mult * record.multiplicity, records + (record,))
+            rec(step_idx + 1, e2, images2, records + (record,))
 
-    rec(k_len, right, list(k_hom.images), 1, ())
+    rec(k_len, right, list(k_hom.images), ())
     return points
 
 
@@ -253,7 +259,6 @@ def separable_transfer_check(pt: CompositumPoint) -> TransferReport:
 @dataclass
 class SubfieldReport:
     passed: bool
-    restricted_multiplicity: int
     restricted_field: FieldTower
     details: list[str]
 
@@ -275,7 +280,7 @@ def subfield_maximality_check(pt: CompositumPoint, l0_len: int) -> SubfieldRepor
         f"restriction found among Spec(L0 tensor M) points: {match is not None}",
     ]
     passed = match is not None and match.field == e0
-    return SubfieldReport(passed, mult, e0, details)
+    return SubfieldReport(passed, e0, details)
 
 
 @dataclass

@@ -842,22 +842,11 @@ class TranscendentalLevel:
         if not num:
             return self.zero
         one = ring.one
-        # monomial denominator fast path: the only possible common factor is a
-        # power of the generator, read off from the trailing zeros of num
+        # a monomial denominator lc*g^k: num / g^k shifted and scaled by 1/lc
         if all(ring.is_zero(c) for c in den[:-1]):
-            k = len(den) - 1
-            t = 0
-            while t < len(num) and ring.is_zero(num[t]):
-                t += 1
-            s = min(t, k)
-            if s:
-                num = num[s:]
-                k -= s
             lc = den[-1]
-            if lc != one:
-                c = ring.inv(lc)
-                num = [ring.mul(c, x) for x in num]
-            return (tuple(num), tuple([ring.zero] * k + [one]))
+            c = lc if lc == one else ring.inv(lc)
+            return self._shift_mul((tuple(num), (one,)), c, 0, len(den) - 1)
         g = _u_gcd(ring, num, den)
         if len(g) > 1:
             num, _ = _u_divmod(ring, num, g)
@@ -1503,7 +1492,6 @@ class TowerHom:
 
 @dataclass(frozen=True)
 class _Flattening:
-    pure: FieldTower
     fwd: TowerHom
     back: TowerHom
 
@@ -1565,7 +1553,7 @@ def _flattening(tw: FieldTower) -> _Flattening | None:
     for name in tw.gen_names:
         if back.apply(fwd.apply(tw.gen(name))) != tw.gen(name):
             return None
-    return _Flattening(pure, fwd, back)
+    return _Flattening(fwd, back)
 
 
 def _pth_root_pure(elem: FieldElement, prefix_len: int) -> FieldElement | None:
@@ -1622,7 +1610,7 @@ def pth_root(elem: FieldElement) -> FieldElement | None:
         raise CapabilityError(
             "p-th roots are only supported over finite fields and root-chain towers"
         )
-    prefix_len = sum(1 for s in fl.pure.steps if s.is_algebraic)
+    prefix_len = sum(1 for s in fl.fwd.target.steps if s.is_algebraic)
     r = _pth_root_pure(fl.fwd.apply(elem), prefix_len)
     if r is None:
         return None
@@ -1649,14 +1637,16 @@ def check_closure_degree(p: int, n_trunc: int, t: int) -> None:
         )
 
 
-def perfect_closure_truncated(tower: FieldTower, p: int, n_trunc: int) -> FieldTower:
-    """Adjoin p^N-th roots of every tower generator (chains of p-th roots).
+def perfect_closure_truncated(tower: FieldTower, n_trunc: int) -> FieldTower:
+    """Adjoin p^N-th roots of every tower generator (chains of p-th roots),
+    p the tower's characteristic; a tower of characteristic 0 is refused.
 
     Idempotent for generators whose roots already exist; the result contains
     the original tower as a prefix.
     """
-    if tower.char == 0 or tower.char != p:
-        raise DomainError(f"perfect closure needs characteristic {p}, tower has {tower.char}")
+    p = tower.char
+    if p == 0:
+        raise DomainError("perfect closure needs a positive characteristic")
     if n_trunc < 0:
         raise DomainError("truncation exponent must be nonnegative")
     check_closure_degree(p, n_trunc, sum(1 for s in tower.steps if not s.is_algebraic))
@@ -1676,9 +1666,10 @@ def perfect_closure_truncated(tower: FieldTower, p: int, n_trunc: int) -> FieldT
     return out
 
 
-def is_radicial(sub: FieldTower, sup: FieldTower, p: int) -> bool:
+def is_radicial(sub: FieldTower, sup: FieldTower) -> bool:
     """Whether ``sup`` is radicial over its prefix subtower ``sub``: every
-    generator of ``sup`` above ``sub`` has a p-power inside ``sub``.
+    generator of ``sup`` above ``sub`` has a p-power inside ``sub``, p the
+    characteristic of ``sup``.  In characteristic 0 only ``sub`` itself is.
 
     A transcendental step above ``sub`` makes the answer False.  Otherwise
     the test is exact: a purely inseparable z has degree p^e over ``sub``,
@@ -1688,10 +1679,9 @@ def is_radicial(sub: FieldTower, sup: FieldTower, p: int) -> bool:
     if not sub.is_prefix_of(sup):
         raise StructuralError("sub must be a prefix subtower of sup")
     proper_gens = sup.steps[sub.level :]
-    if sup.char == 0 or p == 1:
+    p = sup.char
+    if p == 0:
         return len(proper_gens) == 0
-    if sup.char != p:
-        raise DomainError(f"radiciality with p={p} needs characteristic {p}")
     degree = sup.extension_degree(sub.level)
     if degree is None:
         return False

@@ -124,24 +124,24 @@ def _case_separability():
 def _case_radiciality():
     f2a = FieldTower.prime_field(2).extend_transcendental("a")
     f2ar = _f2_a_r()
-    _check(is_radicial(f2a, f2ar, 2) is True)
+    _check(is_radicial(f2a, f2ar) is True)
     q = _rationals()
-    _check(is_radicial(q, _q_i(), 1) is False)
+    _check(is_radicial(q, _q_i()) is False)
     f2ax = f2a.extend_transcendental("x")
-    _check(is_radicial(f2a, f2ax, 2) is False)
+    _check(is_radicial(f2a, f2ax) is False)
 
 
 def _case_perfect_closure():
     f2 = FieldTower.prime_field(2)
-    _check(perfect_closure_truncated(f2, 2, 3) == f2)
+    _check(perfect_closure_truncated(f2, 3) == f2)
     f2a = FieldTower.prime_field(2).extend_transcendental("a")
-    c = perfect_closure_truncated(f2a, 2, 1)
+    c = perfect_closure_truncated(f2a, 1)
     _check(c.extension_degree(1) == 2)
     _check(pth_root(c.gen("a")) is not None)
     f3st = FieldTower.prime_field(3).extend_transcendental("s").extend_transcendental("t")
-    c2 = perfect_closure_truncated(f3st, 3, 1)
+    c2 = perfect_closure_truncated(f3st, 1)
     _check(c2.extension_degree(2) == 9)
-    _check(is_radicial(f3st, c2, 3) is True)
+    _check(is_radicial(f3st, c2) is True)
 
 
 def _case_gcd():
@@ -213,12 +213,12 @@ def _case_prime_chain():
     q = _rationals()
     chain = MonomialValuation(q, ["x"]).prime_chain()
     _check(len(chain) == 2)
-    _check(chain[0].residue_field.gen_names == ("x",))
-    _check(chain[1].residue_field == q)
+    _check(chain[0].gen_names == ("x",))
+    _check(chain[1] == q)
     f2a = FieldTower.prime_field(2).extend_transcendental("a")
     chain = MonomialValuation(f2a, ["x1", "x2"]).prime_chain()
     _check(len(chain) == 3)
-    _check(chain[1].residue_field.gen_names == ("a", "x2"))
+    _check(chain[1].gen_names == ("a", "x2"))
     chain = MonomialValuation(q, ["x1", "x2", "x3"]).prime_chain()
     _check(len(chain) == 4)
 
@@ -321,7 +321,7 @@ def _case_gauss_extend():
     h1 = a.element({1: 1, 0: x})
     h2 = a.element({1: 1, 0: x**2})
     _check(a.norm(h1 * h2) == a.norm(h1).mul(a.norm(h2)))
-    ext = gauss_extend(v, a, "ybar")
+    ext = gauss_extend(a, "ybar")
     _check(ext.group == v.group)
     _check(ext.residue_field.gen_names == ("ybar",))
 

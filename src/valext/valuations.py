@@ -38,20 +38,6 @@ from .poly import Polynomial
 from .value_groups import ValueGroup, ValueWithZero
 
 
-@dataclass(frozen=True)
-class PrimeIdealInfo:
-    """One prime of the valuation ring, with its residue field.
-
-    Going up the chain kills the variables of dominant value first: the
-    prime of index j contains x_1..x_j, and its residue field is the
-    rational function field in the surviving variables x_{j+1}..x_n.
-    """
-
-    index: int
-    dying_vars: tuple[str, ...]
-    residue_field: FieldTower
-
-
 def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
     """Exponents (slot j = generator at level cut+1+j) of the unique minimal
     monomial of a nonzero level-``lvl`` rep, ``lvl > cut``, whose levels
@@ -236,14 +222,17 @@ class MonomialValuation:
         """Coefficient-wise residue of a polynomial with ring coefficients."""
         return f.map_coeffs(self.residue, self.coefficient_field)
 
-    def prime_chain(self) -> list[PrimeIdealInfo]:
-        """The n+1 primes of a rank-n monomial valuation ring, ascending."""
+    def prime_chain(self) -> list[FieldTower]:
+        """The residue fields of the n+1 primes of a rank-n monomial
+        valuation ring, ascending.  Going up the chain kills the variables of
+        dominant value first: the prime at position j contains x_1..x_j, and
+        its residue field is F(x_{j+1}..x_n)."""
         out = []
         for j in range(self.rank + 1):
             kappa = self.coefficient_field
             for v in self.variables[j:]:
                 kappa = kappa.extend_transcendental(v)
-            out.append(PrimeIdealInfo(j, self.variables[:j], kappa))
+            out.append(kappa)
         return out
 
     # -- rank-1 series ----------------------------------------------------------

@@ -136,7 +136,7 @@ def test_spectrum_carries_points_the_factorizer_cannot_reach(rationals):
     v = MonomialValuation(rationals, ["x"])
     built = build_strictly_maximal(ExtensionScenario(valuation=v, k_len=0, kprime=kprime))
     with pytest.raises(CapabilityError):
-        tensor_decompose(kprime, v.prime_chain()[0].residue_field, 0)
+        tensor_decompose(kprime, v.prime_chain()[0], 0)
     assert spectrum_correspondence(built).passed
 
 
@@ -154,7 +154,7 @@ def test_general_char2_instance(scn_char2, f2_a_r):
     assert built.p_torsion_ok is True
     assert is_p_torsion_quotient(built.group_gamma, built.group_delta, 2)
     assert built.radicial_ok is True
-    assert is_radicial(f2_a_r, built.residue_field, 2)
+    assert is_radicial(f2_a_r, built.residue_field)
     assert prime_counts(built) == (2, 2)
     assert not built.weakly_unramified_over_input
     weak = verify_weakly_unramified(built, samples=40)
@@ -366,11 +366,11 @@ def test_builder_gauss_steps_reuse_the_chosen_factor(monkeypatch):
         counts["factor calls inside"] += inside[0]
         return real_factor(*args, **kwargs)
 
-    def gauss_extend(valuation, algebra, *args, **kwargs):
+    def gauss_extend(algebra, *args, **kwargs):
         counts["quotient steps"] += algebra.is_quotient and algebra.rank > 1
         inside[0] = True
         try:
-            return real_gauss(valuation, algebra, *args, **kwargs)
+            return real_gauss(algebra, *args, **kwargs)
         finally:
             inside[0] = False
 
@@ -407,7 +407,7 @@ def test_every_step_flag_is_the_squarefree_test(monkeypatch, f2_a):
     # pole of even order at infinity or none, and a has a simple one; factor
     # does not reach this field, so no check
     artin_schreier = f2_a.extend_algebraic("b", [f2_a.gen("a"), 1, 1], check=False)
-    root_chain = perfect_closure_truncated(f2_a, 2, 2)
+    root_chain = perfect_closure_truncated(f2_a, 2)
     assert {"extend_step", "rec", "gauss_extend", "perfect_closure_truncated"} <= {
         caller for caller, _ in made
     }
@@ -653,8 +653,7 @@ def _pairs_decomposed_at_each_prime(built) -> list:
     f_sep = tower_separable_over(scn.valuation.coefficient_field, scn.k_len)
     swap = scn.k_hom.is_inclusion() and f_sep
     rows = []
-    for pv, pw in zip(scn.valuation.prime_chain(), built.valuation_w.prime_chain()):
-        kappa, kappa_ext = pv.residue_field, pw.residue_field
+    for kappa, kappa_ext in zip(scn.valuation.prime_chain(), built.valuation_w.prime_chain()):
         same = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
         hom = TowerHom(k, kappa, scn.k_hom.images)
         match = first_point_into(

@@ -170,6 +170,34 @@ def test_precondition_exit_code(tmp_path):
     assert "general construction" in err
 
 
+# F = F2(a)(r) and k' = F2(a)(s) with r^4 = s^4 = a: the residual point
+# stays multiple at truncation 1 and is strictly maximal at truncation 2
+_FOURTH_ROOTS = GOLDEN_SCENARIOS["char2_trunc"].replace("y^2 + a", "y^4 + a")
+
+
+@pytest.mark.parametrize(
+    "text, point, message",
+    [
+        (GOLDEN_SCENARIOS["char2_trunc"], 3, "point index 3 out of range (1 points)"),
+        (
+            _FOURTH_ROOTS,
+            None,
+            "chosen residual point has multiplicity 2 > 1 at truncation 1; "
+            "try a larger truncation exponent",
+        ),
+    ],
+    ids=["point index", "multiplicity"],
+)
+def test_general_path_refusals_name_their_cause(tmp_path, text, point, message):
+    # the inner build's refusal passes through unprefixed; a multiple point
+    # names the truncation and advises only a larger one, which builds
+    code, out, err = run_extend(tmp_path, text, point=point)
+    assert (code, out, err) == (3, "", f"precondition error: {message}\n")
+    if point is None:
+        code, out, err = run_extend(tmp_path, text, truncate=2)
+        assert (code, err) == (0, "") and "truncation: 2" in out
+
+
 def test_point_and_truncate_overrides(tmp_path):
     code0, out0, _ = run_extend(tmp_path, GOLDEN_SCENARIOS["hensel_route"], point=0)
     code1, out1, _ = run_extend(tmp_path, GOLDEN_SCENARIOS["hensel_route"], point=1)

@@ -374,8 +374,7 @@ def test_base_change_matches_the_decomposition_at_every_prime(
     for kprime in _kprimes(name, f.prefix(k_len), rng):
         points = _points(lambda: tensor_decompose(kprime, f, k_len))
         swapped = _points(lambda: tensor_decompose(f, kprime, k_len))
-        for prime in chain:
-            kappa = prime.residue_field
+        for kappa in chain:
             variables = list(kappa.gen_names[f.level :])
             for over_f, direct, appended in (
                 (points, lambda: tensor_decompose(kprime, kappa, k_len), []),
@@ -386,7 +385,7 @@ def test_base_change_matches_the_decomposition_at_every_prime(
                     # W's function field F1(x1..xn) reaches this cap first,
                     # so no build reaches such a spectrum
                     continue
-                assert _agree(over_f, direct, appended), (str(kprime.describe()), prime)
+                assert _agree(over_f, direct, appended), (kprime.describe(), kappa.describe())
                 compared += isinstance(direct, list)
     # refusals agree too, but most comparisons are of points
     assert compared > len(chain) * 2

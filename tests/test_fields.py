@@ -126,11 +126,11 @@ def test_separability_multiplicative_along_towers(q_i, f2_a_r, q_sqrt2):
 
 
 def test_is_radicial_examples(f2_a, f2_a_r, rationals, q_i):
-    assert is_radicial(f2_a, f2_a_r, 2) is True
-    assert is_radicial(rationals, q_i, 1) is False
+    assert is_radicial(f2_a, f2_a_r) is True
+    assert is_radicial(rationals, q_i) is False
     f2_ax = f2_a.extend_transcendental("x")
-    assert is_radicial(f2_a, f2_ax, 2) is False
-    assert is_radicial(f2_a, f2_a, 2) is True
+    assert is_radicial(f2_a, f2_ax) is False
+    assert is_radicial(f2_a, f2_a) is True
 
 
 def _root_chain(base: FieldTower, p: int, depth: int) -> FieldTower:
@@ -146,29 +146,29 @@ def _root_chain(base: FieldTower, p: int, depth: int) -> FieldTower:
 @pytest.mark.parametrize("depth", [9, 10])
 def test_deep_root_chains_are_radicial(f2_a, depth):
     # the top generator reaches F2(a) only at its 2^depth-th power
-    assert is_radicial(f2_a, _root_chain(f2_a, 2, depth), 2) is True
-    closure = perfect_closure_truncated(f2_a, 2, depth)
+    assert is_radicial(f2_a, _root_chain(f2_a, 2, depth)) is True
+    closure = perfect_closure_truncated(f2_a, depth)
     assert closure.extension_degree(1) == 2**depth
-    assert is_radicial(f2_a, closure, 2) is True
+    assert is_radicial(f2_a, closure) is True
 
 
 def test_is_radicial_refuses_separable_and_transcendental_steps(f2_a):
     chain = _root_chain(f2_a, 2, 3)
-    assert is_radicial(f2_a, chain.extend_transcendental("z"), 2) is False
+    assert is_radicial(f2_a, chain.extend_transcendental("z")) is False
     # Artin-Schreier: y^2 + y + a is separable, so no power of its root lands
     # in F2(a) below the degree bound
     sep = f2_a.extend_algebraic("c", [f2_a.gen("a"), 1, 1], check=False)
-    assert is_radicial(f2_a, sep, 2) is False
+    assert is_radicial(f2_a, sep) is False
 
 
 def test_perfect_closure_refuses_a_degree_beyond_the_cap(f2, f2_a):
     assert config.MAX_CLOSURE_DEGREE == 1024
     with pytest.raises(CapabilityError):
-        perfect_closure_truncated(f2_a, 2, 11)  # 2^11
+        perfect_closure_truncated(f2_a, 11)  # 2^11
     with pytest.raises(CapabilityError):
-        perfect_closure_truncated(f2_a.extend_transcendental("b"), 2, 6)  # 2^(6*2)
+        perfect_closure_truncated(f2_a.extend_transcendental("b"), 6)  # 2^(6*2)
     with pytest.raises(CapabilityError):
-        perfect_closure_truncated(f2, 2, 10**12)  # refused before 2^N is formed
+        perfect_closure_truncated(f2, 10**12)  # refused before 2^N is formed
 
 
 def test_prime_fields_up_to_two_to_the_64(f2):
@@ -194,7 +194,7 @@ def test_prime_fields_up_to_two_to_the_64(f2):
 def test_is_radicial_requires_prefix(f2_a, f2):
     other = FieldTower.prime_field(2).extend_transcendental("b")
     with pytest.raises(StructuralError):
-        is_radicial(other, f2_a, 2)
+        is_radicial(other, f2_a)
 
 
 def test_pth_root_examples(f2_a, f2_a_r):
@@ -230,7 +230,7 @@ def test_pth_roots_above_a_finite_prefix_under_a_transcendental_step():
     f4_a_r = f4_a.extend_algebraic("r", [a, 0, 1])
     assert pth_root(f4_a_r.gen("a")) == f4_a_r.gen("r")
     assert pth_root(f4_a_r.gen("c") * f4_a_r.gen("a")) == (f4_a_r.gen("c") + 1) * f4_a_r.gen("r")
-    closure = perfect_closure_truncated(f4_a, 2, 1)
+    closure = perfect_closure_truncated(f4_a, 1)
     assert closure.describe() == (
         "base=F2; gen c: algebraic y^2 + y + 1; gen a: transcendental; gen a__p1: algebraic y^2 + a"
     )
@@ -243,11 +243,11 @@ def test_pth_root_char_zero_is_domain_error(rationals):
 
 
 def test_perfect_closure_perfect_field_fixed(f2):
-    assert perfect_closure_truncated(f2, 2, 3) == f2
+    assert perfect_closure_truncated(f2, 3) == f2
 
 
 def test_perfect_closure_single_generator(f2_a):
-    c = perfect_closure_truncated(f2_a, 2, 1)
+    c = perfect_closure_truncated(f2_a, 1)
     assert c.extension_degree(1) == 2
     root = pth_root(c.gen("a"))
     assert root is not None and root**2 == c.gen("a")
@@ -257,25 +257,23 @@ def test_perfect_closure_single_generator(f2_a):
 
 def test_perfect_closure_two_generators_degree():
     f3st = FieldTower.prime_field(3).extend_transcendental("s").extend_transcendental("t")
-    c = perfect_closure_truncated(f3st, 3, 1)
+    c = perfect_closure_truncated(f3st, 1)
     # oracle: two cube-root adjunctions, degree 3 * 3 over the base field
     assert c.extension_degree(2) == 9
     assert c.gen("s__p1") ** 3 == c.gen("s")
     assert c.gen("t__p1") ** 3 == c.gen("t")
-    assert is_radicial(f3st, c, 3)
+    assert is_radicial(f3st, c)
 
 
 def test_perfect_closure_idempotent_for_existing_roots(f2_a_r):
-    c = perfect_closure_truncated(f2_a_r, 2, 1)
+    c = perfect_closure_truncated(f2_a_r, 1)
     # a's square root is already r; only r needs a new root
     assert c.gen_names == ("a", "r", "r__p1")
 
 
-def test_perfect_closure_wrong_characteristic(rationals, f2_a):
+def test_perfect_closure_wrong_characteristic(rationals):
     with pytest.raises(DomainError):
-        perfect_closure_truncated(rationals, 2, 1)
-    with pytest.raises(DomainError):
-        perfect_closure_truncated(f2_a, 3, 1)
+        perfect_closure_truncated(rationals, 1)
 
 
 def test_equality_with_a_scalar_outside_the_field_is_false(f3):

@@ -82,11 +82,51 @@ _SELF_CHECK_PLANTS = [
         5,
         "internal check failed: factorization does not multiply back to its input",
     ),
+    (
+        # an inclusion cannot break a relation: tensor_decompose's check of
+        # the scenario's k -> F is the engine's
+        "verify_refuses_all",
+        "fields.TowerHom.verify = lambda self: False",
+        "rank1_qi",
+        5,
+        "internal check failed: the K embedding does not respect relations",
+    ),
+    (
+        "verify_refuses_all_but_inclusions",
+        "fields.TowerHom.verify = lambda self: self.is_inclusion()",
+        "hensel_route",
+        5,
+        "internal check failed: recorded generator images violate a defining relation",
+    ),
+    (
+        "gauss_extend_renames_the_residue",
+        "gauss = builder.gauss_extend\n"
+        "builder.gauss_extend = lambda algebra, name, **kw: gauss(algebra, name + '_', **kw)",
+        "rank1_qi",
+        5,
+        "internal check failed: constructed residue field disagrees with the chosen point",
+    ),
+    (
+        "pth_root_finds_none",
+        "builder.pth_root = lambda z: None",
+        "char2_trunc",
+        5,
+        "internal check failed: closure of k does not embed into the closure of F",
+    ),
+    (
+        "tensor_decompose_doubles_its_points",
+        "decompose = builder.tensor_decompose\n"
+        "builder.tensor_decompose = lambda *args: decompose(*args) * 2",
+        "char2_trunc",
+        5,
+        "internal check failed: composed extension with a radicial closure must be unique; "
+        "found 2",
+    ),
 ]
 
 _RUN_PLANTED = """
 import sys
-from valext import cli, poly
+from valext import builder, cli, fields, poly
 {plant}
 sys.exit(cli.main(["extend", sys.argv[1]]))
 """

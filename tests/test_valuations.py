@@ -78,20 +78,19 @@ def test_ring_view(v_f3):
 
 def test_prime_chain_shapes(rationals, f2_a):
     chain1 = MonomialValuation(rationals, ["x"]).prime_chain()
-    assert [p.residue_field.gen_names for p in chain1] == [("x",), ()]
+    assert [kappa.gen_names for kappa in chain1] == [("x",), ()]
     chain2 = MonomialValuation(f2_a, ["x1", "x2"]).prime_chain()
     assert len(chain2) == 3
     # the variable of dominant value dies first; x2 survives in the middle
-    assert chain2[0].residue_field.gen_names == ("a", "x1", "x2")
-    assert chain2[1].residue_field.gen_names == ("a", "x2")
-    assert chain2[2].residue_field.gen_names == ("a",)
+    assert chain2[0].gen_names == ("a", "x1", "x2")
+    assert chain2[1].gen_names == ("a", "x2")
+    assert chain2[2].gen_names == ("a",)
     chain3 = MonomialValuation(rationals, ["x1", "x2", "x3"]).prime_chain()
-    assert len(chain3) == 4
-    assert [p.dying_vars for p in chain3] == [
-        (),
-        ("x1",),
-        ("x1", "x2"),
+    assert [kappa.gen_names for kappa in chain3] == [
         ("x1", "x2", "x3"),
+        ("x2", "x3"),
+        ("x3",),
+        (),
     ]
 
 
