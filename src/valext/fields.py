@@ -65,7 +65,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import config
-from .errors import CapabilityError, DomainError, StructuralError
+from .errors import CapabilityError, DomainError, SelfCheckError, StructuralError
 
 
 # ---------------------------------------------------------------------------
@@ -1501,7 +1501,8 @@ def _flattening(tw: FieldTower) -> _Flattening | None:
     """An isomorphism with C(u_1..u_r), C the finite-field part, when the
     algebraic steps above the finite prefix are p-power-root chains of
     generators (the identity of a finite tw); tw has positive
-    characteristic, as ``pth_root`` requires."""
+    characteristic, as ``pth_root`` requires.  None for any other shape;
+    SelfCheckError when the isomorphism built fails its relation check."""
     p = tw.char
     prefix_len = 0
     while prefix_len < tw.level and tw.steps[prefix_len].is_algebraic:
@@ -1548,8 +1549,8 @@ def _flattening(tw: FieldTower) -> _Flattening | None:
     back_images += [tw.gen(deepest[h]) for h in heads]
     fwd = TowerHom(tw, pure, fwd_images)
     back = TowerHom(pure, tw, back_images)
-    if not fwd.verify():
-        return None
+    if not fwd.verify():  # the relations hold by construction of the images
+        raise SelfCheckError("the flattening of a root-chain tower violates a relation")
     for name in tw.gen_names:
         if back.apply(fwd.apply(tw.gen(name))) != tw.gen(name):
             return None

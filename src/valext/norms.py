@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import poly as poly_mod
 from .errors import DomainError, PreconditionError, StructuralError
-from .fields import FieldElement, FieldTower, _u_rem
+from .fields import FieldElement, FieldTower, _fraction_level, _u_rem
 from .poly import Polynomial
 from .valuations import MonomialValuation
 from .value_groups import ValueWithZero
@@ -264,7 +264,10 @@ def random_fraction_element(valuation: MonomialValuation, rng: random.Random) ->
     same exponents replaces an earlier one.  The draws are ``randbelow``'s
     rejection loops written out, so the stream and the final state of
     ``rng`` are randrange's.  A draw that cancels to zero gives one, so the
-    result is never zero."""
+    result is never zero.  The terms go to ``fields._fraction_level``
+    without ``from_terms``' checks, since the draws meet its preconditions:
+    dict keys are distinct, exponents lie in 0..2, zero reps are dropped and
+    the valuation's variables are transcendental."""
     rank = valuation.rank
     field = valuation.coefficient_field
     bits = rng.getrandbits
@@ -290,11 +293,12 @@ def random_fraction_element(valuation: MonomialValuation, rng: random.Random) ->
             while b > 1:
                 b = bits(2)
             mask |= b << i
-        terms[tuple(exps)] = FieldElement(field, _term_rep(field, c + offset, mask))
-    out = valuation.from_terms(terms, exps)
-    if out.is_zero:
-        return valuation.function_field.one()
-    return out
+        terms[tuple(exps)] = _term_rep(field, c + offset, mask)
+    pairs = [t for t in terms.items() if not field.ring.is_zero(t[1])]
+    f = valuation.function_field
+    if not pairs:
+        return f.one()
+    return FieldElement(f, _fraction_level(f.rings, level, f.level, pairs, tuple(exps)))
 
 
 def check_algebra_norm(algebra: FreeAlgebra, samples: int = 40) -> NormCheckReport:

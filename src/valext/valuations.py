@@ -168,10 +168,10 @@ class MonomialValuation:
 
         ``terms`` maps variable-exponent tuples to coefficient-field
         elements; ``den_exps`` is the denominator monomial (default 1).
-        Both come from callers and are checked here.  The levels above the
-        coefficient field are the variables, transcendental by construction,
-        so ``fields._fraction_level`` builds the rep with no scan of the
-        levels.
+        Both come from callers (``monomial`` and the public API) and are
+        checked here.  The levels above the coefficient field are the
+        variables, transcendental by construction, so
+        ``fields._fraction_level`` builds the rep with no scan of the levels.
         """
         field = self.coefficient_field
         is_zero = field.ring.is_zero
@@ -194,7 +194,8 @@ class MonomialValuation:
         return FieldElement(k, _fraction_level(k.rings, field.level, k.level, pairs, den))
 
     def monomial(self, value: ValueWithZero) -> FieldElement:
-        """A field element whose value is the given group element."""
+        """x^pos / x^neg, the field element whose value is the given group
+        element, built by ``from_terms``."""
         if value.is_zero:
             raise DomainError("no monomial has the adjoined zero value")
         if value.group.rank != self.rank:
@@ -203,18 +204,8 @@ class MonomialValuation:
         steps = self.group._rescale(value)
         if steps is None:
             raise DomainError(f"{value} is not in the value group")
-        # x^pos / x^neg level by level: ((0, ..., 0, r), (1,)) or
-        # ((r,), (0, ..., 0, 1)) over the rep r built so far, canonical by
-        # construction
-        k = self.function_field
-        rings = k.rings[self.coefficient_field.level :]
-        rep = rings[0].one
-        for below, e in zip(rings, steps):
-            if e >= 0:
-                rep = ((below.zero,) * e + (rep,), (below.one,))
-            else:
-                rep = ((rep,), (below.zero,) * -e + (below.one,))
-        return FieldElement(k, rep)
+        pos = tuple(max(e, 0) for e in steps)
+        return self.from_terms({pos: self.coefficient_field.one()}, [max(-e, 0) for e in steps])
 
     # -- residual structure -----------------------------------------------------
 

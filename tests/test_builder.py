@@ -3,7 +3,10 @@ import dataclasses
 import functools
 import hashlib
 import io
+import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -329,13 +332,18 @@ def _parse_and_build(text: str):
     return (build_general if scn.truncation is not None else build_strictly_maximal)(ext)
 
 
+def _golden_builds():
+    """The builds of the five extension scenarios of the golden corpus."""
+    return {
+        name: _parse_and_build(text)
+        for name, text in GOLDEN_SCENARIOS.items()
+        if "[valuation]" in text
+    }
+
+
 @pytest.fixture(scope="module")
 def golden_builds():
-    """The builds of the five extension scenarios of the golden corpus."""
-    out = {}
-    for name, text in GOLDEN_SCENARIOS.items():
-        if "[valuation]" in text:
-            out[name] = _parse_and_build(text)
+    out = _golden_builds()
     assert len(out) == 5
     return out
 
@@ -919,9 +927,10 @@ VERIFICATION_STREAMS = {
 }
 
 
-def test_the_verification_stream_is_pinned(golden_builds, monkeypatch):
+def _stream_digests(builds, monkeypatch):
+    """(sampled elements, forced targets, digest) of each build's stream."""
     got = {}
-    for name, build in sorted(golden_builds.items()):
+    for name, build in sorted(builds.items()):
         lines = _verification_stream(build, monkeypatch)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
         got[name] = (
@@ -929,6 +938,40 @@ def test_the_verification_stream_is_pinned(golden_builds, monkeypatch):
             sum(line.startswith("t ") for line in lines),
             digest,
         )
+    return got
+
+
+def test_the_verification_stream_is_pinned(golden_builds, monkeypatch):
+    assert _stream_digests(golden_builds, monkeypatch) == VERIFICATION_STREAMS
+
+
+_PRINT_STREAMS = """
+import json
+import pytest
+import test_builder as t
+with pytest.MonkeyPatch.context() as m:
+    print(json.dumps(t._stream_digests(t._golden_builds(), m)))
+"""
+
+
+def test_the_verification_stream_is_pinned_under_python_O_and_another_hash_seed():
+    # a fresh interpreter: -O strips asserts, and the hash seed changes the
+    # iteration order of every set of strings, so neither the samples nor
+    # where their terms are placed may depend on either
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PRINT_STREAMS],
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]),
+            PYTHONHASHSEED="98765",
+        ),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = {name: tuple(row) for name, row in json.loads(proc.stdout).items()}
     assert got == VERIFICATION_STREAMS
 
 
@@ -1000,6 +1043,7 @@ def test_verification_draws_and_walks_without_per_draw_or_per_level_calls(
     monkeypatch.setattr(builder, "random_fraction_element", sample)
     for module, name in [
         (norms, "randbelow"),
+        (norms, "_fraction_level"),
         (fields, "_fraction_level"),
         (valuations, "_fraction_level"),
         (valuations, "_min_poly_term"),

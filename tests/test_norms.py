@@ -520,6 +520,36 @@ def test_samplers_draw_what_randrange_draws(request, field_name):
     assert fast.getstate() == slow.getstate()
 
 
+@pytest.mark.parametrize("field_name", ["rationals", "f3", "q_i", "f2_a"])
+def test_fraction_sampler_matches_from_terms(request, field_name):
+    # the sampler places its terms without from_terms' checks; replayed
+    # through randrange on a twin generator, each draw is from_terms of the
+    # same terms (a later exponent tuple replacing an earlier one, one for a
+    # zero sum), away from the golden builds and with denominator exponent 1
+    # where the characteristic allows it
+    field = request.getfixturevalue(field_name)
+    fast, slow = random.Random(f"terms:{field_name}"), random.Random(f"terms:{field_name}")
+    cancelled = 0
+    for rank in (1, 2, 3):
+        v = MonomialValuation(
+            field, [f"x{j}" for j in range(1, rank + 1)], denom_exponent=int(field.char > 0)
+        )
+        k = v.function_field
+        for _ in range(200):
+            z = random_fraction_element(v, fast)
+            terms = {}
+            for _ in range(3):
+                exps = tuple(slow.randrange(3) for _ in range(rank))
+                terms[exps] = _generic_field_element(field, slow, 1)
+            want = v.from_terms(terms, [slow.randrange(3) for _ in range(rank)])
+            if want.is_zero:
+                cancelled += 1
+                want = k.one()
+            assert z.tower is k and z.rep == want.rep, terms
+        assert fast.getstate() == slow.getstate()
+    assert cancelled > 0
+
+
 def test_randbelow_refuses_an_empty_range():
     # getrandbits(0) is 0, so without the check n < 1 would redraw forever;
     # the alarm turns such a hang into a failure
