@@ -272,12 +272,17 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     k = scn.kprime.prefix(scn.k_len)
     # k is often F itself, whose closure is built above
     k_dag = f_dag if k == f_tower else perfect_closure_truncated(k, n_trunc)
-    imgs = [f_dag.embed(scn.k_hom.apply(k.gen(n))) for n in k.gen_names]
-    for j in range(k.level, k_dag.level):
+    if k == f_tower and scn.k_hom.is_inclusion():
+        # k = F: p-th roots are unique, so the identity of F extends to the
+        # closures in one way only, as the identity, and no root is derived
+        imgs = [f_dag.gen(n) for n in f_dag.gen_names]
+    else:
+        imgs = [f_dag.embed(scn.k_hom.apply(k.gen(n))) for n in k.gen_names]
+    for j in range(len(imgs), k_dag.level):
         base = -k_dag.minpoly_coeffs(j)[0]
         b_img = TowerHom(k_dag.prefix(j), f_dag, imgs).apply(base)
         root = pth_root(b_img)
-        if root is None:
+        if root is None or root**p != b_img:
             raise SelfCheckError("closure of k does not embed into the closure of F")
         imgs.append(root)
     # the inner build's tensor_decompose checks its relations, and with them

@@ -3,10 +3,13 @@
 L is processed stepwise over M: a transcendental step contributes a single
 point and a fresh transcendental generator; an algebraic step branches over
 the irreducible factors of its minimal polynomial over the running field,
-each factor contributing its multiplicity.  Every point emitted this way is
-a minimal prime (each step is flat over the previous stage), and a point is
-strictly maximal exactly when its accumulated multiplicity is 1, i.e. the
-local ring is a field.
+each factor contributing its multiplicity.  A step of degree n prime to
+d = [E : image of its prefix] = [E : P] / [prefix : P], P the prime field
+and both degrees finite, is not factored: for a root a, n divides
+[E(a) : image] = [E(a) : E] * d, so [E(a) : E] = n.  The identity map is
+d = 1.  Every point emitted this way is a minimal prime (each step is flat
+over the previous stage), and a point is strictly maximal exactly when its
+accumulated multiplicity is 1, i.e. the local ring is a field.
 
 Points come out in a deterministic order: factors are taken smallest first
 in the canonical polynomial order at every branch.  Decompositions of
@@ -182,8 +185,14 @@ def tensor_decompose(
                 coeffs = [hom.apply(c) for c in coeffs]
             minpoly = Polynomial.from_coeffs(e_tower, "y", coeffs)
             # a step's minimal polynomial is irreducible over its own prefix
-            # (see ``fields.Step``), so the identity map needs no factoring
-            factors = ((minpoly, 1),) if identity else tuple(poly_mod.factor(minpoly).factors)
+            # (see ``fields.Step``), so the identity map needs no factoring;
+            # nor does a degree prime to d = [E : image of the prefix]
+            e_deg, sub_deg = e_tower.extension_degree(), sub.extension_degree()
+            coprime = None not in (e_deg, sub_deg) and math.gcd(step.degree, e_deg // sub_deg) == 1
+            if identity or coprime:
+                factors = ((minpoly, 1),)
+            else:
+                factors = tuple(poly_mod.factor(minpoly).factors)
             forks = []
             for h, m in factors:
                 if h.degree() == 1:

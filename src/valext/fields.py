@@ -224,7 +224,8 @@ class Step:
     ``minpoly`` is the monic minimal polynomial over the tower below this
     step, stored as a tuple of internal reps (constant term first).  It is
     irreducible over that tower: ``FieldTower.extend_algebraic`` proves it or
-    its caller vouches for it.  ``separable`` records gcd(f, f') = 1, which
+    its caller vouches for it by a factorization, a p-th root test or a
+    degree argument (see ``extend_algebraic``).  ``separable`` records gcd(f, f') = 1, which
     for an irreducible f is f' != 0; it is None for transcendental steps.
     """
 
@@ -347,12 +348,14 @@ class FieldTower:
         ``minpoly`` lists coefficients, constant term first.  It is
         normalized to be monic.  With ``check`` the polynomial is verified
         irreducible; callers that pass check=False hold a proof of their
-        own: a factor ``poly.factor`` returned, or a binomial y^p - c whose c
-        ``pth_root`` found to have no p-th root.  So every algebraic step's
-        minimal polynomial is irreducible over its prefix, gcd(f, f') is 1 or
-        f, and f is separable exactly when f' != 0.  ``proven``, when given,
-        is a set of (tower, monic reps) pairs already verified: a pair in it
-        is not verified again, and a pair verified here is added to it.
+        own: a factor ``poly.factor`` returned, a binomial y^p - c whose c
+        ``pth_root`` found to have no p-th root, or an irreducible polynomial
+        of degree n carried into a field of degree d over its image, with
+        gcd(n, d) = 1 (``compositum.tensor_decompose``).  So every algebraic
+        step's minimal polynomial is irreducible over its prefix, gcd(f, f')
+        is 1 or f, and f is separable exactly when f' != 0.  ``proven``, when
+        given, is a set of (tower, monic reps) pairs already verified: a pair
+        in it is not verified again, and a pair verified here is added to it.
         """
         self._check_fresh(name)
         coeffs = [self.coerce(c) for c in minpoly]
@@ -1617,7 +1620,7 @@ def pth_root(elem: FieldElement) -> FieldElement | None:
         return None
     root = fl.back.apply(r)
     if root**tw.char != elem:
-        raise DomainError(f"computed p-th root {root} of {elem} does not check")
+        raise SelfCheckError(f"computed p-th root {root} of {elem} does not check")
     return root
 
 

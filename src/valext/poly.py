@@ -609,7 +609,9 @@ def factor(f: Polynomial) -> Factorization:
 
     Output is deterministic: factors are sorted by a canonical key.  The
     equal-degree splitting draws from ``config.DEFAULT_SEED``; another seed
-    could change only how long the splitting takes, never the factors.
+    could change only how long the splitting takes, never the factors.  A
+    p-power binomial is decided first, by p-th roots alone
+    (``_binomial_factors``), before any squarefree step.
     """
     if f.is_zero:
         raise DomainError("factorization of 0")
@@ -620,14 +622,16 @@ def factor(f: Polynomial) -> Factorization:
     unit = f.leading_coeff()
     if f.degree() == 0:
         return Factorization(unit, [])
-    rng = random.Random(config.DEFAULT_SEED)
     monic = f.monic()
-    proved, prime = _certify(monic)
-    out: list[tuple[Polynomial, int]] = []
-    for part, mult in [(monic, 1)] if proved else _squarefree_yun(monic):
-        for irr in _factor_squarefree(part, rng, prime=prime):
-            out.append((irr, mult))
-    out.sort(key=lambda fm: fm[0].sort_key())
+    out = _binomial_factors(monic)
+    if out is None:
+        rng = random.Random(config.DEFAULT_SEED)
+        proved, prime = _certify(monic)
+        out = []
+        for part, mult in [(monic, 1)] if proved else _squarefree_yun(monic):
+            for irr in _factor_squarefree(part, rng, prime=prime):
+                out.append((irr, mult))
+        out.sort(key=lambda fm: fm[0].sort_key())
     fac = Factorization(unit, out)
     # the shortcuts of the factor path are checked here, on every answer
     if fac.expand() != f:
@@ -644,13 +648,13 @@ def _factor_squarefree(
     tower = f.tower
     if f.degree() == 1:
         return [f]
-    p = tower.char
     # p-power binomials first: they are decided by root extraction wherever
     # p-th roots are available, independently of the tower shape.
-    if p > 0 and _p_power_binomial(tower.ring, f.reps, p) is not None:
-        if pth_root(-f.coeff(0)) is None:
-            return [f]
-        raise DomainError("squarefree p-power binomial cannot have a rootable base")
+    binomial = _binomial_factors(f)
+    if binomial is not None:
+        if binomial[0][1] > 1:
+            raise DomainError("squarefree p-power binomial cannot have a rootable base")
+        return [f]
     if tower.char > 0 and tower.extension_degree() is not None:
         return _factor_finite(f, rng)
     if tower.char == 0 and tower.extension_degree() is not None:
@@ -674,6 +678,24 @@ def _factor_squarefree(
     raise CapabilityError(
         "factorization over an inseparable non-binomial extension is not supported"
     )
+
+
+def _binomial_factors(f: Polynomial) -> list[tuple[Polynomial, int]] | None:
+    """The factorization of a monic p-power binomial y^(p^k) - c in
+    characteristic p, None for any other f.  With r = c^(1/p^j), j <= k as
+    large as p-th roots of c allow, it is (y^(p^(k-j)) - r)^(p^j):
+    y^(p^m) - r is irreducible when r is not a p-th power."""
+    p, R = f.tower.char, f.tower.ring
+    k = _p_power_binomial(R, f.reps, p) if p else None
+    if k is None:
+        return None
+    r, j = -f.coeff(0), 0
+    while j < k:
+        root = r if r.is_zero else pth_root(r)
+        if root is None:
+            break
+        r, j = root, j + 1
+    return [(f._like([R.neg(r.rep)] + [R.zero] * (p ** (k - j) - 1) + [R.one]), p**j)]
 
 
 def _restrict_poly(f: Polynomial, prefix_len: int) -> Polynomial | None:

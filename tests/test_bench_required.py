@@ -5,8 +5,10 @@ workload must call; a traced benchmark run is refused when one of them
 records no call.  A change that routes around such a function fails here
 first: the five golden scenarios of ``bench/workloads.py`` run through
 ``cli.cmd_extend`` with recording on, with ``--verify`` and without it, and
-``poly.factor`` runs on the first ``factor_mix`` input of each class (Q,
-F_p, the F_2(a) binomial and the norm route).
+so does the first ``extend_build`` input of each class (eisenstein, split
+and fpa_trunc), without it.  ``poly.factor`` runs on the first
+``factor_mix`` input of each class (Q, F_p, the F_2(a) binomial and the
+norm route).
 """
 
 import os
@@ -25,11 +27,18 @@ import tracing, workloads
 rec = tracing.Recorder()
 tracing.install(rec)
 verify = sys.argv[3] == "extend_verify"
+if sys.argv[4] == "golden":
+    texts = {name: workloads.scenario_text(*spec) for name, spec in workloads.GOLDEN.items()}
+else:
+    texts = {}
+    for inp in workloads.extend_build_inputs(1):
+        texts.setdefault(inp["cls"], inp["text"])
+    assert sorted(texts) == ["eisenstein", "fpa_trunc", "split"], sorted(texts)
 with tempfile.TemporaryDirectory() as tmp:
-    for name, spec in workloads.GOLDEN.items():
+    for name, text in texts.items():
         path = os.path.join(tmp, name + ".val")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(workloads.scenario_text(*spec))
+            fh.write(text)
         rec.active = True
         code = cli.cmd_extend(path, verify=verify, out=io.StringIO(), err=io.StringIO())
         rec.active = False
@@ -70,7 +79,7 @@ print(" ".join(name for name in tracing.REQUIRED["factor_mix"] if name not in re
 """
 
 
-def _unreached(script: str, workload: str) -> list[str]:
+def _unreached(script: str, workload: str, *args: str) -> list[str]:
     proc = subprocess.run(
         [
             sys.executable,
@@ -79,6 +88,7 @@ def _unreached(script: str, workload: str) -> list[str]:
             os.path.join(ROOT, "src"),
             os.path.join(ROOT, "bench"),
             workload,
+            *args,
         ],
         capture_output=True,
         text=True,
@@ -90,7 +100,12 @@ def _unreached(script: str, workload: str) -> list[str]:
 
 @pytest.mark.parametrize("workload", ["extend_verify", "extend_build"])
 def test_golden_scenarios_reach_every_required_function(workload):
-    assert _unreached(SCRIPT, workload) == []
+    assert _unreached(SCRIPT, workload, "golden") == []
+
+
+def test_build_inputs_reach_every_required_function():
+    # the first input of each class, as the benchmark draws them at seed 1
+    assert _unreached(SCRIPT, "extend_build", "first") == []
 
 
 def test_factor_inputs_reach_every_required_function():

@@ -32,6 +32,7 @@ from valext.fields import (
     _u_squarefree,
     is_radicial,
     perfect_closure_truncated,
+    pth_root,
     tower_separable_over,
 )
 from valext.norms import random_fraction_element
@@ -1057,3 +1058,27 @@ def test_verification_draws_and_walks_without_per_draw_or_per_level_calls(
         if build.valuation_w.rank == 1:
             assert per_sample[1] > 0 and set(per_sample) <= {0, 1}, name
             assert counts["_min_poly_term"] == 0, name
+
+
+@pytest.mark.parametrize("p, n_trunc", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_the_closure_of_k_equal_to_f_is_embedded_without_a_root(monkeypatch, p, n_trunc):
+    # the fpa_trunc shapes of the benchmark: k = F = F_p(a), s^p = a^2 + a
+    f = FieldTower.prime_field(p).extend_transcendental("a")
+    a = f.gen("a")
+    kprime = f.extend_algebraic("s", [-(a**2 + a)] + [0] * (p - 1) + [1])
+    scn = ExtensionScenario(MonomialValuation(f, ["x"]), 1, kprime, truncation=n_trunc)
+
+    def no_root(z):
+        raise AssertionError(f"a p-th root of {z} was derived")
+
+    monkeypatch.setattr("valext.builder.pth_root", no_root)
+    built = build_general(scn)
+    monkeypatch.undo()
+    assert built.path == "general" and built.kprime_hom().verify()
+    # the identity is the only extension: each closure generator is the
+    # unique p-th root of its base
+    f_dag = perfect_closure_truncated(f, n_trunc)
+    assert f_dag.level == 1 + n_trunc
+    for j in range(f.level, f_dag.level):
+        base = f_dag.embed(-f_dag.minpoly_coeffs(j)[0])
+        assert pth_root(base) == f_dag.gen(f_dag.gen_names[j])

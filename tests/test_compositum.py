@@ -11,7 +11,9 @@ from valext.compositum import (
     subfield_maximality_check,
     tensor_decompose,
 )
+from valext import poly as poly_mod
 from valext.errors import CapabilityError, PreconditionError
+from valext.fields import FieldTower
 from valext.poly import Polynomial
 from valext.valuations import MonomialValuation
 
@@ -389,3 +391,69 @@ def test_base_change_matches_the_decomposition_at_every_prime(
                 compared += isinstance(direct, list)
     # refusals agree too, but most comparisons are of points
     assert compared > len(chain) * 2
+
+
+_RIGHT = {
+    "Q(i)": ("Q", "i: y^2 + 1"),
+    "Q(s2)": ("Q", "s2: y^2 - 2"),
+    "Q(w)": ("Q", "w: y^2 + y + 1"),
+    "F4": ("F2", "w: y^2 + y + 1"),
+}
+
+
+def _over(base: str, *steps: str) -> FieldTower:
+    """The tower over Q or F2 with the given algebraic steps, each checked."""
+    tower = FieldTower.rationals() if base == "Q" else FieldTower.prime_field(2)
+    for step in steps:
+        name, text = step.split(": ")
+        minpoly = Polynomial.parse(text, tower, ("y",)).univariate_coeffs()
+        tower = tower.extend_algebraic(name, minpoly)
+    return tower
+
+
+@pytest.mark.parametrize(
+    "right, step, factored, points",
+    [
+        # degree 3 or 5 over a quadratic field: prime to d = 2, never factored
+        ("Q(i)", "y^3 - 2", False, 1),
+        ("Q(i)", "y^5 - 3", False, 1),
+        ("Q(s2)", "y^3 - 3", False, 1),
+        ("Q(w)", "y^5 - 2", False, 1),
+        ("F4", "y^3 + y + 1", False, 1),
+        ("F4", "y^5 + y^2 + 1", False, 1),
+        # even degrees still factor, whether they split or not
+        ("Q(i)", "y^2 + 1", True, 2),
+        ("Q(i)", "y^4 + 81", True, 2),
+        ("Q(s2)", "y^2 - 3", True, 1),
+        ("Q(w)", "y^4 - 2", True, 1),
+        ("F4", "y^4 + y + 1", True, 2),
+    ],
+)
+def test_a_step_of_coprime_degree_is_not_factored(monkeypatch, right, step, factored, points):
+    base, gen = _RIGHT[right]
+    left, m = _over(base, f"c: {step}"), _over(base, gen)
+    calls = []
+    factor = poly_mod.factor
+    monkeypatch.setattr(poly_mod, "factor", lambda f: calls.append(f) or factor(f))
+    pts = tensor_decompose(left, m, 0)
+    monkeypatch.setattr(poly_mod, "factor", factor)
+    assert bool(calls) == factored and len(pts) == points
+    want = factor(pts[0].records[0].minpoly).factors
+    assert [pt.records[0].factor for pt in pts] == [g for g, _ in want]
+    for pt in pts:
+        assert pt.records[0].factors == tuple(want) and pt.multiplicity == 1
+
+
+def test_coprimality_is_read_over_the_image_of_the_prefix(monkeypatch):
+    # c -> +-i absorbs Q(c) into Q(i): d = [Q(i) : Q] / [Q(c) : Q] = 1 for
+    # the cubic above it, which is not factored, while y^2 + 1 is
+    left, m = _over("Q", "c: y^2 + 1", "d: y^3 - c - 2"), _over("Q", "i: y^2 + 1")
+    calls = []
+    factor = poly_mod.factor
+    monkeypatch.setattr(poly_mod, "factor", lambda f: calls.append(f) or factor(f))
+    pts = tensor_decompose(left, m, 0)
+    assert [str(f) for f in calls] == ["y^2 + 1"]
+    assert [pt.field.describe() for pt in pts] == [
+        "base=Q; gen i: algebraic y^2 + 1; gen d: algebraic y^3 - i - 2",
+        "base=Q; gen i: algebraic y^2 + 1; gen d: algebraic y^3 + i - 2",
+    ]

@@ -1140,3 +1140,67 @@ def test_no_certificate_above_two_algebraic_steps():
     assert not poly_mod._certify(f)[0]
     assert poly_mod.squarefree_decomposition(f) == [(f, 1)]
     assert factor(f).expand() == f
+
+
+# -- p-power binomials -----------------------------------------------------------
+
+
+def _binomial_towers():
+    """(tower, an element that is not a p-th power, or None in a finite
+    field, where every element is one) for each tower of the table."""
+    f2, f3 = FieldTower.prime_field(2), FieldTower.prime_field(3)
+    f4 = f2.extend_algebraic("w", [1, 1, 1])
+    f2_a, f3_a, f4_a = (t.extend_transcendental("a") for t in (f2, f3, f4))
+    f2_a_r = f2_a.extend_algebraic("r", [f2_a.gen("a"), 0, 1])
+    return {
+        "F2": (f2, None),
+        "F4": (f4, f4.gen("w")),
+        "F3(a)": (f3_a, f3_a.gen("a") + 1),
+        "F2(a)": (f2_a, f2_a.gen("a") + 1),
+        "F2(a)(r)": (f2_a_r, f2_a_r.gen("r") + 1),
+        "F4(a)": (f4_a, f4_a.gen("w") * f4_a.gen("a")),
+    }
+
+
+def _yun_then_factor(f):
+    """The route of ``factor`` before binomials were decided first: Yun's
+    squarefree parts, each factored."""
+    rng = random.Random(0)
+    out = []
+    for part, m in poly_mod._squarefree_yun(f):
+        out += [(g, m) for g in poly_mod._factor_squarefree(part, rng)]
+    return sorted(out, key=lambda gm: gm[0].sort_key())
+
+
+@pytest.mark.parametrize("name", list(_binomial_towers()))
+def test_binomials_factor_by_pth_roots_as_yun_does(monkeypatch, name):
+    tower, b = _binomial_towers()[name]
+    p = tower.char
+    # c = 0, c not a p-th power, a p-th power and a p^2-th power; in a finite
+    # field every c is all three
+    b = tower.one() if b is None else b
+    cases = [tower.zero(), b, b**p, b ** (p * p)]
+    gcds = []
+    gcd = poly_mod.gcd
+    for k in range(1, 4):
+        if p**k > FACTOR_DEGREE_BOUND:
+            continue
+        for c in cases:
+            coeffs = [-c] + [tower.zero()] * (p**k - 1) + [tower.one()]
+            f = Polynomial.from_coeffs(tower, "y", coeffs)
+            monkeypatch.setattr(poly_mod, "gcd", lambda *args: gcds.append(args) or gcd(*args))
+            got = factor(f)
+            monkeypatch.setattr(poly_mod, "gcd", gcd)
+            assert got.factors == _yun_then_factor(f), (name, k, str(c))
+            assert got.expand() == f
+    assert gcds == []
+
+
+def test_binomials_above_a_tower_without_pth_roots():
+    f2_a = FieldTower.prime_field(2).extend_transcendental("a")
+    tower = f2_a.extend_algebraic("s", [f2_a.gen("a") + 1, 0, 1])
+    with pytest.raises(CapabilityError, match="^p-th roots are only supported over finite"):
+        factor(parse("y^2 + a", tower))
+    # c = 0 needs no root: y^(p^k) is (y)^(p^k) over every field
+    assert str(factor(parse("y^2", tower))) == "(y)^2"
+    assert str(factor(parse("y^4", tower))) == "(y)^4"
