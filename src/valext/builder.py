@@ -423,8 +423,10 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
             f"{built.group_delta == built.group_gamma}"
         )
 
+    contains = w.group.contains
+
     def escapes(val, z) -> bool:
-        if w.group.contains(val):
+        if contains(val):
             return False
         details.append(f"value {val} of {z} escapes the group")
         return True
@@ -438,13 +440,14 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
             break
     denom = w.group.denominator
     bits = rng.getrandbits
-    # memos of this call only: the forcing monomial by its shift steps (all
-    # in W's group) and the inverted witness by its value, group and steps,
-    # so keys that name different values never share an entry.  A hit is
-    # what a fresh monomial() builds (a pure function of the value), z * m.inv()
-    # is z / m, and a fault of monomial() stays inside the inverse
+    # memos of this call only, keyed by lattice steps: the forcing monomial
+    # by its shift and the inverted witness by its value.  Every key names a
+    # value of W's group, so equal steps are equal values, and a tuple
+    # hashes faster than a value.  A hit is what a fresh monomial() builds
+    # (a pure function of the value), z * m.inv() is z / m, and a fault of
+    # monomial() stays inside the inverse
     shifts: dict[tuple[int, ...], FieldElement] = {}
-    inverses: dict[ValueWithZero, FieldElement] = {}
+    inverses: dict[tuple[int, ...], FieldElement] = {}
     for _ in range(samples if structural else 0):
         z = random_fraction_element(w, rng)
         val = w.value(z)
@@ -458,9 +461,10 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
         steps.append(1 + randbelow(bits, 3 * denom))
         # the shift target - val, formed on the lattice steps
         shift = tuple(map(sub, steps, val.steps))
-        if shift not in shifts:
-            shifts[shift] = w.monomial(ValueWithZero(w.group, shift))
-        z = z * shifts[shift]
+        forcing = shifts.get(shift)
+        if forcing is None:
+            forcing = shifts[shift] = w.monomial(ValueWithZero(w.group, shift))
+        z = z * forcing
         val = w.value(z)
         if escapes(val, z):
             ok_ideal = False
@@ -472,9 +476,10 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
         # the dominated base (V, or its truncation on the general path) has
         # W's variable and generator names, so base.monomial(v) is
         # w.monomial(v) and the witness can be built in W directly
-        if val not in inverses:
-            inverses[val] = w.monomial(val).inv()
-        quotient = z * inverses[val]
+        inverse = inverses.get(val.steps)
+        if inverse is None:
+            inverse = inverses[val.steps] = w.monomial(val).inv()
+        quotient = z * inverse
         if not w.in_ring(quotient):
             ok_ideal = False
             details.append(f"no base-ideal factorization for {z}")

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import poly as poly_mod
-from .errors import DomainError, PreconditionError, StructuralError
+from .errors import DomainError, PreconditionError, SelfCheckError, StructuralError
 from .fields import FieldElement, FieldTower, _fraction_level, _u_rem
 from .poly import Polynomial
 from .valuations import MonomialValuation
@@ -133,7 +133,7 @@ class FreeAlgebra:
         for alpha in z.univariate_coeffs():
             if self.valuation.value(alpha) == minval:
                 return alpha, z.scale(alpha.inv())
-        raise DomainError(f"no coefficient has the norm's value {minval}")
+        raise SelfCheckError(f"no coefficient has the norm's value {minval}")
 
     # -- residual algebra ---------------------------------------------------------
 

@@ -1025,7 +1025,7 @@ def _factor_norm_reduction(
                 out.append(g.monic())
                 rem = (rem // g).monic()
         if rem.degree() != 0 or not out:
-            raise DomainError("norm-map factor extraction failed to exhaust the input")
+            raise SelfCheckError("norm-map factor extraction failed to exhaust the input")
         out.sort(key=lambda g: g.sort_key())
         return out
     raise CapabilityError("no squarefree norm found for the algebraic extension")

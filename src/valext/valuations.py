@@ -35,7 +35,7 @@ from . import poly as poly_mod
 from .errors import CapabilityError, DomainError, StructuralError
 from .fields import FieldElement, FieldTower, _fraction_level
 from .poly import Polynomial
-from .value_groups import ValueGroup, ValueWithZero
+from .value_groups import ValueGroup, ValueWithZero, _from_steps
 
 
 def _min_term(rings: tuple, cut: int, lvl: int, rep) -> tuple[tuple[int, ...], object]:
@@ -131,12 +131,15 @@ class MonomialValuation:
     def value(self, z) -> ValueWithZero:
         if z.__class__ is not FieldElement or z.tower is not self.function_field:
             z = self.coerce(z)
-        if z.is_zero:
+        rep = z.rep
+        # the top level is a variable, so rep is (num, den) and () is zero
+        if not rep[0]:
             return self.group.zero_value()
         k = self.function_field
-        # integers over the group's own denominator: the value's lattice steps
-        exps = _min_term(k.rings, self.coefficient_field.level, k.level, z.rep)[0]
-        return ValueWithZero(self.group, exps)
+        # integers over the group's own denominator, one per variable: the
+        # value's lattice steps, unchecked (see value_groups)
+        exps = _min_term(k.rings, self.coefficient_field.level, k.level, rep)[0]
+        return _from_steps(self.group, exps)
 
     def in_ring(self, z) -> bool:
         return self.value(z).is_nonnegative()

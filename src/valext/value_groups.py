@@ -18,8 +18,14 @@ The group (1/D)Z^n, D = p^N for the group's char exponent p and denominator
 exponent N, is ordered lexicographically with the first coordinate most
 significant.  A value is its lattice steps: the integers k of its
 coordinates k/D.  The group law, the order, equality and hashing read them;
-``coords`` derives the rationals for rendering, and ``ValueGroup.element``
-is the checked entry from rationals.
+``coords`` derives the rationals for rendering.  ``ValueWithZero(group,
+steps)`` is the checked entry from steps and ``ValueGroup.element`` the
+checked entry from rationals.  The values the engine computes itself skip
+the check through ``_from_steps``, since their steps are ints of the group's
+rank by construction: ``ValueGroup.neutral`` (zeros), ``mul`` and ``inv``
+(sums and negations of steps already held) and ``MonomialValuation.value``
+(exponent differences of a minimal monomial, one per variable).  The check
+cannot fail there, and ``--verify`` would pay it on every sample.
 
 Groups and values are immutable; they are safe to share between threads.
 """
@@ -84,7 +90,7 @@ class ValueGroup:
 
     def neutral(self) -> "ValueWithZero":
         """The identity element, i.e. the value of any unit."""
-        return ValueWithZero(self, (0,) * self.rank)
+        return _from_steps(self, (0,) * self.rank)
 
     def _rescale(self, value: "ValueWithZero") -> tuple[int, ...] | None:
         """The steps over this group's denominator of a group element of
@@ -178,14 +184,14 @@ class ValueWithZero:
         self._check_same_group(other)
         if self.is_zero or other.is_zero:
             return ValueWithZero(self.group, None)
-        return ValueWithZero(self.group, tuple(map(add, self.steps, other.steps)))
+        return _from_steps(self.group, tuple(map(add, self.steps, other.steps)))
 
     __mul__ = mul
 
     def inv(self) -> "ValueWithZero":
         if self.is_zero:
             raise DomainError("the adjoined zero has no inverse")
-        return ValueWithZero(self.group, tuple(map(neg, self.steps)))
+        return _from_steps(self.group, tuple(map(neg, self.steps)))
 
     # Additive-dictionary helpers.  Here the adjoined zero acts as +infinity:
     # it is the value of the field element 0, which belongs to every ideal.
@@ -226,6 +232,17 @@ class ValueWithZero:
 
     def __str__(self):
         return self.render()
+
+
+def _from_steps(group: ValueGroup, steps: tuple[int, ...]) -> ValueWithZero:
+    """The group element of ``steps`` without ``__post_init__``'s check, for
+    steps the engine computed as a tuple of ``group.rank`` ints; equal,
+    equally hashed and as frozen as ``ValueWithZero(group, steps)``."""
+    value = object.__new__(ValueWithZero)
+    fields = value.__dict__
+    fields["group"] = group
+    fields["steps"] = steps
+    return value
 
 
 def is_p_torsion_quotient(sub: ValueGroup, sup: ValueGroup, p: int) -> bool:

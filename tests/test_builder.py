@@ -1021,11 +1021,34 @@ def test_verification_draws_and_walks_without_per_draw_or_per_level_calls(
     # forced targets go through builder.randbelow); at rank 1 a sample
     # places its terms with one _fraction_level call (none when every drawn
     # coefficient is zero), and a value reads the minimal monomial without
-    # a _min_poly_term call
+    # a _min_poly_term call.  No value is checked or hashed per sample: the
+    # only checked construction is a shift the memo misses, each one handed
+    # to monomial once, and the memos key on steps, never on a value
     from valext import builder, norms, valuations
+    from valext.value_groups import ValueWithZero
 
     counts = collections.Counter()
     per_sample = collections.Counter()
+    checked = []
+    monomials = []
+
+    def post_init(value):
+        checked.append(value.steps)
+        real_post_init(value)
+
+    def hashed(value):
+        counts["__hash__"] += 1
+        return real_hash(value)
+
+    def monomial(v, value):
+        monomials.append(value.steps)
+        return real_monomial(v, value)
+
+    real_post_init, real_hash = ValueWithZero.__post_init__, ValueWithZero.__hash__
+    real_monomial = valuations.MonomialValuation.monomial
+    monkeypatch.setattr(ValueWithZero, "__post_init__", post_init)
+    monkeypatch.setattr(ValueWithZero, "__hash__", hashed)
+    monkeypatch.setattr(valuations.MonomialValuation, "monomial", monomial)
 
     def counted(name, f):
         def call(*args):
@@ -1053,8 +1076,13 @@ def test_verification_draws_and_walks_without_per_draw_or_per_level_calls(
     for name, build in sorted(golden_builds.items()):
         counts.clear()
         per_sample.clear()
+        checked.clear()
+        monomials.clear()
         assert verify_weakly_unramified(build).passed, name
         assert sum(per_sample.values()) == 400 and counts["randbelow"] == 0, name
+        assert counts["__hash__"] == 0, name
+        assert checked and len(set(checked)) == len(checked), name
+        assert len(checked) < len(monomials) and set(checked) <= set(monomials), name
         if build.valuation_w.rank == 1:
             assert per_sample[1] > 0 and set(per_sample) <= {0, 1}, name
             assert counts["_min_poly_term"] == 0, name

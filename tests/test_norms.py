@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from valext import norms
-from valext.errors import DomainError, PreconditionError, StructuralError
+from valext.errors import DomainError, PreconditionError, SelfCheckError, StructuralError
 from valext.fields import FieldTower
 from valext.norms import (
     AlgebraElement,
@@ -123,6 +123,16 @@ def test_unit_part_factor_examples(f3):
     assert alpha == 1 / x and z1 == e.element({0: 1, 1: x})
     with pytest.raises(DomainError):
         e.unit_part_factor(e.zero())
+
+
+def test_unit_part_factor_is_a_self_check_of_the_norm(f3, monkeypatch):
+    # a norm that no coefficient has is the engine's fault, not the input's
+    v = MonomialValuation(f3, ["x"])
+    e = _module(v, 2)
+    x = v.function_field.gen("x")
+    monkeypatch.setattr(FreeAlgebra, "norm", lambda self, z: v.group.neutral())
+    with pytest.raises(SelfCheckError, match="no coefficient has the norm's value"):
+        e.unit_part_factor(e.element({0: x, 1: x**2}))
 
 
 def test_unit_part_reconstructs(module, v_f5):

@@ -4,6 +4,7 @@
 ``tests/test_golden.py``'s to check."""
 
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -139,6 +140,15 @@ _SELF_CHECK_PLANTS = [
         "internal check failed: computed p-th root a of a does not check",
     ),
     (
+        # a norm that is not f's: its factors divide no factor of f, so the
+        # extraction leaves f whole (hensel_route alone reaches the norm route)
+        "norm_of_another_polynomial",
+        "poly._norm = lambda fs, sub: [-1, 0, 0, 0, 1]",
+        "hensel_route",
+        5,
+        "internal check failed: norm-map factor extraction failed to exhaust the input",
+    ),
+    (
         "tensor_decompose_doubles_its_points",
         "decompose = builder.tensor_decompose\n"
         "builder.tensor_decompose = lambda *args: decompose(*args) * 2",
@@ -227,3 +237,41 @@ def test_every_private_helper_is_referenced_elsewhere_in_the_package():
             if not uses.get(name, set()) - own:
                 dead.append(f"{filename}:{node.lineno} {name}")
     assert dead == []
+
+
+def test_the_unchecked_value_constructor_stays_with_the_engine():
+    # value_groups._from_steps skips the step check of ValueWithZero, so it
+    # is called only where the engine computed the steps: the group law and
+    # neutral in value_groups.py, and MonomialValuation.value in
+    # valuations.py, never on a path whose steps come from the caller; any
+    # other use of the name (passed on, or imported elsewhere) shows here
+    sites = set()
+    for path in sorted((SRC / "valext").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    enclosing[node] = fn.name  # inner functions come later
+        called = {node.func for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name, site = node.id, "call" if node in called else "use"
+            elif isinstance(node, ast.Attribute):
+                name, site = node.attr, "call" if node in called else "use"
+            elif isinstance(node, ast.alias):
+                name, site = node.name, "import"
+            elif isinstance(node, ast.FunctionDef):
+                name, site = node.name, "def"
+            else:
+                continue
+            if name == "_from_steps":
+                sites.add((path.name, site, enclosing.get(node)))
+    assert sites == {
+        ("value_groups.py", "def", "_from_steps"),
+        ("value_groups.py", "call", "neutral"),
+        ("value_groups.py", "call", "mul"),
+        ("value_groups.py", "call", "inv"),
+        ("valuations.py", "import", None),
+        ("valuations.py", "call", "value"),
+    }

@@ -1,7 +1,11 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -307,3 +311,62 @@ def test_sign_read_from_steps_matches_the_coordinates(rank, p, n, draw):
         return
     assert _fractions(x.mul(y)) == tuple(map(add, fx, fy)) == _fractions(x * y)
     assert _fractions(x.inv()) == tuple(-c for c in fx)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field, n", [("rationals", 0), ("f3", 0), ("q_i", 0), ("f2_a", 1)])
+def test_engine_values_are_their_checked_construction(request, field, n, rank):
+    # value, mul, inv and neutral build their values unchecked: each must be
+    # the value that ValueWithZero(group, steps) checks and builds
+    base = request.getfixturevalue(field)
+    v = MonomialValuation(base, [f"x{j}" for j in range(1, rank + 1)], n)
+    g = v.group
+    rng = random.Random(f"unchecked:{field}:{rank}")
+    out = [g.neutral()]
+    for _ in range(30):
+        a = v.value(random_fraction_element(v, rng))
+        b = v.value(random_fraction_element(v, rng))
+        out += [a, a.mul(b), a * b.inv(), a.inv().mul(a)]
+    for x in out:
+        assert x.steps.__class__ is tuple and len(x.steps) == rank
+        assert all(k.__class__ is int for k in x.steps)
+        y = ValueWithZero(g, x.steps)
+        assert x == y and y == x and hash(x) == hash(y)
+        assert x.render() == y.render() and x.group is g
+    assert out[-1] == g.neutral()
+
+
+_REFUSED_STEPS = """
+from fractions import Fraction
+from valext.errors import StructuralError
+from valext.value_groups import ValueGroup, ValueWithZero
+
+g = ValueGroup(2, 2, 1)
+for bad in ([1, 2], (1,), (1, 2, 3), (True, 0), (0, Fraction(1, 2)), (0, Fraction(2))):
+    try:
+        ValueWithZero(g, bad)
+    except StructuralError:
+        print("refused", bad)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_the_checked_constructor_refuses_what_is_not_steps(flags):
+    # a list, another length, a bool and a Fraction (even an integral one)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _REFUSED_STEPS],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "refused [1, 2]",
+        "refused (1,)",
+        "refused (1, 2, 3)",
+        "refused (True, 0)",
+        "refused (0, Fraction(1, 2))",
+        "refused (0, Fraction(2, 1))",
+    ]
