@@ -235,41 +235,6 @@ def _parse_int(text: str, line: int, what: str) -> int:
         raise ScenarioParseError(f"{what} must be an integer, got {text[:20]!r}", line) from None
 
 
-def render_scenario(s: ScenarioFile) -> str:
-    """Canonical text form; parse(render(s)) reproduces s exactly."""
-
-    def steps_text(tower: FieldTower, start: int) -> str:
-        return "; ".join(tower.step_text(i) for i in range(start, tower.level))
-
-    lines = ["[base]", f"base: {s.f_tower.base.describe()}"]
-    gens = steps_text(s.f_tower, 0)
-    if gens:
-        lines.append(f"gens: {gens}")
-    lines.append(f"k-prefix: {s.k_len}")
-    if s.variables is not None:
-        lines.append("")
-        lines.append("[valuation]")
-        lines.append(f"vars: {', '.join(s.variables)}")
-        lines.append("order: lex")
-    kp = steps_text(s.kprime, s.k_len)
-    if kp:
-        lines.append("")
-        lines.append("[extension]")
-        lines.append(f"kprime-gens: {kp}")
-    opts = []
-    if s.truncation is not None:
-        opts.append(f"truncation-N: {s.truncation}")
-    if s.point_index != 0:
-        opts.append(f"point-index: {s.point_index}")
-    if s.seed != 0:
-        opts.append(f"seed: {s.seed}")
-    if opts:
-        lines.append("")
-        lines.append("[options]")
-        lines.extend(opts)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Commands
 

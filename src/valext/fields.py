@@ -45,9 +45,9 @@ Extension methods return new towers, each holding the tower it extends as
 its one-step-shorter prefix, so ``prefix`` returns one object per prefix,
 with its ``rings`` and hash.
 
-Each step's text is rendered once: ``FieldTower.describe`` and ``step_text``
-take it from ``_step_text``, a bounded ``functools`` memo keyed by the tower
-that ends with that step, so equal towers share it.
+Each step's text is rendered once: ``FieldTower.describe`` takes it from
+``_step_text``, a bounded ``functools`` memo keyed by the tower that ends
+with that step, so equal towers share it.
 ``FieldElement.__str__`` reads the terms of an element that is a polynomial
 in the generators (every element of a tower without transcendental steps,
 and most others) straight off the nested rep (``_polynomial_terms``); any
@@ -475,12 +475,9 @@ class FieldTower:
 
     # -- description text ---------------------------------------------------
 
-    def step_text(self, i: int) -> str:
-        """Step ``i`` as ``name: transcendental`` or ``name: algebraic <poly in y>``."""
-        return _step_text(self.prefix(i + 1))
-
     def extend_step(self, text: str, proven: set | None = None) -> "FieldTower":
-        """Extend by one step written as ``step_text`` renders it;
+        """Extend by one step written as ``describe`` renders it after
+        ``gen`` (``name: transcendental`` or ``name: algebraic <poly in y>``);
         ``proven`` is passed to ``extend_algebraic``."""
         from . import poly
 
@@ -638,10 +635,6 @@ class FieldElement:
                 return None
             rep = rep[0] if rep else below.zero
         return FieldElement(tw.prefix(prefix_len), rep)
-
-    def sort_key(self):
-        """A deterministic total-order key; only meaningful within one tower."""
-        return _key(self.tower, self.tower.level, self.rep)
 
     def __str__(self):
         tw = self.tower

@@ -221,7 +221,7 @@ class Polynomial:
                 yield i, self.reps[i]
 
     def sort_key(self):
-        # the key of each coefficient is its ``FieldElement.sort_key``
+        # the key of each coefficient is ``fields._key`` of its rep
         tw = self.tower
         return (self.degree(), tuple(((i,), _key(tw, tw.level, r)) for i, r in self._support()))
 

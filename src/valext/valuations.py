@@ -144,9 +144,6 @@ class MonomialValuation:
     def in_ring(self, z) -> bool:
         return self.value(z).is_nonnegative()
 
-    def in_maximal_ideal(self, z) -> bool:
-        return self.value(z).is_positive()
-
     def is_unit(self, z) -> bool:
         v = self.value(z)
         return not v.is_zero and v == self.group.neutral()

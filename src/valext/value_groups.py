@@ -167,18 +167,6 @@ class ValueWithZero:
             return (a is not None) - (b is not None)
         return (a > b) - (a < b)
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def mul(self, other: "ValueWithZero") -> "ValueWithZero":
         """Group law (coordinatewise addition); the adjoined zero absorbs."""
         self._check_same_group(other)

@@ -12,23 +12,37 @@ golden extension scenario, ``decompose`` of every golden scenario, the
 both modes the lines never reached are listed, and then the functions and
 methods never called.
 
+``--product`` also holds the product's reach: every function that no
+product run calls must be on ``ALLOWED_UNCALLED`` below, keyed by
+``file:qualname`` with the reason it stays, and every entry there must name
+a function that exists and is still never called.  The mode exits 1 when
+either fails, or when an output differs from its golden file.  A function
+that no product run needs is deleted or moved into the tests; one that
+stays gets an entry, and the change that puts it on a product path removes
+the entry.
+
 The tests run in this process under a ``sys.settrace`` tracer that records
 the lines of frames whose code lives in ``src/valext`` and ignores all other
 frames.  Hypothesis replaces the trace function partway through a run, so
 the tracer is installed again before each test's setup and call.  Once
 every line of a function has run, its calls go untraced, which keeps the
-run within a few times the untraced one.  A line counts as executable when some code object compiled from the file maps an
-instruction to it.  Code that tests run in a subprocess (the CLI and the
-``python -O`` checks) is not traced, so a line reached only there is
-listed.  pytest does not collect this file: its name does not start with
-``test_``.
+run within a few times the untraced one.  A line counts as executable when
+some code object compiled from the file maps an instruction to it.  The
+planted-fault runs of ``tests/test_self_checks.py`` trace themselves
+(``report_to``) when ``LINE_TRACE_REPORT`` in the environment names a
+report file, and their lines and calls are credited.  Other code that tests run in a
+subprocess (the CLI and the ``python -O`` checks) is not traced, so a line
+reached only there is listed.  pytest does not collect this file: its name
+does not start with ``test_``.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import inspect
 import io
+import json
 import os
 import sys
 import tempfile
@@ -39,6 +53,34 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "valext"
+# the environment variable that names the report file of traced subprocesses
+REPORT = "LINE_TRACE_REPORT"
+
+# The functions the product runs never call, keyed by file:qualname, each
+# with the reason it stays.
+ALLOWED_UNCALLED = {
+    "builder.py:BuiltExtension.base_embedding": "the ring map V -> W; ROADMAP item 1 stage A",
+    "cli.py:_Parser.print_help": "argparse's help text, printed by -h",
+    "errors.py:ScenarioParseError.__init__": "the error of a malformed scenario file",
+    "fields.py:FieldTower._parent": "the prefix of a tower built by the public constructor",
+    "fields.py:FieldTower.__str__": "protocol method of the public API",
+    "fields.py:FieldElement.__sub__": "protocol method of the public API",
+    "fields.py:FieldElement.__bool__": "protocol method of the public API",
+    "fields.py:FieldElement.__hash__": "protocol method of the public API",
+    "fields.py:FieldElement.__repr__": "protocol method of the public API",
+    "fields.py:_denominators": "prints an element with a transcendental denominator",
+    "norms.py:GaussExtension.value": "the Gauss valuation on E; ROADMAP item 1 stage B",
+    "norms.py:GaussExtension.value_fraction": "the Gauss valuation on E; ROADMAP item 1 stage B",
+    "norms.py:GaussExtension.in_ring": "the Gauss valuation on E; ROADMAP item 1 stage B",
+    "poly.py:Polynomial.__rsub__": "protocol method of the public API",
+    "poly.py:Polynomial.__hash__": "protocol method of the public API",
+    "poly.py:Polynomial.__repr__": "protocol method of the public API",
+    "poly.py:resultant": "a bench-wrapped function; ROADMAP item 2b",
+    "poly.py:Factorization.__str__": "protocol method of the public API",
+    "valuations.py:MonomialValuation.__hash__": "protocol method of the public API",
+    "valuations.py:MonomialValuation.series": "a bench-wrapped function; ROADMAP item 2b",
+    "value_groups.py:ValueWithZero.__str__": "protocol method of the public API",
+}
 
 
 def _own_lines(code) -> set[int]:
@@ -109,6 +151,26 @@ class LineTrace:
         self.install()
 
 
+def report_to(path: str) -> None:
+    """Trace this process and, at its exit, append to ``path`` one JSON
+    line of what it ran: the package lines by real path, and the calls as
+    (real path, first line, qualified name)."""
+    tracer = LineTrace()
+    tracer.install()
+
+    def write():
+        sys.settrace(None)
+        called = [
+            [os.path.realpath(code.co_filename), code.co_firstlineno, code.co_qualname]
+            for code in tracer.traced_code()
+        ]
+        executed = {real: sorted(lines) for real, lines in tracer.executed.items()}
+        with open(path, "a", encoding="utf-8") as out:
+            out.write(json.dumps({"executed": executed, "called": called}) + "\n")
+
+    atexit.register(write)
+
+
 def _product_runs() -> int:
     """Make the runs of ``--product`` and return the number whose output
     differs from its golden file (each is named on stderr)."""
@@ -141,19 +203,32 @@ def _product_runs() -> int:
     return len(differ)
 
 
-def _uncalled(code, called: set, prefix: str):
-    """The functions and methods under ``code`` (a module or class body)
-    whose (first line, qualified name) is not in ``called``, and those
-    under the ones that are; lambdas and comprehensions are left out."""
+def _uncalled(code, called: set):
+    """The (first line, qualified name) of the functions and methods under
+    ``code`` (a module or class body) not in ``called``, and of those under
+    the ones that are; lambdas and comprehensions are left out."""
     for const in code.co_consts:
         if not isinstance(const, type(code)) or const.co_name.startswith("<"):
             continue
         if not const.co_flags & inspect.CO_NEWLOCALS:  # a class body
-            yield from _uncalled(const, called, prefix)
+            yield from _uncalled(const, called)
         elif (const.co_firstlineno, const.co_qualname) not in called:
-            yield f"{prefix}:{const.co_firstlineno}: {const.co_qualname}"
+            yield const.co_firstlineno, const.co_qualname
         else:
-            yield from _uncalled(const, called, prefix)
+            yield from _uncalled(const, called)
+
+
+def _check(uncalled: list[str]) -> int:
+    """Print how the uncalled functions (``file:qualname``) differ from
+    ``ALLOWED_UNCALLED`` and return the number of differences."""
+    found = set(uncalled)
+    unlisted = sorted(found - ALLOWED_UNCALLED.keys())
+    stale = sorted(ALLOWED_UNCALLED.keys() - found)
+    for key in unlisted:
+        print(f"never called and not on ALLOWED_UNCALLED: {key}")
+    for key in stale:
+        print(f"on ALLOWED_UNCALLED but called or gone: {key}")
+    return len(unlisted) + len(stale)
 
 
 def main(argv: list[str]) -> int:
@@ -162,12 +237,24 @@ def main(argv: list[str]) -> int:
     product = argv == ["--product"]
     args = argv or ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     tracer = LineTrace()
-    tracer.install()
-    status = _product_runs() if product else pytest.main(args, plugins=[tracer])
-    sys.settrace(None)
-    threading.settrace(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.jsonl"
+        os.environ[REPORT] = str(report)
+        tracer.install()
+        status = _product_runs() if product else pytest.main(args, plugins=[tracer])
+        sys.settrace(None)
+        threading.settrace(None)
+        runs = report.read_text().splitlines() if report.exists() else []
+    called = {
+        (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_qualname)
+        for code in tracer.traced_code()
+    }
+    for run in map(json.loads, runs):
+        called.update(map(tuple, run["called"]))
+        for path, lines in run["executed"].items():
+            tracer.executed.setdefault(path, set()).update(lines)
     missed = 0
-    uncalled = []
+    uncalled = []  # (file:line: qualname, file:qualname)
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         text = source.splitlines()
@@ -176,15 +263,14 @@ def main(argv: list[str]) -> int:
         for line in sorted(_code_lines(module) - seen):
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
             missed += 1
-        called = {
-            (code.co_firstlineno, code.co_qualname)
-            for code in tracer.traced_code()
-            if os.path.realpath(code.co_filename) == str(path)
-        }
-        uncalled += _uncalled(module, called, str(path.relative_to(ROOT)))
-    print("\n".join(uncalled))
+        mine = {(first, name) for real, first, name in called if real == str(path)}
+        for first, name in _uncalled(module, mine):
+            uncalled.append((f"{path.relative_to(ROOT)}:{first}: {name}", f"{path.name}:{name}"))
+    print("\n".join(where for where, _ in uncalled))
     what = "by the product runs" if product else f"(pytest exit status {int(status)})"
     print(f"{missed} lines and {len(uncalled)} functions of src/valext never executed {what}")
+    if product:
+        status += _check([key for _, key in uncalled])
     return int(status != 0) if product else int(status)
 
 

@@ -16,6 +16,7 @@ import pytest
 from valext import cli, config, fields
 from valext.builder import (
     ExtensionScenario,
+    _certify_radicial,
     build_general,
     build_strictly_maximal,
     prime_counts,
@@ -195,6 +196,21 @@ def test_general_truncation_depth_two(f2_a, f2_a_r):
     assert verify_weakly_unramified(built, samples=30).passed
 
 
+def test_radicial_certificate_refuses_a_missing_witness_or_image(f2_a):
+    # over F_2(a), with a k' image outside F so the structural certificate runs
+    sep = f2_a.extend_algebraic("r", [1, 1, 1])  # r^2 + r + 1: no p-power witness
+    assert _certify_radicial(f2_a, sep, sep, (sep.gen("r"),)) == (
+        False,
+        "closure chain generators lack p-power witnesses",
+    )
+    f_dag = f2_a.extend_algebraic("b", [f2_a.gen("a"), 0, 1])  # b^2 = a
+    f1 = f_dag.extend_transcendental("s")
+    assert _certify_radicial(f2_a, f_dag, f1, (f_dag.gen("b"),)) == (
+        False,
+        "generators ['s'] are not k' images",
+    )
+
+
 def test_general_char0_delegates(scn_qi):
     built = build_general(scn_qi)
     assert built.path == "strictly-maximal"
@@ -237,7 +253,7 @@ def test_domination_general_path(scn_char2):
         assert w.value(emb.apply(z)).coords == v.value(z).coords
     # and the maximal ideal of V lands inside the maximal ideal of W
     x = v.function_field.gen("x")
-    assert w.in_maximal_ideal(emb.apply(x))
+    assert w.value(emb.apply(x)).is_positive()
 
 
 def test_point_choice_override(rationals, q_i):

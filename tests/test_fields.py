@@ -72,6 +72,8 @@ def test_restrict_and_embed(f2_a_r):
     r = f2_a_r.gen("r")
     assert r.restrict(1) is None
     assert (r * r).restrict(1) == a
+    # a tower from the public constructor holds no parent: prefix builds it
+    assert FieldTower(f2_a_r.base, f2_a_r.steps).prefix(1) == f2_a
 
 
 def test_describe_round_trip(f2_a_r, q_i):

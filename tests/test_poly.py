@@ -16,6 +16,7 @@ from valext.fields import (
     IntegersMod,
     PrimeField,
     RationalField,
+    _key,
     _u_divmod,
     _u_mul,
     _u_squarefree,
@@ -629,7 +630,7 @@ class _Sparse:
 
     def sort_key(self):
         items = sorted(self.terms.items(), key=lambda ec: ec[0], reverse=True)
-        return (self.degree(), tuple((e, c.sort_key()) for e, c in items))
+        return (self.degree(), tuple((e, _key(c.tower, c.tower.level, c.rep)) for e, c in items))
 
     def __hash__(self):
         return hash((self.tower, self.vars, tuple(sorted(self.terms.keys()))))

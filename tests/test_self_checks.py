@@ -14,7 +14,8 @@ import pytest
 
 from valext.selftest import GOLDEN_SCENARIOS
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_no_assert_statements_in_the_package():
@@ -159,8 +160,14 @@ _SELF_CHECK_PLANTS = [
     ),
 ]
 
+# under tests/line_trace.py, which names its report file in the environment,
+# the run traces itself and reports what it reached
 _RUN_PLANTED = """
-import sys
+import os, sys
+if os.environ.get("LINE_TRACE_REPORT"):
+    sys.path.insert(0, {tests!r})
+    import line_trace
+    line_trace.report_to(os.environ["LINE_TRACE_REPORT"])
 from valext import builder, cli, fields, poly
 {plant}
 sys.exit(cli.main(["extend", sys.argv[1]]))
@@ -178,8 +185,9 @@ def test_a_failed_self_check_has_its_own_exit_code(
 ):
     path = tmp_path / f"{scenario}.txt"
     path.write_text(GOLDEN_SCENARIOS[scenario], encoding="utf-8")
+    script = _RUN_PLANTED.format(tests=str(TESTS), plant=plant)
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", _RUN_PLANTED.format(plant=plant), str(path)],
+        [sys.executable, *flags, "-c", script, str(path)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
@@ -189,6 +197,20 @@ def test_a_failed_self_check_has_its_own_exit_code(
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[:1] == [first_line]
     assert "Traceback" not in proc.stderr
+
+
+def test_every_function_the_product_never_calls_is_allow_listed():
+    # tests/line_trace.py --product: the functions that no product
+    # run calls are exactly its ALLOWED_UNCALLED, and every output is golden
+    proc = subprocess.run(
+        [sys.executable, str(TESTS / "line_trace.py"), "--product"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    differences = [line for line in proc.stdout.splitlines() if "ALLOWED_UNCALLED" in line]
+    assert proc.returncode == 0, differences + proc.stderr.splitlines()
 
 
 def _private_definitions(tree: ast.Module):
