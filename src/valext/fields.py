@@ -1140,8 +1140,6 @@ def _scalar_quotient(R, a: list, s) -> list:
     if s == R.one:
         return a
     v, n = _integral_inverse(R, s)
-    if n == 1:
-        return [R.mul(c, v) for c in a]
     return [_map_leaves(R.mul(c, v), lambda x: _leaf_quotient(x, n)) for c in a]
 
 

@@ -20,14 +20,15 @@ Supported factorization domains:
 * purely transcendental extensions: descent to the coefficient subfield;
 * p-power binomials y^(p^e) - c in characteristic p: exact p-th roots.
 
-In characteristic 0 a prime decides squarefreeness where it can: a
-squarefree certificate (``_certify``) tests f modulo a prime
-over Q and the norm of f modulo a prime over Q(theta).  When it holds, the
-squarefree decomposition is f itself and Yun's exact gcd(f, f') is skipped;
-the norm route certifies each shifted norm the same way and falls back to
-the exact gcd.  Over Q the prime that certified f (or a norm) is the prime
-that factors it, and over Q(theta) the prime that certified f factors its
-unshifted norm, so each polynomial searches for its prime at most once.
+In characteristic 0 ``factor`` decides squarefreeness by a prime where it
+can: a squarefree certificate (``_certify``) tests f modulo a prime over Q
+and the norm of f modulo a prime over Q(theta).  When it holds, f is its own
+squarefree part and Yun's exact gcd(f, f') (``squarefree_decomposition``)
+is skipped; the norm route certifies each shifted norm the same way and
+falls back to the exact gcd.  Over Q the prime that certified f (or a norm)
+is the prime that factors it, and over Q(theta) the prime that certified f
+factors its unshifted norm, so each polynomial searches for its prime at
+most once.
 ``factor`` checks that the unit times the product of its factors is its
 input before it returns.
 
@@ -456,24 +457,17 @@ def _root_coeff_poly(f: Polynomial) -> Polynomial | None:
 
 
 def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Distinct monic irreducible-free parts with multiplicities.
+    """Distinct monic irreducible-free parts with multiplicities, by Yun's
+    algorithm.
 
     Exact over every supported tower, including non-perfect coefficient
     fields, where a vanishing derivative does not imply a repeated factor.
-    An input that a modular test proves squarefree is its own decomposition.
     """
     if f.is_zero:
         raise DomainError("squarefree decomposition of 0")
     f = f.monic()
     if f.degree() == 0:
         return []
-    if _certify(f)[0]:
-        return [(f, 1)]
-    return _squarefree_yun(f)
-
-
-def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's decomposition of a monic f of positive degree."""
     p = f.tower.char
     deriv = f.derivative()
     if p > 0 and deriv.is_zero:
@@ -492,7 +486,7 @@ def _squarefree_yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
         i += 1
     if c.degree() > 0:
         if p == 0:
-            raise DomainError("unexpected leftover in characteristic zero")
+            raise SelfCheckError("unexpected leftover in characteristic zero")
         out.extend(_squarefree_p_content(c, p))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
@@ -521,8 +515,6 @@ def _certify(f: Polynomial) -> tuple[bool, int | None]:
     tower = f.tower
     if tower.char != 0:
         return False, None
-    if f.degree() == 1:
-        return True, None
     if tower.level == 0:
         prime = _good_prime(_primitive_ints(f.reps))
         return prime is not None, prime
@@ -555,11 +547,7 @@ def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]
             for h2, m2 in squarefree_decomposition(hh):
                 out.append((h2, p * m * m2))
             continue
-        if h.degree() == 1:
-            # y^p - c with c not a p-th power: irreducible, hence squarefree
-            out.append((_substitute_power(h, p), m))
-            continue
-        # h is squarefree but mixes coefficient-root-extractable irreducible
+        # h is squarefree but may mix coefficient-root-extractable irreducible
         # factors with others; resolve by full factorization.
         rng = random.Random(config.DEFAULT_SEED)
         for q in _factor_squarefree(h, rng):
@@ -628,7 +616,7 @@ def factor(f: Polynomial) -> Factorization:
         rng = random.Random(config.DEFAULT_SEED)
         proved, prime = _certify(monic)
         out = []
-        for part, mult in [(monic, 1)] if proved else _squarefree_yun(monic):
+        for part, mult in [(monic, 1)] if proved else squarefree_decomposition(monic):
             for irr in _factor_squarefree(part, rng, prime=prime):
                 out.append((irr, mult))
         out.sort(key=lambda fm: fm[0].sort_key())
@@ -653,7 +641,7 @@ def _factor_squarefree(
     binomial = _binomial_factors(f)
     if binomial is not None:
         if binomial[0][1] > 1:
-            raise DomainError("squarefree p-power binomial cannot have a rootable base")
+            raise SelfCheckError("squarefree p-power binomial cannot have a rootable base")
         return [f]
     if tower.char > 0 and tower.extension_degree() is not None:
         return _factor_finite(f, rng)
@@ -751,8 +739,6 @@ def _equal_degree_split(tower, block: list, d: int, q: int, rng: random.Random) 
         while g is None:
             r = [_random_field_element(tower, rng).rep for _ in range(len(u) - 1)]
             r = _u_trim(R, r)
-            if len(r) <= 0:
-                continue
             if q % 2 == 1:
                 w = _u_powmod(R, r, (q**d - 1) // 2, u)
                 w = _u_add(R, w, [R.neg(R.one)])
@@ -883,7 +869,7 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
         cofactor = _u_divmod(res, whole, part)[0]
         one, s, _ = _u_xgcd(res, _u_rem(res, cofactor, part), part)
         if len(one) != 1:
-            raise DomainError("factors to lift are not coprime")
+            raise SelfCheckError("factors to lift are not coprime")
         inverses.append(s)
     mods = [_u_modulus(res, part) for part in parts]
     lifts = [list(part) for part in parts]
@@ -891,8 +877,6 @@ def hensel_lift(p: int, k: int, f: list[int], parts: list[list[int]]) -> list[li
         pi = p**i
         prod = functools.reduce(_u_mul_ints, lifts)
         e = _u_trim(res, [(c - d) // pi % p for c, d in zip(f, prod)])
-        if not e:
-            continue
         for g, s, mod in zip(lifts, inverses, mods):
             # digits below p times p^i stay below p^(i+1): no reduction needed
             for j, c in enumerate(_u_reduce(p, _u_mul_ints(s, e), mod)):
@@ -1096,7 +1080,7 @@ def _bareiss_det(R, M: list[list[list]]) -> list:
                 if prev is not None:
                     num, r = _u_divmod(R, num, prev)
                     if r:
-                        raise DomainError("fraction-free elimination: inexact division")
+                        raise SelfCheckError("fraction-free elimination: inexact division")
                 row[j] = num
         prev = pivot
     det = M[n - 1][n - 1]

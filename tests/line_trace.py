@@ -68,7 +68,7 @@ ALLOWED_UNCALLED = {
     "fields.py:FieldElement.__bool__": "protocol method of the public API",
     "fields.py:FieldElement.__hash__": "protocol method of the public API",
     "fields.py:FieldElement.__repr__": "protocol method of the public API",
-    "fields.py:_denominators": "prints an element with a transcendental denominator",
+    "fields.py:_denominators": "prints the sampled fraction of a failed --verify line",
     "norms.py:GaussExtension.value": "the Gauss valuation on E; ROADMAP item 1 stage B",
     "norms.py:GaussExtension.value_fraction": "the Gauss valuation on E; ROADMAP item 1 stage B",
     "norms.py:GaussExtension.in_ring": "the Gauss valuation on E; ROADMAP item 1 stage B",

@@ -867,24 +867,27 @@ def test_verification_catches_a_group_that_contains_nothing(golden_builds, monke
         assert not weak.value_samples_ok, name
 
 
+def _off_lattice(g: ValueGroup, v: ValueWithZero) -> ValueWithZero:
+    """A nonzero v moved off the group g: one more 1/(pD) in the last
+    coordinate of a finer group in characteristic p, a value of another rank
+    in characteristic 0."""
+    if g.char_exponent > 1:
+        fine = ValueGroup(g.rank, g.char_exponent, g.denom_exponent + 1)
+        k = fine.element(v.coords).steps
+        return ValueWithZero(fine, k[:-1] + (k[-1] + 1,))
+    other = ValueGroup(g.rank % config.MAX_RANK + 1)
+    return ValueWithZero(other, (v.steps + (0,) * config.MAX_RANK)[: other.rank])
+
+
 def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch):
-    # value() hands over a value W's group does not contain: one more 1/(pD)
-    # in the last coordinate of a finer group in characteristic p, a value of
-    # another rank in characteristic 0.  Both lines turn False with a detail
-    # line each, and nothing is asked of monomial()
+    # value() hands over a value W's group does not contain.  Both lines turn
+    # False with a detail line each, which prints the sampled fraction, and
+    # nothing is asked of monomial()
     value = MonomialValuation.value
 
     def off_lattice(self, z):
         v = value(self, z)
-        if v.is_zero:
-            return v
-        g = self.group
-        if g.char_exponent > 1:
-            fine = ValueGroup(g.rank, g.char_exponent, g.denom_exponent + 1)
-            k = fine.element(v.coords).steps
-            return ValueWithZero(fine, k[:-1] + (k[-1] + 1,))
-        other = ValueGroup(g.rank % config.MAX_RANK + 1)
-        return ValueWithZero(other, (v.steps + (0,) * config.MAX_RANK)[: other.rank])
+        return v if v.is_zero else _off_lattice(self.group, v)
 
     def no_monomial(self, value):
         raise AssertionError(f"monomial asked for {value}")
@@ -893,7 +896,34 @@ def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch)
     monkeypatch.setattr(MonomialValuation, "monomial", no_monomial)
     for name, weak in _verify_all(golden_builds).items():
         assert not weak.value_samples_ok and not weak.maximal_ideal_ok, name
-        assert sum("escapes the group" in d for d in weak.details) == 2, name
+        escaped = [d for d in weak.details if "escapes the group" in d]
+        assert len(escaped) == 2, name
+        # "value v of z escapes the group": z over a variable monomial
+        assert any("/" in d.split(" of ", 1)[1] for d in escaped), name
+
+
+def test_verification_reports_a_forced_value_off_the_lattice(golden_builds, monkeypatch):
+    # every sampled element keeps its value, and the first element forced
+    # towards a target gets one off the group: the maximal-ideal line alone
+    # turns False, with one detail line
+    from valext import builder
+
+    value, sample = MonomialValuation.value, builder.random_fraction_element
+    sampled = []
+
+    def recorded(v, rng):
+        sampled.append(sample(v, rng))
+        return sampled[-1]
+
+    def forced_off_lattice(self, z):
+        v = value(self, z)
+        return v if any(z is s for s in sampled) else _off_lattice(self.group, v)
+
+    monkeypatch.setattr(builder, "random_fraction_element", recorded)
+    monkeypatch.setattr(MonomialValuation, "value", forced_off_lattice)
+    for name, weak in _verify_all(golden_builds).items():
+        assert weak.value_samples_ok and not weak.maximal_ideal_ok, name
+        assert sum("escapes the group" in d for d in weak.details) == 1, name
 
 
 # ---------------------------------------------------------------------------

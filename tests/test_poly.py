@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from valext import poly as poly_mod
 from valext.config import FACTOR_DEGREE_BOUND
-from valext.errors import CapabilityError, DomainError, StructuralError
+from valext.errors import CapabilityError, DomainError, SelfCheckError, StructuralError
 from valext.fields import (
     FieldElement,
     FieldTower,
@@ -103,6 +103,34 @@ def test_squarefree_mixed_multiplicities_char_p(f5):
 def test_squarefree_irreducible_binomial_char2(f2_a):
     part, mults = squarefree_part(parse("y^2 + a", f2_a))
     assert mults == [(parse("y^2 + a", f2_a), 1)]
+
+
+# no golden input reaches the three checks below: each fails only on a fault
+# of the engine, so each raises SelfCheckError (exit 5 under `valext extend`)
+
+
+def test_yun_reports_a_leftover_in_characteristic_zero_as_a_self_check(monkeypatch, rationals):
+    # a derivative planted as f itself: gcd(f, f') = f leaves all of f over
+    monkeypatch.setattr(Polynomial, "derivative", lambda self: self)
+    with pytest.raises(SelfCheckError, match="^unexpected leftover in characteristic zero$"):
+        poly_mod.squarefree_decomposition(parse("y^2 - 1", rationals))
+
+
+def test_a_square_binomial_in_the_squarefree_factorizer_is_a_self_check(f2_a):
+    # y^2 + a^2 = (y + a)^2 breaks _factor_squarefree's precondition
+    with pytest.raises(SelfCheckError, match="cannot have a rootable base$"):
+        poly_mod._factor_squarefree(parse("y^2 + a^2", f2_a), random.Random(0))
+
+
+def test_an_inexact_bareiss_division_is_a_self_check(monkeypatch):
+    # a 3x3 determinant divides by the first pivot (a 2x2 one never divides);
+    # the division is planted to leave a remainder
+    R = RationalField()
+    exact = poly_mod._u_divmod
+    monkeypatch.setattr(poly_mod, "_u_divmod", lambda R, a, b: (exact(R, a, b)[0], [R.one]))
+    matrix = [[[R.from_int(3 * i + j + (i == j == 2))] for j in range(3)] for i in range(3)]
+    with pytest.raises(SelfCheckError, match="^fraction-free elimination: inexact division$"):
+        poly_mod._bareiss_det(R, matrix)
 
 
 # -- factor ----------------------------------------------------------------------
@@ -838,7 +866,7 @@ def test_certified_inputs_are_their_own_yun_decomposition(name, data):
     for _ in range(data.draw(st.integers(0, 2))):
         f = f * _monic_factor(tower, data.draw)
     if poly_mod._certify(f)[0]:
-        assert poly_mod._squarefree_yun(f) == [(f, 1)]
+        assert poly_mod.squarefree_decomposition(f) == [(f, 1)]
 
 
 @pytest.mark.parametrize("name", list(_CERTIFIED_TOWERS))
@@ -1168,7 +1196,7 @@ def _yun_then_factor(f):
     squarefree parts, each factored."""
     rng = random.Random(0)
     out = []
-    for part, m in poly_mod._squarefree_yun(f):
+    for part, m in poly_mod.squarefree_decomposition(f):
         out += [(g, m) for g in poly_mod._factor_squarefree(part, rng)]
     return sorted(out, key=lambda gm: gm[0].sort_key())
 

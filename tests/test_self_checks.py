@@ -150,6 +150,30 @@ _SELF_CHECK_PLANTS = [
         "internal check failed: norm-map factor extraction failed to exhaust the input",
     ),
     (
+        # hensel_route lifts two factors modulo p, and poly's _u_xgcd serves
+        # hensel_lift alone: a gcd of degree 1 says the parts are not coprime
+        "lift_parts_not_coprime",
+        "poly._u_xgcd = lambda R, a, b: ([R.one, R.one], [R.one], [R.one])",
+        "hensel_route",
+        5,
+        "internal check failed: factors to lift are not coprime",
+    ),
+    (
+        # the k' image of s shifted by 1 in the decomposition over the
+        # closure of k, the one call made without k_hom; shifting every
+        # image keeps each relation in characteristic 2: (s + 1)^2 = a + 1
+        "closure_kprime_image_shifted",
+        "import dataclasses\n"
+        "decompose = builder.tensor_decompose\n"
+        "shift = lambda pt: dataclasses.replace(\n"
+        "    pt, left_images=pt.left_images[:-1] + (pt.left_images[-1] + 1,))\n"
+        "builder.tensor_decompose = lambda *args: (\n"
+        "    [shift(pt) for pt in decompose(*args)] if len(args) == 3 else decompose(*args))",
+        "char2_trunc",
+        5,
+        "internal check failed: composed k' images violate a relation",
+    ),
+    (
         "tensor_decompose_doubles_its_points",
         "decompose = builder.tensor_decompose\n"
         "builder.tensor_decompose = lambda *args: decompose(*args) * 2",
