@@ -547,48 +547,45 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     the strictly maximal path (the general path certifies the prime-count
     bijection and radiciality instead).
 
-    Nothing is decomposed per prime, by the lemma: a field E is algebraically
-    closed in E(x), x transcendental, as the coefficients of a monic factor
-    over E(x) of a polynomial over E are algebraic over E.  kappa(q) is F
-    with variables appended, so the points over it are those over F with the
-    variables appended: the same multiplicities and appended algebraic steps,
-    with the same separability flags.  A point maps into kappa(q') exactly
-    when its base change does, the variables being free, so each prime reads
-    the points of the build's Spec(k' tensor_k F) and of one Spec(F tensor_k
-    k'), made per scenario, and maps them into its own kappa(q').
+    Nothing is decomposed or mapped per prime, by the lemma: a field E is
+    algebraically closed in E(x), x transcendental, as the coefficients of a
+    monic factor over E(x) of a polynomial over E are algebraic over E.
+    kappa(q) is F with variables appended, so the points over it are those
+    over F with the variables appended, with the same flags, and a point
+    maps into kappa(q') exactly when its base change does, hitting the same
+    generators.  So the row read at the closed point (kappa = F, kappa' =
+    F1), from the build's points and one Spec(F tensor_k k'), is every
+    prime's row.
     """
     if built.path != "strictly-maximal":
         raise PreconditionError(
             "the residue-pair correspondence is a strictly-maximal-path check"
         )
     scn = built.scenario
+    f_tower, f1 = scn.valuation.coefficient_field, built.residue_field
+    kprime_images = dict(zip(scn.kprime.gen_names, built.kprime_images))
+    same_names = {n: f1.gen(n) for n in f1.gen_names}
+    match = first_point_into(built.points, f1, same_names, kprime_images)
+    # the map hits the F generators and every recorded k' image, so it is
+    # onto when those cover all generators of F1
+    iso_ok = match is not None and (
+        set(f_tower.gen_names) | _generators_hit(f1, built.kprime_images)
+    ).issuperset(f1.gen_names)
+    sep_over_base = sep_over_kprime = None
+    if match is not None and tower_separable_over(scn.kprime, scn.k_len):
+        sep_over_base = separable_transfer_check(match).extension_separable
+    if scn.k_hom.is_inclusion() and tower_separable_over(f_tower, scn.k_len):
+        swapped_points = tensor_decompose(f_tower, scn.kprime, scn.k_len)
+        swapped = first_point_into(swapped_points, f1, kprime_images, same_names)
+        if swapped is not None:
+            sep_over_kprime = separable_transfer_check(swapped).extension_separable
+    strict = match is not None and match.strictly_maximal
     chain_v = scn.valuation.prime_chain()
     chain_w = built.valuation_w.prime_chain()
-    kprime_images = dict(zip(scn.kprime.gen_names, built.kprime_images))
-    # the hypotheses of the two columns
-    kprime_sep = tower_separable_over(scn.kprime, scn.k_len)
-    f_tower = scn.valuation.coefficient_field
-    swap = scn.k_hom.is_inclusion() and tower_separable_over(f_tower, scn.k_len)
-    swapped_points = tensor_decompose(f_tower, scn.kprime, scn.k_len) if swap else ()
-    pairs = []
-    for j, (kappa, kappa_ext) in enumerate(zip(chain_v, chain_w)):
-        same_names = {n: kappa_ext.gen(n) for n in kappa_ext.gen_names}
-        match = first_point_into(built.points, kappa_ext, same_names, kprime_images)
-        # the map hits the kappa generators and every recorded k' image, so it
-        # is onto when those cover all generators of kappa'
-        iso_ok = match is not None and (
-            set(kappa.gen_names) | _generators_hit(kappa_ext, built.kprime_images)
-        ).issuperset(kappa_ext.gen_names)
-        sep_over_base = sep_over_kprime = None
-        if kprime_sep and match is not None:
-            sep_over_base = separable_transfer_check(match).extension_separable
-        if swap:
-            swapped = first_point_into(swapped_points, kappa_ext, kprime_images, same_names)
-            if swapped is not None:
-                sep_over_kprime = separable_transfer_check(swapped).extension_separable
-        strict = match is not None and match.strictly_maximal
-        row = (j, kappa, kappa_ext, strict, sep_over_base, sep_over_kprime, iso_ok)
-        pairs.append(PrimePairReport(*row))
+    pairs = [
+        PrimePairReport(j, kappa, kappa_ext, strict, sep_over_base, sep_over_kprime, iso_ok)
+        for j, (kappa, kappa_ext) in enumerate(zip(chain_v, chain_w))
+    ]
     return SpectrumReport(len(chain_v), len(chain_w), pairs)
 
 

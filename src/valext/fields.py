@@ -1145,12 +1145,13 @@ def _scalar_quotient(R, a: list, s) -> list:
 
 def _subresultant_prs(R, a: list, b: list):
     """Yield the remainders of the subresultant polynomial remainder sequence
-    of a and b, deg a >= deg b >= 1 (Collins 1967; Brown and Traub 1971;
+    of a and b, deg a >= deg b >= 0 (Collins 1967; Brown and Traub 1971;
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.1),
-    up to the last nonzero one.  Each pseudo-remainder is divided by
-    g * h^delta, which the subresultant theorem proves exact, so remainders
-    of inputs with coefficients in an integral domain D stay in D: in
-    Z[theta1..thetar] when every minimal polynomial is integral."""
+    up to the last nonzero one (a constant one: a pseudo-remainder by a
+    constant is 0).  Each pseudo-remainder is divided by g * h^delta, which
+    the subresultant theorem proves exact, so remainders of inputs with
+    coefficients in an integral domain D stay in D: in Z[theta1..thetar]
+    when every minimal polynomial is integral."""
     g = h = R.one
     while True:
         delta = len(a) - len(b)
@@ -1159,8 +1160,6 @@ def _subresultant_prs(R, a: list, b: list):
             return
         r = _scalar_quotient(R, r, _prs_divisor(R, g, h, delta))
         yield r
-        if len(r) == 1:
-            return
         a, b = b, r
         g = a[-1]
         if delta == 1:
@@ -1184,8 +1183,6 @@ def _u_gcd_subresultant(R, a, b) -> list:
         return _u_monic(R, a or b)
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        return [R.one]
     last = _integral_primitive(b)
     for last in _subresultant_prs(R, _integral_primitive(a), last):
         pass
@@ -1484,19 +1481,16 @@ class TowerHom:
 # Characteristic-p structure: p-th roots, perfect closures, radiciality
 
 
-@dataclass(frozen=True)
-class _Flattening:
-    fwd: TowerHom
-    back: TowerHom
-
-
 @functools.lru_cache(maxsize=256)
-def _flattening(tw: FieldTower) -> _Flattening | None:
-    """An isomorphism with C(u_1..u_r), C the finite-field part, when the
-    algebraic steps above the finite prefix are p-power-root chains of
-    generators (the identity of a finite tw); tw has positive
-    characteristic, as ``pth_root`` requires.  None for any other shape;
-    SelfCheckError when the isomorphism built fails its relation check."""
+def _flattening(tw: FieldTower) -> tuple[TowerHom, TowerHom] | None:
+    """The pair (isomorphism with C(u_1..u_r), its inverse), C the
+    finite-field part, when the algebraic steps above the finite prefix are
+    p-power-root chains of generators (the identity of a finite tw); tw has
+    positive characteristic, as ``pth_root`` requires.  None for any other
+    shape; SelfCheckError when the forward map fails its relation check.
+    The inverse needs no check: by the ``Step`` invariant each chain is
+    linear, as a second root y^(p^k) - g of a generator g with a p-th root c
+    in the tower is (y^(p^(k-1)) - c)^p, reducible."""
     p = tw.char
     prefix_len = 0
     while prefix_len < tw.level and tw.steps[prefix_len].is_algebraic:
@@ -1545,10 +1539,7 @@ def _flattening(tw: FieldTower) -> _Flattening | None:
     back = TowerHom(pure, tw, back_images)
     if not fwd.verify():  # the relations hold by construction of the images
         raise SelfCheckError("the flattening of a root-chain tower violates a relation")
-    for name in tw.gen_names:
-        if back.apply(fwd.apply(tw.gen(name))) != tw.gen(name):
-            return None
-    return _Flattening(fwd, back)
+    return fwd, back
 
 
 def _pth_root_pure(elem: FieldElement, prefix_len: int) -> FieldElement | None:
@@ -1605,11 +1596,12 @@ def pth_root(elem: FieldElement) -> FieldElement | None:
         raise CapabilityError(
             "p-th roots are only supported over finite fields and root-chain towers"
         )
-    prefix_len = sum(1 for s in fl.fwd.target.steps if s.is_algebraic)
-    r = _pth_root_pure(fl.fwd.apply(elem), prefix_len)
+    fwd, back = fl
+    prefix_len = sum(1 for s in fwd.target.steps if s.is_algebraic)
+    r = _pth_root_pure(fwd.apply(elem), prefix_len)
     if r is None:
         return None
-    root = fl.back.apply(r)
+    root = back.apply(r)
     if root**tw.char != elem:
         raise SelfCheckError(f"computed p-th root {root} of {elem} does not check")
     return root

@@ -369,7 +369,7 @@ def is_reduced_lift(algebra: FreeAlgebra) -> ReducedLift:
     witness = part % rbar.monic()
     power = part**maxm % rbar.monic()
     if witness.is_zero or not power.is_zero:
-        raise DomainError("nilpotent witness construction failed")
+        raise SelfCheckError("nilpotent witness construction failed")
     worst = next((g, m) for g, m in decomp if m > 1)
     return ReducedLift(
         False,

@@ -726,8 +726,6 @@ def _factor_finite(f: Polynomial, rng: random.Random) -> list[Polynomial]:
 
 def _equal_degree_split(tower, block: list, d: int, q: int, rng: random.Random) -> list[list]:
     R = tower.ring
-    if len(block) - 1 == d:
-        return [_u_monic(R, block)]
     out = []
     stack = [block]
     while stack:

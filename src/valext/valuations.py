@@ -32,7 +32,7 @@ from operator import sub
 from typing import Sequence
 
 from . import poly as poly_mod
-from .errors import CapabilityError, DomainError, StructuralError
+from .errors import CapabilityError, DomainError, SelfCheckError, StructuralError
 from .fields import FieldElement, FieldTower, _fraction_level
 from .poly import Polynomial
 from .value_groups import ValueGroup, ValueWithZero, _from_steps
@@ -346,7 +346,7 @@ def hensel_factor_lift(
     k = valuation.function_field
     out = [g.map_coeffs(k.embed, k) for g in residual_factors]
     if math.prod(out) != f:
-        raise DomainError("the embedded residual factors do not multiply to f")
+        raise SelfCheckError("the embedded residual factors do not multiply to f")
     return HenselLift(out, residual_factors, precision)
 
 

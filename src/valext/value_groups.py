@@ -20,12 +20,11 @@ significant.  A value is its lattice steps: the integers k of its
 coordinates k/D.  The group law, the order, equality and hashing read them;
 ``coords`` derives the rationals for rendering.  ``ValueWithZero(group,
 steps)`` is the checked entry from steps and ``ValueGroup.element`` the
-checked entry from rationals.  The values the engine computes itself skip
-the check through ``_from_steps``, since their steps are ints of the group's
-rank by construction: ``ValueGroup.neutral`` (zeros), ``mul`` and ``inv``
-(sums and negations of steps already held) and ``MonomialValuation.value``
-(exponent differences of a minimal monomial, one per variable).  The check
-cannot fail there, and ``--verify`` would pay it on every sample.
+checked entry from rationals.  ``MonomialValuation.value`` alone skips the
+check, through ``_from_steps``: its steps are the exponent differences of a
+minimal monomial, one int per variable, so the check cannot fail there, and
+``--verify`` would pay it on every sample.  The group law and the neutral
+element take the checked entry: the sampling does not call them.
 
 Groups and values are immutable; they are safe to share between threads.
 """
@@ -90,7 +89,7 @@ class ValueGroup:
 
     def neutral(self) -> "ValueWithZero":
         """The identity element, i.e. the value of any unit."""
-        return _from_steps(self, (0,) * self.rank)
+        return ValueWithZero(self, (0,) * self.rank)
 
     def _rescale(self, value: "ValueWithZero") -> tuple[int, ...] | None:
         """The steps over this group's denominator of a group element of
@@ -172,14 +171,14 @@ class ValueWithZero:
         self._check_same_group(other)
         if self.is_zero or other.is_zero:
             return ValueWithZero(self.group, None)
-        return _from_steps(self.group, tuple(map(add, self.steps, other.steps)))
+        return ValueWithZero(self.group, tuple(map(add, self.steps, other.steps)))
 
     __mul__ = mul
 
     def inv(self) -> "ValueWithZero":
         if self.is_zero:
             raise DomainError("the adjoined zero has no inverse")
-        return _from_steps(self.group, tuple(map(neg, self.steps)))
+        return ValueWithZero(self.group, tuple(map(neg, self.steps)))
 
     # Additive-dictionary helpers.  Here the adjoined zero acts as +infinity:
     # it is the value of the field element 0, which belongs to every ideal.

@@ -202,7 +202,13 @@ def test_is_radicial_requires_prefix(f2_a, f2):
 def test_pth_root_examples(f2_a, f2_a_r):
     a = f2_a.gen("a")
     assert pth_root(a) is None
+    # the numerator a^2 is a square, the denominator a + 1 is not
+    assert pth_root(a**2 / (a + 1)) is None
     assert pth_root(f2_a_r.embed(a)) == f2_a_r.gen("r")
+    # Artin-Schreier: w^2 + w + a is no root chain, so no flattening
+    w = f2_a.extend_algebraic("w", [a, 1, 1], check=False).gen("w")
+    with pytest.raises(CapabilityError, match="root-chain towers"):
+        pth_root(w)
     # finite fields: Frobenius is onto
     f9 = FieldTower.prime_field(3).extend_algebraic("c", [1, 0, 1])
     z = f9.gen("c") + 1
@@ -597,7 +603,7 @@ def _reference_verify(hom) -> bool:
 def _seeded_homs(q_i, f2_a_r):
     x1x2 = FieldTower.rationals().extend_transcendental("x1").extend_transcendental("x2")
     a = f2_a_r.gen("a")
-    flat = _flattening(f2_a_r)
+    flat_fwd, flat_back = _flattening(f2_a_r)
     built = build_strictly_maximal(
         cli.parse_scenario(GOLDEN_SCENARIOS["rank2_sqrt2"]).to_extension_scenario()
     )
@@ -605,8 +611,8 @@ def _seeded_homs(q_i, f2_a_r):
         "q_i conjugation": TowerHom(q_i, q_i, [-q_i.gen("i")]),
         "q_i breaks i^2 = -1": TowerHom(q_i, q_i, [1 + q_i.gen("i")]),
         "f2_a_r a -> a^2 + 1": TowerHom(f2_a_r, f2_a_r, [a * a + 1, a + 1]),
-        "f2_a_r flattening forward": flat.fwd,
-        "f2_a_r flattening back": flat.back,
+        "f2_a_r flattening forward": flat_fwd,
+        "f2_a_r flattening back": flat_back,
         "x1 -> x2^2, x2 -> x1 + 1": TowerHom(
             x1x2, x1x2, [x1x2.gen("x2") ** 2, x1x2.gen("x1") + 1]
         ),

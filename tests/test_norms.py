@@ -320,6 +320,16 @@ def test_is_reduced_lift_examples(rationals, f2_a_r):
     assert a1.rank == 1 and is_reduced_lift(a1).reduced
 
 
+def test_a_failed_nilpotent_witness_is_a_self_check(rationals, monkeypatch):
+    # the squarefree decomposition is planted to call the irreducible
+    # modulus y^2 + 1 its own square, so the witness built from it is 0
+    v = MonomialValuation(rationals, ["x"])
+    a = FreeAlgebra.quotient(v, Polynomial.from_coeffs(v.function_field, "y", [1, 0, 1]))
+    monkeypatch.setattr(norms.poly_mod, "squarefree_part", lambda r: (r, [(r, 2)]))
+    with pytest.raises(SelfCheckError, match="^nilpotent witness construction failed$"):
+        is_reduced_lift(a)
+
+
 def test_reduced_lift_contrapositive(rationals):
     # a constructed nilpotent upstairs forces a non-reduced residual algebra
     v = MonomialValuation(rationals, ["x"])

@@ -133,6 +133,12 @@ def test_an_inexact_bareiss_division_is_a_self_check(monkeypatch):
         poly_mod._bareiss_det(R, matrix)
 
 
+def test_bareiss_determinant_with_a_zero_pivot_column():
+    # the first column is zero, so no row swap finds a pivot: det = 0
+    matrix = [[[], [1]], [[], [2, 1]]]
+    assert poly_mod._bareiss_det(PrimeField(5), matrix) == []
+
+
 # -- factor ----------------------------------------------------------------------
 
 

@@ -287,10 +287,10 @@ def test_every_private_helper_is_referenced_elsewhere_in_the_package():
 
 def test_the_unchecked_value_constructor_stays_with_the_engine():
     # value_groups._from_steps skips the step check of ValueWithZero, so it
-    # is called only where the engine computed the steps: the group law and
-    # neutral in value_groups.py, and MonomialValuation.value in
-    # valuations.py, never on a path whose steps come from the caller; any
-    # other use of the name (passed on, or imported elsewhere) shows here
+    # is called only where the engine computed the steps: in
+    # MonomialValuation.value, never on a path whose steps come from the
+    # caller; any other use of the name (another call, passed on, or imported
+    # elsewhere) shows here
     sites = set()
     for path in sorted((SRC / "valext").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -315,9 +315,6 @@ def test_the_unchecked_value_constructor_stays_with_the_engine():
                 sites.add((path.name, site, enclosing.get(node)))
     assert sites == {
         ("value_groups.py", "def", "_from_steps"),
-        ("value_groups.py", "call", "neutral"),
-        ("value_groups.py", "call", "mul"),
-        ("value_groups.py", "call", "inv"),
         ("valuations.py", "import", None),
         ("valuations.py", "call", "value"),
     }

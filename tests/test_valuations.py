@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from valext import config, valuations
-from valext.errors import CapabilityError, DomainError, StructuralError
+from valext.errors import CapabilityError, DomainError, SelfCheckError, StructuralError
 from test_fields import _old_split_fraction
 from valext.fields import FieldElement, FieldTower
 from valext.norms import random_field_element, random_fraction_element
-from valext.poly import Polynomial, factor
+from valext.poly import Factorization, Polynomial, factor
 from valext.valuations import MonomialValuation, hensel_factor_lift
 from valext.value_groups import ValueGroup
 
@@ -329,6 +329,19 @@ def test_hensel_rank_and_monic_requirements(rationals, v_f3):
     g = Polynomial.from_coeffs(k, "y", [k.one(), k.gen("x")])
     with pytest.raises(DomainError):
         hensel_factor_lift(v_f3, g)
+
+
+def test_a_lift_that_does_not_multiply_back_is_a_self_check(rationals, monkeypatch):
+    # the factorizer is planted to split the residual y^2 - 1 as
+    # (y - 1)(y - 2): a fault of the engine, not of the input
+    v = MonomialValuation(rationals, ["x"])
+    f = Polynomial.parse("y^2 - 1", v.function_field, ("y",))
+    wrong = [(Polynomial.parse(t, rationals, ("y",)), 1) for t in ("y - 1", "y - 2")]
+    monkeypatch.setattr(
+        valuations.poly_mod, "factor", lambda g: Factorization(g.tower.one(), wrong)
+    )
+    with pytest.raises(SelfCheckError, match="^the embedded residual factors do not multiply to f"):
+        hensel_factor_lift(v, f)
 
 
 # -- the exact lift of constant coefficients ------------------------------------
