@@ -14,7 +14,6 @@ from .builder import (
     ExtensionScenario,
     build_general,
     build_strictly_maximal,
-    prime_counts,
     render_report,
     spectrum_correspondence,
     verify_weakly_unramified,
@@ -92,7 +91,6 @@ __all__ = [
     "is_radicial",
     "is_reduced_lift",
     "perfect_closure_truncated",
-    "prime_counts",
     "pth_root",
     "render_report",
     "resultant",

@@ -89,19 +89,29 @@ class BuiltExtension:
 
     W is itself a monomial valuation over the enlarged coefficient field
     F1; domination of V and containment of k' are witnessed by the recorded
-    generator images and checked relations.
+    generator images and checked relations.  ``truncated_valuation`` is the
+    general path's truncated base (V read at the truncation exponent N), and
+    None on the strictly maximal path; the path and N are read off it.
     """
 
     scenario: ExtensionScenario
-    path: str
     valuation_w: MonomialValuation
     points: tuple[CompositumPoint, ...]  # the residual decomposition
     kprime_images: tuple[FieldElement, ...]
     provenance: tuple[str, ...]
     truncated_valuation: MonomialValuation | None = None
-    truncation: int | None = None
     p_torsion_ok: bool | None = None
     radicial_ok: bool | None = None
+
+    @property
+    def path(self) -> str:
+        return "strictly-maximal" if self.truncated_valuation is None else "general"
+
+    @property
+    def truncation(self) -> int | None:
+        """N, the denominator exponent of the truncated base."""
+        v = self.truncated_valuation
+        return None if v is None else v.denom_exponent
 
     @property
     def point(self) -> CompositumPoint:
@@ -215,7 +225,6 @@ def build_strictly_maximal(scn: ExtensionScenario) -> BuiltExtension:
     )
     return BuiltExtension(
         scenario=scn,
-        path="strictly-maximal",
         valuation_w=v_cur,
         points=tuple(points),
         kprime_images=pt.left_images,
@@ -320,13 +329,11 @@ def build_general(scn: ExtensionScenario) -> BuiltExtension:
     prov.append(f"residue field radicial over the k'F subfield: {radicial_ok} ({radicial_note})")
     return BuiltExtension(
         scenario=scn,
-        path="general",
         valuation_w=built_inner.valuation_w,
         points=built_inner.points,
         kprime_images=kprime_images,
         provenance=tuple(prov),
         truncated_valuation=v_dag,
-        truncation=n_trunc,
         p_torsion_ok=torsion,
         radicial_ok=radicial_ok,
     )
@@ -410,16 +417,16 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
     shows, unlike ``z * w.monomial(val.inv())``, where it could cancel."""
     rng = random.Random(built.scenario.seed)
     w = built.valuation_w
-    base = built.truncated_valuation if built.path == "general" else built.scenario.valuation
-    relative = "the truncated base" if built.path == "general" else "V"
-    structural = w.group == base.group
-    details = []
-    if built.path == "general":
+    base, relative, details = built.truncated_valuation, "the truncated base", []
+    if base is None:
+        base, relative = built.scenario.valuation, "V"
+    else:
         details.append(
             f"over V itself: group {built.group_delta.describe()} vs "
             f"{built.group_gamma.describe()}, weakly unramified: "
-            f"{built.group_delta == built.group_gamma}"
+            f"{built.weakly_unramified_over_input}"
         )
+    structural = w.group == base.group
 
     contains = w.group.contains
 
@@ -486,53 +493,38 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
 
 
 @dataclass
-class PrimePairReport:
-    index: int
-    kappa_base: FieldTower
-    kappa_ext: FieldTower
+class SpectrumReport:
+    """The prime chains of V and W, as residue fields, and the one
+    residue-pair row that every pair of the chains prints."""
+
+    chain_base: list[FieldTower]
+    chain_ext: list[FieldTower]
     strictly_maximal: bool
     separable_over_base: bool | None
     separable_over_kprime: bool | None
     iso_verified: bool
 
-    def render_lines(self) -> list[str]:
-        sep1 = "n/a" if self.separable_over_base is None else str(self.separable_over_base)
-        sep2 = "n/a" if self.separable_over_kprime is None else str(self.separable_over_kprime)
-        return [
-            f"pair {self.index}: kappa = {self.kappa_base.describe()}",
-            f"  kappa' = {self.kappa_ext.describe()}",
-            f"  strictly maximal composed extension: {self.strictly_maximal} "
-            f"(iso verified: {self.iso_verified})",
-            f"  separable over kappa: {sep1}; separable over k': {sep2}",
-        ]
-
-
-@dataclass
-class SpectrumReport:
-    base_count: int
-    ext_count: int
-    pairs: list[PrimePairReport]
-
     @property
     def passed(self) -> bool:
-        return self.base_count == self.ext_count and all(
-            p.iso_verified and p.strictly_maximal for p in self.pairs
+        return (
+            len(self.chain_base) == len(self.chain_ext)
+            and self.iso_verified
+            and self.strictly_maximal
         )
 
     def render_lines(self) -> list[str]:
-        out = [f"primes: {self.ext_count} <-> {self.base_count}"]
-        for p in self.pairs:
-            out.extend(p.render_lines())
+        sep1 = "n/a" if self.separable_over_base is None else str(self.separable_over_base)
+        sep2 = "n/a" if self.separable_over_kprime is None else str(self.separable_over_kprime)
+        out = [f"primes: {len(self.chain_ext)} <-> {len(self.chain_base)}"]
+        for j, (kappa, kappa_ext) in enumerate(zip(self.chain_base, self.chain_ext)):
+            out += [
+                f"pair {j}: kappa = {kappa.describe()}",
+                f"  kappa' = {kappa_ext.describe()}",
+                f"  strictly maximal composed extension: {self.strictly_maximal} "
+                f"(iso verified: {self.iso_verified})",
+                f"  separable over kappa: {sep1}; separable over k': {sep2}",
+            ]
         return out
-
-
-def prime_counts(built: BuiltExtension) -> tuple[int, int]:
-    """(number of primes of V, number of primes of W); equal by construction
-    since the rank never moves."""
-    return (
-        len(built.scenario.valuation.prime_chain()),
-        len(built.valuation_w.prime_chain()),
-    )
 
 
 def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
@@ -555,7 +547,7 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
     maps into kappa(q') exactly when its base change does, hitting the same
     generators.  So the row read at the closed point (kappa = F, kappa' =
     F1), from the build's points and one Spec(F tensor_k k'), is every
-    prime's row.
+    prime's row, and the report keeps that one row with the two chains.
     """
     if built.path != "strictly-maximal":
         raise PreconditionError(
@@ -580,13 +572,8 @@ def spectrum_correspondence(built: BuiltExtension) -> SpectrumReport:
         if swapped is not None:
             sep_over_kprime = separable_transfer_check(swapped).extension_separable
     strict = match is not None and match.strictly_maximal
-    chain_v = scn.valuation.prime_chain()
-    chain_w = built.valuation_w.prime_chain()
-    pairs = [
-        PrimePairReport(j, kappa, kappa_ext, strict, sep_over_base, sep_over_kprime, iso_ok)
-        for j, (kappa, kappa_ext) in enumerate(zip(chain_v, chain_w))
-    ]
-    return SpectrumReport(len(chain_v), len(chain_w), pairs)
+    chains = scn.valuation.prime_chain(), built.valuation_w.prime_chain()
+    return SpectrumReport(*chains, strict, sep_over_base, sep_over_kprime, iso_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +586,14 @@ def render_report(
     spectrum: SpectrumReport | None = None,
 ) -> str:
     """The text ``valext extend`` prints: with ``--verify`` it gets ``weak``,
-    and ``spectrum`` on the strictly maximal path, where the general path
-    prints the prime counts instead."""
+    and ``spectrum`` on the strictly maximal path, whose row it prints for
+    every pair of primes; the general path prints the lengths of the two
+    prime chains instead."""
     scn = built.scenario
     lines = ["GROUP"]
     lines.append(f"  gamma: {built.group_gamma.describe()}")
     lines.append(f"  delta: {built.group_delta.describe()}")
-    lines.append(f"  equal: {built.group_delta == built.group_gamma}")
+    lines.append(f"  equal: {built.weakly_unramified_over_input}")
     if built.p_torsion_ok is not None:
         lines.append(f"  delta/gamma p-torsion: {built.p_torsion_ok}")
     lines.append("RESIDUE")
@@ -632,6 +620,6 @@ def render_report(
     lines.append("PROVENANCE")
     lines.extend(f"  {p}" for p in built.provenance)
     if weak is not None and spectrum is None:
-        nv, nw = prime_counts(built)
+        nv, nw = len(scn.valuation.prime_chain()), len(built.valuation_w.prime_chain())
         lines += ["PRIME COUNTS", f"  V: {nv} <-> W: {nw}"]
     return "\n".join(lines) + "\n"

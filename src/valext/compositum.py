@@ -108,14 +108,18 @@ class CompositumPoint:
         """The field map from E into ``target`` that sends each M generator
         to its entry of ``right_images`` and each appended generator to the
         entry of its L generator in ``left_images``; None when an image is
-        missing or lies outside ``target``, or the map breaks a relation."""
+        missing or lies outside ``target``, the map breaks a relation, or it
+        sends the image in E of some L generator elsewhere than that
+        generator's entry (an absorbed step appends no generator)."""
         try:
             imgs = [right_images[n] for n in self.right.gen_names]
             imgs += [left_images[n] for n in self.appended_gens]
             hom = TowerHom(self.field, target, imgs)
+            wanted = [left_images[n] for n in self.left.gen_names]
         except (KeyError, StructuralError):
             return None
-        return hom if hom.verify() else None
+        ok = hom.verify() and all(hom.apply(a) == b for a, b in zip(self.left_images, wanted))
+        return hom if ok else None
 
     def degree_over_right(self) -> int | None:
         return self.field.extension_degree(self.right.level)

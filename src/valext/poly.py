@@ -543,9 +543,10 @@ def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]
     for h, m in squarefree_decomposition(g):
         hh = _root_coeff_poly(h)
         if hh is not None:
-            # h(y^p) = hh(y)^p
-            for h2, m2 in squarefree_decomposition(hh):
-                out.append((h2, p * m * m2))
+            # h(y^p) = hh(y)^p, and hh is squarefree: the coefficient-wise
+            # p-th power is a ring map taking hh to h, so a square factor of
+            # hh would give one of h
+            out.append((hh, p * m))
             continue
         # h is squarefree but may mix coefficient-root-extractable irreducible
         # factors with others; resolve by full factorization.

@@ -18,7 +18,6 @@ from .builder import (
     ExtensionScenario,
     build_general,
     build_strictly_maximal,
-    prime_counts,
     spectrum_correspondence,
     verify_weakly_unramified,
 )
@@ -402,8 +401,8 @@ def _case_builder_rank1():
     _check(built.group_delta == built.group_gamma)
     _check(built.residue_field.extension_degree() == 2)
     spec = spectrum_correspondence(built)
-    _check(spec.passed and spec.base_count == 2 == spec.ext_count)
-    _check(all(p.separable_over_base and p.separable_over_kprime for p in spec.pairs))
+    _check(spec.passed and len(spec.chain_base) == 2 == len(spec.chain_ext))
+    _check(spec.separable_over_base and spec.separable_over_kprime)
     _check(verify_weakly_unramified(built, samples=40).passed)
 
 
@@ -417,8 +416,8 @@ def _case_builder_identity():
 def _case_builder_rank2():
     built = build_strictly_maximal(_golden_scenario("rank2_sqrt2"))
     spec = spectrum_correspondence(built)
-    _check(spec.passed and spec.base_count == 3 == spec.ext_count)
-    _check(all(p.separable_over_kprime for p in spec.pairs))
+    _check(spec.passed and len(spec.chain_base) == 3 == len(spec.chain_ext))
+    _check(spec.separable_over_kprime)
     built_t = build_strictly_maximal(_golden_scenario("rank2_trans"))
     _check(built_t.residue_field.gen_names == ("t",))
     _check(built_t.group_delta == built_t.group_gamma)
@@ -428,7 +427,7 @@ def _case_builder_general():
     built = build_general(_golden_scenario("char2_trunc"))
     _check(built.group_delta.denominator == 2)
     _check(built.p_torsion_ok is True and built.radicial_ok is True)
-    _check(prime_counts(built) == (2, 2))
+    _check(len(built.scenario.valuation.prime_chain()) == 2 == len(built.valuation_w.prime_chain()))
     _check(not built.weakly_unramified_over_input)
     _check(verify_weakly_unramified(built, samples=30).passed)
 

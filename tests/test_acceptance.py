@@ -13,7 +13,6 @@ from valext.builder import (
     ExtensionScenario,
     build_general,
     build_strictly_maximal,
-    prime_counts,
     spectrum_correspondence,
     verify_weakly_unramified,
 )
@@ -160,10 +159,11 @@ def test_criterion_5_rank1_instance():
     )
     spec = spectrum_correspondence(built)
     pairs_ok = (
-        spec.base_count == 2
-        and spec.ext_count == 2
-        and all(p.strictly_maximal and p.iso_verified for p in spec.pairs)
-        and all(p.separable_over_base for p in spec.pairs)
+        len(spec.chain_base) == 2
+        and len(spec.chain_ext) == 2
+        and spec.strictly_maximal
+        and spec.iso_verified
+        and spec.separable_over_base
     )
     weak_ok = verify_weakly_unramified(built, samples=200).passed
     _report(
@@ -182,10 +182,11 @@ def test_criterion_6_rank2_instance():
     delta_ok = built.group_delta == built.group_gamma and built.group_delta.rank == 2
     spec = spectrum_correspondence(built)
     pairs_ok = (
-        spec.base_count == 3
-        and spec.ext_count == 3
-        and all(p.strictly_maximal and p.iso_verified for p in spec.pairs)
-        and all(p.separable_over_kprime for p in spec.pairs)
+        len(spec.chain_base) == 3
+        and len(spec.chain_ext) == 3
+        and spec.strictly_maximal
+        and spec.iso_verified
+        and spec.separable_over_kprime
     )
     _report(
         6,
@@ -203,7 +204,7 @@ def test_criterion_7_truncated_closure_instance():
     scn = ExtensionScenario(valuation=v, k_len=1, kprime=kprime, truncation=1)
     built = build_general(scn)
     torsion_ok = built.p_torsion_ok is True
-    counts = prime_counts(built)
+    counts = (len(v.prime_chain()), len(built.valuation_w.prime_chain()))
     radicial_ok = built.radicial_ok is True and is_radicial(f, built.residue_field)
     weak_ok = verify_weakly_unramified(built, samples=100).passed
     _report(

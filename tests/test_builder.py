@@ -19,7 +19,6 @@ from valext.builder import (
     _certify_radicial,
     build_general,
     build_strictly_maximal,
-    prime_counts,
     render_report,
     spectrum_correspondence,
     verify_weakly_unramified,
@@ -62,24 +61,31 @@ def test_rank1_qi_instance(scn_qi, q_i):
     assert built.kprime_hom().verify()
     spec = spectrum_correspondence(built)
     assert spec.passed
-    assert spec.base_count == 2 and spec.ext_count == 2
-    assert all(p.strictly_maximal and p.iso_verified for p in spec.pairs)
-    assert all(p.separable_over_base for p in spec.pairs)
-    assert all(p.separable_over_kprime for p in spec.pairs)
+    assert len(spec.chain_base) == 2 and len(spec.chain_ext) == 2
+    assert spec.strictly_maximal and spec.iso_verified
+    assert spec.separable_over_base
+    assert spec.separable_over_kprime
     weak = verify_weakly_unramified(built, samples=60)
     assert weak.passed
 
 
-def test_spectrum_refuses_an_image_that_is_not_a_root(scn_qi):
-    # i -> 1 + i respects no relation: neither the residue-pair map nor the
-    # swapped decomposition's map may verify
+def test_spectrum_refuses_an_image_that_is_not_a_root(scn_qi, golden_builds):
+    # i -> 1 + i and c -> s2 + 1 respect no relation: neither the residue-pair
+    # map nor the swapped decomposition's map may verify.  Over F = Q(s2) the
+    # step c^2 = 2 is absorbed and appends no generator, so the image of c
+    # itself must be compared
     built = build_strictly_maximal(scn_qi)
-    i = built.residue_field.gen("i")
-    fake = dataclasses.replace(built, kprime_images=(1 + i,))
-    spec = spectrum_correspondence(fake)
-    assert not spec.passed
-    assert not any(p.iso_verified or p.strictly_maximal for p in spec.pairs)
-    assert all(p.separable_over_kprime is None for p in spec.pairs)
+    hensel = golden_builds["hensel_route"]
+    s2 = hensel.residue_field.gen("s2")
+    for b, image in ((built, 1 + built.residue_field.gen("i")), (hensel, s2 + 1)):
+        spec = spectrum_correspondence(dataclasses.replace(b, kprime_images=(image,)))
+        assert not spec.passed
+        assert not (spec.iso_verified or spec.strictly_maximal)
+        assert spec.separable_over_kprime is None
+    # both roots of c^2 - 2 are genuine images
+    for image in (s2, -s2):
+        spec = spectrum_correspondence(dataclasses.replace(hensel, kprime_images=(image,)))
+        assert spec.passed and spec.separable_over_kprime
 
 
 def test_identity_scenario(rationals):
@@ -99,9 +105,9 @@ def test_rank2_sqrt2_instance(rationals, q_sqrt2):
     assert built.group_delta == built.group_gamma
     spec = spectrum_correspondence(built)
     assert spec.passed
-    assert spec.base_count == 3 and spec.ext_count == 3
+    assert len(spec.chain_base) == 3 and len(spec.chain_ext) == 3
     # separability of every residue pair over k' (residue field of V separable over k)
-    assert all(p.separable_over_kprime for p in spec.pairs)
+    assert spec.separable_over_kprime
     assert verify_weakly_unramified(built, samples=40).passed
 
 
@@ -160,7 +166,8 @@ def test_general_char2_instance(scn_char2, f2_a_r):
     assert is_p_torsion_quotient(built.group_gamma, built.group_delta, 2)
     assert built.radicial_ok is True
     assert is_radicial(f2_a_r, built.residue_field)
-    assert prime_counts(built) == (2, 2)
+    assert len(built.scenario.valuation.prime_chain()) == 2
+    assert len(built.valuation_w.prime_chain()) == 2
     assert not built.weakly_unramified_over_input
     weak = verify_weakly_unramified(built, samples=40)
     assert weak.passed  # relative to the truncated base
@@ -176,7 +183,7 @@ def test_general_rank2_variables_rooted(f2_a, f2_a_r):
     built = build_general(scn)
     assert built.group_delta.rank == 2 and built.group_delta.denominator == 2
     assert built.p_torsion_ok and built.radicial_ok
-    assert prime_counts(built) == (3, 3)
+    assert len(scn.valuation.prime_chain()) == 3 == len(built.valuation_w.prime_chain())
     w = built.valuation_w
     x1 = w.function_field.gen("x1")
     assert w.value(x1).render() == "(1/2, 0)"  # x1 reread as a square root
@@ -305,8 +312,8 @@ def test_spectrum_of_a_k_embedding_that_is_not_a_prefix_inclusion(rationals, q_i
     )
     spec = spectrum_correspondence(built)
     assert spec.passed
-    assert [p.separable_over_base for p in spec.pairs] == [True, True]
-    assert [p.separable_over_kprime for p in spec.pairs] == [None, None]
+    assert len(spec.chain_base) == 2
+    assert spec.separable_over_base is True and spec.separable_over_kprime is None
     assert all("separable over k': n/a" in line for line in spec.render_lines()[4::4])
 
 
@@ -749,10 +756,9 @@ def test_spectrum_is_the_decomposition_over_each_kappa(
         v = MonomialValuation(f, ["x1", "x2"])
         builds.append(build_strictly_maximal(ExtensionScenario(v, 1, kprime, k_hom, seed=seed)))
     for built in builds:
-        got = [
-            (p.strictly_maximal, p.separable_over_base, p.separable_over_kprime)
-            for p in spectrum_correspondence(built).pairs
-        ]
+        spec = spectrum_correspondence(built)
+        row = (spec.strictly_maximal, spec.separable_over_base, spec.separable_over_kprime)
+        got = [row] * len(spec.chain_base)
         assert got == _pairs_decomposed_at_each_prime(built), built.scenario.kprime.describe()
 
 

@@ -90,9 +90,17 @@ def test_squarefree_separable_is_itself(rationals):
     assert part == f and all(m == 1 for _, m in mults)
 
 
-def test_squarefree_mixed_multiplicities_char_p(f5):
+def test_squarefree_mixed_multiplicities_char_p(monkeypatch, f5):
     f = parse("(y + 1)^5 * (y + 2)^2 * y", f5)
+    calls = []
+    decompose = poly_mod.squarefree_decomposition
+    monkeypatch.setattr(
+        poly_mod, "squarefree_decomposition", lambda g: calls.append(g) or decompose(g)
+    )
     part, mults = squarefree_part(f)
+    # Yun leaves (y + 1)^5 = g(y^5) with g = y + 1; the coefficient-wise root
+    # y + 1 of g's squarefree part is squarefree and is not decomposed again
+    assert calls == [f, parse("y + 1", f5)]
     assert {(str(g), m) for g, m in mults} == {("y + 1", 5), ("y + 2", 2), ("y", 1)}
     expanded = Polynomial.from_coeffs(f5, "y", [1])
     for g, m in mults:
