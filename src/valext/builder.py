@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import sub
 
 from .compositum import (
     CompositumPoint,
@@ -49,7 +48,7 @@ from .fields import (
     pth_root,
     tower_separable_over,
 )
-from .norms import FreeAlgebra, gauss_extend, randbelow, random_fraction_element
+from .norms import FreeAlgebra, gauss_extend, random_fraction_element
 from .poly import Polynomial
 from .valuations import MonomialValuation, hensel_factor_lift
 from .value_groups import ValueGroup, ValueWithZero, is_p_torsion_quotient
@@ -398,23 +397,14 @@ class WeakUnramReport:
 
 
 def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakUnramReport:
-    """Sampled certification that W extends the base weakly unramified:
-    the groups agree structurally, sampled values land in the claimed group,
-    and sampled maximal-ideal elements factor as (base ideal) * (ring).
+    """Certification that W extends the base weakly unramified: the groups
+    agree structurally, sampled values land in the claimed group, and the
+    maximal ideal of W is generated by that of the base, which
+    ``_maximal_ideal_failure`` checks exactly when the groups agree.  The
+    base is V, or the truncated base on the general path.
 
-    A value outside the group sets the line being checked to False with a
-    detail line before any monomial is asked for it.  The value of each
-    forced element is read once: ``value(z).is_positive()`` decides
-    membership in the maximal ideal, and the value gives the monomial
-    witness.  The samples are drawn from the scenario's seed.
-
-    Each monomial is built once per value in one call: the forcing monomial
-    per shift, and the inverse of the witness per witness value, so the
-    quotient is ``z * inverse``.  ``monomial`` is a pure function of the
-    value, so a memo hit is the element a fresh call would build, and
-    ``z / m`` is ``z * m.inv()``: every sample is checked as before.  A
-    fault of ``monomial`` stays inside the inverted witness and still
-    shows, unlike ``z * w.monomial(val.inv())``, where it could cancel."""
+    A failed check sets its line to False with a detail line.  The samples
+    are drawn from the scenario's seed."""
     rng = random.Random(built.scenario.seed)
     w = built.valuation_w
     base, relative, details = built.truncated_valuation, "the truncated base", []
@@ -427,69 +417,44 @@ def verify_weakly_unramified(built: BuiltExtension, samples: int = 200) -> WeakU
             f"{built.weakly_unramified_over_input}"
         )
     structural = w.group == base.group
-
-    contains = w.group.contains
-
-    def escapes(val, z) -> bool:
-        if contains(val):
-            return False
-        details.append(f"value {val} of {z} escapes the group")
-        return True
-
     ok_values = True
-    ok_ideal = True
     for _ in range(samples):
         z = random_fraction_element(w, rng)
-        if escapes(w.value(z), z):
+        val = w.value(z)
+        if not w.group.contains(val):
             ok_values = False
+            details.append(f"value {val} of {z} escapes the group")
             break
-    denom = w.group.denominator
-    bits = rng.getrandbits
-    # memos of this call only, keyed by lattice steps: the forcing monomial
-    # by its shift and the inverted witness by its value.  Every key names a
-    # value of W's group, so equal steps are equal values, and a tuple
-    # hashes faster than a value.  A hit is what a fresh monomial() builds
-    # (a pure function of the value), z * m.inv() is z / m, and a fault of
-    # monomial() stays inside the inverse
-    shifts: dict[tuple[int, ...], FieldElement] = {}
-    inverses: dict[tuple[int, ...], FieldElement] = {}
-    for _ in range(samples if structural else 0):
-        z = random_fraction_element(w, rng)
-        val = w.value(z)
-        if escapes(val, z):
-            ok_ideal = False
-            break
-        # force a varied strictly positive value, staying inside the group:
-        # the steps k of coordinates k/D drawn as rng.randrange(0, 3D + 1),
-        # and rng.randrange(1, 3D + 1) for the last
-        steps = [randbelow(bits, 3 * denom + 1) for _ in range(w.rank - 1)]
-        steps.append(1 + randbelow(bits, 3 * denom))
-        # the shift target - val, formed on the lattice steps
-        shift = tuple(map(sub, steps, val.steps))
-        forcing = shifts.get(shift)
-        if forcing is None:
-            forcing = shifts[shift] = w.monomial(ValueWithZero(w.group, shift))
-        z = z * forcing
-        val = w.value(z)
-        if escapes(val, z):
-            ok_ideal = False
-            break
-        if not val.is_positive():
-            ok_ideal = False
-            details.append(f"forced element {z} not in the maximal ideal")
-            break
-        # the dominated base (V, or its truncation on the general path) has
-        # W's variable and generator names, so base.monomial(v) is
-        # w.monomial(v) and the witness can be built in W directly
-        inverse = inverses.get(val.steps)
-        if inverse is None:
-            inverse = inverses[val.steps] = w.monomial(val).inv()
-        quotient = z * inverse
-        if not w.in_ring(quotient):
-            ok_ideal = False
-            details.append(f"no base-ideal factorization for {z}")
-            break
+    failure = _maximal_ideal_failure(base, w) if structural else None
+    if failure is not None:
+        details.append(failure)
+    ok_ideal = structural and failure is None
     return WeakUnramReport(structural, relative, ok_values, ok_ideal, samples, details)
+
+
+def _maximal_ideal_failure(base: MonomialValuation, w: MonomialValuation) -> str | None:
+    """Why m_base W = m_W is not certified, or None when it is; ``base`` and
+    ``w`` have the same value group.
+
+    phi maps the base's function field into W's by generator names.  Two
+    finite facts make w restrict to the base's valuation along phi, and then
+    every positive value of W, an element of the common group, is the value
+    of a base monomial: phi is a field map (``TowerHom.verify``), and
+    w(phi(x_i)) is the unit step e_i that defines the base's value of each
+    variable x_i.  The expected value is read off that definition, never
+    from ``base.value``, which shares W's code; the witness x_i is
+    ``base.monomial`` of the unit step."""
+    kw = w.function_field
+    phi = TowerHom(base.function_field, kw, [kw.gen(n) for n in base.function_field.gen_names])
+    if not phi.verify():
+        return "the base's generators, mapped by name into W, violate a relation"
+    for i, x in enumerate(base.variables):
+        unit = tuple(int(j == i) for j in range(base.rank))
+        got = w.value(phi.apply(base.monomial(ValueWithZero(base.group, unit))))
+        expected = ValueWithZero(w.group, unit)
+        if got != expected:
+            return f"variable {x} has value {got} in W, not its unit step {expected}"
+    return None
 
 
 @dataclass

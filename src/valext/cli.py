@@ -34,7 +34,9 @@ Commands::
 Exit codes: 0 success, 1 parse error (also an unreadable scenario file or a
 negative truncation exponent), 2 capability error, 3 precondition error,
 4 selftest failure, 5 internal check failed (a check of the engine's own
-answer), 141 (128 + SIGPIPE) stdout closed by its reader.
+answer), 6 verification failed (``extend --verify`` printed its whole
+report, and a check in it failed), 141 (128 + SIGPIPE) stdout closed by its
+reader.
 """
 
 from __future__ import annotations
@@ -281,6 +283,8 @@ def cmd_extend(
     out=None,
     err=None,
 ) -> int:
+    failed: list[str] = []  # the report sections whose verification failed
+
     def report() -> str:
         scn = parse_scenario(_read(path)).to_extension_scenario()
         if point is not None:
@@ -298,9 +302,18 @@ def cmd_extend(
             weak = verify_weakly_unramified(built)
             if built.path == "strictly-maximal":
                 spectrum = spectrum_correspondence(built)
+            failed.extend(
+                section
+                for section, check in (("SPEC", spectrum), ("FLAGS", weak))
+                if check is not None and not check.passed
+            )
         return render_report(built, weak, spectrum)
 
-    return _run(report, out, err)
+    code = _run(report, out, err)
+    if code == 0 and failed:
+        print(f"verification failed: {', '.join(failed)}", file=err or sys.stderr)
+        return 6
+    return code
 
 
 def cmd_selftest(seed: int = 0, out=None, err=None) -> int:

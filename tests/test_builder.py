@@ -769,9 +769,9 @@ def test_verification_passes_without_a_fault(golden_builds):
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_verification_catches_a_monomial_off_by_one(golden_builds, monkeypatch, delta):
-    # the exponent of the last variable is off by one: the forced element
-    # leaves the maximal ideal (-1) or the quotient by the witness leaves the
-    # ring (+1)
+    # the exponent of the last variable is off by one: the witness of some
+    # variable x_i, built by monomial() from its unit step, is x_i * x_n^(+-1),
+    # whose value in W is not that unit step
     monomial = MonomialValuation.monomial
 
     def shifted(self, value):
@@ -782,89 +782,6 @@ def test_verification_catches_a_monomial_off_by_one(golden_builds, monkeypatch, 
     for name, weak in _verify_all(golden_builds).items():
         assert weak.value_samples_ok, name
         assert not weak.maximal_ideal_ok, name
-
-
-def _witness_values(build, monkeypatch) -> list:
-    """The values whose monomials an unplanted verification of ``build``
-    (at ``_verify_all``'s samples) inverts as witnesses, in order of first
-    use."""
-    built, witnesses = {}, []
-    monomial, inv = MonomialValuation.monomial, fields.FieldElement.inv
-
-    def recorded(self, value):
-        m = monomial(self, value)
-        built[id(m)] = (m, value)
-        return m
-
-    def inverted(self):
-        if id(self) in built and built[id(self)][0] is self:
-            witnesses.append(built[id(self)][1])
-        return inv(self)
-
-    with monkeypatch.context() as m:
-        m.setattr(MonomialValuation, "monomial", recorded)
-        m.setattr(fields.FieldElement, "inv", inverted)
-        assert verify_weakly_unramified(build, samples=40).passed
-    return witnesses
-
-
-def test_verification_catches_a_monomial_off_by_one_at_one_witness(golden_builds, monkeypatch):
-    # each witness is built once per value: a fault of monomial() at a
-    # single value the witnesses take still makes the quotient by that
-    # witness leave the ring.  Planted at the witness built first, whose
-    # entry serves every later sample of that value, and at the one built
-    # last (a value that is also every shift towards it can hide a plant,
-    # with or without the memo: z of value 0 forced to (2, 2) at rank 2)
-    witnesses = {name: _witness_values(b, monkeypatch) for name, b in golden_builds.items()}
-    monomial = MonomialValuation.monomial
-    planted = []
-
-    def shifted(self, value):
-        if value != planted[0]:
-            return monomial(self, value)
-        step = [0] * (self.rank - 1) + [Fraction(1, self.group.denominator)]
-        return monomial(self, value.mul(self.group.element(step)))
-
-    monkeypatch.setattr(MonomialValuation, "monomial", shifted)
-    for name, build in sorted(golden_builds.items()):
-        values = witnesses[name]
-        assert len(values) == len(set(values)) > 1, name
-        for value in (values[0], values[-1]):
-            planted[:] = [value]
-            weak = verify_weakly_unramified(build, samples=40)
-            assert weak.value_samples_ok, (name, value)
-            assert not weak.maximal_ideal_ok, (name, value)
-
-
-def test_verification_builds_each_witness_once_per_value(golden_builds, monkeypatch):
-    # the forcing monomial is built once per shift and the witness inverted
-    # once per value within one call; 400 monomials and 200 inverses at the
-    # 200 samples of --verify before the memo
-    counts = collections.Counter()
-    monomial, inv = MonomialValuation.monomial, fields.FieldElement.inv
-
-    def counted_monomial(self, value):
-        counts["monomial"] += 1
-        return monomial(self, value)
-
-    def counted_inv(self):
-        counts["inv"] += 1
-        return inv(self)
-
-    monkeypatch.setattr(MonomialValuation, "monomial", counted_monomial)
-    monkeypatch.setattr(fields.FieldElement, "inv", counted_inv)
-    got = {}
-    for name, build in sorted(golden_builds.items()):
-        counts.clear()
-        assert verify_weakly_unramified(build).passed, name
-        got[name] = (counts["monomial"], counts["inv"])
-    assert got == {
-        "char2_trunc": (16, 6),
-        "hensel_route": (10, 3),
-        "rank1_qi": (10, 3),
-        "rank2_sqrt2": (50, 12),
-        "rank2_trans": (50, 12),
-    }
 
 
 def test_verification_catches_a_group_that_contains_nothing(golden_builds, monkeypatch):
@@ -887,31 +804,30 @@ def _off_lattice(g: ValueGroup, v: ValueWithZero) -> ValueWithZero:
 
 def test_verification_reports_values_off_the_lattice(golden_builds, monkeypatch):
     # value() hands over a value W's group does not contain.  Both lines turn
-    # False with a detail line each, which prints the sampled fraction, and
-    # nothing is asked of monomial()
+    # False: the sampled-values line with a detail line that prints the
+    # sampled fraction, and the maximal-ideal line with one that names the
+    # first variable and the value W gave it
     value = MonomialValuation.value
 
     def off_lattice(self, z):
         v = value(self, z)
         return v if v.is_zero else _off_lattice(self.group, v)
 
-    def no_monomial(self, value):
-        raise AssertionError(f"monomial asked for {value}")
-
     monkeypatch.setattr(MonomialValuation, "value", off_lattice)
-    monkeypatch.setattr(MonomialValuation, "monomial", no_monomial)
     for name, weak in _verify_all(golden_builds).items():
         assert not weak.value_samples_ok and not weak.maximal_ideal_ok, name
         escaped = [d for d in weak.details if "escapes the group" in d]
-        assert len(escaped) == 2, name
+        assert len(escaped) == 1, name
         # "value v of z escapes the group": z over a variable monomial
-        assert any("/" in d.split(" of ", 1)[1] for d in escaped), name
+        assert "/" in escaped[0].split(" of ", 1)[1], name
+        x = golden_builds[name].valuation_w.variables[0]
+        assert sum(d.startswith(f"variable {x} has value ") for d in weak.details) == 1, name
 
 
-def test_verification_reports_a_forced_value_off_the_lattice(golden_builds, monkeypatch):
-    # every sampled element keeps its value, and the first element forced
-    # towards a target gets one off the group: the maximal-ideal line alone
-    # turns False, with one detail line
+def test_verification_reports_a_witness_value_off_the_lattice(golden_builds, monkeypatch):
+    # every sampled element keeps its value, and the witness of each
+    # variable gets one off the group: the maximal-ideal line alone turns
+    # False, with one detail line
     from valext import builder
 
     value, sample = MonomialValuation.value, builder.random_fraction_element
@@ -921,15 +837,61 @@ def test_verification_reports_a_forced_value_off_the_lattice(golden_builds, monk
         sampled.append(sample(v, rng))
         return sampled[-1]
 
-    def forced_off_lattice(self, z):
+    def witness_off_lattice(self, z):
         v = value(self, z)
         return v if any(z is s for s in sampled) else _off_lattice(self.group, v)
 
     monkeypatch.setattr(builder, "random_fraction_element", recorded)
-    monkeypatch.setattr(MonomialValuation, "value", forced_off_lattice)
+    monkeypatch.setattr(MonomialValuation, "value", witness_off_lattice)
     for name, weak in _verify_all(golden_builds).items():
         assert weak.value_samples_ok and not weak.maximal_ideal_ok, name
-        assert sum("escapes the group" in d for d in weak.details) == 1, name
+        assert not any("escapes the group" in d for d in weak.details), name
+        assert sum(d.startswith("variable ") for d in weak.details) == 1, name
+
+
+def _one_step_up(monkeypatch):
+    """Plant a ``value`` one lattice step up in the last coordinate."""
+    value = MonomialValuation.value
+
+    def shifted(self, z):
+        v = value(self, z)
+        return v if v.is_zero else ValueWithZero(v.group, v.steps[:-1] + (v.steps[-1] + 1,))
+
+    monkeypatch.setattr(MonomialValuation, "value", shifted)
+
+
+def test_verification_catches_a_value_one_step_up(golden_builds, monkeypatch):
+    # every value stays in W's group, so the sampled-values line holds; the
+    # value of a variable is not the unit step that defines it
+    _one_step_up(monkeypatch)
+    for name, weak in _verify_all(golden_builds).items():
+        assert weak.value_samples_ok and not weak.maximal_ideal_ok, name
+        assert not weak.passed, name
+        assert sum(d.startswith("variable ") for d in weak.details) == 1, name
+
+
+@pytest.mark.parametrize("name", sorted(n for n, t in GOLDEN_SCENARIOS.items() if "[valuation]" in t))
+def test_extend_verify_exits_6_on_a_value_one_step_up(tmp_path, monkeypatch, name):
+    # the whole report is printed with the failed line, and the exit code and
+    # stderr name the FLAGS section
+    _one_step_up(monkeypatch)
+    path = tmp_path / f"{name}.val"
+    path.write_text(GOLDEN_SCENARIOS[name])
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.cmd_extend(str(path), verify=True, out=out, err=err) == 6
+    assert err.getvalue() == "verification failed: FLAGS\n"
+    assert "maximal ideal generated by the base ideal: False" in out.getvalue()
+    assert out.getvalue().startswith("GROUP\n") and "PROVENANCE" in out.getvalue()
+
+
+def test_verification_catches_a_base_map_that_violates_a_relation(golden_builds, monkeypatch):
+    # the builds are made; from here on no relation check holds
+    monkeypatch.setattr(TowerHom, "verify", lambda self: False)
+    for name, weak in _verify_all(golden_builds).items():
+        assert weak.value_samples_ok and not weak.maximal_ideal_ok, name
+        assert weak.details[-1] == (
+            "the base's generators, mapped by name into W, violate a relation"
+        ), name
 
 
 # ---------------------------------------------------------------------------
@@ -937,46 +899,37 @@ def test_verification_reports_a_forced_value_off_the_lattice(golden_builds, monk
 
 
 def _verification_stream(build, monkeypatch):
-    """The elements ``verify_weakly_unramified`` samples and the forced
-    targets it draws (``rank`` builder draws each: the steps of the leading
-    coordinates, then the last step less one), at the 200 samples of
-    ``--verify``, as printed."""
+    """The elements ``verify_weakly_unramified`` samples at the 200 samples
+    of ``--verify``, as printed, each on a line ``z <element>``.  A line
+    ``t <value>`` once recorded each forced target of the sampled
+    maximal-ideal check, which the exact check replaced; none is drawn."""
     from valext import builder
 
     lines = []
-    real_sample, real_randbelow = builder.random_fraction_element, builder.randbelow
-    group = build.valuation_w.group
-    drawn = []
+    real_sample = builder.random_fraction_element
 
     def sample(v, rng):
         z = real_sample(v, rng)
         lines.append(f"z {z}")
         return z
 
-    def randbelow(bits, n):
-        k = real_randbelow(bits, n)
-        drawn.append(k)
-        if len(drawn) == group.rank:
-            lines.append(f"t {ValueWithZero(group, tuple(drawn[:-1]) + (drawn[-1] + 1,))}")
-            drawn.clear()
-        return k
-
     with monkeypatch.context() as m:
         m.setattr(builder, "random_fraction_element", sample)
-        m.setattr(builder, "randbelow", randbelow)
         verify_weakly_unramified(build)
-    assert not drawn
     return lines
 
 
 # (sampled elements, forced targets, sha256 prefix of the lines) per golden
-# build, recorded before the sampler read its draws from getrandbits
+# build.  Each digest is that of the first 200 samples of the stream recorded,
+# with 200 more samples and 200 forced targets, before the sampler read its
+# draws from getrandbits: the exact check took the second loop's place and
+# left the first loop's draws as they were
 VERIFICATION_STREAMS = {
-    "char2_trunc": (400, 200, "c894041de09b6181"),
-    "hensel_route": (400, 200, "4f4acc4099fcd1eb"),
-    "rank1_qi": (400, 200, "91c3e7dc5d4d114c"),
-    "rank2_sqrt2": (400, 200, "b4a28e9ab73febd7"),
-    "rank2_trans": (400, 200, "19bdb0153cebe2c8"),
+    "char2_trunc": (200, 0, "ed3e00884be891c3"),
+    "hensel_route": (200, 0, "8d968c644488b809"),
+    "rank1_qi": (200, 0, "a65e65da385cca50"),
+    "rank2_sqrt2": (200, 0, "fa8b0e45c84639d0"),
+    "rank2_trans": (200, 0, "62e12d56335526a6"),
 }
 
 
@@ -1069,13 +1022,13 @@ def test_verification_takes_no_gcd(golden_builds, monkeypatch):
 def test_verification_draws_and_walks_without_per_draw_or_per_level_calls(
     golden_builds, monkeypatch
 ):
-    # the samplers read their bits from getrandbits themselves (only the
-    # forced targets go through builder.randbelow); at rank 1 a sample
-    # places its terms with one _fraction_level call (none when every drawn
-    # coefficient is zero), and a value reads the minimal monomial without
-    # a _min_poly_term call.  No value is checked or hashed per sample: the
-    # only checked construction is a shift the memo misses, each one handed
-    # to monomial once, and the memos key on steps, never on a value
+    # the samplers read their bits from getrandbits themselves; at rank 1 a
+    # sample places its terms with one _fraction_level call (none when every
+    # drawn coefficient is zero), and a value reads the minimal monomial
+    # without a _min_poly_term call.  No value is checked or hashed per
+    # sample: the only checked constructions are the exact check's, the unit
+    # step of each variable once for its witness, which alone is handed to
+    # monomial, and once as the value expected
     from valext import builder, norms, valuations
     from valext.value_groups import ValueWithZero
 
@@ -1131,10 +1084,12 @@ def test_verification_draws_and_walks_without_per_draw_or_per_level_calls(
         checked.clear()
         monomials.clear()
         assert verify_weakly_unramified(build).passed, name
-        assert sum(per_sample.values()) == 400 and counts["randbelow"] == 0, name
+        assert sum(per_sample.values()) == 200 and counts["randbelow"] == 0, name
         assert counts["__hash__"] == 0, name
-        assert checked and len(set(checked)) == len(checked), name
-        assert len(checked) < len(monomials) and set(checked) <= set(monomials), name
+        rank = build.valuation_w.rank
+        units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+        assert checked == [u for u in units for _ in range(2)], name
+        assert monomials == units, name
         if build.valuation_w.rank == 1:
             assert per_sample[1] > 0 and set(per_sample) <= {0, 1}, name
             assert counts["_min_poly_term"] == 0, name

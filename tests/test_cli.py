@@ -259,6 +259,31 @@ def test_split_step_builds_at_rank_2_and_3(tmp_path, variables):
     assert "maximal ideal generated by the base ideal: True" in out and "False" not in out
 
 
+def test_a_failed_verification_exits_6_with_the_whole_report(tmp_path, monkeypatch):
+    # no point of the residual decomposition maps into F1: both residue-pair
+    # lines of rank1_qi read False, stdout still holds every section, and
+    # stderr names the failed one
+    from valext.compositum import CompositumPoint
+
+    monkeypatch.setattr(CompositumPoint, "hom_into", lambda self, *args: None)
+    code, out, err = run_extend(tmp_path, GOLDEN_SCENARIOS["rank1_qi"], verify=True)
+    assert (code, err) == (6, "verification failed: SPEC\n")
+    assert out.count("strictly maximal composed extension: False (iso verified: False)") == 2
+    assert "maximal ideal generated by the base ideal: True" in out
+    for section in ("GROUP", "RESIDUE", "SPEC", "FLAGS", "PROVENANCE"):
+        assert f"{section}\n" in out, section
+    # the same plant fails nothing that a build without --verify prints
+    assert run_extend(tmp_path, GOLDEN_SCENARIOS["rank1_qi"])[0] == 0
+
+
+def test_facts_of_the_build_are_not_verification_failures(tmp_path):
+    # on the general path the group grows by design: equal: False and
+    # weakly unramified over V: False, with every check passing, exit 0
+    code, out, err = run_extend(tmp_path, GOLDEN_SCENARIOS["char2_trunc"], verify=True)
+    assert (code, err) == (0, "")
+    assert "  equal: False\n" in out and "weakly unramified over V: False" in out
+
+
 def test_selftest_green_and_seed_stability():
     result = run_selftest(seed=0)
     assert not result.failed

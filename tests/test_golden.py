@@ -92,12 +92,16 @@ def test_extend_verify_report_is_golden_under_python_O(tmp_path):
 
 def test_extend_verify_reaches_the_lemma_code(tmp_path):
     # the residue-pair columns of --verify are the compositum's
-    # separable-transfer lemma: a call recorder over the five golden builds
-    # sees it, the point search and the inclusion test reached
+    # separable-transfer lemma, and the maximal-ideal line is the exact
+    # check on the base's variables, whose witnesses monomial() builds: a
+    # call recorder over the five golden builds sees them, the point search
+    # and the inclusion test reached
     lemma_code = {
         ("compositum.py", "separable_transfer_check"),
         ("compositum.py", "first_point_into"),
         ("fields.py", "TowerHom.is_inclusion"),
+        ("builder.py", "_maximal_ideal_failure"),
+        ("valuations.py", "MonomialValuation.monomial"),
     }
     reached = set()
     for name in EXTENSIONS:

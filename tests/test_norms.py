@@ -538,7 +538,7 @@ def test_samplers_draw_what_randrange_draws(request, field_name):
             z = random_fraction_element(v, fast)
             assert z.rep == _generic_fraction_element(v, slow).rep
         assert fast.getstate() == slow.getstate()
-    # the forced-target draws of verification go through randbelow
+    # randbelow itself, at sizes the samplers never draw
     for n in list(range(1, 40)) + [2**31 - 1, 2**32, 3**40]:
         assert norms.randbelow(fast.getrandbits, n) == slow.randrange(n)
     assert fast.getstate() == slow.getstate()
