@@ -29,21 +29,27 @@ Commands::
 
     valext decompose <file>
     valext extend <file> [--verify] [--point <i>] [--truncate <N>]
-    valext selftest [--seed <n>]
+    valext selftest
+
+``selftest`` is an install check: it runs ``decompose`` and ``extend
+--verify`` on the embedded golden scenarios and compares the digest of each
+report with the digest of its file in ``tests/golden``.
 
 Exit codes: 0 success, 1 parse error (also an unreadable scenario file or a
 negative truncation exponent), 2 capability error, 3 precondition error,
-4 selftest failure, 5 internal check failed (a check of the engine's own
-answer), 6 verification failed (``extend --verify`` printed its whole
-report, and a check in it failed), 141 (128 + SIGPIPE) stdout closed by its
-reader.
+4 selftest failure (an embedded golden report differs), 5 internal check
+failed (a check of the engine's own answer), 6 verification failed
+(``extend --verify`` printed its whole report, and a check in it failed),
+141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 from . import config
@@ -65,6 +71,7 @@ from .errors import (
     StructuralError,
 )
 from .fields import FieldTower, _is_name
+from .selftest import GOLDEN_DIGESTS, GOLDEN_SCENARIOS
 from .valuations import MonomialValuation
 
 _SECTIONS = {"base", "valuation", "extension", "options"}
@@ -316,16 +323,35 @@ def cmd_extend(
     return code
 
 
-def cmd_selftest(seed: int = 0, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    from .selftest import run_selftest
+def cmd_selftest(out=None, err=None) -> int:
+    """Run ``decompose`` and ``extend --verify`` on the embedded golden
+    scenarios and compare the SHA-256 digest of each report with
+    ``GOLDEN_DIGESTS``: one ``ok`` or ``FAIL`` line per report, then the
+    counts.  Any failed report gives exit code 4."""
+    import hashlib  # here: it loads OpenSSL, which no other command needs
 
-    result = run_selftest(seed=seed)
-    for line in result.lines:
-        print(line, file=out)
-    if result.failed:
-        print(f"{len(result.failed)} case(s) failed", file=err)
+    out = out or sys.stdout
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for report, digest in GOLDEN_DIGESTS.items():
+            name, command, _ = report.split(".")
+            path = os.path.join(tmp, f"{name}.val")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(GOLDEN_SCENARIOS[name])
+            text, msg = io.StringIO(), io.StringIO()
+            if command == "decompose":
+                code = cmd_decompose(path, out=text, err=msg)
+            else:
+                code = cmd_extend(path, verify=True, out=text, err=msg)
+            if code == 0 and hashlib.sha256(text.getvalue().encode()).hexdigest() == digest:
+                print(f"ok   {report}", file=out)
+                continue
+            failed += 1
+            why = f"exit {code} ({msg.getvalue().strip()})" if code else "report differs"
+            print(f"FAIL {report}: {why}", file=out)
+    print(f"{len(GOLDEN_DIGESTS) - failed} passed, {failed} failed", file=out)
+    if failed:
+        print(f"selftest failed: {failed} report(s)", file=err or sys.stderr)
         return 4
     return 0
 
@@ -359,8 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ext.add_argument("--verify", action="store_true")
     p_ext.add_argument("--point", type=int, default=None)
     p_ext.add_argument("--truncate", type=int, default=None)
-    p_self = sub.add_parser("selftest", help="run the embedded golden corpus")
-    p_self.add_argument("--seed", type=int, default=0)
+    sub.add_parser("selftest", help="check the reports against the embedded golden digests")
     try:
         try:
             # --help prints and raises SystemExit here, so its flush too
@@ -371,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             elif args.command == "extend":
                 code = cmd_extend(args.file, args.verify, args.point, args.truncate)
             else:
-                code = cmd_selftest(args.seed)
+                code = cmd_selftest()
         finally:
             if sys.stdout is not None:  # None when fd 1 was closed at start-up
                 sys.stdout.flush()

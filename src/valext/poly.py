@@ -457,11 +457,19 @@ def _root_coeff_poly(f: Polynomial) -> Polynomial | None:
 
 
 def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Distinct monic irreducible-free parts with multiplicities, by Yun's
-    algorithm.
+    """The squarefree decomposition of f by Yun's algorithm: pairs (g, m) of
+    a monic part g of positive degree and its multiplicity m.
 
-    Exact over every supported tower, including non-perfect coefficient
-    fields, where a vanishing derivative does not imply a repeated factor.
+    The parts are squarefree and pairwise coprime, and the product of the
+    g^m is f made monic.  Exact over every supported tower, including
+    non-perfect coefficient fields, where a vanishing derivative does not
+    imply a repeated factor.  There a part h(y^p) goes through the p-content
+    route, which splits h by factoring it when its coefficients have no p-th
+    roots, and the pieces are not merged: a multiplicity may repeat, as in
+    y^3 + a*y -> [(y, 1), (y^2 + a, 1)] over F_2(a).  When f' is nonzero the
+    parts are sorted by ``Polynomial.sort_key`` (degree first); when f' is
+    zero they come in the p-content route's order, which is fixed but not
+    sorted.
     """
     if f.is_zero:
         raise DomainError("squarefree decomposition of 0")

@@ -383,6 +383,25 @@ def test_field_axioms_random_char2(f2_a_r):
             assert a * a.inv() == f2_a_r.one()
 
 
+@pytest.mark.parametrize("tower", ["q_i", "f2_a_r", "q_x"])
+def test_field_axioms_on_sampled_elements(request, rationals, tower):
+    # over an algebraic, a radicial and a transcendental tower: eight sampled
+    # elements of three terms, combined 40 times
+    if tower == "q_x":
+        tw = rationals.extend_transcendental("x")
+    else:
+        tw = request.getfixturevalue(tower)
+    rng = random.Random(0)
+    elems = [random_field_element(tw, rng, 3) for _ in range(8)]
+    for _ in range(40):
+        a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
+        assert (a + b) + c == a + (b + c)
+        assert a * (b + c) == a * b + a * c
+        assert a * b == b * a
+        if not a.is_zero:
+            assert a * a.inv() == tw.one()
+
+
 def _fraction_product(tw, a, b):
     """Canonical rep of (an*bn)/(ad*bd) at the top, transcendental level."""
     (an, ad), (bn, bd) = a, b

@@ -3,12 +3,14 @@
 ``tests/golden`` holds the ``extend --verify`` report of each extension
 scenario in ``selftest.GOLDEN_SCENARIOS`` and the ``decompose`` report of
 every scenario, as produced before the univariate core was shared, and the
-``valext selftest`` output at seeds 0 and 3, as produced before the series
-factor lift was retired.  The files are fixed: a change that alters one of
-them changes what valext prints.  On the same paths, every characteristic-0
-rep must hold canonical Q scalars (an int when integral).
+output of ``valext selftest``, which checks those reports against
+``selftest.GOLDEN_DIGESTS``.  The files are fixed: a change that alters one
+of them changes what valext prints, and ``GOLDEN_DIGESTS`` must equal their
+digests.  On the same paths, every characteristic-0 rep must hold canonical
+Q scalars (an int when integral).
 """
 
+import hashlib
 import io
 import os
 import random
@@ -22,7 +24,7 @@ import pytest
 from valext import cli
 from valext.fields import FieldElement, FieldTower
 from valext.poly import Polynomial
-from valext.selftest import GOLDEN_SCENARIOS
+from valext.selftest import GOLDEN_DIGESTS, GOLDEN_SCENARIOS
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,11 +52,23 @@ def test_decompose_report_is_golden(tmp_path, name):
     assert _run(cli.cmd_decompose, tmp_path, name) == expected
 
 
+def test_golden_digests_are_the_digests_of_the_golden_reports():
+    # one entry per command and scenario: decompose for all six, extend
+    # --verify for the five extension scenarios
+    names = [f"{name}.decompose.txt" for name in GOLDEN_SCENARIOS]
+    names += [f"{name}.extend-verify.txt" for name in EXTENSIONS]
+    digests = {name: hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest() for name in names}
+    assert GOLDEN_DIGESTS == digests
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_selftest_output_is_golden(seed):
+    # selftest takes no seed: its reports draw from their own seeded
+    # generators, so the state of the global random module must not show
+    random.seed(seed)
     out, err = io.StringIO(), io.StringIO()
-    assert (cli.cmd_selftest(seed, out=out, err=err), err.getvalue()) == (0, "")
-    assert out.getvalue() == (GOLDEN / f"selftest.seed{seed}.txt").read_text()
+    assert (cli.cmd_selftest(out=out, err=err), err.getvalue()) == (0, "")
+    assert out.getvalue() == (GOLDEN / "selftest.txt").read_text()
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "98765"])
@@ -165,18 +179,52 @@ def test_extend_verify_factors_the_kprime_polynomial_no_more_than_extend(tmp_pat
     assert 1 <= factored(True) <= factored(False)
 
 
+_SEEDED_SELFTEST = """
+import random, runpy, sys
+random.seed(int(sys.argv[1]))
+sys.argv = ["valext", "selftest"]
+runpy.run_module("valext", run_name="__main__", alter_sys=True)
+"""
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_selftest_output_is_golden_under_python_O_and_another_hash_seed(seed):
     # the selftest's checks must not be assert statements, which -O strips,
     # and its output must not follow the iteration order of a set of strings
+    # or the state of the global random module; the module runs as under -m
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "valext", "selftest", "--seed", str(seed)],
+        [sys.executable, "-O", "-c", _SEEDED_SELFTEST, str(seed)],
         env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="98765"),
         capture_output=True,
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == (GOLDEN / f"selftest.seed{seed}.txt").read_bytes()
+    assert proc.stdout == (GOLDEN / "selftest.txt").read_bytes()
+
+
+_PLANTED_REPORT = """
+import sys
+from valext import cli
+render = cli.render_report
+cli.render_report = lambda *args: render(*args) + " "
+sys.exit(cli.main(["selftest"]))
+"""
+
+
+def test_selftest_fails_a_planted_report_fault_under_python_O():
+    # a trailing space in every extend report: -O must not strip the digest
+    # comparison, and each FAIL line names its report
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PLANTED_REPORT],
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="98765"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (4, "selftest failed: 5 report(s)\n")
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    want = [f"FAIL {name}.extend-verify.txt: report differs" for name in sorted(EXTENSIONS)]
+    assert failed == want
 
 
 # -- the factorization corpus ----------------------------------------------------

@@ -1,7 +1,8 @@
 """The package's self-checks are real checks: no ``assert`` (removed by
 ``python -O``) guards a result, and the checks that replace them fire under
-``-O``.  That the selftest passes under ``-O``, with its golden output, is
-``tests/test_golden.py``'s to check."""
+``-O``.  That ``valext selftest`` passes under ``-O`` with its golden
+output, and fails a planted report fault there, is ``tests/test_golden.py``'s
+to check."""
 
 import ast
 import collections

@@ -325,7 +325,11 @@ def test_hensel_rank_and_monic_requirements(rationals, v_f3):
         g = Polynomial.from_coeffs(k, "y", [-(1 + k.gen("x1")), k.zero(), k.one()])
         with pytest.raises(CapabilityError, match="non-constant coefficients"):
             hensel_factor_lift(v, g)
+    # the same split over F3
     k = v_f3.function_field
+    g = Polynomial.from_coeffs(k, "y", [-(1 + k.gen("x")), k.zero(), k.one()])
+    with pytest.raises(CapabilityError, match="non-constant coefficients"):
+        hensel_factor_lift(v_f3, g)
     g = Polynomial.from_coeffs(k, "y", [k.one(), k.gen("x")])
     with pytest.raises(DomainError):
         hensel_factor_lift(v_f3, g)
