@@ -21,14 +21,14 @@ Supported factorization domains:
 * p-power binomials y^(p^e) - c in characteristic p: exact p-th roots.
 
 In characteristic 0 ``factor`` decides squarefreeness by a prime where it
-can: a squarefree certificate (``_certify``) tests f modulo a prime over Q
-and the norm of f modulo a prime over Q(theta).  When it holds, f is its own
-squarefree part and Yun's exact gcd(f, f') (``squarefree_decomposition``)
-is skipped; the norm route certifies each shifted norm the same way and
-falls back to the exact gcd.  Over Q the prime that certified f (or a norm)
-is the prime that factors it, and over Q(theta) the prime that certified f
-factors its unshifted norm, so each polynomial searches for its prime at
-most once.
+can: a squarefree certificate (``_certify``) looks for a good prime of f
+over Q, and of the exact norm of f to Q over Q(theta), in the whole prime
+pool.  When it holds, f is its own squarefree part and Yun's exact gcd(f,
+f') (``squarefree_decomposition``) is skipped; the norm route certifies each
+shifted norm the same way and falls back to the exact gcd.  The search is
+memoized (``_good_prime``), so the certificate, the norm route and the
+factorization over Q search once for each integer polynomial of an
+operation.
 ``factor`` checks that the unit times the product of its factors is its
 input before it returns.
 
@@ -62,6 +62,7 @@ from .fields import (
     FieldTower,
     IntegersMod,
     PrimeField,
+    _is_prime,
     _join_terms,
     _key,
     _p_power_binomial,
@@ -500,48 +501,31 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _certify(f: Polynomial) -> tuple[bool, int | None]:
-    """(proved, prime): proved is True when a cheap test proves the monic f
-    squarefree, and False proves nothing.  Over Q, prime is the good prime
-    of f that proves it; over Q(theta), a good prime of the norm N(f) to Q.
-    Factoring f takes it up instead of searching for it again.
+def _certify(f: Polynomial) -> bool:
+    """True when a cheap test proves the monic f squarefree; False proves
+    nothing.
 
-    Over Q the test is modular (``_good_prime``).  In characteristic 0, an f
-    with coefficients in the subfield below the top step is certified there.
-    Over Q(theta) of degree d otherwise, the norm N(f) to Q is certified,
-    since a square factor of f gives one of N(f).  That norm is only taken
-    modulo primes p that divide no denominator of its matrix, as the
-    determinant D = denom^d * N(f) of the matrix scaled by the common
-    denominator, and p is accepted only when D mod p is squarefree of degree
-    d * deg f; a square factor of N(f) would stay one mod p, and an input
-    with a square factor costs no exact norm.  Such a p is a good prime of
-    ints(N), the primitive integer multiple of N(f) (``_primitive_ints``):
-    D = t * ints(N) for an integer t, and lc(D) = denom^d is nonzero mod p,
-    so p divides neither t nor lc(ints(N)), and ints(N) mod p is squarefree
-    of full degree.  Above two or more algebraic steps nothing is certified.
+    Over Q the test is modular: f has a good prime in the pool
+    (``_good_prime``).  In characteristic 0, an f with coefficients in the
+    subfield below the top step is certified there.  Over Q(theta)
+    otherwise, the exact norm N(f) to Q is certified the same way, since a
+    square factor of f gives one of N(f).  The norm route factors that same
+    norm at shift 0, and its certificate and its factorization find the
+    prime in ``_good_prime``'s memo.  Above two or more algebraic steps
+    nothing is certified.
     """
     tower = f.tower
     if tower.char != 0:
-        return False, None
+        return False
     if tower.level == 0:
-        prime = _good_prime(_primitive_ints(f.reps))
-        return prime is not None, prime
+        return _good_prime(tuple(_primitive_ints(f.reps))) is not None
     restricted = _restrict_poly(f, tower.level - 1)
     if restricted is not None:
-        return _certify(restricted)[0], None
+        return _certify(restricted)
     if tower.level > 1 or tower.extension_degree() is None:
-        return False, None
-    rows = _norm_rows(tower, f.reps)
-    denom = math.lcm(*(c.denominator for row in rows for entry in row for c in entry))
-    rows = [[[c.numerator * (denom // c.denominator) for c in e] for e in row] for row in rows]
-    primes = [p for p in _PRIME_POOL if denom % p][:_CERTIFICATE_TRIES]
-    full = len(rows) * f.degree() + 1
-    for p in primes:
-        Fp = PrimeField(p)
-        norm = _bareiss_det(Fp, [[_u_trim(Fp, [c % p for c in e]) for e in row] for row in rows])
-        if len(norm) == full and _u_squarefree(Fp, norm):
-            return True, p
-    return False, None
+        return False
+    sub = tower.prefix(0)
+    return _certify(Polynomial(sub, f.var, _norm(f, sub)))
 
 
 def _squarefree_p_content(f: Polynomial, p: int) -> list[tuple[Polynomial, int]]:
@@ -623,10 +607,9 @@ def factor(f: Polynomial) -> Factorization:
     out = _binomial_factors(monic)
     if out is None:
         rng = random.Random(config.DEFAULT_SEED)
-        proved, prime = _certify(monic)
         out = []
-        for part, mult in [(monic, 1)] if proved else squarefree_decomposition(monic):
-            for irr in _factor_squarefree(part, rng, prime=prime):
+        for part, mult in [(monic, 1)] if _certify(monic) else squarefree_decomposition(monic):
+            for irr in _factor_squarefree(part, rng):
                 out.append((irr, mult))
         out.sort(key=lambda fm: fm[0].sort_key())
     fac = Factorization(unit, out)
@@ -636,12 +619,8 @@ def factor(f: Polynomial) -> Factorization:
     return fac
 
 
-def _factor_squarefree(
-    f: Polynomial, rng: random.Random, *, prime: int | None = None
-) -> list[Polynomial]:
-    """Monic squarefree polynomial into monic irreducibles; ``prime`` is a
-    good prime (``_good_prime``) of f over Q, or of its norm to Q over
-    Q(theta) (``_certify``), if one is known."""
+def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
+    """Monic squarefree polynomial into monic irreducibles."""
     tower = f.tower
     if f.degree() == 1:
         return [f]
@@ -656,8 +635,8 @@ def _factor_squarefree(
         return _factor_finite(f, rng)
     if tower.char == 0 and tower.extension_degree() is not None:
         if tower.level == 0:
-            return _factor_rationals(f, rng, prime)
-        return _factor_norm_reduction(f, rng, prime)
+            return _factor_rationals(f, rng)
+        return _factor_norm_reduction(f, rng)
     top = tower.steps[-1]
     if not top.is_algebraic:
         restricted = _restrict_poly(f, tower.level - 1)
@@ -779,15 +758,18 @@ def _random_field_element(tower: FieldTower, rng: random.Random) -> FieldElement
 
 _PRIME_POOL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
 
-# a norm with a square factor fails every prime, so its certificate gives up
-# after this many primes
-_CERTIFICATE_TRIES = 3
 
-
-def _factor_rationals(f: Polynomial, rng: random.Random, prime: int | None) -> list[Polynomial]:
+def _factor_rationals(f: Polynomial, rng: random.Random) -> list[Polynomial]:
     """Monic squarefree polynomial over Q: mod-p factorization at a good
-    prime (the one given, else the first of the pool), Hensel lifting and
-    subset recombination.
+    prime, Hensel lifting and subset recombination.
+
+    The prime is the first good one of the pool (``_good_prime``), else the
+    first good one above it.  Only primes dividing lc * disc fail a
+    squarefree f, and |lc * disc| <= |lc| * n^n * |f|_2^(2n-2) < 2^b by
+    Mahler's bound (K. Mahler, "An inequality for the discriminant of a
+    polynomial", Michigan Math. J. 11, 1964); each prime above the pool
+    exceeds 2^6, so at most b // 6 of them fail, and one of the first
+    b // 6 + 1 is good.
 
     The lift runs to the least p^k > 2 * C(n-1, (n-1)//2) * (isqrt(|f|_2^2)
     + 1) * |lc f| for f = ints of degree n, by Mignotte's bound (M. Mignotte,
@@ -798,13 +780,17 @@ def _factor_rationals(f: Polynomial, rng: random.Random, prime: int | None) -> l
     <= |lc f|.  So each coefficient of a true candidate lies below p^k/2 in
     absolute value and is read off its symmetric residue exactly.
     """
-    ints = _primitive_ints(f.reps)
+    ints = tuple(_primitive_ints(f.reps))
     n = len(ints) - 1
     lead = ints[-1]
+    prime = _good_prime(ints)
     if prime is None:
-        prime = _good_prime(ints)
-    if prime is None:
-        raise CapabilityError("no suitable prime found for rational factorization")
+        bits = (abs(lead) * n**n * sum(c * c for c in ints) ** (n - 1)).bit_length()
+        above = (p for p in itertools.count(_PRIME_POOL[-1] + 2, 2) if _is_prime(p))
+        good = (p for p in itertools.islice(above, bits // 6 + 1) if _is_good_prime(ints, p))
+        prime = next(good, None)
+        if prime is None:
+            raise SelfCheckError("no good prime for a squarefree polynomial within Mahler's bound")
     modular = _factor_mod_p(ints, prime, rng)
     if len(modular) == 1:
         return [f.monic()]
@@ -829,18 +815,25 @@ def _primitive_ints(reps: list) -> list[int]:
     return [c // content for c in ints] if ints[-1] > 0 else [-c // content for c in ints]
 
 
-def _good_prime(ints: list[int]) -> int | None:
-    """The first prime of the pool that divides neither the leading
-    coefficient nor the discriminant of ints, or None.  Such a prime proves
-    ints squarefree over Q: a square factor would stay one mod p."""
-    for p in _PRIME_POOL:
-        # p does not divide the leading coefficient: nothing to trim
-        if ints[-1] % p and _u_squarefree(PrimeField(p), [c % p for c in ints]):
-            return p
-    return None
+@functools.lru_cache(maxsize=64)
+def _good_prime(ints: tuple[int, ...]) -> int | None:
+    """The first good prime (``_is_good_prime``) of ints in the pool, or
+    None.  It proves ints squarefree over Q; an input with a square factor
+    has no good prime at all, so the certificate searches the pool alone.
+    The search is memoized: the certificate of f or of its norm, the norm
+    route's check of that norm and its factorization search once for each
+    integer polynomial while it stays among the 64 most recent."""
+    return next((p for p in _PRIME_POOL if _is_good_prime(ints, p)), None)
 
 
-def _factor_mod_p(ints: list[int], p: int, rng: random.Random) -> list[list[int]]:
+def _is_good_prime(ints: Sequence[int], p: int) -> bool:
+    """Whether p divides neither the leading coefficient nor the
+    discriminant of ints: a square factor would stay one mod p."""
+    # p does not divide the leading coefficient: nothing to trim
+    return ints[-1] % p != 0 and _u_squarefree(PrimeField(p), [c % p for c in ints])
+
+
+def _factor_mod_p(ints: Sequence[int], p: int, rng: random.Random) -> list[list[int]]:
     f = Polynomial(FieldTower.prime_field(p), "y", [c % p for c in ints]).monic()
     parts = _factor_finite(f, rng)
     parts.sort(key=lambda g: g.sort_key())
@@ -912,7 +905,7 @@ def _divide_exact(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r) else q
 
 
-def _recombine(ints: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
+def _recombine(ints: Sequence[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
     """Search subsets of lifted factors for true integer factors."""
 
     def sym(c: int) -> int:
@@ -968,12 +961,8 @@ def _shift_candidates(sub: FieldTower):
             yield s
 
 
-def _factor_norm_reduction(
-    f: Polynomial, rng: random.Random, prime: int | None = None
-) -> list[Polynomial]:
-    """Factor over sub(theta) by factoring a squarefree norm over sub;
-    ``prime``, from ``_certify(f)``, proves the unshifted norm squarefree
-    and is a good prime of it."""
+def _factor_norm_reduction(f: Polynomial, rng: random.Random) -> list[Polynomial]:
+    """Factor over sub(theta) by factoring a squarefree norm over sub."""
     tower = f.tower
     R = tower.ring
     sub = tower.prefix(tower.level - 1)
@@ -991,14 +980,12 @@ def _factor_norm_reduction(
         st = (tower.embed(s_elem) * theta).rep
         fs = f if s_elem.is_zero else f.compose(f._like([R.neg(st), R.one]))  # f(y - s*theta)
         norm = Polynomial(sub, f.var, _norm(fs, sub)).monic()
-        # the certificate of f holds for its unshifted norm; the exact gcd
-        # decides when no modular certificate does
-        proved, prime = (True, prime) if s_elem.is_zero and prime else _certify(norm)
-        if not proved:
+        # the exact gcd decides when no modular certificate does
+        if not _certify(norm):
             d = norm.derivative()
             if d.is_zero or gcd(norm, d).degree() != 0:
                 continue
-        pieces = _factor_squarefree(norm, rng, prime=prime)
+        pieces = _factor_squarefree(norm, rng)
         if len(pieces) == 1:
             return [f.monic()]
         out = []

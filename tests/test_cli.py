@@ -398,6 +398,15 @@ def test_zero_denominator_is_a_parse_error_with_line(tmp_path):
     assert err.startswith("parse error: line 10:") and "zero denominator" in err
 
 
+def test_a_step_with_no_good_prime_in_the_pool_is_built(tmp_path):
+    # the step's irreducibility check factors y^2 - 2*M^2 over Q, and every
+    # prime of the pool divides M
+    big = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67
+    code, out, err = run_extend(tmp_path, _ONE_STEP.format(f"y^2 - 2*{big}^2"))
+    assert (code, err) == (0, "")
+    assert f"w^2 - {2 * big * big}" in out
+
+
 _NAMED_GEN = """\
 [base]
 base: Q

@@ -335,13 +335,15 @@ def _factor_inputs():
     return out
 
 
-def factor_corpus() -> str:
+def factor_corpus(before_each=lambda: None) -> str:
+    """The text of ``factor.txt``; ``before_each()`` runs before each input."""
     from valext.errors import ValextError
     from valext.poly import Polynomial, factor, squarefree_decomposition
 
     towers = _factor_towers()
     lines = []
     for domain, text in _factor_inputs():
+        before_each()
         lines.append(f"{domain} | {text}")
         f = Polynomial.parse(text, towers[domain], ("y",))
         try:
@@ -359,6 +361,17 @@ def factor_corpus() -> str:
 
 def test_factor_corpus_is_golden():
     assert factor_corpus() == (GOLDEN / "factor.txt").read_text()
+
+
+def test_factor_corpus_does_not_depend_on_the_good_prime_memo():
+    # cold: _good_prime's memo cleared before every input; warm: kept across
+    # the whole corpus, from the cold run's last input on
+    from valext.poly import _good_prime
+
+    cold = factor_corpus(before_each=_good_prime.cache_clear)
+    warm = factor_corpus()
+    assert cold == warm == (GOLDEN / "factor.txt").read_text()
+    assert _good_prime.cache_info().hits > 0
 
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -923,14 +924,14 @@ def test_certificate_never_holds_with_a_square(name, data):
     tower = _CERTIFIED_TOWERS[name]()
     g = _monic_factor(tower, data.draw)
     h = _monic_factor(tower, data.draw)
-    assert not poly_mod._certify(g * g * h)[0]
+    assert poly_mod._certify(g * g * h) is False
 
 
 def test_certificate_refuses_a_norm_that_drops_degree():
     # the norm of this non-monic f is (9y^2 + 1)^2 * (y^2 + 2y + 2), which
     # mod 3 is the squarefree y^2 + 2y + 2: only its degree shows the square
     f = parse("(3*y + i)^2 * (y + 1 + i)", _q_i())
-    assert poly_mod._certify(f) == (False, None)
+    assert poly_mod._certify(f) is False
 
 
 @pytest.mark.parametrize("name", list(_CERTIFIED_TOWERS))
@@ -941,7 +942,7 @@ def test_certified_inputs_are_their_own_yun_decomposition(name, data):
     f = _monic_factor(tower, data.draw)
     for _ in range(data.draw(st.integers(0, 2))):
         f = f * _monic_factor(tower, data.draw)
-    if poly_mod._certify(f)[0]:
+    if poly_mod._certify(f):
         assert poly_mod.squarefree_decomposition(f) == [(f, 1)]
 
 
@@ -952,7 +953,30 @@ def test_certificate_holds_on_squarefree_inputs(name):
     tower = _CERTIFIED_TOWERS[name]()
     gen = tower.gen_names[0] if tower.gen_names else "1"
     for text in ["y^4 - 10*y^2 + 1", f"(y - {gen}) * (y^2 + {gen}*y + 3)", f"y^3 - {gen} + 5"]:
-        assert poly_mod._certify(parse(text, tower))[0], text
+        assert poly_mod._certify(parse(text, tower)) is True, text
+
+
+def test_a_norm_first_good_past_the_first_three_primes_is_certified(monkeypatch):
+    # the norm of this squarefree f over Q(i) is first good at 11: the
+    # certificate searches the whole pool, and Yun's exact gcd never runs
+    f = parse("(y^2 + 2*i*y + i) * (y + 1 + 3*i)", _q_i())
+    assert poly_mod._certify(f.monic()) is True
+
+    def refused(g):
+        raise AssertionError(f"squarefree_decomposition({g})")
+
+    monkeypatch.setattr(poly_mod, "squarefree_decomposition", refused)
+    fac = factor(f)
+    assert fac.expand() == f and len(fac.factors) == 2
+
+
+def test_a_squarefree_input_with_no_good_prime_in_the_pool_factors(rationals):
+    # every prime of the pool divides M, so y^2 - M*y is y^2 mod each of
+    # them: the factorization takes the first good prime above the pool
+    big = math.prod(poly_mod._PRIME_POOL)
+    f = parse(f"y^2 - {big}*y", rationals)
+    assert poly_mod._certify(f) is False
+    assert str(factor(f)) == f"(y) * (y - {big})"
 
 
 def _recombine_unpruned(ints, lifted, modulus):
@@ -1087,32 +1111,43 @@ def test_factor_refuses_an_answer_that_does_not_multiply_back(monkeypatch, ratio
 _SEARCH_CASES = [
     ("(y^2 - 2) * (y^3 - 3*y + 1)", "Q", 0, 1),
     ("y^4 - 10*y^2 + 1", "Q", 0, 1),
-    # the certificate of f over Q(i) is a good prime of its norm: no search
-    ("(y - i - 2) * (y^2 + i*y + 3)", "Q(i)", 1, 0),
-    # the norm at shift 0 holds (y^2 - 3)^2 and is turned down: its search
-    # fails, and the norm at shift 1 searches once
+    # the certificate of f over Q(i) takes the exact norm, and the norm
+    # route takes it again at shift 0: one search serves both and the
+    # factorization of the norm
+    ("(y - i - 2) * (y^2 + i*y + 3)", "Q(i)", 1, 1),
+    # the norm of f holds (y^2 - 3)^2: the certificate and the route's
+    # shift 0 share its failed search, and the norm at shift 1 searches once
     ("(y^2 - 3) * (y^3 + 3*i*y + 3)", "Q(i)", 2, 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, domain, norms, searches",
+    "text, domain, route_norms, searches",
     _SEARCH_CASES,
     ids=[f"{text}-{domain}-{norms}" for text, domain, norms, _ in _SEARCH_CASES],
 )
-def test_one_good_prime_search_per_polynomial_over_q(monkeypatch, text, domain, norms, searches):
+def test_one_good_prime_search_per_polynomial_over_q(
+    monkeypatch, text, domain, route_norms, searches
+):
     # the good prime that certifies a squarefree f over Q, or a norm over Q,
-    # is the prime that factors it: at most one search each
+    # is the prime that factors it: a search is a miss of _good_prime's
+    # memo, and each miss fills an entry of its own, so no integer
+    # polynomial is searched twice
     f = parse(text, FieldTower.rationals() if domain == "Q" else _q_i())
-    searched, normed = [], []
-    good_prime, norm = poly_mod._good_prime, poly_mod._norm
+    normed = []  # the function that took each exact norm
+    norm = poly_mod._norm
     monkeypatch.setattr(
-        poly_mod, "_good_prime", lambda ints: searched.append(tuple(ints)) or good_prime(ints)
+        poly_mod,
+        "_norm",
+        lambda fs, sub: normed.append(sys._getframe(1).f_code.co_name) or norm(fs, sub),
     )
-    monkeypatch.setattr(poly_mod, "_norm", lambda fs, sub: normed.append(fs) or norm(fs, sub))
+    poly_mod._good_prime.cache_clear()
     assert factor(f).expand() == f
-    assert len(normed) == norms
-    assert len(searched) == searches == len(set(searched))
+    info = poly_mod._good_prime.cache_info()
+    # over Q(i) the certificate takes one norm, the route one per shift
+    certificate_norms = 0 if domain == "Q" else 1
+    assert normed == ["_certify"] * certificate_norms + ["_factor_norm_reduction"] * route_norms
+    assert info.misses == info.currsize == searches
 
 
 def _random_monic(tower, rng, degree):
@@ -1128,31 +1163,31 @@ def _random_monic(tower, rng, degree):
 
 
 @pytest.mark.parametrize("name", ["Q(i)", "Q(s2)"])
-def test_the_certificate_prime_is_a_good_prime_of_the_norm(monkeypatch, name):
+def test_the_certificate_prime_is_a_good_prime_of_the_norm(name):
+    # the certificate of f searches its norm's integers, and factoring f
+    # finds that prime in the memo: it adds no search
     tower = _NORM_TOWERS[name]()
     sub = tower.prefix(0)
     rng = random.Random(f"hand-off:{name}")
-    searched = []
     good_prime = poly_mod._good_prime
-    monkeypatch.setattr(
-        poly_mod, "_good_prime", lambda ints: searched.append(tuple(ints)) or good_prime(ints)
-    )
     certified = 0
     for _ in range(100):
         f = _random_monic(tower, rng, rng.randrange(1, 4))
         for _ in range(rng.randrange(2)):
             f = f * _random_monic(tower, rng, rng.randrange(1, 3))
         assert poly_mod.squarefree_decomposition(f) == [(f, 1)]
-        proved, p = poly_mod._certify(f)
+        good_prime.cache_clear()
+        proved = poly_mod._certify(f)
+        misses = good_prime.cache_info().misses
+        ints = tuple(poly_mod._primitive_ints(Polynomial(sub, "y", _norm(f, sub)).reps))
+        p = good_prime(ints)
         if p is None:
             continue
-        assert proved
+        assert proved and good_prime.cache_info().misses == misses
         certified += 1
-        ints = poly_mod._primitive_ints(Polynomial(sub, "y", _norm(f, sub)).reps)
         assert ints[-1] % p and _u_squarefree(PrimeField(p), [c % p for c in ints])
-        searched.clear()
         assert factor(f).expand() == f
-        assert tuple(ints) not in searched
+        assert good_prime.cache_info().misses == misses
     assert certified >= 60
 
 
@@ -1215,9 +1250,9 @@ def test_hensel_precision_holds_every_true_factor(monkeypatch, rationals):
         lifts.append(p**k)
         return hensel_lift(p, k, f, modular)
 
-    def rationals_part(f, rng, prime):
+    def rationals_part(f, rng):
         before = len(lifts)
-        out = factor_rationals(f, rng, prime)
+        out = factor_rationals(f, rng)
         parts.append((f, out, lifts[before:]))
         return out
 
@@ -1242,7 +1277,7 @@ def test_no_certificate_above_two_algebraic_steps():
     # an input in s2 over Q(i)(s2) does not restrict to Q(i): Yun decides
     tower = _NORM_TOWERS["Q(i)(s2)"]()
     f = parse("(y - s2 - i) * (y^2 + (s2 + i)*y + 3)", tower)
-    assert not poly_mod._certify(f)[0]
+    assert poly_mod._certify(f) is False
     assert poly_mod.squarefree_decomposition(f) == [(f, 1)]
     assert factor(f).expand() == f
 

@@ -175,6 +175,16 @@ _SELF_CHECK_PLANTS = [
         "internal check failed: composed k' images violate a relation",
     ),
     (
+        # a squarefree polynomial over Q has a good prime within Mahler's
+        # bound on its discriminant: hensel_route factors y^2 - 2 to check
+        # its step, and no prime passes a squarefree test that always fails
+        "no_prime_is_ever_good",
+        "poly._u_squarefree = lambda R, f: False",
+        "hensel_route",
+        5,
+        "internal check failed: no good prime for a squarefree polynomial within Mahler's bound",
+    ),
+    (
         "tensor_decompose_doubles_its_points",
         "decompose = builder.tensor_decompose\n"
         "builder.tensor_decompose = lambda *args: decompose(*args) * 2",
